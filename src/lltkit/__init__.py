@@ -14,6 +14,7 @@ from .bounds import (
     DEFAULT_CE,
     DEFAULT_CONSTANTS,
     PlugIns,
+    SumSpec,
     bounded_plug_ins,
     calibrate_c0,
     calibrate_c0_scan,
@@ -25,6 +26,7 @@ from .bounds import (
     exact_plug_ins,
     exp_moment_gaussian,
     h_default,
+    prepare_sum,
     psi_envelope,
     refined_bernoulli_comparison,
     sandwich_envelope,
@@ -40,7 +42,7 @@ from .convolve import (
     standard_normal_cdf,
 )
 from .errors import LatticeError, NumericsError, PreconditionError
-from .extraction import BernoulliSplit, HalfLatticePmf, reconstruct, split, xi_law
+from .extraction import BernoulliSplit, reconstruct, split, xi_law
 from .gamkrelidze import (
     ExtractionSmoothnessBound,
     PointwiseCheck,

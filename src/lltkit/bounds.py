@@ -99,12 +99,14 @@ class PlugIns:
 
     ``h_n`` bounds the normal-approximation distance of the conditional sum,
     ``rho_n`` bounds the Bernoulli-count deviation probability (None when the
-    target envelope does not use it).
+    target envelope does not use it), ``l_n`` is the psi-moment ratio that
+    bounded plug-ins derive H_n from (None in exact mode).
     """
 
     h_n: float
     rho_n: float | None
     mode: str  # "exact-plug-ins" | "bounded-plug-ins"
+    l_n: float | None = None
 
 
 @dataclass
@@ -144,14 +146,19 @@ class BoundReport:
 # calibration of the fair-coin comparison constant
 
 
+def _half_pascal_step(row: np.ndarray) -> np.ndarray:
+    """Binomial(n + 1, 1/2) pmf from the Binomial(n, 1/2) pmf ``row``."""
+    nxt = np.zeros(len(row) + 1)
+    nxt[:-1] += row
+    nxt[1:] += row
+    return nxt * 0.5
+
+
 def binomial_half_pmf(n: int) -> np.ndarray:
     """pmf of Binomial(n, 1/2) over z = 0..n via the halved Pascal recursion."""
     row = np.array([1.0])
     for _ in range(n):
-        nxt = np.zeros(len(row) + 1)
-        nxt[:-1] += row
-        nxt[1:] += row
-        row = nxt * 0.5
+        row = _half_pascal_step(row)
     return row
 
 
@@ -166,10 +173,7 @@ def calibrate_c0_scan(n_max: int) -> np.ndarray:
     row = np.array([1.0])
     out = np.empty(n_max)
     for n in range(1, n_max + 1):
-        nxt = np.zeros(len(row) + 1)
-        nxt[:-1] += row
-        nxt[1:] += row
-        row = nxt * 0.5
+        row = _half_pascal_step(row)
         z = np.arange(n + 1)
         gauss = np.sqrt(2.0 / (np.pi * n)) * np.exp(-((2.0 * z - n) ** 2) / (2.0 * n))
         out[n - 1] = n**1.5 * np.abs(row - gauss).max()
@@ -421,20 +425,29 @@ def chernoff_rho(thetas: Sequence[float], h: float) -> float:
     return 2.0 * math.exp(-(h * h) * theta_n / (2.0 * (1.0 + h / 3.0)))
 
 
+def _log_theta_n(theta_n: float) -> float:
+    """``log(Theta_n)`` after checking the growth condition
+    ``log(Theta_n)/Theta_n <= 1/14``."""
+    if theta_n <= 1.0:
+        raise PreconditionError(
+            f"growth condition log(theta_n)/theta_n <= 1/14 failed: theta_n = {theta_n} <= 1"
+        )
+    log_t = math.log(theta_n)
+    ratio = log_t / theta_n
+    if ratio > 1.0 / 14.0:
+        raise PreconditionError(
+            f"growth condition log(theta_n)/theta_n <= 1/14 failed: ratio = {ratio:.6g}"
+        )
+    return log_t
+
+
 def h_default(theta_n: float) -> float:
     """Default deviation parameter ``sqrt(7 log(Theta_n) / (2 Theta_n))``.
 
     Requires ``log(Theta_n)/Theta_n <= 1/14``, which guarantees the returned
     value is at most 1/2.
     """
-    if theta_n <= 1.0:
-        raise PreconditionError(f"theta_n must exceed 1, got {theta_n}")
-    ratio = math.log(theta_n) / theta_n
-    if ratio > 1.0 / 14.0:
-        raise PreconditionError(
-            f"growth condition log(theta_n)/theta_n <= 1/14 failed: ratio = {ratio:.6g}"
-        )
-    return math.sqrt(7.0 * math.log(theta_n) / (2.0 * theta_n))
+    return math.sqrt(7.0 * _log_theta_n(theta_n) / (2.0 * theta_n))
 
 
 def exp_moment_gaussian(a: float, b: float) -> float:
@@ -446,11 +459,46 @@ def exp_moment_gaussian(a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# summand bookkeeping
+# the prepared sum
 
 
-def _sum_stats(summands: Sequence[LatticePmf]) -> tuple[float, float, float, float]:
-    """(D, v0_sum, mean, variance) of the independent sum; validates lattices."""
+@dataclass(frozen=True)
+class SumSpec:
+    """Validated description of the independent sum ``S_n = X_1 + ... + X_n``.
+
+    Built once by :func:`prepare_sum` and read by every plug-in and envelope:
+    the summands with their extraction levels, ``theta_n = sum_j vartheta_j``,
+    the common span ``d``, the lattice offset ``v0 = sum_j v0_j`` and the mean
+    and variance of S_n.  ``len(spec)`` is the number of summands.
+    """
+
+    summands: tuple[LatticePmf, ...]
+    thetas: tuple[float, ...]
+    theta_n: float
+    d: float
+    v0: float
+    mean: float
+    var: float
+
+    def __len__(self) -> int:
+        return len(self.summands)
+
+
+def prepare_sum(summands: Sequence[LatticePmf], thetas: Sequence[float]) -> SumSpec:
+    """Validate the summands and their extraction levels and compute the sum's
+    characteristics.
+
+    Requires one level per summand, each in ``(0, theta(X_j)]``, and a span
+    shared by all summands.
+    """
+    if len(summands) != len(thetas):
+        raise LatticeError("need one extraction level per summand")
+    for j, (p, t) in enumerate(zip(summands, thetas)):
+        tx = theta(p)
+        if not (0.0 < t <= tx * (1.0 + 1e-12)):
+            raise PreconditionError(
+                f"extraction level {t} for summand {j} outside (0, theta_X = {tx}]"
+            )
     if not summands:
         raise LatticeError("need at least one summand")
     d = summands[0].D
@@ -464,92 +512,58 @@ def _sum_stats(summands: Sequence[LatticePmf]) -> tuple[float, float, float, flo
         m, v = moments(p)
         mean += m
         var += v
-    return d, v0, mean, var
+    return SumSpec(
+        summands=tuple(summands),
+        thetas=tuple(thetas),
+        theta_n=math.fsum(thetas),
+        d=d,
+        v0=v0,
+        mean=mean,
+        var=var,
+    )
 
 
-def _check_thetas(summands: Sequence[LatticePmf], thetas: Sequence[float]) -> float:
-    if len(summands) != len(thetas):
-        raise LatticeError("need one extraction level per summand")
-    for j, (p, t) in enumerate(zip(summands, thetas)):
-        tx = theta(p)
-        if not (0.0 < t <= tx * (1.0 + 1e-12)):
-            raise PreconditionError(
-                f"extraction level {t} for summand {j} outside (0, theta_X = {tx}]"
-            )
-    return math.fsum(thetas)
-
-
-def _kappa_on_lattice(kappa: float, v0: float, d: float) -> None:
-    r = (kappa - v0) / d
+def _kappa_on_lattice(kappa: float, spec: SumSpec) -> None:
+    r = (kappa - spec.v0) / spec.d
     if abs(r - round(r)) > 1e-9:
-        raise PreconditionError(f"kappa = {kappa} is not on the sum lattice L({v0}, {d})")
+        raise PreconditionError(
+            f"kappa = {kappa} is not on the sum lattice L({spec.v0}, {spec.d})"
+        )
 
 
-def exact_plug_ins(
-    summands: Sequence[LatticePmf],
-    thetas: Sequence[float],
-    h: float | None = None,
-) -> PlugIns:
+def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
     rho_n from the exact Poisson-binomial two-sided tail (when h is given)."""
-    _check_thetas(summands, thetas)
-    xi = convolve_all([xi_law(split(p, t)) for p, t in zip(summands, thetas)])
+    xi = convolve_all([xi_law(split(p, t)) for p, t in zip(spec.summands, spec.thetas)])
     if not (xi.variance > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
     h_n = kolmogorov_distance(xi.pmf, center=xi.mean, scale=math.sqrt(xi.variance))
-    rho = poisson_binomial(thetas).two_sided_tail(h) if h is not None else None
+    rho = poisson_binomial(spec.thetas).two_sided_tail(h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, mode="exact-plug-ins")
 
 
 def bounded_plug_ins(
-    summands: Sequence[LatticePmf],
-    thetas: Sequence[float],
+    spec: SumSpec,
     h: float | None = None,
     psi: Callable[[float], float] = lambda x: abs(x) ** 3,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
 ) -> PlugIns:
-    """Fully effective plug-ins: Esseen-type bound ``2^{3/2} ce * L_n`` for
-    H_n and the Chernoff bound for rho_n (no oracle involved)."""
-    _check_thetas(summands, thetas)
-    _, _, _, var = _sum_stats(summands)
-    l_n = math.fsum(psi_moment(p, psi) for p in summands) / psi(math.sqrt(var))
+    """Fully effective plug-ins: the psi-moment ratio
+    ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))``, the Esseen-type bound
+    ``2^{3/2} ce * L_n`` for H_n and the Chernoff bound for rho_n (no oracle
+    involved)."""
+    l_n = math.fsum(psi_moment(p, psi) for p in spec.summands) / psi(math.sqrt(spec.var))
     h_n = 2.0**1.5 * constants.ce * l_n
-    rho = chernoff_rho(thetas, h) if h is not None else None
-    return PlugIns(h_n=h_n, rho_n=rho, mode="bounded-plug-ins")
+    rho = chernoff_rho(spec.thetas, h) if h is not None else None
+    return PlugIns(h_n=h_n, rho_n=rho, mode="bounded-plug-ins", l_n=l_n)
 
 
 # ---------------------------------------------------------------------------
 # envelopes
 
 
-def _sandwich_core(
-    d: float,
-    mean: float,
-    var: float,
-    theta_n: float,
-    h: float,
-    kappa: float,
-    plug: PlugIns,
-    constants: ConstantsRegistry,
-) -> tuple[float, float, float]:
-    """(gaussian, lower, upper) of the free-h sandwich; shared by the scenery
-    variant so that identical inputs produce identical floats."""
-    dev2 = (kappa - mean) ** 2
-    base = d / math.sqrt(2.0 * math.pi * var)
-    g_plain = base * math.exp(-dev2 / (2.0 * var))
-    g_up = base * math.exp(-dev2 / (2.0 * (1.0 + h) * var))
-    g_lo = base * math.exp(-dev2 / (2.0 * (1.0 - h) * var))
-    shrunk = (1.0 - h) * theta_n
-    t = constants.c1 / math.sqrt(shrunk)
-    rho = plug.rho_n
-    upper = (1.0 + h) / (1.0 - h) * g_up + t * (plug.h_n + 1.0 / shrunk) + rho
-    lower = (1.0 - h) / (1.0 + h) * g_lo - t * (plug.h_n + 1.0 / shrunk + 2.0 * rho) - rho
-    return g_plain, lower, upper
-
-
 def sandwich_envelope(
-    summands: Sequence[LatticePmf],
-    thetas: Sequence[float],
+    spec: SumSpec,
     h: float,
     kappa: float,
     plug_ins: PlugIns,
@@ -565,46 +579,84 @@ def sandwich_envelope(
     """
     if not (0.0 < h < 1.0):
         raise PreconditionError(f"deviation parameter must satisfy 0 < h < 1, got {h}")
-    theta_n = _check_thetas(summands, thetas)
     if plug_ins.rho_n is None:
         raise LatticeError("sandwich envelope needs a rho_n plug-in")
-    d, v0, mean, var = _sum_stats(summands)
-    _kappa_on_lattice(kappa, v0, d)
-    g_plain, lower, upper = _sandwich_core(d, mean, var, theta_n, h, kappa, plug_ins, constants)
+    _kappa_on_lattice(kappa, spec)
+    var = spec.var
+    dev2 = (kappa - spec.mean) ** 2
+    base = spec.d / math.sqrt(2.0 * math.pi * var)
+    g_plain = base * math.exp(-dev2 / (2.0 * var))
+    g_up = base * math.exp(-dev2 / (2.0 * (1.0 + h) * var))
+    g_lo = base * math.exp(-dev2 / (2.0 * (1.0 - h) * var))
+    shrunk = (1.0 - h) * spec.theta_n
+    t = constants.c1 / math.sqrt(shrunk)
+    rho = plug_ins.rho_n
     return BoundReport(
         kappa=kappa,
         exact=exact,
         gaussian=g_plain,
-        lower=lower,
-        upper=upper,
+        lower=(1.0 - h) / (1.0 + h) * g_lo - t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho) - rho,
+        upper=(1.0 + h) / (1.0 - h) * g_up + t * (plug_ins.h_n + 1.0 / shrunk) + rho,
         params={
             "h": h,
-            "theta_n": theta_n,
+            "theta_n": spec.theta_n,
             "H_n_used": plug_ins.h_n,
-            "rho_n_used": plug_ins.rho_n,
+            "rho_n_used": rho,
             "var_s_n": var,
-            "e_s_n": mean,
+            "e_s_n": spec.mean,
             "mode": plug_ins.mode,
         },
     )
 
 
-def _growth_condition(theta_n: float) -> float:
-    if theta_n <= 1.0:
+def _symmetric_envelope(
+    spec: SumSpec,
+    kappa: float,
+    plug_ins: PlugIns,
+    exact: float | None,
+    stat: float,
+    const: float,
+    limit: Callable[[float], float],
+    limit_text: str,
+    params: dict,
+) -> BoundReport:
+    """Body of :func:`central_envelope` and :func:`psi_envelope`: the
+    half-width ``const * (D sqrt(log(Theta_n) / (Var(S_n) Theta_n)) + (stat +
+    1/Theta_n) / sqrt(Theta_n))`` around the Gaussian term, on the central
+    range ``(kappa - E S_n)^2 / Var(S_n) <= limit(log Theta_n)``."""
+    theta_n, var = spec.theta_n, spec.var
+    log_t = _log_theta_n(theta_n)
+    _kappa_on_lattice(kappa, spec)
+    dev2 = (kappa - spec.mean) ** 2
+    bound = limit(log_t)
+    if dev2 / var > bound:
         raise PreconditionError(
-            f"growth condition log(theta_n)/theta_n <= 1/14 failed: theta_n = {theta_n} <= 1"
+            f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
+            f"{limit_text} failed: {dev2 / var:.6g} > {bound:.6g}"
         )
-    ratio = math.log(theta_n) / theta_n
-    if ratio > 1.0 / 14.0:
-        raise PreconditionError(
-            f"growth condition log(theta_n)/theta_n <= 1/14 failed: ratio = {ratio:.6g}"
-        )
-    return math.log(theta_n)
+    g_plain = spec.d / math.sqrt(2.0 * math.pi * var) * math.exp(-dev2 / (2.0 * var))
+    half = const * (
+        spec.d * math.sqrt(log_t / (var * theta_n)) + (stat + 1.0 / theta_n) / math.sqrt(theta_n)
+    )
+    return BoundReport(
+        kappa=kappa,
+        exact=exact,
+        gaussian=g_plain,
+        lower=g_plain - half,
+        upper=g_plain + half,
+        params={
+            "theta_n": theta_n,
+            **params,
+            "half_width": half,
+            "var_s_n": var,
+            "e_s_n": spec.mean,
+            "mode": plug_ins.mode,
+        },
+    )
 
 
 def central_envelope(
-    summands: Sequence[LatticePmf],
-    thetas: Sequence[float],
+    spec: SumSpec,
     kappa: float,
     plug_ins: PlugIns,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
@@ -620,84 +672,44 @@ def central_envelope(
         C2 * ( D * sqrt(log(Theta_n) / (Var(S_n) Theta_n))
                + (H_n + 1/Theta_n) / sqrt(Theta_n) ).
     """
-    theta_n = _check_thetas(summands, thetas)
-    log_t = _growth_condition(theta_n)
-    d, v0, mean, var = _sum_stats(summands)
-    _kappa_on_lattice(kappa, v0, d)
-    dev2 = (kappa - mean) ** 2
-    limit = math.sqrt(theta_n / (14.0 * log_t))
-    if dev2 / var > limit:
-        raise PreconditionError(
-            f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
-            f"sqrt(theta_n / (14 log theta_n)) failed: {dev2 / var:.6g} > {limit:.6g}"
-        )
-    g_plain = d / math.sqrt(2.0 * math.pi * var) * math.exp(-dev2 / (2.0 * var))
-    half = constants.c2 * (
-        d * math.sqrt(log_t / (var * theta_n)) + (plug_ins.h_n + 1.0 / theta_n) / math.sqrt(theta_n)
-    )
-    return BoundReport(
-        kappa=kappa,
-        exact=exact,
-        gaussian=g_plain,
-        lower=g_plain - half,
-        upper=g_plain + half,
-        params={
-            "theta_n": theta_n,
-            "H_n_used": plug_ins.h_n,
-            "rho_n_used": None,
-            "half_width": half,
-            "var_s_n": var,
-            "e_s_n": mean,
-            "mode": plug_ins.mode,
-        },
+    return _symmetric_envelope(
+        spec,
+        kappa,
+        plug_ins,
+        exact,
+        stat=plug_ins.h_n,
+        const=constants.c2,
+        limit=lambda log_t: math.sqrt(spec.theta_n / (14.0 * log_t)),
+        limit_text="sqrt(theta_n / (14 log theta_n))",
+        params={"H_n_used": plug_ins.h_n, "rho_n_used": None},
     )
 
 
 def psi_envelope(
-    summands: Sequence[LatticePmf],
-    thetas: Sequence[float],
+    spec: SumSpec,
     kappa: float,
-    psi: Callable[[float], float],
+    plug_ins: PlugIns,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
     exact: float | None = None,
 ) -> BoundReport:
     """Fully effective symmetric envelope with the psi-moment ratio.
 
-    Same shape as :func:`central_envelope` with H_n replaced by
-    ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))`` and constant C3, on its
-    own (narrower) central range
-    ``(kappa - E S_n)^2 / Var(S_n) <= sqrt(7 log(Theta_n) / (2 Theta_n))``.
+    Same shape as :func:`central_envelope` with H_n replaced by the L_n of
+    :func:`bounded_plug_ins` and constant C3, on its own (narrower) central
+    range ``(kappa - E S_n)^2 / Var(S_n) <= sqrt(7 log(Theta_n) / (2 Theta_n))``.
     """
-    theta_n = _check_thetas(summands, thetas)
-    log_t = _growth_condition(theta_n)
-    d, v0, mean, var = _sum_stats(summands)
-    _kappa_on_lattice(kappa, v0, d)
-    dev2 = (kappa - mean) ** 2
-    limit = math.sqrt(7.0 * log_t / (2.0 * theta_n))
-    if dev2 / var > limit:
-        raise PreconditionError(
-            f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
-            f"sqrt(7 log theta_n / (2 theta_n)) failed: {dev2 / var:.6g} > {limit:.6g}"
-        )
-    l_n = math.fsum(psi_moment(p, psi) for p in summands) / psi(math.sqrt(var))
-    g_plain = d / math.sqrt(2.0 * math.pi * var) * math.exp(-dev2 / (2.0 * var))
-    half = constants.c3 * (
-        d * math.sqrt(log_t / (var * theta_n)) + (l_n + 1.0 / theta_n) / math.sqrt(theta_n)
-    )
-    return BoundReport(
-        kappa=kappa,
-        exact=exact,
-        gaussian=g_plain,
-        lower=g_plain - half,
-        upper=g_plain + half,
-        params={
-            "theta_n": theta_n,
-            "l_n": l_n,
-            "half_width": half,
-            "var_s_n": var,
-            "e_s_n": mean,
-            "mode": "bounded-plug-ins",
-        },
+    if plug_ins.l_n is None:
+        raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
+    return _symmetric_envelope(
+        spec,
+        kappa,
+        plug_ins,
+        exact,
+        stat=plug_ins.l_n,
+        const=constants.c3,
+        limit=lambda log_t: math.sqrt(7.0 * log_t / (2.0 * spec.theta_n)),
+        limit_text="sqrt(7 log theta_n / (2 theta_n))",
+        params={"l_n": plug_ins.l_n},
     )
 
 

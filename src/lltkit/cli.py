@@ -168,10 +168,8 @@ def _cmd_llt_bound(config: RunConfig) -> Any:
     if config.n is None or config.n < 1:
         raise LatticeError("llt-bound requires --n >= 1")
     constants = _load_constants(config)
-    summands = [pmf] * config.n
-    thetas = [theta(pmf)] * config.n
-    theta_n = sum(thetas)
-    h = _pick_h(config, theta_n)
+    spec = bounds.prepare_sum([pmf] * config.n, [theta(pmf)] * config.n)
+    h = _pick_h(config, sum(spec.thetas))
     exact_mode = config.mode == "exact-plug-ins"
     law = iid_sum(pmf, config.n) if exact_mode else None
     if config.law_out:
@@ -179,31 +177,29 @@ def _cmd_llt_bound(config: RunConfig) -> Any:
             law = iid_sum(pmf, config.n)
         with open(config.law_out, "w", encoding="utf-8") as fobj:
             fobj.write(render(law.pmf.to_json_dict(), "json"))
-    if exact_mode:
-        plug = bounds.exact_plug_ins(summands, thetas, h)
+    # only the sandwich reads rho_n, and only the psi envelope reads L_n
+    rho_h = h if config.envelope == "sandwich" else None
+    if config.envelope == "psi":
+        plug = bounds.bounded_plug_ins(spec, constants=constants)
+    elif exact_mode:
+        plug = bounds.exact_plug_ins(spec, rho_h)
     else:
-        plug = bounds.bounded_plug_ins(summands, thetas, h, constants=constants)
+        plug = bounds.bounded_plug_ins(spec, rho_h, constants=constants)
 
     def one(kappa: float) -> bounds.BoundReport:
         exact = law.pmf.mass(round((kappa - law.pmf.v0) / law.pmf.D)) if exact_mode else None
         if config.envelope == "sandwich":
-            return bounds.sandwich_envelope(summands, thetas, h, kappa, plug, constants, exact)
+            return bounds.sandwich_envelope(spec, h, kappa, plug, constants, exact)
         if config.envelope == "central":
-            return bounds.central_envelope(summands, thetas, kappa, plug, constants, exact)
+            return bounds.central_envelope(spec, kappa, plug, constants, exact)
         if config.envelope == "psi":
-            return bounds.psi_envelope(
-                summands, thetas, kappa, lambda x: abs(x) ** 3, constants, exact
-            )
+            return bounds.psi_envelope(spec, kappa, plug, constants, exact)
         raise LatticeError(f"unknown envelope {config.envelope!r}")
 
     v0n = pmf.v0 * config.n
     if config.kappa is not None:
         report = one(config.kappa)
-        out = report.to_json_dict(constants)
-        out["envelope_width"] = report.upper - report.lower
-        if report.exact is not None:
-            out["sandwich_ok"] = bool(report.lower <= report.exact <= report.upper)
-        return out
+        return {**report.to_json_dict(constants), **_bound_row(report)}
     if config.kappa_from is None or config.kappa_to is None:
         raise LatticeError("llt-bound requires --kappa or both --kappa-from/--kappa-to")
     k_lo = math.ceil((config.kappa_from - v0n) / pmf.D - 1e-9)
@@ -221,9 +217,9 @@ def _cmd_gamkrelidze(config: RunConfig) -> dict:
     b_n = config.b_n if config.b_n is not None else law.variance
     report = gamkrelidze.interval_discrepancy(law, a_n, b_n)
     check = gamkrelidze.effective_pointwise_bound(report)
-    thetas = [theta(pmf)] * config.n
-    h = _pick_h(config, sum(thetas))
-    extr = gamkrelidze.smoothness_via_extraction([pmf] * config.n, thetas, h, b_n, constants)
+    spec = bounds.prepare_sum([pmf] * config.n, [theta(pmf)] * config.n)
+    h = _pick_h(config, sum(spec.thetas))
+    extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, constants)
     out = report.to_json_dict()
     out["pointwise_check"] = check.to_json_dict()
     out["extraction_bound"] = extr.to_json_dict()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -35,14 +35,12 @@ class SumLaw:
     variance: float
 
 
-def _dense(pmf: LatticePmf, scale: int) -> tuple[int, np.ndarray]:
-    """Support as a dense array over scaled indices; returns (offset, weights)."""
-    ks = pmf.support
-    lo, hi = ks[0] * scale, ks[-1] * scale
+def _dense_masses(probs: Mapping[int, float], lo: int, hi: int, scale: int = 1) -> np.ndarray:
+    """Zero array over the positions ``lo..hi`` holding ``probs[k]`` at ``k * scale``."""
     arr = np.zeros(hi - lo + 1)
-    for k, p in pmf.probs.items():
+    for k, p in probs.items():
         arr[k * scale - lo] = p
-    return lo, arr
+    return arr
 
 
 def convolve_all(pmfs: Sequence[LatticePmf]) -> SumLaw:
@@ -64,11 +62,13 @@ def convolve_all(pmfs: Sequence[LatticePmf]) -> SumLaw:
                 f"incompatible spans: {p.D} is not an integer multiple of {d_base}"
             )
         scales.append(m)
-    off, acc = _dense(pmfs[0], scales[0])
-    for p, s in zip(pmfs[1:], scales[1:]):
-        o, arr = _dense(p, s)
-        acc = np.convolve(acc, arr)
-        off += o
+    off = 0
+    acc = np.array([1.0])
+    for p, s in zip(pmfs, scales):
+        ks = p.support
+        lo = ks[0] * s
+        acc = np.convolve(acc, _dense_masses(p.probs, lo, ks[-1] * s, s))
+        off += lo
     drift = abs(float(acc.sum()) - 1.0)
     if drift > len(pmfs) * 1e-14:
         raise NumericsError(f"convolution mass drifted by {drift:.3e}")
@@ -155,9 +155,7 @@ def llt_discrepancy(sum_law: SumLaw) -> float:
     k_lo = min(ks[0], math.floor(k_mid - 10.0 * sd / p.D))
     k_hi = max(ks[-1], math.ceil(k_mid + 10.0 * sd / p.D))
     idx = np.arange(k_lo, k_hi + 1)
-    dense = np.zeros(len(idx))
-    for k, w in p.probs.items():
-        dense[k - k_lo] = w
+    dense = _dense_masses(p.probs, k_lo, k_hi)
     pts = p.v0 + p.D * idx
     gauss = (p.D / math.sqrt(2.0 * math.pi)) * np.exp(-((pts - sum_law.mean) ** 2) / (2.0 * var))
     return float(np.abs(sd * dense - gauss).max())

@@ -27,10 +27,6 @@ from dataclasses import dataclass
 from .errors import LatticeError, PreconditionError
 from .lattice import LatticePmf, make_pmf, theta
 
-#: a pmf on the refined lattice L(v0, D/2); structurally just a LatticePmf
-HalfLatticePmf = LatticePmf
-
-
 @dataclass(frozen=True)
 class BernoulliSplit:
     """The joint law of (V, eps) realizing one extraction from ``source``.
@@ -112,7 +108,7 @@ def reconstruct(sp: BernoulliSplit) -> LatticePmf:
     return make_pmf(sp.source.v0, sp.source.D, out.items())
 
 
-def xi_law(sp: BernoulliSplit) -> HalfLatticePmf:
+def xi_law(sp: BernoulliSplit) -> LatticePmf:
     """Law of ``xi = V + (D/2)*eps`` on the refined lattice ``L(v0, D/2)``.
 
     Mean equals the source mean; variance equals the source variance minus

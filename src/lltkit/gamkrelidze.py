@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, _check_thetas
-from .convolve import SumLaw
+from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec
+from .convolve import SumLaw, _dense_masses
 from .errors import LatticeError
-from .lattice import LatticePmf
 
 #: Gaussian cell-integral tails below this are outside the scan window
 _TAIL_EPS = 1e-16
@@ -113,10 +111,7 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
     margin = 9.5  # ndtr(-9.5) ~ 1e-21 < _TAIL_EPS
     k_lo = min(min(f), math.floor(a_n - margin * sd))
     k_hi = max(max(f), math.ceil(a_n + margin * sd))
-    ks = np.arange(k_lo, k_hi + 1)
-    p = np.zeros(len(ks))
-    for k, w in f.items():
-        p[k - k_lo] = w
+    p = _dense_masses(f, k_lo, k_hi)
     edges = ndtr((np.arange(k_lo - 1, k_hi + 1) - a_n) / sd)
     ell = np.diff(edges)
     d = p - ell
@@ -216,8 +211,7 @@ class ExtractionSmoothnessBound:
 
 
 def smoothness_via_extraction(
-    summands: Sequence[LatticePmf],
-    thetas: Sequence[float],
+    spec: SumSpec,
     h: float,
     b_n: float,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
@@ -235,7 +229,7 @@ def smoothness_via_extraction(
         raise LatticeError(f"need 0 < h < 1, got {h}")
     if not (b_n > 0):
         raise LatticeError(f"need b_n > 0, got {b_n}")
-    theta_n = _check_thetas(summands, thetas)
+    theta_n = spec.theta_n
     t1 = 2.0 * b_n * math.exp(-(h * h) * theta_n / (2.0 * (1.0 + h / 3.0)))
     t2 = 2.0 * constants.c0 * b_n / ((1.0 - h) ** 1.5 * theta_n**1.5)
     t3 = 2.0 * b_n / (math.sqrt(math.pi * math.e) * (1.0 - h) * theta_n)

@@ -49,6 +49,7 @@ from .bounds import (
     DEFAULT_CONSTANTS,
     PlugIns,
     exact_plug_ins,
+    prepare_sum,
     sandwich_envelope,
 )
 from .convolve import convolve_all
@@ -453,11 +454,10 @@ def scenery_envelope(
         )
     if model.n < 1:
         raise LatticeError("need n >= 1")
-    summands = [model.x_law] * model.n
-    thetas = [float(model.vartheta_profile)] * model.n
+    spec = prepare_sum([model.x_law] * model.n, [float(model.vartheta_profile)] * model.n)
     if plug_ins is None:
-        plug_ins = exact_plug_ins(summands, thetas, h)
-    return sandwich_envelope(summands, thetas, h, kappa, plug_ins, constants, exact=exact)
+        plug_ins = exact_plug_ins(spec, h)
+    return sandwich_envelope(spec, h, kappa, plug_ins, constants, exact=exact)
 
 
 @dataclass(frozen=True)

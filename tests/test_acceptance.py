@@ -25,6 +25,7 @@ import mpmath
 import numpy as np
 
 from lltkit import (
+    bounded_plug_ins,
     calibrate_c0_scan,
     central_envelope,
     certified_registry,
@@ -42,6 +43,7 @@ from lltkit import (
     make_pmf,
     moments,
     poisson_binomial,
+    prepare_sum,
     psi_envelope,
     reconstruct,
     refined_bernoulli_comparison,
@@ -119,15 +121,16 @@ def _sandwich_case(summands, thetas):
     if math.log(theta_n) / theta_n <= 1.0 / 14.0:
         hs.append(h_default(theta_n))
     sd = math.sqrt(law.variance)
+    spec = prepare_sum(summands, thetas)
     checked = 0
     for h in hs:
-        plug = exact_plug_ins(summands, thetas, h)
+        plug = exact_plug_ins(spec, h)
         k_lo = math.ceil((law.mean - 4.0 * sd - law.pmf.v0) / law.pmf.D)
         k_hi = math.floor((law.mean + 4.0 * sd - law.pmf.v0) / law.pmf.D)
         for k in range(k_lo, k_hi + 1):
             kappa = law.pmf.v0 + law.pmf.D * k
             exact = law.pmf.mass(k)
-            rep = sandwich_envelope(summands, thetas, h, kappa, plug, exact=exact)
+            rep = sandwich_envelope(spec, h, kappa, plug, exact=exact)
             if not (rep.lower <= exact <= rep.upper):
                 return checked, False
             checked += 1
@@ -157,23 +160,23 @@ def test_criterion_03_sandwich_validity():
 def test_criterion_04_central_envelopes():
     t0 = time.perf_counter()
     n = 1000
-    summands = [BERN] * n
-    thetas = [0.5] * n
+    spec = prepare_sum([BERN] * n, [0.5] * n)
     law = iid_sum(BERN, n)
     theta_n = 500.0
-    plug = exact_plug_ins(summands, thetas)
+    plug = exact_plug_ins(spec)
+    psi_plug = bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3)
     ok = True
     lim2 = math.sqrt(theta_n / (14.0 * math.log(theta_n)))
     half_width_2 = math.floor(math.sqrt(lim2 * law.variance))
     for k in range(500 - half_width_2, 500 + half_width_2 + 1):
         exact = law.pmf.mass(k)
-        rep = central_envelope(summands, thetas, float(k), plug, exact=exact)
+        rep = central_envelope(spec, float(k), plug, exact=exact)
         ok = ok and abs(exact - rep.gaussian) <= rep.params["half_width"]
     lim3 = math.sqrt(7.0 * math.log(theta_n) / (2.0 * theta_n))
     half_width_3 = math.floor(math.sqrt(lim3 * law.variance))
     for k in range(500 - half_width_3, 500 + half_width_3 + 1):
         exact = law.pmf.mass(k)
-        rep = psi_envelope(summands, thetas, float(k), lambda x: abs(x) ** 3, exact=exact)
+        rep = psi_envelope(spec, float(k), psi_plug, exact=exact)
         ok = ok and abs(exact - rep.gaussian) <= rep.params["half_width"]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
@@ -235,7 +238,7 @@ def test_criterion_07_smoothness_inequalities():
         ok = ok and abs(brute - report.rho) < 1e-12
         theta_n = n / 2.0
         h = h_default(theta_n) if math.log(theta_n) / theta_n <= 1 / 14 else 0.25
-        bound = smoothness_via_extraction([BERN] * n, [0.5] * n, h, b_n)
+        bound = smoothness_via_extraction(prepare_sum([BERN] * n, [0.5] * n), h, b_n)
         ok = ok and bound.value >= smoothness_stat(law, b_n)
     assert _line(
         7, ok, "pointwise/gaussian smoothness inequalities, prefix rho, extraction bound"
@@ -262,8 +265,9 @@ def test_criterion_08_scenery_checks():
     )
     ok = ok and abs(fact0.lhs) < 1e-14
     n, h = 16, 0.25
-    plug = exact_plug_ins([BERN] * n, [0.5] * n, h)
-    plain = sandwich_envelope([BERN] * n, [0.5] * n, h, 8.0, plug)
+    spec = prepare_sum([BERN] * n, [0.5] * n)
+    plug = exact_plug_ins(spec, h)
+    plain = sandwich_envelope(spec, h, 8.0, plug)
     composed = scenery_envelope(SceneryModel(BERN, inc1, n, 0.5), h, 8.0)
     ok = ok and composed.lower == plain.lower and composed.upper == plain.upper
     assert _line(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lltkit import (
     ConstantsRegistry,
     DEFAULT_C0,
+    LatticeError,
     PlugIns,
     PreconditionError,
     bounded_plug_ins,
@@ -30,6 +31,7 @@ from lltkit import (
     h_default,
     iid_sum,
     make_pmf,
+    prepare_sum,
     psi_envelope,
     refined_bernoulli_comparison,
     sandwich_envelope,
@@ -232,27 +234,30 @@ class TestSandwichEnvelope:
     def test_binomial_64_center(self, fair_bernoulli):
         summands = [fair_bernoulli] * 64
         thetas = [0.5] * 64
-        plug = exact_plug_ins(summands, thetas, 0.25)
+        spec = prepare_sum(summands, thetas)
+        plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
-        rep = sandwich_envelope(summands, thetas, 0.25, 32.0, plug, exact=law.pmf.mass(32))
+        rep = sandwich_envelope(spec, 0.25, 32.0, plug, exact=law.pmf.mass(32))
         assert rep.lower <= rep.exact <= rep.upper
 
     def test_binomial_64_window(self, fair_bernoulli):
         summands = [fair_bernoulli] * 64
         thetas = [0.5] * 64
-        plug = exact_plug_ins(summands, thetas, 0.25)
+        spec = prepare_sum(summands, thetas)
+        plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
         for k in range(20, 45):
             exact = law.pmf.mass(k)
-            rep = sandwich_envelope(summands, thetas, 0.25, float(k), plug, exact=exact)
+            rep = sandwich_envelope(spec, 0.25, float(k), plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
     def test_wide_h_still_valid(self, fair_bernoulli):
         summands = [fair_bernoulli] * 64
         thetas = [0.5] * 64
-        plug = exact_plug_ins(summands, thetas, 0.99)
+        spec = prepare_sum(summands, thetas)
+        plug = exact_plug_ins(spec, 0.99)
         law = iid_sum(fair_bernoulli, 64)
-        rep = sandwich_envelope(summands, thetas, 0.99, 32.0, plug)
+        rep = sandwich_envelope(spec, 0.99, 32.0, plug)
         assert rep.lower <= law.pmf.mass(32) <= rep.upper
 
     def test_first_factor_monotone_in_h(self):
@@ -262,35 +267,37 @@ class TestSandwichEnvelope:
     def test_plug_in_monotonicity(self, fair_bernoulli):
         summands = [fair_bernoulli] * 64
         thetas = [0.5] * 64
-        base = exact_plug_ins(summands, thetas, 0.25)
+        spec = prepare_sum(summands, thetas)
+        base = exact_plug_ins(spec, 0.25)
         bigger_h = PlugIns(h_n=base.h_n * 2, rho_n=base.rho_n, mode=base.mode)
         bigger_r = PlugIns(h_n=base.h_n, rho_n=base.rho_n * 2, mode=base.mode)
-        r0 = sandwich_envelope(summands, thetas, 0.25, 32.0, base)
-        r1 = sandwich_envelope(summands, thetas, 0.25, 32.0, bigger_h)
-        r2 = sandwich_envelope(summands, thetas, 0.25, 32.0, bigger_r)
+        r0 = sandwich_envelope(spec, 0.25, 32.0, base)
+        r1 = sandwich_envelope(spec, 0.25, 32.0, bigger_h)
+        r2 = sandwich_envelope(spec, 0.25, 32.0, bigger_r)
         assert r1.upper >= r0.upper and r1.lower <= r0.lower
         assert r2.upper >= r0.upper and r2.lower <= r0.lower
 
     def test_lower_reported_raw(self, fair_bernoulli):
         summands = [fair_bernoulli] * 16
         thetas = [0.5] * 16
-        plug = exact_plug_ins(summands, thetas, 0.25)
-        rep = sandwich_envelope(summands, thetas, 0.25, 8.0, plug)
+        spec = prepare_sum(summands, thetas)
+        plug = exact_plug_ins(spec, 0.25)
+        rep = sandwich_envelope(spec, 0.25, 8.0, plug)
         assert rep.lower < 0 and rep.lower_negative
 
     def test_rejects_bad_h_and_theta(self, fair_bernoulli):
         summands = [fair_bernoulli] * 4
         plug = PlugIns(h_n=0.1, rho_n=0.1, mode="exact-plug-ins")
         with pytest.raises(PreconditionError):
-            sandwich_envelope(summands, [0.5] * 4, 1.5, 2.0, plug)
+            sandwich_envelope(prepare_sum(summands, [0.5] * 4), 1.5, 2.0, plug)
         with pytest.raises(PreconditionError):
-            sandwich_envelope(summands, [0.9] * 4, 0.25, 2.0, plug)  # above theta_X
+            sandwich_envelope(prepare_sum(summands, [0.9] * 4), 0.25, 2.0, plug)  # above theta_X
 
     def test_rejects_off_lattice_kappa(self, fair_bernoulli):
         summands = [fair_bernoulli] * 4
         plug = PlugIns(h_n=0.1, rho_n=0.1, mode="exact-plug-ins")
         with pytest.raises(PreconditionError):
-            sandwich_envelope(summands, [0.5] * 4, 0.25, 2.5, plug)
+            sandwich_envelope(prepare_sum(summands, [0.5] * 4), 0.25, 2.5, plug)
 
     def test_non_unit_lattice(self):
         # values {0.5, 2.5} on L(0.5, 2): the envelope is span-covariant
@@ -298,7 +305,8 @@ class TestSandwichEnvelope:
         n = 64
         summands = [p] * n
         thetas = [0.5] * n
-        plug = exact_plug_ins(summands, thetas, 0.25)
+        spec = prepare_sum(summands, thetas)
+        plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(p, n)
         sd = math.sqrt(law.variance)
         k_lo = math.ceil((law.mean - 4 * sd - law.pmf.v0) / law.pmf.D)
@@ -306,7 +314,7 @@ class TestSandwichEnvelope:
         for k in range(k_lo, k_hi + 1):
             kappa = law.pmf.v0 + law.pmf.D * k
             exact = law.pmf.mass(k)
-            rep = sandwich_envelope(summands, thetas, 0.25, kappa, plug, exact=exact)
+            rep = sandwich_envelope(spec, 0.25, kappa, plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
     def test_non_maximal_extraction_level(self, fair_bernoulli):
@@ -315,24 +323,26 @@ class TestSandwichEnvelope:
         n = 64
         summands = [fair_bernoulli] * n
         thetas = [0.3] * n
-        plug = exact_plug_ins(summands, thetas, 0.25)
+        spec = prepare_sum(summands, thetas)
+        plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, n)
         for k in range(20, 45):
             exact = law.pmf.mass(k)
-            rep = sandwich_envelope(summands, thetas, 0.25, float(k), plug, exact=exact)
+            rep = sandwich_envelope(spec, 0.25, float(k), plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
     def test_n512_with_default_h(self, fair_bernoulli):
         n = 512
         summands = [fair_bernoulli] * n
         thetas = [0.5] * n
+        spec = prepare_sum(summands, thetas)
         h = h_default(256.0)
-        plug = exact_plug_ins(summands, thetas, h)
+        plug = exact_plug_ins(spec, h)
         law = iid_sum(fair_bernoulli, n)
         sd = math.sqrt(law.variance)
         for k in range(int(256 - 4 * sd), int(256 + 4 * sd) + 1, 3):
             exact = law.pmf.mass(k)
-            rep = sandwich_envelope(summands, thetas, h, float(k), plug, exact=exact)
+            rep = sandwich_envelope(spec, h, float(k), plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
     def test_affine_covariance(self, fair_bernoulli):
@@ -342,12 +352,14 @@ class TestSandwichEnvelope:
         a, b = 3.0, -0.75
         q = make_pmf(a * fair_bernoulli.v0 + b, a * fair_bernoulli.D,
                      list(fair_bernoulli.probs.items()))
-        plug_p = exact_plug_ins([fair_bernoulli] * n, [0.5] * n, h)
-        plug_q = exact_plug_ins([q] * n, [0.5] * n, h)
+        spec_p = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        spec_q = prepare_sum([q] * n, [0.5] * n)
+        plug_p = exact_plug_ins(spec_p, h)
+        plug_q = exact_plug_ins(spec_q, h)
         assert plug_q.h_n == pytest.approx(plug_p.h_n, abs=1e-14)
         assert plug_q.rho_n == plug_p.rho_n
-        rep_p = sandwich_envelope([fair_bernoulli] * n, [0.5] * n, h, 16.0, plug_p)
-        rep_q = sandwich_envelope([q] * n, [0.5] * n, h, a * 16.0 + n * b, plug_q)
+        rep_p = sandwich_envelope(spec_p, h, 16.0, plug_p)
+        rep_q = sandwich_envelope(spec_q, h, a * 16.0 + n * b, plug_q)
         assert rep_q.gaussian == pytest.approx(rep_p.gaussian, rel=1e-12)
         assert rep_q.lower == pytest.approx(rep_p.lower, rel=1e-12, abs=1e-12)
         assert rep_q.upper == pytest.approx(rep_p.upper, rel=1e-12)
@@ -375,8 +387,9 @@ class TestSandwichProperty:
         from lltkit import convolve_all
 
         summands, thetas, h = self._random_case(seed)
+        spec = prepare_sum(summands, thetas)
         try:
-            plug = exact_plug_ins(summands, thetas, h)
+            plug = exact_plug_ins(spec, h)
         except PreconditionError:
             return  # degenerate conditional sum; nothing to check
         law = convolve_all(summands)
@@ -386,7 +399,7 @@ class TestSandwichProperty:
         for k in range(k_lo, k_hi + 1):
             kappa = law.pmf.v0 + law.pmf.D * k
             exact = law.pmf.mass(k)
-            rep = sandwich_envelope(summands, thetas, h, kappa, plug, exact=exact)
+            rep = sandwich_envelope(spec, h, kappa, plug, exact=exact)
             assert rep.lower <= exact + 1e-15
             assert exact <= rep.upper + 1e-15
             assert rep.lower <= rep.upper
@@ -396,14 +409,13 @@ class TestCentralEnvelope:
     def setup_method(self):
         self.p = make_pmf(0, 1, [(0, 1), (1, 1)])
         self.n = 1000
-        self.summands = [self.p] * self.n
-        self.thetas = [0.5] * self.n
+        self.spec = prepare_sum([self.p] * self.n, [0.5] * self.n)
         self.law = iid_sum(self.p, self.n)
-        self.plug = exact_plug_ins(self.summands, self.thetas)
+        self.plug = exact_plug_ins(self.spec)
 
     def test_contains_center(self):
         exact = self.law.pmf.mass(500)
-        rep = central_envelope(self.summands, self.thetas, 500.0, self.plug, exact=exact)
+        rep = central_envelope(self.spec, 500.0, self.plug, exact=exact)
         assert rep.lower <= exact <= rep.upper
         assert abs(exact - rep.gaussian) <= rep.params["half_width"]
 
@@ -412,50 +424,59 @@ class TestCentralEnvelope:
         limit = math.sqrt(theta_n / (14 * math.log(theta_n)))
         k_edge = 500 + math.floor(math.sqrt(limit * self.law.variance))
         exact = self.law.pmf.mass(k_edge)
-        rep = central_envelope(self.summands, self.thetas, float(k_edge), self.plug, exact=exact)
+        rep = central_envelope(self.spec, float(k_edge), self.plug, exact=exact)
         assert rep.lower <= exact <= rep.upper
 
     def test_out_of_range_rejected_by_name(self):
         with pytest.raises(PreconditionError) as err:
-            central_envelope(self.summands, self.thetas, 900.0, self.plug)
+            central_envelope(self.spec, 900.0, self.plug)
         assert "central range" in str(err.value)
 
     def test_small_theta_rejected_by_name(self, fair_bernoulli):
         plug = PlugIns(h_n=0.1, rho_n=None, mode="exact-plug-ins")
         with pytest.raises(PreconditionError) as err:
-            central_envelope([fair_bernoulli] * 4, [0.5] * 4, 2.0, plug)
+            central_envelope(prepare_sum([fair_bernoulli] * 4, [0.5] * 4), 2.0, plug)
         assert "log(theta_n)/theta_n" in str(err.value)
 
 
 class TestPsiEnvelope:
     def test_cube_moment_ratio_value(self, fair_bernoulli):
         n = 1000
-        rep = psi_envelope(
-            [fair_bernoulli] * n, [0.5] * n, 500.0, lambda x: abs(x) ** 3
-        )
+        spec = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        rep = psi_envelope(spec, 500.0, bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3))
         assert rep.params["l_n"] == pytest.approx(4 / math.sqrt(n), rel=1e-12)
 
     def test_contains_exact_discrepancy(self, fair_bernoulli):
         n = 1000
         law = iid_sum(fair_bernoulli, n)
         exact = law.pmf.mass(500)
-        rep = psi_envelope(
-            [fair_bernoulli] * n, [0.5] * n, 500.0, lambda x: abs(x) ** 3, exact=exact
-        )
+        spec = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        plug = bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3)
+        rep = psi_envelope(spec, 500.0, plug, exact=exact)
         assert rep.lower <= exact <= rep.upper
 
     def test_square_boundary_psi_accepted(self, fair_bernoulli):
         n = 1000
-        rep = psi_envelope([fair_bernoulli] * n, [0.5] * n, 500.0, lambda x: x * x)
+        spec = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        rep = psi_envelope(spec, 500.0, bounded_plug_ins(spec, psi=lambda x: x * x))
         assert rep.upper > rep.lower
+
+
+    def test_exact_plug_ins_rejected(self, fair_bernoulli):
+        spec = prepare_sum([fair_bernoulli] * 64, [0.5] * 64)
+        plug = exact_plug_ins(spec)
+        assert plug.l_n is None
+        with pytest.raises(LatticeError):
+            psi_envelope(spec, 32.0, plug)
 
 
 class TestBoundedPlugIns:
     def test_h_bound_dominates_exact(self, fair_bernoulli):
         summands = [fair_bernoulli] * 100
         thetas = [0.5] * 100
-        exact = exact_plug_ins(summands, thetas, 0.25)
-        bound = bounded_plug_ins(summands, thetas, 0.25)
+        spec = prepare_sum(summands, thetas)
+        exact = exact_plug_ins(spec, 0.25)
+        bound = bounded_plug_ins(spec, 0.25)
         assert bound.h_n >= exact.h_n
         assert bound.rho_n >= exact.rho_n
         assert bound.mode == "bounded-plug-ins"

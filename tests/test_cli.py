@@ -140,6 +140,29 @@ class TestLltBound:
         masses = dict((int(k), v) for k, v in law["probs"])
         assert masses[4] == pytest.approx(math.comb(8, 4) / 2**8, rel=1e-13)
 
+    def test_sweep_scans_summands_once(self, capsys, bern_file, monkeypatch):
+        # the sum is validated once per request, not once per kappa point
+        import lltkit.bounds
+
+        calls = 0
+        original = lltkit.bounds.theta
+
+        def counting_theta(pmf):
+            nonlocal calls
+            calls += 1
+            return original(pmf)
+
+        monkeypatch.setattr(lltkit.bounds, "theta", counting_theta)
+        n = 2000
+        code, out = run_cli(
+            capsys,
+            ["llt-bound", bern_file, "--n", str(n), "--mode", "bounded-plug-ins",
+             "--kappa-from", "995", "--kappa-to", "1005"],
+        )
+        assert code == 0
+        assert len(json.loads(out)) == 11
+        assert calls <= n + 10
+
     def test_csv_sweep_matches_json_values(self, capsys, bern_file):
         argv = ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6",
                 "--kappa-to", "10", "--h", "0.25"]

@@ -18,6 +18,7 @@ from lltkit import (
     iid_sum,
     make_pmf,
     monte_carlo_point_prob,
+    prepare_sum,
     sandwich_envelope,
     scenery_envelope,
     scenery_from_json,
@@ -282,10 +283,9 @@ class TestCovarianceFactorization:
 class TestSceneryEnvelope:
     def test_unit_increments_match_plain_envelope_bitwise(self):
         n, h = 16, 0.25
-        summands = [bern()] * n
-        thetas = [0.5] * n
-        plug = exact_plug_ins(summands, thetas, h)
-        plain = sandwich_envelope(summands, thetas, h, 8.0, plug)
+        spec = prepare_sum([bern()] * n, [0.5] * n)
+        plug = exact_plug_ins(spec, h)
+        plain = sandwich_envelope(spec, h, 8.0, plug)
         m = SceneryModel(bern(), inc_ones(), n, 0.5)
         composed = scenery_envelope(m, h, 8.0)
         assert composed.lower == plain.lower
