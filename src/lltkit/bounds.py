@@ -38,12 +38,12 @@ from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import split, xi_law
 from .lattice import LatticePmf, moments, psi_moment, theta
 
-#: n^{3/2}-scaled sup gap between the fair binomial pmf and its Gaussian
-#: comparison, maximized over n <= 10^4 by exact scan.  The scaled gap
-#: increases monotonically along even and odd n toward sqrt(2/pi)/4 ~=
-#: 0.19947114, so this value is an empirical calibration, not certified beyond
-#: the scan; :func:`certified_registry` gives the constant valid for every n.
-DEFAULT_C0 = 0.19946864649941776
+#: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
+#: Gaussian comparison, valid for every n: the smallest double not below
+#: sqrt(2/pi)/4, the limit the gap increases toward along even and odd n.
+#: Certified by :func:`certified_registry`; a scan maximum lies below the gap
+#: at larger n and is not valid as a default.
+DEFAULT_C0 = 0.19947114020071635
 
 #: Esseen-type constant used by the bounded H_n plug-in; literature default,
 #: overridable through the registry.
@@ -61,8 +61,8 @@ class ConstantsRegistry:
     c0: float = DEFAULT_C0
     ce: float = DEFAULT_CE
     provenance: str = (
-        "c0: exact scan of the n^(3/2)-scaled binomial/Gaussian gap for n <= 10000 "
-        "(empirical; the scaled gap grows toward sqrt(2/pi)/4, not certified beyond the scan). "
+        "c0: certified for every n: the smallest double >= sqrt(2/pi)/4, the limit of the "
+        "n^(3/2)-scaled binomial/Gaussian gap (see certified_registry). "
         "ce: Esseen-type constant, literature default 0.5600, user-overridable. "
         "c2: fixed to 12*(c1+1), the larger of the two published forms, conservatively."
     )

@@ -169,7 +169,7 @@ def _cmd_llt_bound(config: RunConfig) -> Any:
         raise LatticeError("llt-bound requires --n >= 1")
     constants = _load_constants(config)
     spec = bounds.prepare_sum([pmf] * config.n, [theta(pmf)] * config.n)
-    h = _pick_h(config, sum(spec.thetas))
+    h = _pick_h(config, spec.theta_n)
     exact_mode = config.mode == "exact-plug-ins"
     law = iid_sum(pmf, config.n) if exact_mode else None
     if config.law_out:
@@ -218,7 +218,7 @@ def _cmd_gamkrelidze(config: RunConfig) -> dict:
     report = gamkrelidze.interval_discrepancy(law, a_n, b_n)
     check = gamkrelidze.effective_pointwise_bound(report)
     spec = bounds.prepare_sum([pmf] * config.n, [theta(pmf)] * config.n)
-    h = _pick_h(config, sum(spec.thetas))
+    h = _pick_h(config, spec.theta_n)
     extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, constants)
     out = report.to_json_dict()
     out["pointwise_check"] = check.to_json_dict()

@@ -88,8 +88,8 @@ class TestCalibrateC0:
         running = np.maximum.accumulate(scan)
         assert (np.diff(running) >= 0).all()
 
-    def test_default_pin_matches_scan(self):
-        assert calibrate_c0(10_000) == DEFAULT_C0
+    def test_default_pin_is_certified(self):
+        assert DEFAULT_C0 == certified_registry(224).c0
 
 
 def _gap_limit() -> mpmath.mpf:
