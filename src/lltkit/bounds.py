@@ -35,8 +35,8 @@ from scipy.integrate import quad
 
 from .convolve import convolve_all, kolmogorov_distance, poisson_binomial
 from .errors import LatticeError, NumericsError, PreconditionError
-from .extraction import split, xi_law
-from .lattice import LatticePmf, moments, psi_moment, theta
+from .extraction import _check_level, split, xi_law
+from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
 
 #: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
 #: Gaussian comparison, valid for every n: the smallest double not below
@@ -414,11 +414,16 @@ def certified_registry(n0: int, ce: float = DEFAULT_CE) -> ConstantsRegistry:
 # elementary ingredients
 
 
+def _check_h(h: float) -> None:
+    """Require the deviation parameter to satisfy ``0 < h < 1``."""
+    if not (0.0 < h < 1.0):
+        raise PreconditionError(f"deviation parameter must satisfy 0 < h < 1, got {h}")
+
+
 def chernoff_rho(thetas: Sequence[float], h: float) -> float:
     """Chernoff bound ``2 exp(-h^2 Theta_n / (2 (1 + h/3)))`` for the two-sided
     deviation ``P{|B_n - Theta_n| > h Theta_n}`` of a Bernoulli-sum count."""
-    if not (0.0 < h < 1.0):
-        raise PreconditionError(f"deviation parameter must satisfy 0 < h < 1, got {h}")
+    _check_h(h)
     theta_n = math.fsum(thetas)
     if theta_n <= 0:
         raise PreconditionError("theta_n must be positive")
@@ -494,11 +499,7 @@ def prepare_sum(summands: Sequence[LatticePmf], thetas: Sequence[float]) -> SumS
     if len(summands) != len(thetas):
         raise LatticeError("need one extraction level per summand")
     for j, (p, t) in enumerate(zip(summands, thetas)):
-        tx = theta(p)
-        if not (0.0 < t <= tx * (1.0 + 1e-12)):
-            raise PreconditionError(
-                f"extraction level {t} for summand {j} outside (0, theta_X = {tx}]"
-            )
+        _check_level(t, theta(p), "summand", j)
     if not summands:
         raise LatticeError("need at least one summand")
     d = summands[0].D
@@ -523,14 +524,6 @@ def prepare_sum(summands: Sequence[LatticePmf], thetas: Sequence[float]) -> SumS
     )
 
 
-def _kappa_on_lattice(kappa: float, spec: SumSpec) -> None:
-    r = (kappa - spec.v0) / spec.d
-    if abs(r - round(r)) > 1e-9:
-        raise PreconditionError(
-            f"kappa = {kappa} is not on the sum lattice L({spec.v0}, {spec.d})"
-        )
-
-
 def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
     rho_n from the exact Poisson-binomial two-sided tail (when h is given)."""
@@ -552,7 +545,7 @@ def bounded_plug_ins(
     ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))``, the Esseen-type bound
     ``2^{3/2} ce * L_n`` for H_n and the Chernoff bound for rho_n (no oracle
     involved)."""
-    l_n = math.fsum(psi_moment(p, psi) for p in spec.summands) / psi(math.sqrt(spec.var))
+    l_n = math.fsum(psi_moments(spec.summands, psi)) / psi(math.sqrt(spec.var))
     h_n = 2.0**1.5 * constants.ce * l_n
     rho = chernoff_rho(spec.thetas, h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, mode="bounded-plug-ins", l_n=l_n)
@@ -577,11 +570,10 @@ def sandwich_envelope(
     reported raw (it may be negative for small Theta_n; see
     ``BoundReport.lower_negative``).
     """
-    if not (0.0 < h < 1.0):
-        raise PreconditionError(f"deviation parameter must satisfy 0 < h < 1, got {h}")
+    _check_h(h)
     if plug_ins.rho_n is None:
         raise LatticeError("sandwich envelope needs a rho_n plug-in")
-    _kappa_on_lattice(kappa, spec)
+    kappa_index(kappa, spec.v0, spec.d)
     var = spec.var
     dev2 = (kappa - spec.mean) ** 2
     base = spec.d / math.sqrt(2.0 * math.pi * var)
@@ -626,7 +618,7 @@ def _symmetric_envelope(
     range ``(kappa - E S_n)^2 / Var(S_n) <= limit(log Theta_n)``."""
     theta_n, var = spec.theta_n, spec.var
     log_t = _log_theta_n(theta_n)
-    _kappa_on_lattice(kappa, spec)
+    kappa_index(kappa, spec.v0, spec.d)
     dev2 = (kappa - spec.mean) ** 2
     bound = limit(log_t)
     if dev2 / var > bound:

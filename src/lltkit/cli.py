@@ -10,7 +10,7 @@ scenery          random-scenery moment checks / envelope
 partition        distinct-part partition counts via the tilted model
 validate         identity checks for a pmf (reconstruction, delta, variance)
 
-Output is JSON (default) or CSV, deterministic for a fixed (config, seed).
+Output is JSON (default) or CSV, deterministic for fixed arguments and seed.
 Exit codes: 0 success, 1 a stated hypothesis failed for the input,
 2 malformed input.  Floating-point numbers are emitted with 17 significant
 digits so that values round-trip exactly.
@@ -23,50 +23,42 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Any
 
 from . import bounds, gamkrelidze, partition, scenery
 from .convolve import iid_sum
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import reconstruct, split, xi_law
-from .lattice import characteristics, delta_smoothness, moments, pmf_from_json, theta
+from .lattice import characteristics, delta_smoothness, kappa_index, moments, pmf_from_json, theta
 
 ENV_CONSTANTS = "LLT_CONSTANTS"
 
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; see the subcommand help strings for field meaning."""
-
-    command: str
-    input_path: str | None = None
-    output_format: str = "json"
-    mode: str = "exact-plug-ins"
-    envelope: str = "sandwich"
-    h: float | None = None
-    n: int | None = None
-    kappa: float | None = None
-    kappa_from: float | None = None
-    kappa_to: float | None = None
-    a_n: float | None = None
-    b_n: float | None = None
-    m: int | None = None
-    vartheta: float | None = None
-    seed: int | None = None
-    mc_samples: int | None = None
-    partition_mode: str = "both"
-    law_out: str | None = None
-    constants_overrides: dict = field(default_factory=dict)
+#: deviation parameter when ``--h`` is not given: the scenery default, and the
+#: llt-bound/gamkrelidze choice when ``h_default`` does not apply
+FALLBACK_H = 0.25
 
 
-def _load_constants(config: RunConfig) -> bounds.ConstantsRegistry:
-    over = dict(config.constants_overrides)
-    return bounds.ConstantsRegistry(
-        c0=float(over.get("c0", bounds.DEFAULT_C0)),
-        ce=float(over.get("ce", bounds.DEFAULT_CE)),
-        provenance=over.get("provenance", bounds.ConstantsRegistry().provenance),
-    )
+def _load_constants(path: str | None) -> bounds.ConstantsRegistry:
+    """The default registry with the values of the override file at ``path``.
+
+    The file holds a JSON object that may set ``c0`` and ``ce`` (finite
+    numbers > 0) and ``provenance`` (a string); c1-c3 are derived.
+    """
+    over = _read_json(path) if path else {}
+    if not isinstance(over, dict):
+        raise LatticeError("constants override file must hold a JSON object")
+    values = {}
+    for key, value in over.items():
+        if key in ("c0", "ce") and type(value) in (int, float) and 0 < value <= sys.float_info.max:
+            values[key] = float(value)
+        elif key == "provenance" and isinstance(value, str):
+            values[key] = value
+        else:
+            raise LatticeError(
+                f"constants override {key!r}: {value!r} rejected; the file may set c0 and ce "
+                "(finite numbers > 0) and provenance (a string)"
+            )
+    return bounds.ConstantsRegistry(**values)
 
 
 def _read_json(path: str) -> Any:
@@ -127,26 +119,26 @@ def render(payload: Any, output_format: str) -> str:
 # subcommand bodies
 
 
-def _cmd_characteristics(config: RunConfig) -> dict:
-    pmf = pmf_from_json(_read_json(config.input_path))
+def _cmd_characteristics(args: argparse.Namespace) -> dict:
+    pmf = pmf_from_json(_read_json(args.input))
     return characteristics(pmf).to_json_dict()
 
 
-def _cmd_split(config: RunConfig) -> dict:
-    pmf = pmf_from_json(_read_json(config.input_path))
-    sp = split(pmf, config.vartheta)
+def _cmd_split(args: argparse.Namespace) -> dict:
+    pmf = pmf_from_json(_read_json(args.input))
+    sp = split(pmf, args.vartheta)
     out = sp.to_json_dict()
     out["xi_law"] = xi_law(sp).to_json_dict()
     return out
 
 
-def _pick_h(config: RunConfig, theta_n: float) -> float:
-    if config.h is not None:
-        return config.h
+def _pick_h(args: argparse.Namespace, theta_n: float) -> float:
+    if args.h is not None:
+        return args.h
     try:
         return bounds.h_default(theta_n)
     except PreconditionError:
-        return 0.25
+        return FALLBACK_H
 
 
 def _bound_row(report: bounds.BoundReport) -> dict:
@@ -163,23 +155,21 @@ def _bound_row(report: bounds.BoundReport) -> dict:
     return row
 
 
-def _cmd_llt_bound(config: RunConfig) -> Any:
-    pmf = pmf_from_json(_read_json(config.input_path))
-    if config.n is None or config.n < 1:
+def _cmd_llt_bound(args: argparse.Namespace) -> Any:
+    pmf = pmf_from_json(_read_json(args.input))
+    if args.n < 1:
         raise LatticeError("llt-bound requires --n >= 1")
-    constants = _load_constants(config)
-    spec = bounds.prepare_sum([pmf] * config.n, [theta(pmf)] * config.n)
-    h = _pick_h(config, spec.theta_n)
-    exact_mode = config.mode == "exact-plug-ins"
-    law = iid_sum(pmf, config.n) if exact_mode else None
-    if config.law_out:
-        if law is None:
-            law = iid_sum(pmf, config.n)
-        with open(config.law_out, "w", encoding="utf-8") as fobj:
+    constants = args.constants
+    spec = bounds.prepare_sum([pmf] * args.n, [theta(pmf)] * args.n)
+    h = _pick_h(args, spec.theta_n)
+    exact_mode = args.mode == "exact-plug-ins"
+    law = iid_sum(pmf, args.n) if exact_mode or args.law_out else None
+    if args.law_out:
+        with open(args.law_out, "w", encoding="utf-8") as fobj:
             fobj.write(render(law.pmf.to_json_dict(), "json"))
     # only the sandwich reads rho_n, and only the psi envelope reads L_n
-    rho_h = h if config.envelope == "sandwich" else None
-    if config.envelope == "psi":
+    rho_h = h if args.envelope == "sandwich" else None
+    if args.envelope == "psi":
         plug = bounds.bounded_plug_ins(spec, constants=constants)
     elif exact_mode:
         plug = bounds.exact_plug_ins(spec, rho_h)
@@ -187,39 +177,36 @@ def _cmd_llt_bound(config: RunConfig) -> Any:
         plug = bounds.bounded_plug_ins(spec, rho_h, constants=constants)
 
     def one(kappa: float) -> bounds.BoundReport:
-        exact = law.pmf.mass(round((kappa - law.pmf.v0) / law.pmf.D)) if exact_mode else None
-        if config.envelope == "sandwich":
+        exact = law.pmf.mass(kappa_index(kappa, law.pmf.v0, law.pmf.D)) if exact_mode else None
+        if args.envelope == "sandwich":
             return bounds.sandwich_envelope(spec, h, kappa, plug, constants, exact)
-        if config.envelope == "central":
+        if args.envelope == "central":
             return bounds.central_envelope(spec, kappa, plug, constants, exact)
-        if config.envelope == "psi":
-            return bounds.psi_envelope(spec, kappa, plug, constants, exact)
-        raise LatticeError(f"unknown envelope {config.envelope!r}")
+        return bounds.psi_envelope(spec, kappa, plug, constants, exact)
 
-    v0n = pmf.v0 * config.n
-    if config.kappa is not None:
-        report = one(config.kappa)
+    v0n = pmf.v0 * args.n
+    if args.kappa is not None:
+        report = one(args.kappa)
         return {**report.to_json_dict(constants), **_bound_row(report)}
-    if config.kappa_from is None or config.kappa_to is None:
+    if args.kappa_from is None or args.kappa_to is None:
         raise LatticeError("llt-bound requires --kappa or both --kappa-from/--kappa-to")
-    k_lo = math.ceil((config.kappa_from - v0n) / pmf.D - 1e-9)
-    k_hi = math.floor((config.kappa_to - v0n) / pmf.D + 1e-9)
+    k_lo = math.ceil((args.kappa_from - v0n) / pmf.D - 1e-9)
+    k_hi = math.floor((args.kappa_to - v0n) / pmf.D + 1e-9)
     return [_bound_row(one(v0n + pmf.D * k)) for k in range(k_lo, k_hi + 1)]
 
 
-def _cmd_gamkrelidze(config: RunConfig) -> dict:
-    pmf = pmf_from_json(_read_json(config.input_path))
-    if config.n is None or config.n < 1:
+def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
+    pmf = pmf_from_json(_read_json(args.input))
+    if args.n < 1:
         raise LatticeError("gamkrelidze requires --n >= 1")
-    constants = _load_constants(config)
-    law = iid_sum(pmf, config.n)
-    a_n = config.a_n if config.a_n is not None else law.mean
-    b_n = config.b_n if config.b_n is not None else law.variance
+    law = iid_sum(pmf, args.n)
+    a_n = args.a_n if args.a_n is not None else law.mean
+    b_n = args.b_n if args.b_n is not None else law.variance
     report = gamkrelidze.interval_discrepancy(law, a_n, b_n)
     check = gamkrelidze.effective_pointwise_bound(report)
-    spec = bounds.prepare_sum([pmf] * config.n, [theta(pmf)] * config.n)
-    h = _pick_h(config, spec.theta_n)
-    extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, constants)
+    spec = bounds.prepare_sum([pmf] * args.n, [theta(pmf)] * args.n)
+    h = _pick_h(args, spec.theta_n)
+    extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, args.constants)
     out = report.to_json_dict()
     out["pointwise_check"] = check.to_json_dict()
     out["extraction_bound"] = extr.to_json_dict()
@@ -227,18 +214,15 @@ def _cmd_gamkrelidze(config: RunConfig) -> dict:
     return out
 
 
-def _cmd_scenery(config: RunConfig) -> dict:
-    model = scenery.scenery_from_json(_read_json(config.input_path))
-    constants = _load_constants(config)
-    if config.kappa is None:
-        mom = scenery.second_moment_check(model)
-        return mom.to_json_dict()
-    h = config.h if config.h is not None else 0.25
-    report = scenery.scenery_envelope(model, h, config.kappa, constants=constants)
-    out = report.to_json_dict(constants)
-    if config.mc_samples:
+def _cmd_scenery(args: argparse.Namespace) -> dict:
+    model = scenery.scenery_from_json(_read_json(args.input))
+    if args.kappa is None:
+        return scenery.second_moment_check(model).to_json_dict()
+    report = scenery.scenery_envelope(model, args.h, args.kappa, constants=args.constants)
+    out = report.to_json_dict(args.constants)
+    if args.mc_samples is not None:
         est = scenery.monte_carlo_point_prob(
-            model, config.kappa, samples=config.mc_samples, seed=config.seed or 1
+            model, args.kappa, samples=args.mc_samples, seed=args.seed
         )
         lo, hi = est.interval()
         out["monte_carlo"] = {
@@ -252,15 +236,12 @@ def _cmd_scenery(config: RunConfig) -> dict:
     return out
 
 
-def _cmd_partition(config: RunConfig) -> dict:
-    if config.m is None or config.n is None:
-        raise LatticeError("partition requires --m and --n")
-    inst = partition.count_partitions(config.m, config.n, config.partition_mode)
-    return inst.to_json_dict()
+def _cmd_partition(args: argparse.Namespace) -> dict:
+    return partition.count_partitions(args.m, args.n, args.partition_mode).to_json_dict()
 
 
-def _cmd_validate(config: RunConfig) -> dict:
-    pmf = pmf_from_json(_read_json(config.input_path))
+def _cmd_validate(args: argparse.Namespace) -> dict:
+    pmf = pmf_from_json(_read_json(args.input))
     checks = []
     th = theta(pmf)
     de = delta_smoothness(pmf)
@@ -308,10 +289,11 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, Any]:
-    """Dispatch a config; returns (exit_code, payload-or-error-object)."""
+def run(args: argparse.Namespace) -> tuple[int, Any]:
+    """Dispatch parsed arguments whose ``constants`` holds the registry;
+    returns (exit_code, payload-or-error-object)."""
     try:
-        payload = _COMMANDS[config.command](config)
+        payload = _COMMANDS[args.command](args)
         return 0, payload
     except PreconditionError as exc:
         return 1, {"error": {"kind": "hypothesis-rejected", "message": str(exc)}}
@@ -364,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("scenery", help="random-scenery checks / envelope")
     p.add_argument("input", help="scenery model JSON file")
     p.add_argument("--kappa", type=float)
-    p.add_argument("--h", type=float)
+    p.add_argument("--h", type=float, default=FALLBACK_H)
     p.add_argument("--mc", type=int, dest="mc_samples")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=1)
 
     p = add("partition", help="distinct-part partition count")
     p.add_argument("--m", type=int, required=True)
@@ -379,46 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    path = args.constants or os.environ.get(ENV_CONSTANTS)
-    if path:
-        overrides = _read_json(path)
-        if not isinstance(overrides, dict):
-            raise LatticeError("constants override file must hold a JSON object")
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_format=args.format,
-        mode=getattr(args, "mode", "exact-plug-ins"),
-        envelope=getattr(args, "envelope", "sandwich"),
-        h=getattr(args, "h", None),
-        n=getattr(args, "n", None),
-        kappa=getattr(args, "kappa", None),
-        kappa_from=getattr(args, "kappa_from", None),
-        kappa_to=getattr(args, "kappa_to", None),
-        a_n=getattr(args, "a_n", None),
-        b_n=getattr(args, "b_n", None),
-        m=getattr(args, "m", None),
-        vartheta=getattr(args, "vartheta", None),
-        seed=getattr(args, "seed", None),
-        mc_samples=getattr(args, "mc_samples", None),
-        partition_mode=getattr(args, "partition_mode", "both"),
-        law_out=getattr(args, "law_out", None),
-        constants_overrides=overrides,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (LatticeError, NumericsError) as exc:
+        # one registry per invocation; every subcommand reads it from here
+        args.constants = _load_constants(args.constants or os.environ.get(ENV_CONSTANTS))
+    except LatticeError as exc:
         sys.stdout.write(render({"error": {"kind": "input-error", "message": str(exc)}}, "json"))
         return 2
-    code, payload = run(config)
-    sys.stdout.write(render(payload, config.output_format))
+    code, payload = run(args)
+    sys.stdout.write(render(payload, args.format))
     return code
 
 

@@ -27,6 +27,17 @@ from dataclasses import dataclass
 from .errors import LatticeError, PreconditionError
 from .lattice import LatticePmf, make_pmf, theta
 
+
+def _check_level(vartheta: float, theta_x: float, place: str, index: int | None = None) -> None:
+    """Require the extraction level of ``place`` (with ``index``, if given) to
+    lie in ``(0, theta_X]``, up to a relative 1e-12 above theta_X."""
+    if not (0.0 < vartheta <= theta_x * (1.0 + 1e-12)):
+        where = place if index is None else f"{place} {index}"
+        raise PreconditionError(
+            f"extraction level {vartheta} for {where} outside (0, theta_X = {theta_x}]"
+        )
+
+
 @dataclass(frozen=True)
 class BernoulliSplit:
     """The joint law of (V, eps) realizing one extraction from ``source``.
@@ -66,14 +77,7 @@ def split(pmf: LatticePmf, vartheta: float | None = None) -> BernoulliSplit:
     th_x = theta(pmf)
     if vartheta is None:
         vartheta = th_x
-    if th_x <= 0.0:
-        raise PreconditionError(
-            "extraction impossible: theta(pmf) = 0 (no adjacent support points share mass)"
-        )
-    if not (0.0 < vartheta <= th_x * (1.0 + 1e-12)):
-        raise PreconditionError(
-            f"extraction level must satisfy 0 < vartheta <= theta(pmf) = {th_x}, got {vartheta}"
-        )
+    _check_level(vartheta, th_x, "the pmf")
     vartheta = min(vartheta, th_x)
     f = pmf.probs
     scale = vartheta / th_x

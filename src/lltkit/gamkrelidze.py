@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec
+from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
 from .convolve import SumLaw, _dense_masses
 from .errors import LatticeError
 
@@ -82,9 +82,6 @@ class SmoothnessReport:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(self.k_lo, self.k_lo + len(self.d))
-
-    def d_table(self) -> dict[int, float]:
-        return {int(k): float(v) for k, v in zip(self.ks, self.d)}
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,13 +143,6 @@ class PointwiseCheck:
     @property
     def all_pass(self) -> bool:
         return self.pointwise_ok and self.gaussian_ok
-
-    @property
-    def max_slack(self) -> float:
-        return max(
-            self.pointwise_max_lhs - self.pointwise_bound,
-            self.gaussian_max_lhs - self.gaussian_bound,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,15 +212,14 @@ def smoothness_via_extraction(
              + 2 c0 b_n / ((1-h)^{3/2} Theta_n^{3/2})
              + 2 b_n / (sqrt(pi e) (1-h) Theta_n)
 
-    for any 0 < h < 1.  The reported ``b_over_theta`` ratio is what keeps the
-    bound O(1) when b_n grows proportionally to Theta_n.
+    for any 0 < h < 1; the first term is ``b_n`` times :func:`chernoff_rho`.
+    The reported ``b_over_theta`` ratio is what keeps the bound O(1) when b_n
+    grows proportionally to Theta_n.
     """
-    if not (0.0 < h < 1.0):
-        raise LatticeError(f"need 0 < h < 1, got {h}")
     if not (b_n > 0):
         raise LatticeError(f"need b_n > 0, got {b_n}")
     theta_n = spec.theta_n
-    t1 = 2.0 * b_n * math.exp(-(h * h) * theta_n / (2.0 * (1.0 + h / 3.0)))
+    t1 = b_n * chernoff_rho(spec.thetas, h)
     t2 = 2.0 * constants.c0 * b_n / ((1.0 - h) ** 1.5 * theta_n**1.5)
     t3 = 2.0 * b_n / (math.sqrt(math.pi * math.e) * (1.0 - h) * theta_n)
     return ExtractionSmoothnessBound(

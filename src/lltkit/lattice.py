@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .errors import LatticeError
+from .errors import LatticeError, PreconditionError
 
 #: sample abscissas used by the psi admissibility spot-check
 _PSI_SAMPLES = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
@@ -50,9 +50,6 @@ class LatticePmf:
     def support(self) -> list[int]:
         """Sorted support indices."""
         return sorted(self.probs)
-
-    def total_mass(self) -> float:
-        return math.fsum(self.probs.values())
 
     def to_json_dict(self) -> dict:
         """JSON form ``{"v0": ..., "D": ..., "probs": [[k, f(k)], ...]}``."""
@@ -156,8 +153,8 @@ def _check_psi(psi: Callable[[float], float]) -> None:
                 raise LatticeError(f"{name} is not non-decreasing on the sampled points")
 
 
-def psi_moment(pmf: LatticePmf, psi: Callable[[float], float]) -> float:
-    """``E psi(X) = sum_k psi(v_k) f(k)`` for an admissible weight function.
+def psi_moments(pmfs: Iterable[LatticePmf], psi: Callable[[float], float]) -> list[float]:
+    """``E psi(X) = sum_k psi(v_k) f(k)`` for each pmf, psi checked once.
 
     ``psi`` must be even, convex, with ``psi(x)/x**2`` and ``x**3/psi(x)``
     non-decreasing on ``x > 0`` (spot-checked on sampled points; the caller
@@ -165,7 +162,21 @@ def psi_moment(pmf: LatticePmf, psi: Callable[[float], float]) -> float:
     boundary cases.
     """
     _check_psi(psi)
-    return math.fsum(psi(pmf.point(k)) * p for k, p in pmf.probs.items())
+    return [math.fsum(psi(pmf.point(k)) * p for k, p in pmf.probs.items()) for pmf in pmfs]
+
+
+def psi_moment(pmf: LatticePmf, psi: Callable[[float], float]) -> float:
+    """``E psi(X)`` for one pmf; see :func:`psi_moments`."""
+    return psi_moments([pmf], psi)[0]
+
+
+def kappa_index(kappa: float, v0: float, d: float) -> int:
+    """Index k with ``kappa = v0 + d*k`` on the lattice ``L(v0, d)``, to 1e-9 of
+    a step; :class:`PreconditionError` when kappa is off the lattice."""
+    r = (kappa - v0) / d
+    if not math.isfinite(r) or abs(r - round(r)) > 1e-9:
+        raise PreconditionError(f"kappa = {kappa} is not on the sum lattice L({v0}, {d})")
+    return round(r)
 
 
 @dataclass(frozen=True)

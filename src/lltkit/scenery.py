@@ -54,8 +54,8 @@ from .bounds import (
 )
 from .convolve import convolve_all
 from .errors import LatticeError, PreconditionError
-from .extraction import split
-from .lattice import LatticePmf, pmf_from_json, theta
+from .extraction import _check_level, split
+from .lattice import LatticePmf, kappa_index, pmf_from_json, theta
 
 #: default cap on the number of steps for full joint enumeration
 ENUMERATION_CAP = 5
@@ -91,13 +91,8 @@ class SceneryModel:
             )
         if self.n < 0:
             raise LatticeError(f"need n >= 0, got {self.n}")
-        if isinstance(self.vartheta_profile, (int, float)):
-            tx = theta(self.x_law)
-            v = float(self.vartheta_profile)
-            if not (0.0 < v <= tx * (1.0 + 1e-12)):
-                raise PreconditionError(
-                    f"constant profile {v} outside (0, theta_X = {tx}]"
-                )
+        if self.constant_profile:
+            _check_level(float(self.vartheta_profile), theta(self.x_law), "the constant profile")
 
     @property
     def constant_profile(self) -> bool:
@@ -111,9 +106,7 @@ class SceneryModel:
             v = float(self.vartheta_profile[r])
         except KeyError:
             raise LatticeError(f"vartheta profile does not cover reachable site {r}") from None
-        tx = theta(self.x_law)
-        if not (0.0 < v <= tx * (1.0 + 1e-12)):
-            raise PreconditionError(f"profile level {v} at site {r} outside (0, theta_X = {tx}]")
+        _check_level(v, theta(self.x_law), "site", r)
         return v
 
     def u_law(self, j: int) -> LatticePmf:
@@ -521,11 +514,10 @@ def monte_carlo_point_prob(
     """
     if min(model.increment_law.support) < 1:
         raise PreconditionError("Monte Carlo oracle requires strictly positive increments")
+    if samples < 1 or seed < 0:
+        raise LatticeError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
     x = model.x_law
-    r = (kappa - model.n * x.v0) / x.D
-    kappa_idx = round(r)
-    if abs(r - kappa_idx) > 1e-9:
-        raise PreconditionError(f"kappa = {kappa} is not on the sum lattice")
+    kappa_idx = kappa_index(kappa, model.n * x.v0, x.D)
     x_ks, x_cum = _inv_cdf_table(x)
     i_ks, i_cum = _inv_cdf_table(model.increment_law)
     reach = model.n * int(i_ks.max())

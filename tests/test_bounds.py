@@ -33,6 +33,7 @@ from lltkit import (
     make_pmf,
     prepare_sum,
     psi_envelope,
+    psi_moment,
     refined_bernoulli_comparison,
     sandwich_envelope,
 )
@@ -480,6 +481,23 @@ class TestBoundedPlugIns:
         assert bound.h_n >= exact.h_n
         assert bound.rho_n >= exact.rho_n
         assert bound.mode == "bounded-plug-ins"
+
+    def test_psi_checked_once_per_call(self, uniform3):
+        # the psi spot-check runs once per call, not once per summand
+        calls = 0
+
+        def psi(x):
+            nonlocal calls
+            calls += 1
+            return abs(x) ** 3
+
+        support = len(uniform3.probs)
+        psi_moment(uniform3, psi)
+        check_calls = calls - support
+        calls = 0
+        n = 50
+        bounded_plug_ins(prepare_sum([uniform3] * n, [2.0 / 3.0] * n), psi=psi)
+        assert calls == check_calls + n * support + 1
 
 
 class TestDeMoivreEnvelope:

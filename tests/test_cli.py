@@ -121,6 +121,15 @@ class TestLltBound:
         assert err["kind"] == "hypothesis-rejected"
         assert "log(theta_n)/theta_n" in err["message"]
 
+    @pytest.mark.parametrize("mode", ["exact-plug-ins", "bounded-plug-ins"])
+    @pytest.mark.parametrize("kappa", ["4.5", "nan"])
+    def test_kappa_off_lattice_exits_1(self, capsys, bern_file, mode, kappa):
+        code, out = run_cli(
+            capsys, ["llt-bound", bern_file, "--n", "8", "--kappa", kappa, "--mode", mode]
+        )
+        assert code == 1
+        assert "not on the sum lattice" in json.loads(out)["error"]["message"]
+
     def test_byte_identical_reruns(self, capsys, bern_file):
         argv = ["llt-bound", bern_file, "--n", "32", "--kappa", "16", "--h", "0.25"]
         _, out1 = run_cli(capsys, argv)
@@ -209,6 +218,27 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["lower"] <= payload["upper"]
 
+    @pytest.mark.parametrize("mc, seed", [("0", "1"), ("-5", "1"), ("100", "-1")])
+    def test_scenery_mc_bad_count_or_seed_exits_2(self, capsys, scenery_file, mc, seed):
+        code, out = run_cli(
+            capsys, ["scenery", scenery_file, "--kappa", "2", "--mc", mc, "--seed", seed]
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input-error"
+
+    def test_scenery_mc_seed_zero_is_used(self, capsys, scenery_file):
+        from lltkit import monte_carlo_point_prob, scenery_from_json
+
+        code, out = run_cli(
+            capsys, ["scenery", scenery_file, "--kappa", "2", "--mc", "5000", "--seed", "0"]
+        )
+        assert code == 0
+        mc = json.loads(out)["monte_carlo"]
+        assert mc["seed"] == 0
+        with open(scenery_file, encoding="utf-8") as fobj:
+            model = scenery_from_json(json.load(fobj))
+        assert mc["p_hat"] == monte_carlo_point_prob(model, 2.0, samples=5000, seed=0).p_hat
+
     def test_scenery_profile_map_round_trip(self, capsys, tmp_path):
         path = tmp_path / "model_profile.json"
         path.write_text(
@@ -264,3 +294,61 @@ class TestErrorsAndOverrides:
         payload = json.loads(out)
         assert payload["constants"]["c0"] == 0.25
         assert payload["constants"]["ce"] == 1.0
+
+    @pytest.mark.parametrize("command", ["llt-bound", "gamkrelidze"])
+    @pytest.mark.parametrize("h", ["1.5", "0", "-0.25"])
+    def test_h_out_of_range_exits_1(self, capsys, bern_file, command, h):
+        argv = [command, bern_file, "--n", "64", "--h", h]
+        if command == "llt-bound":
+            argv += ["--kappa", "32"]
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "hypothesis-rejected"
+        assert "0 < h < 1" in err["message"]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"c0": "abc"},
+            {"ce": -1},
+            {"c1": 5},
+            {"c0": True},
+            {"ce": float("nan")},
+            {"c0": 10**400},
+            {"provenance": 3},
+        ],
+        ids=["c0-string", "ce-negative", "c1-derived", "c0-bool", "ce-nan", "c0-overflow",
+             "provenance-number"],
+    )
+    def test_bad_constants_override_exits_2(self, capsys, bern_file, tmp_path, override):
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps(override))
+        code, out = run_cli(
+            capsys,
+            ["--constants", str(consts), "llt-bound", bern_file, "--n", "32", "--kappa", "16",
+             "--h", "0.25"],
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input-error"
+
+    def test_bad_override_rejected_for_every_subcommand(self, capsys, tmp_path, monkeypatch):
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"ce": -1}))
+        monkeypatch.setenv("LLT_CONSTANTS", str(consts))
+        code, out = run_cli(capsys, ["partition", "--m", "3", "--n", "10"])
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input-error"
+
+    def test_override_values_are_floats_with_provenance(self, capsys, bern_file, tmp_path):
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"c0": 1, "provenance": "pinned by hand"}))
+        code, out = run_cli(
+            capsys,
+            ["--constants", str(consts), "llt-bound", bern_file, "--n", "32", "--kappa", "16",
+             "--h", "0.25"],
+        )
+        assert code == 0
+        constants = json.loads(out)["constants"]
+        assert constants["c0"] == 1.0 and isinstance(constants["c0"], float)
+        assert constants["provenance"] == "pinned by hand"

@@ -9,6 +9,7 @@ import pytest
 
 from lltkit import (
     LatticeError,
+    PreconditionError,
     effective_pointwise_bound,
     h_default,
     iid_sum,
@@ -121,6 +122,12 @@ class TestSmoothnessViaExtraction:
         bound = smoothness_via_extraction(prepare_sum([fair_bernoulli] * n, [0.5] * n), h, b_n)
         exact = smoothness_stat(iid_sum(fair_bernoulli, n), b_n)
         assert bound.value >= exact
+
+    @pytest.mark.parametrize("h", [0.0, 1.0, 1.5, -0.25])
+    def test_h_out_of_range_rejected(self, fair_bernoulli, h):
+        spec = prepare_sum([fair_bernoulli] * 64, [0.5] * 64)
+        with pytest.raises(PreconditionError, match="0 < h < 1"):
+            smoothness_via_extraction(spec, h, 16.0)
 
     def test_ratio_constant_for_fair_coin(self, fair_bernoulli):
         bound = smoothness_via_extraction(prepare_sum([fair_bernoulli] * 256, [0.5] * 256), 0.25, 64.0)

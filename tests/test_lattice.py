@@ -20,6 +20,8 @@ from lltkit import (
     span_multiple,
     theta,
 )
+from lltkit.errors import PreconditionError
+from lltkit.lattice import kappa_index
 
 from .conftest import random_pmf
 
@@ -126,6 +128,17 @@ class TestPsiMoment:
     def test_rejects_concave_growth(self, fair_bernoulli):
         with pytest.raises(LatticeError):
             psi_moment(fair_bernoulli, lambda x: math.sqrt(abs(x)))
+
+
+class TestKappaIndex:
+    def test_index_on_lattice(self):
+        assert kappa_index(2.75, 0.25, 0.5) == 5
+        assert kappa_index(-1.0, 0.0, 1.0) == -1
+
+    @pytest.mark.parametrize("kappa", [2.5, math.nan, math.inf])
+    def test_off_lattice_rejected(self, kappa):
+        with pytest.raises(PreconditionError, match="not on the sum lattice"):
+            kappa_index(kappa, 0.25, 0.5)
 
 
 class TestSpanMultiple:

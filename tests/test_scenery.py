@@ -338,6 +338,12 @@ class TestSceneryEnvelope:
         e2 = monte_carlo_point_prob(m, 4.0, samples=50_000, seed=3)
         assert e1.p_hat == e2.p_hat
 
+    @pytest.mark.parametrize("samples, seed", [(0, 3), (-5, 3), (1000, -1)])
+    def test_mc_rejects_no_samples_or_negative_seed(self, samples, seed):
+        m = SceneryModel(bern(), inc_12(), 8, 0.5)
+        with pytest.raises(LatticeError, match="samples >= 1 and seed >= 0"):
+            monte_carlo_point_prob(m, 4.0, samples=samples, seed=seed)
+
     def test_three_point_scenery_law(self):
         # non-two-point scenery values drive the generic sampling path; the
         # composed law still equals the iid convolution
