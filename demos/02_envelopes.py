@@ -27,7 +27,7 @@ uni3 = make_pmf(0, 1, [(0, 1), (1, 1), (2, 1)])
 
 print("=== sandwich for the fair-coin sum, n = 64, h = 0.25 ===")
 n, h = 64, 0.25
-spec = prepare_sum([bern] * n, [0.5] * n)
+spec = prepare_sum([(bern, 0.5, n)])
 plug = exact_plug_ins(spec, h)
 law = iid_sum(bern, n)
 print(f"exact plug-ins: H_n = {plug.h_n:.5f}, rho_n = {plug.rho_n:.5f}")
@@ -40,9 +40,8 @@ for k in range(24, 41, 2):
 print()
 print("=== non-identical mix (coin / uniform3 alternating), n = 60 ===")
 mix = [bern if j % 2 == 0 else uni3 for j in range(60)]
-mix_th = [theta(p) for p in mix]
 mlaw = convolve_all(mix)
-mix_spec = prepare_sum(mix, mix_th)
+mix_spec = prepare_sum([(p, theta(p), 1) for p in mix])
 plug = exact_plug_ins(mix_spec, h)
 center = round(mlaw.mean)
 for k in (center - 8, center, center + 8):
@@ -53,7 +52,7 @@ for k in (center - 8, center, center + 8):
 print()
 print("=== central envelopes at n = 1000 (coin), around the mean ===")
 n = 1000
-spec = prepare_sum([bern] * n, [0.5] * n)
+spec = prepare_sum([(bern, 0.5, n)])
 law = iid_sum(bern, n)
 theta_n = spec.theta_n
 print(f"theta_n = {theta_n:.0f}, default deviation h_n = {h_default(theta_n):.5f}")

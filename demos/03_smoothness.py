@@ -36,7 +36,7 @@ n = 256
 b_n = n / 4.0
 theta_n = n / 2.0
 h = h_default(theta_n)
-bound = smoothness_via_extraction(prepare_sum([bern] * n, [0.5] * n), h, b_n)
+bound = smoothness_via_extraction(prepare_sum([(bern, 0.5, n)]), h, b_n)
 exact = smoothness_stat(iid_sum(bern, n), b_n)
 t1, t2, t3 = bound.terms
 print(f"n = {n}, h = {h:.4f}: extraction bound = {bound.value:.5f} "

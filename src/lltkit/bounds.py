@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.integrate import quad
@@ -420,12 +420,12 @@ def _check_h(h: float) -> None:
         raise PreconditionError(f"deviation parameter must satisfy 0 < h < 1, got {h}")
 
 
-def chernoff_rho(thetas: Sequence[float], h: float) -> float:
+def chernoff_rho(theta_n: float, h: float) -> float:
     """Chernoff bound ``2 exp(-h^2 Theta_n / (2 (1 + h/3)))`` for the two-sided
-    deviation ``P{|B_n - Theta_n| > h Theta_n}`` of a Bernoulli-sum count."""
+    deviation ``P{|B_n - Theta_n| > h Theta_n}`` of a Bernoulli-sum count
+    with mean ``Theta_n``."""
     _check_h(h)
-    theta_n = math.fsum(thetas)
-    if theta_n <= 0:
+    if not (theta_n > 0):
         raise PreconditionError("theta_n must be positive")
     return 2.0 * math.exp(-(h * h) * theta_n / (2.0 * (1.0 + h / 3.0)))
 
@@ -472,13 +472,13 @@ class SumSpec:
     """Validated description of the independent sum ``S_n = X_1 + ... + X_n``.
 
     Built once by :func:`prepare_sum` and read by every plug-in and envelope:
-    the summands with their extraction levels, ``theta_n = sum_j vartheta_j``,
-    the common span ``d``, the lattice offset ``v0 = sum_j v0_j`` and the mean
-    and variance of S_n.  ``len(spec)`` is the number of summands.
+    ``parts`` holds one ``(law, level, count)`` triple per distinct summand
+    law and extraction level, ``theta_n = sum_j vartheta_j``, the common span
+    ``d``, the lattice offset ``v0 = sum_j v0_j`` and the mean and variance
+    of S_n.  ``len(spec)`` is the number of summands.
     """
 
-    summands: tuple[LatticePmf, ...]
-    thetas: tuple[float, ...]
+    parts: tuple[tuple[LatticePmf, float, int], ...]
     theta_n: float
     d: float
     v0: float
@@ -486,52 +486,51 @@ class SumSpec:
     var: float
 
     def __len__(self) -> int:
-        return len(self.summands)
+        return sum(count for _, _, count in self.parts)
 
 
-def prepare_sum(summands: Sequence[LatticePmf], thetas: Sequence[float]) -> SumSpec:
-    """Validate the summands and their extraction levels and compute the sum's
+def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
+    """Validate the parts ``(law, level, count)`` -- ``count`` independent
+    summands with that law, extracted at that level -- and compute the sum's
     characteristics.
 
-    Requires one level per summand, each in ``(0, theta(X_j)]``, and a span
-    shared by all summands.
+    Requires at least one part, each level in ``(0, theta(law)]``, each count
+    an integer >= 1, and a span shared by all laws.  An iid sum is one part.
+    Theta_n, v0, the mean and the variance are each a fsum of count times
+    the per-part value; for one part that is the correctly rounded sum of
+    the n equal summand values.
     """
-    if len(summands) != len(thetas):
-        raise LatticeError("need one extraction level per summand")
-    for j, (p, t) in enumerate(zip(summands, thetas)):
-        _check_level(t, theta(p), "summand", j)
-    if not summands:
+    parts = tuple(parts)
+    if not parts:
         raise LatticeError("need at least one summand")
-    d = summands[0].D
-    for p in summands:
+    d = parts[0][0].D
+    for j, (p, t, count) in enumerate(parts):
+        if not isinstance(count, int) or count < 1:
+            raise LatticeError(f"part {j}: count must be an integer >= 1, got {count!r}")
+        _check_level(t, theta(p), "part", j)
         if abs(p.D - d) > 1e-12 * max(1.0, abs(d)):
             raise LatticeError("summands must share a common span D")
-    v0 = math.fsum(p.v0 for p in summands)
-    mean = 0.0
-    var = 0.0
-    for p in summands:
-        m, v = moments(p)
-        mean += m
-        var += v
+    stats = [(count, moments(p)) for p, _, count in parts]
     return SumSpec(
-        summands=tuple(summands),
-        thetas=tuple(thetas),
-        theta_n=math.fsum(thetas),
+        parts=parts,
+        theta_n=math.fsum(count * t for _, t, count in parts),
         d=d,
-        v0=v0,
-        mean=mean,
-        var=var,
+        v0=math.fsum(count * p.v0 for p, _, count in parts),
+        mean=math.fsum(count * m for count, (m, _) in stats),
+        var=math.fsum(count * v for count, (_, v) in stats),
     )
 
 
 def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
     rho_n from the exact Poisson-binomial two-sided tail (when h is given)."""
-    xi = convolve_all([xi_law(split(p, t)) for p, t in zip(spec.summands, spec.thetas)])
+    # each part is split once; the oracles take one entry per summand
+    xi = convolve_all([law for p, t, c in spec.parts for law in [xi_law(split(p, t))] * c])
     if not (xi.variance > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
     h_n = kolmogorov_distance(xi.pmf, center=xi.mean, scale=math.sqrt(xi.variance))
-    rho = poisson_binomial(spec.thetas).two_sided_tail(h) if h is not None else None
+    levels = [t for _, t, c in spec.parts for _ in range(c)]
+    rho = poisson_binomial(levels).two_sided_tail(h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, mode="exact-plug-ins")
 
 
@@ -545,9 +544,10 @@ def bounded_plug_ins(
     ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))``, the Esseen-type bound
     ``2^{3/2} ce * L_n`` for H_n and the Chernoff bound for rho_n (no oracle
     involved)."""
-    l_n = math.fsum(psi_moments(spec.summands, psi)) / psi(math.sqrt(spec.var))
+    moms = psi_moments([p for p, _, _ in spec.parts], psi)
+    l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / psi(math.sqrt(spec.var))
     h_n = 2.0**1.5 * constants.ce * l_n
-    rho = chernoff_rho(spec.thetas, h) if h is not None else None
+    rho = chernoff_rho(spec.theta_n, h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, mode="bounded-plug-ins", l_n=l_n)
 
 

@@ -157,10 +157,8 @@ def _bound_row(report: bounds.BoundReport) -> dict:
 
 def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     pmf = pmf_from_json(_read_json(args.input))
-    if args.n < 1:
-        raise LatticeError("llt-bound requires --n >= 1")
     constants = args.constants
-    spec = bounds.prepare_sum([pmf] * args.n, [theta(pmf)] * args.n)
+    spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
     h = _pick_h(args, spec.theta_n)
     exact_mode = args.mode == "exact-plug-ins"
     law = iid_sum(pmf, args.n) if exact_mode or args.law_out else None
@@ -184,27 +182,25 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
             return bounds.central_envelope(spec, kappa, plug, constants, exact)
         return bounds.psi_envelope(spec, kappa, plug, constants, exact)
 
-    v0n = pmf.v0 * args.n
     if args.kappa is not None:
         report = one(args.kappa)
         return {**report.to_json_dict(constants), **_bound_row(report)}
-    if args.kappa_from is None or args.kappa_to is None:
-        raise LatticeError("llt-bound requires --kappa or both --kappa-from/--kappa-to")
-    k_lo = math.ceil((args.kappa_from - v0n) / pmf.D - 1e-9)
-    k_hi = math.floor((args.kappa_to - v0n) / pmf.D + 1e-9)
-    return [_bound_row(one(v0n + pmf.D * k)) for k in range(k_lo, k_hi + 1)]
+    ends = (args.kappa_from, args.kappa_to)
+    if None in ends or not all(map(math.isfinite, ends)):
+        raise LatticeError("llt-bound requires --kappa or finite --kappa-from and --kappa-to")
+    k_lo = math.ceil((args.kappa_from - spec.v0) / spec.d - 1e-9)
+    k_hi = math.floor((args.kappa_to - spec.v0) / spec.d + 1e-9)
+    return [_bound_row(one(spec.v0 + spec.d * k)) for k in range(k_lo, k_hi + 1)]
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
-    if args.n < 1:
-        raise LatticeError("gamkrelidze requires --n >= 1")
     law = iid_sum(pmf, args.n)
     a_n = args.a_n if args.a_n is not None else law.mean
     b_n = args.b_n if args.b_n is not None else law.variance
     report = gamkrelidze.interval_discrepancy(law, a_n, b_n)
     check = gamkrelidze.effective_pointwise_bound(report)
-    spec = bounds.prepare_sum([pmf] * args.n, [theta(pmf)] * args.n)
+    spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
     h = _pick_h(args, spec.theta_n)
     extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, args.constants)
     out = report.to_json_dict()

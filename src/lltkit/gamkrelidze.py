@@ -101,8 +101,8 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
     rho_n comes from one cumulative pass over a window outside of which both
     the pmf and the Gaussian cell integrals are below 1e-16.
     """
-    if not (b_n > 0):
-        raise LatticeError(f"need b_n > 0, got {b_n}")
+    if not (math.isfinite(a_n) and 0.0 < b_n < math.inf):
+        raise LatticeError(f"need a finite a_n and a finite b_n > 0, got {a_n} and {b_n}")
     f = _integer_masses(sum_law)
     sd = math.sqrt(b_n)
     margin = 9.5  # ndtr(-9.5) ~ 1e-21 < _TAIL_EPS
@@ -219,7 +219,7 @@ def smoothness_via_extraction(
     if not (b_n > 0):
         raise LatticeError(f"need b_n > 0, got {b_n}")
     theta_n = spec.theta_n
-    t1 = b_n * chernoff_rho(spec.thetas, h)
+    t1 = b_n * chernoff_rho(theta_n, h)
     t2 = 2.0 * constants.c0 * b_n / ((1.0 - h) ** 1.5 * theta_n**1.5)
     t3 = 2.0 * b_n / (math.sqrt(math.pi * math.e) * (1.0 - h) * theta_n)
     return ExtractionSmoothnessBound(

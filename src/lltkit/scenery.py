@@ -57,7 +57,7 @@ from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
 from .lattice import LatticePmf, kappa_index, pmf_from_json, theta
 
-#: default cap on the number of steps for full joint enumeration
+#: cap on the number of steps for full joint enumeration
 ENUMERATION_CAP = 5
 
 #: rough cap on enumerated atoms before rejecting an instance as too large
@@ -275,15 +275,17 @@ class SceneryMoments:
         }
 
 
-def second_moment_check(model: SceneryModel, cap: int = ENUMERATION_CAP) -> SceneryMoments:
+def second_moment_check(model: SceneryModel) -> SceneryMoments:
     """Compute E S_n, E S_n^2, E S'_n, E S'_n^2 by exhaustive enumeration of
     the joint space (increment path x per-site (V, eps, L) outcomes).
 
     Rejects instances whose enumeration would exceed the budget; callers fall
     back to Monte Carlo for those.
     """
-    if model.n > cap:
-        raise LatticeError(f"instance too large for exact enumeration (n = {model.n} > {cap})")
+    if model.n > ENUMERATION_CAP:
+        raise LatticeError(
+            f"instance too large for exact enumeration (n = {model.n} > {ENUMERATION_CAP})"
+        )
     atoms = _AtomCache(model)
     n_steps = len(model.increment_law.probs)
     per_site = 2 * max(len(split(model.x_law, theta(model.x_law)).joint), 1)
@@ -445,9 +447,7 @@ def scenery_envelope(
             "scenery envelope requires a constant vartheta profile (the conditional "
             "summands are not known to be independent otherwise)"
         )
-    if model.n < 1:
-        raise LatticeError("need n >= 1")
-    spec = prepare_sum([model.x_law] * model.n, [float(model.vartheta_profile)] * model.n)
+    spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
     if plug_ins is None:
         plug_ins = exact_plug_ins(spec, h)
     return sandwich_envelope(spec, h, kappa, plug_ins, constants, exact=exact)
@@ -502,13 +502,12 @@ def monte_carlo_point_prob(
     kappa: float,
     samples: int = 10_000_000,
     seed: int = 1,
-    chunk: int | None = None,
 ) -> MonteCarloEstimate:
     """Simulate the composed sum honestly (fresh scenery and path per sample)
     and estimate ``P{S_n = kappa}`` with its binomial standard error.
 
     Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so runs
-    are reproducible given (samples, seed, chunk).  Sampling is vectorized by
+    are reproducible given (samples, seed).  Sampling is vectorized by
     inverse-CDF lookup; sums are carried in integer index space so the hit
     test is exact.
     """
@@ -521,8 +520,7 @@ def monte_carlo_point_prob(
     x_ks, x_cum = _inv_cdf_table(x)
     i_ks, i_cum = _inv_cdf_table(model.increment_law)
     reach = model.n * int(i_ks.max())
-    if chunk is None:
-        chunk = max(10_000, min(1_000_000, int(2e7 / max(reach, 1))))
+    chunk = max(10_000, min(1_000_000, int(2e7 / max(reach, 1))))
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0

@@ -121,7 +121,7 @@ def _sandwich_case(summands, thetas):
     if math.log(theta_n) / theta_n <= 1.0 / 14.0:
         hs.append(h_default(theta_n))
     sd = math.sqrt(law.variance)
-    spec = prepare_sum(summands, thetas)
+    spec = prepare_sum([(p, t, 1) for p, t in zip(summands, thetas)])
     checked = 0
     for h in hs:
         plug = exact_plug_ins(spec, h)
@@ -160,7 +160,7 @@ def test_criterion_03_sandwich_validity():
 def test_criterion_04_central_envelopes():
     t0 = time.perf_counter()
     n = 1000
-    spec = prepare_sum([BERN] * n, [0.5] * n)
+    spec = prepare_sum([(BERN, 0.5, n)])
     law = iid_sum(BERN, n)
     theta_n = 500.0
     plug = exact_plug_ins(spec)
@@ -216,7 +216,7 @@ def test_criterion_06_chernoff_dominance():
         law = poisson_binomial([0.5] * n)
         for h10 in range(1, 10):
             h = h10 / 10.0
-            ok = ok and law.two_sided_tail(h) <= chernoff_rho([0.5] * n, h)
+            ok = ok and law.two_sided_tail(h) <= chernoff_rho(0.5 * n, h)
     assert _line(6, ok, "Chernoff bound dominates exact two-sided tails on the grid")
 
 
@@ -238,7 +238,7 @@ def test_criterion_07_smoothness_inequalities():
         ok = ok and abs(brute - report.rho) < 1e-12
         theta_n = n / 2.0
         h = h_default(theta_n) if math.log(theta_n) / theta_n <= 1 / 14 else 0.25
-        bound = smoothness_via_extraction(prepare_sum([BERN] * n, [0.5] * n), h, b_n)
+        bound = smoothness_via_extraction(prepare_sum([(BERN, 0.5, n)]), h, b_n)
         ok = ok and bound.value >= smoothness_stat(law, b_n)
     assert _line(
         7, ok, "pointwise/gaussian smoothness inequalities, prefix rho, extraction bound"
@@ -265,7 +265,7 @@ def test_criterion_08_scenery_checks():
     )
     ok = ok and abs(fact0.lhs) < 1e-14
     n, h = 16, 0.25
-    spec = prepare_sum([BERN] * n, [0.5] * n)
+    spec = prepare_sum([(BERN, 0.5, n)])
     plug = exact_plug_ins(spec, h)
     plain = sandwich_envelope(spec, h, 8.0, plug)
     composed = scenery_envelope(SceneryModel(BERN, inc1, n, 0.5), h, 8.0)

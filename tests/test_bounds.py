@@ -36,6 +36,7 @@ from lltkit import (
     psi_moment,
     refined_bernoulli_comparison,
     sandwich_envelope,
+    theta,
 )
 from lltkit.bounds import (
     C0_TAIL_N_STAR,
@@ -178,16 +179,16 @@ class TestRefinedComparison:
 
 class TestChernoffRho:
     def test_formula_value(self):
-        assert chernoff_rho([0.5] * 200, 0.5) == pytest.approx(2 * math.exp(-75 / 7), rel=1e-14)
+        assert chernoff_rho(0.5 * 200, 0.5) == pytest.approx(2 * math.exp(-75 / 7), rel=1e-14)
 
     def test_vacuous_small_h(self):
-        assert chernoff_rho([0.5] * 10, 1e-9) == pytest.approx(2.0)
+        assert chernoff_rho(0.5 * 10, 1e-9) == pytest.approx(2.0)
 
     def test_rejects_h_out_of_range(self):
         with pytest.raises(PreconditionError):
-            chernoff_rho([0.5], 0.0)
+            chernoff_rho(0.5, 0.0)
         with pytest.raises(PreconditionError):
-            chernoff_rho([0.5], 1.0)
+            chernoff_rho(0.5, 1.0)
 
 
 class TestHDefault:
@@ -231,20 +232,62 @@ class TestExpMomentGaussian:
             exp_moment_gaussian(0.0, 1.0)
 
 
+class TestPrepareSum:
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_one_part_equals_n_single_parts(self, n):
+        p = make_pmf(0.3, 0.7, [(0, 0.2), (1, 0.5), (2, 0.3), (4, 0.1)])
+        t = 0.9 * theta(p)
+        one = prepare_sum([(p, t, n)])
+        many = prepare_sum([(p, t, 1)] * n)
+        assert len(one) == len(many) == n
+        for field in ("theta_n", "v0", "mean", "var"):
+            assert getattr(one, field) == getattr(many, field)
+        assert exact_plug_ins(one, 0.25) == exact_plug_ins(many, 0.25)
+        assert bounded_plug_ins(one, 0.25) == bounded_plug_ins(many, 0.25)
+
+    def test_per_law_work_does_not_grow_with_n(self, uniform3, monkeypatch):
+        import lltkit.bounds
+
+        calls = {}
+
+        def counting(name):
+            original = getattr(lltkit.bounds, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("theta", "moments", "split"):
+            monkeypatch.setattr(lltkit.bounds, name, counting(name))
+        counts = []
+        for n in (2, 2000):
+            calls.clear()
+            spec = prepare_sum([(uniform3, theta(uniform3), n)])
+            exact_plug_ins(spec, 0.25)
+            bounded_plug_ins(spec, 0.25)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert set(counts[1]) == {"theta", "moments", "split"}
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    def test_bad_count_rejected(self, fair_bernoulli, count):
+        with pytest.raises(LatticeError) as err:
+            prepare_sum([(fair_bernoulli, 0.5, count)])
+        assert "count" in str(err.value)
+
+
 class TestSandwichEnvelope:
     def test_binomial_64_center(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 64
-        thetas = [0.5] * 64
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
         rep = sandwich_envelope(spec, 0.25, 32.0, plug, exact=law.pmf.mass(32))
         assert rep.lower <= rep.exact <= rep.upper
 
     def test_binomial_64_window(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 64
-        thetas = [0.5] * 64
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
         for k in range(20, 45):
@@ -253,9 +296,7 @@ class TestSandwichEnvelope:
             assert rep.lower <= exact <= rep.upper
 
     def test_wide_h_still_valid(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 64
-        thetas = [0.5] * 64
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.99)
         law = iid_sum(fair_bernoulli, 64)
         rep = sandwich_envelope(spec, 0.99, 32.0, plug)
@@ -266,9 +307,7 @@ class TestSandwichEnvelope:
         assert all(a < b for a, b in zip(factors, factors[1:]))
 
     def test_plug_in_monotonicity(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 64
-        thetas = [0.5] * 64
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         base = exact_plug_ins(spec, 0.25)
         bigger_h = PlugIns(h_n=base.h_n * 2, rho_n=base.rho_n, mode=base.mode)
         bigger_r = PlugIns(h_n=base.h_n, rho_n=base.rho_n * 2, mode=base.mode)
@@ -279,34 +318,28 @@ class TestSandwichEnvelope:
         assert r2.upper >= r0.upper and r2.lower <= r0.lower
 
     def test_lower_reported_raw(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 16
-        thetas = [0.5] * 16
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 16)])
         plug = exact_plug_ins(spec, 0.25)
         rep = sandwich_envelope(spec, 0.25, 8.0, plug)
         assert rep.lower < 0 and rep.lower_negative
 
     def test_rejects_bad_h_and_theta(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 4
         plug = PlugIns(h_n=0.1, rho_n=0.1, mode="exact-plug-ins")
         with pytest.raises(PreconditionError):
-            sandwich_envelope(prepare_sum(summands, [0.5] * 4), 1.5, 2.0, plug)
+            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 1.5, 2.0, plug)
         with pytest.raises(PreconditionError):
-            sandwich_envelope(prepare_sum(summands, [0.9] * 4), 0.25, 2.0, plug)  # above theta_X
+            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.9, 4)]), 0.25, 2.0, plug)  # above theta_X
 
     def test_rejects_off_lattice_kappa(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 4
         plug = PlugIns(h_n=0.1, rho_n=0.1, mode="exact-plug-ins")
         with pytest.raises(PreconditionError):
-            sandwich_envelope(prepare_sum(summands, [0.5] * 4), 0.25, 2.5, plug)
+            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 0.25, 2.5, plug)
 
     def test_non_unit_lattice(self):
         # values {0.5, 2.5} on L(0.5, 2): the envelope is span-covariant
         p = make_pmf(0.5, 2.0, [(0, 1), (1, 1)])
         n = 64
-        summands = [p] * n
-        thetas = [0.5] * n
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(p, 0.5, n)])
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(p, n)
         sd = math.sqrt(law.variance)
@@ -322,9 +355,7 @@ class TestSandwichEnvelope:
         # any 0 < vartheta_j <= theta_X is admissible; a smaller level shifts
         # Theta_n down and the conditional variance up, sandwich still holds
         n = 64
-        summands = [fair_bernoulli] * n
-        thetas = [0.3] * n
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.3, n)])
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, n)
         for k in range(20, 45):
@@ -334,9 +365,7 @@ class TestSandwichEnvelope:
 
     def test_n512_with_default_h(self, fair_bernoulli):
         n = 512
-        summands = [fair_bernoulli] * n
-        thetas = [0.5] * n
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         h = h_default(256.0)
         plug = exact_plug_ins(spec, h)
         law = iid_sum(fair_bernoulli, n)
@@ -353,8 +382,8 @@ class TestSandwichEnvelope:
         a, b = 3.0, -0.75
         q = make_pmf(a * fair_bernoulli.v0 + b, a * fair_bernoulli.D,
                      list(fair_bernoulli.probs.items()))
-        spec_p = prepare_sum([fair_bernoulli] * n, [0.5] * n)
-        spec_q = prepare_sum([q] * n, [0.5] * n)
+        spec_p = prepare_sum([(fair_bernoulli, 0.5, n)])
+        spec_q = prepare_sum([(q, 0.5, n)])
         plug_p = exact_plug_ins(spec_p, h)
         plug_q = exact_plug_ins(spec_q, h)
         assert plug_q.h_n == pytest.approx(plug_p.h_n, abs=1e-14)
@@ -388,7 +417,7 @@ class TestSandwichProperty:
         from lltkit import convolve_all
 
         summands, thetas, h = self._random_case(seed)
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(p, t, 1) for p, t in zip(summands, thetas)])
         try:
             plug = exact_plug_ins(spec, h)
         except PreconditionError:
@@ -410,7 +439,7 @@ class TestCentralEnvelope:
     def setup_method(self):
         self.p = make_pmf(0, 1, [(0, 1), (1, 1)])
         self.n = 1000
-        self.spec = prepare_sum([self.p] * self.n, [0.5] * self.n)
+        self.spec = prepare_sum([(self.p, 0.5, self.n)])
         self.law = iid_sum(self.p, self.n)
         self.plug = exact_plug_ins(self.spec)
 
@@ -436,14 +465,14 @@ class TestCentralEnvelope:
     def test_small_theta_rejected_by_name(self, fair_bernoulli):
         plug = PlugIns(h_n=0.1, rho_n=None, mode="exact-plug-ins")
         with pytest.raises(PreconditionError) as err:
-            central_envelope(prepare_sum([fair_bernoulli] * 4, [0.5] * 4), 2.0, plug)
+            central_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 2.0, plug)
         assert "log(theta_n)/theta_n" in str(err.value)
 
 
 class TestPsiEnvelope:
     def test_cube_moment_ratio_value(self, fair_bernoulli):
         n = 1000
-        spec = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         rep = psi_envelope(spec, 500.0, bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3))
         assert rep.params["l_n"] == pytest.approx(4 / math.sqrt(n), rel=1e-12)
 
@@ -451,20 +480,20 @@ class TestPsiEnvelope:
         n = 1000
         law = iid_sum(fair_bernoulli, n)
         exact = law.pmf.mass(500)
-        spec = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         plug = bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3)
         rep = psi_envelope(spec, 500.0, plug, exact=exact)
         assert rep.lower <= exact <= rep.upper
 
     def test_square_boundary_psi_accepted(self, fair_bernoulli):
         n = 1000
-        spec = prepare_sum([fair_bernoulli] * n, [0.5] * n)
+        spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         rep = psi_envelope(spec, 500.0, bounded_plug_ins(spec, psi=lambda x: x * x))
         assert rep.upper > rep.lower
 
 
     def test_exact_plug_ins_rejected(self, fair_bernoulli):
-        spec = prepare_sum([fair_bernoulli] * 64, [0.5] * 64)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec)
         assert plug.l_n is None
         with pytest.raises(LatticeError):
@@ -473,9 +502,7 @@ class TestPsiEnvelope:
 
 class TestBoundedPlugIns:
     def test_h_bound_dominates_exact(self, fair_bernoulli):
-        summands = [fair_bernoulli] * 100
-        thetas = [0.5] * 100
-        spec = prepare_sum(summands, thetas)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 100)])
         exact = exact_plug_ins(spec, 0.25)
         bound = bounded_plug_ins(spec, 0.25)
         assert bound.h_n >= exact.h_n
@@ -496,7 +523,7 @@ class TestBoundedPlugIns:
         check_calls = calls - support
         calls = 0
         n = 50
-        bounded_plug_ins(prepare_sum([uniform3] * n, [2.0 / 3.0] * n), psi=psi)
+        bounded_plug_ins(prepare_sum([(uniform3, 2.0 / 3.0, 1)] * n), psi=psi)
         assert calls == check_calls + n * support + 1
 
 

@@ -172,6 +172,17 @@ class TestLltBound:
         assert len(json.loads(out)) == 11
         assert calls <= n + 10
 
+    @pytest.mark.parametrize("side", ["--kappa-from", "--kappa-to"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sweep_end_exits_2(self, capsys, bern_file, side, value):
+        ends = {"--kappa-from": "20", "--kappa-to": "40", side: value}
+        argv = ["llt-bound", bern_file, "--n", "64"] + [f"{k}={v}" for k, v in ends.items()]
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert "finite" in err["message"]
+
     def test_csv_sweep_matches_json_values(self, capsys, bern_file):
         argv = ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6",
                 "--kappa-to", "10", "--h", "0.25"]
@@ -205,6 +216,14 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["pointwise_check"]["pointwise_ok"] is True
         assert payload["extraction_bound"]["value"] >= payload["M"]
+
+    @pytest.mark.parametrize("flag", ["--a=nan", "--a=inf", "--a=-inf", "--b=inf"])
+    def test_gamkrelidze_non_finite_centering_or_scale_exits_2(self, capsys, bern_file, flag):
+        code, out = run_cli(capsys, ["gamkrelidze", bern_file, "--n", "64", flag])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert "finite" in err["message"]
 
     def test_scenery_moments_command(self, capsys, scenery_file):
         code, out = run_cli(capsys, ["scenery", scenery_file])
@@ -306,6 +325,16 @@ class TestErrorsAndOverrides:
         err = json.loads(out)["error"]
         assert err["kind"] == "hypothesis-rejected"
         assert "0 < h < 1" in err["message"]
+
+    @pytest.mark.parametrize("command", ["llt-bound", "gamkrelidze"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_summands_exits_2(self, capsys, bern_file, command, n):
+        argv = [command, bern_file, "--n", n]
+        if command == "llt-bound":
+            argv += ["--kappa", "0"]
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input-error"
 
     @pytest.mark.parametrize(
         "override",

@@ -115,7 +115,7 @@ class TestPoissonBinomial:
         for n in (10, 50):
             law = poisson_binomial([0.5] * n)
             for h in (0.2, 0.5, 0.8):
-                assert law.two_sided_tail(h) <= chernoff_rho([0.5] * n, h)
+                assert law.two_sided_tail(h) <= chernoff_rho(0.5 * n, h)
 
 
 class TestKolmogorovDistance:

@@ -119,27 +119,27 @@ class TestSmoothnessViaExtraction:
         except Exception:
             h = 0.25
         b_n = n / 4.0
-        bound = smoothness_via_extraction(prepare_sum([fair_bernoulli] * n, [0.5] * n), h, b_n)
+        bound = smoothness_via_extraction(prepare_sum([(fair_bernoulli, 0.5, n)]), h, b_n)
         exact = smoothness_stat(iid_sum(fair_bernoulli, n), b_n)
         assert bound.value >= exact
 
     @pytest.mark.parametrize("h", [0.0, 1.0, 1.5, -0.25])
     def test_h_out_of_range_rejected(self, fair_bernoulli, h):
-        spec = prepare_sum([fair_bernoulli] * 64, [0.5] * 64)
+        spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         with pytest.raises(PreconditionError, match="0 < h < 1"):
             smoothness_via_extraction(spec, h, 16.0)
 
     def test_ratio_constant_for_fair_coin(self, fair_bernoulli):
-        bound = smoothness_via_extraction(prepare_sum([fair_bernoulli] * 256, [0.5] * 256), 0.25, 64.0)
+        bound = smoothness_via_extraction(prepare_sum([(fair_bernoulli, 0.5, 256)]), 0.25, 64.0)
         assert bound.b_over_theta == pytest.approx(0.5)
 
     def test_loose_h_still_upper_bound(self, fair_bernoulli):
         n = 256
         b_n = 64.0
-        bound = smoothness_via_extraction(prepare_sum([fair_bernoulli] * n, [0.5] * n), 0.99, b_n)
+        bound = smoothness_via_extraction(prepare_sum([(fair_bernoulli, 0.5, n)]), 0.99, b_n)
         exact = smoothness_stat(iid_sum(fair_bernoulli, n), b_n)
         assert bound.value >= exact
-        tight = smoothness_via_extraction(prepare_sum([fair_bernoulli] * n, [0.5] * n), 0.36, b_n)
+        tight = smoothness_via_extraction(prepare_sum([(fair_bernoulli, 0.5, n)]), 0.36, b_n)
         assert bound.value > tight.value
 
     def test_dominance_fuzz(self):
@@ -158,7 +158,6 @@ class TestSmoothnessViaExtraction:
             n = int(rng.integers(5, 40))
             h = float(rng.uniform(0.05, 0.95))
             b_n = float(rng.uniform(0.5, 3.0)) * n
-            thetas = [theta_of(p)] * n
-            bound = smoothness_via_extraction(prepare_sum([p] * n, thetas), h, b_n)
+            bound = smoothness_via_extraction(prepare_sum([(p, theta_of(p), n)]), h, b_n)
             exact = smoothness_stat(iid_sum(p, n), b_n)
             assert bound.value >= exact

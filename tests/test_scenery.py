@@ -283,7 +283,7 @@ class TestCovarianceFactorization:
 class TestSceneryEnvelope:
     def test_unit_increments_match_plain_envelope_bitwise(self):
         n, h = 16, 0.25
-        spec = prepare_sum([bern()] * n, [0.5] * n)
+        spec = prepare_sum([(bern(), 0.5, n)])
         plug = exact_plug_ins(spec, h)
         plain = sandwich_envelope(spec, h, 8.0, plug)
         m = SceneryModel(bern(), inc_ones(), n, 0.5)
