@@ -11,7 +11,6 @@ import math
 from lltkit import (
     bounded_plug_ins,
     central_envelope,
-    convolve_all,
     exact_plug_ins,
     h_default,
     iid_sum,
@@ -19,6 +18,7 @@ from lltkit import (
     prepare_sum,
     psi_envelope,
     sandwich_envelope,
+    sum_law,
     theta,
 )
 
@@ -33,19 +33,19 @@ law = iid_sum(bern, n)
 print(f"exact plug-ins: H_n = {plug.h_n:.5f}, rho_n = {plug.rho_n:.5f}")
 print(f"{'kappa':>6s} {'lower':>10s} {'exact':>10s} {'upper':>10s}  inside")
 for k in range(24, 41, 2):
-    exact = law.pmf.mass(k)
+    exact = law.mass(k)
     rep = sandwich_envelope(spec, h, float(k), plug, exact=exact)
     print(f"{k:6d} {rep.lower:10.5f} {exact:10.5f} {rep.upper:10.5f}  {rep.contains(exact)}")
 
 print()
 print("=== non-identical mix (coin / uniform3 alternating), n = 60 ===")
 mix = [bern if j % 2 == 0 else uni3 for j in range(60)]
-mlaw = convolve_all(mix)
+mlaw = sum_law([(p, 1) for p in mix])
 mix_spec = prepare_sum([(p, theta(p), 1) for p in mix])
 plug = exact_plug_ins(mix_spec, h)
 center = round(mlaw.mean)
 for k in (center - 8, center, center + 8):
-    exact = mlaw.pmf.mass(k)
+    exact = mlaw.mass(k)
     rep = sandwich_envelope(mix_spec, h, float(k), plug, exact=exact)
     print(f"kappa = {k:3d}: {rep.lower:9.5f} <= {exact:9.5f} <= {rep.upper:9.5f}")
 
@@ -57,9 +57,9 @@ law = iid_sum(bern, n)
 theta_n = spec.theta_n
 print(f"theta_n = {theta_n:.0f}, default deviation h_n = {h_default(theta_n):.5f}")
 plug = exact_plug_ins(spec)
-rep = central_envelope(spec, 500.0, plug, exact=law.pmf.mass(500))
+rep = central_envelope(spec, 500.0, plug, exact=law.mass(500))
 print(f"symmetric envelope:  |P - gaussian| = {abs(rep.exact - rep.gaussian):.3e} "
       f"<= half-width {rep.params['half_width']:.3e}")
-rep3 = psi_envelope(spec, 500.0, bounded_plug_ins(spec), exact=law.pmf.mass(500))
+rep3 = psi_envelope(spec, 500.0, bounded_plug_ins(spec), exact=law.mass(500))
 print(f"psi-moment version:  L_n = {rep3.params['l_n']:.5f} (= 4/sqrt(n)), "
       f"half-width {rep3.params['half_width']:.3e}")

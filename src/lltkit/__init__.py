@@ -32,14 +32,13 @@ from .bounds import (
     sandwich_envelope,
 )
 from .convolve import (
-    PoissonBinomialLaw,
     SumLaw,
-    convolve_all,
+    bernoulli,
     iid_sum,
     kolmogorov_distance,
     llt_discrepancy,
-    poisson_binomial,
     standard_normal_cdf,
+    sum_law,
 )
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import BernoulliSplit, reconstruct, split, xi_law

@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.integrate import quad
 
-from .convolve import convolve_all, kolmogorov_distance, poisson_binomial
+from .convolve import bernoulli, kolmogorov_distance, sum_law
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
@@ -523,14 +523,15 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
 
 def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
-    rho_n from the exact Poisson-binomial two-sided tail (when h is given)."""
-    # each part is split once; the oracles take one entry per summand
-    xi = convolve_all([law for p, t, c in spec.parts for law in [xi_law(split(p, t))] * c])
+    rho_n from the exact tail of B_n, a sum of Bernoulli(level) parts (when h is given)."""
+    xi = sum_law([(xi_law(split(p, t)), c) for p, t, c in spec.parts])
     if not (xi.variance > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
-    h_n = kolmogorov_distance(xi.pmf, center=xi.mean, scale=math.sqrt(xi.variance))
-    levels = [t for _, t, c in spec.parts for _ in range(c)]
-    rho = poisson_binomial(levels).two_sided_tail(h) if h is not None else None
+    h_n = kolmogorov_distance(xi, center=xi.mean, scale=math.sqrt(xi.variance))
+    rho = None
+    if h is not None:
+        b_n = sum_law([(bernoulli(t), c) for _, t, c in spec.parts])
+        rho = b_n.two_sided_tail(spec.theta_n, h * spec.theta_n)
     return PlugIns(h_n=h_n, rho_n=rho, mode="exact-plug-ins")
 
 

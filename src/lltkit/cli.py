@@ -164,7 +164,7 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     law = iid_sum(pmf, args.n) if exact_mode or args.law_out else None
     if args.law_out:
         with open(args.law_out, "w", encoding="utf-8") as fobj:
-            fobj.write(render(law.pmf.to_json_dict(), "json"))
+            fobj.write(render(law.to_json_dict(), "json"))
     # only the sandwich reads rho_n, and only the psi envelope reads L_n
     rho_h = h if args.envelope == "sandwich" else None
     if args.envelope == "psi":
@@ -175,7 +175,7 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
         plug = bounds.bounded_plug_ins(spec, rho_h, constants=constants)
 
     def one(kappa: float) -> bounds.BoundReport:
-        exact = law.pmf.mass(kappa_index(kappa, law.pmf.v0, law.pmf.D)) if exact_mode else None
+        exact = law.mass(kappa_index(kappa, law.v0, law.D)) if exact_mode else None
         if args.envelope == "sandwich":
             return bounds.sandwich_envelope(spec, h, kappa, plug, constants, exact)
         if args.envelope == "central":

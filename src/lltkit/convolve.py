@@ -1,23 +1,26 @@
-"""Exact distribution engine: convolutions, Poisson-binomial laws, and the
-brute-force comparison statistics used as oracles for every bound.
+"""Exact distribution engine: the dense law of a sum of independent lattice
+variables, and the brute-force statistics every bound is checked against.
 
-Convolution is plain O(|A|*|B|) accumulation via ``numpy.convolve`` (direct
-method, no FFT), so results carry only elementwise rounding error; support
-sizes here are desk-scale.  The normal CDF comes from ``scipy.special.ndtr``
-(erfc-based, absolute error near machine precision).
+:func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
+parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`:
+each law is densified once on the finest lattice present and convolved into
+the running array ``count`` times with direct ``numpy.convolve`` (no FFT;
+quadratic in the number of summands, elementwise rounding error only).  Every
+oracle reads the dense array of the resulting :class:`SumLaw` in place.  The
+normal CDF is ``scipy.special.ndtr`` (absolute error near machine precision).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import LatticeError, NumericsError
-from .lattice import LatticePmf, make_pmf, moments
+from .lattice import LatticePmf, _moments
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -27,117 +30,105 @@ def standard_normal_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class SumLaw:
-    """Exact law of a sum of independent lattice variables."""
+    """Exact law of a sum of independent lattice variables, held dense:
+    ``probs[i] = P{S = v0 + D * (first + i)}``.  Zeros in the array
+    (underflowed tails, gaps under coarser spans) are not support points."""
 
-    pmf: LatticePmf
-    n: int
+    probs: np.ndarray
+    first: int
+    v0: float
+    D: float
     mean: float
     variance: float
 
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and masses of the positive entries, in increasing order."""
+        nz = np.flatnonzero(self.probs)
+        return self.first + nz, self.probs[nz]
 
-def _dense_masses(probs: Mapping[int, float], lo: int, hi: int, scale: int = 1) -> np.ndarray:
-    """Zero array over the positions ``lo..hi`` holding ``probs[k]`` at ``k * scale``."""
-    arr = np.zeros(hi - lo + 1)
-    for k, p in probs.items():
-        arr[k * scale - lo] = p
-    return arr
+    def mass(self, k: int) -> float:
+        """``P{S = v0 + D*k}``; 0.0 off the array."""
+        i = k - self.first
+        return float(self.probs[i]) if 0 <= i < len(self.probs) else 0.0
+
+    def two_sided_tail(self, center: float, radius: float) -> float:
+        """Exact ``P{|S - center| > radius}``."""
+        pts = self.v0 + self.D * np.arange(self.first, self.first + len(self.probs))
+        return float(self.probs[np.abs(pts - center) > radius].sum())
+
+    def to_json_dict(self) -> dict:
+        """The pmf schema of :meth:`LatticePmf.to_json_dict`, positive masses only."""
+        ks, w = self.atoms()
+        probs = [[k, p] for k, p in zip(ks.tolist(), w.tolist())]
+        return {"v0": self.v0, "D": self.D, "probs": probs}
 
 
-def convolve_all(pmfs: Sequence[LatticePmf]) -> SumLaw:
-    """Exact pmf of the independent sum of the given lattice variables.
+def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
+    """Exact law of the independent sum of ``count`` copies of each ``law`` in
+    ``parts = [(law, count), ...]``, convolved in the order given.
 
-    All inputs must live on compatible lattices: every span must be an integer
-    multiple of the finest span present, and offsets are absorbed into the sum
-    offset ``sum_i v0_i``.  Incompatible spans are rejected.
+    Spans must be integer multiples of the finest one and counts integers
+    >= 1; offsets add up into ``v0``.  The array's plain sum must lie within
+    ``n * 1e-14`` of one (n summands); it is then normalized by its fsum.
     """
-    if not pmfs:
-        raise LatticeError("need at least one pmf to convolve")
-    d_base = min(p.D for p in pmfs)
-    scales = []
-    for p in pmfs:
-        r = p.D / d_base
-        m = round(r)
-        if m < 1 or abs(r - m) > 1e-9 * max(1.0, m):
-            raise LatticeError(
-                f"incompatible spans: {p.D} is not an integer multiple of {d_base}"
-            )
-        scales.append(m)
-    off = 0
+    if not parts:
+        raise LatticeError("need at least one summand")
+    d = min(p.D for p, _ in parts)
     acc = np.array([1.0])
-    for p, s in zip(pmfs, scales):
+    first = 0
+    for p, count in parts:
+        if count < 1:
+            raise LatticeError(f"need n >= 1 summands, got {count}")
+        r = p.D / d
+        s = round(r)
+        if s < 1 or abs(r - s) > 1e-9 * max(1.0, s):
+            raise LatticeError(f"incompatible spans: {p.D} is not an integer multiple of {d}")
         ks = p.support
-        lo = ks[0] * s
-        acc = np.convolve(acc, _dense_masses(p.probs, lo, ks[-1] * s, s))
-        off += lo
+        dense = np.zeros((ks[-1] - ks[0]) * s + 1)
+        for k, w in p.probs.items():
+            dense[(k - ks[0]) * s] = w
+        for _ in range(count):
+            acc = np.convolve(acc, dense)
+        first += count * s * ks[0]
     drift = abs(float(acc.sum()) - 1.0)
-    if drift > len(pmfs) * 1e-14:
+    if drift > sum(count for _, count in parts) * 1e-14:
         raise NumericsError(f"convolution mass drifted by {drift:.3e}")
-    v0 = math.fsum(p.v0 for p in pmfs)
-    out = make_pmf(v0, d_base, [(off + i, w) for i, w in enumerate(acc) if w > 0.0])
-    mean, var = moments(out)
-    return SumLaw(pmf=out, n=len(pmfs), mean=mean, variance=var)
+    probs = acc / math.fsum(acc)
+    v0 = math.fsum(count * p.v0 for p, count in parts)
+    nz = np.flatnonzero(probs)
+    mean, var = _moments((v0 + d * (first + nz)).tolist(), probs[nz].tolist())
+    return SumLaw(probs=probs, first=first, v0=v0, D=d, mean=mean, variance=var)
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:
     """Exact law of the sum of n independent copies of ``pmf``."""
-    if n < 1:
-        raise LatticeError(f"need n >= 1 summands, got {n}")
-    return convolve_all([pmf] * n)
+    return sum_law([(pmf, n)])
 
 
-@dataclass(frozen=True)
-class PoissonBinomialLaw:
-    """Exact law of ``B_n = sum_j eps_j`` for independent Bernoulli eps_j.
-
-    ``pmf[k] = P{B_n = k}`` for k = 0..n; ``theta_n`` is the mean
-    ``sum_j theta_j``.
-    """
-
-    probs: tuple[float, ...]
-    pmf: np.ndarray
-    theta_n: float
-
-    def two_sided_tail(self, h: float) -> float:
-        """Exact ``P{|B_n - theta_n| > h * theta_n}``."""
-        ks = np.arange(len(self.pmf))
-        outside = np.abs(ks - self.theta_n) > h * self.theta_n
-        return float(self.pmf[outside].sum())
+def bernoulli(t: float) -> LatticePmf:
+    """Bernoulli(t) on L(0, 1), 0 < t <= 1, with masses ``1 - t`` and ``t`` as computed."""
+    if not (0.0 < t <= 1.0):
+        raise LatticeError(f"success probabilities must lie in (0, 1], got {t}")
+    return LatticePmf(0.0, 1.0, {0: 1.0 - t, 1: t} if t < 1.0 else {1: 1.0})
 
 
-def poisson_binomial(thetas: Sequence[float]) -> PoissonBinomialLaw:
-    """Exact Poisson-binomial law by iterated convolution."""
-    thetas = tuple(float(t) for t in thetas)
-    for t in thetas:
-        if not (0.0 < t <= 1.0):
-            raise LatticeError(f"success probabilities must lie in (0, 1], got {t}")
-    pmf = np.array([1.0])
-    for t in thetas:
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] += pmf * (1.0 - t)
-        nxt[1:] += pmf * t
-        pmf = nxt
-    return PoissonBinomialLaw(probs=thetas, pmf=pmf, theta_n=math.fsum(thetas))
-
-
-def kolmogorov_distance(pmf: LatticePmf, center: float, scale: float) -> float:
-    """Exact sup-distance between the CDF of ``(X - center)/scale`` and Phi.
+def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
+    """Exact sup-distance between the CDF of ``(S - center)/scale`` and Phi.
 
     The supremum over x is attained at a jump of the discrete CDF, approached
     from one of the two sides, so it suffices to compare Phi against the CDF
-    value before and after every jump.
+    value before and after every jump (every positive mass).
     """
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
-    ks = pmf.support
-    pts = np.array([(pmf.point(k) - center) / scale for k in ks])
-    w = np.array([pmf.probs[k] for k in ks])
+    ks, w = law.atoms()
+    phi = ndtr((law.v0 + law.D * ks - center) / scale)
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
-    phi = ndtr(pts)
     return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())
 
 
-def llt_discrepancy(sum_law: SumLaw) -> float:
+def llt_discrepancy(law: SumLaw) -> float:
     """Scaled sup-distance between point probabilities and the Gaussian curve.
 
         sup_N | sqrt(Var) * P{S = N} - D/sqrt(2 pi) * exp(-(N - E S)^2 / (2 Var)) |
@@ -145,17 +136,15 @@ def llt_discrepancy(sum_law: SumLaw) -> float:
     with N running over the whole sum lattice, including points outside the
     support (where only the Gaussian term contributes).
     """
-    p = sum_law.pmf
-    var = sum_law.variance
+    var = law.variance
     if not (var > 0):
         raise LatticeError("discrepancy undefined for a degenerate (zero-variance) sum")
     sd = math.sqrt(var)
-    ks = p.support
-    k_mid = (sum_law.mean - p.v0) / p.D
-    k_lo = min(ks[0], math.floor(k_mid - 10.0 * sd / p.D))
-    k_hi = max(ks[-1], math.ceil(k_mid + 10.0 * sd / p.D))
-    idx = np.arange(k_lo, k_hi + 1)
-    dense = _dense_masses(p.probs, k_lo, k_hi)
-    pts = p.v0 + p.D * idx
-    gauss = (p.D / math.sqrt(2.0 * math.pi)) * np.exp(-((pts - sum_law.mean) ** 2) / (2.0 * var))
+    last = law.first + len(law.probs) - 1
+    k_mid = (law.mean - law.v0) / law.D
+    k_lo = min(law.first, math.floor(k_mid - 10.0 * sd / law.D))
+    k_hi = max(last, math.ceil(k_mid + 10.0 * sd / law.D))
+    dense = np.pad(law.probs, (law.first - k_lo, k_hi - last))
+    pts = law.v0 + law.D * np.arange(k_lo, k_hi + 1)
+    gauss = (law.D / math.sqrt(2.0 * math.pi)) * np.exp(-((pts - law.mean) ** 2) / (2.0 * var))
     return float(np.abs(sd * dense - gauss).max())

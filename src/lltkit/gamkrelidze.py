@@ -32,32 +32,32 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
-from .convolve import SumLaw, _dense_masses
+from .convolve import SumLaw
 from .errors import LatticeError
 
 #: Gaussian cell-integral tails below this are outside the scan window
 _TAIL_EPS = 1e-16
 
+#: most points an interval-discrepancy window (and its d-table) may hold
+WINDOW_CAP = 10**6
 
-def _integer_masses(sum_law: SumLaw) -> dict[int, float]:
-    """Masses re-indexed so the law is supported on integers (requires D = 1)."""
-    p = sum_law.pmf
-    if abs(p.D - 1.0) > 1e-12:
-        raise LatticeError(f"integer-valued law required (D = 1 after re-indexing), got D = {p.D}")
-    shift = round(p.v0)
-    if abs(p.v0 - shift) > 1e-9:
-        raise LatticeError(f"lattice offset {p.v0} is not an integer; re-index the law first")
-    return {k + shift: w for k, w in p.probs.items()}
+
+def _integer_shift(law: SumLaw) -> int:
+    """The integer value of lattice index 0 (requires D = 1 and an integer v0)."""
+    if abs(law.D - 1.0) > 1e-12:
+        raise LatticeError(f"integer-valued law required (D = 1), got D = {law.D}")
+    shift = round(law.v0)
+    if abs(law.v0 - shift) > 1e-9:
+        raise LatticeError(f"lattice offset {law.v0} is not an integer; re-index the law first")
+    return shift
 
 
 def smoothness_stat(sum_law: SumLaw, b_n: float) -> float:
     """``b_n * sup_k |P{S_n = k+1} - P{S_n = k}|`` including boundary gaps."""
     if not (b_n > 0):
         raise LatticeError(f"need b_n > 0, got {b_n}")
-    f = _integer_masses(sum_law)
-    ks = set(f) | {k - 1 for k in f}
-    gap = max(abs(f.get(k + 1, 0.0) - f.get(k, 0.0)) for k in ks)
-    return b_n * gap
+    _integer_shift(sum_law)  # integer-valued laws only
+    return b_n * float(np.abs(np.diff(np.pad(sum_law.probs, 1))).max())
 
 
 @dataclass
@@ -99,16 +99,23 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
 
     The sup over intervals of a sum equals (max - min) over prefix sums, so
     rho_n comes from one cumulative pass over a window outside of which both
-    the pmf and the Gaussian cell integrals are below 1e-16.
+    the pmf and the Gaussian cell integrals are below 1e-16; a longer window
+    than ``WINDOW_CAP`` points is refused before it is allocated.
     """
     if not (math.isfinite(a_n) and 0.0 < b_n < math.inf):
         raise LatticeError(f"need a finite a_n and a finite b_n > 0, got {a_n} and {b_n}")
-    f = _integer_masses(sum_law)
+    ks, w = sum_law.atoms()
+    ks = ks + _integer_shift(sum_law)
     sd = math.sqrt(b_n)
     margin = 9.5  # ndtr(-9.5) ~ 1e-21 < _TAIL_EPS
-    k_lo = min(min(f), math.floor(a_n - margin * sd))
-    k_hi = max(max(f), math.ceil(a_n + margin * sd))
-    p = _dense_masses(f, k_lo, k_hi)
+    k_lo = min(int(ks[0]), math.floor(a_n - margin * sd))
+    k_hi = max(int(ks[-1]), math.ceil(a_n + margin * sd))
+    size = k_hi - k_lo + 1
+    if size > WINDOW_CAP:
+        raise LatticeError(f"the window for a_n = {a_n}, b_n = {b_n} holds {size:.3g} "
+                           f"points, above the cap of {WINDOW_CAP}")
+    p = np.zeros(size)
+    p[ks - k_lo] = w
     edges = ndtr((np.arange(k_lo - 1, k_hi + 1) - a_n) / sd)
     ell = np.diff(edges)
     d = p - ell

@@ -123,8 +123,13 @@ def delta_smoothness(pmf: LatticePmf) -> float:
 
 def moments(pmf: LatticePmf) -> tuple[float, float]:
     """Mean and variance as exact finite sums over the support."""
-    mean = math.fsum(pmf.point(k) * p for k, p in pmf.probs.items())
-    var = math.fsum((pmf.point(k) - mean) ** 2 * p for k, p in pmf.probs.items())
+    return _moments([pmf.point(k) for k in pmf.probs], list(pmf.probs.values()))
+
+
+def _moments(points: list[float], weights: list[float]) -> tuple[float, float]:
+    """Mean and variance of the masses ``weights`` at ``points``, each one fsum."""
+    mean = math.fsum(x * p for x, p in zip(points, weights))
+    var = math.fsum((x - mean) ** 2 * p for x, p in zip(points, weights))
     return mean, var
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from .convolve import convolve_all
+from .convolve import sum_law
 from .errors import NumericsError, PreconditionError
 from .lattice import make_pmf
 
@@ -100,12 +100,9 @@ def count_via_model(m: int, n: int) -> int:
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
     js = np.arange(m, n + 1, dtype=float)
     p_hit = expit(-sigma * js)  # P{X_j = j}
-    pmfs = [
-        make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)])
-        for j, ph in zip(js.astype(int), p_hit)
-    ]
-    law = convolve_all(pmfs)
-    p_y = law.pmf.mass(n)
+    law = sum_law([(make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)]), 1)
+                   for j, ph in zip(js.astype(int), p_hit)])
+    p_y = law.mass(n)
     if p_y <= 0.0:
         raise NumericsError(f"P{{Y = {n}}} vanished; identity cannot be assembled")
     log_q = sigma * n + float(np.sum(np.logaddexp(0.0, -sigma * js))) + math.log(p_y)

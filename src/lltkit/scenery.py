@@ -13,7 +13,7 @@ Under no-revisits the second moments obey
 
 and in general the same identity holds with the extra correction
 ``(D^2/4) * sum_{h != k} c_{h,k}`` where
-``c_{h,k} = sum_r (3 vartheta_r^2 / 4 - vartheta_r / 2) P{U_h = r, U_k = r}``
+``c_{h,k} = sum_r vartheta_r P{U_h = r, U_k = r}``
 (nonzero only for index processes that can revisit, which this module admits
 purely for validating the formula).
 
@@ -52,7 +52,7 @@ from .bounds import (
     prepare_sum,
     sandwich_envelope,
 )
-from .convolve import convolve_all
+from .convolve import SumLaw, sum_law
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
 from .lattice import LatticePmf, kappa_index, pmf_from_json, theta
@@ -109,11 +109,14 @@ class SceneryModel:
         _check_level(v, theta(self.x_law), "site", r)
         return v
 
-    def u_law(self, j: int) -> LatticePmf:
-        """Exact law of ``U_j``, the j-fold increment convolution."""
-        if j < 1:
-            raise LatticeError(f"need j >= 1, got {j}")
-        return convolve_all([self.increment_law] * j).pmf
+    def u_law(self, j: int) -> SumLaw:
+        """Exact law of ``U_j``, the j-fold increment convolution (j >= 1)."""
+        return sum_law([(self.increment_law, j)])
+
+    def mean_level(self, law: SumLaw) -> float:
+        """``E vartheta_U`` for a site U with the given law."""
+        sites, w = law.atoms()
+        return math.fsum(self.vartheta_at(r) * p for r, p in zip(sites.tolist(), w.tolist()))
 
     def to_json_dict(self) -> dict:
         prof = self.vartheta_profile
@@ -153,8 +156,7 @@ def theta_n_scenery(model: SceneryModel) -> float:
         return model.n * float(model.vartheta_profile)
     total = 0.0
     for j in range(1, model.n + 1):
-        law = model.u_law(j)
-        total += math.fsum(model.vartheta_at(r) * p for r, p in law.probs.items())
+        total += model.mean_level(model.u_law(j))
     return total
 
 
@@ -177,12 +179,10 @@ def c_hk(model: SceneryModel, h: int, k: int) -> float:
     if min(model.increment_law.support) >= 1:
         return 0.0
     m = abs(k - h)
-    sigma_m = convolve_all([model.increment_law] * m).pmf.mass(0)
+    sigma_m = model.u_law(m).mass(0)
     if sigma_m == 0.0:
         return 0.0
-    law = model.u_law(min(h, k))
-    factor = math.fsum(model.vartheta_at(r) * p for r, p in law.probs.items())
-    return sigma_m * factor
+    return sigma_m * model.mean_level(model.u_law(min(h, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import mpmath
 import numpy as np
 
 from lltkit import (
+    bernoulli,
     bounded_plug_ins,
     calibrate_c0_scan,
     central_envelope,
@@ -42,7 +43,6 @@ from lltkit import (
     llt_discrepancy,
     make_pmf,
     moments,
-    poisson_binomial,
     prepare_sum,
     psi_envelope,
     reconstruct,
@@ -53,11 +53,11 @@ from lltkit import (
     smoothness_stat,
     smoothness_via_extraction,
     split,
+    sum_law,
     theta,
     xi_law,
 )
 from lltkit.bounds import binomial_half_pmf, c0_scan_error_bound
-from lltkit.convolve import convolve_all
 from lltkit.scenery import SceneryModel, y_covariance_factorization
 
 from .conftest import random_pmf
@@ -115,7 +115,7 @@ def test_criterion_02_identity_suite():
 
 
 def _sandwich_case(summands, thetas):
-    law = convolve_all(summands)
+    law = sum_law([(p, 1) for p in summands])
     theta_n = math.fsum(thetas)
     hs = [0.25]
     if math.log(theta_n) / theta_n <= 1.0 / 14.0:
@@ -125,11 +125,11 @@ def _sandwich_case(summands, thetas):
     checked = 0
     for h in hs:
         plug = exact_plug_ins(spec, h)
-        k_lo = math.ceil((law.mean - 4.0 * sd - law.pmf.v0) / law.pmf.D)
-        k_hi = math.floor((law.mean + 4.0 * sd - law.pmf.v0) / law.pmf.D)
+        k_lo = math.ceil((law.mean - 4.0 * sd - law.v0) / law.D)
+        k_hi = math.floor((law.mean + 4.0 * sd - law.v0) / law.D)
         for k in range(k_lo, k_hi + 1):
-            kappa = law.pmf.v0 + law.pmf.D * k
-            exact = law.pmf.mass(k)
+            kappa = law.v0 + law.D * k
+            exact = law.mass(k)
             rep = sandwich_envelope(spec, h, kappa, plug, exact=exact)
             if not (rep.lower <= exact <= rep.upper):
                 return checked, False
@@ -169,13 +169,13 @@ def test_criterion_04_central_envelopes():
     lim2 = math.sqrt(theta_n / (14.0 * math.log(theta_n)))
     half_width_2 = math.floor(math.sqrt(lim2 * law.variance))
     for k in range(500 - half_width_2, 500 + half_width_2 + 1):
-        exact = law.pmf.mass(k)
+        exact = law.mass(k)
         rep = central_envelope(spec, float(k), plug, exact=exact)
         ok = ok and abs(exact - rep.gaussian) <= rep.params["half_width"]
     lim3 = math.sqrt(7.0 * math.log(theta_n) / (2.0 * theta_n))
     half_width_3 = math.floor(math.sqrt(lim3 * law.variance))
     for k in range(500 - half_width_3, 500 + half_width_3 + 1):
-        exact = law.pmf.mass(k)
+        exact = law.mass(k)
         rep = psi_envelope(spec, float(k), psi_plug, exact=exact)
         ok = ok and abs(exact - rep.gaussian) <= rep.params["half_width"]
     elapsed = time.perf_counter() - t0
@@ -213,10 +213,10 @@ def test_criterion_05_calibration_stability():
 def test_criterion_06_chernoff_dominance():
     ok = True
     for n in (10, 100, 1000):
-        law = poisson_binomial([0.5] * n)
+        law = sum_law([(bernoulli(0.5), n)])
         for h10 in range(1, 10):
             h = h10 / 10.0
-            ok = ok and law.two_sided_tail(h) <= chernoff_rho(0.5 * n, h)
+            ok = ok and law.two_sided_tail(0.5 * n, h * 0.5 * n) <= chernoff_rho(0.5 * n, h)
     assert _line(6, ok, "Chernoff bound dominates exact two-sided tails on the grid")
 
 

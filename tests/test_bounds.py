@@ -36,6 +36,7 @@ from lltkit import (
     psi_moment,
     refined_bernoulli_comparison,
     sandwich_envelope,
+    sum_law,
     theta,
 )
 from lltkit.bounds import (
@@ -283,7 +284,7 @@ class TestSandwichEnvelope:
         spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
-        rep = sandwich_envelope(spec, 0.25, 32.0, plug, exact=law.pmf.mass(32))
+        rep = sandwich_envelope(spec, 0.25, 32.0, plug, exact=law.mass(32))
         assert rep.lower <= rep.exact <= rep.upper
 
     def test_binomial_64_window(self, fair_bernoulli):
@@ -291,7 +292,7 @@ class TestSandwichEnvelope:
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
         for k in range(20, 45):
-            exact = law.pmf.mass(k)
+            exact = law.mass(k)
             rep = sandwich_envelope(spec, 0.25, float(k), plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
@@ -300,7 +301,7 @@ class TestSandwichEnvelope:
         plug = exact_plug_ins(spec, 0.99)
         law = iid_sum(fair_bernoulli, 64)
         rep = sandwich_envelope(spec, 0.99, 32.0, plug)
-        assert rep.lower <= law.pmf.mass(32) <= rep.upper
+        assert rep.lower <= law.mass(32) <= rep.upper
 
     def test_first_factor_monotone_in_h(self):
         factors = [(1 + h) / (1 - h) for h in (0.1, 0.25, 0.5, 0.9, 0.99)]
@@ -343,11 +344,11 @@ class TestSandwichEnvelope:
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(p, n)
         sd = math.sqrt(law.variance)
-        k_lo = math.ceil((law.mean - 4 * sd - law.pmf.v0) / law.pmf.D)
-        k_hi = math.floor((law.mean + 4 * sd - law.pmf.v0) / law.pmf.D)
+        k_lo = math.ceil((law.mean - 4 * sd - law.v0) / law.D)
+        k_hi = math.floor((law.mean + 4 * sd - law.v0) / law.D)
         for k in range(k_lo, k_hi + 1):
-            kappa = law.pmf.v0 + law.pmf.D * k
-            exact = law.pmf.mass(k)
+            kappa = law.v0 + law.D * k
+            exact = law.mass(k)
             rep = sandwich_envelope(spec, 0.25, kappa, plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
@@ -359,7 +360,7 @@ class TestSandwichEnvelope:
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, n)
         for k in range(20, 45):
-            exact = law.pmf.mass(k)
+            exact = law.mass(k)
             rep = sandwich_envelope(spec, 0.25, float(k), plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
@@ -371,7 +372,7 @@ class TestSandwichEnvelope:
         law = iid_sum(fair_bernoulli, n)
         sd = math.sqrt(law.variance)
         for k in range(int(256 - 4 * sd), int(256 + 4 * sd) + 1, 3):
-            exact = law.pmf.mass(k)
+            exact = law.mass(k)
             rep = sandwich_envelope(spec, h, float(k), plug, exact=exact)
             assert rep.lower <= exact <= rep.upper
 
@@ -414,21 +415,19 @@ class TestSandwichProperty:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_sandwich_holds(self, seed):
-        from lltkit import convolve_all
-
         summands, thetas, h = self._random_case(seed)
         spec = prepare_sum([(p, t, 1) for p, t in zip(summands, thetas)])
         try:
             plug = exact_plug_ins(spec, h)
         except PreconditionError:
             return  # degenerate conditional sum; nothing to check
-        law = convolve_all(summands)
+        law = sum_law([(p, 1) for p in summands])
         sd = math.sqrt(law.variance)
-        k_lo = math.ceil((law.mean - 4 * sd - law.pmf.v0) / law.pmf.D)
-        k_hi = math.floor((law.mean + 4 * sd - law.pmf.v0) / law.pmf.D)
+        k_lo = math.ceil((law.mean - 4 * sd - law.v0) / law.D)
+        k_hi = math.floor((law.mean + 4 * sd - law.v0) / law.D)
         for k in range(k_lo, k_hi + 1):
-            kappa = law.pmf.v0 + law.pmf.D * k
-            exact = law.pmf.mass(k)
+            kappa = law.v0 + law.D * k
+            exact = law.mass(k)
             rep = sandwich_envelope(spec, h, kappa, plug, exact=exact)
             assert rep.lower <= exact + 1e-15
             assert exact <= rep.upper + 1e-15
@@ -444,7 +443,7 @@ class TestCentralEnvelope:
         self.plug = exact_plug_ins(self.spec)
 
     def test_contains_center(self):
-        exact = self.law.pmf.mass(500)
+        exact = self.law.mass(500)
         rep = central_envelope(self.spec, 500.0, self.plug, exact=exact)
         assert rep.lower <= exact <= rep.upper
         assert abs(exact - rep.gaussian) <= rep.params["half_width"]
@@ -453,7 +452,7 @@ class TestCentralEnvelope:
         theta_n = 500.0
         limit = math.sqrt(theta_n / (14 * math.log(theta_n)))
         k_edge = 500 + math.floor(math.sqrt(limit * self.law.variance))
-        exact = self.law.pmf.mass(k_edge)
+        exact = self.law.mass(k_edge)
         rep = central_envelope(self.spec, float(k_edge), self.plug, exact=exact)
         assert rep.lower <= exact <= rep.upper
 
@@ -479,7 +478,7 @@ class TestPsiEnvelope:
     def test_contains_exact_discrepancy(self, fair_bernoulli):
         n = 1000
         law = iid_sum(fair_bernoulli, n)
-        exact = law.pmf.mass(500)
+        exact = law.mass(500)
         spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         plug = bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3)
         rep = psi_envelope(spec, 500.0, plug, exact=exact)

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from lltkit.cli import main
+from lltkit.gamkrelidze import WINDOW_CAP
 
 
 @pytest.fixture
@@ -224,6 +225,22 @@ class TestOtherCommands:
         err = json.loads(out)["error"]
         assert err["kind"] == "input-error"
         assert "finite" in err["message"]
+
+    @pytest.mark.parametrize("flag", ["--a=1e300", "--a=1e20", "--a=1e9", "--b=1e300"])
+    def test_gamkrelidze_window_above_cap_exits_2(self, capsys, bern_file, flag):
+        code, out = run_cli(capsys, ["gamkrelidze", bern_file, "--n", "64", flag])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert "points" in err["message"] and str(WINDOW_CAP) in err["message"]
+
+    def test_gamkrelidze_far_centering_within_cap_runs(self, capsys, bern_file):
+        # a_n = 3e4 with b_n = Var S_64 = 16: the window runs from the support's
+        # first point 0 to ceil(3e4 + 9.5 * 4) = 30038
+        code, out = run_cli(capsys, ["gamkrelidze", bern_file, "--n", "64", "--a", "3e4"])
+        assert code == 0
+        table = json.loads(out)["d_table"]
+        assert (table[0][0], table[-1][0], len(table)) == (0, 30038, 30039)
 
     def test_scenery_moments_command(self, capsys, scenery_file):
         code, out = run_cli(capsys, ["scenery", scenery_file])

@@ -9,67 +9,77 @@ import pytest
 
 from lltkit import (
     LatticeError,
+    LatticePmf,
+    bernoulli,
     chernoff_rho,
-    convolve_all,
     iid_sum,
     kolmogorov_distance,
     llt_discrepancy,
     make_pmf,
-    poisson_binomial,
+    split,
     standard_normal_cdf,
+    sum_law,
+    theta,
+    xi_law,
 )
 
 from .conftest import random_pmf
 
 
+def _probs(law):
+    """The positive masses of a SumLaw as an index -> mass dict."""
+    ks, w = law.atoms()
+    return dict(zip(ks.tolist(), w.tolist()))
+
+
 class TestConvolveAll:
     def test_two_fair_coins(self, fair_bernoulli):
-        law = convolve_all([fair_bernoulli, fair_bernoulli])
-        assert law.pmf.probs == {0: 0.25, 1: 0.5, 2: 0.25}
+        law = sum_law([(fair_bernoulli, 2)])
+        assert _probs(law) == {0: 0.25, 1: 0.5, 2: 0.25}
 
     def test_binomial_64_central(self, fair_bernoulli):
         law = iid_sum(fair_bernoulli, 64)
-        assert law.pmf.mass(32) == pytest.approx(math.comb(64, 32) / 2**64, rel=1e-13)
+        assert law.mass(32) == pytest.approx(math.comb(64, 32) / 2**64, rel=1e-13)
 
     def test_identity(self, uniform3):
-        law = convolve_all([uniform3])
-        assert law.pmf.probs == uniform3.probs
+        law = sum_law([(uniform3, 1)])
+        assert _probs(law) == uniform3.probs
 
     def test_offsets_fold_into_sum(self):
         a = make_pmf(1.0, 1.0, [(0, 1), (1, 1)])
         b = make_pmf(-0.5, 1.0, [(0, 1)])
-        law = convolve_all([a, b])
-        assert law.pmf.v0 == 0.5
+        law = sum_law([(a, 1), (b, 1)])
+        assert law.v0 == 0.5
         assert law.mean == pytest.approx(1.0)
 
     def test_integer_ratio_spans_refine(self):
         coarse = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
         fine = make_pmf(0.0, 0.5, [(0, 1), (1, 1)])
-        law = convolve_all([coarse, fine])
-        assert law.pmf.D == 0.5
-        assert law.pmf.mass(1) == pytest.approx(0.25)
+        law = sum_law([(coarse, 1), (fine, 1)])
+        assert law.D == 0.5
+        assert law.mass(1) == pytest.approx(0.25)
 
     def test_incompatible_spans_rejected(self):
         a = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
         b = make_pmf(0.0, 0.7, [(0, 1), (1, 1)])
         with pytest.raises(LatticeError):
-            convolve_all([a, b])
+            sum_law([(a, 1), (b, 1)])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         pmfs = [random_pmf(rng, max_support=8) for _ in range(4)]
         d = min(p.D for p in pmfs)
         pmfs = [make_pmf(p.v0, d, list(p.probs.items())) for p in pmfs]
-        base = convolve_all(pmfs).pmf
-        perm = convolve_all([pmfs[2], pmfs[0], pmfs[3], pmfs[1]]).pmf
-        ks = set(base.probs) | set(perm.probs)
+        base = sum_law([(p, 1) for p in pmfs])
+        perm = sum_law([(pmfs[i], 1) for i in (2, 0, 3, 1)])
+        ks = set(_probs(base)) | set(_probs(perm))
         assert max(abs(base.mass(k) - perm.mass(k)) for k in ks) < 1e-12
 
     def test_moment_additivity(self):
         rng = np.random.default_rng(12)
         pmfs = [random_pmf(rng, max_support=10) for _ in range(6)]
         pmfs = [make_pmf(p.v0, 1.0, list(p.probs.items())) for p in pmfs]
-        law = convolve_all(pmfs)
+        law = sum_law([(p, 1) for p in pmfs])
         from lltkit import moments
 
         mean_sum = sum(moments(p)[0] for p in pmfs)
@@ -78,61 +88,157 @@ class TestConvolveAll:
         assert law.variance == pytest.approx(var_sum, rel=1e-10)
 
 
+def _sequential_reference(parts):
+    """The kernel as it was written per summand: one freshly densified copy
+    per summand, convolved in order with direct numpy.convolve, normalized
+    by its fsum.  Returns (first index, masses)."""
+    summands = [law for law, count in parts for _ in range(count)]
+    d = min(p.D for p in summands)
+    acc, first = np.array([1.0]), 0
+    for p in summands:
+        s = round(p.D / d)
+        ks = p.support
+        dense = np.zeros((ks[-1] - ks[0]) * s + 1)
+        for k, w in p.probs.items():
+            dense[(k - ks[0]) * s] = w
+        acc = np.convolve(acc, dense)
+        first += ks[0] * s
+    return first, acc / math.fsum(acc)
+
+
+def _random_parts(rng):
+    """Mixed parts on spans 1/2, 1, 2 and 3: unit-span laws, half-span xi
+    laws, Bernoulli levels (1.0 among them) and span multiples."""
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        p = random_pmf(rng, max_support=6, require_theta=True)
+        unit = make_pmf(p.v0, 1.0, list(p.probs.items()))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            law = unit
+        elif kind == 1:
+            law = xi_law(split(unit, float(rng.uniform(0.2, 1.0)) * theta(unit)))
+        elif kind == 2:
+            law = bernoulli(1.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 1.0)))
+        else:
+            law = make_pmf(p.v0, float(rng.integers(2, 4)), list(p.probs.items()))
+        parts.append((law, int(rng.integers(1, 9))))
+    return parts
+
+
+class _WalkCounter(dict):
+    """A probs map that counts how often it is walked (iterated or itemized)."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+class TestSumLaw:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_sequential_reference(self, seed):
+        parts = _random_parts(np.random.default_rng(seed))
+        law = sum_law(parts)
+        first, ref = _sequential_reference(parts)
+        assert law.first == first
+        assert np.array_equal(law.probs, ref)
+
+    def test_repeated_counts_of_one_law(self):
+        p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
+        for count in (1, 2, 57):
+            first, ref = _sequential_reference([(p, count)])
+            assert np.array_equal(iid_sum(p, count).probs, ref)
+
+    def test_each_law_densified_once(self):
+        p = LatticePmf(0.0, 1.0, _WalkCounter({0: 0.25, 1: 0.5, 2: 0.25}))
+        iid_sum(p, 1)
+        once = p.probs.walks
+        iid_sum(p, 40)
+        assert p.probs.walks == 2 * once
+
+    def test_mass_is_zero_off_the_array(self):
+        law = iid_sum(make_pmf(2.0, 1.0, [(3, 1), (4, 1)]), 5)
+        last = law.first + len(law.probs) - 1
+        assert (law.first, last) == (15, 20)
+        assert law.mass(law.first) > 0.0 and law.mass(last) > 0.0
+        # first - 1 maps to array position -1, which must not wrap around
+        assert law.mass(law.first - 1) == 0.0
+        assert law.mass(last + 1) == 0.0
+
+    def test_json_lists_positive_masses_only(self):
+        coarse = make_pmf(0.0, 2.0, [(0, 1), (1, 1)])
+        law = sum_law([(coarse, 2), (make_pmf(0.0, 1.0, [(0, 1)]), 1)])
+        assert law.probs.tolist() == [0.25, 0.0, 0.5, 0.0, 0.25]
+        assert law.to_json_dict() == {"v0": 0.0, "D": 1.0,
+                                      "probs": [[0, 0.25], [2, 0.5], [4, 0.25]]}
+
+    def test_bad_counts_rejected(self, fair_bernoulli):
+        for parts in ([], [(fair_bernoulli, 0)], [(fair_bernoulli, 2), (fair_bernoulli, -1)]):
+            with pytest.raises(LatticeError):
+                sum_law(parts)
+
+
 class TestPoissonBinomial:
     def test_two_halves(self):
-        law = poisson_binomial([0.5, 0.5])
-        assert np.allclose(law.pmf, [0.25, 0.5, 0.25])
+        law = sum_law([(bernoulli(0.5), 2)])
+        assert np.allclose(law.probs, [0.25, 0.5, 0.25])
 
     def test_tail_enumeration(self):
         # four fair coins: |B - 2| > 1.8 leaves exactly B in {0, 4}, 2/16 in all
-        law = poisson_binomial([0.5] * 4)
-        assert law.two_sided_tail(0.9) == pytest.approx(2.0 / 16.0)
+        law = sum_law([(bernoulli(0.5), 4)])
+        assert law.two_sided_tail(2.0, 0.9 * 2.0) == pytest.approx(2.0 / 16.0)
 
     def test_tail_inequality_is_strict(self):
         # the deviation event excludes its boundary: |B - 2| > 2 is impossible
         # for four coins (|0 - 2| = 2 does not count)
-        law = poisson_binomial([0.5] * 4)
-        assert law.two_sided_tail(1.0) == 0.0
+        law = sum_law([(bernoulli(0.5), 4)])
+        assert law.two_sided_tail(2.0, 1.0 * 2.0) == 0.0
 
     def test_certain_successes(self):
-        law = poisson_binomial([1.0, 1.0, 1.0])
-        assert law.theta_n == 3.0
-        assert law.pmf[3] == pytest.approx(1.0)
+        law = sum_law([(bernoulli(1.0), 3)])
+        assert law.mean == 3.0
+        assert law.mass(3) == pytest.approx(1.0)
 
     def test_mean_matches_theta_n(self):
         rng = np.random.default_rng(3)
         ths = rng.uniform(0.05, 1.0, size=25)
-        law = poisson_binomial(ths)
-        assert float(np.arange(26) @ law.pmf) == pytest.approx(law.theta_n, abs=1e-12)
+        law = sum_law([(bernoulli(t), 1) for t in ths])
+        assert float(np.arange(26) @ law.probs) == pytest.approx(math.fsum(ths), abs=1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(LatticeError):
-            poisson_binomial([0.5, 0.0])
+            bernoulli(0.0)
         with pytest.raises(LatticeError):
-            poisson_binomial([1.1])
+            bernoulli(1.1)
 
     def test_chernoff_dominates_small_grid(self):
         for n in (10, 50):
-            law = poisson_binomial([0.5] * n)
+            law = sum_law([(bernoulli(0.5), n)])
             for h in (0.2, 0.5, 0.8):
-                assert law.two_sided_tail(h) <= chernoff_rho(0.5 * n, h)
+                assert law.two_sided_tail(0.5 * n, h * 0.5 * n) <= chernoff_rho(0.5 * n, h)
 
 
 class TestKolmogorovDistance:
     def test_two_point_symmetric(self):
         p = make_pmf(0.0, 2.0, [(0, 1), (1, 1)])  # mass at -1, +1 after centering
-        d = kolmogorov_distance(p, center=1.0, scale=1.0)
+        d = kolmogorov_distance(sum_law([(p, 1)]), center=1.0, scale=1.0)
         assert d == pytest.approx(0.5 - standard_normal_cdf(-1.0), abs=1e-15)
 
     def test_point_mass(self, point_mass):
-        assert kolmogorov_distance(point_mass, 0.0, 1.0) == pytest.approx(0.5)
+        assert kolmogorov_distance(iid_sum(point_mass, 1), 0.0, 1.0) == pytest.approx(0.5)
 
     def test_binomial_rate(self, fair_bernoulli):
         dists = []
         for n in (4, 16, 64, 256):
             law = iid_sum(fair_bernoulli, n)
             dists.append(
-                kolmogorov_distance(law.pmf, center=law.mean, scale=math.sqrt(law.variance))
+                kolmogorov_distance(law, center=law.mean, scale=math.sqrt(law.variance))
             )
         assert all(a > b for a, b in zip(dists, dists[1:]))
         scaled = [d * math.sqrt(n) for d, n in zip(dists, (4, 16, 64, 256))]
@@ -143,13 +249,28 @@ class TestKolmogorovDistance:
         p = random_pmf(rng)
         a, b = 2.0, 3.25
         q = make_pmf(a * p.v0 + b, a * p.D, list(p.probs.items()))  # law of a*X + b
-        d1 = kolmogorov_distance(p, center=1.0, scale=2.0)
-        d2 = kolmogorov_distance(q, center=a * 1.0 + b, scale=a * 2.0)
+        d1 = kolmogorov_distance(iid_sum(p, 1), center=1.0, scale=2.0)
+        d2 = kolmogorov_distance(iid_sum(q, 1), center=a * 1.0 + b, scale=a * 2.0)
         assert d2 == pytest.approx(d1, abs=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_point_reference(self, seed):
+        # the per-point form it replaced, over the positive masses only
+        law = sum_law(_random_parts(np.random.default_rng(100 + seed)))
+        center, scale = law.mean, 1.0 + math.sqrt(law.variance)
+        pts, w = [], []
+        for i, p in enumerate(law.probs.tolist()):
+            if p > 0.0:
+                pts.append((law.v0 + law.D * (law.first + i) - center) / scale)
+                w.append(p)
+        phi = np.array([standard_normal_cdf(x) for x in pts])
+        after = np.cumsum(w)
+        ref = float(np.maximum(np.abs(after - phi), np.abs(after - np.array(w) - phi)).max())
+        assert kolmogorov_distance(law, center, scale) == ref
 
     def test_rejects_bad_scale(self, fair_bernoulli):
         with pytest.raises(LatticeError):
-            kolmogorov_distance(fair_bernoulli, 0.0, 0.0)
+            kolmogorov_distance(iid_sum(fair_bernoulli, 1), 0.0, 0.0)
 
 
 class TestLltDiscrepancy:

@@ -18,6 +18,7 @@ from lltkit import (
     prepare_sum,
     smoothness_stat,
     smoothness_via_extraction,
+    sum_law,
 )
 
 
@@ -49,6 +50,38 @@ class TestSmoothnessStat:
         p = make_pmf(0.0, 0.5, [(0, 1), (1, 1)])
         with pytest.raises(LatticeError):
             smoothness_stat(iid_sum(p, 2), 1.0)
+
+
+def _gappy_law(seed):
+    """Integer-valued law with an integer offset and zeros inside its array:
+    a span-2 two-point law summed with a point mass on the unit lattice."""
+    rng = np.random.default_rng(seed)
+    coarse = make_pmf(float(rng.integers(-3, 4)), 2.0, [(0, rng.random() + 0.1), (1, 1.0)])
+    point = make_pmf(float(rng.integers(-3, 4)), 1.0, [(0, 1.0)])
+    return sum_law([(coarse, int(rng.integers(1, 30))), (point, 1)])
+
+
+# a skewed sum whose lowest masses underflow to zero at the start of its array
+_UNDERFLOWED = (make_pmf(0.0, 1.0, [(0, 0.05), (1, 0.95)]), 300)
+
+
+@pytest.mark.parametrize("law", [_gappy_law(s) for s in range(5)] + [iid_sum(*_UNDERFLOWED)])
+def test_dense_reads_equal_dict_reference(law):
+    """Positive masses as an integer -> mass dict, read the way the statistics
+    once read them: zeros are no support points and never widen the window."""
+    ks, w = law.atoms()
+    f = {k + round(law.v0): p for k, p in zip(ks.tolist(), w.tolist())}
+    gap = max(abs(f.get(k + 1, 0.0) - f.get(k, 0.0)) for k in set(f) | {k - 1 for k in f})
+    assert smoothness_stat(law, 3.0) == 3.0 * gap
+    for a_n in (law.mean, law.mean + 40.0):
+        report = interval_discrepancy(law, a_n, law.variance)
+        sd = math.sqrt(law.variance)
+        k_lo = min(min(f), math.floor(a_n - 9.5 * sd))
+        k_hi = max(max(f), math.ceil(a_n + 9.5 * sd))
+        p = np.zeros(k_hi - k_lo + 1)
+        for k, mass in f.items():
+            p[k - k_lo] = mass
+        assert report.k_lo == k_lo and np.array_equal(report.p, p)
 
 
 class TestIntervalDiscrepancy:

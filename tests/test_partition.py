@@ -91,18 +91,17 @@ class TestModelCount:
 
 def _perturbed_model_count(m: int, n: int, sigma: float) -> int:
     """Evaluate the counting identity at an off-center tilt (test oracle)."""
-    from lltkit.convolve import convolve_all
+    from lltkit.convolve import sum_law
     from lltkit.lattice import make_pmf
 
     js = np.arange(m, n + 1, dtype=float)
     p_hit = expit(-sigma * js)
-    pmfs = [
-        make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)])
+    law = sum_law([
+        (make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)]), 1)
         for j, ph in zip(js.astype(int), p_hit)
-    ]
-    law = convolve_all(pmfs)
+    ])
     log_q = sigma * n + float(np.sum(np.logaddexp(0.0, -sigma * js))) + math.log(
-        law.pmf.mass(n)
+        law.mass(n)
     )
     q = math.exp(log_q)
     assert abs(q - round(q)) <= 1e-6

@@ -189,7 +189,8 @@ class TestEpsilonComposition:
             law = m.u_law(k)
             oracle = sum(self._eps_mass(m, r) * pp for sites, pp in iter_paths(m)
                          for r in [sites[k - 1]])
-            expected = math.fsum(m.vartheta_at(r) * p for r, p in law.probs.items())
+            ks, w = law.atoms()
+            expected = math.fsum(m.vartheta_at(r) * p for r, p in zip(ks.tolist(), w.tolist()))
             assert oracle == pytest.approx(expected, abs=1e-14)
 
     def test_pairwise_with_revisit_correction(self):
@@ -299,8 +300,8 @@ class TestSceneryEnvelope:
         dist = enumerate_sum_law(m)
         law = iid_sum(bern(), 5)
         for val, mass in dist.items():
-            k = round((val - law.pmf.v0) / law.pmf.D)
-            assert mass == pytest.approx(law.pmf.mass(k), abs=1e-13)
+            k = round((val - law.v0) / law.D)
+            assert mass == pytest.approx(law.mass(k), abs=1e-13)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-13)
 
     def test_sandwich_against_exact_law_n16(self):
@@ -309,7 +310,7 @@ class TestSceneryEnvelope:
         law = iid_sum(bern(), n)  # exact law of the composed sum (validated above)
         sd = math.sqrt(law.variance)
         for k in range(int(law.mean - 4 * sd), int(law.mean + 4 * sd) + 1):
-            exact = law.pmf.mass(k)
+            exact = law.mass(k)
             rep = scenery_envelope(m, 0.25, float(k), exact=exact)
             assert rep.lower <= exact <= rep.upper
 
@@ -352,7 +353,7 @@ class TestSceneryEnvelope:
         m = SceneryModel(uni3, inc_12(), n, 2.0 / 3.0)
         law = iid_sum(uni3, n)
         kappa = float(round(law.mean))
-        rep = scenery_envelope(m, 0.25, kappa, exact=law.pmf.mass(round(law.mean)))
+        rep = scenery_envelope(m, 0.25, kappa, exact=law.mass(round(law.mean)))
         assert rep.lower <= rep.exact <= rep.upper
         est = monte_carlo_point_prob(m, kappa, samples=400_000, seed=11)
         lo, hi = est.interval()
