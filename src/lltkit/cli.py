@@ -214,8 +214,14 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
     model = scenery.scenery_from_json(_read_json(args.input))
     if args.kappa is None:
         return scenery.second_moment_check(model).to_json_dict()
-    report = scenery.scenery_envelope(model, args.h, args.kappa, constants=args.constants)
-    out = report.to_json_dict(args.constants)
+    # the envelope requires strictly positive increments, under which S_n is
+    # exactly the iid sum of n scenery values
+    law = iid_sum(model.x_law, model.n)
+    exact = law.mass(kappa_index(args.kappa, law.v0, law.D))
+    report = scenery.scenery_envelope(
+        model, args.h, args.kappa, constants=args.constants, exact=exact
+    )
+    out = {**report.to_json_dict(args.constants), **_bound_row(report)}
     if args.mc_samples is not None:
         est = scenery.monte_carlo_point_prob(
             model, args.kappa, samples=args.mc_samples, seed=args.seed

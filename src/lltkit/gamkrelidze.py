@@ -175,7 +175,9 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
     bound2 = bound1 + 1.0 / math.sqrt(2.0 * math.pi * math.e * report.b_n)
     ks = report.ks
     lhs1 = sb * np.abs(report.d)
-    gauss = np.exp(-((ks - report.a_n) ** 2) / (2.0 * report.b_n)) / math.sqrt(2.0 * math.pi)
+    # a tiny b_n overflows the exponent to -inf, and exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-((ks - report.a_n) ** 2) / (2.0 * report.b_n)) / math.sqrt(2.0 * math.pi)
     lhs2 = np.abs(sb * report.p - gauss)
     ok1 = lhs1 <= bound1 + 1e-15
     ok2 = lhs2 <= bound2 + 1e-15

@@ -15,7 +15,7 @@ and in general the same identity holds with the extra correction
 ``(D^2/4) * sum_{h != k} c_{h,k}`` where
 ``c_{h,k} = sum_r vartheta_r P{U_h = r, U_k = r}``
 (nonzero only for index processes that can revisit, which this module admits
-purely for validating the formula).
+for validating the formula and, as lazy walks, in the Monte Carlo oracle).
 
 The conditional summands ``Y_k = V_{U_k} + (D/2) eps_{U_k}`` satisfy the
 covariance factorization
@@ -27,10 +27,12 @@ a constant profile makes the Y_k i.i.d., which is what lets the plain
 two-sided envelope apply verbatim to the composed sum.
 
 The composed sum can equivalently be written through site occupation counts
-(``S_n = sum_r X_r * #{k : U_k = r}``, the walk's local time at r); nothing
-here uses that form computationally, but it explains why revisits are the
-only obstruction: with occupation counts at most one everywhere, the picked
-up values are plain i.i.d. draws.
+(``S_n = sum_r X_r * #{k : U_k = r}``, the walk's local time at r).  This
+explains why revisits are the only obstruction: with occupation counts at
+most one everywhere, the picked up values are plain i.i.d. draws.  The Monte
+Carlo oracle samples in this form, one scenery draw per visited site; it
+also admits lazy walks (increments >= 0 with ``P{Y = 0} > 0``), whose local
+times are the lengths of their runs of stays.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ class SceneryModel:
     """Laws of the i.i.d. scenery and of the index-walk increments.
 
     ``increment_law`` must live on the integer lattice L(0, 1); its support
-    must be strictly positive unless ``allow_revisits`` is set (test-only
-    escape hatch for exercising the revisit correction c_{h,k}).
+    must be strictly positive unless ``allow_revisits`` is set (Python-API
+    escape hatch for the revisit correction c_{h,k} and for lazy walks in
+    the Monte Carlo oracle).
     ``vartheta_profile`` is either one constant level or a map r -> level.
     """
 
@@ -474,27 +477,50 @@ def _inv_cdf_table(pmf: LatticePmf) -> tuple[np.ndarray, np.ndarray]:
     return ks, cum
 
 
-def _sample_indices(rng: np.random.Generator, ks: np.ndarray, cum: np.ndarray, shape) -> np.ndarray:
-    """Vectorized draw of support indices; two-point laws take a fast path."""
+#: draws per Monte Carlo chunk; a chunk holds this many small ints
+_CHUNK_DRAWS = 1_000_000
+
+#: support sizes above this draw by binary search instead of one pass per cut
+_COMPARE_MAX = 16
+
+
+def _chunk_rows(n: int) -> int:
+    """Samples per chunk for an n-step walk."""
+    return max(1, _CHUNK_DRAWS // max(n, 1))
+
+
+def _coins(rng: np.random.Generator, p: float, shape) -> np.ndarray:
+    """0/1 flags (uint8), each 1 with probability p; fair coins are read from
+    packed random bits."""
+    if p == 0.5:
+        size = math.prod(shape)
+        bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8), count=size)
+        return bits.reshape(shape)
+    # float32 uniforms (here and in _site_draws) quantize p by < 6e-8, far
+    # below any Monte Carlo standard error used here
+    return (rng.random(shape, dtype=np.float32) < np.float32(p)).view(np.uint8)
+
+
+def _site_draws(rng: np.random.Generator, ks: np.ndarray, cum: np.ndarray, shape) -> np.ndarray:
+    """Scenery draws for a block of sites, as lattice-index offsets from the
+    least support point ``ks[0]``, in the smallest unsigned type that holds
+    them."""
+    dt = np.min_scalar_type(int(ks[-1] - ks[0]))
     if len(ks) == 1:
-        return np.full(shape, ks[0])
+        return np.zeros(shape, dt)
     if len(ks) == 2:
-        dt = np.int16 if np.abs(ks).max() < 2**14 else np.int64
-        if cum[0] == 0.5:
-            hit = rng.integers(0, 2, size=shape, dtype=np.int8)
-        else:
-            # float32 uniforms quantize the split point by < 6e-8, far below
-            # any Monte Carlo standard error used here
-            hit = (rng.random(shape, dtype=np.float32) >= np.float32(cum[0])).view(np.int8)
-        out = hit.astype(dt)
-        step = int(ks[1] - ks[0])
-        base = int(ks[0])
-        if step != 1:
-            np.multiply(out, dt(step), out=out)
-        if base != 0:
-            np.add(out, dt(base), out=out)
-        return out
-    return ks[np.searchsorted(cum, rng.random(shape))]
+        hit = _coins(rng, 1.0 - float(cum[0]), shape)
+        gap = int(ks[1] - ks[0])
+        return hit if gap == 1 else hit * dt.type(gap)
+    u = rng.random(shape, dtype=np.float32)
+    cuts = cum[:-1].astype(np.float32)
+    if len(ks) > _COMPARE_MAX:
+        return (ks - ks[0]).astype(dt)[np.searchsorted(cuts, u, side="right")]
+    out = np.zeros(shape, dt)
+    for cut, gap in zip(cuts, np.diff(ks).tolist()):
+        hit = (u >= cut).view(np.uint8)
+        out += hit if gap == 1 else hit * dt.type(gap)
+    return out
 
 
 def monte_carlo_point_prob(
@@ -503,35 +529,45 @@ def monte_carlo_point_prob(
     samples: int = 10_000_000,
     seed: int = 1,
 ) -> MonteCarloEstimate:
-    """Simulate the composed sum honestly (fresh scenery and path per sample)
-    and estimate ``P{S_n = kappa}`` with its binomial standard error.
+    """Simulate the composed sum through the walk's local times and estimate
+    ``P{S_n = kappa}`` with its binomial standard error.
+
+    Each sample draws the walk and fresh scenery at the sites it visits.
+    Increments must be >= 0: such a walk never returns to a site it has
+    left, so only whether each step moves matters, and ``S_n`` is the sum of
+    one scenery draw per distinct site weighted by its local time.  Under
+    strictly positive increments every local time is 1 and a sample is n
+    i.i.d. scenery draws.  Under ``p0 = P{Y = 0} > 0`` one stay flag is drawn
+    per step; step 1 always reads a new site, and step k reads the draw of
+    distinct site number ``#moves in steps 2..k`` (counting from 0).
 
     Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so runs
-    are reproducible given (samples, seed).  Sampling is vectorized by
-    inverse-CDF lookup; sums are carried in integer index space so the hit
-    test is exact.
+    are reproducible given (samples, seed).  Sums are carried in integer
+    index space so the hit test is exact.
     """
-    if min(model.increment_law.support) < 1:
-        raise PreconditionError("Monte Carlo oracle requires strictly positive increments")
+    if min(model.increment_law.support) < 0:
+        raise PreconditionError("Monte Carlo oracle requires increments >= 0")
     if samples < 1 or seed < 0:
         raise LatticeError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
     x = model.x_law
-    kappa_idx = kappa_index(kappa, model.n * x.v0, x.D)
+    n = model.n
     x_ks, x_cum = _inv_cdf_table(x)
-    i_ks, i_cum = _inv_cdf_table(model.increment_law)
-    reach = model.n * int(i_ks.max())
-    chunk = max(10_000, min(1_000_000, int(2e7 / max(reach, 1))))
+    target = kappa_index(kappa, n * x.v0, x.D) - n * int(x_ks[0])
+    p_stay = model.increment_law.mass(0)
+    rows = _chunk_rows(n)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     while done < samples:
-        c = min(chunk, samples - done)
-        inc = _sample_indices(rng, i_ks, i_cum, (c, model.n))
-        sites = np.cumsum(inc, axis=1, dtype=np.int64) - 1  # 0-based site positions
-        scen = _sample_indices(rng, x_ks, x_cum, (c, reach))
-        vals = np.take_along_axis(scen, sites, axis=1)
-        hits += int((vals.sum(axis=1, dtype=np.int64) == kappa_idx).sum())
-        del inc, sites, scen, vals
+        c = min(rows, samples - done)
+        vals = _site_draws(rng, x_ks, x_cum, (c, n))
+        if p_stay > 0.0 and n > 1:
+            moved = _coins(rng, 1.0 - p_stay, (c, n))
+            moved[:, 0] = 1
+            site = np.cumsum(moved, axis=1, dtype=np.min_scalar_type(n))
+            site -= 1
+            vals = np.take_along_axis(vals, site, axis=1)
+        hits += int((vals.sum(axis=1, dtype=np.int64) == target).sum())
         done += c
     p_hat = hits / samples
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / samples)

@@ -234,6 +234,13 @@ class TestOtherCommands:
         assert err["kind"] == "input-error"
         assert "points" in err["message"] and str(WINDOW_CAP) in err["message"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_gamkrelidze_subnormal_scale_runs_without_warnings(self, capsys, bern_file):
+        # exp(-(k - a)^2 / (2 b)) overflows its exponent to -inf; the value 0 is right
+        code, out = run_cli(capsys, ["gamkrelidze", bern_file, "--n", "64", "--b", "1e-320"])
+        assert code == 0
+        assert json.loads(out)["b_n"] == 1e-320
+
     def test_gamkrelidze_far_centering_within_cap_runs(self, capsys, bern_file):
         # a_n = 3e4 with b_n = Var S_64 = 16: the window runs from the support's
         # first point 0 to ceil(3e4 + 9.5 * 4) = 30038
@@ -253,6 +260,21 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["lower"] <= payload["upper"]
+
+    def test_scenery_reports_exact_value(self, capsys, scenery_file):
+        # fair-coin scenery, n = 4 strictly positive steps: S_4 ~ Binomial(4, 1/2)
+        for k in range(5):
+            code, out = run_cli(
+                capsys, ["scenery", scenery_file, "--kappa", str(k), "--h", "0.25",
+                         "--mc", "2000", "--seed", "3"]
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["exact"] == pytest.approx(math.comb(4, k) / 2**4, rel=1e-15)
+            assert payload["sandwich_ok"] is (payload["lower"] <= payload["exact"]
+                                              <= payload["upper"])
+            assert payload["envelope_width"] == payload["upper"] - payload["lower"]
+            assert "monte_carlo" in payload
 
     @pytest.mark.parametrize("mc, seed", [("0", "1"), ("-5", "1"), ("100", "-1")])
     def test_scenery_mc_bad_count_or_seed_exits_2(self, capsys, scenery_file, mc, seed):

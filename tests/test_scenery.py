@@ -27,6 +27,7 @@ from lltkit import (
     theta_n_scenery,
     y_covariance_factorization,
 )
+from lltkit.scenery import _chunk_rows
 
 
 def bern():
@@ -43,6 +44,10 @@ def inc_12():
 
 def inc_pm1():
     return make_pmf(0.0, 1.0, [(-1, 1), (1, 1)])
+
+
+def lazy_inc(p0):
+    return make_pmf(0.0, 1.0, [(0, p0), (1, (1 - p0) / 2), (2, (1 - p0) / 2)])
 
 
 def iter_paths(model):
@@ -359,3 +364,92 @@ class TestSceneryEnvelope:
         lo, hi = est.interval()
         assert lo <= rep.exact <= hi
         assert rep.lower <= lo and hi <= rep.upper
+
+
+def lazy_sum_law(x_law, p0, n):
+    """Exact law of S_n (by lattice index) for a walk that stays with
+    probability p0 and otherwise moves to a new site: enumerate the stay
+    patterns of steps 2..n and convolve the laws of l * X over the runs."""
+    dist: dict[int, float] = {}
+    for stays in product((False, True), repeat=n - 1):
+        runs = [1]
+        for stay in stays:
+            if stay:
+                runs[-1] += 1
+            else:
+                runs.append(1)
+        w = p0 ** sum(stays) * (1 - p0) ** (n - 1 - sum(stays))
+        law = {0: w}
+        for l in runs:
+            nxt: dict[int, float] = {}
+            for s, ps in law.items():
+                for k, pk in x_law.probs.items():
+                    nxt[s + l * k] = nxt.get(s + l * k, 0.0) + ps * pk
+            law = nxt
+        for s, ps in law.items():
+            dist[s] = dist.get(s, 0.0) + ps
+    return dist
+
+
+def assert_within_5_se(model, law, samples, seed):
+    """p_hat at every lattice point of mass >= 1e-3 within 5 standard errors."""
+    x = model.x_law
+    for k, p in sorted(law.items()):
+        if p < 1e-3:
+            continue
+        kappa = model.n * x.v0 + x.D * k
+        est = monte_carlo_point_prob(model, kappa, samples=samples, seed=seed)
+        se = math.sqrt(p * (1 - p) / samples)
+        assert abs(est.p_hat - p) <= 5 * se, (k, est.p_hat, p)
+
+
+class TestMonteCarloLocalTimes:
+    """The sampler reads only the x law and the walk; models whose x law has
+    no valid constant level pass an empty (unread) vartheta profile."""
+
+    @pytest.mark.parametrize("p0", [0.3, 0.9])
+    @pytest.mark.parametrize("x_law", [
+        bern(),
+        make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]),
+    ], ids=["fair-coin", "three-point-gap"])
+    def test_lazy_walk_matches_run_length_law(self, p0, x_law):
+        n = 8
+        m = SceneryModel(x_law, lazy_inc(p0), n, {}, allow_revisits=True)
+        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=100_000, seed=5)
+
+    def test_zero_first_step_opens_a_site(self):
+        # a stay on step 1 must read the first site's draw, not wrap to site -1
+        n, p0 = 3, 0.9
+        m = SceneryModel(bern(), lazy_inc(p0), n, 0.5, allow_revisits=True)
+        law = lazy_sum_law(bern(), p0, n)
+        assert law[3] == pytest.approx(0.5 * p0**2 + 0.25 * 2 * p0 * (1 - p0)
+                                       + 0.125 * (1 - p0) ** 2, abs=1e-15)
+        assert_within_5_se(m, law, samples=200_000, seed=9)
+
+    def test_all_stays_read_one_site(self):
+        m = SceneryModel(bern(), make_pmf(0.0, 1.0, [(0, 1)]), 6, 0.5, allow_revisits=True)
+        est = monte_carlo_point_prob(m, 6.0, samples=20_000, seed=2)
+        assert monte_carlo_point_prob(m, 3.0, samples=20_000, seed=2).p_hat == 0.0
+        assert abs(est.p_hat - 0.5) <= 5 * math.sqrt(0.25 / 20_000)
+
+    def test_negative_increments_refused(self):
+        m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)},
+                         allow_revisits=True)
+        with pytest.raises(PreconditionError, match="increments >= 0"):
+            monte_carlo_point_prob(m, 1.0, samples=1000, seed=1)
+
+    @pytest.mark.parametrize("x_law", [
+        bern(),
+        make_pmf(0.0, 1.0, [(0, 1), (1, 1), (2, 1)]),
+        make_pmf(0.0, 1.0, [(0, 1), (2, 3)]),
+    ], ids=["fair-coin", "three-point", "two-point-gap"])
+    def test_more_samples_than_one_chunk(self, x_law):
+        n = 250
+        samples = 10_000
+        assert samples > 2 * _chunk_rows(n)
+        m = SceneryModel(x_law, inc_12(), n, {})
+        law = iid_sum(x_law, n)
+        k = law.first + int(np.argmax(law.probs))  # the mode
+        p = law.mass(k)
+        est = monte_carlo_point_prob(m, law.v0 + law.D * k, samples=samples, seed=4)
+        assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples)

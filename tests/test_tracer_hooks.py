@@ -50,6 +50,13 @@ def tracer():
 def test_traced_requests_run_clean(tracer, tmp_path, capsys):
     law = tmp_path / "law.json"
     law.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 2], [1, 5], [2, 3]]}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+        "increments": {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1], [3, 1]]},
+        "n": 32,
+        "vartheta": 0.5,
+    }))
     requests = [
         ["llt-bound", str(law), "--n", "60", "--mode", "exact-plug-ins",
          "--kappa-from", "60", "--kappa-to", "70", "--format", "csv"],
@@ -66,3 +73,11 @@ def test_traced_requests_run_clean(tracer, tmp_path, capsys):
     metrics = t.layer_metrics()
     assert metrics["bounds.points"] == 11
     assert metrics["gamkrelidze.window_points"] > 0
+
+    # the Monte Carlo hook, on a request of its own so the counts above stay put
+    argv = ["scenery", str(model), "--kappa", "16", "--h", "0.25", "--mc", "2000"]
+    assert lltkit.cli.main(argv) == 0
+    capsys.readouterr()
+    assert raised == []
+    assert "scenery.monte_carlo_point_prob" in ran
+    assert t.layer_metrics()["scenery.mc_ns_per_sample"] > 0
