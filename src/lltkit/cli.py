@@ -214,8 +214,9 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
     model = scenery.scenery_from_json(_read_json(args.input))
     if args.kappa is None:
         return scenery.second_moment_check(model).to_json_dict()
-    # the envelope requires strictly positive increments, under which S_n is
-    # exactly the iid sum of n scenery values
+    # under the envelope's hypotheses (strictly positive increments) S_n is
+    # exactly the iid sum of n scenery values; check them before building it
+    scenery.check_envelope_model(model)
     law = iid_sum(model.x_law, model.n)
     exact = law.mass(kappa_index(args.kappa, law.v0, law.D))
     report = scenery.scenery_envelope(

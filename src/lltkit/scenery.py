@@ -426,6 +426,19 @@ def y_covariance_factorization(
 # envelope and Monte Carlo oracle
 
 
+def check_envelope_model(model: SceneryModel) -> None:
+    """Raise ``PreconditionError`` unless the model meets the hypotheses of
+    :func:`scenery_envelope`: strictly positive increments and a constant
+    vartheta profile."""
+    if min(model.increment_law.support) < 1:
+        raise PreconditionError("scenery envelope requires strictly positive increments")
+    if not model.constant_profile:
+        raise PreconditionError(
+            "scenery envelope requires a constant vartheta profile (the conditional "
+            "summands are not known to be independent otherwise)"
+        )
+
+
 def scenery_envelope(
     model: SceneryModel,
     h: float,
@@ -443,13 +456,7 @@ def scenery_envelope(
     vartheta`` and the moments of the i.i.d. sum.  With ``plug_ins=None`` the
     exact oracle plug-ins are computed internally.
     """
-    if min(model.increment_law.support) < 1:
-        raise PreconditionError("scenery envelope requires strictly positive increments")
-    if not model.constant_profile:
-        raise PreconditionError(
-            "scenery envelope requires a constant vartheta profile (the conditional "
-            "summands are not known to be independent otherwise)"
-        )
+    check_envelope_model(model)
     spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
     if plug_ins is None:
         plug_ins = exact_plug_ins(spec, h)
@@ -480,9 +487,6 @@ def _inv_cdf_table(pmf: LatticePmf) -> tuple[np.ndarray, np.ndarray]:
 #: draws per Monte Carlo chunk; a chunk holds this many small ints
 _CHUNK_DRAWS = 1_000_000
 
-#: support sizes above this draw by binary search instead of one pass per cut
-_COMPARE_MAX = 16
-
 
 def _chunk_rows(n: int) -> int:
     """Samples per chunk for an n-step walk."""
@@ -508,16 +512,13 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cum: np.ndarray, shape
     dt = np.min_scalar_type(int(ks[-1] - ks[0]))
     if len(ks) == 1:
         return np.zeros(shape, dt)
-    if len(ks) == 2:
-        hit = _coins(rng, 1.0 - float(cum[0]), shape)
+    if len(ks) == 2 and cum[0] == 0.5:
+        hit = _coins(rng, 0.5, shape)
         gap = int(ks[1] - ks[0])
         return hit if gap == 1 else hit * dt.type(gap)
     u = rng.random(shape, dtype=np.float32)
-    cuts = cum[:-1].astype(np.float32)
-    if len(ks) > _COMPARE_MAX:
-        return (ks - ks[0]).astype(dt)[np.searchsorted(cuts, u, side="right")]
     out = np.zeros(shape, dt)
-    for cut, gap in zip(cuts, np.diff(ks).tolist()):
+    for cut, gap in zip(cum[:-1].astype(np.float32), np.diff(ks).tolist()):
         hit = (u >= cut).view(np.uint8)
         out += hit if gap == 1 else hit * dt.type(gap)
     return out

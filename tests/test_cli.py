@@ -276,6 +276,22 @@ class TestOtherCommands:
             assert payload["envelope_width"] == payload["upper"] - payload["lower"]
             assert "monte_carlo" in payload
 
+    def test_scenery_refused_before_exact_law(self, capsys, tmp_path, monkeypatch):
+        # a non-constant vartheta profile fails the envelope's hypotheses
+        import lltkit.cli
+
+        def no_law(*args):
+            raise AssertionError("exact law built for a refused model")
+
+        monkeypatch.setattr(lltkit.cli, "iid_sum", no_law)
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                                    "increments": {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1]]},
+                                    "n": 3, "vartheta": [[1, 0.5], [2, 0.4], [3, 0.3]]}))
+        code, out = run_cli(capsys, ["scenery", str(path), "--kappa", "1", "--h", "0.25"])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "hypothesis-rejected"
+
     @pytest.mark.parametrize("mc, seed", [("0", "1"), ("-5", "1"), ("100", "-1")])
     def test_scenery_mc_bad_count_or_seed_exits_2(self, capsys, scenery_file, mc, seed):
         code, out = run_cli(

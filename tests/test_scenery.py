@@ -442,7 +442,8 @@ class TestMonteCarloLocalTimes:
         bern(),
         make_pmf(0.0, 1.0, [(0, 1), (1, 1), (2, 1)]),
         make_pmf(0.0, 1.0, [(0, 1), (2, 3)]),
-    ], ids=["fair-coin", "three-point", "two-point-gap"])
+        make_pmf(0.0, 1.0, [(0, 1), (2, 1)]),
+    ], ids=["fair-coin", "three-point", "two-point-gap", "fair-coin-gap"])
     def test_more_samples_than_one_chunk(self, x_law):
         n = 250
         samples = 10_000
