@@ -19,6 +19,7 @@ digits so that values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -141,7 +142,10 @@ def _pick_h(args: argparse.Namespace, theta_n: float) -> float:
         return FALLBACK_H
 
 
-def _bound_row(report: bounds.BoundReport) -> dict:
+def _bound_row(report: bounds.BoundReport, exact_err: float) -> dict:
+    """One output row; with an exact value known to within ``exact_err``,
+    ``sandwich_ok`` is true or false only when the envelope decides it by
+    more than that error, and None (null) otherwise."""
     row = {
         "kappa": report.kappa,
         "exact": report.exact,
@@ -151,7 +155,8 @@ def _bound_row(report: bounds.BoundReport) -> dict:
         "envelope_width": report.upper - report.lower,
     }
     if report.exact is not None:
-        row["sandwich_ok"] = bool(report.lower <= report.exact <= report.upper)
+        margin = min(report.exact - report.lower, report.upper - report.exact)
+        row["sandwich_ok"] = margin > 0.0 if abs(margin) > exact_err else None
     return row
 
 
@@ -182,15 +187,16 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
             return bounds.central_envelope(spec, kappa, plug, constants, exact)
         return bounds.psi_envelope(spec, kappa, plug, constants, exact)
 
+    err = law.err_abs if exact_mode else 0.0
     if args.kappa is not None:
         report = one(args.kappa)
-        return {**report.to_json_dict(constants), **_bound_row(report)}
+        return {**report.to_json_dict(constants), **_bound_row(report, err)}
     ends = (args.kappa_from, args.kappa_to)
     if None in ends or not all(map(math.isfinite, ends)):
         raise LatticeError("llt-bound requires --kappa or finite --kappa-from and --kappa-to")
     k_lo = math.ceil((args.kappa_from - spec.v0) / spec.d - 1e-9)
     k_hi = math.floor((args.kappa_to - spec.v0) / spec.d + 1e-9)
-    return [_bound_row(one(spec.v0 + spec.d * k)) for k in range(k_lo, k_hi + 1)]
+    return [_bound_row(one(spec.v0 + spec.d * k), err) for k in range(k_lo, k_hi + 1)]
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
@@ -222,7 +228,7 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
     report = scenery.scenery_envelope(
         model, args.h, args.kappa, constants=args.constants, exact=exact
     )
-    out = {**report.to_json_dict(args.constants), **_bound_row(report)}
+    out = {**report.to_json_dict(args.constants), **_bound_row(report, law.err_abs)}
     if args.mc_samples is not None:
         est = scenery.monte_carlo_point_prob(
             model, args.kappa, samples=args.mc_samples, seed=args.seed
@@ -364,8 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing keeps no
+    state between calls, and a build costs more than a small request."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # one registry per invocation; every subcommand reads it from here
         args.constants = _load_constants(args.constants or os.environ.get(ENV_CONSTANTS))

@@ -2,12 +2,19 @@
 variables, and the brute-force statistics every bound is checked against.
 
 :func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
-parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`:
-each law is densified once on the finest lattice present and convolved into
-the running array ``count`` times with direct ``numpy.convolve`` (no FFT;
-quadratic in the number of summands, elementwise rounding error only).  Every
-oracle reads the dense array of the resulting :class:`SumLaw` in place.  The
-normal CDF is ``scipy.special.ndtr`` (absolute error near machine precision).
+parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`.
+A part with ``count == 1`` is densified on the finest lattice present and
+convolved into the running array with direct ``numpy.convolve``.  A part with
+``count >= 2`` is densified on its own span and raised to its power by
+repeated squaring with real-FFT products (``scipy.fft``), ``O(log count)``
+products instead of ``count`` convolutions.  Entries of the power at or
+below its error bound are set to 0.0; it is then spread at stride ``s`` (its
+span over the finest one) onto the finest lattice, so the gaps under a
+coarser span stay exact zeros, and folded into the running array with
+``numpy.convolve``.  Every oracle reads the dense array of the resulting
+:class:`SumLaw` in place, and ``SumLaw.err_abs`` bounds how far any of its
+masses can be from the exact law (derived at :func:`sum_law`).  The normal
+CDF is ``scipy.special.ndtr`` (absolute error near machine precision).
 """
 
 from __future__ import annotations
@@ -17,10 +24,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import fft
 from scipy.special import ndtr
 
 from .errors import LatticeError, NumericsError
 from .lattice import LatticePmf, _moments
+
+#: unit roundoff of double precision
+_U = 2.0**-53
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -31,8 +42,10 @@ def standard_normal_cdf(x: float) -> float:
 @dataclass(frozen=True)
 class SumLaw:
     """Exact law of a sum of independent lattice variables, held dense:
-    ``probs[i] = P{S = v0 + D * (first + i)}``.  Zeros in the array
-    (underflowed tails, gaps under coarser spans) are not support points."""
+    ``probs[i] = P{S = v0 + D * (first + i)}`` to within ``err_abs``, a
+    rigorous bound on ``max_i |probs[i] - P{S = v0 + D * (first + i)}|``.
+    Zeros in the array (tails dropped at the bound, underflowed tails, gaps
+    under coarser spans) are not support points."""
 
     probs: np.ndarray
     first: int
@@ -40,6 +53,7 @@ class SumLaw:
     D: float
     mean: float
     variance: float
+    err_abs: float
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and masses of the positive entries, in increasing order."""
@@ -63,18 +77,183 @@ class SumLaw:
         return {"v0": self.v0, "D": self.D, "probs": probs}
 
 
+@dataclass(frozen=True)
+class _Bounds:
+    """Upper bounds on the norms of a computed vector (``n1``, ``n2``,
+    ``ninf``) and on the norms of its difference from the exact non-negative
+    vector it stands for (``e1``, ``e2``, ``einf``)."""
+
+    n1: float
+    n2: float
+    ninf: float
+    e1: float = 0.0
+    e2: float = 0.0
+    einf: float = 0.0
+
+
+def _gamma(k: int, u: float) -> float:
+    return k * u / (1.0 - k * u)
+
+
+def _measured(x: np.ndarray, e1: float = 0.0, e2: float = 0.0, einf: float = 0.0) -> _Bounds:
+    """Bounds with the norms of ``x`` summed in its own precision and rounded up."""
+    up = 1.0 + 2.0 * (len(x) + 2) * float(np.finfo(x.dtype).epsneg) + 4.0 * _U
+    ax = np.abs(x)
+    return _Bounds(float(ax.sum()) * up, math.sqrt(float(np.square(x).sum())) * up,
+                   float(ax.max()) * (1.0 + 2.0 * _U), e1, e2, einf)
+
+
+def _propagate(x: _Bounds, y: _Bounds, d1: float, d2: float, dinf: float):
+    """Error bounds (1-, 2- and inf-norm) of a computed ``x^ * y^ + D``
+    against the exact ``x * y``, when ``D`` obeys ``(d1, d2, dinf)``."""
+    x1, x2, xinf = x.n1 + x.e1, x.n2 + x.e2, x.ninf + x.einf
+    e1 = x.e1 * y.n1 + x1 * y.e1 + d1
+    e2 = min(x.e2 * y.n1, x.e1 * y.n2) + min(x1 * y.e2, x2 * y.e1) + d2
+    einf = (min(x.einf * y.n1, x.e1 * y.ninf, x.e2 * y.n2)
+            + min(xinf * y.e1, x1 * y.einf, x2 * y.e2) + dinf)
+    return e1, min(e2, e1), min(einf, e2, e1)
+
+
+def _fft_product(x: np.ndarray, bx: _Bounds, y: np.ndarray, by: _Bounds):
+    """``x * y`` (a square when ``y is x``) by real FFTs of a power-of-two
+    length in the precision of ``x``, with its bounds."""
+    length = len(x) + len(y) - 1
+    size = 1 << (length - 1).bit_length()
+    fx = fft.rfft(x, size)
+    z = fft.irfft(fx * fx if y is x else fx * fft.rfft(y, size), size)[:length]
+    u = float(np.finfo(x.dtype).epsneg)
+    g2 = math.sqrt(2.0) * _gamma(2, u)
+    eta = max(1, size.bit_length() - 1) * (4.0 * u + _gamma(4, u) * (math.sqrt(2.0) + 4.0 * u))
+    eta /= 1.0 - eta
+    a, b = bx.n2 * by.n1, bx.n1 * by.n2
+    spread = eta * (a + b) + eta * eta * math.sqrt(size) * bx.n2 * by.n2
+    out = min(a, b) + spread
+    d2 = spread + (g2 + eta * (1.0 + g2)) * out
+    dinf = (2.0 * eta + eta * eta + g2 * (1.0 + eta) ** 2) * bx.n2 * by.n2 + eta * (1.0 + g2) * out
+    e1, e2, einf = _propagate(bx, by, math.sqrt(length) * d2, d2, min(dinf, d2))
+    return z, _measured(z, min(e1, math.sqrt(length) * e2), e2, einf)
+
+
+def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
+    """Bounds of ``numpy.convolve`` of ``x^`` and ``y^``, each entry a dot
+    product of at most ``m`` terms; its norms are bounded, not measured."""
+    g = _gamma(m, _U)
+    n1 = x.n1 * y.n1
+    n2 = min(x.n2 * y.n1, x.n1 * y.n2)
+    ninf = min(x.ninf * y.n1, x.n1 * y.ninf, x.n2 * y.n2)
+    return _Bounds(n1 * (1.0 + g), n2 * (1.0 + g), ninf * (1.0 + g),
+                   *_propagate(x, y, g * n1, g * n2, g * ninf))
+
+
+def _to_double(x: np.ndarray, bx: _Bounds):
+    """``x`` rounded to double, with its bounds: each entry moves by at most
+    ``u |x_i|`` plus half the least subnormal."""
+    half = 2.0**-1075
+    z = x.astype(np.float64)
+    return z, _measured(z, bx.e1 + _U * bx.n1 + len(z) * half,
+                        bx.e2 + _U * bx.n2 + math.sqrt(len(z)) * half,
+                        bx.einf + _U * bx.ninf + half)
+
+
+def _power(dense: np.ndarray, count: int):
+    """``dense`` convolved with itself to the power ``count >= 2``, with
+    entries at or below its error bound set to 0.0, and its bounds."""
+    x = base = dense.astype(np.longdouble)
+    bx = _measured(x)
+    rounds = bin(count)[3:]  # one round per bit below the leading one
+    for i, bit in enumerate(rounds):
+        if i == len(rounds) - 1:
+            # the last round runs in double: no later squaring amplifies its error
+            (x, bx), base = _to_double(x, bx), dense
+        x, bx = _fft_product(x, bx, x, bx)
+        if bit == "1":
+            x, bx = _fft_product(x, bx, base, _measured(base))
+    cut = x <= bx.einf
+    if cut.any():
+        tail = _measured(x[cut])
+        top = max(0.0, float(x[cut].max()))
+        x = np.where(cut, 0.0, x)
+        bx = _measured(x, bx.e1 + tail.n1, bx.e2 + tail.n2, bx.einf + top)
+    return x, bx
+
+
 def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     """Exact law of the independent sum of ``count`` copies of each ``law`` in
-    ``parts = [(law, count), ...]``, convolved in the order given.
+    ``parts = [(law, count), ...]``, folded in the order given, with a
+    rigorous bound ``err_abs`` on ``max_i |probs[i] - exact law|``.
 
     Spans must be integer multiples of the finest one and counts integers
-    >= 1; offsets add up into ``v0``.  The array's plain sum must lie within
-    ``n * 1e-14`` of one (n summands); it is then normalized by its fsum.
+    >= 1; offsets add up into ``v0``.  The exact law is that of independent
+    summands whose pmfs are the stored masses, each scaled to total one.
+
+    **Kernel.**  A part with ``count == 1`` is convolved into the running
+    array with ``numpy.convolve`` (the arithmetic of one convolution per
+    summand; nothing is dropped).  A part with ``count >= 2`` is densified
+    on its own span and powered left to right over the bits of ``count``:
+    each round squares, then multiplies by the law when its bit is set.
+    Products are real FFTs whose length ``N = 2^t`` is the least power of
+    two that holds the product, so the cyclic product is the linear one.
+    Every round but the last runs in ``np.longdouble`` (``u = 2^-64`` on
+    x86-64; where it is double, ``u = 2^-53`` and the bound grows to match),
+    because an error made there is amplified by up to ``2^(later
+    squarings)``; the last round runs in double.  Entries of the power at or
+    below its ``e_inf`` bound are then set to 0.0: this removes FFT noise,
+    negatives and subnormals.  The power is spread at stride ``s`` onto the
+    finest lattice and folded in with ``numpy.convolve``.
+
+    **Error bound.**  For each computed vector ``x^`` standing for an exact
+    ``x >= 0`` the kernel carries bounds on ``||x^||_p`` and ``e_p >=
+    ||x^ - x||_p`` for p = 1, 2, inf; norms of computed arrays are summed in
+    their own precision and rounded up by ``1 + 2 (L + 2) u``.
+
+    1. *FFT product* (Higham, Accuracy and Stability of Numerical
+       Algorithms, 2nd ed., Thm 24.2 and Lemma 3.5).  A computed transform
+       of length ``N = 2^t`` obeys ``||fl(F v) - F v||_2 <= eta_N ||F v||_2``
+       with ``eta_N = t eta / (1 - t eta)``, ``eta = mu + gamma_4 (sqrt 2 +
+       mu)``, twiddles within ``mu = 4u`` (we take this as the model of the
+       power-of-two transforms of ``scipy.fft``); complex products err by
+       ``sqrt(2) gamma_2`` relatively.  With ``||F v||_2 = sqrt(N) ||v||_2``,
+       ``||F v||_inf <= ||v||_1`` and ``||F^-1 w||_inf <= ||w||_1 / N``, the
+       rounding ``D = z^ - x^ * y^`` of one product obeys
+
+           ||D||_2   <= S + (sqrt2 g2 + eta_N (1 + sqrt2 g2)) (P + S),
+           ||D||_inf <= (2 eta_N + eta_N^2 + sqrt2 g2 (1 + eta_N)^2) ||x^||_2 ||y^||_2
+                        + eta_N (1 + sqrt2 g2) (P + S),
+           ||D||_1   <= sqrt(L) ||D||_2,
+
+       with ``P = min(||x^||_2 ||y^||_1, ||x^||_1 ||y^||_2)``, ``S = eta_N
+       (||x^||_2 ||y^||_1 + ||x^||_1 ||y^||_2) + eta_N^2 sqrt(N) ||x^||_2
+       ||y^||_2`` and L the product's length.  Underflow adds a few
+       subnormals per entry, far below these, and is left out.
+    2. *Propagation* through squarings, products with the law and the
+       folds: ``x^ * y^ - x * y = (x^ - x) * y^ + x * (y^ - y)``, bounded by
+       Young's inequalities ``||f * g||_p <= ||f||_p ||g||_1`` and ``||f *
+       g||_inf <= ||f||_2 ||g||_2``, taking the least of the pairings, with
+       the exact norms bounded by computed norm plus error.  A fold rounds
+       each entry as a dot product of at most ``m = min(lengths)`` terms:
+       ``|R| <= gamma_m (|acc^| * |part^|)`` entrywise (Higham, Sec. 3.1).
+       The fold's norms are carried as bounds, never recomputed, so the
+       count-1 path costs nothing beyond its convolutions.
+    3. *Precision change*: rounding an extended vector to double moves each
+       entry by at most ``u |x_i|`` plus half the least subnormal.
+    4. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
+       error there to at most ``x^_i + e_inf``, so ``e_inf`` grows by the
+       largest dropped entry and ``e_1``, ``e_2`` by the norms of the dropped
+       entries.
+    5. *Normalization* by ``T = fsum(acc^)`` (correctly rounded): with exact
+       mass ``M``, ``|M - T| <= e_1 + 2u T =: d``, and each quotient rounds
+       by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T - d) + u
+       max acc^) / T``, times ``1 + 2^-40`` for the rounding of the bound.
+
+    The drift test checks the carried bound: stored masses are normalized
+    to within ``2u`` (:func:`lltkit.lattice.make_pmf`), so the exact mass is
+    within ``3u n`` of one for n summands, and ``|T - 1| > e_1 + 3u n + 2u``
+    raises :class:`NumericsError`.
     """
     if not parts:
         raise LatticeError("need at least one summand")
     d = min(p.D for p, _ in parts)
-    acc = np.array([1.0])
+    acc, ab = np.array([1.0]), _Bounds(1.0, 1.0, 1.0)
     first = 0
     for p, count in parts:
         if count < 1:
@@ -84,20 +263,30 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         if s < 1 or abs(r - s) > 1e-9 * max(1.0, s):
             raise LatticeError(f"incompatible spans: {p.D} is not an integer multiple of {d}")
         ks = p.support
-        dense = np.zeros((ks[-1] - ks[0]) * s + 1)
+        part = np.zeros(ks[-1] - ks[0] + 1)
         for k, w in p.probs.items():
-            dense[(k - ks[0]) * s] = w
-        for _ in range(count):
-            acc = np.convolve(acc, dense)
+            part[k - ks[0]] = w
+        part, pb = (part, _measured(part)) if count == 1 else _power(part, count)
+        if s > 1:  # spread onto the finest lattice: gaps stay exact zeros
+            spread = np.zeros((len(part) - 1) * s + 1)
+            spread[::s] = part
+            part = spread
+        ab = _direct_product(ab, pb, min(len(acc), len(part)))
+        acc = np.convolve(acc, part)
         first += count * s * ks[0]
-    drift = abs(float(acc.sum()) - 1.0)
-    if drift > sum(count for _, count in parts) * 1e-14:
-        raise NumericsError(f"convolution mass drifted by {drift:.3e}")
-    probs = acc / math.fsum(acc)
+    total = math.fsum(acc[np.flatnonzero(acc)].tolist())
+    n = sum(count for _, count in parts)
+    if abs(total - 1.0) > ab.e1 + 3.0 * _U * n + 2.0 * _U:
+        raise NumericsError(f"convolution mass drifted by {abs(total - 1.0):.3e}, "
+                            f"beyond its error bound {ab.e1:.3e}")
+    probs = acc / total
+    peak = float(acc.max())
+    dm = ab.e1 + 2.0 * _U * total
+    err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
     v0 = math.fsum(count * p.v0 for p, count in parts)
     nz = np.flatnonzero(probs)
     mean, var = _moments((v0 + d * (first + nz)).tolist(), probs[nz].tolist())
-    return SumLaw(probs=probs, first=first, v0=v0, D=d, mean=mean, variance=var)
+    return SumLaw(probs=probs, first=first, v0=v0, D=d, mean=mean, variance=var, err_abs=err)
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:

@@ -98,9 +98,12 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
     """Compute the d-table and the exact interval discrepancy rho_n.
 
     The sup over intervals of a sum equals (max - min) over prefix sums, so
-    rho_n comes from one cumulative pass over a window outside of which both
-    the pmf and the Gaussian cell integrals are below 1e-16; a longer window
-    than ``WINDOW_CAP`` points is refused before it is allocated.
+    rho_n comes from one cumulative pass over a window that holds every
+    positive mass of ``sum_law`` and outside of which the Gaussian cell
+    integrals are below 1e-16.  Outside it the exact masses are at most
+    ``sum_law.err_abs`` (tails the kernel dropped at its error bound); a
+    longer window than ``WINDOW_CAP`` points is refused before it is
+    allocated.
     """
     if not (math.isfinite(a_n) and 0.0 < b_n < math.inf):
         raise LatticeError(f"need a finite a_n and a finite b_n > 0, got {a_n} and {b_n}")

@@ -18,6 +18,7 @@ from lltkit import (
     LatticeError,
     PlugIns,
     PreconditionError,
+    bernoulli,
     bounded_plug_ins,
     calibrate_c0,
     calibrate_c0_scan,
@@ -36,8 +37,10 @@ from lltkit import (
     psi_moment,
     refined_bernoulli_comparison,
     sandwich_envelope,
+    split,
     sum_law,
     theta,
+    xi_law,
 )
 from lltkit.bounds import (
     C0_TAIL_N_STAR,
@@ -233,6 +236,27 @@ class TestExpMomentGaussian:
             exp_moment_gaussian(0.0, 1.0)
 
 
+def _sum_shift(a, b):
+    """Largest change of a sum of entries between two laws on one array
+    whose entries each lie within err_abs of the same exact law, plus the
+    summations' rounding."""
+    assert (a.first, len(a.probs)) == (b.first, len(b.probs))
+    size = len(a.probs)
+    return size * (a.err_abs + b.err_abs) + 2 * size * 2.0**-53
+
+
+def _kolmogorov_shift(a, b):
+    """Largest change of ``kolmogorov_distance(law, law.mean, sd)`` between
+    two such laws: the CDFs move by ``_sum_shift``, and Phi, which is
+    1/sqrt(2 pi)-Lipschitz, by the moved centering and scale at the lattice
+    points, where both suprema are attained."""
+    sd_a, sd_b = math.sqrt(a.variance), math.sqrt(b.variance)
+    pts = a.v0 + a.D * np.arange(a.first, a.first + len(a.probs))
+    reach = float(np.abs(pts - b.mean).max())
+    moved = abs(a.mean - b.mean) / sd_a + reach * abs(1.0 / sd_a - 1.0 / sd_b)
+    return _sum_shift(a, b) + moved / math.sqrt(2.0 * math.pi) + 2e-15  # Phi's own error
+
+
 class TestPrepareSum:
     @pytest.mark.parametrize("n", [1, 7, 300])
     def test_one_part_equals_n_single_parts(self, n):
@@ -243,7 +267,14 @@ class TestPrepareSum:
         assert len(one) == len(many) == n
         for field in ("theta_n", "v0", "mean", "var"):
             assert getattr(one, field) == getattr(many, field)
-        assert exact_plug_ins(one, 0.25) == exact_plug_ins(many, 0.25)
+        exact_one, exact_many = exact_plug_ins(one, 0.25), exact_plug_ins(many, 0.25)
+        # the n-fold part is an FFT power, the n single parts are convolved one
+        # by one: both laws lie within their err_abs of the same exact law
+        xi = xi_law(split(p, t))
+        xi_one, xi_many = sum_law([(xi, n)]), sum_law([(xi, 1)] * n)
+        b_one, b_many = sum_law([(bernoulli(t), n)]), sum_law([(bernoulli(t), 1)] * n)
+        assert abs(exact_one.h_n - exact_many.h_n) <= _kolmogorov_shift(xi_one, xi_many)
+        assert abs(exact_one.rho_n - exact_many.rho_n) <= _sum_shift(b_one, b_many)
         assert bounded_plug_ins(one, 0.25) == bounded_plug_ins(many, 0.25)
 
     def test_per_law_work_does_not_grow_with_n(self, uniform3, monkeypatch):

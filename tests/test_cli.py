@@ -7,7 +7,9 @@ import math
 
 import pytest
 
-from lltkit.cli import main
+from lltkit import iid_sum, make_pmf
+from lltkit.bounds import BoundReport
+from lltkit.cli import _bound_row, main
 from lltkit.gamkrelidze import WINDOW_CAP
 
 
@@ -243,11 +245,13 @@ class TestOtherCommands:
 
     def test_gamkrelidze_far_centering_within_cap_runs(self, capsys, bern_file):
         # a_n = 3e4 with b_n = Var S_64 = 16: the window runs from the support's
-        # first point 0 to ceil(3e4 + 9.5 * 4) = 30038
+        # first point (P{S_64 = 0} = 2^-64 is below the error bound and dropped,
+        # so the first atom of the computed law) to ceil(3e4 + 9.5 * 4) = 30038
         code, out = run_cli(capsys, ["gamkrelidze", bern_file, "--n", "64", "--a", "3e4"])
         assert code == 0
         table = json.loads(out)["d_table"]
-        assert (table[0][0], table[-1][0], len(table)) == (0, 30038, 30039)
+        first = int(iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 1)]), 64).atoms()[0][0])
+        assert (table[0][0], table[-1][0], len(table)) == (first, 30038, 30039 - first)
 
     def test_scenery_moments_command(self, capsys, scenery_file):
         code, out = run_cli(capsys, ["scenery", scenery_file])
@@ -436,3 +440,55 @@ class TestErrorsAndOverrides:
         constants = json.loads(out)["constants"]
         assert constants["c0"] == 1.0 and isinstance(constants["c0"], float)
         assert constants["provenance"] == "pinned by hand"
+
+
+class TestSandwichVerdict:
+    @staticmethod
+    def _row(exact, err):
+        report = BoundReport(kappa=0.0, exact=exact, gaussian=0.5, lower=0.25, upper=0.75,
+                             params={})
+        return _bound_row(report, err)
+
+    def test_holds_by_more_than_the_error(self):
+        assert self._row(0.75 - 2e-12, 1e-12)["sandwich_ok"] is True
+
+    def test_fails_by_more_than_the_error(self):
+        assert self._row(0.25 - 2e-12, 1e-12)["sandwich_ok"] is False
+
+    def test_undecided_within_the_error(self):
+        for exact in (0.75 - 0.5e-12, 0.75 + 0.5e-12, 0.25, 0.25 - 0.5e-12):
+            assert self._row(exact, 1e-12)["sandwich_ok"] is None
+
+    def test_exact_mode_passes_the_law_error(self, capsys, bern_file, monkeypatch):
+        import lltkit.cli as cli
+
+        seen = []
+        original = cli._bound_row
+        monkeypatch.setattr(cli, "_bound_row", lambda r, e: seen.append(e) or original(r, e))
+        run_cli(capsys, ["llt-bound", bern_file, "--n", "64", "--kappa", "32"])
+        assert seen == [iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 1)]), 64).err_abs]
+
+
+class TestParserReuse:
+    def test_successive_calls_print_what_fresh_calls_print(self, capsys, bern_file,
+                                                           scenery_file):
+        import lltkit.cli as cli
+
+        argvs = [
+            ["llt-bound", bern_file, "--n", "16", "--kappa", "8", "--h", "0.3"],
+            ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6", "--kappa-to", "9",
+             "--mode", "bounded-plug-ins", "--envelope", "central", "--format", "csv"],
+            ["llt-bound", bern_file, "--n", "16", "--kappa", "8"],
+            ["scenery", scenery_file, "--kappa", "2", "--mc", "100"],
+            ["scenery", scenery_file],
+            ["partition", "--m", "2", "--n", "12", "--mode", "enum"],
+            ["partition", "--m", "2", "--n", "12"],
+            ["split", bern_file],
+        ]
+        reused = [run_cli(capsys, argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, argv))
+        assert reused == fresh
+        assert cli._parser() is cli._parser()

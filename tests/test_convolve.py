@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,13 +149,61 @@ class TestSumLaw:
         law = sum_law(parts)
         first, ref = _sequential_reference(parts)
         assert law.first == first
-        assert np.array_equal(law.probs, ref)
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
     def test_repeated_counts_of_one_law(self):
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
         for count in (1, 2, 57):
             first, ref = _sequential_reference([(p, count)])
-            assert np.array_equal(iid_sum(p, count).probs, ref)
+            law = iid_sum(p, count)
+            assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_count_one_parts_keep_the_sequential_bits(self, seed):
+        parts = [(law, 1) for law, _ in _random_parts(np.random.default_rng(seed))]
+        first, ref = _sequential_reference(parts)
+        law = sum_law(parts)
+        assert law.first == first
+        assert np.array_equal(law.probs, ref)
+
+    def test_partition_model_law_keeps_the_sequential_bits(self):
+        # the law count_via_model(1, 150) reads P{Y = 150} from
+        from scipy.special import expit
+
+        from lltkit.partition import solve_sigma
+
+        js = np.arange(1, 151)
+        p_hit = expit(-solve_sigma(1, 150) * js.astype(float))
+        parts = [(make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)]), 1)
+                 for j, ph in zip(js, p_hit)]
+        first, ref = _sequential_reference(parts)
+        assert np.array_equal(sum_law(parts).probs, ref)
+
+    @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
+    def test_error_bound_is_small_up_to_2e4(self, probs):
+        p = make_pmf(0.0, 1.0, list(enumerate(probs)))
+        for n in (2, 3, 300, 20000):
+            assert iid_sum(p, n).err_abs <= 1e-12
+
+    def test_error_bound_holds_on_exact_binomial(self):
+        # {1, 2, 1}/4 is Binomial(2, 1/2), so n = 1000 copies give Binomial(2000, 1/2)
+        law = iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 1000)
+        exact = np.array([math.comb(2000, k) / 2**2000 for k in range(2001)])
+        assert law.first == 0
+        assert np.all(np.abs(law.probs - exact) <= law.err_abs + 2.0**-53 * exact)
+
+    @pytest.mark.parametrize("probs", [(0.7, 0.2, 0.1), (0.05, 0.15, 0.8), (0.5, 0.0, 0.5)])
+    def test_error_bound_holds_on_extended_reference(self, probs):
+        # sequential convolution in extended precision: its own error is
+        # below 3 n 2^-64 relative, far under the double-precision bound
+        p = make_pmf(0.0, 1.0, [(k, w) for k, w in enumerate(probs) if w > 0])
+        dense = np.array(probs, dtype=np.longdouble)
+        ref = np.array([1.0], dtype=np.longdouble)
+        for _ in range(300):
+            ref = np.convolve(ref, dense)
+        ref = (ref / ref.sum()).astype(float)
+        law = iid_sum(p, 300)
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs + 2.0**-53 * ref)
 
     def test_each_law_densified_once(self):
         p = LatticePmf(0.0, 1.0, _WalkCounter({0: 0.25, 1: 0.5, 2: 0.25}))
@@ -286,3 +336,9 @@ class TestLltDiscrepancy:
     def test_degenerate_variance_rejected(self, point_mass):
         with pytest.raises(LatticeError):
             llt_discrepancy(iid_sum(point_mass, 1))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # the FFT kernel uses scipy.fft; scipy.signal would add a third to the import time
+    code = "import sys, lltkit; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
