@@ -19,7 +19,6 @@ digits so that values round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -370,15 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process: parsing keeps no
-    state between calls, and a build costs more than a small request."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # one registry per invocation; every subcommand reads it from here
         args.constants = _load_constants(args.constants or os.environ.get(ENV_CONSTANTS))
