@@ -3,24 +3,28 @@ variables, and the brute-force statistics every bound is checked against.
 
 :func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
 parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`.
-A part with ``count == 1`` is densified on the finest lattice present and
-convolved into the running array with direct ``numpy.convolve``.  A part with
-``count >= 2`` is densified on its own span and raised to its power by
-repeated squaring with real-FFT products (``scipy.fft``), ``O(log count)``
-products instead of ``count`` convolutions.  Entries of the power at or
-below its error bound are set to 0.0; it is then spread at stride ``s`` (its
-span over the finest one) onto the finest lattice, so the gaps under a
-coarser span stay exact zeros, and folded into the running array with
-``numpy.convolve``.  Every oracle reads the dense array of the resulting
-:class:`SumLaw` in place, and ``SumLaw.err_abs`` bounds how far any of its
-masses can be from the exact law (derived at :func:`sum_law`).  The normal
-CDF is ``scipy.special.ndtr`` (absolute error near machine precision).
+A part with ``count == 1`` is folded into the running array by its atoms:
+one shifted, scaled add of the array per positive mass, so a sparse part
+(the partition model's ``{0, j}``) costs two adds, not a convolution over
+its span.  A part with ``count >= 2`` is densified on its own span and
+raised to its power by repeated squaring with real-FFT products
+(``scipy.fft``), ``O(log count)`` products instead of ``count``
+convolutions.  Entries of the power at or below its error bound are set to
+0.0; it is then spread at stride ``s`` (its span over the finest one) onto
+the finest lattice, so the gaps under a coarser span stay exact zeros, and
+folded in with ``numpy.convolve`` over the nonzero windows of the running
+array and of the power only.  Every oracle reads the dense array of the
+resulting :class:`SumLaw` in place, and ``SumLaw.err_abs`` bounds how far
+any of its masses can be from the exact law (derived at :func:`sum_law`).
+The normal CDF is ``scipy.special.ndtr`` (absolute error near machine
+precision).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +49,27 @@ class SumLaw:
     ``probs[i] = P{S = v0 + D * (first + i)}`` to within ``err_abs``, a
     rigorous bound on ``max_i |probs[i] - P{S = v0 + D * (first + i)}|``.
     Zeros in the array (tails dropped at the bound, underflowed tails, gaps
-    under coarser spans) are not support points."""
+    under coarser spans) are not support points.  ``mean`` and ``variance``
+    are summed on first read, since the partition model never reads them."""
 
     probs: np.ndarray
     first: int
     v0: float
     D: float
-    mean: float
-    variance: float
     err_abs: float
+
+    @cached_property
+    def _mean_variance(self) -> tuple[float, float]:
+        ks, w = self.atoms()
+        return _moments((self.v0 + self.D * ks).tolist(), w.tolist())
+
+    @property
+    def mean(self) -> float:
+        return self._mean_variance[0]
+
+    @property
+    def variance(self) -> float:
+        return self._mean_variance[1]
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and masses of the positive entries, in increasing order."""
@@ -186,20 +202,22 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     >= 1; offsets add up into ``v0``.  The exact law is that of independent
     summands whose pmfs are the stored masses, each scaled to total one.
 
-    **Kernel.**  A part with ``count == 1`` is convolved into the running
-    array with ``numpy.convolve`` (the arithmetic of one convolution per
-    summand; nothing is dropped).  A part with ``count >= 2`` is densified
-    on its own span and powered left to right over the bits of ``count``:
-    each round squares, then multiplies by the law when its bit is set.
-    Products are real FFTs whose length ``N = 2^t`` is the least power of
-    two that holds the product, so the cyclic product is the linear one.
-    Every round but the last runs in ``np.longdouble`` (``u = 2^-64`` on
-    x86-64; where it is double, ``u = 2^-53`` and the bound grows to match),
-    because an error made there is amplified by up to ``2^(later
+    **Kernel.**  A part with ``count == 1`` is folded by its atoms: for each
+    positive mass ``(k, w)``, in increasing k, ``w`` times the running array
+    is added at offset ``k s`` (nothing is dropped).  A part with ``count >=
+    2`` is densified on its own span and powered left to right over the bits
+    of ``count``: each round squares, then multiplies by the law when its
+    bit is set.  Products are real FFTs whose length ``N = 2^t`` is the
+    least power of two that holds the product, so the cyclic product is the
+    linear one.  Every round but the last runs in ``np.longdouble`` (``u =
+    2^-64`` on x86-64; where it is double, ``u = 2^-53`` and the bound grows
+    to match), because an error made there is amplified by up to ``2^(later
     squarings)``; the last round runs in double.  Entries of the power at or
     below its ``e_inf`` bound are then set to 0.0: this removes FFT noise,
     negatives and subnormals.  The power is spread at stride ``s`` onto the
-    finest lattice and folded in with ``numpy.convolve``.
+    finest lattice and folded in with ``numpy.convolve`` of the nonzero
+    windows of the running array and of the power; the product is written
+    into the full-length array, so the zeros outside the windows stay exact.
 
     **Error bound.**  For each computed vector ``x^`` standing for an exact
     ``x >= 0`` the kernel carries bounds on ``||x^||_p`` and ``e_p >=
@@ -230,10 +248,14 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        Young's inequalities ``||f * g||_p <= ||f||_p ||g||_1`` and ``||f *
        g||_inf <= ||f||_2 ||g||_2``, taking the least of the pairings, with
        the exact norms bounded by computed norm plus error.  A fold rounds
-       each entry as a dot product of at most ``m = min(lengths)`` terms:
-       ``|R| <= gamma_m (|acc^| * |part^|)`` entrywise (Higham, Sec. 3.1).
+       each entry as a dot product of at most ``m`` terms: ``|R| <= gamma_m
+       (|acc^| * |part^|)`` entrywise (Higham, Sec. 3.1).  For a count-1
+       part ``m = min(window, atoms)``: each entry sums one product per atom,
+       at most one per entry of the running array's nonzero window; for a
+       power ``m = min(window, spread window)``, the shorter of the two
+       ``numpy.convolve`` arguments.
        The fold's norms are carried as bounds, never recomputed, so the
-       count-1 path costs nothing beyond its convolutions.
+       count-1 path costs nothing beyond its adds.
     3. *Precision change*: rounding an extended vector to double moves each
        entry by at most ``u |x_i|`` plus half the least subnormal.
     4. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
@@ -254,6 +276,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         raise LatticeError("need at least one summand")
     d = min(p.D for p, _ in parts)
     acc, ab = np.array([1.0]), _Bounds(1.0, 1.0, 1.0)
+    lo, hi = 0, 1  # every nonzero entry of acc lies in acc[lo:hi]
     first = 0
     for p, count in parts:
         if count < 1:
@@ -262,18 +285,28 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         s = round(r)
         if s < 1 or abs(r - s) > 1e-9 * max(1.0, s):
             raise LatticeError(f"incompatible spans: {p.D} is not an integer multiple of {d}")
-        ks = p.support
-        part = np.zeros(ks[-1] - ks[0] + 1)
-        for k, w in p.probs.items():
-            part[k - ks[0]] = w
-        part, pb = (part, _measured(part)) if count == 1 else _power(part, count)
-        if s > 1:  # spread onto the finest lattice: gaps stay exact zeros
-            spread = np.zeros((len(part) - 1) * s + 1)
-            spread[::s] = part
-            part = spread
-        ab = _direct_product(ab, pb, min(len(acc), len(part)))
-        acc = np.convolve(acc, part)
-        first += count * s * ks[0]
+        ks, w = map(np.array, zip(*sorted(p.probs.items())))
+        k0, span = int(ks[0]), int(ks[-1] - ks[0])
+        ks, w = ks[w > 0] - k0, w[w > 0]
+        out = np.zeros(len(acc) + count * span * s)
+        win = acc[lo:hi]
+        if count == 1:  # one shifted add per atom, in increasing k
+            for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
+                out[k:k + len(win)] += wk * win
+            ab = _direct_product(ab, _measured(w), min(len(win), len(w)))
+            lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
+        else:
+            dense = np.zeros(span + 1)
+            dense[ks] = w
+            power, pb = _power(dense, count)
+            nz = np.flatnonzero(power)
+            spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # gaps stay exact zeros
+            spread[::s] = power[nz[0]:nz[-1] + 1]
+            lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
+            out[lo:hi] = np.convolve(win, spread)
+            ab = _direct_product(ab, pb, min(len(win), len(spread)))
+        acc = out
+        first += count * s * k0
     total = math.fsum(acc[np.flatnonzero(acc)].tolist())
     n = sum(count for _, count in parts)
     if abs(total - 1.0) > ab.e1 + 3.0 * _U * n + 2.0 * _U:
@@ -284,9 +317,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     dm = ab.e1 + 2.0 * _U * total
     err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
     v0 = math.fsum(count * p.v0 for p, count in parts)
-    nz = np.flatnonzero(probs)
-    mean, var = _moments((v0 + d * (first + nz)).tolist(), probs[nz].tolist())
-    return SumLaw(probs=probs, first=first, v0=v0, D=d, mean=mean, variance=var, err_abs=err)
+    return SumLaw(probs=probs, first=first, v0=v0, D=d, err_abs=err)
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
-from .convolve import SumLaw
+from .convolve import _U, SumLaw
 from .errors import LatticeError
 
 #: Gaussian cell-integral tails below this are outside the scan window
@@ -40,6 +40,9 @@ _TAIL_EPS = 1e-16
 
 #: most points an interval-discrepancy window (and its d-table) may hold
 WINDOW_CAP = 10**6
+
+#: absolute error of ``scipy.special.ndtr`` (:func:`lltkit.convolve.standard_normal_cdf`)
+_PHI_ERR = 1e-15
 
 
 def _integer_shift(law: SumLaw) -> int:
@@ -66,7 +69,8 @@ class SmoothnessReport:
 
     ``d``, ``ell`` and ``p`` are dense arrays over the integer window
     ``k_lo..k_lo + len - 1`` covering the support plus a Gaussian tail margin;
-    ``rho`` is the exact sup over intervals of ``|sum d_k|``.
+    ``rho`` is the exact sup over intervals of ``|sum d_k|``.  ``err_abs`` is
+    the law's bound on the error of every ``p`` entry (not printed).
     """
 
     M: float
@@ -78,6 +82,7 @@ class SmoothnessReport:
     d: np.ndarray
     ell: np.ndarray
     p: np.ndarray
+    err_abs: float
 
     @property
     def ks(self) -> np.ndarray:
@@ -135,6 +140,7 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
         d=d,
         ell=ell,
         p=p,
+        err_abs=sum_law.err_abs,
     )
 
 
@@ -171,7 +177,29 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
 
     (i)  sqrt(b_n) |d_k| <= 2 sqrt(R) sqrt(rho_n), and
     (ii) |sqrt(b_n) P{S_n=k} - (1/sqrt(2 pi)) e^{-(k-a_n)^2/(2 b_n)}|
-             <= 2 sqrt(R) sqrt(rho_n) + 1/sqrt(2 pi e b_n).
+             <= 2 sqrt(R) sqrt(rho_n) + 1/sqrt(2 pi e b_n),
+
+    with R and rho_n as computed from the table.  A side fails only when no
+    table within its floating-point error could meet it; with ``E`` the law's
+    ``err_abs`` and u the unit roundoff:
+
+    - *Cell edges.*  ``Phi((k - a_n)/sqrt(b_n))`` is ndtr (absolute error
+      1e-15) at an argument ``x (1 + theta)``, ``|theta| <= gamma_3`` (the
+      subtraction, the square root and the division), which moves Phi by
+      ``|x phi(xi) theta| <= gamma_3 / 4`` since ``|t phi(t)| <= 0.242``.
+    - *Table entries.*  ``ell_k`` is the difference of two edges, rounded by
+      ``u |ell_k|``, and ``d_k = p_k - ell_k`` is rounded by ``u |d_k|``, so
+      the exact ``d_k`` is within ``e_k = E + 2 edge + 2u (|ell_k| + |d_k|)``
+      of the table's.
+    - *The Gaussian of (ii).*  Its exponent is rounded by ``gamma_4``
+      relatively, which moves ``e^{-z}`` by at most ``gamma_4 z e^{-z} <=
+      gamma_4 / e``; allowing exp 4 ulp and the division by ``sqrt(2 pi)``,
+      it is within ``12u gauss_k + u`` of the exact value.
+    - *Comparison.*  Each left side is rounded by at most ``gamma_2``
+      relatively, and the right sides below by a few u; the factor ``1 + 8u``
+      covers both.  So (i) fails when ``sqrt(b_n)|d_k|`` exceeds ``(bound_1 +
+      sqrt(b_n) e_k)(1 + 8u)``, and (ii) when its left side exceeds
+      ``(bound_2 + sqrt(b_n) (E + 2u p_k) + 12u gauss_k + u)(1 + 8u)``.
     """
     sb = math.sqrt(report.b_n)
     bound1 = 2.0 * math.sqrt(report.R) * math.sqrt(report.rho)
@@ -182,8 +210,11 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
     with np.errstate(over="ignore"):
         gauss = np.exp(-((ks - report.a_n) ** 2) / (2.0 * report.b_n)) / math.sqrt(2.0 * math.pi)
     lhs2 = np.abs(sb * report.p - gauss)
-    ok1 = lhs1 <= bound1 + 1e-15
-    ok2 = lhs2 <= bound2 + 1e-15
+    edge = _PHI_ERR + 0.75 * _U / (1.0 - 3.0 * _U)
+    err_d = report.err_abs + 2.0 * edge + 2.0 * _U * (np.abs(report.ell) + np.abs(report.d))
+    ok1 = lhs1 <= (bound1 + sb * err_d) * (1.0 + 8.0 * _U)
+    err_2 = sb * (report.err_abs + 2.0 * _U * report.p) + 12.0 * _U * gauss + _U
+    ok2 = lhs2 <= (bound2 + err_2) * (1.0 + 8.0 * _U)
     failures = sorted(int(k) for k in ks[~(ok1 & ok2)])
     return PointwiseCheck(
         pointwise_ok=bool(ok1.all()),

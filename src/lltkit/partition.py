@@ -11,9 +11,14 @@ for j = m..n and any real sigma, the count satisfies the exact identity
 
 sigma only affects numerical conditioning; the canonical choice centers the
 sum at n by solving ``sum_{j=m..n} j / (1 + e^{sigma j}) = n`` (the left side
-is strictly decreasing in sigma).  ``P{sum X_j = n}`` is evaluated by exact
-convolution, and the assembled real number must land within 1e-6 of an
-integer or the computation is rejected rather than silently rounded.
+is strictly decreasing in sigma).  ``P{sum X_j = n}`` is read from
+:func:`lltkit.convolve.sum_law` over the n - m + 1 two-point laws as count-1
+parts; each is folded by its two atoms, two shifted adds of the running
+array, about n^3/3 multiply-adds in all where a convolution over each part's
+span would take n^4/8.  The assembled real number must land within 1e-6 of
+an integer or the computation is rejected rather than silently rounded;
+which n are refused depends on the rounding of that law, not on a
+precondition.
 """
 
 from __future__ import annotations

@@ -142,6 +142,18 @@ class _WalkCounter(dict):
         return super().items()
 
 
+def _partition_model_parts(m, n):
+    """The parts of the law count_via_model(m, n) reads P{Y = n} from."""
+    from scipy.special import expit
+
+    from lltkit.partition import solve_sigma
+
+    js = np.arange(m, n + 1)
+    p_hit = expit(-solve_sigma(m, n) * js.astype(float))
+    return [(make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)]), 1)
+            for j, ph in zip(js, p_hit)]
+
+
 class TestSumLaw:
     @pytest.mark.parametrize("seed", range(24))
     def test_equals_sequential_reference(self, seed):
@@ -160,24 +172,20 @@ class TestSumLaw:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_count_one_parts_keep_the_sequential_bits(self, seed):
+        # count-1 parts are folded atom by atom, not by numpy.convolve, so
+        # they match the sequential reference within the carried bound
         parts = [(law, 1) for law, _ in _random_parts(np.random.default_rng(seed))]
         first, ref = _sequential_reference(parts)
         law = sum_law(parts)
         assert law.first == first
-        assert np.array_equal(law.probs, ref)
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
     def test_partition_model_law_keeps_the_sequential_bits(self):
-        # the law count_via_model(1, 150) reads P{Y = 150} from
-        from scipy.special import expit
-
-        from lltkit.partition import solve_sigma
-
-        js = np.arange(1, 151)
-        p_hit = expit(-solve_sigma(1, 150) * js.astype(float))
-        parts = [(make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)]), 1)
-                 for j, ph in zip(js, p_hit)]
+        parts = _partition_model_parts(1, 150)
         first, ref = _sequential_reference(parts)
-        assert np.array_equal(sum_law(parts).probs, ref)
+        law = sum_law(parts)
+        assert law.first == first
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
     @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
     def test_error_bound_is_small_up_to_2e4(self, probs):
@@ -232,6 +240,52 @@ class TestSumLaw:
         for parts in ([], [(fair_bernoulli, 0)], [(fair_bernoulli, 2), (fair_bernoulli, -1)]):
             with pytest.raises(LatticeError):
                 sum_law(parts)
+
+
+class _ConvolveSpy:
+    """Stands in for numpy.convolve and records its arguments."""
+
+    def __init__(self):
+        self.args = []
+        self.convolve = np.convolve
+
+    def __call__(self, a, v, *rest):
+        self.args += [np.asarray(a), np.asarray(v)]
+        return self.convolve(a, v, *rest)
+
+
+class TestSparseFold:
+    """Count-1 parts fold by their atoms, powered parts over nonzero windows."""
+
+    _P = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
+    _Q = make_pmf(0.0, 1.0, [(0, 0.05), (1, 0.15), (2, 0.8)])
+
+    def test_partition_model_law_makes_no_convolve_call(self, monkeypatch):
+        spy = _ConvolveSpy()
+        monkeypatch.setattr(np, "convolve", spy)
+        law = sum_law(_partition_model_parts(1, 150))
+        assert spy.args == []
+        assert (law.first, len(law.probs)) == (0, 150 * 151 // 2 + 1)
+
+    def test_powered_parts_convolve_their_nonzero_windows(self, monkeypatch):
+        spy = _ConvolveSpy()
+        monkeypatch.setattr(np, "convolve", spy)
+        law = sum_law([(self._P, 10000), (self._Q, 10000)])
+        assert spy.args
+        for x in spy.args:
+            # every argument starts and ends at a positive mass: it is its
+            # own nonzero window, about 1.4e3 entries and not 20001
+            assert x[0] > 0.0 and x[-1] > 0.0
+            assert len(x) < 2000
+        assert (law.first, len(law.probs)) == (0, 40001)
+        assert law.err_abs <= 1e-13
+
+    def test_two_powered_parts_match_the_sequential_reference(self):
+        parts = [(self._P, 300), (self._Q, 300)]
+        first, ref = _sequential_reference(parts)
+        law = sum_law(parts)
+        assert law.first == first
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
 
 class TestPoissonBinomial:

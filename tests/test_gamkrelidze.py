@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ class TestEffectivePointwiseBound:
         check = effective_pointwise_bound(report)
         assert check.all_pass
         assert report.rho == pytest.approx(brute_force_rho(report), abs=1e-12)
+
+    def test_slack_reads_the_law_error(self, fair_bernoulli):
+        # sqrt(b_n) = 4: a table entry off by e moves the left side of (i)
+        # by 4e, so a side 4e-12 above its bound is within the error of a
+        # law with err_abs = 2e-12, and beyond that of one with 5e-13
+        report = interval_discrepancy(iid_sum(fair_bernoulli, 64), 32.0, 16.0)
+        top = 4.0 * float(np.abs(report.d).max())
+
+        def check(bound, err):
+            rho = (bound / (2.0 * math.sqrt(report.R))) ** 2
+            return effective_pointwise_bound(replace(report, rho=rho, err_abs=err))
+
+        assert check(top - 4e-12, 2e-12).pointwise_ok
+        assert not check(top - 4e-12, 5e-13).pointwise_ok
 
 
 class TestSmoothnessViaExtraction:

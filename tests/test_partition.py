@@ -9,6 +9,7 @@ import pytest
 from scipy.special import expit
 
 from lltkit import (
+    NumericsError,
     PreconditionError,
     count_partitions,
     count_via_enumeration,
@@ -116,3 +117,30 @@ def test_grid_sample_model_equals_enumeration():
         n = int(rng.integers(1, 61))
         m = int(rng.integers(1, n + 1))
         assert count_via_model(m, n) == count_via_enumeration(m, n)
+
+
+def _knapsack_counts(m: int, n_max: int) -> list[int]:
+    """``q_m(n)`` for every n <= n_max by the 0/1 knapsack over the parts
+    m..n_max, in Python integers (parts above n never enter a sum to n)."""
+    counts = [1] + [0] * n_max
+    for j in range(m, n_max + 1):
+        for t in range(n_max, j - 1, -1):
+            counts[t] += counts[t - j]
+    return counts
+
+
+def test_model_verdicts_on_the_benchmark_grid():
+    # the grid of the exact-oracles model partitions: every verdict is a
+    # refusal or the exact count, never a wrong integer; 44 points were
+    # refused before count-1 parts were folded by their atoms
+    refused = []
+    for m in range(1, 9):
+        exact = _knapsack_counts(m, 300)
+        for n in range(100, 301, 10):
+            try:
+                q = count_via_model(m, n)
+            except NumericsError:
+                refused.append((m, n))
+                continue
+            assert q == exact[n], (m, n)
+    assert len(refused) <= 44, refused
