@@ -159,10 +159,30 @@ def _bound_row(report: bounds.BoundReport, exact_err: float) -> dict:
     return row
 
 
+def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | None:
+    """Lattice indices of the ``--kappa-from``/``--kappa-to`` sweep, or None
+    for a single ``--kappa``; a sweep is at most ``gamkrelidze.WINDOW_CAP``
+    points, the cap of the other printed table."""
+    sweep_ends = (args.kappa_from, args.kappa_to)
+    if args.kappa is not None:
+        if sweep_ends != (None, None):
+            raise LatticeError("llt-bound takes --kappa or --kappa-from/--kappa-to, not both")
+        return None
+    if None in sweep_ends or not all(map(math.isfinite, sweep_ends)):
+        raise LatticeError("llt-bound requires --kappa or finite --kappa-from and --kappa-to")
+    k_lo = math.ceil((args.kappa_from - spec.v0) / spec.d - 1e-9)
+    k_hi = math.floor((args.kappa_to - spec.v0) / spec.d + 1e-9)
+    if k_hi - k_lo + 1 > gamkrelidze.WINDOW_CAP:
+        raise LatticeError(f"kappa sweep of {k_hi - k_lo + 1} points, above the cap of "
+                           f"{gamkrelidze.WINDOW_CAP}")
+    return range(k_lo, k_hi + 1)
+
+
 def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     pmf = pmf_from_json(_read_json(args.input))
     constants = args.constants
     spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
+    sweep = _sweep_indices(args, spec)
     h = _pick_h(args, spec.theta_n)
     exact_mode = args.mode == "exact-plug-ins"
     law = iid_sum(pmf, args.n) if exact_mode or args.law_out else None
@@ -187,15 +207,10 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
         return bounds.psi_envelope(spec, kappa, plug, constants, exact)
 
     err = law.err_abs if exact_mode else 0.0
-    if args.kappa is not None:
+    if sweep is None:
         report = one(args.kappa)
         return {**report.to_json_dict(constants), **_bound_row(report, err)}
-    ends = (args.kappa_from, args.kappa_to)
-    if None in ends or not all(map(math.isfinite, ends)):
-        raise LatticeError("llt-bound requires --kappa or finite --kappa-from and --kappa-to")
-    k_lo = math.ceil((args.kappa_from - spec.v0) / spec.d - 1e-9)
-    k_hi = math.floor((args.kappa_to - spec.v0) / spec.d + 1e-9)
-    return [_bound_row(one(spec.v0 + spec.d * k), err) for k in range(k_lo, k_hi + 1)]
+    return [_bound_row(one(spec.v0 + spec.d * k), err) for k in sweep]
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
@@ -216,11 +231,15 @@ def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
 
 
 def _cmd_scenery(args: argparse.Namespace) -> dict:
+    if args.kappa is None and args.mc_samples is not None:
+        raise LatticeError("scenery --mc estimates P{S_n = kappa} and needs --kappa")
     model = scenery.scenery_from_json(_read_json(args.input))
     if args.kappa is None:
+        # any walk, revisiting ones included: the identity carries c_{h,k}
         return scenery.second_moment_check(model).to_json_dict()
-    # under the envelope's hypotheses (strictly positive increments) S_n is
-    # exactly the iid sum of n scenery values; check them before building it
+    # under the envelope's hypotheses (strictly positive increments, a
+    # constant profile) S_n is exactly the iid sum of n scenery values; a
+    # lazy or revisiting walk is refused here, before that law is built
     scenery.check_envelope_model(model)
     law = iid_sum(model.x_law, model.n)
     exact = law.mass(kappa_index(args.kappa, law.v0, law.D))

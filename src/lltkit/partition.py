@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -100,7 +99,11 @@ def count_via_model(m: int, n: int) -> int:
     nearest integer must be at most 1e-6.
     """
     m = _normalize_m(m)
-    sigma = solve_sigma(m, n)
+    return _model_count(m, n, solve_sigma(m, n))
+
+
+def _model_count(m: int, n: int, sigma: float) -> int:
+    """:func:`count_via_model` at the solved tilt ``sigma`` of ``(m, n)``."""
     if sigma == float("-inf"):
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
     js = np.arange(m, n + 1, dtype=float)
@@ -121,17 +124,10 @@ def count_via_model(m: int, n: int) -> int:
     return int(nearest)
 
 
-@lru_cache(maxsize=None)
-def _count_distinct(rem: int, next_part: int) -> int:
-    if rem == 0:
-        return 1
-    if next_part > rem:
-        return 0
-    return _count_distinct(rem, next_part + 1) + _count_distinct(rem - next_part, next_part + 1)
-
-
 def count_via_enumeration(m: int, n: int) -> int:
-    """Count partitions of n into distinct parts >= m by recursive descent.
+    """Count partitions of n into distinct parts >= m by the 0/1 knapsack
+    over the parts m..n: ``counts[t]`` is the number of ways to write t with
+    the parts taken so far.
 
     Pure integer arithmetic; refuses n beyond the enumeration budget.
     """
@@ -140,9 +136,11 @@ def count_via_enumeration(m: int, n: int) -> int:
         raise PreconditionError(f"need n >= 1, got {n}")
     if n > ENUMERATION_LIMIT:
         raise PreconditionError(f"enumeration budget exceeded: n = {n} > {ENUMERATION_LIMIT}")
-    if m > n:
-        return 0
-    return _count_distinct(n, m)
+    counts = [1] + [0] * n
+    for j in range(m, n + 1):
+        for t in range(n, j - 1, -1):
+            counts[t] += counts[t - j]
+    return counts[n]
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,7 @@ def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
         raise PreconditionError(f"unknown mode {mode!r}")
     m = _normalize_m(m)
     sigma = solve_sigma(m, n)
-    q_model = count_via_model(m, n) if mode in ("model", "both") else None
+    q_model = _model_count(m, n, sigma) if mode in ("model", "both") else None
     q_enum = count_via_enumeration(m, n) if mode in ("enum", "both") else None
     if q_model is not None and q_enum is not None and q_model != q_enum:
         raise NumericsError(f"model count {q_model} disagrees with enumeration {q_enum}")

@@ -2,10 +2,11 @@
 
 The composed sum is ``S_n = sum_{k=1..n} X_{U_k}`` where the scenery values
 ``X_r`` are i.i.d. lattice variables and the index process ``U_j`` is an
-independent walk, here restricted to partial sums of i.i.d. positive integer
-increments ``Y_i`` so that no site is ever visited twice
-(``P{U_h = U_k} = 0`` for ``h != k``).  Each site r carries its own
-extraction level ``vartheta_r`` (a constant or a per-site profile).
+independent walk, the partial sums of i.i.d. integer increments ``Y_i``.
+Each site r carries its own extraction level ``vartheta_r`` (a constant or a
+per-site profile).  Strictly positive increments never visit a site twice
+(``P{U_h = U_k} = 0`` for ``h != k``); each oracle below states whether it
+needs that.
 
 Under no-revisits the second moments obey
 
@@ -14,8 +15,7 @@ Under no-revisits the second moments obey
 and in general the same identity holds with the extra correction
 ``(D^2/4) * sum_{h != k} c_{h,k}`` where
 ``c_{h,k} = sum_r vartheta_r P{U_h = r, U_k = r}``
-(nonzero only for index processes that can revisit, which this module admits
-for validating the formula and, as lazy walks, in the Monte Carlo oracle).
+(nonzero only for walks that can revisit, such as lazy or +-1 walks).
 
 The conditional summands ``Y_k = V_{U_k} + (D/2) eps_{U_k}`` satisfy the
 covariance factorization
@@ -59,10 +59,7 @@ from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
 from .lattice import LatticePmf, kappa_index, pmf_from_json, theta
 
-#: cap on the number of steps for full joint enumeration
-ENUMERATION_CAP = 5
-
-#: rough cap on enumerated atoms before rejecting an instance as too large
+#: cap on the (path, site outcome) pairs an exact enumeration may visit
 _ENUM_BUDGET = 5_000_000
 
 
@@ -70,10 +67,9 @@ _ENUM_BUDGET = 5_000_000
 class SceneryModel:
     """Laws of the i.i.d. scenery and of the index-walk increments.
 
-    ``increment_law`` must live on the integer lattice L(0, 1); its support
-    must be strictly positive unless ``allow_revisits`` is set (Python-API
-    escape hatch for the revisit correction c_{h,k} and for lazy walks in
-    the Monte Carlo oracle).
+    ``increment_law`` may be any law on the integer lattice L(0, 1): lazy
+    and +-1 walks are models too.  The oracles that need strictly positive
+    (or nonnegative) increments check that themselves.
     ``vartheta_profile`` is either one constant level or a map r -> level.
     """
 
@@ -81,17 +77,11 @@ class SceneryModel:
     increment_law: LatticePmf
     n: int
     vartheta_profile: float | Mapping[int, float]
-    allow_revisits: bool = False
 
     def __post_init__(self) -> None:
         inc = self.increment_law
         if abs(inc.D - 1.0) > 1e-12 or abs(inc.v0) > 1e-12:
             raise LatticeError("increment law must live on the integer lattice L(0, 1)")
-        if not self.allow_revisits and min(inc.support) < 1:
-            raise LatticeError(
-                "increments must be strictly positive integers (set allow_revisits "
-                "to test revisit corrections)"
-            )
         if self.n < 0:
             raise LatticeError(f"need n >= 0, got {self.n}")
         if self.constant_profile:
@@ -192,9 +182,17 @@ def c_hk(model: SceneryModel, h: int, k: int) -> float:
 # exact enumeration
 
 
-def _iter_paths(model: SceneryModel) -> Iterator[tuple[tuple[int, ...], float]]:
-    """All increment paths of length n with their probabilities."""
+def _iter_paths(model: SceneryModel, per_site: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """All increment paths of length n with their probabilities.
+
+    Refuses a model whose enumeration could visit more than ``_ENUM_BUDGET``
+    (path, site outcome) pairs: ``#steps^n`` paths, each with at most
+    ``per_site`` outcomes at each of its at most n distinct sites.
+    """
     steps = sorted(model.increment_law.probs.items())
+    # compared in logs, so that a large n costs nothing to refuse
+    if model.n * math.log(len(steps) * per_site) > math.log(_ENUM_BUDGET):
+        raise LatticeError("instance too large for exact enumeration (outcome budget)")
 
     def rec(depth: int, pos: int, prob: float, sites: list[int]) -> Iterator:
         if depth == model.n:
@@ -214,7 +212,6 @@ class _SiteAtom:
 
     x_val: float
     xi_val: float
-    eps: int
     prob: float
 
 
@@ -238,7 +235,6 @@ class _AtomCache:
                         _SiteAtom(
                             x_val=base + e * x.D * l,
                             xi_val=base + e * x.D / 2.0,
-                            eps=e,
                             prob=p * 0.5,
                         )
                     )
@@ -282,20 +278,17 @@ def second_moment_check(model: SceneryModel) -> SceneryMoments:
     """Compute E S_n, E S_n^2, E S'_n, E S'_n^2 by exhaustive enumeration of
     the joint space (increment path x per-site (V, eps, L) outcomes).
 
-    Rejects instances whose enumeration would exceed the budget; callers fall
-    back to Monte Carlo for those.
+    Any walk is admitted; revisits enter through ``c_{h,k}``.  Rejects, as a
+    ``LatticeError``, an instance whose enumeration could exceed
+    ``_ENUM_BUDGET`` outcomes, counted at the worst level of any profile.
     """
-    if model.n > ENUMERATION_CAP:
-        raise LatticeError(
-            f"instance too large for exact enumeration (n = {model.n} > {ENUMERATION_CAP})"
-        )
+    f = model.x_law.probs
+    # a level below theta_X keeps an eps = 0 atom at every support point
+    # beside the one eps = 1 atom per adjacent pair; the coin L doubles both
+    per_site = 2 * (len(f) + sum(k + 1 in f for k in f))
     atoms = _AtomCache(model)
-    n_steps = len(model.increment_law.probs)
-    per_site = 2 * max(len(split(model.x_law, theta(model.x_law)).joint), 1)
-    if n_steps**model.n * per_site**model.n > _ENUM_BUDGET:
-        raise LatticeError("instance too large for exact enumeration (outcome budget)")
     es = es2 = esp = esp2 = 0.0
-    for sites, pp in _iter_paths(model):
+    for sites, pp in _iter_paths(model, per_site):
         mult = Counter(sites)
         distinct = sorted(mult)
         for combo in itertools.product(*[atoms.at(r) for r in distinct]):
@@ -384,8 +377,6 @@ def y_covariance_factorization(
         raise LatticeError(f"indices must lie in 1..{model.n}")
     if min(model.increment_law.support) < 1:
         raise PreconditionError("covariance factorization requires strictly positive increments")
-    if len(model.increment_law.probs) ** model.n > _ENUM_BUDGET:
-        raise LatticeError("instance too large for exact enumeration")
     ind_a = indicator(interval_a)
     ind_b = indicator(interval_b)
 
@@ -403,7 +394,7 @@ def y_covariance_factorization(
 
     e_ab = e_a = e_b = 0.0
     e_tt = e_th = e_tk = 0.0
-    for sites, pp in _iter_paths(model):
+    for sites, pp in _iter_paths(model, 1):
         rh, rk = sites[h - 1], sites[k - 1]
         pa, pb = hit_prob(rh, 0), hit_prob(rk, 1)
         e_ab += pp * pa * pb

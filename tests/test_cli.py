@@ -186,6 +186,32 @@ class TestLltBound:
         assert err["kind"] == "input-error"
         assert "finite" in err["message"]
 
+    @pytest.mark.parametrize("ends", [["--kappa-from", "20", "--kappa-to", "40"],
+                                      ["--kappa-from", "20"], ["--kappa-to", "40"]])
+    def test_kappa_with_sweep_exits_2(self, capsys, bern_file, ends):
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "64", "--kappa", "32"] + ends)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input-error"
+
+    @pytest.mark.parametrize("mode", ["exact-plug-ins", "bounded-plug-ins"])
+    def test_sweep_above_cap_exits_2(self, capsys, bern_file, mode):
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "400", "--mode", mode,
+                                     "--kappa-from", "0", "--kappa-to", "1e12"])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert str(10**12 + 1) in err["message"] and str(WINDOW_CAP) in err["message"]
+
+    def test_sweep_at_cap_runs(self, capsys, bern_file, monkeypatch):
+        import lltkit.gamkrelidze
+
+        monkeypatch.setattr(lltkit.gamkrelidze, "WINDOW_CAP", 5)
+        argv = ["llt-bound", bern_file, "--n", "64", "--kappa-from", "30"]
+        code, out = run_cli(capsys, argv + ["--kappa-to", "34"])
+        assert code == 0 and len(json.loads(out)) == 5
+        code, out = run_cli(capsys, argv + ["--kappa-to", "35"])
+        assert code == 2 and "6 points" in json.loads(out)["error"]["message"]
+
     def test_csv_sweep_matches_json_values(self, capsys, bern_file):
         argv = ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6",
                 "--kappa-to", "10", "--h", "0.25"]
@@ -303,6 +329,27 @@ class TestOtherCommands:
         )
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "input-error"
+
+    def test_scenery_mc_without_kappa_exits_2(self, capsys, scenery_file):
+        code, out = run_cli(capsys, ["scenery", scenery_file, "--mc", "100"])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and "--kappa" in err["message"]
+
+    def test_scenery_lazy_walk_model(self, capsys, tmp_path):
+        # a walk that stays put: the moment check carries c_{h,k}, the
+        # envelope refuses the walk as a failed hypothesis
+        path = tmp_path / "lazy.json"
+        path.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                                    "increments": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                                    "n": 4, "vartheta": 0.5}))
+        code, out = run_cli(capsys, ["scenery", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["c_sum"] > 0 and abs(payload["identity_residual"]) <= 1e-12
+        code, out = run_cli(capsys, ["scenery", str(path), "--kappa", "2"])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "hypothesis-rejected"
 
     def test_scenery_mc_seed_zero_is_used(self, capsys, scenery_file):
         from lltkit import monte_carlo_point_prob, scenery_from_json

@@ -24,10 +24,11 @@ from lltkit import (
     scenery_from_json,
     second_moment_check,
     split,
+    theta,
     theta_n_scenery,
     y_covariance_factorization,
 )
-from lltkit.scenery import _chunk_rows
+from lltkit.scenery import _ENUM_BUDGET, _chunk_rows
 
 
 def bern():
@@ -94,12 +95,21 @@ def enumerate_sum_law(model):
 
 class TestModelValidation:
     def test_requires_positive_increments(self):
-        with pytest.raises(LatticeError):
-            SceneryModel(bern(), inc_pm1(), 3, 0.5)
+        # the model admits +-1 and lazy walks; each oracle that needs positive
+        # increments refuses them, Monte Carlo only the negative steps
+        pm1 = SceneryModel(bern(), inc_pm1(), 3, 0.5)
+        lazy = SceneryModel(bern(), lazy_inc(0.3), 3, 0.5)
+        for m in (pm1, lazy):
+            with pytest.raises(PreconditionError, match="strictly positive increments"):
+                scenery_envelope(m, 0.25, 1.0)
+            with pytest.raises(PreconditionError, match="strictly positive increments"):
+                y_covariance_factorization(m, 1, 2, (0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(PreconditionError, match="increments >= 0"):
+            monte_carlo_point_prob(pm1, 1.0, samples=1000, seed=1)
+        assert monte_carlo_point_prob(lazy, 1.0, samples=1000, seed=1).samples == 1000
 
     def test_revisit_flag_admits_them(self):
-        m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)},
-                         allow_revisits=True)
+        m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
         assert m.n == 3
 
     def test_increments_must_be_integer_lattice(self):
@@ -145,7 +155,7 @@ class TestCHK:
 
     def test_pm1_against_path_enumeration(self):
         prof = {r: 0.1 + 0.05 * ((r % 3) + 1) for r in range(-6, 7)}
-        m = SceneryModel(bern(), inc_pm1(), 4, prof, allow_revisits=True)
+        m = SceneryModel(bern(), inc_pm1(), 4, prof)
         h, k = 1, 3
         # oracle: c_{h,k} = sum_r vartheta_r P{U_h = r, U_k = r} over all paths
         acc = 0.0
@@ -158,16 +168,14 @@ class TestCHK:
         # direct check that c_{h,k} carries exactly the shortfall of the
         # positive-increment identity on a revisiting walk
         th = 0.4
-        m = SceneryModel(bern(), inc_pm1(), 3, {r: th for r in range(-5, 6)},
-                         allow_revisits=True)
+        m = SceneryModel(bern(), inc_pm1(), 3, {r: th for r in range(-5, 6)})
         mom = second_moment_check(m)
         gap = mom.es2 - mom.es2_prime - 0.25 * mom.theta_n
         assert gap == pytest.approx(0.25 * math.fsum(mom.c_matrix.values()), abs=1e-13)
 
     def test_constant_profile_scalar_factor(self):
         th = 0.4
-        m = SceneryModel(bern(), inc_pm1(), 4, {r: th for r in range(-6, 7)},
-                         allow_revisits=True)
+        m = SceneryModel(bern(), inc_pm1(), 4, {r: th for r in range(-6, 7)})
         sigma_2 = 0.5  # P{Y + Y' = 0} for two independent +-1 steps
         assert c_hk(m, 1, 3) == pytest.approx(sigma_2 * th, abs=1e-14)
 
@@ -181,7 +189,7 @@ class TestEpsilonComposition:
 
     def _model(self):
         prof = {r: 0.1 + 0.05 * ((r % 3) + 1) for r in range(-6, 8)}
-        return SceneryModel(bern(), inc_pm1(), 4, prof, allow_revisits=True)
+        return SceneryModel(bern(), inc_pm1(), 4, prof)
 
     @staticmethod
     def _eps_mass(model, r):
@@ -239,7 +247,7 @@ class TestSecondMomentCheck:
 
     def test_revisit_model_needs_c_correction(self):
         prof = {r: 0.4 for r in range(-5, 6)}
-        m = SceneryModel(bern(), inc_pm1(), 3, prof, allow_revisits=True)
+        m = SceneryModel(bern(), inc_pm1(), 3, prof)
         mom = second_moment_check(m)
         assert abs(mom.identity_residual) < 1e-12
         assert any(abs(c) > 1e-6 for c in mom.c_matrix.values())
@@ -251,6 +259,21 @@ class TestSecondMomentCheck:
     def test_too_large_rejected(self):
         with pytest.raises(LatticeError):
             second_moment_check(SceneryModel(bern(), inc_12(), 8, 0.5))
+
+    def test_budget_counts_levels_below_theta_x(self):
+        # uniform 6-point scenery: 7 (V, eps) atoms at theta_X but 11 at any
+        # lower level, so five unit steps at theta_X / 2 have 22^5 outcomes
+        uni6 = make_pmf(0.0, 1.0, [(k, 1) for k in range(6)])
+        level = theta(uni6) / 2
+        at_theta_x, at_level = (2 * len(split(uni6, v).joint) for v in (theta(uni6), level))
+        assert at_theta_x**5 <= _ENUM_BUDGET < at_level**5
+        with pytest.raises(LatticeError, match="outcome budget"):
+            second_moment_check(SceneryModel(uni6, inc_ones(), 5, level))
+        with pytest.raises(LatticeError, match="outcome budget"):
+            second_moment_check(SceneryModel(bern(), inc_ones(), 10**9, 0.5))
+        # the budget is the only size rule: n = 6 (6^6 outcomes) enumerates
+        mom = second_moment_check(SceneryModel(bern(), inc_ones(), 6, 0.5))
+        assert abs(mom.identity_residual) < 1e-12
 
 
 class TestCovarianceFactorization:
@@ -414,27 +437,26 @@ class TestMonteCarloLocalTimes:
     ], ids=["fair-coin", "three-point-gap"])
     def test_lazy_walk_matches_run_length_law(self, p0, x_law):
         n = 8
-        m = SceneryModel(x_law, lazy_inc(p0), n, {}, allow_revisits=True)
+        m = SceneryModel(x_law, lazy_inc(p0), n, {})
         assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=100_000, seed=5)
 
     def test_zero_first_step_opens_a_site(self):
         # a stay on step 1 must read the first site's draw, not wrap to site -1
         n, p0 = 3, 0.9
-        m = SceneryModel(bern(), lazy_inc(p0), n, 0.5, allow_revisits=True)
+        m = SceneryModel(bern(), lazy_inc(p0), n, 0.5)
         law = lazy_sum_law(bern(), p0, n)
         assert law[3] == pytest.approx(0.5 * p0**2 + 0.25 * 2 * p0 * (1 - p0)
                                        + 0.125 * (1 - p0) ** 2, abs=1e-15)
         assert_within_5_se(m, law, samples=200_000, seed=9)
 
     def test_all_stays_read_one_site(self):
-        m = SceneryModel(bern(), make_pmf(0.0, 1.0, [(0, 1)]), 6, 0.5, allow_revisits=True)
+        m = SceneryModel(bern(), make_pmf(0.0, 1.0, [(0, 1)]), 6, 0.5)
         est = monte_carlo_point_prob(m, 6.0, samples=20_000, seed=2)
         assert monte_carlo_point_prob(m, 3.0, samples=20_000, seed=2).p_hat == 0.0
         assert abs(est.p_hat - 0.5) <= 5 * math.sqrt(0.25 / 20_000)
 
     def test_negative_increments_refused(self):
-        m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)},
-                         allow_revisits=True)
+        m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
         with pytest.raises(PreconditionError, match="increments >= 0"):
             monte_carlo_point_prob(m, 1.0, samples=1000, seed=1)
 
