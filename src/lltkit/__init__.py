@@ -16,7 +16,6 @@ from .bounds import (
     PlugIns,
     SumSpec,
     bounded_plug_ins,
-    calibrate_c0,
     calibrate_c0_scan,
     calibrated_registry,
     central_envelope,
@@ -24,7 +23,6 @@ from .bounds import (
     chernoff_rho,
     de_moivre_envelope,
     exact_plug_ins,
-    exp_moment_gaussian,
     h_default,
     prepare_sum,
     psi_envelope,

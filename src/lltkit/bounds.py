@@ -156,10 +156,54 @@ def _half_pascal_step(row: np.ndarray) -> np.ndarray:
 
 def binomial_half_pmf(n: int) -> np.ndarray:
     """pmf of Binomial(n, 1/2) over z = 0..n via the halved Pascal recursion."""
+    if n < 0:
+        raise LatticeError(f"need n >= 0, got {n}")
     row = np.array([1.0])
     for _ in range(n):
         row = _half_pascal_step(row)
     return row
+
+
+#: consecutive n whose Gaussian terms :func:`calibrate_c0_scan` evaluates as
+#: one 2-D array, and whose window check it reruns on full rows if one fails
+_SCAN_BLOCK = 128
+
+#: entries per sqrt(n) in the central window of the half row that
+#: :func:`calibrate_c0_scan` evaluates: the window edge lies 2 * _SCAN_WINDOW
+#: standard deviations from the center
+_SCAN_WINDOW = 3.0
+
+
+def _scan_step(half: np.ndarray, tmp: np.ndarray, n: int, first: int) -> int:
+    """Advance the half row in ``half`` from n - 1 to n in place; returns the
+    index of its first nonzero entry.
+
+    ``half[z + 1]`` holds row entry z for ``z <= n // 2`` and ``half[0]`` is
+    0.0; ``first`` is the first nonzero entry of row n - 1.  Entry z of row
+    n is ``(old[z] + old[z - 1]) * 0.5``, the operations of
+    :func:`_half_pascal_step`; entries below ``first`` stay 0.0.
+    """
+    c = n // 2
+    if n % 2 == 0:
+        half[c + 1] = half[c]  # old[n/2] = old[n/2 - 1] by symmetry
+    t = tmp[first:c + 1]
+    np.add(half[first + 1:c + 2], half[first:c + 1], out=t)
+    np.multiply(t, 0.5, out=half[first + 1:c + 2])
+    while half[first + 1] == 0.0:
+        first += 1
+    return first
+
+
+def _gauss_terms(n, z):
+    """``sqrt(2/(pi n)) exp(-(2z - n)^2/(2n))`` with the operations of the
+    scan, for a scalar n or a column of n against rows of z."""
+    return np.sqrt(2.0 / (np.pi * n)) * np.exp(-((2.0 * z - n) ** 2) / (2.0 * n))
+
+
+def _half_row_gap(half: np.ndarray, n: int) -> float:
+    """``max_z |pmf(z) - gauss(z)|`` over the whole half row of n."""
+    row = half[1:n // 2 + 2]
+    return np.abs(row - _gauss_terms(n, np.arange(len(row)))).max()
 
 
 def calibrate_c0_scan(n_max: int) -> np.ndarray:
@@ -167,22 +211,65 @@ def calibrate_c0_scan(n_max: int) -> np.ndarray:
 
     Entry i holds the value for n = i + 1.  The running maximum of this array
     is the calibrated constant.
+
+    The entries are the doubles of the plain scan: the pmf row by the halved
+    Pascal recursion of :func:`binomial_half_pmf`, the Gaussian over the
+    whole row and the largest absolute difference.  Three facts let the scan
+    do less work for the same doubles.
+
+    1. *Symmetry.*  The computed row is symmetric, because float ``+``
+       commutes and ``* 0.5`` is the same operation on both sides, and so is
+       the computed Gaussian, because ``(2z - n)^2`` is the same double at z
+       and n - z.  Only the half row ``z <= n/2`` is kept, in one buffer;
+       entries that underflowed to 0.0 stay 0.0 and are not stepped.
+    2. *Monotone half row.*  The computed half row is nondecreasing, since
+       rounding is monotone (by induction, with the mirrored center at even
+       n), so the row entry just outside a central window bounds every row
+       entry further out.
+    3. *Gaussian tail.*  The Gaussian term just outside the window, times
+       ``1 + 1e-9`` for the few ulps of ``exp``, bounds every computed
+       Gaussian term further out.
+
+    With ``|b - g| <= max(b, g)`` for non-negative doubles b and g, no entry
+    outside the window can exceed the window's largest gap when both bounds
+    are at most that gap.  The window is the ``_SCAN_WINDOW * sqrt(n)``
+    entries of the half row nearest its center, and the gap is evaluated on
+    it for ``_SCAN_BLOCK`` consecutive n as one 2-D array.  If the check
+    fails for any n of a block, the block is rerun from its first half row
+    with the gap evaluated on whole half rows.
     """
     if n_max < 1:
         raise LatticeError(f"need n_max >= 1, got {n_max}")
-    row = np.array([1.0])
     out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        row = _half_pascal_step(row)
-        z = np.arange(n + 1)
-        gauss = np.sqrt(2.0 / (np.pi * n)) * np.exp(-((2.0 * z - n) ** 2) / (2.0 * n))
-        out[n - 1] = n**1.5 * np.abs(row - gauss).max()
+    half = np.zeros(n_max // 2 + 3)
+    half[1] = 1.0
+    tmp = np.empty_like(half)
+    first = 0
+    for start in range(1, n_max + 1, _SCAN_BLOCK):
+        ns = range(start, min(start + _SCAN_BLOCK, n_max + 1))
+        width = math.ceil(_SCAN_WINDOW * math.sqrt(ns[-1]))
+        if start // 2 >= width:  # every window leaves at least one entry out
+            saved, saved_first = half[:ns[-1] // 2 + 2].copy(), first
+            rows = np.empty((len(ns), width))
+            edge = np.empty(len(ns))
+            for j, n in enumerate(ns):
+                first = _scan_step(half, tmp, n, first)
+                a = n // 2 - width + 1  # the window is z = a..n//2
+                rows[j] = half[a + 1:a + width + 1]
+                edge[j] = half[a]
+            col = np.array(ns)[:, None]
+            z = col // 2 - width + 1 + np.arange(width)
+            gap = np.abs(rows - _gauss_terms(col, z)).max(axis=1)
+            outside = _gauss_terms(col[:, 0], z[:, 0] - 1) * (1.0 + 1e-9)
+            if (np.maximum(edge, outside) <= gap).all():
+                for j, n in enumerate(ns):  # n**1.5 in Python: numpy's power may round apart
+                    out[n - 1] = n**1.5 * gap[j]
+                continue
+            half[:len(saved)], first = saved, saved_first
+        for n in ns:
+            first = _scan_step(half, tmp, n, first)
+            out[n - 1] = n**1.5 * _half_row_gap(half, n)
     return out
-
-
-def calibrate_c0(n_max: int) -> float:
-    """Max over 1 <= n <= n_max of the scaled fair-coin/Gaussian gap."""
-    return float(calibrate_c0_scan(n_max).max())
 
 
 def calibrated_registry(n_max: int, ce: float = DEFAULT_CE) -> ConstantsRegistry:
@@ -261,7 +348,8 @@ def c0_scan_error_bound(n_max: int) -> np.ndarray:
         sqrt(2/pi) n (gamma_n + 32 u) + n^{3/2} (n + 2) 2^-1074.
 
     At n = 10^4 it is about 9e-9, against the 2.5e-6 between the scan
-    maximum and sqrt(2/pi)/4.
+    maximum and sqrt(2/pi)/4.  The windowed scan returns the same doubles as
+    the plain one over whole rows, so the bound is unchanged.
     """
     if n_max < 1:
         raise LatticeError(f"need n_max >= 1, got {n_max}")
@@ -453,14 +541,6 @@ def h_default(theta_n: float) -> float:
     value is at most 1/2.
     """
     return math.sqrt(7.0 * _log_theta_n(theta_n) / (2.0 * theta_n))
-
-
-def exp_moment_gaussian(a: float, b: float) -> float:
-    """``E exp(-a (b - g)^2)`` for standard normal g:
-    ``exp(-b^2/(2 + 1/a)) / sqrt(1 + 2a)``."""
-    if not (a > 0):
-        raise PreconditionError(f"need a > 0, got {a}")
-    return math.exp(-(b * b) / (2.0 + 1.0 / a)) / math.sqrt(1.0 + 2.0 * a)
 
 
 # ---------------------------------------------------------------------------

@@ -204,12 +204,15 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
 
     **Kernel.**  A part with ``count == 1`` is folded by its atoms: for each
     positive mass ``(k, w)``, in increasing k, ``w`` times the running array
-    is added at offset ``k s`` (nothing is dropped).  A part with ``count >=
-    2`` is densified on its own span and powered left to right over the bits
-    of ``count``: each round squares, then multiplies by the law when its
-    bit is set.  Products are real FFTs whose length ``N = 2^t`` is the
-    least power of two that holds the product, so the cyclic product is the
-    linear one.  Every round but the last runs in ``np.longdouble`` (``u =
+    is added at offset ``k s`` (nothing is dropped).  The adds run in place,
+    in one array of the final length allocated at the first count-1 part;
+    a two-atom part ``{0: a, j: b}`` scales the window by a and adds b times
+    it at j, the same roundings as ``0 + a x`` then ``+ b x``.  A part with
+    ``count >= 2`` is densified on its own span and powered left to right
+    over the bits of ``count``: each round squares, then multiplies by the
+    law when its bit is set.  Products are real FFTs whose length ``N =
+    2^t`` is the least power of two that holds the product, so the cyclic
+    product is the linear one.  Every round but the last runs in ``np.longdouble`` (``u =
     2^-64`` on x86-64; where it is double, ``u = 2^-53`` and the bound grows
     to match), because an error made there is amplified by up to ``2^(later
     squarings)``; the last round runs in double.  Entries of the power at or
@@ -275,9 +278,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     if not parts:
         raise LatticeError("need at least one summand")
     d = min(p.D for p, _ in parts)
-    acc, ab = np.array([1.0]), _Bounds(1.0, 1.0, 1.0)
-    lo, hi = 0, 1  # every nonzero entry of acc lies in acc[lo:hi]
-    first = 0
+    atoms, length = [], 1  # per part: stride and sorted atoms; the final length
     for p, count in parts:
         if count < 1:
             raise LatticeError(f"need n >= 1 summands, got {count}")
@@ -286,16 +287,37 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         if s < 1 or abs(r - s) > 1e-9 * max(1.0, s):
             raise LatticeError(f"incompatible spans: {p.D} is not an integer multiple of {d}")
         ks, w = map(np.array, zip(*sorted(p.probs.items())))
+        atoms.append((s, ks, w))
+        length += count * s * int(ks[-1] - ks[0])
+    acc, ab = np.array([1.0]), _Bounds(1.0, 1.0, 1.0)
+    size, lo, hi = 1, 0, 1  # the sum so far has length size; its nonzeros lie in acc[lo:hi]
+    whole = scratch = None  # the count-1 parts' accumulator of the final length
+    first = 0
+    for (_, count), (s, ks, w) in zip(parts, atoms):
         k0, span = int(ks[0]), int(ks[-1] - ks[0])
         ks, w = ks[w > 0] - k0, w[w > 0]
-        out = np.zeros(len(acc) + count * span * s)
+        size += count * span * s
         win = acc[lo:hi]
-        if count == 1:  # one shifted add per atom, in increasing k
-            for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
-                out[k:k + len(win)] += wk * win
-            ab = _direct_product(ab, _measured(w), min(len(win), len(w)))
+        if count == 1:  # one shifted add per atom, in increasing k, in place
+            if acc is not whole:
+                whole, scratch = np.zeros(length), np.empty(length)
+                whole[lo:hi] = win
+                acc = whole
+            x = scratch[:hi - lo]
+            if len(ks) == 2 and ks[0] == 0:  # {0: a, j: b}: a x, then b x added at j
+                np.multiply(acc[lo:hi], w[1], out=x)
+                acc[lo:hi] *= w[0]
+                j = lo + s * int(ks[1])
+                acc[j:j + len(x)] += x
+            else:
+                x[:] = acc[lo:hi]
+                acc[lo:hi] = 0.0
+                for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
+                    acc[k:k + len(x)] += wk * x
+            ab = _direct_product(ab, _measured(w), min(len(x), len(w)))
             lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
         else:
+            out = np.zeros(size)
             dense = np.zeros(span + 1)
             dense[ks] = w
             power, pb = _power(dense, count)
@@ -305,7 +327,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
             out[lo:hi] = np.convolve(win, spread)
             ab = _direct_product(ab, pb, min(len(win), len(spread)))
-        acc = out
+            acc = out
         first += count * s * k0
     total = math.fsum(acc[np.flatnonzero(acc)].tolist())
     n = sum(count for _, count in parts)

@@ -8,7 +8,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,6 @@ from lltkit import (
     PreconditionError,
     bernoulli,
     bounded_plug_ins,
-    calibrate_c0,
     calibrate_c0_scan,
     calibrated_registry,
     central_envelope,
@@ -28,7 +26,6 @@ from lltkit import (
     chernoff_rho,
     de_moivre_envelope,
     exact_plug_ins,
-    exp_moment_gaussian,
     h_default,
     iid_sum,
     make_pmf,
@@ -42,6 +39,7 @@ from lltkit import (
     theta,
     xi_law,
 )
+from lltkit import bounds
 from lltkit.bounds import (
     C0_TAIL_N_STAR,
     binomial_half_pmf,
@@ -54,6 +52,40 @@ from .conftest import random_pmf
 # frozen by the calibration scan; the per-n scaled gap increases with n
 C0_SCAN_100 = 0.19921869310773888
 C0_SCAN_1000 = 0.1994461751490505
+
+
+def _plain_scan(n_max: int) -> np.ndarray:
+    """The calibration scan as first written: whole Pascal rows, the
+    Gaussian over every z, one n at a time."""
+    row = np.array([1.0])
+    out = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        nxt = np.zeros(len(row) + 1)
+        nxt[:-1] += row
+        nxt[1:] += row
+        row = nxt * 0.5
+        z = np.arange(n + 1)
+        gauss = np.sqrt(2.0 / (np.pi * n)) * np.exp(-((2.0 * z - n) ** 2) / (2.0 * n))
+        out[n - 1] = n**1.5 * np.abs(row - gauss).max()
+    return out
+
+
+@pytest.fixture(scope="module")
+def plain_scan_5000():
+    return _plain_scan(5000)
+
+
+def _spy_whole_rows(monkeypatch) -> list:
+    """Record each n whose gap the scan evaluates on the whole half row."""
+    calls = []
+    whole = bounds._half_row_gap
+
+    def spy(half, n):
+        calls.append(n)
+        return whole(half, n)
+
+    monkeypatch.setattr(bounds, "_half_row_gap", spy)
+    return calls
 
 
 class TestConstantsRegistry:
@@ -86,8 +118,39 @@ class TestCalibrateC0:
         assert calibrate_c0_scan(2)[1] == pytest.approx(2**1.5 * gap_center, abs=1e-15)
 
     def test_frozen_scan_values(self):
-        assert calibrate_c0(100) == pytest.approx(C0_SCAN_100, abs=1e-14)
-        assert calibrate_c0(1000) == pytest.approx(C0_SCAN_1000, abs=1e-14)
+        assert calibrate_c0_scan(100).max() == pytest.approx(C0_SCAN_100, abs=1e-14)
+        assert calibrate_c0_scan(1000).max() == pytest.approx(C0_SCAN_1000, abs=1e-14)
+
+    def test_same_doubles_as_the_plain_scan(self, plain_scan_5000):
+        block = bounds._SCAN_BLOCK
+        n_maxes = [*range(1, 301), *range(1074, 1081), 5000]
+        n_maxes += [block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1]
+        for n_max in n_maxes:
+            assert np.array_equal(calibrate_c0_scan(n_max), plain_scan_5000[:n_max]), n_max
+
+    def test_windows_cover_every_block_after_the_first(self, monkeypatch, plain_scan_5000):
+        calls = _spy_whole_rows(monkeypatch)
+        assert np.array_equal(calibrate_c0_scan(5000), plain_scan_5000)
+        assert calls == list(range(1, bounds._SCAN_BLOCK + 1))
+
+    def test_failed_window_check_reruns_whole_rows(self, monkeypatch, plain_scan_5000):
+        calls = _spy_whole_rows(monkeypatch)
+        monkeypatch.setattr(bounds, "_SCAN_WINDOW", 0.2)  # too narrow: every check fails
+        assert np.array_equal(calibrate_c0_scan(2000), plain_scan_5000[:2000])
+        assert calls == list(range(1, 2001))
+
+    def test_half_rows_are_symmetric_and_nondecreasing(self):
+        # the two facts the scan's window check rests on, across the underflow onset
+        for n in [*range(0, 80), 1074, 1075, 1076, 1077, 2000, 2001]:
+            row = binomial_half_pmf(n)
+            assert np.array_equal(row, row[::-1])
+            assert (np.diff(row[:n // 2 + 1]) >= 0.0).all()
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(LatticeError):
+            binomial_half_pmf(-1)
+        with pytest.raises(LatticeError):
+            calibrate_c0_scan(0)
 
     def test_non_decreasing_in_n_max(self):
         scan = calibrate_c0_scan(200)
@@ -207,33 +270,6 @@ class TestHDefault:
 
     def test_theta_1e6(self):
         assert h_default(1e6) == pytest.approx(math.sqrt(7 * math.log(1e6) / 2e6), rel=1e-15)
-
-
-class TestExpMomentGaussian:
-    def test_b_zero(self):
-        assert exp_moment_gaussian(0.5, 0.0) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-
-    def test_a1_b1(self):
-        assert exp_moment_gaussian(1.0, 1.0) == pytest.approx(
-            math.exp(-1 / 3) / math.sqrt(3), rel=1e-15
-        )
-
-    def test_against_quadrature_grid(self):
-        for a in (0.1, 1.0, 10.0):
-            for b in (0.0, 1.0, 3.0):
-                val, _ = quad(
-                    lambda g: math.exp(-a * (b - g) ** 2)
-                    * math.exp(-g * g / 2)
-                    / math.sqrt(2 * math.pi),
-                    -12,
-                    12,
-                    epsabs=1e-13,
-                )
-                assert exp_moment_gaussian(a, b) == pytest.approx(val, abs=1e-10)
-
-    def test_rejects_nonpositive_a(self):
-        with pytest.raises(PreconditionError):
-            exp_moment_gaussian(0.0, 1.0)
 
 
 def _sum_shift(a, b):

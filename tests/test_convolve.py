@@ -25,6 +25,8 @@ from lltkit import (
     xi_law,
 )
 
+from lltkit.convolve import _power
+
 from .conftest import random_pmf
 
 
@@ -105,6 +107,40 @@ def _sequential_reference(parts):
             dense[(k - ks[0]) * s] = w
         acc = np.convolve(acc, dense)
         first += ks[0] * s
+    return first, acc / math.fsum(acc)
+
+
+def _fresh_array_fold(parts):
+    """The kernel of sum_law with a fresh zero array per part: one add per
+    atom in increasing k for a count-1 part, the FFT power over nonzero
+    windows for the others.
+    numpy.convolve in _sequential_reference rounds its dot products
+    differently, so only this reference pins the bits of the fold.
+    Returns (first index, masses)."""
+    d = min(p.D for p, _ in parts)
+    acc, lo, hi, first = np.array([1.0]), 0, 1, 0
+    for p, count in parts:
+        s = round(p.D / d)
+        ks, w = map(np.array, zip(*sorted(p.probs.items())))
+        k0, span = int(ks[0]), int(ks[-1] - ks[0])
+        ks, w = ks[w > 0] - k0, w[w > 0]
+        out = np.zeros(len(acc) + count * span * s)
+        win = acc[lo:hi]
+        if count == 1:
+            for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
+                out[k:k + len(win)] += wk * win
+            lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
+        else:
+            dense = np.zeros(span + 1)
+            dense[ks] = w
+            power, _ = _power(dense, count)
+            nz = np.flatnonzero(power)
+            spread = np.zeros((nz[-1] - nz[0]) * s + 1)
+            spread[::s] = power[nz[0]:nz[-1] + 1]
+            lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
+            out[lo:hi] = np.convolve(win, spread)
+        acc = out
+        first += count * s * k0
     return first, acc / math.fsum(acc)
 
 
@@ -279,6 +315,36 @@ class TestSparseFold:
             assert len(x) < 2000
         assert (law.first, len(law.probs)) == (0, 40001)
         assert law.err_abs <= 1e-13
+
+    def _assert_fresh_array_bits(self, parts):
+        law = sum_law(parts)
+        first, ref = _fresh_array_fold(parts)
+        assert law.first == first
+        assert np.array_equal(law.probs, ref)
+        first, ref = _sequential_reference(parts)
+        assert law.first == first
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        return law
+
+    def test_count_one_parts_after_a_power_keep_the_bits(self):
+        # the power's lowest entries fall below its error bound and are cut,
+        # so the running window starts past 0 when the two-atom parts come in
+        faint = make_pmf(0.0, 1.0, [(0, 1e-20), (1, 0.6), (2, 0.4)])
+        law = self._assert_fresh_array_bits([(faint, 3)] + _partition_model_parts(2, 40))
+        assert law.probs[0] == 0.0 and law.probs[1] == 0.0
+
+    def test_count_one_parts_with_many_atoms_keep_the_bits(self):
+        # the gapped laws list a massless first atom, so their masses start past 0
+        gapped = LatticePmf(0.0, 1.0, {0: 0.0, 1: 0.25, 3: 0.5, 4: 0.25})
+        gapped_pair = LatticePmf(0.0, 1.0, {0: 0.0, 2: 0.5, 3: 0.5})
+        parts = [(self._P, 1), (self._Q, 1), (gapped, 1)] + _partition_model_parts(1, 30)
+        self._assert_fresh_array_bits(parts + [(self._P, 1), (gapped_pair, 1), (gapped, 1)])
+
+    def test_count_one_parts_at_stride_two_keep_the_bits(self):
+        coarse = make_pmf(0.0, 2.0, [(0, 0.3), (1, 0.7)])
+        wide = make_pmf(0.0, 2.0, [(0, 0.2), (1, 0.3), (3, 0.5)])
+        unit = make_pmf(0.0, 1.0, [(0, 0.4), (1, 0.6)])
+        self._assert_fresh_array_bits([(coarse, 1), (unit, 1), (wide, 1), (coarse, 2), (wide, 1)])
 
     def test_two_powered_parts_match_the_sequential_reference(self):
         parts = [(self._P, 300), (self._Q, 300)]
