@@ -2,7 +2,7 @@
 """Random walk in random scenery: exact moment identities and the envelope.
 
 The walk visits strictly increasing integer sites; the scenery attaches an
-iid lattice variable to every site.  Small instances are enumerated exactly;
+iid lattice variable to every site.  Small walks are enumerated exactly;
 the composed-sum envelope is validated against a seeded Monte Carlo run.
 """
 
@@ -19,7 +19,7 @@ from lltkit import (
 bern = make_pmf(0, 1, [(0, 1), (1, 1)])
 inc12 = make_pmf(0, 1, [(1, 1), (2, 1)])
 
-print("=== exact second-moment identity (full joint enumeration) ===")
+print("=== exact second-moment identity (enumeration of the walk paths) ===")
 for profile, name in ((0.5, "constant vartheta = 1/2"),
                       ({r: 0.5 / (1 + 0.3 * r) for r in range(1, 9)}, "decaying profile")):
     model = SceneryModel(bern, inc12, 4, profile)

@@ -35,7 +35,6 @@ from .convolve import (
     iid_sum,
     kolmogorov_distance,
     llt_discrepancy,
-    standard_normal_cdf,
     sum_law,
 )
 from .errors import LatticeError, NumericsError, PreconditionError
@@ -57,7 +56,7 @@ from .lattice import (
     make_pmf,
     moments,
     pmf_from_json,
-    psi_moment,
+    psi_moments,
     span_multiple,
     theta,
 )

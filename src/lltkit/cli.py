@@ -326,7 +326,7 @@ def run(args: argparse.Namespace) -> tuple[int, Any]:
         return 1, {"error": {"kind": "hypothesis-rejected", "message": str(exc)}}
     except NumericsError as exc:
         return 2, {"error": {"kind": "numerical-failure", "message": str(exc)}}
-    except (LatticeError, KeyError) as exc:
+    except LatticeError as exc:
         return 2, {"error": {"kind": "input-error", "message": str(exc)}}
 
 

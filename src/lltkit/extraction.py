@@ -21,7 +21,6 @@ exactly ``D**2 * vartheta / 4``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import LatticeError, PreconditionError
@@ -50,14 +49,6 @@ class BernoulliSplit:
     vartheta: float
     tau: dict[int, float]
     joint: dict[tuple[int, int], float]
-
-    def margin_v(self, k: int) -> float:
-        """``P{V = v_k} = f(k) + (tau_k - tau_{k-1}) / 2``."""
-        return self.joint.get((k, 0), 0.0) + self.joint.get((k, 1), 0.0)
-
-    def margin_eps(self) -> float:
-        """``P{eps = 1}``; equals the extraction level."""
-        return math.fsum(p for (_, e), p in self.joint.items() if e == 1)
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,7 +41,7 @@ _TAIL_EPS = 1e-16
 #: most points an interval-discrepancy window (and its d-table) may hold
 WINDOW_CAP = 10**6
 
-#: absolute error of ``scipy.special.ndtr`` (:func:`lltkit.convolve.standard_normal_cdf`)
+#: bound on the absolute error of ``scipy.special.ndtr``, the normal CDF Phi
 _PHI_ERR = 1e-15
 
 

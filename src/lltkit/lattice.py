@@ -60,6 +60,16 @@ class LatticePmf:
         }
 
 
+def _integral(k, what: str) -> int:
+    """``k`` as an int: an int, or a float with an integral value; anything
+    else (a JSON ``true`` too) is a :class:`LatticeError` naming ``what``."""
+    if isinstance(k, int) and not isinstance(k, bool):
+        return k
+    if isinstance(k, float) and k.is_integer():
+        return int(k)
+    raise LatticeError(f"{what} must be an integer, got {k!r}")
+
+
 def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> LatticePmf:
     """Build a pmf from (index, weight) pairs.
 
@@ -72,11 +82,7 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
         raise LatticeError(f"lattice offset must be finite, got v0={v0!r}")
     merged: dict[int, float] = {}
     for k, w in entries:
-        if not isinstance(k, int):
-            if isinstance(k, float) and k.is_integer():
-                k = int(k)
-            else:
-                raise LatticeError(f"support index must be an integer, got {k!r}")
+        k = _integral(k, "support index")
         w = float(w)
         if not math.isfinite(w) or w < 0:
             raise LatticeError(f"weight at index {k} must be finite and >= 0, got {w!r}")
@@ -91,7 +97,7 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
 def pmf_from_json(obj: Mapping) -> LatticePmf:
     """Parse the pmf JSON schema produced by :meth:`LatticePmf.to_json_dict`."""
     try:
-        entries = [(int(k), float(w)) for k, w in obj["probs"]]
+        entries = [(k, float(w)) for k, w in obj["probs"]]
         return make_pmf(float(obj["v0"]), float(obj["D"]), entries)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, LatticeError):
@@ -168,11 +174,6 @@ def psi_moments(pmfs: Iterable[LatticePmf], psi: Callable[[float], float]) -> li
     """
     _check_psi(psi)
     return [math.fsum(psi(pmf.point(k)) * p for k, p in pmf.probs.items()) for pmf in pmfs]
-
-
-def psi_moment(pmf: LatticePmf, psi: Callable[[float], float]) -> float:
-    """``E psi(X)`` for one pmf; see :func:`psi_moments`."""
-    return psi_moments([pmf], psi)[0]
 
 
 def kappa_index(kappa: float, v0: float, d: float) -> int:

@@ -26,18 +26,21 @@ with ``beta`` a second-difference functional of the indicator; in particular
 a constant profile makes the Y_k i.i.d., which is what lets the plain
 two-sided envelope apply verbatim to the composed sum.
 
-The composed sum can equivalently be written through site occupation counts
-(``S_n = sum_r X_r * #{k : U_k = r}``, the walk's local time at r).  This
-explains why revisits are the only obstruction: with occupation counts at
-most one everywhere, the picked up values are plain i.i.d. draws.  The Monte
-Carlo oracle samples in this form, one scenery draw per visited site; it
-also admits lazy walks (increments >= 0 with ``P{Y = 0} > 0``), whose local
-times are the lengths of their runs of stays.
+Through the walk's local times ``l_r = #{k : U_k = r}``,
+``S_n = sum_r l_r X_r``: revisits are the only obstruction, since with every
+l_r at most one the picked-up values are plain i.i.d. draws.  Given the path,
+the values at distinct sites are independent, so the exact oracles enumerate
+increment paths only: ``E[S_n | path] = sum_r l_r mu_r`` and
+``E[S_n^2 | path] = sum_r l_r^2 sigma_r^2 + (sum_r l_r mu_r)^2``, with
+``mu_r``, ``sigma_r^2`` the mean and variance of X over the (V, eps, L)
+outcomes at r's level (likewise for S'_n with xi).  The Monte Carlo oracle
+samples one scenery draw per visited site; it also admits lazy walks
+(increments >= 0 with ``P{Y = 0} > 0``), whose local times are the lengths of
+their runs of stays.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -57,9 +60,9 @@ from .bounds import (
 from .convolve import SumLaw, sum_law
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
-from .lattice import LatticePmf, kappa_index, pmf_from_json, theta
+from .lattice import LatticePmf, _integral, _moments, kappa_index, pmf_from_json, theta
 
-#: cap on the (path, site outcome) pairs an exact enumeration may visit
+#: cap on the units of work of an exact enumeration (see :func:`_check_budget`)
 _ENUM_BUDGET = 5_000_000
 
 
@@ -127,11 +130,12 @@ def scenery_from_json(obj: Mapping) -> SceneryModel:
     """Parse the model JSON schema mirroring :meth:`SceneryModel.to_json_dict`."""
     try:
         prof = obj["vartheta"]
-        profile = float(prof) if isinstance(prof, (int, float)) else {int(r): float(v) for r, v in prof}
+        profile = (float(prof) if isinstance(prof, (int, float))
+                   else {_integral(r, "profile site"): float(v) for r, v in prof})
         return SceneryModel(
             x_law=pmf_from_json(obj["x_law"]),
             increment_law=pmf_from_json(obj["increments"]),
-            n=int(obj["n"]),
+            n=_integral(obj["n"], "n"),
             vartheta_profile=profile,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -140,17 +144,24 @@ def scenery_from_json(obj: Mapping) -> SceneryModel:
         raise LatticeError(f"malformed scenery model: {exc}") from exc
 
 
+def _walk_table(model: SceneryModel, upto: int) -> tuple[float, list[tuple[float, float]]]:
+    """Theta_n, and the walk-law table ``(E vartheta_{U_j}, P{U_j = 0})`` for
+    j = 1..upto, one :func:`sum_law` call each; a profile map needs the
+    table up to n for Theta_n."""
+    laws = (model.u_law(j) for j in range(1, upto + 1))
+    table = [(model.mean_level(law), law.mass(0)) for law in laws]
+    if model.constant_profile:
+        return model.n * float(model.vartheta_profile), table
+    theta_n = 0.0
+    for level, _ in table:
+        theta_n += level
+    return theta_n, table
+
+
 def theta_n_scenery(model: SceneryModel) -> float:
     """``Theta_n = sum_{j=1..n} E vartheta_{U_j}``; equals ``n * vartheta``
     exactly for a constant profile."""
-    if model.n == 0:
-        return 0.0
-    if model.constant_profile:
-        return model.n * float(model.vartheta_profile)
-    total = 0.0
-    for j in range(1, model.n + 1):
-        total += model.mean_level(model.u_law(j))
-    return total
+    return _walk_table(model, 0 if model.constant_profile else model.n)[0]
 
 
 def c_hk(model: SceneryModel, h: int, k: int) -> float:
@@ -182,72 +193,71 @@ def c_hk(model: SceneryModel, h: int, k: int) -> float:
 # exact enumeration
 
 
-def _iter_paths(model: SceneryModel, per_site: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """All increment paths of length n with their probabilities.
+def _check_budget(model: SceneryModel, per_path: int, extra: int = 0) -> None:
+    """Refuse, as a ``LatticeError``, an enumeration of the ``#steps^n``
+    increment paths that would do more than ``_ENUM_BUDGET`` units of work:
+    ``per_path`` units per path plus ``extra``."""
+    steps, n = len(model.increment_law.probs), model.n
+    # a coarse test in logs first, so that a large n costs nothing to refuse
+    too_large = n * math.log(steps) > math.log(_ENUM_BUDGET) + 1
+    if too_large or steps**n * per_path + extra > _ENUM_BUDGET:
+        raise LatticeError(f"exact enumeration of {steps}^{n} increment paths exceeds the "
+                           f"budget of {_ENUM_BUDGET} units of work")
 
-    Refuses a model whose enumeration could visit more than ``_ENUM_BUDGET``
-    (path, site outcome) pairs: ``#steps^n`` paths, each with at most
-    ``per_site`` outcomes at each of its at most n distinct sites.
-    """
+
+def _site_table(model: SceneryModel, js: set[int]) -> tuple[dict[int, float], dict]:
+    """The level of every site that U_j can reach for j in ``js``, each
+    checked for coverage and range by :meth:`SceneryModel.vartheta_at`, and,
+    per distinct level, its (V, eps, L) outcomes as three lists: the values
+    of X, those of xi, and their probabilities."""
+    sites, reach = set(), {0}
+    for j in range(1, max(js, default=0) + 1):
+        reach = {r + s for r in reach for s in model.increment_law.probs}
+        if j in js:
+            sites |= reach
+    levels = {r: model.vartheta_at(r) for r in sorted(sites)}
+    x = model.x_law
+    outcomes = {}
+    for v in set(levels.values()):
+        outcomes[v] = x_vals, xi_vals, probs = [], [], []
+        for (k, e), p in sorted(split(x, v).joint.items()):
+            base = x.v0 + x.D * k
+            for coin in (0, 1):
+                x_vals.append(base + e * x.D * coin)
+                xi_vals.append(base + e * x.D / 2.0)
+                probs.append(p * 0.5)
+    return levels, outcomes
+
+
+def _iter_paths(model: SceneryModel) -> Iterator[tuple[tuple[int, ...], float]]:
+    """All increment paths of length n, in lexicographic order of the steps:
+    the sites ``(U_1, ..., U_n)`` and the product of the step probabilities,
+    taken left to right.  Prefix sums and products are kept per depth, so a
+    path costs what its changed suffix costs, and no recursion bounds n."""
     steps = sorted(model.increment_law.probs.items())
-    # compared in logs, so that a large n costs nothing to refuse
-    if model.n * math.log(len(steps) * per_site) > math.log(_ENUM_BUDGET):
-        raise LatticeError("instance too large for exact enumeration (outcome budget)")
-
-    def rec(depth: int, pos: int, prob: float, sites: list[int]) -> Iterator:
-        if depth == model.n:
-            yield tuple(sites), prob
-            return
-        for s, p in steps:
-            sites.append(pos + s)
-            yield from rec(depth + 1, pos + s, prob * p, sites)
-            sites.pop()
-
-    yield from rec(0, 0, 1.0, [])
-
-
-@dataclass(frozen=True)
-class _SiteAtom:
-    """One (V, eps, L) outcome at a site: contributions to X and to xi."""
-
-    x_val: float
-    xi_val: float
-    prob: float
-
-
-class _AtomCache:
-    """Per-level outcome atoms; sites sharing a vartheta level share atoms."""
-
-    def __init__(self, model: SceneryModel) -> None:
-        self.model = model
-        self._cache: dict[float, tuple[_SiteAtom, ...]] = {}
-
-    def at(self, r: int) -> tuple[_SiteAtom, ...]:
-        v = self.model.vartheta_at(r)
-        if v not in self._cache:
-            x = self.model.x_law
-            sp = split(x, v)
-            atoms = []
-            for (k, e), p in sorted(sp.joint.items()):
-                base = x.v0 + x.D * k
-                for l in (0, 1):
-                    atoms.append(
-                        _SiteAtom(
-                            x_val=base + e * x.D * l,
-                            xi_val=base + e * x.D / 2.0,
-                            prob=p * 0.5,
-                        )
-                    )
-            self._cache[v] = tuple(atoms)
-        return self._cache[v]
+    n, last = model.n, len(steps) - 1
+    choice, pos, prob = [0] * n, [0] * (n + 1), [1.0] * (n + 1)  # index 0 is the start
+    i = 0  # the first depth whose prefix is stale
+    while i >= 0:
+        for j in range(i, n):
+            s, p = steps[choice[j]]
+            pos[j + 1], prob[j + 1] = pos[j] + s, prob[j] * p
+        yield tuple(pos[1:]), prob[n]
+        i = n - 1
+        while i >= 0 and choice[i] == last:
+            choice[i], i = 0, i - 1
+        if i >= 0:
+            choice[i] += 1
 
 
 @dataclass
 class SceneryMoments:
-    """First and second moments of S_n and S'_n from full joint enumeration."""
+    """First and second moments of S_n and S'_n, exact over the increment
+    paths, with ``theta_n`` and the revisit correction
+    ``c_sum = sum_{h != k} c_{h,k}`` of the identity."""
 
     theta_n: float
-    c_matrix: dict[tuple[int, int], float]
+    c_sum: float
     es: float
     es_prime: float
     es2: float
@@ -257,9 +267,8 @@ class SceneryMoments:
     @property
     def identity_residual(self) -> float:
         """``E S^2 - (E S'^2 + D^2 Theta/4 + (D^2/4) sum c_{h,k})``."""
-        c_sum = math.fsum(self.c_matrix.values())
         return self.es2 - (
-            self.es2_prime + self.d**2 * self.theta_n / 4.0 + self.d**2 / 4.0 * c_sum
+            self.es2_prime + self.d**2 * self.theta_n / 4.0 + self.d**2 / 4.0 * self.c_sum
         )
 
     def to_json_dict(self) -> dict:
@@ -269,55 +278,50 @@ class SceneryMoments:
             "es_prime": self.es_prime,
             "es2": self.es2,
             "es2_prime": self.es2_prime,
-            "c_sum": math.fsum(self.c_matrix.values()),
+            "c_sum": self.c_sum,
             "identity_residual": self.identity_residual,
         }
 
 
 def second_moment_check(model: SceneryModel) -> SceneryMoments:
-    """Compute E S_n, E S_n^2, E S'_n, E S'_n^2 by exhaustive enumeration of
-    the joint space (increment path x per-site (V, eps, L) outcomes).
+    """E S_n, E S_n^2, E S'_n and E S'_n^2, exact over the increment paths
+    with the conditional moments given each path (see the module docstring);
+    Theta_n and ``c_sum`` come from the laws of U_1..U_n, at most n
+    :func:`sum_law` calls.  Any walk is admitted; revisits enter through
+    ``c_{h,k}``.
 
-    Any walk is admitted; revisits enter through ``c_{h,k}``.  Rejects, as a
-    ``LatticeError``, an instance whose enumeration could exceed
-    ``_ENUM_BUDGET`` outcomes, counted at the worst level of any profile.
+    Refuses in logs, before anything is built and whatever the levels, an
+    instance of more than ``_ENUM_BUDGET`` units of work: ``#steps^n * n``
+    (path, step) pairs plus the ``n (n - 1)`` pairs of ``c_sum``.  The level
+    of every reachable site is checked before the first path.
     """
-    f = model.x_law.probs
-    # a level below theta_X keeps an eps = 0 atom at every support point
-    # beside the one eps = 1 atom per adjacent pair; the coin L doubles both
-    per_site = 2 * (len(f) + sum(k + 1 in f for k in f))
-    atoms = _AtomCache(model)
+    n = model.n
+    _check_budget(model, n, n * (n - 1))
+    levels, outcomes = _site_table(model, set(range(1, n + 1)))
+    revisits = min(model.increment_law.support) < 1
+    theta_n, table = _walk_table(model, n if revisits or not model.constant_profile else 0)
+    c_sum = 0.0
+    if revisits:  # the products of c_hk, pair by pair
+        pairs = ((h, k) for h in range(1, n + 1) for k in range(1, n + 1) if h != k)
+        c_sum = math.fsum(table[abs(k - h) - 1][1] * table[min(h, k) - 1][0] for h, k in pairs)
+    # (mean, variance) of X and of xi at each level, then at each site
+    moments = {v: (_moments(xs, ps), _moments(xis, ps)) for v, (xs, xis, ps) in outcomes.items()}
+    site = {r: moments[v] for r, v in levels.items()}
     es = es2 = esp = esp2 = 0.0
-    for sites, pp in _iter_paths(model, per_site):
-        mult = Counter(sites)
-        distinct = sorted(mult)
-        for combo in itertools.product(*[atoms.at(r) for r in distinct]):
-            w = pp
-            s = 0.0
-            s_prime = 0.0
-            for r, a in zip(distinct, combo):
-                w *= a.prob
-                s += mult[r] * a.x_val
-                s_prime += mult[r] * a.xi_val
-            es += w * s
-            es2 += w * s * s
-            esp += w * s_prime
-            esp2 += w * s_prime * s_prime
-    c_matrix = {
-        (h, k): c_hk(model, h, k)
-        for h in range(1, model.n + 1)
-        for k in range(1, model.n + 1)
-        if h != k
-    }
-    return SceneryMoments(
-        theta_n=theta_n_scenery(model),
-        c_matrix=c_matrix,
-        es=es,
-        es_prime=esp,
-        es2=es2,
-        es2_prime=esp2,
-        d=model.x_law.D,
-    )
+    for sites, pp in _iter_paths(model):
+        m = mp = v = vp = 0.0
+        for r, l in Counter(sites).items():
+            (mu, var), (mu_p, var_p) = site[r]
+            m += l * mu
+            mp += l * mu_p
+            v += l * l * var
+            vp += l * l * var_p
+        es += pp * m
+        es2 += pp * (v + m * m)
+        esp += pp * mp
+        esp2 += pp * (vp + mp * mp)
+    return SceneryMoments(theta_n=theta_n, c_sum=c_sum, es=es, es_prime=esp,
+                          es2=es2, es2_prime=esp2, d=model.x_law.D)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +371,9 @@ def y_covariance_factorization(
 ) -> CovarianceFactorization:
     """Exact check of
     ``Cov(1_A(Y_h), 1_B(Y_k)) = beta_A beta_B Cov(vartheta_{U_h}, vartheta_{U_k})``
-    on an enumerable instance with strictly positive increments.
+    on an enumerable instance with strictly positive increments: its
+    ``#steps^n`` paths are within ``_ENUM_BUDGET``, and the levels at the
+    sites of ``U_h`` and ``U_k`` are checked before the first path.
 
     ``|beta|`` is at most 1 for any interval.
     """
@@ -377,30 +383,23 @@ def y_covariance_factorization(
         raise LatticeError(f"indices must lie in 1..{model.n}")
     if min(model.increment_law.support) < 1:
         raise PreconditionError("covariance factorization requires strictly positive increments")
+    _check_budget(model, 1)
+    levels, outcomes = _site_table(model, {h, k})
     ind_a = indicator(interval_a)
     ind_b = indicator(interval_b)
-
-    atoms = _AtomCache(model)
-    hit_cache: dict[tuple[float, int], float] = {}
-
-    def hit_prob(r: int, which: int) -> float:
-        v = model.vartheta_at(r)
-        key = (v, which)
-        if key not in hit_cache:
-            ind = ind_a if which == 0 else ind_b
-            # xi outcomes repeat each (V, eps) atom for both coin values
-            hit_cache[key] = math.fsum(a.prob * ind(a.xi_val) for a in atoms.at(r))
-        return hit_cache[key]
+    # P{xi in A} and P{xi in B} at each level; xi repeats each (V, eps) atom
+    # for both coin values
+    hit_a, hit_b = ({v: math.fsum(p * ind(xi) for xi, p in zip(xis, ps))
+                     for v, (_, xis, ps) in outcomes.items()} for ind in (ind_a, ind_b))
 
     e_ab = e_a = e_b = 0.0
     e_tt = e_th = e_tk = 0.0
-    for sites, pp in _iter_paths(model, 1):
-        rh, rk = sites[h - 1], sites[k - 1]
-        pa, pb = hit_prob(rh, 0), hit_prob(rk, 1)
+    for sites, pp in _iter_paths(model):
+        th, tk = levels[sites[h - 1]], levels[sites[k - 1]]
+        pa, pb = hit_a[th], hit_b[tk]
         e_ab += pp * pa * pb
         e_a += pp * pa
         e_b += pp * pb
-        th, tk = model.vartheta_at(rh), model.vartheta_at(rk)
         e_tt += pp * th * tk
         e_th += pp * th
         e_tk += pp * tk

@@ -31,7 +31,7 @@ from lltkit import (
     make_pmf,
     prepare_sum,
     psi_envelope,
-    psi_moment,
+    psi_moments,
     refined_bernoulli_comparison,
     sandwich_envelope,
     split,
@@ -585,7 +585,7 @@ class TestBoundedPlugIns:
             return abs(x) ** 3
 
         support = len(uniform3.probs)
-        psi_moment(uniform3, psi)
+        psi_moments([uniform3], psi)
         check_calls = calls - support
         calls = 0
         n = 50

@@ -516,6 +516,47 @@ class TestSandwichVerdict:
         assert seen == [iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 1)]), 64).err_abs]
 
 
+class TestInputRules:
+    @pytest.mark.parametrize("command, obj", [
+        ("characteristics", {"v0": 0, "D": 1, "probs": [[0.5, 1], [1.5, 1]]}),
+        ("scenery", {"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                     "increments": {"v0": 0, "D": 1, "probs": [[1, 1]]},
+                     "n": 3.7, "vartheta": 0.5}),
+        ("scenery", {"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                     "increments": {"v0": 0, "D": 1, "probs": [[1, 1]]},
+                     "n": 2, "vartheta": [[1, 0.5], [1.9, 0.5]]}),
+    ], ids=["pmf-index", "scenery-n", "profile-site"])
+    def test_non_integral_number_exits_2(self, capsys, tmp_path, command, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_cli(capsys, [command, str(path)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and "must be an integer" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["llt-bound", "{coin}", "--n", "1000000000", "--kappa", "5"],
+        ["partition", "--m", "1", "--n", "5000", "--mode", "model"],
+    ], ids=["llt-bound", "partition"])
+    def test_exact_law_above_the_length_cap_exits_2(self, capsys, bern_file, argv):
+        code, out = run_cli(capsys, [a.format(coin=bern_file) for a in argv])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and "above the cap" in err["message"]
+
+    def test_key_error_in_a_command_propagates(self, bern_file, monkeypatch):
+        # every input parser turns its own KeyError into an input error, so
+        # one that reaches run is a defect, not bad input
+        import lltkit.cli
+
+        def defect(args):
+            raise KeyError("defect")
+
+        monkeypatch.setitem(lltkit.cli._COMMANDS, "characteristics", defect)
+        with pytest.raises(KeyError, match="defect"):
+            main(["characteristics", bern_file])
+
+
 class TestSuccessiveCalls:
     def test_call_order_does_not_change_output(self, capsys, bern_file, scenery_file):
         argvs = [

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from lltkit import (
     LatticeError,
@@ -19,12 +20,12 @@ from lltkit import (
     llt_discrepancy,
     make_pmf,
     split,
-    standard_normal_cdf,
     sum_law,
     theta,
     xi_law,
 )
 
+from lltkit import convolve
 from lltkit.convolve import _power
 
 from .conftest import random_pmf
@@ -354,6 +355,23 @@ class TestSparseFold:
         assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
 
+class TestLengthCap:
+    def test_refused_before_any_allocation(self, monkeypatch, fair_bernoulli):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the length check")
+
+        monkeypatch.setattr(convolve, "_LENGTH_CAP", 10)
+        assert len(sum_law([(fair_bernoulli, 9)]).probs) == 10  # at the cap
+        assert len(sum_law([(fair_bernoulli, 1)] * 9).probs) == 10
+        for name in ("zeros", "empty"):  # the pre-pass reads only the atoms
+            monkeypatch.setattr(np, name, no_alloc)
+        monkeypatch.setattr(convolve, "_power", no_alloc)
+        for parts in ([(fair_bernoulli, 10)], [(fair_bernoulli, 1)] * 10,
+                      [(fair_bernoulli, 4), (make_pmf(0.0, 2.0, [(0, 1), (3, 1)]), 1)]):
+            with pytest.raises(LatticeError, match="exact law of 11 points, above the cap of 10"):
+                sum_law(parts)
+
+
 class TestPoissonBinomial:
     def test_two_halves(self):
         law = sum_law([(bernoulli(0.5), 2)])
@@ -398,7 +416,7 @@ class TestKolmogorovDistance:
     def test_two_point_symmetric(self):
         p = make_pmf(0.0, 2.0, [(0, 1), (1, 1)])  # mass at -1, +1 after centering
         d = kolmogorov_distance(sum_law([(p, 1)]), center=1.0, scale=1.0)
-        assert d == pytest.approx(0.5 - standard_normal_cdf(-1.0), abs=1e-15)
+        assert d == pytest.approx(0.5 - float(ndtr(-1.0)), abs=1e-15)
 
     def test_point_mass(self, point_mass):
         assert kolmogorov_distance(iid_sum(point_mass, 1), 0.0, 1.0) == pytest.approx(0.5)
@@ -433,7 +451,7 @@ class TestKolmogorovDistance:
             if p > 0.0:
                 pts.append((law.v0 + law.D * (law.first + i) - center) / scale)
                 w.append(p)
-        phi = np.array([standard_normal_cdf(x) for x in pts])
+        phi = np.array([float(ndtr(x)) for x in pts])
         after = np.cumsum(w)
         ref = float(np.maximum(np.abs(after - phi), np.abs(after - np.array(w) - phi)).max())
         assert kolmogorov_distance(law, center, scale) == ref

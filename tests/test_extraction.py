@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ class TestSplit:
         assert sp.joint[(0, 1)] == 0.25
         assert sp.joint[(0, 0)] == pytest.approx(0.375)
         assert sp.joint[(1, 0)] == pytest.approx(0.375)
-        assert sp.margin_eps() == pytest.approx(0.25)
+        assert sum(p for (_, e), p in sp.joint.items() if e == 1) == pytest.approx(0.25)
 
     def test_point_mass_rejected(self, point_mass):
         with pytest.raises(PreconditionError):
@@ -61,8 +63,10 @@ class TestSplit:
         f = uniform3.probs
         for k in set(f) | {max(f) + 1}:
             expected = f.get(k, 0.0) + (sp.tau.get(k, 0.0) - sp.tau.get(k - 1, 0.0)) / 2.0
-            assert sp.margin_v(k) == pytest.approx(expected, abs=1e-15)
-        assert sp.margin_eps() == pytest.approx(0.4, abs=1e-15)
+            margin_v = sp.joint.get((k, 0), 0.0) + sp.joint.get((k, 1), 0.0)
+            assert margin_v == pytest.approx(expected, abs=1e-15)
+        margin_eps = math.fsum(p for (_, e), p in sp.joint.items() if e == 1)
+        assert margin_eps == pytest.approx(0.4, abs=1e-15)
 
 
 class TestReconstruct:

@@ -16,7 +16,7 @@ from lltkit import (
     make_pmf,
     moments,
     pmf_from_json,
-    psi_moment,
+    psi_moments,
     span_multiple,
     theta,
 )
@@ -66,6 +66,14 @@ class TestMakePmf:
         with pytest.raises(LatticeError):
             pmf_from_json({"v0": 0, "D": 1})
 
+    def test_json_index_must_be_integral(self):
+        # refused, not truncated to the indices 0 and 1
+        with pytest.raises(LatticeError, match="support index must be an integer, got 0.5"):
+            pmf_from_json({"v0": 0, "D": 1, "probs": [[0.5, 1], [1.5, 1]]})
+        with pytest.raises(LatticeError, match="support index must be an integer, got True"):
+            pmf_from_json({"v0": 0, "D": 1, "probs": [[True, 1], [False, 1]]})
+        assert pmf_from_json({"v0": 0, "D": 1, "probs": [[1.0, 1]]}).probs == {1: 1.0}
+
 
 class TestTheta:
     def test_fair_bernoulli(self, fair_bernoulli):
@@ -113,21 +121,21 @@ class TestMoments:
 
 class TestPsiMoment:
     def test_cube_on_bernoulli(self, fair_bernoulli):
-        assert psi_moment(fair_bernoulli, lambda x: abs(x) ** 3) == pytest.approx(0.5)
+        assert psi_moments([fair_bernoulli], lambda x: abs(x) ** 3)[0] == pytest.approx(0.5)
 
     def test_square_boundary_admissible(self, uniform3):
-        assert psi_moment(uniform3, lambda x: x * x) == pytest.approx(5.0 / 3.0)
+        assert psi_moments([uniform3], lambda x: x * x)[0] == pytest.approx(5.0 / 3.0)
 
     def test_cube_on_point_mass(self, point_mass):
-        assert psi_moment(point_mass, lambda x: abs(x) ** 3) == 0.0
+        assert psi_moments([point_mass], lambda x: abs(x) ** 3)[0] == 0.0
 
     def test_rejects_odd_function(self, fair_bernoulli):
         with pytest.raises(LatticeError):
-            psi_moment(fair_bernoulli, lambda x: x**3)  # odd, not even
+            psi_moments([fair_bernoulli], lambda x: x**3)  # odd, not even
 
     def test_rejects_concave_growth(self, fair_bernoulli):
         with pytest.raises(LatticeError):
-            psi_moment(fair_bernoulli, lambda x: math.sqrt(abs(x)))
+            psi_moments([fair_bernoulli], lambda x: math.sqrt(abs(x)))
 
 
 class TestKappaIndex:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter, namedtuple
 from itertools import product
 
 import numpy as np
@@ -24,11 +25,13 @@ from lltkit import (
     scenery_from_json,
     second_moment_check,
     split,
+    sum_law,
     theta,
     theta_n_scenery,
     y_covariance_factorization,
 )
-from lltkit.scenery import _ENUM_BUDGET, _chunk_rows
+from lltkit import scenery
+from lltkit.scenery import _chunk_rows
 
 
 def bern():
@@ -125,6 +128,18 @@ class TestModelValidation:
         with pytest.raises(LatticeError):
             theta_n_scenery(m)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", 3.7, "n must be an integer, got 3.7"),
+        ("n", True, "n must be an integer, got True"),
+        ("vartheta", [[1, 0.5], [1.9, 0.5]], "profile site must be an integer, got 1.9"),
+    ])
+    def test_json_integers_must_be_integral(self, field, value, match):
+        # refused, not truncated (n = 3.7 to 3, site 1.9 to 1)
+        obj = {**SceneryModel(bern(), inc_ones(), 2, 0.5).to_json_dict(), field: value}
+        with pytest.raises(LatticeError, match=match):
+            scenery_from_json(obj)
+        assert scenery_from_json({**obj, field: 2.0 if field == "n" else [[1.0, 0.5]]})
+
     def test_json_round_trip(self):
         m = SceneryModel(bern(), inc_12(), 4, {r: 0.25 for r in range(1, 9)})
         m2 = scenery_from_json(m.to_json_dict())
@@ -171,7 +186,7 @@ class TestCHK:
         m = SceneryModel(bern(), inc_pm1(), 3, {r: th for r in range(-5, 6)})
         mom = second_moment_check(m)
         gap = mom.es2 - mom.es2_prime - 0.25 * mom.theta_n
-        assert gap == pytest.approx(0.25 * math.fsum(mom.c_matrix.values()), abs=1e-13)
+        assert gap == pytest.approx(0.25 * mom.c_sum, abs=1e-13)
 
     def test_constant_profile_scalar_factor(self):
         th = 0.4
@@ -250,30 +265,173 @@ class TestSecondMomentCheck:
         m = SceneryModel(bern(), inc_pm1(), 3, prof)
         mom = second_moment_check(m)
         assert abs(mom.identity_residual) < 1e-12
-        assert any(abs(c) > 1e-6 for c in mom.c_matrix.values())
+        assert mom.c_sum > 1e-6
 
     def test_mean_preserved(self):
         mom = second_moment_check(SceneryModel(bern(), inc_12(), 4, 0.5))
         assert mom.es == pytest.approx(mom.es_prime, abs=1e-13)
 
     def test_too_large_rejected(self):
-        with pytest.raises(LatticeError):
-            second_moment_check(SceneryModel(bern(), inc_12(), 8, 0.5))
-
-    def test_budget_counts_levels_below_theta_x(self):
-        # uniform 6-point scenery: 7 (V, eps) atoms at theta_X but 11 at any
-        # lower level, so five unit steps at theta_X / 2 have 22^5 outcomes
-        uni6 = make_pmf(0.0, 1.0, [(k, 1) for k in range(6)])
-        level = theta(uni6) / 2
-        at_theta_x, at_level = (2 * len(split(uni6, v).joint) for v in (theta(uni6), level))
-        assert at_theta_x**5 <= _ENUM_BUDGET < at_level**5
-        with pytest.raises(LatticeError, match="outcome budget"):
-            second_moment_check(SceneryModel(uni6, inc_ones(), 5, level))
-        with pytest.raises(LatticeError, match="outcome budget"):
+        # 2^19 paths x 19 steps is above the 5e6 budget; so is any huge n
+        with pytest.raises(LatticeError, match="2\\^19 increment paths exceeds the budget"):
+            second_moment_check(SceneryModel(bern(), inc_12(), 19, 0.5))
+        with pytest.raises(LatticeError, match="budget"):
             second_moment_check(SceneryModel(bern(), inc_ones(), 10**9, 0.5))
-        # the budget is the only size rule: n = 6 (6^6 outcomes) enumerates
-        mom = second_moment_check(SceneryModel(bern(), inc_ones(), 6, 0.5))
-        assert abs(mom.identity_residual) < 1e-12
+        # one step law: the n (n - 1) pairs of c_sum set the limit
+        with pytest.raises(LatticeError, match="budget"):
+            second_moment_check(SceneryModel(bern(), inc_ones(), 2300, 0.5))
+        mom = second_moment_check(SceneryModel(bern(), inc_ones(), 2000, 0.5))
+        assert mom.es2 == pytest.approx(mom.es2_prime + 0.25 * 1000, rel=1e-12)
+
+    def test_budget_does_not_depend_on_level(self, monkeypatch):
+        # uniform 6-point scenery: 7 (V, eps) atoms at theta_X but 11 below
+        # it; the work is 2^4 paths x 4 steps plus 4 x 3 pairs = 76 units at
+        # either level
+        uni6 = make_pmf(0.0, 1.0, [(k, 1) for k in range(6)])
+        for level in (theta(uni6), theta(uni6) / 2):
+            m = SceneryModel(uni6, inc_12(), 4, level)
+            monkeypatch.setattr(scenery, "_ENUM_BUDGET", 76)
+            assert abs(second_moment_check(m).identity_residual) < 1e-12
+            monkeypatch.setattr(scenery, "_ENUM_BUDGET", 75)
+            with pytest.raises(LatticeError, match="budget of 75 units"):
+                second_moment_check(m)
+
+    def test_lazy_walk_n16(self):
+        m = SceneryModel(bern(), make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.7)]), 16, 0.5)
+        mom = second_moment_check(m)
+        assert mom.c_sum > 0
+        assert abs(mom.identity_residual) <= 1e-12 * mom.es2
+
+
+Atom = namedtuple("Atom", "x_val xi_val prob")
+
+
+def reference_moments(model):
+    """The product-space enumeration the path oracle replaced, kept as its
+    reference: every increment path times every (V, eps, L) outcome at each
+    distinct site the path visits."""
+
+    def atoms_at(r):
+        return [Atom(x, xi, p) for x, xi, _, p in site_outcomes(model, r)]
+
+    es = es2 = esp = esp2 = 0.0
+    for sites, pp in iter_paths(model):
+        mult = Counter(sites)
+        distinct = sorted(mult)
+        for combo in product(*[atoms_at(r) for r in distinct]):
+            w = pp
+            s = 0.0
+            s_prime = 0.0
+            for r, a in zip(distinct, combo):
+                w *= a.prob
+                s += mult[r] * a.x_val
+                s_prime += mult[r] * a.xi_val
+            es += w * s
+            es2 += w * s * s
+            esp += w * s_prime
+            esp2 += w * s_prime * s_prime
+    return es, esp, es2, esp2
+
+
+def uni3():
+    return make_pmf(0.0, 1.0, [(0, 1), (1, 1), (2, 1)])
+
+
+def skew3():
+    return make_pmf(0.0, 1.0, [(0, 5), (1, 3), (2, 2)])
+
+
+REFERENCE_MODELS = {
+    "unit-coin-constant": lambda: SceneryModel(bern(), inc_ones(), 5, 0.5),
+    "12-coin-map": lambda: SceneryModel(
+        bern(), inc_12(), 4, {r: 0.5 / (1 + 0.3 * r) for r in range(1, 9)}),
+    "lazy01-coin-below": lambda: SceneryModel(
+        bern(), make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.7)]), 5, 0.25),
+    "pm1-coin-map": lambda: SceneryModel(
+        bern(), inc_pm1(), 4, {r: 0.1 + 0.05 * ((r % 3) + 1) for r in range(-6, 7)}),
+    "12-uni3-theta": lambda: SceneryModel(uni3(), inc_12(), 3, theta(uni3())),
+    "pm1-uni3-below": lambda: SceneryModel(uni3(), inc_pm1(), 3, theta(uni3()) / 2),
+    "lazy012-skew3-map-below": lambda: SceneryModel(
+        skew3(), lazy_inc(0.3), 3, {r: theta(skew3()) * (0.4 + 0.1 * (r % 4)) for r in range(7)}),
+}
+
+
+def no_paths(model):
+    raise AssertionError("paths enumerated before the refusal")
+
+
+class TestPathEnumeration:
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_agrees_with_product_space_reference(self, name):
+        m = REFERENCE_MODELS[name]()
+        mom = second_moment_check(m)
+        got = (mom.es, mom.es_prime, mom.es2, mom.es2_prime)
+        for g, ref in zip(got, reference_moments(m)):
+            assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref)), (name, got)
+        assert abs(mom.identity_residual) <= 1e-12 * max(1.0, mom.es2)
+
+    @pytest.mark.parametrize("name", ["pm1-coin-map", "lazy01-coin-below", "pm1-uni3-below",
+                                      "lazy012-skew3-map-below"])
+    def test_c_sum_is_fsum_of_c_hk(self, name):
+        m = REFERENCE_MODELS[name]()
+        pairs = [(h, k) for h in range(1, m.n + 1) for k in range(1, m.n + 1) if h != k]
+        assert second_moment_check(m).c_sum == math.fsum(c_hk(m, h, k) for h, k in pairs)
+
+    @pytest.mark.parametrize("name", REFERENCE_MODELS)
+    def test_at_most_n_sum_law_calls(self, name, monkeypatch):
+        calls = []
+
+        def counted(parts):
+            calls.append(parts)
+            return sum_law(parts)
+
+        monkeypatch.setattr(scenery, "sum_law", counted)
+        m = REFERENCE_MODELS[name]()
+        second_moment_check(m)
+        assert len(calls) <= m.n
+        if m.constant_profile and min(m.increment_law.support) >= 1:
+            assert not calls
+
+    def test_theta_n_and_c_sum_pinned(self):
+        # the values the per-pair loop gave before the walk-law table
+        pinned = {
+            "pm1-coin-map": (0.815625, 0.4125),
+            "lazy01-coin-below": (1.25, 0.76605),
+            "pm1-uni3-below": (1.0, 0.3333333333333333),
+            "lazy012-skew3-map-below": (0.8084250000000001, 0.36524999999999996),
+            "12-coin-map": (1.0112058479196824, 0.0),
+        }
+        for name, (theta_n, c_sum) in pinned.items():
+            mom = second_moment_check(REFERENCE_MODELS[name]())
+            assert (mom.theta_n, mom.c_sum) == (theta_n, c_sum), name
+
+    @pytest.mark.parametrize("prof, kind, match", [
+        # site 0 is reachable only at step 2
+        ({r: 0.4 for r in (-3, -2, -1, 1, 2, 3)}, LatticeError, "reachable site 0"),
+        ({**{r: 0.4 for r in range(-3, 4)}, 0: 0.9}, PreconditionError, "site 0 outside"),
+    ])
+    def test_levels_checked_before_the_first_path(self, prof, kind, match, monkeypatch):
+        monkeypatch.setattr(scenery, "_iter_paths", no_paths)
+        with pytest.raises(kind, match=match):
+            second_moment_check(SceneryModel(bern(), inc_pm1(), 3, prof))
+
+    def test_budget_checked_before_anything_is_built(self, monkeypatch):
+        monkeypatch.setattr(scenery, "_iter_paths", no_paths)
+        monkeypatch.setattr(scenery, "sum_law", no_paths)
+        monkeypatch.setattr(scenery, "split", no_paths)
+        for n in (19, 10**9):
+            with pytest.raises(LatticeError, match="budget"):
+                second_moment_check(SceneryModel(bern(), inc_pm1(), n, {}))
+            with pytest.raises(LatticeError, match="budget"):
+                y_covariance_factorization(
+                    SceneryModel(bern(), inc_12(), 4 * n, {}), 1, 2, (0, 1), (0, 1))
+
+    def test_moment_check_reads_every_reachable_site(self):
+        # {1, 2} steps, n = 3: sites 1..6; 1 only at step 1, 6 only at step 3
+        for missing in (1, 6):
+            prof = {r: 0.4 for r in range(1, 7) if r != missing}
+            with pytest.raises(LatticeError, match=f"reachable site {missing}"):
+                second_moment_check(SceneryModel(bern(), inc_12(), 3, prof))
 
 
 class TestCovarianceFactorization:
@@ -307,6 +465,37 @@ class TestCovarianceFactorization:
         m = SceneryModel(bern(), inc_12(), 4, 0.5)
         with pytest.raises(LatticeError):
             y_covariance_factorization(m, 2, 2, (0, 1), (0, 1))
+
+    def test_outputs_pinned(self):
+        # the values of the per-site atom cache this check used to read
+        prof = {r: 0.5 / (1 + 0.3 * r) for r in range(1, 9)}
+        lhs = 0.00012604326183696113
+        cases = [
+            (0.5, (0.5, 1.0), (0.0, 0.5), (0.0, 0.0, 0.5, 0.5, 0.0)),
+            (prof, (0.5, 1.0), (0.0, 0.5), (lhs, 0.0001260432618368501, 0.5, 0.5,
+                                            0.0005041730473474004)),
+            (prof, (0.0, 0.0), (1.0, 1.0), (0.0001260432618367946, 0.0001260432618368501,
+                                            -0.5, -0.5, 0.0005041730473474004)),
+            (prof, (-1.0, 0.5), (0.5, 2.0), (lhs, 0.0001260432618368501, 0.5, 0.5,
+                                             0.0005041730473474004)),
+        ]
+        for profile, a, b, pinned in cases:
+            f = y_covariance_factorization(SceneryModel(bern(), inc_12(), 4, profile), 1, 3, a, b)
+            assert (f.lhs, f.rhs, f.beta_a, f.beta_b, f.cov_vartheta) == pinned
+
+    def test_reads_only_the_sites_of_u_h_and_u_k(self, monkeypatch):
+        # {1, 2} steps: U_1 reaches 1..2 and U_3 reaches 3..6; U_4's 7 and 8
+        # are never read
+        full = {r: 0.5 / (1 + 0.3 * r) for r in range(1, 9)}
+        part = {r: full[r] for r in range(1, 7)}
+        args = (1, 3, (0.5, 1.0), (0.0, 0.5))
+        assert (y_covariance_factorization(SceneryModel(bern(), inc_12(), 4, part), *args)
+                == y_covariance_factorization(SceneryModel(bern(), inc_12(), 4, full), *args))
+        monkeypatch.setattr(scenery, "_iter_paths", no_paths)
+        for missing in (1, 4):
+            prof = {r: v for r, v in part.items() if r != missing}
+            with pytest.raises(LatticeError, match=f"reachable site {missing}"):
+                y_covariance_factorization(SceneryModel(bern(), inc_12(), 4, prof), *args)
 
 
 class TestSceneryEnvelope:
