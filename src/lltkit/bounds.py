@@ -111,7 +111,13 @@ class PlugIns:
 
 @dataclass
 class BoundReport:
-    """Lower/upper envelope at one lattice point, with all intermediates."""
+    """Lower/upper envelope at one lattice point, with all intermediates.
+
+    ``exact`` is ``P{S_n = kappa}`` from an exact oracle, or None, and
+    ``exact_err`` bounds its floating-point error (a law's ``err_abs``).
+    :attr:`sandwich_ok` is the envelope's verdict on it; :meth:`row` is one
+    row of a sweep and :meth:`to_json_dict` the single-point output.
+    """
 
     kappa: float
     exact: float | None
@@ -119,49 +125,66 @@ class BoundReport:
     lower: float
     upper: float
     params: dict
+    exact_err: float = 0.0
 
     @property
     def lower_negative(self) -> bool:
         return self.lower < 0.0
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+    @property
+    def sandwich_ok(self) -> bool | None:
+        """Whether ``lower <= exact <= upper``: true or false only when the
+        envelope decides it by more than ``exact_err``, None otherwise and
+        when there is no exact value."""
+        if self.exact is None:
+            return None
+        margin = min(self.exact - self.lower, self.upper - self.exact)
+        return margin > 0.0 if abs(margin) > self.exact_err else None
 
-    def to_json_dict(self, constants: ConstantsRegistry | None = None) -> dict:
+    def row(self) -> dict:
+        """The values, the width and, with an exact value, the verdict."""
         out = {
             "kappa": self.kappa,
             "exact": self.exact,
             "gaussian": self.gaussian,
             "lower": self.lower,
             "upper": self.upper,
+            "envelope_width": self.upper - self.lower,
+        }
+        if self.exact is not None:
+            out["sandwich_ok"] = self.sandwich_ok
+        return out
+
+    def to_json_dict(self, constants: ConstantsRegistry) -> dict:
+        """:meth:`row` plus ``lower_negative``, the parameters and the constants."""
+        return {
+            **self.row(),
             "lower_negative": self.lower_negative,
             "params": dict(self.params),
+            "constants": constants.to_json_dict(),
         }
-        if constants is not None:
-            out["constants"] = constants.to_json_dict()
-        return out
 
 
 # ---------------------------------------------------------------------------
 # calibration of the fair-coin comparison constant
 
 
-def _half_pascal_step(row: np.ndarray) -> np.ndarray:
-    """Binomial(n + 1, 1/2) pmf from the Binomial(n, 1/2) pmf ``row``."""
-    nxt = np.zeros(len(row) + 1)
-    nxt[:-1] += row
-    nxt[1:] += row
-    return nxt * 0.5
-
-
 def binomial_half_pmf(n: int) -> np.ndarray:
-    """pmf of Binomial(n, 1/2) over z = 0..n via the halved Pascal recursion."""
+    """pmf of Binomial(n, 1/2) over z = 0..n via the halved Pascal recursion.
+
+    The half row z <= n/2 is stepped by :func:`_scan_step` and mirrored; the
+    computed row is symmetric (see :func:`calibrate_c0_scan`).
+    """
     if n < 0:
         raise LatticeError(f"need n >= 0, got {n}")
-    row = np.array([1.0])
-    for _ in range(n):
-        row = _half_pascal_step(row)
-    return row
+    half = np.zeros(n // 2 + 3)
+    half[1] = 1.0
+    tmp = np.empty_like(half)
+    first = 0
+    for k in range(1, n + 1):
+        first = _scan_step(half, tmp, k, first)
+    row = half[1:n // 2 + 2]
+    return np.concatenate([row, row[:(n + 1) // 2][::-1]])
 
 
 #: consecutive n whose Gaussian terms :func:`calibrate_c0_scan` evaluates as
@@ -180,8 +203,8 @@ def _scan_step(half: np.ndarray, tmp: np.ndarray, n: int, first: int) -> int:
 
     ``half[z + 1]`` holds row entry z for ``z <= n // 2`` and ``half[0]`` is
     0.0; ``first`` is the first nonzero entry of row n - 1.  Entry z of row
-    n is ``(old[z] + old[z - 1]) * 0.5``, the operations of
-    :func:`_half_pascal_step`; entries below ``first`` stay 0.0.
+    n is ``(old[z] + old[z - 1]) * 0.5``, one step of the halved Pascal
+    recursion; entries below ``first`` stay 0.0.
     """
     c = n // 2
     if n % 2 == 0:
@@ -636,6 +659,23 @@ def bounded_plug_ins(
 # envelopes
 
 
+def _envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: float | None,
+              exact_err: float, band: Callable[[float, float, float], tuple]) -> BoundReport:
+    """Body of every envelope: the lattice check on kappa, the Gaussian term
+    ``base * exp(-dev2 / (2 Var(S_n)))`` with ``base = D / sqrt(2 pi Var(S_n))``
+    and ``dev2 = (kappa - E S_n)^2``, and the report.  ``band(dev2, base,
+    gaussian)`` returns the lower and upper bounds and the envelope's own
+    parameters."""
+    kappa_index(kappa, spec.v0, spec.d)
+    dev2 = (kappa - spec.mean) ** 2
+    base = spec.d / math.sqrt(2.0 * math.pi * spec.var)
+    gaussian = base * math.exp(-dev2 / (2.0 * spec.var))
+    lower, upper, params = band(dev2, base, gaussian)
+    params = {"theta_n": spec.theta_n, **params, "var_s_n": spec.var, "e_s_n": spec.mean,
+              "mode": plug_ins.mode}
+    return BoundReport(kappa, exact, gaussian, lower, upper, params, exact_err)
+
+
 def sandwich_envelope(
     spec: SumSpec,
     h: float,
@@ -643,6 +683,7 @@ def sandwich_envelope(
     plug_ins: PlugIns,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
     exact: float | None = None,
+    exact_err: float = 0.0,
 ) -> BoundReport:
     """Two-sided envelope for ``P{S_n = kappa}`` at a free deviation parameter.
 
@@ -654,78 +695,46 @@ def sandwich_envelope(
     _check_h(h)
     if plug_ins.rho_n is None:
         raise LatticeError("sandwich envelope needs a rho_n plug-in")
-    kappa_index(kappa, spec.v0, spec.d)
-    var = spec.var
-    dev2 = (kappa - spec.mean) ** 2
-    base = spec.d / math.sqrt(2.0 * math.pi * var)
-    g_plain = base * math.exp(-dev2 / (2.0 * var))
-    g_up = base * math.exp(-dev2 / (2.0 * (1.0 + h) * var))
-    g_lo = base * math.exp(-dev2 / (2.0 * (1.0 - h) * var))
-    shrunk = (1.0 - h) * spec.theta_n
-    t = constants.c1 / math.sqrt(shrunk)
     rho = plug_ins.rho_n
-    return BoundReport(
-        kappa=kappa,
-        exact=exact,
-        gaussian=g_plain,
-        lower=(1.0 - h) / (1.0 + h) * g_lo - t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho) - rho,
-        upper=(1.0 + h) / (1.0 - h) * g_up + t * (plug_ins.h_n + 1.0 / shrunk) + rho,
-        params={
-            "h": h,
-            "theta_n": spec.theta_n,
-            "H_n_used": plug_ins.h_n,
-            "rho_n_used": rho,
-            "var_s_n": var,
-            "e_s_n": spec.mean,
-            "mode": plug_ins.mode,
-        },
-    )
+
+    def band(dev2: float, base: float, gaussian: float) -> tuple[float, float, dict]:
+        g_up = base * math.exp(-dev2 / (2.0 * (1.0 + h) * spec.var))
+        g_lo = base * math.exp(-dev2 / (2.0 * (1.0 - h) * spec.var))
+        shrunk = (1.0 - h) * spec.theta_n
+        t = constants.c1 / math.sqrt(shrunk)
+        return (
+            (1.0 - h) / (1.0 + h) * g_lo - t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho) - rho,
+            (1.0 + h) / (1.0 - h) * g_up + t * (plug_ins.h_n + 1.0 / shrunk) + rho,
+            {"h": h, "H_n_used": plug_ins.h_n, "rho_n_used": rho},
+        )
+
+    return _envelope(spec, kappa, plug_ins, exact, exact_err, band)
 
 
-def _symmetric_envelope(
-    spec: SumSpec,
-    kappa: float,
-    plug_ins: PlugIns,
-    exact: float | None,
-    stat: float,
-    const: float,
-    limit: Callable[[float], float],
-    limit_text: str,
-    params: dict,
-) -> BoundReport:
+def _symmetric_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: float | None,
+                        exact_err: float, stat: float, const: float,
+                        limit: Callable[[float], float], limit_text: str,
+                        params: dict) -> BoundReport:
     """Body of :func:`central_envelope` and :func:`psi_envelope`: the
     half-width ``const * (D sqrt(log(Theta_n) / (Var(S_n) Theta_n)) + (stat +
     1/Theta_n) / sqrt(Theta_n))`` around the Gaussian term, on the central
     range ``(kappa - E S_n)^2 / Var(S_n) <= limit(log Theta_n)``."""
     theta_n, var = spec.theta_n, spec.var
     log_t = _log_theta_n(theta_n)
-    kappa_index(kappa, spec.v0, spec.d)
-    dev2 = (kappa - spec.mean) ** 2
-    bound = limit(log_t)
-    if dev2 / var > bound:
-        raise PreconditionError(
-            f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
-            f"{limit_text} failed: {dev2 / var:.6g} > {bound:.6g}"
+
+    def band(dev2: float, base: float, gaussian: float) -> tuple[float, float, dict]:
+        bound = limit(log_t)
+        if dev2 / var > bound:
+            raise PreconditionError(
+                f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
+                f"{limit_text} failed: {dev2 / var:.6g} > {bound:.6g}"
+            )
+        half = const * (
+            spec.d * math.sqrt(log_t / (var * theta_n)) + (stat + 1.0 / theta_n) / math.sqrt(theta_n)
         )
-    g_plain = spec.d / math.sqrt(2.0 * math.pi * var) * math.exp(-dev2 / (2.0 * var))
-    half = const * (
-        spec.d * math.sqrt(log_t / (var * theta_n)) + (stat + 1.0 / theta_n) / math.sqrt(theta_n)
-    )
-    return BoundReport(
-        kappa=kappa,
-        exact=exact,
-        gaussian=g_plain,
-        lower=g_plain - half,
-        upper=g_plain + half,
-        params={
-            "theta_n": theta_n,
-            **params,
-            "half_width": half,
-            "var_s_n": var,
-            "e_s_n": spec.mean,
-            "mode": plug_ins.mode,
-        },
-    )
+        return gaussian - half, gaussian + half, {**params, "half_width": half}
+
+    return _envelope(spec, kappa, plug_ins, exact, exact_err, band)
 
 
 def central_envelope(
@@ -734,6 +743,7 @@ def central_envelope(
     plug_ins: PlugIns,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
     exact: float | None = None,
+    exact_err: float = 0.0,
 ) -> BoundReport:
     """Symmetric envelope ``|P{S_n = kappa} - gauss| <= C2 * {...}`` in the
     central range.
@@ -746,12 +756,7 @@ def central_envelope(
                + (H_n + 1/Theta_n) / sqrt(Theta_n) ).
     """
     return _symmetric_envelope(
-        spec,
-        kappa,
-        plug_ins,
-        exact,
-        stat=plug_ins.h_n,
-        const=constants.c2,
+        spec, kappa, plug_ins, exact, exact_err, stat=plug_ins.h_n, const=constants.c2,
         limit=lambda log_t: math.sqrt(spec.theta_n / (14.0 * log_t)),
         limit_text="sqrt(theta_n / (14 log theta_n))",
         params={"H_n_used": plug_ins.h_n, "rho_n_used": None},
@@ -764,6 +769,7 @@ def psi_envelope(
     plug_ins: PlugIns,
     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
     exact: float | None = None,
+    exact_err: float = 0.0,
 ) -> BoundReport:
     """Fully effective symmetric envelope with the psi-moment ratio.
 
@@ -774,12 +780,7 @@ def psi_envelope(
     if plug_ins.l_n is None:
         raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
     return _symmetric_envelope(
-        spec,
-        kappa,
-        plug_ins,
-        exact,
-        stat=plug_ins.l_n,
-        const=constants.c3,
+        spec, kappa, plug_ins, exact, exact_err, stat=plug_ins.l_n, const=constants.c3,
         limit=lambda log_t: math.sqrt(7.0 * log_t / (2.0 * spec.theta_n)),
         limit_text="sqrt(7 log theta_n / (2 theta_n))",
         params={"l_n": plug_ins.l_n},

@@ -141,24 +141,6 @@ def _pick_h(args: argparse.Namespace, theta_n: float) -> float:
         return FALLBACK_H
 
 
-def _bound_row(report: bounds.BoundReport, exact_err: float) -> dict:
-    """One output row; with an exact value known to within ``exact_err``,
-    ``sandwich_ok`` is true or false only when the envelope decides it by
-    more than that error, and None (null) otherwise."""
-    row = {
-        "kappa": report.kappa,
-        "exact": report.exact,
-        "gaussian": report.gaussian,
-        "lower": report.lower,
-        "upper": report.upper,
-        "envelope_width": report.upper - report.lower,
-    }
-    if report.exact is not None:
-        margin = min(report.exact - report.lower, report.upper - report.exact)
-        row["sandwich_ok"] = margin > 0.0 if abs(margin) > exact_err else None
-    return row
-
-
 def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | None:
     """Lattice indices of the ``--kappa-from``/``--kappa-to`` sweep, or None
     for a single ``--kappa``; a sweep is at most ``gamkrelidze.WINDOW_CAP``
@@ -179,38 +161,39 @@ def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | No
 
 
 def _cmd_llt_bound(args: argparse.Namespace) -> Any:
+    if args.h is not None and args.envelope != "sandwich":
+        raise LatticeError(f"llt-bound --h applies to the sandwich envelope only, "
+                           f"not --envelope {args.envelope}")
     pmf = pmf_from_json(_read_json(args.input))
     constants = args.constants
     spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
     sweep = _sweep_indices(args, spec)
-    h = _pick_h(args, spec.theta_n)
     exact_mode = args.mode == "exact-plug-ins"
     law = iid_sum(pmf, args.n) if exact_mode or args.law_out else None
     if args.law_out:
         with open(args.law_out, "w", encoding="utf-8") as fobj:
             fobj.write(render(law.to_json_dict(), "json"))
-    # only the sandwich reads rho_n, and only the psi envelope reads L_n
-    rho_h = h if args.envelope == "sandwich" else None
+    # only the sandwich reads h and rho_n, and only the psi envelope reads L_n
+    h = _pick_h(args, spec.theta_n) if args.envelope == "sandwich" else None
     if args.envelope == "psi":
         plug = bounds.bounded_plug_ins(spec, constants=constants)
     elif exact_mode:
-        plug = bounds.exact_plug_ins(spec, rho_h)
+        plug = bounds.exact_plug_ins(spec, h)
     else:
-        plug = bounds.bounded_plug_ins(spec, rho_h, constants=constants)
+        plug = bounds.bounded_plug_ins(spec, h, constants=constants)
+    err = law.err_abs if exact_mode else 0.0
 
     def one(kappa: float) -> bounds.BoundReport:
         exact = law.mass(kappa_index(kappa, law.v0, law.D)) if exact_mode else None
         if args.envelope == "sandwich":
-            return bounds.sandwich_envelope(spec, h, kappa, plug, constants, exact)
+            return bounds.sandwich_envelope(spec, h, kappa, plug, constants, exact, err)
         if args.envelope == "central":
-            return bounds.central_envelope(spec, kappa, plug, constants, exact)
-        return bounds.psi_envelope(spec, kappa, plug, constants, exact)
+            return bounds.central_envelope(spec, kappa, plug, constants, exact, err)
+        return bounds.psi_envelope(spec, kappa, plug, constants, exact, err)
 
-    err = law.err_abs if exact_mode else 0.0
     if sweep is None:
-        report = one(args.kappa)
-        return {**report.to_json_dict(constants), **_bound_row(report, err)}
-    return [_bound_row(one(spec.v0 + spec.d * k), err) for k in sweep]
+        return one(args.kappa).to_json_dict(constants)
+    return [one(spec.v0 + spec.d * k).row() for k in sweep]
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
@@ -237,16 +220,10 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
     if args.kappa is None:
         # any walk, revisiting ones included: the identity carries c_{h,k}
         return scenery.second_moment_check(model).to_json_dict()
-    # under the envelope's hypotheses (strictly positive increments, a
-    # constant profile) S_n is exactly the iid sum of n scenery values; a
-    # lazy or revisiting walk is refused here, before that law is built
-    scenery.check_envelope_model(model)
-    law = iid_sum(model.x_law, model.n)
-    exact = law.mass(kappa_index(args.kappa, law.v0, law.D))
-    report = scenery.scenery_envelope(
-        model, args.h, args.kappa, constants=args.constants, exact=exact
-    )
-    out = {**report.to_json_dict(args.constants), **_bound_row(report, law.err_abs)}
+    # the envelope reports the exact value too, and refuses a lazy or
+    # revisiting walk before that law is built
+    report = scenery.scenery_envelope(model, args.h, args.kappa, args.constants)
+    out = report.to_json_dict(args.constants)
     if args.mc_samples is not None:
         est = scenery.monte_carlo_point_prob(
             model, args.kappa, samples=args.mc_samples, seed=args.seed

@@ -56,8 +56,25 @@ def solve_sigma(m: int, n: int) -> float:
 
     Returns ``-inf`` when the equation degenerates (total part mass equals n,
     i.e. m = n, where the only partition is {n} itself).  Raises when no
-    partition exists at all.  Otherwise the returned root has equation
-    residual at most 1e-12.
+    partition exists at all.  Otherwise Newton steps polish the root toward
+    a residual of ``SIGMA_RESIDUAL_TOL``; the root is refused only when its
+    computed residual r exceeds both that target and the bound B on the
+    rounding of r.  From n = 8192 on, r is a multiple of half an ulp of n,
+    which is above 1e-12, so the target cannot always be met.
+
+    r is ``fl(fl(sum_j t_j) - n)`` over the ``N = n - m + 1`` terms
+    ``t_j = fl(j * expit(fl(-sigma j)))``.  With unit roundoff u and to first
+    order, each term errs by the relative ``(|sigma| j + 5) u``: the rounded
+    argument moves ``expit`` by ``|sigma| j u`` (as ``|d log expit(x)/dx| <=
+    1``), scipy's ``expit`` is within 4u (measured: 2.2u) and the product
+    adds u.  A sum of N non-negative terms in any order errs by ``(N - 1) u``
+    times their sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 4), the subtraction of n by ``u |r|``.  Doubling covers
+    the higher-order terms while ``(N + |sigma| n + 5) u <= 1/2``:
+
+        B = 2 u ((N + 4) sum_j t_j + |sigma| sum_j j t_j + |r|),
+
+    about ``2 N n u``, as ``sum_j t_j`` is about n at the root.
     """
     m = _normalize_m(m)
     if n < 1:
@@ -79,16 +96,23 @@ def solve_sigma(m: int, n: int) -> float:
     while g(hi) > 0:
         hi *= 2.0
     sigma = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    js = np.arange(m, n + 1, dtype=float)
     # polish with Newton steps; g is smooth and strictly decreasing
     for _ in range(8):
         res = g(sigma)
         if abs(res) <= SIGMA_RESIDUAL_TOL:
             break
-        js = np.arange(m, n + 1, dtype=float)
         slope = -float(np.sum(js * js * expit(sigma * js) * expit(-sigma * js)))
         sigma -= res / slope
-    if abs(g(sigma)) > SIGMA_RESIDUAL_TOL:
-        raise NumericsError(f"centering equation residual {g(sigma):.3e} above tolerance")
+    res = g(sigma)
+    if abs(res) > SIGMA_RESIDUAL_TOL:
+        t = js * expit(-sigma * js)
+        # the bound B of the docstring; 2**-52 is 2u
+        bound = 2.0**-52 * ((len(js) + 4) * float(np.sum(t))
+                            + abs(sigma) * float(np.sum(js * t)) + abs(res))
+        if abs(res) > bound:
+            raise NumericsError(f"centering equation residual {res:.3e} above tolerance "
+                                f"{SIGMA_RESIDUAL_TOL:.0e} and rounding bound {bound:.3e}")
     return float(sigma)
 
 

@@ -52,7 +52,6 @@ from .bounds import (
     BoundReport,
     ConstantsRegistry,
     DEFAULT_CONSTANTS,
-    PlugIns,
     exact_plug_ins,
     prepare_sum,
     sandwich_envelope,
@@ -416,10 +415,24 @@ def y_covariance_factorization(
 # envelope and Monte Carlo oracle
 
 
-def check_envelope_model(model: SceneryModel) -> None:
-    """Raise ``PreconditionError`` unless the model meets the hypotheses of
-    :func:`scenery_envelope`: strictly positive increments and a constant
-    vartheta profile."""
+def scenery_envelope(
+    model: SceneryModel,
+    h: float,
+    kappa: float,
+    constants: ConstantsRegistry = DEFAULT_CONSTANTS,
+) -> BoundReport:
+    """Two-sided envelope for ``P{S_n = kappa}`` of the composed sum, with
+    its exact value.
+
+    Requires strictly positive increments and a constant vartheta profile,
+    and refuses any other model with :class:`PreconditionError` before any
+    work: the sites visited are then n distinct positions, the scenery values
+    picked up are n i.i.d. copies of the x law, and the conditional summands
+    Y_k are i.i.d., so the plain envelope applies with ``Theta_n = n *
+    vartheta``, the moments of the i.i.d. sum and exact oracle plug-ins.  The
+    n-fold x law is then the exact law of S_n: the report's ``exact`` is its
+    mass at kappa and ``exact_err`` its ``err_abs``.
+    """
     if min(model.increment_law.support) < 1:
         raise PreconditionError("scenery envelope requires strictly positive increments")
     if not model.constant_profile:
@@ -427,30 +440,11 @@ def check_envelope_model(model: SceneryModel) -> None:
             "scenery envelope requires a constant vartheta profile (the conditional "
             "summands are not known to be independent otherwise)"
         )
-
-
-def scenery_envelope(
-    model: SceneryModel,
-    h: float,
-    kappa: float,
-    plug_ins: PlugIns | None = None,
-    constants: ConstantsRegistry = DEFAULT_CONSTANTS,
-    exact: float | None = None,
-) -> BoundReport:
-    """Two-sided envelope for ``P{S_n = kappa}`` of the composed sum.
-
-    Requires strictly positive increments and a constant vartheta profile:
-    the sites visited are then n distinct positions, the scenery values
-    picked up are n i.i.d. copies of the x law, and the conditional summands
-    Y_k are i.i.d., so the plain envelope applies with ``Theta_n = n *
-    vartheta`` and the moments of the i.i.d. sum.  With ``plug_ins=None`` the
-    exact oracle plug-ins are computed internally.
-    """
-    check_envelope_model(model)
+    law = sum_law([(model.x_law, model.n)])
+    exact = law.mass(kappa_index(kappa, law.v0, law.D))
     spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
-    if plug_ins is None:
-        plug_ins = exact_plug_ins(spec, h)
-    return sandwich_envelope(spec, h, kappa, plug_ins, constants, exact=exact)
+    return sandwich_envelope(spec, h, kappa, exact_plug_ins(spec, h), constants, exact,
+                             exact_err=law.err_abs)
 
 
 @dataclass(frozen=True)

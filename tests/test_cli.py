@@ -8,8 +8,8 @@ import math
 import pytest
 
 from lltkit import iid_sum, make_pmf
-from lltkit.bounds import BoundReport
-from lltkit.cli import _bound_row, main
+from lltkit.bounds import BoundReport, ConstantsRegistry
+from lltkit.cli import main
 from lltkit.gamkrelidze import WINDOW_CAP
 
 
@@ -112,6 +112,22 @@ class TestLltBound:
             ["llt-bound", bern_file, "--n", "8", "--kappa", "8", "--h", "0.25"],
         )
         assert code == 0  # far outside the bulk but still a valid lattice point
+
+    @pytest.mark.parametrize("envelope", ["central", "psi"])
+    def test_h_with_a_symmetric_envelope_exits_2(self, capsys, bern_file, envelope):
+        # the symmetric envelopes take no deviation parameter; refused before the input is read
+        code, out = run_cli(
+            capsys,
+            ["llt-bound", "missing.json", "--n", "1000", "--kappa", "500", "--h", "1.5",
+             "--envelope", envelope],
+        )
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert "--h" in err["message"] and envelope in err["message"]
+        code, _ = run_cli(capsys, ["llt-bound", bern_file, "--n", "1000", "--kappa", "500",
+                                   "--envelope", envelope, "--mode", "bounded-plug-ins"])
+        assert code == 0
 
     def test_central_envelope_hypothesis_failure_exits_1(self, capsys, bern_file):
         code, out = run_cli(
@@ -308,12 +324,12 @@ class TestOtherCommands:
 
     def test_scenery_refused_before_exact_law(self, capsys, tmp_path, monkeypatch):
         # a non-constant vartheta profile fails the envelope's hypotheses
-        import lltkit.cli
+        import lltkit.scenery
 
         def no_law(*args):
             raise AssertionError("exact law built for a refused model")
 
-        monkeypatch.setattr(lltkit.cli, "iid_sum", no_law)
+        monkeypatch.setattr(lltkit.scenery, "sum_law", no_law)
         path = tmp_path / "refused.json"
         path.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
                                     "increments": {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1]]},
@@ -491,27 +507,46 @@ class TestErrorsAndOverrides:
 
 class TestSandwichVerdict:
     @staticmethod
-    def _row(exact, err):
-        report = BoundReport(kappa=0.0, exact=exact, gaussian=0.5, lower=0.25, upper=0.75,
-                             params={})
-        return _bound_row(report, err)
+    def _report(exact, err):
+        return BoundReport(kappa=0.0, exact=exact, gaussian=0.5, lower=0.25, upper=0.75,
+                           params={"h": 0.25}, exact_err=err)
 
     def test_holds_by_more_than_the_error(self):
-        assert self._row(0.75 - 2e-12, 1e-12)["sandwich_ok"] is True
+        assert self._report(0.75 - 2e-12, 1e-12).sandwich_ok is True
 
     def test_fails_by_more_than_the_error(self):
-        assert self._row(0.25 - 2e-12, 1e-12)["sandwich_ok"] is False
+        assert self._report(0.25 - 2e-12, 1e-12).sandwich_ok is False
 
     def test_undecided_within_the_error(self):
         for exact in (0.75 - 0.5e-12, 0.75 + 0.5e-12, 0.25, 0.25 - 0.5e-12):
-            assert self._row(exact, 1e-12)["sandwich_ok"] is None
+            assert self._report(exact, 1e-12).sandwich_ok is None
+
+    def test_no_exact_value_no_verdict(self):
+        report = self._report(None, 0.0)
+        assert report.sandwich_ok is None
+        assert "sandwich_ok" not in report.row()
+
+    def test_row_and_json_keys(self):
+        report = self._report(0.5, 1e-12)
+        assert report.row() == {"kappa": 0.0, "exact": 0.5, "gaussian": 0.5, "lower": 0.25,
+                                "upper": 0.75, "envelope_width": 0.5, "sandwich_ok": True}
+        out = report.to_json_dict(ConstantsRegistry())
+        assert set(out) == set(report.row()) | {"lower_negative", "params", "constants"}
+        assert out["lower_negative"] is False and out["params"] == {"h": 0.25}
+        assert out["constants"] == ConstantsRegistry().to_json_dict()
 
     def test_exact_mode_passes_the_law_error(self, capsys, bern_file, monkeypatch):
-        import lltkit.cli as cli
+        import lltkit.bounds as bounds
 
         seen = []
-        original = cli._bound_row
-        monkeypatch.setattr(cli, "_bound_row", lambda r, e: seen.append(e) or original(r, e))
+        original = bounds.sandwich_envelope
+
+        def spy(*args, **kwargs):
+            report = original(*args, **kwargs)
+            seen.append(report.exact_err)
+            return report
+
+        monkeypatch.setattr(bounds, "sandwich_envelope", spy)
         run_cli(capsys, ["llt-bound", bern_file, "--n", "64", "--kappa", "32"])
         assert seen == [iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 1)]), 64).err_abs]
 
@@ -537,7 +572,9 @@ class TestInputRules:
     @pytest.mark.parametrize("argv", [
         ["llt-bound", "{coin}", "--n", "1000000000", "--kappa", "5"],
         ["partition", "--m", "1", "--n", "5000", "--mode", "model"],
-    ], ids=["llt-bound", "partition"])
+        ["partition", "--m", "1", "--n", "60000", "--mode", "model"],
+        ["partition", "--m", "1", "--n", "100000", "--mode", "model"],
+    ], ids=["llt-bound", "partition", "partition-6e4", "partition-1e5"])
     def test_exact_law_above_the_length_cap_exits_2(self, capsys, bern_file, argv):
         code, out = run_cli(capsys, [a.format(coin=bern_file) for a in argv])
         assert code == 2

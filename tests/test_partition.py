@@ -45,6 +45,16 @@ class TestSolveSigma:
             residual = float(np.sum(js * expit(-sigma * js))) - n
             assert abs(residual) <= 1e-12
 
+    @pytest.mark.parametrize("n", [60000, 100000])
+    def test_large_n_residual_within_rounding(self, n):
+        # the computed residual is a multiple of a half ulp of n here, above
+        # 1e-12; the root is kept when it is within the rounding bound
+        sigma = solve_sigma(1, n)
+        js = np.arange(1, n + 1, dtype=float)
+        residual = float(np.sum(js * expit(-sigma * js))) - n
+        assert abs(residual) <= 4 * math.ulp(n)
+        assert sigma == pytest.approx(math.pi / math.sqrt(12 * n), rel=0.01)
+
     def test_degenerate_single_part(self):
         assert solve_sigma(1, 1) == float("-inf")
         assert solve_sigma(7, 7) == float("-inf")

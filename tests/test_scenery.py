@@ -527,9 +527,21 @@ class TestSceneryEnvelope:
         law = iid_sum(bern(), n)  # exact law of the composed sum (validated above)
         sd = math.sqrt(law.variance)
         for k in range(int(law.mean - 4 * sd), int(law.mean + 4 * sd) + 1):
-            exact = law.mass(k)
-            rep = scenery_envelope(m, 0.25, float(k), exact=exact)
-            assert rep.lower <= exact <= rep.upper
+            rep = scenery_envelope(m, 0.25, float(k))
+            assert (rep.exact, rep.exact_err) == (law.mass(k), law.err_abs)
+            assert rep.lower <= rep.exact <= rep.upper
+            assert rep.sandwich_ok is True
+
+    @pytest.mark.parametrize("inc", [lazy_inc(0.3), inc_pm1()], ids=["lazy", "pm1"])
+    def test_revisiting_walk_refused_before_any_law(self, monkeypatch, inc):
+        import lltkit.scenery
+
+        def no_law(*args):
+            raise AssertionError("sum_law called for a refused model")
+
+        monkeypatch.setattr(lltkit.scenery, "sum_law", no_law)
+        with pytest.raises(PreconditionError, match="strictly positive increments"):
+            scenery_envelope(SceneryModel(bern(), inc, 16, 0.5), 0.25, 8.0)
 
     def test_nonconstant_profile_rejected(self):
         prof = {r: 0.5 / (1 + 0.1 * r) for r in range(1, 40)}
@@ -570,7 +582,8 @@ class TestSceneryEnvelope:
         m = SceneryModel(uni3, inc_12(), n, 2.0 / 3.0)
         law = iid_sum(uni3, n)
         kappa = float(round(law.mean))
-        rep = scenery_envelope(m, 0.25, kappa, exact=law.mass(round(law.mean)))
+        rep = scenery_envelope(m, 0.25, kappa)
+        assert (rep.exact, rep.exact_err) == (law.mass(round(law.mean)), law.err_abs)
         assert rep.lower <= rep.exact <= rep.upper
         est = monte_carlo_point_prob(m, kappa, samples=400_000, seed=11)
         lo, hi = est.interval()

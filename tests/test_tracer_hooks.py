@@ -81,3 +81,17 @@ def test_traced_requests_run_clean(tracer, tmp_path, capsys):
     assert raised == []
     assert "scenery.monte_carlo_point_prob" in ran
     assert t.layer_metrics()["scenery.mc_ns_per_sample"] > 0
+
+    # the symmetric envelopes in bounded mode: a central sweep and a psi point
+    before = t.layer_metrics()["bounds.points"]
+    for argv in (
+        ["llt-bound", str(law), "--n", "1000", "--mode", "bounded-plug-ins",
+         "--envelope", "central", "--kappa-from", "1095", "--kappa-to", "1105"],
+        ["llt-bound", str(law), "--n", "1000", "--mode", "bounded-plug-ins",
+         "--envelope", "psi", "--kappa", "1100"],
+    ):
+        assert lltkit.cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert raised == []
+    assert {"bounds.central_envelope", "bounds.psi_envelope", "bounds.bounded_plug_ins"} <= ran
+    assert t.layer_metrics()["bounds.points"] == before + 11 + 1
