@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .convolve import bernoulli, kolmogorov_distance, sum_law
+from .convolve import SumLaw, _as_count, bernoulli, kolmogorov_distance, sum_law
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
@@ -98,15 +99,20 @@ class PlugIns:
     """Values (or valid upper bounds) fed into the envelopes.
 
     ``h_n`` bounds the normal-approximation distance of the conditional sum,
-    ``rho_n`` bounds the Bernoulli-count deviation probability (None when the
-    target envelope does not use it), ``l_n`` is the psi-moment ratio that
-    bounded plug-ins derive H_n from (None in exact mode).
+    ``rho_n`` bounds the Bernoulli-count deviation probability at ``h`` (both
+    None when the target envelope does not use them), ``l_n`` is the
+    psi-moment ratio that bounded plug-ins derive H_n from (None in exact
+    mode, which is what :attr:`mode` reads).
     """
 
     h_n: float
     rho_n: float | None
-    mode: str  # "exact-plug-ins" | "bounded-plug-ins"
+    h: float | None = None
     l_n: float | None = None
+
+    @property
+    def mode(self) -> str:
+        return "exact-plug-ins" if self.l_n is None else "bounded-plug-ins"
 
 
 @dataclass
@@ -578,7 +584,7 @@ class SumSpec:
     ``parts`` holds one ``(law, level, count)`` triple per distinct summand
     law and extraction level, ``theta_n = sum_j vartheta_j``, the common span
     ``d``, the lattice offset ``v0 = sum_j v0_j`` and the mean and variance
-    of S_n.  ``len(spec)`` is the number of summands.
+    of S_n; :attr:`law` is its exact law and ``len(spec)`` the summand count.
     """
 
     parts: tuple[tuple[LatticePmf, float, int], ...]
@@ -590,6 +596,11 @@ class SumSpec:
 
     def __len__(self) -> int:
         return sum(count for _, _, count in self.parts)
+
+    @cached_property
+    def law(self) -> SumLaw:
+        """:func:`sum_law` of the parts ``(law, count)`` in their order, on first read."""
+        return sum_law([(p, count) for p, _, count in self.parts])
 
 
 def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
@@ -603,13 +614,11 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
     the per-part value; for one part that is the correctly rounded sum of
     the n equal summand values.
     """
-    parts = tuple(parts)
+    parts = tuple((p, t, _as_count(count, j)) for j, (p, t, count) in enumerate(parts))
     if not parts:
         raise LatticeError("need at least one summand")
     d = parts[0][0].D
     for j, (p, t, count) in enumerate(parts):
-        if not isinstance(count, int) or count < 1:
-            raise LatticeError(f"part {j}: count must be an integer >= 1, got {count!r}")
         _check_level(t, theta(p), "part", j)
         if abs(p.D - d) > 1e-12 * max(1.0, abs(d)):
             raise LatticeError("summands must share a common span D")
@@ -626,7 +635,10 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
 
 def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
-    rho_n from the exact tail of B_n, a sum of Bernoulli(level) parts (when h is given)."""
+    rho_n from the exact tail of B_n, a sum of Bernoulli(level) parts (when h
+    is given, checked before any law is built)."""
+    if h is not None:
+        _check_h(h)
     xi = sum_law([(xi_law(split(p, t)), c) for p, t, c in spec.parts])
     if not (xi.variance > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
@@ -635,7 +647,7 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     if h is not None:
         b_n = sum_law([(bernoulli(t), c) for _, t, c in spec.parts])
         rho = b_n.two_sided_tail(spec.theta_n, h * spec.theta_n)
-    return PlugIns(h_n=h_n, rho_n=rho, mode="exact-plug-ins")
+    return PlugIns(h_n=h_n, rho_n=rho, h=h)
 
 
 def bounded_plug_ins(
@@ -652,50 +664,48 @@ def bounded_plug_ins(
     l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / psi(math.sqrt(spec.var))
     h_n = 2.0**1.5 * constants.ce * l_n
     rho = chernoff_rho(spec.theta_n, h) if h is not None else None
-    return PlugIns(h_n=h_n, rho_n=rho, mode="bounded-plug-ins", l_n=l_n)
+    return PlugIns(h_n=h_n, rho_n=rho, h=h, l_n=l_n)
 
 
 # ---------------------------------------------------------------------------
 # envelopes
 
 
-def _envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: float | None,
-              exact_err: float, band: Callable[[float, float, float], tuple]) -> BoundReport:
-    """Body of every envelope: the lattice check on kappa, the Gaussian term
+def _envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: bool,
+              band: Callable[[float, float, float], tuple]) -> BoundReport:
+    """Body of every envelope: the lattice check on kappa, the exact value
+    and its error from ``spec.law`` when ``exact`` is true, the Gaussian term
     ``base * exp(-dev2 / (2 Var(S_n)))`` with ``base = D / sqrt(2 pi Var(S_n))``
     and ``dev2 = (kappa - E S_n)^2``, and the report.  ``band(dev2, base,
     gaussian)`` returns the lower and upper bounds and the envelope's own
     parameters."""
-    kappa_index(kappa, spec.v0, spec.d)
+    k = kappa_index(kappa, spec.v0, spec.d)
+    value, err = (spec.law.mass(k), spec.law.err_abs) if exact else (None, 0.0)
     dev2 = (kappa - spec.mean) ** 2
     base = spec.d / math.sqrt(2.0 * math.pi * spec.var)
     gaussian = base * math.exp(-dev2 / (2.0 * spec.var))
     lower, upper, params = band(dev2, base, gaussian)
     params = {"theta_n": spec.theta_n, **params, "var_s_n": spec.var, "e_s_n": spec.mean,
               "mode": plug_ins.mode}
-    return BoundReport(kappa, exact, gaussian, lower, upper, params, exact_err)
+    return BoundReport(kappa, value, gaussian, lower, upper, params, err)
 
 
-def sandwich_envelope(
-    spec: SumSpec,
-    h: float,
-    kappa: float,
-    plug_ins: PlugIns,
-    constants: ConstantsRegistry = DEFAULT_CONSTANTS,
-    exact: float | None = None,
-    exact_err: float = 0.0,
-) -> BoundReport:
-    """Two-sided envelope for ``P{S_n = kappa}`` at a free deviation parameter.
+def sandwich_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
+                      constants: ConstantsRegistry = DEFAULT_CONSTANTS,
+                      exact: bool = False) -> BoundReport:
+    """Two-sided envelope for ``P{S_n = kappa}`` at the deviation parameter
+    ``plug_ins.h``, the h its rho_n was taken at.
 
     Valid for any ``0 < h < 1`` and extraction levels ``0 < vartheta_j <=
     theta(X_j)``, at every point of the sum lattice.  The lower bound is
     reported raw (it may be negative for small Theta_n; see
-    ``BoundReport.lower_negative``).
+    ``BoundReport.lower_negative``).  With ``exact`` true the report carries
+    ``P{S_n = kappa}`` from ``spec.law`` and its ``err_abs``.
     """
+    h, rho = plug_ins.h, plug_ins.rho_n
+    if rho is None or h is None:
+        raise LatticeError("sandwich envelope needs a rho_n plug-in and the h it was taken at")
     _check_h(h)
-    if plug_ins.rho_n is None:
-        raise LatticeError("sandwich envelope needs a rho_n plug-in")
-    rho = plug_ins.rho_n
 
     def band(dev2: float, base: float, gaussian: float) -> tuple[float, float, dict]:
         g_up = base * math.exp(-dev2 / (2.0 * (1.0 + h) * spec.var))
@@ -708,11 +718,11 @@ def sandwich_envelope(
             {"h": h, "H_n_used": plug_ins.h_n, "rho_n_used": rho},
         )
 
-    return _envelope(spec, kappa, plug_ins, exact, exact_err, band)
+    return _envelope(spec, kappa, plug_ins, exact, band)
 
 
-def _symmetric_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: float | None,
-                        exact_err: float, stat: float, const: float,
+def _symmetric_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: bool,
+                        stat: float, const: float,
                         limit: Callable[[float], float], limit_text: str,
                         params: dict) -> BoundReport:
     """Body of :func:`central_envelope` and :func:`psi_envelope`: the
@@ -734,19 +744,14 @@ def _symmetric_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: f
         )
         return gaussian - half, gaussian + half, {**params, "half_width": half}
 
-    return _envelope(spec, kappa, plug_ins, exact, exact_err, band)
+    return _envelope(spec, kappa, plug_ins, exact, band)
 
 
-def central_envelope(
-    spec: SumSpec,
-    kappa: float,
-    plug_ins: PlugIns,
-    constants: ConstantsRegistry = DEFAULT_CONSTANTS,
-    exact: float | None = None,
-    exact_err: float = 0.0,
-) -> BoundReport:
+def central_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
+                     constants: ConstantsRegistry = DEFAULT_CONSTANTS,
+                     exact: bool = False) -> BoundReport:
     """Symmetric envelope ``|P{S_n = kappa} - gauss| <= C2 * {...}`` in the
-    central range.
+    central range; ``exact`` is read as in :func:`sandwich_envelope`.
 
     Requires ``log(Theta_n)/Theta_n <= 1/14`` and
     ``(kappa - E S_n)^2 / Var(S_n) <= sqrt(Theta_n / (14 log Theta_n))``;
@@ -756,31 +761,27 @@ def central_envelope(
                + (H_n + 1/Theta_n) / sqrt(Theta_n) ).
     """
     return _symmetric_envelope(
-        spec, kappa, plug_ins, exact, exact_err, stat=plug_ins.h_n, const=constants.c2,
+        spec, kappa, plug_ins, exact, stat=plug_ins.h_n, const=constants.c2,
         limit=lambda log_t: math.sqrt(spec.theta_n / (14.0 * log_t)),
         limit_text="sqrt(theta_n / (14 log theta_n))",
         params={"H_n_used": plug_ins.h_n, "rho_n_used": None},
     )
 
 
-def psi_envelope(
-    spec: SumSpec,
-    kappa: float,
-    plug_ins: PlugIns,
-    constants: ConstantsRegistry = DEFAULT_CONSTANTS,
-    exact: float | None = None,
-    exact_err: float = 0.0,
-) -> BoundReport:
+def psi_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
+                 constants: ConstantsRegistry = DEFAULT_CONSTANTS,
+                 exact: bool = False) -> BoundReport:
     """Fully effective symmetric envelope with the psi-moment ratio.
 
     Same shape as :func:`central_envelope` with H_n replaced by the L_n of
     :func:`bounded_plug_ins` and constant C3, on its own (narrower) central
-    range ``(kappa - E S_n)^2 / Var(S_n) <= sqrt(7 log(Theta_n) / (2 Theta_n))``.
+    range ``(kappa - E S_n)^2 / Var(S_n) <= sqrt(7 log(Theta_n) / (2 Theta_n))``;
+    ``exact`` is read as in :func:`sandwich_envelope`.
     """
     if plug_ins.l_n is None:
         raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
     return _symmetric_envelope(
-        spec, kappa, plug_ins, exact, exact_err, stat=plug_ins.l_n, const=constants.c3,
+        spec, kappa, plug_ins, exact, stat=plug_ins.l_n, const=constants.c3,
         limit=lambda log_t: math.sqrt(7.0 * log_t / (2.0 * spec.theta_n)),
         limit_text="sqrt(7 log theta_n / (2 theta_n))",
         params={"l_n": plug_ins.l_n},

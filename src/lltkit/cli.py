@@ -26,10 +26,9 @@ import sys
 from typing import Any
 
 from . import bounds, gamkrelidze, partition, scenery
-from .convolve import iid_sum
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import reconstruct, split, xi_law
-from .lattice import characteristics, delta_smoothness, kappa_index, moments, pmf_from_json, theta
+from .lattice import characteristics, delta_smoothness, moments, pmf_from_json, theta
 
 ENV_CONSTANTS = "LLT_CONSTANTS"
 
@@ -168,42 +167,37 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     constants = args.constants
     spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
     sweep = _sweep_indices(args, spec)
-    exact_mode = args.mode == "exact-plug-ins"
-    law = iid_sum(pmf, args.n) if exact_mode or args.law_out else None
     if args.law_out:
-        with open(args.law_out, "w", encoding="utf-8") as fobj:
-            fobj.write(render(law.to_json_dict(), "json"))
+        text = render(spec.law.to_json_dict(), "json")
+        try:
+            with open(args.law_out, "w", encoding="utf-8") as fobj:
+                fobj.write(text)
+        except OSError as exc:
+            raise LatticeError(f"cannot write output file {args.law_out}: {exc}") from exc
+    exact = args.mode == "exact-plug-ins"
     # only the sandwich reads h and rho_n, and only the psi envelope reads L_n
     h = _pick_h(args, spec.theta_n) if args.envelope == "sandwich" else None
     if args.envelope == "psi":
         plug = bounds.bounded_plug_ins(spec, constants=constants)
-    elif exact_mode:
+    elif exact:
         plug = bounds.exact_plug_ins(spec, h)
     else:
         plug = bounds.bounded_plug_ins(spec, h, constants=constants)
-    err = law.err_abs if exact_mode else 0.0
-
-    def one(kappa: float) -> bounds.BoundReport:
-        exact = law.mass(kappa_index(kappa, law.v0, law.D)) if exact_mode else None
-        if args.envelope == "sandwich":
-            return bounds.sandwich_envelope(spec, h, kappa, plug, constants, exact, err)
-        if args.envelope == "central":
-            return bounds.central_envelope(spec, kappa, plug, constants, exact, err)
-        return bounds.psi_envelope(spec, kappa, plug, constants, exact, err)
-
+    # looked up per request, so that wrappers set on the bounds module apply
+    envelope = getattr(bounds, f"{args.envelope}_envelope")
     if sweep is None:
-        return one(args.kappa).to_json_dict(constants)
-    return [one(spec.v0 + spec.d * k).row() for k in sweep]
+        return envelope(spec, args.kappa, plug, constants, exact).to_json_dict(constants)
+    return [envelope(spec, spec.v0 + spec.d * k, plug, constants, exact).row() for k in sweep]
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
-    law = iid_sum(pmf, args.n)
+    spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
+    law = spec.law
     a_n = args.a_n if args.a_n is not None else law.mean
     b_n = args.b_n if args.b_n is not None else law.variance
     report = gamkrelidze.interval_discrepancy(law, a_n, b_n)
     check = gamkrelidze.effective_pointwise_bound(report)
-    spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
     h = _pick_h(args, spec.theta_n)
     extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, args.constants)
     out = report.to_json_dict()

@@ -192,6 +192,13 @@ def _power(dense: np.ndarray, count: int):
     return x, bx
 
 
+def _as_count(count, j: int) -> int:
+    """``count`` of part j as an int; it must be a (NumPy) integer >= 1, not a bool."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise LatticeError(f"part {j}: count must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     """Exact law of the independent sum of ``count`` copies of each ``law`` in
     ``parts = [(law, count), ...]``, folded in the order given, with a
@@ -276,13 +283,12 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     within ``3u n`` of one for n summands, and ``|T - 1| > e_1 + 3u n + 2u``
     raises :class:`NumericsError`.
     """
+    parts = [(p, _as_count(count, j)) for j, (p, count) in enumerate(parts)]
     if not parts:
         raise LatticeError("need at least one summand")
     d = min(p.D for p, _ in parts)
     atoms, length = [], 1  # per part: stride and sorted atoms; the final length
     for p, count in parts:
-        if count < 1:
-            raise LatticeError(f"need n >= 1 summands, got {count}")
         r = p.D / d
         s = round(r)
         if s < 1 or abs(r - s) > 1e-9 * max(1.0, s):

@@ -430,8 +430,8 @@ def scenery_envelope(
     picked up are n i.i.d. copies of the x law, and the conditional summands
     Y_k are i.i.d., so the plain envelope applies with ``Theta_n = n *
     vartheta``, the moments of the i.i.d. sum and exact oracle plug-ins.  The
-    n-fold x law is then the exact law of S_n: the report's ``exact`` is its
-    mass at kappa and ``exact_err`` its ``err_abs``.
+    n-fold x law, ``spec.law``, is then the exact law of S_n: the report's
+    ``exact`` is its mass at kappa and ``exact_err`` its ``err_abs``.
     """
     if min(model.increment_law.support) < 1:
         raise PreconditionError("scenery envelope requires strictly positive increments")
@@ -440,11 +440,8 @@ def scenery_envelope(
             "scenery envelope requires a constant vartheta profile (the conditional "
             "summands are not known to be independent otherwise)"
         )
-    law = sum_law([(model.x_law, model.n)])
-    exact = law.mass(kappa_index(kappa, law.v0, law.D))
     spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
-    return sandwich_envelope(spec, h, kappa, exact_plug_ins(spec, h), constants, exact,
-                             exact_err=law.err_abs)
+    return sandwich_envelope(spec, kappa, exact_plug_ins(spec, h), constants, exact=True)
 
 
 @dataclass(frozen=True)

@@ -115,13 +115,13 @@ def test_criterion_02_identity_suite():
 
 
 def _sandwich_case(summands, thetas):
-    law = sum_law([(p, 1) for p in summands])
+    spec = prepare_sum([(p, t, 1) for p, t in zip(summands, thetas)])
+    law = spec.law
     theta_n = math.fsum(thetas)
     hs = [0.25]
     if math.log(theta_n) / theta_n <= 1.0 / 14.0:
         hs.append(h_default(theta_n))
     sd = math.sqrt(law.variance)
-    spec = prepare_sum([(p, t, 1) for p, t in zip(summands, thetas)])
     checked = 0
     for h in hs:
         plug = exact_plug_ins(spec, h)
@@ -129,9 +129,8 @@ def _sandwich_case(summands, thetas):
         k_hi = math.floor((law.mean + 4.0 * sd - law.v0) / law.D)
         for k in range(k_lo, k_hi + 1):
             kappa = law.v0 + law.D * k
-            exact = law.mass(k)
-            rep = sandwich_envelope(spec, h, kappa, plug, exact=exact)
-            if not (rep.lower <= exact <= rep.upper):
+            rep = sandwich_envelope(spec, kappa, plug, exact=True)
+            if not (rep.lower <= rep.exact <= rep.upper):
                 return checked, False
             checked += 1
     return checked, True
@@ -169,15 +168,15 @@ def test_criterion_04_central_envelopes():
     lim2 = math.sqrt(theta_n / (14.0 * math.log(theta_n)))
     half_width_2 = math.floor(math.sqrt(lim2 * law.variance))
     for k in range(500 - half_width_2, 500 + half_width_2 + 1):
-        exact = law.mass(k)
-        rep = central_envelope(spec, float(k), plug, exact=exact)
-        ok = ok and abs(exact - rep.gaussian) <= rep.params["half_width"]
+        rep = central_envelope(spec, float(k), plug, exact=True)
+        ok = ok and rep.exact == law.mass(k)
+        ok = ok and abs(rep.exact - rep.gaussian) <= rep.params["half_width"]
     lim3 = math.sqrt(7.0 * math.log(theta_n) / (2.0 * theta_n))
     half_width_3 = math.floor(math.sqrt(lim3 * law.variance))
     for k in range(500 - half_width_3, 500 + half_width_3 + 1):
-        exact = law.mass(k)
-        rep = psi_envelope(spec, float(k), psi_plug, exact=exact)
-        ok = ok and abs(exact - rep.gaussian) <= rep.params["half_width"]
+        rep = psi_envelope(spec, float(k), psi_plug, exact=True)
+        ok = ok and rep.exact == law.mass(k)
+        ok = ok and abs(rep.exact - rep.gaussian) <= rep.params["half_width"]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     assert _line(
@@ -267,7 +266,7 @@ def test_criterion_08_scenery_checks():
     n, h = 16, 0.25
     spec = prepare_sum([(BERN, 0.5, n)])
     plug = exact_plug_ins(spec, h)
-    plain = sandwich_envelope(spec, h, 8.0, plug)
+    plain = sandwich_envelope(spec, 8.0, plug)
     composed = scenery_envelope(SceneryModel(BERN, inc1, n, 0.5), h, 8.0)
     ok = ok and composed.lower == plain.lower and composed.upper == plain.upper
     assert _line(

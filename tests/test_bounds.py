@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -339,11 +340,32 @@ class TestPrepareSum:
         assert counts[0] == counts[1]
         assert set(counts[1]) == {"theta", "moments", "split"}
 
-    @pytest.mark.parametrize("count", [0, -3, 2.5])
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 3.0, True, np.float64(3)])
     def test_bad_count_rejected(self, fair_bernoulli, count):
+        # prepare_sum and sum_law share one rule and one message
+        message = f"part 0: count must be an integer >= 1, got {count!r}"
         with pytest.raises(LatticeError) as err:
             prepare_sum([(fair_bernoulli, 0.5, count)])
-        assert "count" in str(err.value)
+        assert str(err.value) == message
+        with pytest.raises(LatticeError) as err:
+            sum_law([(fair_bernoulli, count)])
+        assert str(err.value) == message
+
+    def test_numpy_integer_count_accepted(self, fair_bernoulli):
+        spec = prepare_sum([(fair_bernoulli, 0.5, np.int64(3))])
+        assert spec == prepare_sum([(fair_bernoulli, 0.5, 3)])
+        assert type(spec.parts[0][2]) is int and type(len(spec)) is int
+        law = sum_law([(fair_bernoulli, np.int64(3))])
+        assert np.array_equal(law.probs, sum_law([(fair_bernoulli, 3)]).probs)
+
+    def test_law_is_sum_law_of_the_parts(self, fair_bernoulli, uniform3):
+        parts = [(uniform3, 0.5, 7), (fair_bernoulli, 0.25, 1), (uniform3, theta(uniform3), 40)]
+        spec = prepare_sum(parts)
+        law = sum_law([(p, c) for p, _, c in parts])
+        assert np.array_equal(spec.law.probs, law.probs)
+        assert (spec.law.first, spec.law.v0, spec.law.D, spec.law.err_abs) == (
+            law.first, law.v0, law.D, law.err_abs)
+        assert spec.law is spec.law  # built once
 
 
 class TestSandwichEnvelope:
@@ -351,23 +373,24 @@ class TestSandwichEnvelope:
         spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, 64)
-        rep = sandwich_envelope(spec, 0.25, 32.0, plug, exact=law.mass(32))
+        rep = sandwich_envelope(spec, 32.0, plug, exact=True)
+        assert (rep.exact, rep.exact_err) == (law.mass(32), law.err_abs)
         assert rep.lower <= rep.exact <= rep.upper
+        assert rep.sandwich_ok is True
 
     def test_binomial_64_window(self, fair_bernoulli):
         spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.25)
-        law = iid_sum(fair_bernoulli, 64)
         for k in range(20, 45):
-            exact = law.mass(k)
-            rep = sandwich_envelope(spec, 0.25, float(k), plug, exact=exact)
-            assert rep.lower <= exact <= rep.upper
+            rep = sandwich_envelope(spec, float(k), plug, exact=True)
+            assert rep.lower <= rep.exact <= rep.upper
 
     def test_wide_h_still_valid(self, fair_bernoulli):
         spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         plug = exact_plug_ins(spec, 0.99)
         law = iid_sum(fair_bernoulli, 64)
-        rep = sandwich_envelope(spec, 0.99, 32.0, plug)
+        rep = sandwich_envelope(spec, 32.0, plug)
+        assert rep.params["h"] == 0.99
         assert rep.lower <= law.mass(32) <= rep.upper
 
     def test_first_factor_monotone_in_h(self):
@@ -377,31 +400,48 @@ class TestSandwichEnvelope:
     def test_plug_in_monotonicity(self, fair_bernoulli):
         spec = prepare_sum([(fair_bernoulli, 0.5, 64)])
         base = exact_plug_ins(spec, 0.25)
-        bigger_h = PlugIns(h_n=base.h_n * 2, rho_n=base.rho_n, mode=base.mode)
-        bigger_r = PlugIns(h_n=base.h_n, rho_n=base.rho_n * 2, mode=base.mode)
-        r0 = sandwich_envelope(spec, 0.25, 32.0, base)
-        r1 = sandwich_envelope(spec, 0.25, 32.0, bigger_h)
-        r2 = sandwich_envelope(spec, 0.25, 32.0, bigger_r)
+        bigger_h = replace(base, h_n=base.h_n * 2)
+        bigger_r = replace(base, rho_n=base.rho_n * 2)
+        r0 = sandwich_envelope(spec, 32.0, base)
+        r1 = sandwich_envelope(spec, 32.0, bigger_h)
+        r2 = sandwich_envelope(spec, 32.0, bigger_r)
         assert r1.upper >= r0.upper and r1.lower <= r0.lower
         assert r2.upper >= r0.upper and r2.lower <= r0.lower
 
     def test_lower_reported_raw(self, fair_bernoulli):
         spec = prepare_sum([(fair_bernoulli, 0.5, 16)])
         plug = exact_plug_ins(spec, 0.25)
-        rep = sandwich_envelope(spec, 0.25, 8.0, plug)
+        rep = sandwich_envelope(spec, 8.0, plug)
         assert rep.lower < 0 and rep.lower_negative
 
     def test_rejects_bad_h_and_theta(self, fair_bernoulli):
-        plug = PlugIns(h_n=0.1, rho_n=0.1, mode="exact-plug-ins")
+        plug = PlugIns(h_n=0.1, rho_n=0.1, h=1.5)
+        with pytest.raises(PreconditionError, match="0 < h < 1"):
+            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 2.0, plug)
         with pytest.raises(PreconditionError):
-            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 1.5, 2.0, plug)
-        with pytest.raises(PreconditionError):
-            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.9, 4)]), 0.25, 2.0, plug)  # above theta_X
+            prepare_sum([(fair_bernoulli, 0.9, 4)])  # above theta_X
+
+    @pytest.mark.parametrize("rho_n, h", [(None, None), (0.1, None), (None, 0.25)])
+    def test_rejects_plug_ins_without_rho_n_or_h(self, fair_bernoulli, rho_n, h):
+        with pytest.raises(LatticeError, match="rho_n plug-in and the h"):
+            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 2.0,
+                              PlugIns(h_n=0.1, rho_n=rho_n, h=h))
+
+    def test_reads_h_from_the_plug_ins(self, fair_bernoulli):
+        # the theorem pairs rho_n(h) with the same h; at h = 0.1 on n = 400
+        # the envelope is the wide one of h = 0.1, not that of h = 0.9
+        spec = prepare_sum([(fair_bernoulli, 0.5, 400)])
+        rep = sandwich_envelope(spec, 200.0, exact_plug_ins(spec, 0.1), exact=True)
+        assert rep.params["h"] == 0.1 and rep.params["rho_n_used"] > 0.0
+        assert (rep.lower, rep.upper) == pytest.approx((-0.0374, 0.0949), abs=5e-5)
+        assert rep.sandwich_ok is True
+        wide = sandwich_envelope(spec, 200.0, exact_plug_ins(spec, 0.9))
+        assert wide.params["h"] == 0.9 and wide.params["rho_n_used"] == 0.0
 
     def test_rejects_off_lattice_kappa(self, fair_bernoulli):
-        plug = PlugIns(h_n=0.1, rho_n=0.1, mode="exact-plug-ins")
+        plug = PlugIns(h_n=0.1, rho_n=0.1, h=0.25)
         with pytest.raises(PreconditionError):
-            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 0.25, 2.5, plug)
+            sandwich_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 2.5, plug)
 
     def test_non_unit_lattice(self):
         # values {0.5, 2.5} on L(0.5, 2): the envelope is span-covariant
@@ -415,9 +455,9 @@ class TestSandwichEnvelope:
         k_hi = math.floor((law.mean + 4 * sd - law.v0) / law.D)
         for k in range(k_lo, k_hi + 1):
             kappa = law.v0 + law.D * k
-            exact = law.mass(k)
-            rep = sandwich_envelope(spec, 0.25, kappa, plug, exact=exact)
-            assert rep.lower <= exact <= rep.upper
+            rep = sandwich_envelope(spec, kappa, plug, exact=True)
+            assert rep.exact == law.mass(k)
+            assert rep.lower <= rep.exact <= rep.upper
 
     def test_non_maximal_extraction_level(self, fair_bernoulli):
         # any 0 < vartheta_j <= theta_X is admissible; a smaller level shifts
@@ -427,21 +467,19 @@ class TestSandwichEnvelope:
         plug = exact_plug_ins(spec, 0.25)
         law = iid_sum(fair_bernoulli, n)
         for k in range(20, 45):
-            exact = law.mass(k)
-            rep = sandwich_envelope(spec, 0.25, float(k), plug, exact=exact)
-            assert rep.lower <= exact <= rep.upper
+            rep = sandwich_envelope(spec, float(k), plug, exact=True)
+            assert rep.exact == law.mass(k)  # the level does not change the law
+            assert rep.lower <= rep.exact <= rep.upper
 
     def test_n512_with_default_h(self, fair_bernoulli):
         n = 512
         spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         h = h_default(256.0)
         plug = exact_plug_ins(spec, h)
-        law = iid_sum(fair_bernoulli, n)
-        sd = math.sqrt(law.variance)
+        sd = math.sqrt(spec.var)
         for k in range(int(256 - 4 * sd), int(256 + 4 * sd) + 1, 3):
-            exact = law.mass(k)
-            rep = sandwich_envelope(spec, h, float(k), plug, exact=exact)
-            assert rep.lower <= exact <= rep.upper
+            rep = sandwich_envelope(spec, float(k), plug, exact=True)
+            assert rep.lower <= rep.exact <= rep.upper
 
     def test_affine_covariance(self, fair_bernoulli):
         # rescaling the lattice (X -> a*X + b) leaves the envelope values
@@ -456,8 +494,8 @@ class TestSandwichEnvelope:
         plug_q = exact_plug_ins(spec_q, h)
         assert plug_q.h_n == pytest.approx(plug_p.h_n, abs=1e-14)
         assert plug_q.rho_n == plug_p.rho_n
-        rep_p = sandwich_envelope(spec_p, h, 16.0, plug_p)
-        rep_q = sandwich_envelope(spec_q, h, a * 16.0 + n * b, plug_q)
+        rep_p = sandwich_envelope(spec_p, 16.0, plug_p)
+        rep_q = sandwich_envelope(spec_q, a * 16.0 + n * b, plug_q)
         assert rep_q.gaussian == pytest.approx(rep_p.gaussian, rel=1e-12)
         assert rep_q.lower == pytest.approx(rep_p.lower, rel=1e-12, abs=1e-12)
         assert rep_q.upper == pytest.approx(rep_p.upper, rel=1e-12)
@@ -488,16 +526,13 @@ class TestSandwichProperty:
             plug = exact_plug_ins(spec, h)
         except PreconditionError:
             return  # degenerate conditional sum; nothing to check
-        law = sum_law([(p, 1) for p in summands])
-        sd = math.sqrt(law.variance)
-        k_lo = math.ceil((law.mean - 4 * sd - law.v0) / law.D)
-        k_hi = math.floor((law.mean + 4 * sd - law.v0) / law.D)
+        sd = math.sqrt(spec.var)
+        k_lo = math.ceil((spec.mean - 4 * sd - spec.v0) / spec.d)
+        k_hi = math.floor((spec.mean + 4 * sd - spec.v0) / spec.d)
         for k in range(k_lo, k_hi + 1):
-            kappa = law.v0 + law.D * k
-            exact = law.mass(k)
-            rep = sandwich_envelope(spec, h, kappa, plug, exact=exact)
-            assert rep.lower <= exact + 1e-15
-            assert exact <= rep.upper + 1e-15
+            rep = sandwich_envelope(spec, spec.v0 + spec.d * k, plug, exact=True)
+            assert rep.lower <= rep.exact + 1e-15
+            assert rep.exact <= rep.upper + 1e-15
             assert rep.lower <= rep.upper
 
 
@@ -510,18 +545,18 @@ class TestCentralEnvelope:
         self.plug = exact_plug_ins(self.spec)
 
     def test_contains_center(self):
-        exact = self.law.mass(500)
-        rep = central_envelope(self.spec, 500.0, self.plug, exact=exact)
-        assert rep.lower <= exact <= rep.upper
-        assert abs(exact - rep.gaussian) <= rep.params["half_width"]
+        rep = central_envelope(self.spec, 500.0, self.plug, exact=True)
+        assert (rep.exact, rep.exact_err) == (self.law.mass(500), self.law.err_abs)
+        assert rep.lower <= rep.exact <= rep.upper
+        assert abs(rep.exact - rep.gaussian) <= rep.params["half_width"]
 
     def test_edge_of_range_valid(self):
         theta_n = 500.0
         limit = math.sqrt(theta_n / (14 * math.log(theta_n)))
         k_edge = 500 + math.floor(math.sqrt(limit * self.law.variance))
-        exact = self.law.mass(k_edge)
-        rep = central_envelope(self.spec, float(k_edge), self.plug, exact=exact)
-        assert rep.lower <= exact <= rep.upper
+        rep = central_envelope(self.spec, float(k_edge), self.plug, exact=True)
+        assert rep.exact == self.law.mass(k_edge)
+        assert rep.lower <= rep.exact <= rep.upper
 
     def test_out_of_range_rejected_by_name(self):
         with pytest.raises(PreconditionError) as err:
@@ -529,7 +564,7 @@ class TestCentralEnvelope:
         assert "central range" in str(err.value)
 
     def test_small_theta_rejected_by_name(self, fair_bernoulli):
-        plug = PlugIns(h_n=0.1, rho_n=None, mode="exact-plug-ins")
+        plug = PlugIns(h_n=0.1, rho_n=None)
         with pytest.raises(PreconditionError) as err:
             central_envelope(prepare_sum([(fair_bernoulli, 0.5, 4)]), 2.0, plug)
         assert "log(theta_n)/theta_n" in str(err.value)
@@ -545,11 +580,11 @@ class TestPsiEnvelope:
     def test_contains_exact_discrepancy(self, fair_bernoulli):
         n = 1000
         law = iid_sum(fair_bernoulli, n)
-        exact = law.mass(500)
         spec = prepare_sum([(fair_bernoulli, 0.5, n)])
         plug = bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3)
-        rep = psi_envelope(spec, 500.0, plug, exact=exact)
-        assert rep.lower <= exact <= rep.upper
+        rep = psi_envelope(spec, 500.0, plug, exact=True)
+        assert rep.exact == law.mass(500) and rep.params["mode"] == "bounded-plug-ins"
+        assert rep.lower <= rep.exact <= rep.upper
 
     def test_square_boundary_psi_accepted(self, fair_bernoulli):
         n = 1000
@@ -574,6 +609,29 @@ class TestBoundedPlugIns:
         assert bound.h_n >= exact.h_n
         assert bound.rho_n >= exact.rho_n
         assert bound.mode == "bounded-plug-ins"
+        assert exact.mode == "exact-plug-ins"
+
+    @pytest.mark.parametrize("h", [0.1, 0.25, 0.9, None])
+    def test_plug_ins_carry_their_h(self, fair_bernoulli, h):
+        spec = prepare_sum([(fair_bernoulli, 0.5, 100)])
+        for plug in (exact_plug_ins(spec, h), bounded_plug_ins(spec, h)):
+            assert plug.h == h
+            assert (plug.rho_n is None) == (h is None)
+
+    def test_mode_follows_l_n(self):
+        assert PlugIns(h_n=0.1, rho_n=None).mode == "exact-plug-ins"
+        assert PlugIns(h_n=0.1, rho_n=None, l_n=0.2).mode == "bounded-plug-ins"
+
+    @pytest.mark.parametrize("h", [1.5, 0.0, -0.25, float("nan")])
+    def test_exact_plug_ins_check_h_before_any_law(self, fair_bernoulli, monkeypatch, h):
+        import lltkit.bounds
+
+        def no_law(*args):
+            raise AssertionError("sum_law called for a refused h")
+
+        monkeypatch.setattr(lltkit.bounds, "sum_law", no_law)
+        with pytest.raises(PreconditionError, match="0 < h < 1"):
+            exact_plug_ins(prepare_sum([(fair_bernoulli, 0.5, 64)]), h)
 
     def test_psi_checked_once_per_call(self, uniform3):
         # the psi spot-check runs once per call, not once per summand

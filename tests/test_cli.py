@@ -168,6 +168,31 @@ class TestLltBound:
         masses = dict((int(k), v) for k, v in law["probs"])
         assert masses[4] == pytest.approx(math.comb(8, 4) / 2**8, rel=1e-13)
 
+    def test_law_out_unwritable_path_exits_2(self, capsys, bern_file, tmp_path):
+        path = tmp_path / "no" / "such" / "law.json"
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "10", "--kappa", "5",
+                                     "--law-out", str(path)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert err["message"].startswith(f"cannot write output file {path}")
+
+    @pytest.mark.parametrize("mode, laws", [("exact-plug-ins", 3), ("bounded-plug-ins", 0)])
+    def test_sweep_builds_each_law_once(self, capsys, bern_file, monkeypatch, mode, laws):
+        # exact mode: the xi law and the B_n law for the plug-ins, then the
+        # law of S_n for the exact values; bounded mode builds none
+        import lltkit.bounds
+
+        calls = []
+        original = lltkit.bounds.sum_law
+        monkeypatch.setattr(lltkit.bounds, "sum_law",
+                            lambda parts: calls.append(parts) or original(parts))
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "400", "--mode", mode,
+                                     "--kappa-from", "195", "--kappa-to", "205"])
+        assert code == 0
+        assert len(json.loads(out)) == 11
+        assert len(calls) == laws
+
     def test_sweep_scans_summands_once(self, capsys, bern_file, monkeypatch):
         # the sum is validated once per request, not once per kappa point
         import lltkit.bounds
@@ -262,6 +287,16 @@ class TestOtherCommands:
         assert payload["pointwise_check"]["pointwise_ok"] is True
         assert payload["extraction_bound"]["value"] >= payload["M"]
 
+    def test_gamkrelidze_theta_zero_exits_1(self, capsys, tmp_path):
+        # {0, 2} on L(0, 0.5) is not integer-valued, but the sum is prepared
+        # first, and theta = 0 leaves no extraction level: a hypothesis fails
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({"v0": 0, "D": 0.5, "probs": [[0, 1], [2, 1]]}))
+        code, out = run_cli(capsys, ["gamkrelidze", str(path), "--n", "10"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "hypothesis-rejected" and "extraction level" in err["message"]
+
     @pytest.mark.parametrize("flag", ["--a=nan", "--a=inf", "--a=-inf", "--b=inf"])
     def test_gamkrelidze_non_finite_centering_or_scale_exits_2(self, capsys, bern_file, flag):
         code, out = run_cli(capsys, ["gamkrelidze", bern_file, "--n", "64", flag])
@@ -324,12 +359,12 @@ class TestOtherCommands:
 
     def test_scenery_refused_before_exact_law(self, capsys, tmp_path, monkeypatch):
         # a non-constant vartheta profile fails the envelope's hypotheses
-        import lltkit.scenery
+        import lltkit.bounds
 
         def no_law(*args):
             raise AssertionError("exact law built for a refused model")
 
-        monkeypatch.setattr(lltkit.scenery, "sum_law", no_law)
+        monkeypatch.setattr(lltkit.bounds, "sum_law", no_law)
         path = tmp_path / "refused.json"
         path.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
                                     "increments": {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1]]},

@@ -503,9 +503,10 @@ class TestSceneryEnvelope:
         n, h = 16, 0.25
         spec = prepare_sum([(bern(), 0.5, n)])
         plug = exact_plug_ins(spec, h)
-        plain = sandwich_envelope(spec, h, 8.0, plug)
+        plain = sandwich_envelope(spec, 8.0, plug, exact=True)
         m = SceneryModel(bern(), inc_ones(), n, 0.5)
         composed = scenery_envelope(m, h, 8.0)
+        assert (composed.exact, composed.exact_err) == (plain.exact, plain.exact_err)
         assert composed.lower == plain.lower
         assert composed.upper == plain.upper
         assert composed.gaussian == plain.gaussian
@@ -534,12 +535,12 @@ class TestSceneryEnvelope:
 
     @pytest.mark.parametrize("inc", [lazy_inc(0.3), inc_pm1()], ids=["lazy", "pm1"])
     def test_revisiting_walk_refused_before_any_law(self, monkeypatch, inc):
-        import lltkit.scenery
+        import lltkit.bounds
 
         def no_law(*args):
             raise AssertionError("sum_law called for a refused model")
 
-        monkeypatch.setattr(lltkit.scenery, "sum_law", no_law)
+        monkeypatch.setattr(lltkit.bounds, "sum_law", no_law)
         with pytest.raises(PreconditionError, match="strictly positive increments"):
             scenery_envelope(SceneryModel(bern(), inc, 16, 0.5), 0.25, 8.0)
 
