@@ -639,7 +639,11 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     is given, checked before any law is built)."""
     if h is not None:
         _check_h(h)
-    xi = sum_law([(xi_law(split(p, t)), c) for p, t, c in spec.parts])
+    try:
+        xi = sum_law([(xi_law(split(p, t)), c) for p, t, c in spec.parts])
+    except LatticeError as exc:  # name the law refused: it is not that of S_n
+        raise LatticeError(f"conditional xi law on L({spec.v0:g}, {spec.d / 2:g}) "
+                           f"for exact H_n: {exc}") from exc
     if not (xi.variance > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
     h_n = kolmogorov_distance(xi, center=xi.mean, scale=math.sqrt(xi.variance))

@@ -192,9 +192,15 @@ def _power(dense: np.ndarray, count: int):
     return x, bx
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or NumPy integer, not a bool: the rule for
+    counts here and for Monte Carlo sample counts and seeds."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_count(count, j: int) -> int:
     """``count`` of part j as an int; it must be a (NumPy) integer >= 1, not a bool."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+    if not _is_integer(count) or count < 1:
         raise LatticeError(f"part {j}: count must be an integer >= 1, got {count!r}")
     return int(count)
 

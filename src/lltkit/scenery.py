@@ -44,7 +44,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from fractions import Fraction
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .bounds import (
     prepare_sum,
     sandwich_envelope,
 )
-from .convolve import SumLaw, sum_law
+from .convolve import SumLaw, _is_integer, sum_law
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
 from .lattice import LatticePmf, _integral, _moments, kappa_index, pmf_from_json, theta
@@ -457,16 +459,11 @@ class MonteCarloEstimate:
         return self.p_hat - z * self.stderr, self.p_hat + z * self.stderr
 
 
-def _inv_cdf_table(pmf: LatticePmf) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.array(pmf.support, dtype=np.int64)
-    w = np.array([pmf.probs[int(k)] for k in ks])
-    cum = np.cumsum(w)
-    cum[-1] = 1.0
-    return ks, cum
-
-
 #: draws per Monte Carlo chunk; a chunk holds this many small ints
 _CHUNK_DRAWS = 1_000_000
+
+#: 2^32, one past the largest uint32 uniform
+_WORDS32 = 1 << 32
 
 
 def _chunk_rows(n: int) -> int:
@@ -474,35 +471,57 @@ def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_DRAWS // max(n, 1))
 
 
-def _coins(rng: np.random.Generator, p: float, shape) -> np.ndarray:
-    """0/1 flags (uint8), each 1 with probability p; fair coins are read from
-    packed random bits."""
-    if p == 0.5:
-        size = math.prod(shape)
-        bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8), count=size)
-        return bits.reshape(shape)
-    # float32 uniforms (here and in _site_draws) quantize p by < 6e-8, far
-    # below any Monte Carlo standard error used here
-    return (rng.random(shape, dtype=np.float32) < np.float32(p)).view(np.uint8)
+def _cuts(masses: Iterable[float]) -> list[int]:
+    """Integer cut points of an inverse-cdf draw from a uint32 uniform u, for
+    a law whose atoms carry ``masses`` and then the rest: the draw is atom i,
+    with i the number of cuts at or below u.
+
+    Cut i is ``T_i = min(round(Q_i 2^32), 2^32)``, where ``Q_i`` is the exact
+    (rational) sum of the stored masses of atoms 0..i, so
+    ``|T_i - Q_i 2^32| <= 1/2`` and atom i is drawn with probability
+    ``(T_i - T_{i-1}) / 2^32`` (``T_{-1} = 0``; the last atom takes the rest
+    up to 2^32): within 2^-32 of its stored mass, the last atom within 2^-33
+    plus the few ulps by which the stored masses miss 1.  The float32 cuts
+    this replaced were only within about 6e-8.  An atom of mass below 2^-33
+    at either end of the support is never drawn.  A cut of 2^32 can never be
+    reached, nor can the atoms after it, so it is dropped.
+    """
+    cuts = (min(round(q * _WORDS32), _WORDS32) for q in accumulate(map(Fraction, masses)))
+    return [t for t in cuts if t < _WORDS32]
 
 
-def _site_draws(rng: np.random.Generator, ks: np.ndarray, cum: np.ndarray, shape) -> np.ndarray:
-    """Scenery draws for a block of sites, as lattice-index offsets from the
-    least support point ``ks[0]``, in the smallest unsigned type that holds
-    them."""
+def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], shape) -> np.ndarray:
+    """Draws of the law with support indices ``ks`` and cut points ``cuts``
+    (see :func:`_cuts`) for a block of sites, as lattice-index offsets from
+    the least support point ``ks[0]``, in the smallest unsigned type that
+    holds them.
+
+    The uint32 uniforms are the two 32-bit halves of raw generator words, and
+    a draw is the sum of the gaps ``ks[i+1] - ks[i]`` over the cuts ``T_i <=
+    u``; the first cut's hit array becomes the output.  A single cut at 2^31
+    is a fair coin: ``u >= 2^31`` is u's top bit, so each draw takes one bit
+    of a raw word instead, with the same law.
+    """
     dt = np.min_scalar_type(int(ks[-1] - ks[0]))
-    if len(ks) == 1:
+    if not cuts:
         return np.zeros(shape, dt)
-    if len(ks) == 2 and cum[0] == 0.5:
-        hit = _coins(rng, 0.5, shape)
-        gap = int(ks[1] - ks[0])
-        return hit if gap == 1 else hit * dt.type(gap)
-    u = rng.random(shape, dtype=np.float32)
-    out = np.zeros(shape, dt)
-    for cut, gap in zip(cum[:-1].astype(np.float32), np.diff(ks).tolist()):
-        hit = (u >= cut).view(np.uint8)
+    size = math.prod(shape)
+    raw = rng.bit_generator.random_raw
+    if cuts == [_WORDS32 >> 1]:
+        hits = [np.unpackbits(raw(-(-size // 64)).view(np.uint8), count=size).reshape(shape)]
+    else:
+        u = raw(-(-size // 2)).view(np.uint32)[:size].reshape(shape)
+        hits = ((u >= np.uint32(t)).view(np.uint8) for t in cuts)
+    pairs = zip(hits, np.diff(ks).tolist())
+    hit, gap = next(pairs)
+    out = hit if gap == 1 and dt == np.uint8 else hit * dt.type(gap)
+    for hit, gap in pairs:
         out += hit if gap == 1 else hit * dt.type(gap)
     return out
+
+
+#: support of the move flag of a lazy walk: 0 stays, 1 moves
+_MOVE_KS = np.array([0, 1], dtype=np.int64)
 
 
 def monte_carlo_point_prob(
@@ -524,32 +543,40 @@ def monte_carlo_point_prob(
     distinct site number ``#moves in steps 2..k`` (counting from 0).
 
     Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so runs
-    are reproducible given (samples, seed).  Sums are carried in integer
-    index space so the hit test is exact.
+    are reproducible given (samples, seed).  Draws compare uint32 halves of
+    its raw words with integer cut points (:func:`_cuts`), so every atom of
+    the x law, and the stay flag, is drawn with probability within 2^-32 of
+    its stored mass.  Sums are carried in integer index space so the hit
+    test is exact; a row sum is at most ``n * span`` and is accumulated in
+    uint16 when that fits.
     """
     if min(model.increment_law.support) < 0:
         raise PreconditionError("Monte Carlo oracle requires increments >= 0")
-    if samples < 1 or seed < 0:
-        raise LatticeError(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
+    if not (_is_integer(samples) and samples >= 1 and _is_integer(seed) and seed >= 0):
+        raise LatticeError(f"need integer samples >= 1 and seed >= 0, got {samples!r} and {seed!r}")
+    samples, seed = int(samples), int(seed)
     x = model.x_law
     n = model.n
-    x_ks, x_cum = _inv_cdf_table(x)
+    x_ks = np.array(x.support, dtype=np.int64)
+    x_cuts = _cuts(x.probs[k] for k in x.support[:-1])
     target = kappa_index(kappa, n * x.v0, x.D) - n * int(x_ks[0])
+    acc = np.uint16 if n * int(x_ks[-1] - x_ks[0]) <= 0xFFFF else np.int64
     p_stay = model.increment_law.mass(0)
+    move_cuts = _cuts([p_stay])
     rows = _chunk_rows(n)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     while done < samples:
         c = min(rows, samples - done)
-        vals = _site_draws(rng, x_ks, x_cum, (c, n))
+        vals = _site_draws(rng, x_ks, x_cuts, (c, n))
         if p_stay > 0.0 and n > 1:
-            moved = _coins(rng, 1.0 - p_stay, (c, n))
+            moved = _site_draws(rng, _MOVE_KS, move_cuts, (c, n))
             moved[:, 0] = 1
             site = np.cumsum(moved, axis=1, dtype=np.min_scalar_type(n))
             site -= 1
             vals = np.take_along_axis(vals, site, axis=1)
-        hits += int((vals.sum(axis=1, dtype=np.int64) == target).sum())
+        hits += int(np.count_nonzero(vals.sum(axis=1, dtype=acc) == target))
         done += c
     p_hat = hits / samples
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / samples)

@@ -616,6 +616,19 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err["kind"] == "input-error" and "above the cap" in err["message"]
 
+    def test_exact_plug_ins_name_the_conditional_law_refused(self, capsys, tmp_path):
+        # {0, 1, 2}/4 at n = 3e6: S_n has 6000001 points, under the cap, but
+        # the xi law {0, 1, 3, 4} on L(0, 1/2) makes a sum of 12000001
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]}))
+        code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "3000000",
+                                     "--kappa", "3000000", "--mode", "exact-plug-ins"])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error"
+        assert err["message"] == ("conditional xi law on L(0, 0.5) for exact H_n: exact law of "
+                                  "12000001 points, above the cap of 8388608")
+
     def test_key_error_in_a_command_propagates(self, bern_file, monkeypatch):
         # every input parser turns its own KeyError into an input error, so
         # one that reaches run is a defect, not bad input

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -31,7 +32,7 @@ from lltkit import (
     y_covariance_factorization,
 )
 from lltkit import scenery
-from lltkit.scenery import _chunk_rows
+from lltkit.scenery import _chunk_rows, _cuts
 
 
 def bern():
@@ -679,3 +680,82 @@ class TestMonteCarloLocalTimes:
         p = law.mass(k)
         est = monte_carlo_point_prob(m, law.v0 + law.D * k, samples=samples, seed=4)
         assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples)
+
+
+class TestMonteCarloDraws:
+    """The draw stage: integer cut points per atom, the stay flags of lazy
+    walks, the row-sum accumulator and the sample and seed rules."""
+
+    def test_cut_points_within_2_pow_minus_32_of_each_mass(self):
+        rng = np.random.default_rng(12)
+        for size in [2, 3, 5, 9] * 25:
+            w = rng.random(size) ** 4
+            law = make_pmf(0.0, 1.0, enumerate(w.tolist()))
+            masses = [law.probs[k] for k in law.support]
+            cuts = _cuts(masses[:-1])
+            edges = [0, *cuts, *[2**32] * (size - len(cuts))]
+            for i, mass in enumerate(masses):
+                drawn = Fraction(edges[i + 1] - edges[i], 2**32)
+                assert abs(drawn - Fraction(mass)) <= Fraction(1, 2**32), (size, i)
+        assert _cuts([0.5]) == [2**31]
+        assert _cuts([0.3, 0.7]) == [round(0.3 * 2**32)]  # the cut at 2^32 is dropped
+
+    @pytest.mark.parametrize("x_law", [
+        make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
+        make_pmf(2.0, 1.0, [(0, 1), (2, 5), (7, 2)]),
+        make_pmf(0.25, 2.0, [(-2, 1), (0, 2), (1, 3), (4, 1), (9, 3)]),
+    ], ids=["two-point", "three-point", "five-point"])
+    def test_each_atom_at_n_1(self, x_law):
+        # S_1 = X: every atom's p_hat lies within 5 standard errors of its mass
+        m = SceneryModel(x_law, inc_12(), 1, {})
+        samples = 200_000
+        for k, p in x_law.probs.items():
+            est = monte_carlo_point_prob(m, x_law.point(k), samples=samples, seed=7)
+            assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples), (k, est.p_hat, p)
+
+    @pytest.mark.parametrize("entries, never", [
+        ([(0, 1e-11), (1, 1.0), (2, 1e-11)], (0, 2)),
+        ([(0, 1.0), (1, 1e-11), (2, 1.0)], (1,)),
+    ], ids=["at-both-ends", "between-integral-cuts"])
+    def test_atom_below_2_pow_minus_33_is_never_drawn(self, entries, never):
+        x_law = make_pmf(0.0, 1.0, entries)
+        assert all(x_law.probs[k] < 2.0**-33 for k in never)
+        m = SceneryModel(x_law, inc_12(), 1, {})
+        for k in never:
+            assert monte_carlo_point_prob(m, float(k), samples=100_000, seed=3).p_hat == 0.0
+
+    @pytest.mark.parametrize("p0", [1e-12, 1 - 1e-12])
+    def test_extreme_stay_probabilities(self, p0):
+        x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
+        n = 4
+        m = SceneryModel(x_law, lazy_inc(p0), n, {})
+        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=100_000, seed=5)
+        if p0 > 0.5:  # no move is ever drawn: S_n = n X, off its multiples never
+            assert monte_carlo_point_prob(m, 1.0, samples=100_000, seed=5).p_hat == 0.0
+
+    @pytest.mark.parametrize("n, gap, p1, k", [
+        (250, 300, 0.9, 225),  # sums above 65535 need the wide accumulator
+        (255, 257, 0.99, 255),  # n * span = 65535: the largest sum fits uint16
+    ], ids=["wide", "uint16-edge"])
+    def test_row_sums_do_not_wrap(self, n, gap, p1, k):
+        x_law = make_pmf(0.0, 1.0, [(0, 1 - p1), (gap, p1)])
+        m = SceneryModel(x_law, inc_12(), n, {})
+        p = math.comb(n, k) * p1**k * (1 - p1) ** (n - k)
+        samples = 20_000
+        est = monte_carlo_point_prob(m, float(gap * k), samples=samples, seed=6)
+        assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples)
+
+    @pytest.mark.parametrize("samples, seed", [
+        (1e4, 3), (True, 3), (np.float64(100), 3), (100, 2.0), (100, False),
+    ], ids=["float-samples", "bool-samples", "numpy-float-samples", "float-seed",
+            "bool-seed"])
+    def test_non_integer_samples_or_seed_refused(self, samples, seed):
+        m = SceneryModel(bern(), inc_12(), 8, 0.5)
+        with pytest.raises(LatticeError, match="integer samples >= 1 and seed >= 0"):
+            monte_carlo_point_prob(m, 4.0, samples=samples, seed=seed)
+
+    def test_numpy_integer_samples_and_seed_accepted(self):
+        m = SceneryModel(bern(), inc_12(), 8, 0.5)
+        est = monte_carlo_point_prob(m, 4.0, samples=np.int64(5000), seed=np.uint32(3))
+        assert type(est.samples) is int and type(est.seed) is int
+        assert est == monte_carlo_point_prob(m, 4.0, samples=5000, seed=3)
