@@ -142,8 +142,8 @@ def _pick_h(args: argparse.Namespace, theta_n: float) -> float:
 
 def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | None:
     """Lattice indices of the ``--kappa-from``/``--kappa-to`` sweep, or None
-    for a single ``--kappa``; a sweep is at most ``gamkrelidze.WINDOW_CAP``
-    points, the cap of the other printed table."""
+    for a single ``--kappa``; a sweep holds at least one lattice point and at
+    most ``gamkrelidze.WINDOW_CAP``, the cap of the other printed table."""
     sweep_ends = (args.kappa_from, args.kappa_to)
     if args.kappa is not None:
         if sweep_ends != (None, None):
@@ -153,6 +153,9 @@ def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | No
         raise LatticeError("llt-bound requires --kappa or finite --kappa-from and --kappa-to")
     k_lo = math.ceil((args.kappa_from - spec.v0) / spec.d - 1e-9)
     k_hi = math.floor((args.kappa_to - spec.v0) / spec.d + 1e-9)
+    if k_hi < k_lo:
+        raise LatticeError(f"kappa sweep from {args.kappa_from} to {args.kappa_to} holds no "
+                           f"point of the sum lattice L({spec.v0}, {spec.d})")
     if k_hi - k_lo + 1 > gamkrelidze.WINDOW_CAP:
         raise LatticeError(f"kappa sweep of {k_hi - k_lo + 1} points, above the cap of "
                            f"{gamkrelidze.WINDOW_CAP}")

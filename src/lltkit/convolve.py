@@ -5,8 +5,10 @@ variables, and the brute-force statistics every bound is checked against.
 parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`.
 A part with ``count == 1`` is folded into the running array by its atoms:
 one shifted, scaled add of the array per positive mass, so a sparse part
-(the partition model's ``{0, j}``) costs two adds, not a convolution over
-its span.  A part with ``count >= 2`` is densified on its own span and
+(the partition model's ``{0, j}``) costs its array passes, not a
+convolution over its span, plus O(1) work on Python scalars (its atoms are
+read once as pairs, and a two-atom part's norms come from its two
+masses).  A part with ``count >= 2`` is densified on its own span and
 raised to its power by repeated squaring with real-FFT products
 (``scipy.fft``), ``O(log count)`` products instead of ``count``
 convolutions.  Entries of the power at or below its error bound are set to
@@ -36,6 +38,9 @@ from .lattice import LatticePmf, _moments
 
 #: unit roundoff of double precision
 _U = 2.0**-53
+
+#: the rounding-up factor of :func:`_measured` for a double vector of length 2
+_UP2 = 1.0 + 2.0 * 4 * _U + 4.0 * _U
 
 #: most entries an exact law may hold: every law within it fits a 2^23-point
 #: FFT, and the largest took 8.2 s at 610 MB peak RSS on one Intel Xeon core
@@ -174,15 +179,16 @@ def _power(dense: np.ndarray, count: int):
     """``dense`` convolved with itself to the power ``count >= 2``, with
     entries at or below its error bound set to 0.0, and its bounds."""
     x = base = dense.astype(np.longdouble)
-    bx = _measured(x)
+    bx = bbase = _measured(x)  # the law's bounds, measured once per precision
     rounds = bin(count)[3:]  # one round per bit below the leading one
     for i, bit in enumerate(rounds):
         if i == len(rounds) - 1:
             # the last round runs in double: no later squaring amplifies its error
             (x, bx), base = _to_double(x, bx), dense
+            bbase = _measured(base)
         x, bx = _fft_product(x, bx, x, bx)
         if bit == "1":
-            x, bx = _fft_product(x, bx, base, _measured(base))
+            x, bx = _fft_product(x, bx, base, bbase)
     cut = x <= bx.einf
     if cut.any():
         tail = _measured(x[cut])
@@ -272,7 +278,11 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        power ``m = min(window, spread window)``, the shorter of the two
        ``numpy.convolve`` arguments.
        The fold's norms are carried as bounds, never recomputed, so the
-       count-1 path costs nothing beyond its adds.
+       count-1 path costs nothing beyond its adds.  A count-1 part enters
+       with the norms of its positive masses; a two-atom part ``{0: a, j:
+       b}`` computes them from the scalars, ``(a + b) up``, ``sqrt(a^2 +
+       b^2) up`` and ``max(a, b) (1 + 2u)`` with ``up = 1 + 12u``, the same
+       doubles as the sums over a 2-entry array, which numpy rounds once.
     3. *Precision change*: rounding an extended vector to double moves each
        entry by at most ``u |x_i|`` plus half the least subnormal.
     4. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
@@ -293,48 +303,55 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     if not parts:
         raise LatticeError("need at least one summand")
     d = min(p.D for p, _ in parts)
-    atoms, length = [], 1  # per part: stride and sorted atoms; the final length
+    atoms, length = [], 1  # per part: stride, first listed index, span, positive atoms
     for p, count in parts:
         r = p.D / d
         s = round(r)
         if s < 1 or abs(r - s) > 1e-9 * max(1.0, s):
             raise LatticeError(f"incompatible spans: {p.D} is not an integer multiple of {d}")
-        ks, w = map(np.array, zip(*sorted(p.probs.items())))
-        atoms.append((s, ks, w))
-        length += count * s * int(ks[-1] - ks[0])
+        items = sorted(p.probs.items())
+        k0 = int(items[0][0])  # the first listed atom, massless or not
+        span = int(items[-1][0]) - k0
+        atoms.append((s, k0, span, [(k - k0, w) for k, w in items if w > 0]))
+        length += count * s * span
     if length > _LENGTH_CAP:
         raise LatticeError(f"exact law of {length} points, above the cap of {_LENGTH_CAP}")
     acc, ab = np.array([1.0]), _Bounds(1.0, 1.0, 1.0)
     size, lo, hi = 1, 0, 1  # the sum so far has length size; its nonzeros lie in acc[lo:hi]
     whole = scratch = None  # the count-1 parts' accumulator of the final length
     first = 0
-    for (_, count), (s, ks, w) in zip(parts, atoms):
-        k0, span = int(ks[0]), int(ks[-1] - ks[0])
-        ks, w = ks[w > 0] - k0, w[w > 0]
-        size += count * span * s
-        win = acc[lo:hi]
+    for (_, count), (s, k0, span, pos) in zip(parts, atoms):
+        size += count * s * span
         if count == 1:  # one shifted add per atom, in increasing k, in place
             if acc is not whole:
                 whole, scratch = np.zeros(length), np.empty(length)
-                whole[lo:hi] = win
+                whole[lo:hi] = acc[lo:hi]
                 acc = whole
-            x = scratch[:hi - lo]
-            if len(ks) == 2 and ks[0] == 0:  # {0: a, j: b}: a x, then b x added at j
-                np.multiply(acc[lo:hi], w[1], out=x)
-                acc[lo:hi] *= w[0]
-                j = lo + s * int(ks[1])
+            win, x = acc[lo:hi], scratch[:hi - lo]
+            if len(pos) == 2 and pos[0][0] == 0:  # {0: a, j: b}: a x, then b x added at j
+                (_, a), (j, b) = pos
+                np.multiply(win, b, out=x)
+                win *= a
+                j = lo + s * j
                 acc[j:j + len(x)] += x
+                # _measured of [a, b]: numpy sums two doubles as their rounded sum
+                bp = _Bounds((a + b) * _UP2, math.sqrt(a * a + b * b) * _UP2,
+                             max(a, b) * (1.0 + 2.0 * _U))
             else:
-                x[:] = acc[lo:hi]
-                acc[lo:hi] = 0.0
-                for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
+                x[:] = win
+                win[:] = 0.0
+                for k, wk in pos:
+                    k = lo + s * k
                     acc[k:k + len(x)] += wk * x
-            ab = _direct_product(ab, _measured(w), min(len(x), len(w)))
-            lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
+                bp = _measured(np.array([w for _, w in pos]))
+            ab = _direct_product(ab, bp, min(len(x), len(pos)))
+            lo, hi = lo + s * pos[0][0], hi + s * pos[-1][0]
         else:
+            win = acc[lo:hi]
             out = np.zeros(size)
+            ks, w = zip(*pos)
             dense = np.zeros(span + 1)
-            dense[ks] = w
+            dense[list(ks)] = w
             power, pb = _power(dense, count)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # gaps stay exact zeros

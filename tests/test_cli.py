@@ -97,14 +97,22 @@ class TestLltBound:
         assert len(rows) == 25
         assert all(r["sandwich_ok"] for r in rows)
 
-    def test_empty_sweep_is_fine(self, capsys, bern_file):
-        code, out = run_cli(
-            capsys,
-            ["llt-bound", bern_file, "--n", "8", "--kappa-from", "3.2",
-             "--kappa-to", "3.8", "--h", "0.25"],
-        )
-        assert code == 0
-        assert json.loads(out) == []
+    @pytest.mark.parametrize("ends, fmt", [(("3.2", "3.8"), "json"), (("5", "3"), "json"),
+                                           (("5", "3"), "csv")],
+                             ids=["between-points", "reversed-json", "reversed-csv"])
+    def test_empty_sweep_exits_2(self, capsys, bern_file, ends, fmt):
+        # no lattice point between the ends, or the ends reversed
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "8", "--kappa-from", ends[0],
+                                     "--kappa-to", ends[1], "--h", "0.25", "--format", fmt])
+        assert code == 2
+        if fmt == "json":
+            err = json.loads(out)["error"]
+            assert err["kind"] == "input-error"
+            message = err["message"]
+        else:
+            assert out.splitlines()[1].startswith("input-error,")
+            message = out
+        assert f"from {float(ends[0])} to {float(ends[1])}" in message
 
     def test_far_tail_gaussian_underflows_to_zero(self, capsys, bern_file):
         code, out = run_cli(

@@ -26,7 +26,7 @@ from lltkit import (
 )
 
 from lltkit import convolve
-from lltkit.convolve import _power
+from lltkit.convolve import _Bounds, _direct_product, _fft_product, _measured, _power
 
 from .conftest import random_pmf
 
@@ -114,12 +114,16 @@ def _sequential_reference(parts):
 def _fresh_array_fold(parts):
     """The kernel of sum_law with a fresh zero array per part: one add per
     atom in increasing k for a count-1 part, the FFT power over nonzero
-    windows for the others.
+    windows for the others, and the bound chain of each fold: the measured
+    norms of the part's positive masses for a count-1 part, the power's
+    bounds for the others.
     numpy.convolve in _sequential_reference rounds its dot products
     differently, so only this reference pins the bits of the fold.
-    Returns (first index, masses)."""
+    Returns (first index, masses, err_abs)."""
+    u = 2.0**-53
     d = min(p.D for p, _ in parts)
     acc, lo, hi, first = np.array([1.0]), 0, 1, 0
+    ab = _Bounds(1.0, 1.0, 1.0)
     for p, count in parts:
         s = round(p.D / d)
         ks, w = map(np.array, zip(*sorted(p.probs.items())))
@@ -130,19 +134,25 @@ def _fresh_array_fold(parts):
         if count == 1:
             for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
                 out[k:k + len(win)] += wk * win
+            ab = _direct_product(ab, _measured(w), min(len(win), len(w)))
             lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
         else:
             dense = np.zeros(span + 1)
             dense[ks] = w
-            power, _ = _power(dense, count)
+            power, pb = _power(dense, count)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)
             spread[::s] = power[nz[0]:nz[-1] + 1]
             lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
             out[lo:hi] = np.convolve(win, spread)
+            ab = _direct_product(ab, pb, min(len(win), len(spread)))
         acc = out
         first += count * s * k0
-    return first, acc / math.fsum(acc)
+    total = math.fsum(acc)
+    peak = float(acc.max())
+    dm = ab.e1 + 2.0 * u * total
+    err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + u * peak) / total * (1.0 + 2.0**-40)
+    return first, acc / total, err
 
 
 def _random_parts(rng):
@@ -223,6 +233,22 @@ class TestSumLaw:
         law = sum_law(parts)
         assert law.first == first
         assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+
+    def test_power_multiplies_by_the_measured_law(self, monkeypatch):
+        # the law is measured once per precision, and the bounds passed with
+        # it are the numbers a fresh measurement gives, so powers keep their bits
+        seen = []
+
+        def spy(x, bx, y, by):
+            if y is not x:
+                seen.append((y, by))
+            return _fft_product(x, bx, y, by)
+
+        monkeypatch.setattr(convolve, "_fft_product", spy)
+        for count in list(range(2, 40)) + [127, 1000]:
+            _power(np.array([0.7, 0.2, 0.0, 0.1]), count)
+        assert {y.dtype for y, _ in seen} == {np.dtype(np.longdouble), np.dtype(np.float64)}
+        assert all(by == _measured(y) for y, by in seen)
 
     @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
     def test_error_bound_is_small_up_to_2e4(self, probs):
@@ -319,9 +345,10 @@ class TestSparseFold:
 
     def _assert_fresh_array_bits(self, parts):
         law = sum_law(parts)
-        first, ref = _fresh_array_fold(parts)
+        first, ref, ref_err = _fresh_array_fold(parts)
         assert law.first == first
         assert np.array_equal(law.probs, ref)
+        assert law.err_abs == ref_err
         first, ref = _sequential_reference(parts)
         assert law.first == first
         assert np.all(np.abs(law.probs - ref) <= law.err_abs)
@@ -346,6 +373,41 @@ class TestSparseFold:
         wide = make_pmf(0.0, 2.0, [(0, 0.2), (1, 0.3), (3, 0.5)])
         unit = make_pmf(0.0, 1.0, [(0, 0.4), (1, 0.6)])
         self._assert_fresh_array_bits([(coarse, 1), (unit, 1), (wide, 1), (coarse, 2), (wide, 1)])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_count_one_parts_keep_the_bits(self, seed):
+        parts = _random_parts(np.random.default_rng(seed))
+        self._assert_fresh_array_bits([(law, 1) for law, _ in parts])
+
+    def test_one_atom_part_off_zero_keeps_the_bits(self):
+        # {j: 1.0} has no mass at 0: a one-atom shift, measured as one entry
+        point = LatticePmf(0.0, 1.0, {3: 1.0})
+        parts = _partition_model_parts(1, 20)
+        law = self._assert_fresh_array_bits(parts[:10] + [(point, 1)] + parts[10:])
+        assert law.first == 3
+
+    def test_count_one_bounds_are_the_measured_norms(self, monkeypatch):
+        # every count-1 part enters the bound chain with the norms _measured
+        # gives for its positive masses, to the bit, also where a drift of
+        # one of them would be hidden by a min() further down the chain
+        seen = []
+
+        def spy(x, y, m):
+            seen.append(y)
+            return _direct_product(x, y, m)
+
+        monkeypatch.setattr(convolve, "_direct_product", spy)
+        rng = np.random.default_rng(5)
+        pairs = [make_pmf(0.0, 1.0, [(0, a), (int(j), 1.0)]) for a, j in
+                 [(1e-300, 1), (5e-324, 2), (1.0, 3), (0.3, 1)]]
+        pairs += [make_pmf(0.0, 1.0, [(0, a), (int(j), b)]) for a, b, j in
+                  zip(rng.random(40), rng.random(40), rng.integers(1, 9, 40))]
+        laws = [law for law, _ in _partition_model_parts(1, 60)] + pairs
+        laws += [law for law, _ in _random_parts(rng)] + [LatticePmf(0.0, 1.0, {3: 1.0})]
+        sum_law([(law, 1) for law in laws])
+        expected = [_measured(np.array([w for _, w in sorted(law.probs.items()) if w > 0]))
+                    for law in laws]
+        assert seen == expected
 
     def test_two_powered_parts_match_the_sequential_reference(self):
         parts = [(self._P, 300), (self._Q, 300)]

@@ -14,8 +14,13 @@ from lltkit import (
     count_partitions,
     count_via_enumeration,
     count_via_model,
+    make_pmf,
     solve_sigma,
+    sum_law,
 )
+from lltkit import partition
+
+from .test_convolve import _fresh_array_fold
 
 
 class TestEnumeration:
@@ -154,3 +159,67 @@ def test_model_verdicts_on_the_benchmark_grid():
                 continue
             assert q == exact[n], (m, n)
     assert len(refused) <= 44, refused
+
+
+class _Stop(Exception):
+    """Ends a model count once its parts are recorded."""
+
+
+def _model_parts(monkeypatch, m, n, sigma):
+    """The parts _model_count(m, n, sigma) passes to sum_law."""
+    calls = []
+
+    def spy(parts):
+        calls.append(parts)
+        raise _Stop
+
+    monkeypatch.setattr(partition, "sum_law", spy)
+    with pytest.raises(_Stop):
+        partition._model_count(m, n, sigma)
+    return calls[0]
+
+
+def _make_pmf_parts(m, n, sigma):
+    """The parts as make_pmf builds them, at the tilt _model_count uses:
+    sigma = -inf (m = n) is read as 0."""
+    sigma = 0.0 if sigma == float("-inf") else sigma
+    js = np.arange(m, n + 1, dtype=float)
+    return [(make_pmf(0.0, 1.0, [(0, 1.0 - p), (int(j), p)]), 1)
+            for j, p in zip(js, expit(-sigma * js))]
+
+
+class TestModelParts:
+    """_model_count builds its two-point parts without make_pmf, to the bit."""
+
+    def test_parts_equal_make_pmf_on_the_benchmark_grid(self, monkeypatch):
+        grid = [(m, n) for m in range(1, 9) for n in range(100, 301, 10)]
+        for m, n in grid + [(1, 1), (7, 7), (300, 300)]:
+            sigma = solve_sigma(m, n)
+            assert _model_parts(monkeypatch, m, n, sigma) == _make_pmf_parts(m, n, sigma), (m, n)
+
+    def test_two_masses_sum_to_one(self):
+        # why make_pmf's normalization leaves 1 - p and p as they are
+        rng = np.random.default_rng(0)
+        p = np.concatenate([rng.random(10**5), 10.0 ** rng.uniform(-320, 0, 10**5),
+                            1.0 - 10.0 ** rng.uniform(-17, 0, 10**5), [0.0, 0.5, 1.0]])
+        assert np.all((1.0 - p) + p == 1.0)
+
+    @pytest.mark.parametrize("sigma", [40.0, -40.0])
+    def test_zero_masses_are_dropped(self, monkeypatch, sigma):
+        # sigma = 40: P{X_j = j} is 0.0 from j = 19 on; sigma = -40: it is 1.0
+        parts = _model_parts(monkeypatch, 1, 30, sigma)
+        assert parts == _make_pmf_parts(1, 30, sigma)
+        one_atom = [law.probs for law, _ in parts if len(law.probs) == 1]
+        if sigma > 0:
+            assert one_atom and all(probs == {0: 1.0} for probs in one_atom)
+        else:
+            assert len(one_atom) == 30 and one_atom[4] == {5: 1.0}
+
+    @pytest.mark.parametrize("m, n", [(1, 100), (1, 300), (2, 250), (5, 260), (7, 280)])
+    def test_model_mass_equals_the_fresh_fold(self, monkeypatch, m, n):
+        # the mass the identity reads, bit for bit; three of these are refused
+        sigma = solve_sigma(m, n)
+        law = sum_law(_model_parts(monkeypatch, m, n, sigma))
+        first, ref, _ = _fresh_array_fold(_make_pmf_parts(m, n, sigma))
+        assert law.first == first == 0
+        assert law.mass(n) == ref[n - first]
