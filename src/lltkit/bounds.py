@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .convolve import SumLaw, _as_count, bernoulli, kolmogorov_distance, sum_law
+from .convolve import SumLaw, _as_count, bernoulli, kolmogorov_bound, sum_law
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
@@ -96,7 +97,8 @@ DEFAULT_CONSTANTS = ConstantsRegistry()
 
 @dataclass(frozen=True)
 class PlugIns:
-    """Values (or valid upper bounds) fed into the envelopes.
+    """Upper bounds fed into the envelopes: exact values rounded up by their
+    floating-point error, or bounds derived without an oracle.
 
     ``h_n`` bounds the normal-approximation distance of the conditional sum,
     ``rho_n`` bounds the Bernoulli-count deviation probability at ``h`` (both
@@ -636,7 +638,10 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
 def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
     rho_n from the exact tail of B_n, a sum of Bernoulli(level) parts (when h
-    is given, checked before any law is built)."""
+    is given, checked before any law is built).  Both are rounded up by their
+    floating-point error (:func:`lltkit.convolve.kolmogorov_bound`,
+    :meth:`SumLaw.two_sided_tail_bound`), so they bound the values of the
+    exact laws from above."""
     if h is not None:
         _check_h(h)
     try:
@@ -646,11 +651,12 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
                            f"for exact H_n: {exc}") from exc
     if not (xi.variance > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
-    h_n = kolmogorov_distance(xi, center=xi.mean, scale=math.sqrt(xi.variance))
+    h_n = kolmogorov_bound(xi, center=xi.mean, scale=math.sqrt(xi.variance))
     rho = None
     if h is not None:
         b_n = sum_law([(bernoulli(t), c) for _, t, c in spec.parts])
-        rho = b_n.two_sided_tail(spec.theta_n, h * spec.theta_n)
+        theta_n = sum(c * Fraction(t) for _, t, c in spec.parts)  # exact
+        rho = b_n.two_sided_tail_bound(theta_n, Fraction(h) * theta_n)
     return PlugIns(h_n=h_n, rho_n=rho, h=h)
 
 

@@ -436,7 +436,10 @@ class TestSandwichEnvelope:
         assert (rep.lower, rep.upper) == pytest.approx((-0.0374, 0.0949), abs=5e-5)
         assert rep.sandwich_ok is True
         wide = sandwich_envelope(spec, 200.0, exact_plug_ins(spec, 0.9))
-        assert wide.params["h"] == 0.9 and wide.params["rho_n_used"] == 0.0
+        # rho_n(0.9) is P{|B - 200| > 180}, about 1e-87: its plug-in is that
+        # tail rounded up by the error of the 40 masses in it
+        tail = Fraction(2 * sum(math.comb(400, k) for k in range(20)), 2**400)
+        assert wide.params["h"] == 0.9 and tail <= wide.params["rho_n_used"] < 1e-12
 
     def test_rejects_off_lattice_kappa(self, fair_bernoulli):
         plug = PlugIns(h_n=0.1, rho_n=0.1, h=0.25)
@@ -599,6 +602,25 @@ class TestPsiEnvelope:
         assert plug.l_n is None
         with pytest.raises(LatticeError):
             psi_envelope(spec, 32.0, plug)
+
+
+class TestExactPlugInBounds:
+    @pytest.mark.parametrize("coins", [40, 301, 900])
+    def test_plug_ins_dominate_the_exact_binomial_values(self, fair_bernoulli, coins):
+        # B_n is Binomial(coins, 1/2) about Theta_n = coins/2, and the xi sum
+        # is Binomial(2 coins, 1/2) on L(0, 1/2)
+        from .test_convolve import _exact_binomial_kolmogorov
+
+        spec = prepare_sum([(fair_bernoulli, 0.5, coins)])
+        theta_n = Fraction(coins, 2)
+        for h in (0.1, 0.25, 0.5):
+            plug = exact_plug_ins(spec, h)
+            far = sum(math.comb(coins, k) for k in range(coins + 1)
+                      if abs(k - theta_n) > Fraction(h) * theta_n)
+            assert Fraction(far, 2**coins) <= plug.rho_n <= Fraction(far, 2**coins) + 1e-10
+        xi = sum_law([(xi_law(split(fair_bernoulli, 0.5)), coins)])
+        exact = _exact_binomial_kolmogorov(2 * coins, xi.v0, xi.D, xi.mean, math.sqrt(xi.variance))
+        assert exact <= plug.h_n <= exact + 1e-10
 
 
 class TestBoundedPlugIns:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -26,7 +28,7 @@ from lltkit import (
 )
 
 from lltkit import convolve
-from lltkit.convolve import _Bounds, _direct_product, _fft_product, _measured, _power
+from lltkit.convolve import _Bounds, _direct_product, _measured, _power, kolmogorov_bound
 
 from .conftest import random_pmf
 
@@ -65,10 +67,25 @@ class TestConvolveAll:
         assert law.mass(1) == pytest.approx(0.25)
 
     def test_incompatible_spans_rejected(self):
+        # spans 1 and 0.7 share the lattice 0.1; an irrational ratio shares none
         a = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
-        b = make_pmf(0.0, 0.7, [(0, 1), (1, 1)])
+        b = make_pmf(0.0, math.sqrt(2.0), [(0, 1), (1, 1)])
         with pytest.raises(LatticeError):
             sum_law([(a, 1), (b, 1)])
+
+    def test_spans_densify_on_their_common_lattice(self):
+        # spans 2 and 3: neither is a multiple of the other, both of 1
+        x = [(1, 0.3), (2, 0.5), (4, 0.2)]
+        law = sum_law([(make_pmf(0.5, 2.0, x), 2), (make_pmf(-1.0, 3.0, x), 3)])
+        first, ref = _sequential_reference([
+            (make_pmf(0.5, 1.0, [(2 * k, w) for k, w in x]), 2),
+            (make_pmf(-1.0, 1.0, [(3 * k, w) for k, w in x]), 3)])
+        assert (law.D, law.first, law.v0) == (1.0, first, -2.0)
+        assert first == 2 * 2 + 3 * 3
+        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        # spans 1 and 0.7 share the lattice 0.1
+        law = sum_law([(make_pmf(0.0, 1.0, x), 1), (make_pmf(0.0, 0.7, x), 1)])
+        assert law.D == pytest.approx(0.1, rel=1e-15) and law.first == 17
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -234,21 +251,30 @@ class TestSumLaw:
         assert law.first == first
         assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
-    def test_power_multiplies_by_the_measured_law(self, monkeypatch):
-        # the law is measured once per precision, and the bounds passed with
-        # it are the numbers a fresh measurement gives, so powers keep their bits
-        seen = []
+    def test_one_transform_pair_per_power(self, monkeypatch):
+        # a power is one rfft, a pointwise power and one irfft, whatever its count
+        from scipy import fft
 
-        def spy(x, bx, y, by):
-            if y is not x:
-                seen.append((y, by))
-            return _fft_product(x, bx, y, by)
+        calls = []
+        for name in ("rfft", "irfft"):
+            def spy(*args, _name=name, _f=getattr(fft, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
 
-        monkeypatch.setattr(convolve, "_fft_product", spy)
-        for count in list(range(2, 40)) + [127, 1000]:
-            _power(np.array([0.7, 0.2, 0.0, 0.1]), count)
-        assert {y.dtype for y, _ in seen} == {np.dtype(np.longdouble), np.dtype(np.float64)}
-        assert all(by == _measured(y) for y, by in seen)
+            monkeypatch.setattr(fft, name, spy)
+        p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (3, 0.1)])
+        for count in list(range(2, 40)) + [1000]:
+            calls.clear()
+            sum_law([(p, count), (bernoulli(0.3), 1)])
+            assert calls == ["rfft", "irfft"], count
+        calls.clear()
+        sum_law([(p, 5), (bernoulli(0.3), 7)])
+        assert calls == ["rfft", "irfft"] * 2
+        # a law of many atoms squared: its extended values take one more rfft,
+        # where the direct sums would cost |frequencies| x atoms pairs
+        calls.clear()
+        sum_law([(make_pmf(0.0, 1.0, [(k, 1.0) for k in range(200)]), 2)])
+        assert calls == ["rfft", "rfft", "irfft"]
 
     @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
     def test_error_bound_is_small_up_to_2e4(self, probs):
@@ -303,6 +329,112 @@ class TestSumLaw:
         for parts in ([], [(fair_bernoulli, 0)], [(fair_bernoulli, 2), (fair_bernoulli, -1)]):
             with pytest.raises(LatticeError):
                 sum_law(parts)
+
+
+def _integer_power(law, count):
+    """The exact law of ``count`` copies of ``law`` (stored masses scaled to
+    total one) on its own span: integer masses ``c_i`` and a total ``T`` with
+    ``P{S = first + i} = c_i / T``.  Each stored double is an integer times a
+    power of two, so the masses scale to integers and the power is exact."""
+    items = sorted(law.probs.items())
+    k0 = items[0][0]
+    fracs = [Fraction(w) for _, w in items]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    dense = np.zeros(items[-1][0] - k0 + 1, dtype=object)
+    dense[:] = 0
+    for (k, _), f in zip(items, fracs):
+        dense[k - k0] = int(f * scale)
+    out = np.array([1], dtype=object)
+    for bit in bin(count)[2:]:
+        out = np.convolve(out, out)
+        if bit == "1":
+            out = np.convolve(out, dense)
+    return count * k0, out.tolist()[: count * (len(dense) - 1) + 1], sum(dense.tolist()) ** count
+
+
+def _assert_within_bound(law, first, masses, total):
+    """Every computed mass lies within err_abs of ``masses[i] / total``, in
+    rational arithmetic."""
+    assert (law.first, len(law.probs)) == (first, len(masses))
+    en, ed = law.err_abs.as_integer_ratio()
+    for p, c in zip(law.probs.tolist(), masses):
+        num, den = p.as_integer_ratio()  # |num/den - c/total| <= en/ed, cross-multiplied
+        assert abs(num * total - c * den) * ed <= en * total * den
+
+
+def _accuracy_laws(rng):
+    """Laws of 2 to 6 points: a periodic support, zero interior masses (listed
+    and unlisted), a mass of 1e-20, and random masses."""
+    laws = [make_pmf(0.0, 1.0, [(0, 0.3), (2, 0.5), (4, 0.2)]),
+            LatticePmf(0.0, 1.0, {0: 0.4, 1: 0.0, 3: 0.35, 5: 0.25}),
+            make_pmf(0.0, 1.0, [(0, 1e-20), (1, 0.6), (2, 0.4)]),
+            make_pmf(0.0, 1.0, [(0, 0.5), (3, 0.5)])]
+    for size in range(2, 7):
+        ks = np.sort(rng.choice(9, size=size, replace=False))
+        laws.append(make_pmf(0.0, 1.0, list(zip(ks.tolist(), rng.random(size) + 1e-3))))
+    return laws
+
+
+class TestPowerAccuracy:
+    """The one-transform power against exact integer references, also where
+    the extended type is double (as with MSVC or on macOS arm64)."""
+
+    @pytest.fixture(params=[np.longdouble, np.float64], ids=["longdouble", "double"])
+    def ext(self, request, monkeypatch):
+        monkeypatch.setattr(convolve, "_EXT", request.param)
+        shares = []
+        transform_at = convolve._transform_at
+
+        def spy(dense, bf, freqs, size):
+            shares.append(len(freqs) / (size // 2 + 1))
+            return transform_at(dense, bf, freqs, size)
+
+        monkeypatch.setattr(convolve, "_transform_at", spy)
+        return shares
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 64])
+    def test_random_laws_within_the_bound(self, ext, count):
+        for law in _accuracy_laws(np.random.default_rng(count)):
+            _assert_within_bound(iid_sum(law, count), *_integer_power(law, count))
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 64, 300, 1000])
+    def test_binomials_within_the_bound(self, ext, count):
+        # C(m, k) / 2^m on strides 1 and 2: n copies are Binomial(m n, 1/2)
+        for m in range(1, 6):
+            for stride in (1, 2):
+                law = make_pmf(0.0, 1.0, [(stride * k, math.comb(m, k)) for k in range(m + 1)])
+                size = m * count + 1
+                masses = [0] * (stride * (size - 1) + 1)
+                row = [1]
+                for k in range(size - 1):  # C(mn, k + 1) = C(mn, k) (mn - k) / (k + 1)
+                    row.append(row[-1] * (size - 1 - k) // (k + 1))
+                masses[::stride] = row
+                _assert_within_bound(iid_sum(law, count), 0, masses, 2 ** (m * count))
+
+    @pytest.mark.parametrize("count", [2, 3, 7])
+    def test_many_atom_laws_within_the_bound(self, ext, count):
+        # 40 and 120 atoms: their extended values come from one extended rfft
+        rng = np.random.default_rng(40 + count)
+        for size in (40, 120):
+            law = make_pmf(0.0, 1.0, list(enumerate((rng.random(size) + 1e-3).tolist())))
+            _assert_within_bound(iid_sum(law, count), *_integer_power(law, count))
+
+    def test_direct_sums_in_blocks_keep_the_bits(self, monkeypatch):
+        # the (frequency, atom) pairs are summed a block at a time; blocks of
+        # 7 pairs give the same doubles as one block
+        p = make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.45), (2, 0.25)])
+        whole = iid_sum(p, 300)
+        monkeypatch.setattr(convolve, "_PAIRS", 7)
+        blocks = iid_sum(p, 300)
+        assert np.array_equal(whole.probs, blocks.probs) and whole.err_abs == blocks.err_abs
+
+    def test_extended_set_spans_all_to_few_frequencies(self, ext):
+        # count 2 re-evaluates every frequency, count 1000 a seventh of
+        # them and count 20000 a few percent
+        p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
+        for count in (2, 1000, 20000):
+            iid_sum(p, count)
+        assert ext[0] == 1.0 and ext[1] < 0.2 and ext[2] < 0.05
 
 
 class _ConvolveSpy:
@@ -467,6 +599,21 @@ class TestPoissonBinomial:
         with pytest.raises(LatticeError):
             bernoulli(1.1)
 
+    def test_tail_bound_dominates_the_exact_tail(self):
+        # Binomial(400, 1/2) about 200: the points at distance 20 are in the
+        # tail just below radius 20 and out of it from 20 on; 0.1 * 200 as
+        # real numbers lies above 20
+        law = sum_law([(bernoulli(0.5), 400)])
+
+        def exact(r):
+            return Fraction(sum(math.comb(400, k) for k in range(401) if abs(k - 200) > r), 2**400)
+
+        for r in (Fraction(20), Fraction(20) - Fraction(1, 10**30), Fraction(0.1) * 200,
+                  Fraction(50), Fraction(0.25) * 200, Fraction(190)):
+            bound = law.two_sided_tail_bound(200, r)
+            assert exact(r) <= bound <= exact(r) + 1e-11
+        assert law.two_sided_tail_bound(200.0, 20.0) == law.two_sided_tail_bound(200, Fraction(20))
+
     def test_chernoff_dominates_small_grid(self):
         for n in (10, 50):
             law = sum_law([(bernoulli(0.5), n)])
@@ -521,6 +668,31 @@ class TestKolmogorovDistance:
     def test_rejects_bad_scale(self, fair_bernoulli):
         with pytest.raises(LatticeError):
             kolmogorov_distance(iid_sum(fair_bernoulli, 1), 0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [20, 150, 600])
+    def test_bound_dominates_exact_binomial_distance(self, n):
+        # {1, 2, 1}/4 to the power n is Binomial(2n, 1/2); its exact CDF comes
+        # from math.comb and Phi from mpmath at 40 digits
+        law = iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), n)
+        center, scale = float(n), math.sqrt(n / 2.0)
+        bound = kolmogorov_bound(law, center, scale)
+        exact = _exact_binomial_kolmogorov(2 * n, 0.0, 1.0, center, scale)
+        assert exact <= bound <= exact + 1e-10
+        assert kolmogorov_distance(law, center, scale) < bound
+
+
+def _exact_binomial_kolmogorov(m, v0, d, center, scale):
+    """sup_x |P{(B - center)/scale <= x} - Phi(x)| for B = v0 + d Binomial(m,
+    1/2), over both sides of every jump, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        total, below, worst = mpmath.mpf(2) ** m, mpmath.mpf(0), mpmath.mpf(0)
+        c = 1
+        for k in range(m + 1):
+            phi = mpmath.ncdf((mpmath.mpf(v0) + mpmath.mpf(d) * k - center) / mpmath.mpf(scale))
+            above = below + c / total
+            worst = max(worst, abs(below - phi), abs(above - phi))
+            below, c = above, c * (m - k) // (k + 1)
+        return float(worst) * (1.0 + 2.0**-52)
 
 
 class TestLltDiscrepancy:
