@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.integrate import quad
 
-from .convolve import SumLaw, _as_count, bernoulli, kolmogorov_bound, sum_law
+from .convolve import SumLaw, _as_count, bernoulli, exact_moments, kolmogorov_bound, sum_law
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
@@ -101,10 +101,11 @@ class PlugIns:
     floating-point error, or bounds derived without an oracle.
 
     ``h_n`` bounds the normal-approximation distance of the conditional sum,
-    ``rho_n`` bounds the Bernoulli-count deviation probability at ``h`` (both
-    None when the target envelope does not use them), ``l_n`` is the
-    psi-moment ratio that bounded plug-ins derive H_n from (None in exact
-    mode, which is what :attr:`mode` reads).
+    standardized by its exact mean and variance, ``rho_n`` bounds the
+    Bernoulli-count deviation probability at ``h`` (both None when the
+    target envelope does not use them), ``l_n`` is the psi-moment ratio that
+    bounded plug-ins derive H_n from (None in exact mode, which is what
+    :attr:`mode` reads).
     """
 
     h_n: float
@@ -638,20 +639,24 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
 def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     """Oracle plug-ins: H_n from the exact xi-convolution Kolmogorov distance,
     rho_n from the exact tail of B_n, a sum of Bernoulli(level) parts (when h
-    is given, checked before any law is built).  Both are rounded up by their
-    floating-point error (:func:`lltkit.convolve.kolmogorov_bound`,
+    is given, checked before any law is built).  H_n is taken about the xi
+    sum's exact mean and variance (:func:`lltkit.convolve.exact_moments`).
+    Both are rounded up by their floating-point error
+    (:func:`lltkit.convolve.kolmogorov_bound`,
     :meth:`SumLaw.two_sided_tail_bound`), so they bound the values of the
     exact laws from above."""
     if h is not None:
         _check_h(h)
     try:
-        xi = sum_law([(xi_law(split(p, t)), c) for p, t, c in spec.parts])
+        parts = [(xi_law(split(p, t)), c) for p, t, c in spec.parts]
+        xi = sum_law(parts)
     except LatticeError as exc:  # name the law refused: it is not that of S_n
         raise LatticeError(f"conditional xi law on L({spec.v0:g}, {spec.d / 2:g}) "
                            f"for exact H_n: {exc}") from exc
-    if not (xi.variance > 0):
+    mean, var = exact_moments(parts)
+    if not (var > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
-    h_n = kolmogorov_bound(xi, center=xi.mean, scale=math.sqrt(xi.variance))
+    h_n = kolmogorov_bound(xi, mean, var)
     rho = None
     if h is not None:
         b_n = sum_law([(bernoulli(t), c) for _, t, c in spec.parts])

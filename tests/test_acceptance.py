@@ -25,7 +25,6 @@ import mpmath
 import numpy as np
 
 from lltkit import (
-    bernoulli,
     bounded_plug_ins,
     calibrate_c0_scan,
     central_envelope,
@@ -53,7 +52,6 @@ from lltkit import (
     smoothness_stat,
     smoothness_via_extraction,
     split,
-    sum_law,
     theta,
     xi_law,
 )
@@ -210,12 +208,14 @@ def test_criterion_05_calibration_stability():
 
 
 def test_criterion_06_chernoff_dominance():
+    # the exact tails of Binomial(n, 1/2), from math.comb in rational arithmetic
     ok = True
     for n in (10, 100, 1000):
-        law = sum_law([(bernoulli(0.5), n)])
         for h10 in range(1, 10):
             h = h10 / 10.0
-            ok = ok and law.two_sided_tail(0.5 * n, h * 0.5 * n) <= chernoff_rho(0.5 * n, h)
+            far = sum(math.comb(n, k) for k in range(n + 1)
+                      if abs(k - Fraction(n, 2)) > Fraction(h) * Fraction(n, 2))
+            ok = ok and Fraction(far, 2**n) <= chernoff_rho(0.5 * n, h)
     assert _line(6, ok, "Chernoff bound dominates exact two-sided tails on the grid")
 
 

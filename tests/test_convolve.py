@@ -28,7 +28,7 @@ from lltkit import (
 )
 
 from lltkit import convolve
-from lltkit.convolve import _Bounds, _direct_product, _measured, _power, kolmogorov_bound
+from lltkit.convolve import _Bounds, _direct_product, _measured, _power, exact_moments, kolmogorov_bound
 
 from .conftest import random_pmf
 
@@ -270,10 +270,16 @@ class TestSumLaw:
         calls.clear()
         sum_law([(p, 5), (bernoulli(0.3), 7)])
         assert calls == ["rfft", "irfft"] * 2
-        # a law of many atoms squared: its extended values take one more rfft,
-        # where the direct sums would cost |frequencies| x atoms pairs
+        # a law of many atoms squared stays in double: extended values could
+        # not bring its bound below the inverse transform's error
         calls.clear()
         sum_law([(make_pmf(0.0, 1.0, [(k, 1.0) for k in range(200)]), 2)])
+        assert calls == ["rfft", "irfft"]
+        # one heavy atom among many light ones keeps the spectrum near 1, so
+        # nearly every frequency is evaluated again: by one extended rfft,
+        # where the direct sums would cost |frequencies| x atoms pairs
+        calls.clear()
+        sum_law([(make_pmf(0.0, 1.0, [(0, 99.0 * 200)] + [(k, 1.0) for k in range(1, 200)]), 2)])
         assert calls == ["rfft", "rfft", "irfft"]
 
     @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
@@ -413,11 +419,15 @@ class TestPowerAccuracy:
 
     @pytest.mark.parametrize("count", [2, 3, 7])
     def test_many_atom_laws_within_the_bound(self, ext, count):
-        # 40 and 120 atoms: their extended values come from one extended rfft
+        # 40 and 120 random masses stay in double at counts 2 and 3 and take
+        # their extended values from one extended rfft at count 7; a heavy
+        # atom among 39 light ones does so at every count
         rng = np.random.default_rng(40 + count)
         for size in (40, 120):
             law = make_pmf(0.0, 1.0, list(enumerate((rng.random(size) + 1e-3).tolist())))
             _assert_within_bound(iid_sum(law, count), *_integer_power(law, count))
+        law = make_pmf(0.0, 1.0, [(0, 99.0 * 40)] + [(k, 1.0 + k / 40) for k in range(1, 40)])
+        _assert_within_bound(iid_sum(law, count), *_integer_power(law, count))
 
     def test_direct_sums_in_blocks_keep_the_bits(self, monkeypatch):
         # the (frequency, atom) pairs are summed a block at a time; blocks of
@@ -574,13 +584,13 @@ class TestPoissonBinomial:
     def test_tail_enumeration(self):
         # four fair coins: |B - 2| > 1.8 leaves exactly B in {0, 4}, 2/16 in all
         law = sum_law([(bernoulli(0.5), 4)])
-        assert law.two_sided_tail(2.0, 0.9 * 2.0) == pytest.approx(2.0 / 16.0)
+        assert law.two_sided_tail_bound(2.0, 0.9 * 2.0) == pytest.approx(2.0 / 16.0)
 
     def test_tail_inequality_is_strict(self):
         # the deviation event excludes its boundary: |B - 2| > 2 is impossible
         # for four coins (|0 - 2| = 2 does not count)
         law = sum_law([(bernoulli(0.5), 4)])
-        assert law.two_sided_tail(2.0, 1.0 * 2.0) == 0.0
+        assert law.two_sided_tail_bound(2.0, 1.0 * 2.0) == 0.0
 
     def test_certain_successes(self):
         law = sum_law([(bernoulli(1.0), 3)])
@@ -618,7 +628,25 @@ class TestPoissonBinomial:
         for n in (10, 50):
             law = sum_law([(bernoulli(0.5), n)])
             for h in (0.2, 0.5, 0.8):
-                assert law.two_sided_tail(0.5 * n, h * 0.5 * n) <= chernoff_rho(0.5 * n, h)
+                assert law.two_sided_tail_bound(0.5 * n, h * 0.5 * n) <= chernoff_rho(0.5 * n, h)
+
+
+def test_exact_moments_of_the_scaled_stored_masses():
+    # offsets, spans 0.5 and 0.75, a mass of 1e-20 and masses that do not
+    # total one: the moments of the stored masses scaled to total one
+    p = LatticePmf(0.25, 0.5, {-3: 0.3, 0: 1e-20, 2: 0.7000000000000001})
+    q = LatticePmf(-1.0, 0.75, {1: 0.125, 4: 0.875})
+    mean, var = Fraction(0), Fraction(0)
+    for law, count in ((p, 3), (q, 2)):
+        w = {k: Fraction(x) for k, x in law.probs.items()}
+        pts = {k: Fraction(law.v0) + Fraction(law.D) * k for k in w}
+        m = sum(pts[k] * x for k, x in w.items()) / sum(w.values())
+        mean += count * m
+        var += count * sum((pts[k] - m) ** 2 * x for k, x in w.items()) / sum(w.values())
+    assert exact_moments([(p, 3), (q, 2)]) == (mean, var)
+    law = sum_law([(p, 3), (q, 2)])
+    assert law.mean == pytest.approx(float(mean), rel=1e-14)
+    assert law.variance == pytest.approx(float(var), rel=1e-14)
 
 
 class TestKolmogorovDistance:
@@ -674,21 +702,23 @@ class TestKolmogorovDistance:
         # {1, 2, 1}/4 to the power n is Binomial(2n, 1/2); its exact CDF comes
         # from math.comb and Phi from mpmath at 40 digits
         law = iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), n)
-        center, scale = float(n), math.sqrt(n / 2.0)
-        bound = kolmogorov_bound(law, center, scale)
-        exact = _exact_binomial_kolmogorov(2 * n, 0.0, 1.0, center, scale)
+        bound = kolmogorov_bound(law, n, Fraction(n, 2))
+        exact = _exact_binomial_kolmogorov(2 * n, 0.0, 1.0, n, Fraction(n, 2))
         assert exact <= bound <= exact + 1e-10
-        assert kolmogorov_distance(law, center, scale) < bound
+        assert kolmogorov_distance(law, float(n), math.sqrt(n / 2.0)) < bound
 
 
-def _exact_binomial_kolmogorov(m, v0, d, center, scale):
-    """sup_x |P{(B - center)/scale <= x} - Phi(x)| for B = v0 + d Binomial(m,
-    1/2), over both sides of every jump, in 40-digit arithmetic."""
+def _exact_binomial_kolmogorov(m, v0, d, mean, variance):
+    """sup_x |P{(B - mean)/sqrt(variance) <= x} - Phi(x)| for B = v0 + d
+    Binomial(m, 1/2), over both sides of every jump, in 40-digit arithmetic;
+    ``mean`` and ``variance`` may be exact ``Fraction`` values."""
     with mpmath.workdps(40):
+        center = mpmath.mpf(Fraction(mean).numerator) / Fraction(mean).denominator
+        scale = mpmath.sqrt(mpmath.mpf(Fraction(variance).numerator) / Fraction(variance).denominator)
         total, below, worst = mpmath.mpf(2) ** m, mpmath.mpf(0), mpmath.mpf(0)
         c = 1
         for k in range(m + 1):
-            phi = mpmath.ncdf((mpmath.mpf(v0) + mpmath.mpf(d) * k - center) / mpmath.mpf(scale))
+            phi = mpmath.ncdf((mpmath.mpf(v0) + mpmath.mpf(d) * k - center) / scale)
             above = below + c / total
             worst = max(worst, abs(below - phi), abs(above - phi))
             below, c = above, c * (m - k) // (k + 1)
