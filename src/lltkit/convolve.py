@@ -274,8 +274,9 @@ def _power(dense: np.ndarray, count: int):
         to e_inf and e_2 (sum_law, error bound step 1)."""
         m = min(cut, norm)
         g = cut ** (count - 2) * (1.0 + 4.0 * count * _U) * (1.0 + 8.0 * _U)
+        per = count * eta * bf.n2 + eps * m
         tiny = count * 2.0**-1072
-        return g * m * (count * eta * bf.n2 + eps * m) + tiny, g * cut * (count * eta * bf.n2 + eps * m) + tiny
+        return g * m * per + tiny, g * cut * per + tiny
 
     cut = (bf.n1 + 2.0 * delta) * (1.0 + 4.0 * _U)  # every |F^_j| + delta
     s1 = s2 = 0.0

@@ -619,8 +619,9 @@ class TestExactPlugInBounds:
                       if abs(k - theta_n) > Fraction(h) * theta_n)
             assert Fraction(far, 2**coins) <= plug.rho_n <= Fraction(far, 2**coins) + 1e-10
         xi = sum_law([(xi_law(split(fair_bernoulli, 0.5)), coins)])
-        d = Fraction(xi.D)  # about the exact mean and variance of v0 + D Binomial(2 coins, 1/2)
-        exact = _exact_binomial_kolmogorov(2 * coins, xi.v0, xi.D, xi.v0 + d * coins, d * d * coins / 2)
+        d = Fraction(xi.D)  # the exact mean and variance of v0 + D Binomial(2 coins, 1/2)
+        mean, var = xi.v0 + d * coins, d * d * coins / 2
+        exact = _exact_binomial_kolmogorov(2 * coins, xi.v0, xi.D, mean, var)
         assert exact <= plug.h_n <= exact + 1e-10
 
 

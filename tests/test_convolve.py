@@ -28,7 +28,8 @@ from lltkit import (
 )
 
 from lltkit import convolve
-from lltkit.convolve import _Bounds, _direct_product, _measured, _power, exact_moments, kolmogorov_bound
+from lltkit.convolve import (_Bounds, _direct_product, _measured, _power, exact_moments,
+                             kolmogorov_bound)
 
 from .conftest import random_pmf
 
@@ -713,8 +714,9 @@ def _exact_binomial_kolmogorov(m, v0, d, mean, variance):
     Binomial(m, 1/2), over both sides of every jump, in 40-digit arithmetic;
     ``mean`` and ``variance`` may be exact ``Fraction`` values."""
     with mpmath.workdps(40):
-        center = mpmath.mpf(Fraction(mean).numerator) / Fraction(mean).denominator
-        scale = mpmath.sqrt(mpmath.mpf(Fraction(variance).numerator) / Fraction(variance).denominator)
+        mean, variance = Fraction(mean), Fraction(variance)
+        center = mpmath.mpf(mean.numerator) / mean.denominator
+        scale = mpmath.sqrt(mpmath.mpf(variance.numerator) / variance.denominator)
         total, below, worst = mpmath.mpf(2) ** m, mpmath.mpf(0), mpmath.mpf(0)
         c = 1
         for k in range(m + 1):
