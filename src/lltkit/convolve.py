@@ -410,9 +410,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
          again), and ``sum_j c_j^2 <= N m^2`` with ``m = min(r, ||f||_2 (1 +
          eta_N) + delta)`` (Parseval and Minkowski).  With ``c_j^(n-1) <=
          r^(n-2) c_j`` and ``|F^_j|^n <= r^(n-2) |F^_j|^2``, Cauchy-Schwarz
-         bounds their share of ``e_inf`` below by ``r^(n-2) m (n eta_N
+         caps their share of ``e_inf`` (below) at ``r^(n-2) m (n eta_N
          ||f||_2 + eps_n(u) m) + n 2^-1072``, and Minkowski their share of
-         ``e_2`` by ``r^(n-1) (n eta_N ||f||_2 + eps_n(u) m) + n 2^-1072``;
+         ``e_2`` at ``r^(n-1) (n eta_N ||f||_2 + eps_n(u) m) + n 2^-1072``;
        - the frequencies evaluated again have ``F~_j``, within ``delta_e``
          of ``F_j``: summed over the A positive atoms in ``_EXT`` with
          twiddles within ``mu_e = 4 u_e`` (exact at the eighth turns; the
