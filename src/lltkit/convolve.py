@@ -329,16 +329,19 @@ def _common_lattice(spans: list[float]) -> tuple[float, list[int]]:
     """The coarsest span ``d`` that every span is an integer multiple of, and
     those multiples.  A ratio to the finest span counts as rational when it
     lies within ``1e-9`` of a fraction with denominator at most
-    ``_MAX_REFINE``; any other pair is refused as a ``LatticeError``."""
+    ``_MAX_REFINE``; any other pair is refused as a ``LatticeError``.  Each
+    distinct span is classified once, in order of first appearance."""
     finest = min(spans)
-    ratios = [D / finest for D in spans]
-    den = math.lcm(*(Fraction(r).limit_denominator(_MAX_REFINE).denominator for r in ratios))
-    strides = [round(r * den) for r in ratios]
-    for D, r, s in zip(spans, ratios, strides):
+    ratios = {D: D / finest for D in spans}
+    den = math.lcm(*(Fraction(r).limit_denominator(_MAX_REFINE).denominator
+                     for r in ratios.values()))
+    strides = {}
+    for D, r in ratios.items():
+        strides[D] = s = round(r * den)
         if abs(r * den - s) > 1e-9 * max(1.0, s):
             raise LatticeError(f"incompatible spans: {D} and {finest} have no common lattice")
-    g = math.gcd(*strides)
-    return finest * g / den, [s // g for s in strides]
+    g = math.gcd(*strides.values())
+    return finest * g / den, [strides[D] // g for D in spans]
 
 
 def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:

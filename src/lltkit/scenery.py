@@ -485,39 +485,104 @@ def _cuts(masses: Iterable[float]) -> list[int]:
     this replaced were only within about 6e-8.  An atom of mass below 2^-33
     at either end of the support is never drawn.  A cut of 2^32 can never be
     reached, nor can the atoms after it, so it is dropped.
+
+    :func:`_site_draws` reads u one byte at a time: with ``u = (B << 24) |
+    L`` and ``T = (b << 24) | l``, ``u >= T`` exactly when ``B > b``, or
+    ``B == b`` and ``L >= l``.  So a cut decides most draws by its top byte
+    b alone; only a draw whose top byte ties with b (probability 2^-8), and
+    only when ``l > 0``, reads 24 more bits.  The law drawn is the one
+    above, bit for bit.
     """
     cuts = (min(round(q * _WORDS32), _WORDS32) for q in accumulate(map(Fraction, masses)))
     return [t for t in cuts if t < _WORDS32]
 
 
-def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], shape) -> np.ndarray:
+def _offset_type(ks: np.ndarray) -> np.dtype:
+    """The smallest unsigned type that holds every offset ``ks[i] - ks[0]``."""
+    return np.min_scalar_type(int(ks[-1] - ks[0]))
+
+
+def _tie_positions(ties: np.ndarray) -> np.ndarray:
+    """Flat indices of the true entries of the bool array ``ties``, whose
+    length is a multiple of 8, in increasing order.  Ties are rare, so the
+    search runs over 8-byte words first and expands only the nonzero ones:
+    a byte-wise ``np.flatnonzero`` over the whole array costs more than the
+    compare that made it."""
+    words = ties.view(np.uint64)
+    hit_words = np.flatnonzero(words != 0)
+    within = np.flatnonzero(words[hit_words].view(np.bool_))
+    return hit_words[within >> 3] * 8 + (within & 7)
+
+
+def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: np.ndarray,
+                scratch: np.ndarray) -> None:
     """Draws of the law with support indices ``ks`` and cut points ``cuts``
     (see :func:`_cuts`) for a block of sites, as lattice-index offsets from
-    the least support point ``ks[0]``, in the smallest unsigned type that
-    holds them.
+    the least support point ``ks[0]``, written to ``out`` in C order.
 
-    The uint32 uniforms are the two 32-bit halves of raw generator words, and
-    a draw is the sum of the gaps ``ks[i+1] - ks[i]`` over the cuts ``T_i <=
-    u``; the first cut's hit array becomes the output.  A single cut at 2^31
-    is a fair coin: ``u >= 2^31`` is u's top bit, so each draw takes one bit
-    of a raw word instead, with the same law.
+    ``out`` is a contiguous array of :func:`_offset_type` of ``ks``, and
+    ``scratch`` a bool array of at least ``out.size`` entries rounded up to
+    a multiple of 8; both are overwritten, so that a chunk loop reuses them
+    instead of allocating (and faulting in) fresh arrays per chunk.
+
+    A draw is the sum of the gaps ``ks[i+1] - ks[i]`` over the cuts ``T_i <=
+    u`` for a uint32 uniform u, read one byte at a time.  Write ``u = (B <<
+    24) | L``, with B a uniform byte and L 24 independent uniform bits, and
+    ``T = (b << 24) | l`` likewise; then ``u >= T`` holds exactly when ``B >
+    b``, or ``B == b`` and ``L >= l``, and when ``B >= b`` if ``l == 0``, so
+    such a cut (a cut at 0 among them) never ties.  B is one byte of the raw
+    generator words per site.  L is drawn only at the sites whose B equals
+    the top byte of a cut with ``l > 0`` (probability 2^-8 per such byte),
+    after the block's bytes: the tied sites are taken by top byte in
+    increasing order, each group in C order, and each reads the top 24 bits
+    of one uint32 half of a raw word.  Cuts that share a top byte read the
+    same L, so every site's draw is that of one uint32 uniform, exactly as
+    a full 32-bit compare would draw it.  A single cut at 2^31 is a fair
+    coin: ``u >= 2^31`` is u's top bit, so each draw takes one bit of a raw
+    word instead, with the same law.
     """
-    dt = np.min_scalar_type(int(ks[-1] - ks[0]))
+    dt = out.dtype
     if not cuts:
-        return np.zeros(shape, dt)
-    size = math.prod(shape)
+        out[...] = 0
+        return
+    size = out.size
     raw = rng.bit_generator.random_raw
+    gaps = np.diff(ks).tolist()
     if cuts == [_WORDS32 >> 1]:
-        hits = [np.unpackbits(raw(-(-size // 64)).view(np.uint8), count=size).reshape(shape)]
-    else:
-        u = raw(-(-size // 2)).view(np.uint32)[:size].reshape(shape)
-        hits = ((u >= np.uint32(t)).view(np.uint8) for t in cuts)
-    pairs = zip(hits, np.diff(ks).tolist())
-    hit, gap = next(pairs)
-    out = hit if gap == 1 and dt == np.uint8 else hit * dt.type(gap)
-    for hit, gap in pairs:
-        out += hit if gap == 1 else hit * dt.type(gap)
-    return out
+        bits = np.unpackbits(raw(-(-size // 64)).view(np.uint8), count=size).reshape(out.shape)
+        np.multiply(bits, dt.type(gaps[0]), out=out)
+        return
+    # whole words of bytes, so that the tie search can read them 8 at a time
+    block = raw(-(-size // 8)).view(np.uint8)
+    b = block[:size].reshape(out.shape)
+    hit = scratch[:size].reshape(out.shape)
+    tops = [(t >> 24, t & 0xFFFFFF) for t in cuts]
+    for i, ((top, low), gap) in enumerate(zip(tops, gaps)):
+        compare = np.greater if low else np.greater_equal
+        if i == 0 and gap == 1 and dt == np.uint8:
+            compare(b, top, out=out.view(np.bool_))  # the hits are the offsets
+            continue
+        compare(b, top, out=hit)
+        if i == 0:
+            np.multiply(hit, dt.type(gap), out=out)
+        elif gap == 1:
+            out += hit
+        else:
+            out += hit * dt.type(gap)
+    at = {}
+    tie_tops = sorted({top for top, low in tops if low})
+    for i, top in enumerate(tie_tops):
+        # the last search writes over the bytes, which nothing reads after it
+        mask = block.view(np.bool_) if i == len(tie_tops) - 1 else scratch[:len(block)]
+        tied = _tie_positions(np.equal(block, top, out=mask))
+        at[top] = tied[tied < size]
+    ends = np.cumsum([0, *map(len, at.values())]).tolist()
+    low_bits = raw(-(-ends[-1] // 2)).view(np.uint32)[:ends[-1]] >> 8
+    ls = {top: low_bits[i:j] for top, i, j in zip(at, ends, ends[1:])}
+    flat = out.reshape(-1)
+    for (top, low), gap in zip(tops, gaps):
+        if low:
+            flat[at[top]] += (ls[top] >= low) * dt.type(gap)
 
 
 #: support of the move flag of a lazy walk: 0 stays, 1 moves
@@ -543,12 +608,19 @@ def monte_carlo_point_prob(
     distinct site number ``#moves in steps 2..k`` (counting from 0).
 
     Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so runs
-    are reproducible given (samples, seed).  Draws compare uint32 halves of
-    its raw words with integer cut points (:func:`_cuts`), so every atom of
-    the x law, and the stay flag, is drawn with probability within 2^-32 of
-    its stored mass.  Sums are carried in integer index space so the hit
-    test is exact; a row sum is at most ``n * span`` and is accumulated in
-    uint16 when that fits.
+    are reproducible given (samples, seed).  Chunks of samples are laid out
+    step-major, one row of ``c`` samples per step, so that a sample's sum
+    over its steps is n contiguous row adds.  Each chunk draws its scenery
+    values, then its stay flags, through :func:`_site_draws`: one random
+    byte per draw, with the ties of a byte with a cut resolved by 24 more
+    bits, which is exactly an inverse-cdf draw from a uint32 uniform against
+    integer cut points (:func:`_cuts`).  So every atom of the x law, and the
+    stay flag, is drawn with probability within 2^-32 of its stored mass.
+    The site that step k reads is the cumulative sum of the move flags down
+    the steps, and the values are gathered along the same axis.  Sums are
+    carried in integer index space so the hit test is exact; a sample's sum
+    is at most ``n * span`` and is accumulated in the smallest unsigned type
+    that holds that.
     """
     if min(model.increment_law.support) < 0:
         raise PreconditionError("Monte Carlo oracle requires increments >= 0")
@@ -560,23 +632,39 @@ def monte_carlo_point_prob(
     x_ks = np.array(x.support, dtype=np.int64)
     x_cuts = _cuts(x.probs[k] for k in x.support[:-1])
     target = kappa_index(kappa, n * x.v0, x.D) - n * int(x_ks[0])
-    acc = np.uint16 if n * int(x_ks[-1] - x_ks[0]) <= 0xFFFF else np.int64
+    acc = np.min_scalar_type(n * int(x_ks[-1] - x_ks[0]))
     p_stay = model.increment_law.mass(0)
     move_cuts = _cuts([p_stay])
     rows = _chunk_rows(n)
+    lazy = p_stay > 0.0 and n > 1
+    # Every chunk reuses the same buffers (scenery draws, stay flags, the
+    # scratch of _site_draws), cut from one block of a fixed size per call,
+    # each a multiple of 8 entries; the last chunk uses their prefixes.  A
+    # page costs a fault when first touched, and the allocator hands a block
+    # of the same size back to the next call, which it does not do for
+    # arrays made per chunk or sized after n.
+    cap = -(-max(rows * n, _CHUNK_DRAWS) // 8) * 8
+    x_type = _offset_type(x_ks)
+    x_bytes, move_bytes = cap * x_type.itemsize, cap if lazy else 0
+    work = np.empty(x_bytes + move_bytes + cap, np.uint8)
+    x_buf = work[:x_bytes].view(x_type)
+    move_buf = work[x_bytes:x_bytes + move_bytes]
+    scratch = work[x_bytes + move_bytes:].view(np.bool_)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     while done < samples:
         c = min(rows, samples - done)
-        vals = _site_draws(rng, x_ks, x_cuts, (c, n))
-        if p_stay > 0.0 and n > 1:
-            moved = _site_draws(rng, _MOVE_KS, move_cuts, (c, n))
-            moved[:, 0] = 1
-            site = np.cumsum(moved, axis=1, dtype=np.min_scalar_type(n))
+        vals = x_buf[:n * c].reshape(n, c)
+        _site_draws(rng, x_ks, x_cuts, vals, scratch)
+        if lazy:
+            moved = move_buf[:n * c].reshape(n, c)
+            _site_draws(rng, _MOVE_KS, move_cuts, moved, scratch)
+            moved[0] = 1
+            site = np.cumsum(moved, axis=0, dtype=np.min_scalar_type(n))
             site -= 1
-            vals = np.take_along_axis(vals, site, axis=1)
-        hits += int(np.count_nonzero(vals.sum(axis=1, dtype=acc) == target))
+            vals = np.take_along_axis(vals, site, axis=0)
+        hits += int(np.count_nonzero(vals.sum(axis=0, dtype=acc) == target))
         done += c
     p_hat = hits / samples
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / samples)

@@ -74,6 +74,40 @@ class TestConvolveAll:
         with pytest.raises(LatticeError):
             sum_law([(a, 1), (b, 1)])
 
+    @pytest.mark.parametrize("spans", [
+        [1.0] * 300,
+        [0.5] * 150 + [1.5] * 150,
+        [2.0, 3.0, 2.0, 3.0, 2.0],
+        [1.0, 0.7, 1.0, 0.7, 0.1],
+        [0.25, 1.0, 0.25, 0.75, 1.0],
+        [1.0, math.sqrt(2.0), 1.0],
+        [1.0, 1.0, 0.7, math.pi, 0.7, math.e],
+    ], ids=["equal", "two-blocks", "mixed", "tenths", "quarters", "irrational",
+            "first-refusal"])
+    def test_common_lattice_matches_per_part_rule(self, spans):
+        # reference: the rule applied to every part, one Fraction per span
+        def per_part(spans):
+            finest = min(spans)
+            ratios = [D / finest for D in spans]
+            den = math.lcm(*(Fraction(r).limit_denominator(convolve._MAX_REFINE).denominator
+                             for r in ratios))
+            strides = [round(r * den) for r in ratios]
+            for D, r, s in zip(spans, ratios, strides):
+                if abs(r * den - s) > 1e-9 * max(1.0, s):
+                    raise LatticeError(f"incompatible spans: {D} and {finest} have no "
+                                       "common lattice")
+            g = math.gcd(*strides)
+            return finest * g / den, [s // g for s in strides]
+
+        try:
+            expected = per_part(spans)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as got:
+                convolve._common_lattice(spans)
+            assert str(got.value) == str(exc)
+        else:
+            assert convolve._common_lattice(spans) == expected
+
     def test_spans_densify_on_their_common_lattice(self):
         # spans 2 and 3: neither is a multiple of the other, both of 1
         x = [(1, 0.3), (2, 0.5), (4, 0.2)]

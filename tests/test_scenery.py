@@ -32,7 +32,7 @@ from lltkit import (
     y_covariance_factorization,
 )
 from lltkit import scenery
-from lltkit.scenery import _chunk_rows, _cuts
+from lltkit.scenery import _WORDS32, _chunk_rows, _cuts, _offset_type, _site_draws
 
 
 def bern():
@@ -683,6 +683,15 @@ class TestMonteCarloLocalTimes:
         assert monte_carlo_point_prob(m, 3.0, samples=20_000, seed=2).p_hat == 0.0
         assert abs(est.p_hat - 0.5) <= 5 * math.sqrt(0.25 / 20_000)
 
+    def test_lazy_walk_over_several_chunks(self):
+        # the stay flags and the site gather of the step-major layout, with
+        # the last chunk a partial one
+        x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
+        n, p0, samples = 10, 0.3, 250_000
+        assert samples > 2 * _chunk_rows(n) and samples % _chunk_rows(n)
+        m = SceneryModel(x_law, lazy_inc(p0), n, {})
+        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=samples, seed=13)
+
     def test_negative_increments_refused(self):
         m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
         with pytest.raises(PreconditionError, match="increments >= 0"):
@@ -706,6 +715,38 @@ class TestMonteCarloLocalTimes:
         assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples)
 
 
+#: sites of a draw block in the tie-rule tests: 21007, not a multiple of 8
+DRAW_SHAPE = (7, 3001)
+
+
+def full_compare_draws(ks, cuts, fill, seed=5):
+    """Replay of the byte path's stream from ``default_rng(seed)``, drawn by a
+    full 32-bit compare: B is the block's bytes, L is read at the tied sites
+    (by top byte, then in C order) and is ``fill`` at every other site, and
+    the draw at ``u = (B << 24) | L`` is the sum of the gaps over the cuts
+    ``T <= u``.  Returns the draws, the replayed generator and the Ls read."""
+    size = math.prod(DRAW_SHAPE)
+    replay = np.random.default_rng(seed)
+    raw = replay.bit_generator.random_raw
+    b = raw(-(-size // 8)).view(np.uint8)[:size].astype(np.uint64)
+    tops = sorted({t >> 24 for t in cuts if t % 2**24})
+    tied = np.concatenate([np.flatnonzero(b == top) for top in tops] + [[]]).astype(int)
+    assert len(tied) >= 20 * len(tops)  # about 82 ties per top byte
+    low = np.full(size, fill, np.uint64)
+    low[tied] = drawn = raw(-(-len(tied) // 2)).view(np.uint32)[:len(tied)] >> 8
+    u = b << 24 | low
+    return sum(int(g) * (u >= t) for t, g in zip(cuts, np.diff(ks))), replay, drawn
+
+
+def byte_path_draws(rng, ks, cuts):
+    """One block of :data:`DRAW_SHAPE` draws from ``_site_draws``, into fresh
+    buffers."""
+    ks = np.array(ks)
+    out = np.empty(DRAW_SHAPE, _offset_type(ks))
+    _site_draws(rng, ks, cuts, out, np.empty(-(-out.size // 8) * 8, np.bool_))
+    return out
+
+
 class TestMonteCarloDraws:
     """The draw stage: integer cut points per atom, the stay flags of lazy
     walks, the row-sum accumulator and the sample and seed rules."""
@@ -723,6 +764,56 @@ class TestMonteCarloDraws:
                 assert abs(drawn - Fraction(mass)) <= Fraction(1, 2**32), (size, i)
         assert _cuts([0.5]) == [2**31]
         assert _cuts([0.3, 0.7]) == [round(0.3 * 2**32)]  # the cut at 2^32 is dropped
+
+    @pytest.mark.parametrize("ks, cuts", [
+        # a cut at 0, two cuts that share the top byte 77, a cut with zero low bits
+        ([0, 1, 2, 3, 4], [0, 77 << 24 | 100, 77 << 24 | 0x900000, 200 << 24]),
+        # the same cuts with a gap above one byte, so uint16 offsets
+        ([0, 2, 3, 303, 304], [0, 77 << 24 | 100, 77 << 24 | 0x900000, 200 << 24]),
+        # a first cut that ties, read straight into the uint8 offsets
+        ([0, 1, 3], [77 << 24 | 100, 77 << 24 | 0x900000]),
+        # ties at two top bytes, one L per tied site in each group
+        ([0, 1, 2, 4], [0, 77 << 24 | 100, 150 << 24 | 5000]),
+        ([0, 1], _cuts([0.3])),
+        ([0, 1], [100 << 24]),
+    ], ids=["shared-top-byte", "wide-gaps", "first-cut-ties", "two-tie-bytes", "stay-flag",
+            "zero-low-bits"])
+    def test_byte_path_is_a_full_32_bit_compare(self, ks, cuts):
+        for fill in (0, 2**24 - 1):
+            want, replay, _ = full_compare_draws(ks, cuts, fill)
+            rng = np.random.default_rng(5)
+            got = byte_path_draws(rng, ks, cuts)
+            assert np.array_equal(got.reshape(-1), want)
+            assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+
+    def test_cut_equal_to_a_drawn_uniform_is_hit(self):
+        # take a cut's low bits from an L that the stream draws, so that u == T
+        # at that site: the draw must count the cut there (u >= T, not u > T)
+        _, _, drawn = full_compare_draws([0, 1], [77 << 24 | 100], 0)
+        cut = 77 << 24 | int(drawn[drawn > 0][0])
+        want, _, _ = full_compare_draws([0, 1], [cut], 0)
+        got = byte_path_draws(np.random.default_rng(5), [0, 1], [cut])
+        assert np.array_equal(got.reshape(-1), want)
+
+    def test_padding_byte_never_ties(self):
+        # the block is whole raw words, so its last byte lies past the sites;
+        # a seed whose padding byte equals a tie byte must read no L for it
+        size, words = math.prod(DRAW_SHAPE), -(-math.prod(DRAW_SHAPE) // 8)
+        seed = next(s for s in range(5000)
+                    if np.random.default_rng(s).bit_generator.random_raw(words)
+                    .view(np.uint8)[size] == 77)
+        want, replay, _ = full_compare_draws([0, 1], [77 << 24 | 100], 0, seed)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(byte_path_draws(rng, [0, 1], [77 << 24 | 100]).reshape(-1), want)
+        assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+
+    def test_fair_coin_takes_one_bit_per_draw(self):
+        ks, shape = np.array([0, 300]), (5, 1001)
+        got = np.empty(shape, np.uint16)
+        _site_draws(np.random.default_rng(8), ks, [_WORDS32 >> 1], got, np.empty(5008, np.bool_))
+        raw = np.random.default_rng(8).bit_generator.random_raw
+        bits = np.unpackbits(raw(-(-5005 // 64)).view(np.uint8))[:5005]
+        assert np.array_equal(got.reshape(-1), 300 * bits.astype(np.uint16))
 
     @pytest.mark.parametrize("x_law", [
         make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
@@ -760,7 +851,8 @@ class TestMonteCarloDraws:
     @pytest.mark.parametrize("n, gap, p1, k", [
         (250, 300, 0.9, 225),  # sums above 65535 need the wide accumulator
         (255, 257, 0.99, 255),  # n * span = 65535: the largest sum fits uint16
-    ], ids=["wide", "uint16-edge"])
+        (255, 1, 0.99, 255),  # n * span = 255: the largest sum fits uint8
+    ], ids=["wide", "uint16-edge", "uint8-edge"])
     def test_row_sums_do_not_wrap(self, n, gap, p1, k):
         x_law = make_pmf(0.0, 1.0, [(0, 1 - p1), (gap, p1)])
         m = SceneryModel(x_law, inc_12(), n, {})
