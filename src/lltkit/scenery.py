@@ -465,6 +465,12 @@ _CHUNK_DRAWS = 1_000_000
 #: 2^32, one past the largest uint32 uniform
 _WORDS32 = 1 << 32
 
+#: laws of more cuts draw whole uint32 uniforms instead of bytes: with more,
+#: finding and resolving the byte path's ties (one site in 256 per cut) costs
+#: more than the three bytes per draw that it saves (timed on whole requests
+#: of 40,000 samples at n = 32-128 with 16- and 20-atom x laws)
+_BYTE_CUTS = 16
+
 
 def _chunk_rows(n: int) -> int:
     """Samples per chunk for an n-step walk."""
@@ -486,12 +492,12 @@ def _cuts(masses: Iterable[float]) -> list[int]:
     at either end of the support is never drawn.  A cut of 2^32 can never be
     reached, nor can the atoms after it, so it is dropped.
 
-    :func:`_site_draws` reads u one byte at a time: with ``u = (B << 24) |
-    L`` and ``T = (b << 24) | l``, ``u >= T`` exactly when ``B > b``, or
-    ``B == b`` and ``L >= l``.  So a cut decides most draws by its top byte
-    b alone; only a draw whose top byte ties with b (probability 2^-8), and
-    only when ``l > 0``, reads 24 more bits.  The law drawn is the one
-    above, bit for bit.
+    For a law of at most :data:`_BYTE_CUTS` cuts, :func:`_site_draws` reads
+    u one byte at a time: with ``u = (B << 24) | L`` and ``T = (b << 24) |
+    l``, ``u >= T`` exactly when ``B > b``, or ``B == b`` and ``L >= l``.
+    So a cut decides most draws by its top byte b alone; only a draw whose
+    top byte ties with b (probability 2^-8), and only when ``l > 0``, reads
+    24 more bits.  The law drawn is the one above, bit for bit.
     """
     cuts = (min(round(q * _WORDS32), _WORDS32) for q in accumulate(map(Fraction, masses)))
     return [t for t in cuts if t < _WORDS32]
@@ -514,6 +520,22 @@ def _tie_positions(ties: np.ndarray) -> np.ndarray:
     return hit_words[within >> 3] * 8 + (within & 7)
 
 
+def _add_hits(draws: np.ndarray, compares: list, gaps: list[int], out: np.ndarray,
+              hit: np.ndarray) -> None:
+    """Write to ``out`` the sum over the ``(compare, threshold)`` pairs of
+    ``gap * compare(draws, threshold)``, through the bool buffer ``hit`` of
+    ``out``'s shape."""
+    ones = hit.view(np.uint8)
+    for i, ((compare, threshold), gap) in enumerate(zip(compares, gaps)):
+        compare(draws, threshold, out=hit)
+        if i == 0:
+            np.multiply(ones, out.dtype.type(gap), out=out)
+        elif gap == 1:
+            out += ones
+        else:
+            out += ones * out.dtype.type(gap)
+
+
 def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: np.ndarray,
                 scratch: np.ndarray) -> None:
     """Draws of the law with support indices ``ks`` and cut points ``cuts``
@@ -521,9 +543,9 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: 
     the least support point ``ks[0]``, written to ``out`` in C order.
 
     ``out`` is a contiguous array of :func:`_offset_type` of ``ks``, and
-    ``scratch`` a bool array of at least ``out.size`` entries rounded up to
-    a multiple of 8; both are overwritten, so that a chunk loop reuses them
-    instead of allocating (and faulting in) fresh arrays per chunk.
+    ``scratch`` a bool array of at least twice ``out.size`` rounded up to a
+    multiple of 8 entries; both are overwritten, so that a chunk loop reuses
+    them instead of allocating (and faulting in) fresh arrays per chunk.
 
     A draw is the sum of the gaps ``ks[i+1] - ks[i]`` over the cuts ``T_i <=
     u`` for a uint32 uniform u, read one byte at a time.  Write ``u = (B <<
@@ -531,15 +553,21 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: 
     ``T = (b << 24) | l`` likewise; then ``u >= T`` holds exactly when ``B >
     b``, or ``B == b`` and ``L >= l``, and when ``B >= b`` if ``l == 0``, so
     such a cut (a cut at 0 among them) never ties.  B is one byte of the raw
-    generator words per site.  L is drawn only at the sites whose B equals
-    the top byte of a cut with ``l > 0`` (probability 2^-8 per such byte),
-    after the block's bytes: the tied sites are taken by top byte in
-    increasing order, each group in C order, and each reads the top 24 bits
-    of one uint32 half of a raw word.  Cuts that share a top byte read the
-    same L, so every site's draw is that of one uint32 uniform, exactly as
-    a full 32-bit compare would draw it.  A single cut at 2^31 is a fair
-    coin: ``u >= 2^31`` is u's top bit, so each draw takes one bit of a raw
-    word instead, with the same law.
+    generator words per site, and each cut costs one compare of the bytes,
+    which decides every site whose B is no cut's tie byte (the top byte of a
+    cut with ``l > 0``).  The tied sites, 2^-8 of them per tie byte, are
+    found in one search over all tie bytes; after the block's bytes each
+    reads its L, in C order, as the top 24 bits of one uint32 half of a raw
+    word, and its draw is taken again by a full compare of ``u = (B << 24) |
+    L`` with the cuts.  So cuts that share a top byte read the same L, and
+    every site's draw is that of one uint32 uniform, exactly as a full 32-bit
+    compare would draw it.
+
+    Two laws take other words, with the same law drawn.  A law of more than
+    :data:`_BYTE_CUTS` cuts, whose ties would cost more than the bytes save,
+    compares whole uint32 uniforms, the two halves of each raw word in C
+    order.  A single cut at 2^31 is a fair coin: ``u >= 2^31`` is u's top
+    bit, so each draw takes one bit of a raw word.
     """
     dt = out.dtype
     if not cuts:
@@ -552,37 +580,30 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: 
         bits = np.unpackbits(raw(-(-size // 64)).view(np.uint8), count=size).reshape(out.shape)
         np.multiply(bits, dt.type(gaps[0]), out=out)
         return
+    hit = scratch[:size].reshape(out.shape)
+    if len(cuts) > _BYTE_CUTS:
+        u = raw(-(-size // 2)).view(np.uint32)[:size].reshape(out.shape)
+        _add_hits(u, [(np.greater_equal, t) for t in cuts], gaps, out, hit)
+        return
     # whole words of bytes, so that the tie search can read them 8 at a time
     block = raw(-(-size // 8)).view(np.uint8)
-    b = block[:size].reshape(out.shape)
-    hit = scratch[:size].reshape(out.shape)
     tops = [(t >> 24, t & 0xFFFFFF) for t in cuts]
-    for i, ((top, low), gap) in enumerate(zip(tops, gaps)):
-        compare = np.greater if low else np.greater_equal
-        if i == 0 and gap == 1 and dt == np.uint8:
-            compare(b, top, out=out.view(np.bool_))  # the hits are the offsets
-            continue
-        compare(b, top, out=hit)
-        if i == 0:
-            np.multiply(hit, dt.type(gap), out=out)
-        elif gap == 1:
-            out += hit
-        else:
-            out += hit * dt.type(gap)
-    at = {}
+    compares = [(np.greater if low else np.greater_equal, top) for top, low in tops]
+    _add_hits(block[:size].reshape(out.shape), compares, gaps, out, hit)
     tie_tops = sorted({top for top, low in tops if low})
-    for i, top in enumerate(tie_tops):
-        # the last search writes over the bytes, which nothing reads after it
-        mask = block.view(np.bool_) if i == len(tie_tops) - 1 else scratch[:len(block)]
-        tied = _tie_positions(np.equal(block, top, out=mask))
-        at[top] = tied[tied < size]
-    ends = np.cumsum([0, *map(len, at.values())]).tolist()
-    low_bits = raw(-(-ends[-1] // 2)).view(np.uint32)[:ends[-1]] >> 8
-    ls = {top: low_bits[i:j] for top, i, j in zip(at, ends, ends[1:])}
-    flat = out.reshape(-1)
-    for (top, low), gap in zip(tops, gaps):
-        if low:
-            flat[at[top]] += (ls[top] >= low) * dt.type(gap)
+    if not tie_tops:
+        return
+    ties, equal = scratch[len(block):2 * len(block)], scratch[:len(block)]
+    np.equal(block, tie_tops[0], out=ties)
+    for top in tie_tops[1:]:
+        ties |= np.equal(block, top, out=equal)
+    tied = _tie_positions(ties)
+    tied = tied[tied < size]
+    low_bits = raw(-(-len(tied) // 2)).view(np.uint32)[:len(tied)] >> 8
+    u = block[tied].astype(np.uint32) << 24 | low_bits
+    draws = np.zeros(len(tied), dt)
+    _add_hits(u, [(np.greater_equal, t) for t in cuts], gaps, draws, np.empty(len(tied), np.bool_))
+    out.reshape(-1)[tied] = draws
 
 
 #: support of the move flag of a lazy walk: 0 stays, 1 moves
@@ -613,7 +634,8 @@ def monte_carlo_point_prob(
     over its steps is n contiguous row adds.  Each chunk draws its scenery
     values, then its stay flags, through :func:`_site_draws`: one random
     byte per draw, with the ties of a byte with a cut resolved by 24 more
-    bits, which is exactly an inverse-cdf draw from a uint32 uniform against
+    bits (a whole uint32 per draw for laws of more than :data:`_BYTE_CUTS`
+    cuts), which is exactly an inverse-cdf draw from a uint32 uniform against
     integer cut points (:func:`_cuts`).  So every atom of the x law, and the
     stay flag, is drawn with probability within 2^-32 of its stored mass.
     The site that step k reads is the cumulative sum of the move flags down
@@ -647,7 +669,7 @@ def monte_carlo_point_prob(
     cap = -(-max(rows * n, _CHUNK_DRAWS) // 8) * 8
     x_type = _offset_type(x_ks)
     x_bytes, move_bytes = cap * x_type.itemsize, cap if lazy else 0
-    work = np.empty(x_bytes + move_bytes + cap, np.uint8)
+    work = np.empty(x_bytes + move_bytes + 2 * cap, np.uint8)
     x_buf = work[:x_bytes].view(x_type)
     move_buf = work[x_bytes:x_bytes + move_bytes]
     scratch = work[x_bytes + move_bytes:].view(np.bool_)

@@ -32,7 +32,7 @@ from lltkit import (
     y_covariance_factorization,
 )
 from lltkit import scenery
-from lltkit.scenery import _WORDS32, _chunk_rows, _cuts, _offset_type, _site_draws
+from lltkit.scenery import _BYTE_CUTS, _WORDS32, _chunk_rows, _cuts, _offset_type, _site_draws
 
 
 def bern():
@@ -722,7 +722,7 @@ DRAW_SHAPE = (7, 3001)
 def full_compare_draws(ks, cuts, fill, seed=5):
     """Replay of the byte path's stream from ``default_rng(seed)``, drawn by a
     full 32-bit compare: B is the block's bytes, L is read at the tied sites
-    (by top byte, then in C order) and is ``fill`` at every other site, and
+    (in C order, whatever their tie byte) and is ``fill`` at every other site, and
     the draw at ``u = (B << 24) | L`` is the sum of the gaps over the cuts
     ``T <= u``.  Returns the draws, the replayed generator and the Ls read."""
     size = math.prod(DRAW_SHAPE)
@@ -730,7 +730,7 @@ def full_compare_draws(ks, cuts, fill, seed=5):
     raw = replay.bit_generator.random_raw
     b = raw(-(-size // 8)).view(np.uint8)[:size].astype(np.uint64)
     tops = sorted({t >> 24 for t in cuts if t % 2**24})
-    tied = np.concatenate([np.flatnonzero(b == top) for top in tops] + [[]]).astype(int)
+    tied = np.flatnonzero(np.isin(b, tops))
     assert len(tied) >= 20 * len(tops)  # about 82 ties per top byte
     low = np.full(size, fill, np.uint64)
     low[tied] = drawn = raw(-(-len(tied) // 2)).view(np.uint32)[:len(tied)] >> 8
@@ -738,12 +738,12 @@ def full_compare_draws(ks, cuts, fill, seed=5):
     return sum(int(g) * (u >= t) for t, g in zip(cuts, np.diff(ks))), replay, drawn
 
 
-def byte_path_draws(rng, ks, cuts):
+def block_draws(rng, ks, cuts):
     """One block of :data:`DRAW_SHAPE` draws from ``_site_draws``, into fresh
     buffers."""
     ks = np.array(ks)
     out = np.empty(DRAW_SHAPE, _offset_type(ks))
-    _site_draws(rng, ks, cuts, out, np.empty(-(-out.size // 8) * 8, np.bool_))
+    _site_draws(rng, ks, cuts, out, np.empty(-(-out.size // 8) * 16, np.bool_))
     return out
 
 
@@ -770,21 +770,42 @@ class TestMonteCarloDraws:
         ([0, 1, 2, 3, 4], [0, 77 << 24 | 100, 77 << 24 | 0x900000, 200 << 24]),
         # the same cuts with a gap above one byte, so uint16 offsets
         ([0, 2, 3, 303, 304], [0, 77 << 24 | 100, 77 << 24 | 0x900000, 200 << 24]),
-        # a first cut that ties, read straight into the uint8 offsets
+        # a first cut that ties
         ([0, 1, 3], [77 << 24 | 100, 77 << 24 | 0x900000]),
-        # ties at two top bytes, one L per tied site in each group
+        # ties at two top bytes, one L per tied site in C order
         ([0, 1, 2, 4], [0, 77 << 24 | 100, 150 << 24 | 5000]),
+        # eleven cuts of a twelve-atom law: nine tie bytes, two shared by two cuts
+        ([0, 1, 2, 4, 5, 6, 9, 10, 11, 12, 14, 15],
+         [3 << 24 | 1, 30 << 24 | 9, 30 << 24 | 0x800000, 64 << 24, 90 << 24 | 77,
+          128 << 24 | 5, 160 << 24 | 0xFFFFFF, 161 << 24 | 1, 200 << 24 | 400,
+          200 << 24 | 401, 250 << 24 | 0x123456]),
+        # the most cuts that the byte path takes
+        (list(range(_BYTE_CUTS + 1)), _cuts([1 / (_BYTE_CUTS + 1)] * _BYTE_CUTS)),
         ([0, 1], _cuts([0.3])),
         ([0, 1], [100 << 24]),
-    ], ids=["shared-top-byte", "wide-gaps", "first-cut-ties", "two-tie-bytes", "stay-flag",
-            "zero-low-bits"])
+    ], ids=["shared-top-byte", "wide-gaps", "first-cut-ties", "two-tie-bytes", "twelve-atoms",
+            "most-byte-cuts", "stay-flag", "zero-low-bits"])
     def test_byte_path_is_a_full_32_bit_compare(self, ks, cuts):
         for fill in (0, 2**24 - 1):
             want, replay, _ = full_compare_draws(ks, cuts, fill)
             rng = np.random.default_rng(5)
-            got = byte_path_draws(rng, ks, cuts)
+            got = block_draws(rng, ks, cuts)
             assert np.array_equal(got.reshape(-1), want)
             assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
+
+    def test_many_cuts_compare_whole_uint32_uniforms(self):
+        # past _BYTE_CUTS cuts each draw is a full compare of one uint32 half
+        # of a raw word, in C order
+        ks = np.arange(_BYTE_CUTS + 2) * 2
+        cuts = _cuts([1 / len(ks)] * (len(ks) - 1))
+        assert len(cuts) == _BYTE_CUTS + 1
+        size = math.prod(DRAW_SHAPE)
+        replay = np.random.default_rng(5).bit_generator.random_raw
+        u = replay(-(-size // 2)).view(np.uint32)[:size].astype(np.int64)
+        want = sum(2 * (u >= t) for t in cuts)
+        rng = np.random.default_rng(5)
+        assert np.array_equal(block_draws(rng, ks, cuts).reshape(-1), want)
+        assert rng.bit_generator.random_raw() == replay()
 
     def test_cut_equal_to_a_drawn_uniform_is_hit(self):
         # take a cut's low bits from an L that the stream draws, so that u == T
@@ -792,7 +813,7 @@ class TestMonteCarloDraws:
         _, _, drawn = full_compare_draws([0, 1], [77 << 24 | 100], 0)
         cut = 77 << 24 | int(drawn[drawn > 0][0])
         want, _, _ = full_compare_draws([0, 1], [cut], 0)
-        got = byte_path_draws(np.random.default_rng(5), [0, 1], [cut])
+        got = block_draws(np.random.default_rng(5), [0, 1], [cut])
         assert np.array_equal(got.reshape(-1), want)
 
     def test_padding_byte_never_ties(self):
@@ -804,7 +825,7 @@ class TestMonteCarloDraws:
                     .view(np.uint8)[size] == 77)
         want, replay, _ = full_compare_draws([0, 1], [77 << 24 | 100], 0, seed)
         rng = np.random.default_rng(seed)
-        assert np.array_equal(byte_path_draws(rng, [0, 1], [77 << 24 | 100]).reshape(-1), want)
+        assert np.array_equal(block_draws(rng, [0, 1], [77 << 24 | 100]).reshape(-1), want)
         assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
 
     def test_fair_coin_takes_one_bit_per_draw(self):
@@ -819,7 +840,8 @@ class TestMonteCarloDraws:
         make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
         make_pmf(2.0, 1.0, [(0, 1), (2, 5), (7, 2)]),
         make_pmf(0.25, 2.0, [(-2, 1), (0, 2), (1, 3), (4, 1), (9, 3)]),
-    ], ids=["two-point", "three-point", "five-point"])
+        make_pmf(0.0, 1.0, [(k, k % 5 + 1) for k in range(20)]),
+    ], ids=["two-point", "three-point", "five-point", "twenty-point"])
     def test_each_atom_at_n_1(self, x_law):
         # S_1 = X: every atom's p_hat lies within 5 standard errors of its mass
         m = SceneryModel(x_law, inc_12(), 1, {})
