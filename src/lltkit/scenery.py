@@ -467,9 +467,10 @@ _WORDS32 = 1 << 32
 
 #: laws of more cuts draw whole uint32 uniforms instead of bytes: with more,
 #: finding and resolving the byte path's ties (one site in 256 per cut) costs
-#: more than the three bytes per draw that it saves (timed on whole requests
-#: of 40,000 samples at n = 32-128 with 16- and 20-atom x laws)
-_BYTE_CUTS = 16
+#: more than the three bytes per draw that it saves (whole requests of 40,000
+#: samples at n = 32-128: 13-atom x laws ran 5% faster on bytes, 14-atom ones
+#: 6% slower)
+_BYTE_CUTS = 12
 
 
 def _chunk_rows(n: int) -> int:
@@ -563,11 +564,11 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: 
     every site's draw is that of one uint32 uniform, exactly as a full 32-bit
     compare would draw it.
 
-    Two laws take other words, with the same law drawn.  A law of more than
-    :data:`_BYTE_CUTS` cuts, whose ties would cost more than the bytes save,
-    compares whole uint32 uniforms, the two halves of each raw word in C
-    order.  A single cut at 2^31 is a fair coin: ``u >= 2^31`` is u's top
-    bit, so each draw takes one bit of a raw word.
+    Two kinds of law read the raw words otherwise, with the same law drawn.
+    A law of more than :data:`_BYTE_CUTS` cuts, whose ties would cost more
+    than the bytes save, compares whole uint32 uniforms, the two halves of
+    each raw word in C order.  A single cut at 2^31 is a fair coin: ``u >=
+    2^31`` is u's top bit, so each draw takes one bit of a raw word.
     """
     dt = out.dtype
     if not cuts:
