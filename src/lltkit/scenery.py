@@ -665,7 +665,7 @@ def monte_carlo_point_prob(
     # each a multiple of 8 entries; the last chunk uses their prefixes.  A
     # page costs a fault when first touched, and a block of one size per
     # call comes back from the allocator already touched: replaying the
-    # scenery-mc benchmark requests, about 16 faults per request against
+    # scenery-mc benchmark requests, about 20 faults per request against
     # about 500 with arrays made per chunk or sized after n.
     cap = -(-max(rows * n, _CHUNK_DRAWS) // 8) * 8
     x_type = _offset_type(x_ks)
