@@ -674,7 +674,12 @@ def bounded_plug_ins(
     """Fully effective plug-ins: the psi-moment ratio
     ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))``, the Esseen-type bound
     ``2^{3/2} ce * L_n`` for H_n and the Chernoff bound for rho_n (no oracle
-    involved)."""
+    involved).
+
+    ``E psi(X_j)`` is taken about the lattice origin, not about ``E X_j``, so
+    the bound grows with the distance of the law from 0: for ``{1, 2, 1}/4``
+    at n = 1e4 it is 0.0224 / 0.112 / 0.493 / 4.6e4 at v0 = -1 / 0 / 1 /
+    100, against an exact H_n of 0.0016."""
     moms = psi_moments([p for p, _, _ in spec.parts], psi)
     l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / psi(math.sqrt(spec.var))
     h_n = 2.0**1.5 * constants.ce * l_n

@@ -34,9 +34,10 @@ increment paths only: ``E[S_n | path] = sum_r l_r mu_r`` and
 ``E[S_n^2 | path] = sum_r l_r^2 sigma_r^2 + (sum_r l_r mu_r)^2``, with
 ``mu_r``, ``sigma_r^2`` the mean and variance of X over the (V, eps, L)
 outcomes at r's level (likewise for S'_n with xi).  The Monte Carlo oracle
-samples one scenery draw per visited site; it also admits lazy walks
+draws n scenery values per sample, one per step; it also admits lazy walks
 (increments >= 0 with ``P{Y = 0} > 0``), whose local times are the lengths of
-their runs of stays.
+their runs of stays: a step that stays repeats the previous step's value, so
+each visited site still weighs one fresh draw by its local time.
 """
 
 from __future__ import annotations
@@ -465,13 +466,6 @@ _CHUNK_DRAWS = 1_000_000
 #: 2^32, one past the largest uint32 uniform
 _WORDS32 = 1 << 32
 
-#: laws of more cuts draw whole uint32 uniforms instead of bytes: with more,
-#: finding and resolving the byte path's ties (one site in 256 per cut) costs
-#: more than the three bytes per draw that it saves (whole requests of 40,000
-#: samples at n = 32-128: 13-atom x laws ran 5% faster on bytes, 14-atom ones
-#: 6% slower)
-_BYTE_CUTS = 12
-
 
 def _chunk_rows(n: int) -> int:
     """Samples per chunk for an n-step walk."""
@@ -493,12 +487,12 @@ def _cuts(masses: Iterable[float]) -> list[int]:
     at either end of the support is never drawn.  A cut of 2^32 can never be
     reached, nor can the atoms after it, so it is dropped.
 
-    For a law of at most :data:`_BYTE_CUTS` cuts, :func:`_site_draws` reads
-    u one byte at a time: with ``u = (B << 24) | L`` and ``T = (b << 24) |
-    l``, ``u >= T`` exactly when ``B > b``, or ``B == b`` and ``L >= l``.
-    So a cut decides most draws by its top byte b alone; only a draw whose
-    top byte ties with b (probability 2^-8), and only when ``l > 0``, reads
-    24 more bits.  The law drawn is the one above, bit for bit.
+    :func:`_site_draws` reads u one byte at a time, whatever the number of
+    cuts: with ``u = (B << 24) | L`` and ``T = (b << 24) | l``, ``u >= T``
+    exactly when ``B > b``, or ``B == b`` and ``L >= l``.  So a cut decides
+    most draws by its top byte b alone; only a draw whose top byte ties with
+    b (probability 2^-8), and only when ``l > 0``, reads 24 more bits.  The
+    law drawn is the one above, bit for bit.
     """
     cuts = (min(round(q * _WORDS32), _WORDS32) for q in accumulate(map(Fraction, masses)))
     return [t for t in cuts if t < _WORDS32]
@@ -562,13 +556,12 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: 
     word, and its draw is taken again by a full compare of ``u = (B << 24) |
     L`` with the cuts.  So cuts that share a top byte read the same L, and
     every site's draw is that of one uint32 uniform, exactly as a full 32-bit
-    compare would draw it.
+    compare would draw it, for any number of cuts.
 
-    Two kinds of law read the raw words otherwise, with the same law drawn.
-    A law of more than :data:`_BYTE_CUTS` cuts, whose ties would cost more
-    than the bytes save, compares whole uint32 uniforms, the two halves of
-    each raw word in C order.  A single cut at 2^31 is a fair coin: ``u >=
-    2^31`` is u's top bit, so each draw takes one bit of a raw word.
+    Two laws read the raw words otherwise, with the same law drawn.  A law
+    with no cut is a point mass and reads none.  A single cut at 2^31 is a
+    fair coin: ``u >= 2^31`` is u's top bit, so each draw takes one bit of a
+    raw word.
     """
     dt = out.dtype
     if not cuts:
@@ -582,10 +575,6 @@ def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: 
         np.multiply(bits, dt.type(gaps[0]), out=out)
         return
     hit = scratch[:size].reshape(out.shape)
-    if len(cuts) > _BYTE_CUTS:
-        u = raw(-(-size // 2)).view(np.uint32)[:size].reshape(out.shape)
-        _add_hits(u, [(np.greater_equal, t) for t in cuts], gaps, out, hit)
-        return
     # whole words of bytes, so that the tie search can read them 8 at a time
     block = raw(-(-size // 8)).view(np.uint8)
     tops = [(t >> 24, t & 0xFFFFFF) for t in cuts]
@@ -623,11 +612,12 @@ def monte_carlo_point_prob(
     Each sample draws the walk and fresh scenery at the sites it visits.
     Increments must be >= 0: such a walk never returns to a site it has
     left, so only whether each step moves matters, and ``S_n`` is the sum of
-    one scenery draw per distinct site weighted by its local time.  Under
-    strictly positive increments every local time is 1 and a sample is n
-    i.i.d. scenery draws.  Under ``p0 = P{Y = 0} > 0`` one stay flag is drawn
-    per step; step 1 always reads a new site, and step k reads the draw of
-    distinct site number ``#moves in steps 2..k`` (counting from 0).
+    one scenery draw per distinct site weighted by its local time.  Each
+    sample draws n scenery values, one per step.  Under strictly positive
+    increments every local time is 1 and a sample is those n i.i.d. draws.
+    Under ``p0 = P{Y = 0} > 0`` one stay flag is also drawn per step, and a
+    step that stays repeats the previous step's value, so each visited site
+    reads the one fresh draw of the step that opened it.
 
     Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so runs
     are reproducible given (samples, seed).  Chunks of samples are laid out
@@ -635,15 +625,16 @@ def monte_carlo_point_prob(
     over its steps is n contiguous row adds.  Each chunk draws its scenery
     values, then its stay flags, through :func:`_site_draws`: one random
     byte per draw, with the ties of a byte with a cut resolved by 24 more
-    bits (a whole uint32 per draw for laws of more than :data:`_BYTE_CUTS`
-    cuts), which is exactly an inverse-cdf draw from a uint32 uniform against
-    integer cut points (:func:`_cuts`).  So every atom of the x law, and the
-    stay flag, is drawn with probability within 2^-32 of its stored mass.
-    The site that step k reads is the cumulative sum of the move flags down
-    the steps, and the values are gathered along the same axis.  Sums are
-    carried in integer index space so the hit test is exact; a sample's sum
-    is at most ``n * span`` and is accumulated in the smallest unsigned type
-    that holds that.
+    bits (one bit per draw for a fair coin, none for a point mass), which is
+    exactly an inverse-cdf draw from a uint32 uniform against integer cut
+    points (:func:`_cuts`).  So every atom of the x law, and the stay flag,
+    is drawn with probability within 2^-32 of its stored mass.  A lazy walk
+    then carries values forward down the steps in place, row k becoming
+    ``v[k-1] + (v[k] - v[k-1]) * moved[k]``; in the unsigned offset type
+    the difference wraps, and the result is exact because both candidates
+    are offsets that fit the type.  Sums are carried in integer index space
+    so the hit test is exact; a sample's sum is at most ``n * span`` and is
+    accumulated in the smallest unsigned type that holds that.
     """
     if min(model.increment_law.support) < 0:
         raise PreconditionError("Monte Carlo oracle requires increments >= 0")
@@ -684,10 +675,11 @@ def monte_carlo_point_prob(
         if lazy:
             moved = move_buf[:n * c].reshape(n, c)
             _site_draws(rng, _MOVE_KS, move_cuts, moved, scratch)
-            moved[0] = 1
-            site = np.cumsum(moved, axis=0, dtype=np.min_scalar_type(n))
-            site -= 1
-            vals = np.take_along_axis(vals, site, axis=0)
+            for k in range(1, n):  # v[k] = v[k-1] + (v[k] - v[k-1]) * moved[k]
+                step = vals[k]
+                step -= vals[k - 1]
+                step *= moved[k]
+                step += vals[k - 1]
         hits += int(np.count_nonzero(vals.sum(axis=0, dtype=acc) == target))
         done += c
     p_hat = hits / samples

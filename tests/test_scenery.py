@@ -32,7 +32,7 @@ from lltkit import (
     y_covariance_factorization,
 )
 from lltkit import scenery
-from lltkit.scenery import _BYTE_CUTS, _WORDS32, _chunk_rows, _cuts, _offset_type, _site_draws
+from lltkit.scenery import _WORDS32, _chunk_rows, _cuts, _offset_type, _site_draws
 
 
 def bern():
@@ -662,7 +662,10 @@ class TestMonteCarloLocalTimes:
     @pytest.mark.parametrize("x_law", [
         bern(),
         make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]),
-    ], ids=["fair-coin", "three-point-gap"])
+        # offsets that span their whole type, so the carry's differences wrap
+        make_pmf(0.0, 1.0, [(0, 1), (255, 1)]),
+        make_pmf(0.0, 1.0, [(0, 1), (300, 2)]),
+    ], ids=["fair-coin", "three-point-gap", "uint8-wrap", "uint16-wrap"])
     def test_lazy_walk_matches_run_length_law(self, p0, x_law):
         n = 8
         m = SceneryModel(x_law, lazy_inc(p0), n, {})
@@ -779,12 +782,14 @@ class TestMonteCarloDraws:
          [3 << 24 | 1, 30 << 24 | 9, 30 << 24 | 0x800000, 64 << 24, 90 << 24 | 77,
           128 << 24 | 5, 160 << 24 | 0xFFFFFF, 161 << 24 | 1, 200 << 24 | 400,
           200 << 24 | 401, 250 << 24 | 0x123456]),
-        # the most cuts that the byte path takes
-        (list(range(_BYTE_CUTS + 1)), _cuts([1 / (_BYTE_CUTS + 1)] * _BYTE_CUTS)),
+        # 13 and 63 cuts with gaps of 2: one draw rule for any number of cuts
+        # (12 tie bytes and a cut at 2^31; 63 tie bytes)
+        (list(range(0, 28, 2)), _cuts([1 / 14] * 13)),
+        (list(range(0, 128, 2)), _cuts([1 / 65] * 63)),
         ([0, 1], _cuts([0.3])),
         ([0, 1], [100 << 24]),
     ], ids=["shared-top-byte", "wide-gaps", "first-cut-ties", "two-tie-bytes", "twelve-atoms",
-            "most-byte-cuts", "stay-flag", "zero-low-bits"])
+            "thirteen-cuts", "sixty-three-cuts", "stay-flag", "zero-low-bits"])
     def test_byte_path_is_a_full_32_bit_compare(self, ks, cuts):
         for fill in (0, 2**24 - 1):
             want, replay, _ = full_compare_draws(ks, cuts, fill)
@@ -792,20 +797,6 @@ class TestMonteCarloDraws:
             got = block_draws(rng, ks, cuts)
             assert np.array_equal(got.reshape(-1), want)
             assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
-
-    def test_many_cuts_compare_whole_uint32_uniforms(self):
-        # past _BYTE_CUTS cuts each draw is a full compare of one uint32 half
-        # of a raw word, in C order
-        ks = np.arange(_BYTE_CUTS + 2) * 2
-        cuts = _cuts([1 / len(ks)] * (len(ks) - 1))
-        assert len(cuts) == _BYTE_CUTS + 1
-        size = math.prod(DRAW_SHAPE)
-        replay = np.random.default_rng(5).bit_generator.random_raw
-        u = replay(-(-size // 2)).view(np.uint32)[:size].astype(np.int64)
-        want = sum(2 * (u >= t) for t in cuts)
-        rng = np.random.default_rng(5)
-        assert np.array_equal(block_draws(rng, ks, cuts).reshape(-1), want)
-        assert rng.bit_generator.random_raw() == replay()
 
     def test_cut_equal_to_a_drawn_uniform_is_hit(self):
         # take a cut's low bits from an L that the stream draws, so that u == T
@@ -835,6 +826,20 @@ class TestMonteCarloDraws:
         raw = np.random.default_rng(8).bit_generator.random_raw
         bits = np.unpackbits(raw(-(-5005 // 64)).view(np.uint8))[:5005]
         assert np.array_equal(got.reshape(-1), 300 * bits.astype(np.uint16))
+
+    @pytest.mark.parametrize("x_law, n, kappa, samples, seed, hits", [
+        (bern(), 32, 16.0, 40_000, 1, 5780),
+        (make_pmf(0.0, 1.0, [(0, 4), (3, 1)]), 64, 39.0, 40_000, 2, 4983),
+        (make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]), 80, 72.0, 40_000, 3, 1570),
+        (make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]), 250, 225.0, 10_000, 4, 208),
+    ], ids=["fair-coin", "skewed-two-point", "three-point", "several-chunks"])
+    def test_seeded_streams_are_pinned(self, x_law, n, kappa, samples, seed, hits):
+        # p_hat of seeded requests on a strictly positive walk, pinned so that
+        # any change to the stream a request draws shows here
+        m = SceneryModel(x_law, inc_12(), n, {})
+        assert samples > _chunk_rows(n)
+        est = monte_carlo_point_prob(m, kappa, samples=samples, seed=seed)
+        assert est.p_hat == hits / samples
 
     @pytest.mark.parametrize("x_law", [
         make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
