@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .convolve import SumLaw, _as_count, bernoulli, exact_moments, kolmogorov_bound, sum_law
 from .errors import LatticeError, NumericsError, PreconditionError
@@ -124,8 +123,9 @@ class BoundReport:
 
     ``exact`` is ``P{S_n = kappa}`` from an exact oracle, or None, and
     ``exact_err`` bounds its floating-point error (a law's ``err_abs``).
-    :attr:`sandwich_ok` is the envelope's verdict on it; :meth:`row` is one
-    row of a sweep and :meth:`to_json_dict` the single-point output.
+    :attr:`sandwich_ok` is the envelope's verdict on it; :meth:`row` holds
+    the fields a sweep row prints and :meth:`to_json_dict` the single-point
+    output.
     """
 
     kappa: float
@@ -150,15 +150,20 @@ class BoundReport:
         margin = min(self.exact - self.lower, self.upper - self.exact)
         return margin > 0.0 if abs(margin) > self.exact_err else None
 
+    @property
+    def envelope_width(self) -> float:
+        return self.upper - self.lower
+
     def row(self) -> dict:
-        """The values, the width and, with an exact value, the verdict."""
+        """The values, the width and, with an exact value, the verdict; each
+        key names an attribute of the report."""
         out = {
             "kappa": self.kappa,
             "exact": self.exact,
             "gaussian": self.gaussian,
             "lower": self.lower,
             "upper": self.upper,
-            "envelope_width": self.upper - self.lower,
+            "envelope_width": self.envelope_width,
         }
         if self.exact is not None:
             out["sandwich_ok"] = self.sandwich_ok
@@ -339,6 +344,8 @@ def refined_bernoulli_comparison(n: int, z: int) -> float:
 
     def integrand(v: float) -> float:
         return math.exp(-0.5 * v * v - v**4 / (12.0 * n))
+
+    from scipy.integrate import quad  # on first use, so importing lltkit skips scipy.integrate
 
     val, _ = quad(integrand, 0.0, 12.0, weight="cos", wvar=x, epsabs=1e-14, limit=400)
     return 2.0 * val / (math.pi * math.sqrt(n))

@@ -13,16 +13,23 @@ validate         identity checks for a pmf (reconstruction, delta, variance)
 Output is JSON (default) or CSV, deterministic for fixed arguments and seed.
 Exit codes: 0 success, 1 a stated hypothesis failed for the input,
 2 malformed input.  Floating-point numbers are emitted with 17 significant
-digits so that values round-trip exactly.
+digits so that values round-trip exactly.  An ``llt-bound`` sweep writes its
+rows as they are computed, after every refusal has been decided.  The
+argument parser is built once per process; each call of :func:`main` parses
+a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
+from collections.abc import Callable, Iterator
 from typing import Any
 
 from . import bounds, gamkrelidze, partition, scenery
@@ -114,6 +121,46 @@ def render(payload: Any, output_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_scalar(x: Any) -> str:
+    """``json.dumps(x)`` for one value of a sweep row."""
+    if type(x) is float and math.isfinite(x):
+        return repr(x)
+    return "null" if x is None else json.dumps(x)
+
+
+#: sweep rows formatted per write to stdout
+_ROWS_PER_WRITE = 1024
+
+
+def _write_sweep(reports: Iterator[bounds.BoundReport], output_format: str) -> None:
+    """Write the rows of a sweep to stdout as they are computed, with the
+    text that :func:`render` gives for the list of their ``row()`` dicts: a
+    CSV header and one line per row, or a JSON list of objects, both with
+    the keys sorted.  Each row is read from the report's attributes that
+    the keys of the first ``row()`` name."""
+    first = next(reports)
+    names = sorted(first.row())
+    values = operator.attrgetter(*names)
+    if output_format == "csv":
+        head, sep, tail, encode = ",".join(names) + "\n", "\n", "\n", _fmt
+        template = ",".join(["%s"] * len(names))
+    else:
+        head, sep, tail, encode = "[\n", ",\n", "\n]\n", _json_scalar
+        template = "  {\n" + ",\n".join(f'    "{name}": %s' for name in names) + "\n  }"
+
+    def text(report: bounds.BoundReport) -> str:
+        return template % tuple(map(encode, values(report)))
+
+    parts = [head, text(first)]
+    for report in reports:
+        parts += (sep, text(report))
+        if len(parts) >= 2 * _ROWS_PER_WRITE:
+            sys.stdout.write("".join(parts))
+            parts.clear()
+    parts.append(tail)
+    sys.stdout.write("".join(parts))
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -162,6 +209,35 @@ def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | No
     return range(k_lo, k_hi + 1)
 
 
+def _sweep_reports(envelope: Callable[..., bounds.BoundReport], spec: bounds.SumSpec,
+                   sweep: range, plug: bounds.PlugIns, constants: bounds.ConstantsRegistry,
+                   exact: bool) -> Iterator[bounds.BoundReport]:
+    """The reports of a sweep in lattice order, computed as they are read;
+    every refusal is raised before this returns.
+
+    A refusal that does not depend on kappa shows at any point, and the
+    lattice check passes every point of the sweep (see ``kappa_index``).
+    The central range condition of the symmetric envelopes grows with
+    |kappa - E S_n|, so the end farthest from the mean decides it; that end
+    is computed first.  When it is the last point and is refused, the points
+    are computed in order up to the first refused one, whose error a sweep
+    in order raises.
+    """
+    def at(k: int) -> bounds.BoundReport:
+        return envelope(spec, spec.v0 + spec.d * k, plug, constants, exact)
+
+    lo, hi = sweep[0], sweep[-1]
+    if abs(spec.v0 + spec.d * hi - spec.mean) <= abs(spec.v0 + spec.d * lo - spec.mean):
+        return itertools.chain([at(lo)], map(at, sweep[1:]))
+    try:
+        last = at(hi)
+    except (LatticeError, PreconditionError, NumericsError):
+        for k in sweep:
+            at(k)
+        raise
+    return itertools.chain(map(at, sweep[:-1]), [last])
+
+
 def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     if args.h is not None and args.envelope != "sandwich":
         raise LatticeError(f"llt-bound --h applies to the sandwich envelope only, "
@@ -190,7 +266,7 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     envelope = getattr(bounds, f"{args.envelope}_envelope")
     if sweep is None:
         return envelope(spec, args.kappa, plug, constants, exact).to_json_dict(constants)
-    return [envelope(spec, spec.v0 + spec.d * k, plug, constants, exact).row() for k in sweep]
+    return _sweep_reports(envelope, spec, sweep, plug, constants, exact)
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
@@ -292,7 +368,9 @@ _COMMANDS = {
 
 def run(args: argparse.Namespace) -> tuple[int, Any]:
     """Dispatch parsed arguments whose ``constants`` holds the registry;
-    returns (exit_code, payload-or-error-object)."""
+    returns (exit_code, payload-or-error-object).  The payload of an
+    ``llt-bound`` sweep is an iterator of its reports, whose refusals have
+    all been raised here."""
     try:
         payload = _COMMANDS[args.command](args)
         return 0, payload
@@ -304,7 +382,10 @@ def run(args: argparse.Namespace) -> tuple[int, Any]:
         return 2, {"error": {"kind": "input-error", "message": str(exc)}}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    after it."""
     parser = argparse.ArgumentParser(
         prog="lltkit",
         description="Effective local limit theorem bounds for lattice sums.",
@@ -371,7 +452,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(render({"error": {"kind": "input-error", "message": str(exc)}}, "json"))
         return 2
     code, payload = run(args)
-    sys.stdout.write(render(payload, args.format))
+    if isinstance(payload, Iterator):
+        _write_sweep(payload, args.format)
+    else:
+        sys.stdout.write(render(payload, args.format))
     return code
 
 

@@ -178,9 +178,16 @@ def psi_moments(pmfs: Iterable[LatticePmf], psi: Callable[[float], float]) -> li
 
 def kappa_index(kappa: float, v0: float, d: float) -> int:
     """Index k with ``kappa = v0 + d*k`` on the lattice ``L(v0, d)``, to 1e-9 of
-    a step; :class:`PreconditionError` when kappa is off the lattice."""
+    a step plus the rounding of ``v0 + d*k`` in floats; :class:`PreconditionError`
+    when kappa is off the lattice.
+
+    From a point computed as ``v0 + d*k``, r below is within ``3u|k| + u|kappa/d|``
+    of k (u = 2^-53, to first order), which passes 1e-9 from |k| of about 10^7
+    on; the ``4u (|r| + |kappa/d|)`` term admits every such point, so an
+    ``llt-bound`` sweep is never refused at one of its own points.
+    """
     r = (kappa - v0) / d
-    if not math.isfinite(r) or abs(r - round(r)) > 1e-9:
+    if not math.isfinite(r) or abs(r - round(r)) > 1e-9 + 2.0**-51 * (abs(r) + abs(kappa / d)):
         raise PreconditionError(f"kappa = {kappa} is not on the sum lattice L({v0}, {d})")
     return round(r)
 

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .convolve import sum_law
@@ -100,6 +99,8 @@ def solve_sigma(m: int, n: int) -> float:
         lo *= 2.0
     while g(hi) > 0:
         hi *= 2.0
+    from scipy.optimize import brentq  # on first use, so importing lltkit skips scipy.optimize
+
     sigma = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     js = np.arange(m, n + 1, dtype=float)
     # polish with Newton steps; g is smooth and strictly decreasing

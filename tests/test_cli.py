@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
-from lltkit import iid_sum, make_pmf
+import lltkit.cli
+from lltkit import bounds, iid_sum, make_pmf, pmf_from_json, theta
 from lltkit.bounds import BoundReport, ConstantsRegistry
-from lltkit.cli import main
+from lltkit.cli import main, render
+from lltkit.errors import PreconditionError
 from lltkit.gamkrelidze import WINDOW_CAP
 
 
@@ -651,18 +655,112 @@ class TestInputRules:
 
 
 class TestSuccessiveCalls:
-    def test_call_order_does_not_change_output(self, capsys, bern_file, scenery_file):
+    def test_call_order_does_not_change_output(self, capsys, bern_file, scenery_file, tmp_path):
+        # the parser is shared by the calls of a process; no call may leave
+        # state in it, an argparse rejection and an override file included
+        override = tmp_path / "constants.json"
+        override.write_text(json.dumps({"c0": 0.3, "provenance": "test"}))
         argvs = [
             ["llt-bound", bern_file, "--n", "16", "--kappa", "8", "--h", "0.3"],
             ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6", "--kappa-to", "9",
              "--mode", "bounded-plug-ins", "--envelope", "central", "--format", "csv"],
             ["llt-bound", bern_file, "--n", "16", "--kappa", "8"],
             ["scenery", scenery_file, "--kappa", "2", "--mc", "100"],
+            ["llt-bound", bern_file, "--n", "16", "--kappa", "8", "--envelope", "nope"],
+            ["--constants", str(override), "llt-bound", bern_file, "--n", "16", "--kappa", "8"],
+            ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6", "--kappa-to", "10",
+             "--h", "0.25"],
             ["scenery", scenery_file],
             ["partition", "--m", "2", "--n", "12", "--mode", "enum"],
             ["partition", "--m", "2", "--n", "12"],
             ["split", bern_file],
         ]
-        forward = [run_cli(capsys, argv) for argv in argvs]
-        backward = [run_cli(capsys, argv) for argv in reversed(argvs)]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        forward = [call(argv) for argv in argvs]
+        backward = [call(argv) for argv in reversed(argvs)]
         assert forward == backward[::-1]
+        assert forward[4][0] == ("exit", 2) and "nope" in forward[4][2]
+        assert json.loads(forward[5][1])["constants"]["c0"] == 0.3
+        assert json.loads(forward[2][1])["constants"]["c0"] != 0.3
+        assert len(json.loads(forward[6][1])) == 5
+
+
+class TestSweepRows:
+    """A sweep prints what rendering the ``row()`` dicts of its single-point
+    envelopes prints, written as the rows are computed."""
+
+    LAW = {"v0": 0.25, "D": 0.5, "probs": [[0, 1], [1, 3], [2, 2]]}
+    N = 2000
+
+    @pytest.fixture
+    def law_file(self, tmp_path):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(self.LAW))
+        return str(path)
+
+    def expected(self, envelope, mode, ks, fmt):
+        """(exit code, stdout) of the sweep over the lattice indices ``ks``,
+        from the single-point envelopes in order."""
+        pmf = pmf_from_json(self.LAW)
+        spec = bounds.prepare_sum([(pmf, theta(pmf), self.N)])
+        constants = bounds.DEFAULT_CONSTANTS
+        exact = mode == "exact-plug-ins"
+        h = 0.25 if envelope == "sandwich" else None
+        if envelope == "psi" or not exact:
+            plug = bounds.bounded_plug_ins(spec, h, constants=constants)
+        else:
+            plug = bounds.exact_plug_ins(spec, h)
+        fn = getattr(bounds, f"{envelope}_envelope")
+        try:
+            rows = [fn(spec, spec.v0 + spec.d * k, plug, constants, exact).row() for k in ks]
+        except PreconditionError as exc:
+            return 1, render({"error": {"kind": "hypothesis-rejected", "message": str(exc)}}, fmt)
+        return 0, render(rows, fmt)
+
+    def sweep(self, capsys, law_file, envelope, mode, ks, fmt):
+        argv = ["llt-bound", law_file, "--n", str(self.N), "--mode", mode,
+                "--envelope", envelope, "--format", fmt,
+                "--kappa-from", repr(0.25 * self.N + 0.5 * ks[0]),
+                "--kappa-to", repr(0.25 * self.N + 0.5 * ks[-1])]
+        if envelope == "sandwich":
+            argv += ["--h", "0.25"]
+        return run_cli(capsys, argv)
+
+    # E S_n sits at lattice index 7 N / 6, about 2333; its sd is about 31 steps
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("mode", ["exact-plug-ins", "bounded-plug-ins"])
+    @pytest.mark.parametrize("envelope", ["sandwich", "central", "psi"])
+    @pytest.mark.parametrize("ks", [range(2328, 2339), range(2333, 2334)],
+                             ids=["eleven", "one"])
+    def test_matches_single_points(self, capsys, law_file, monkeypatch, envelope, mode, fmt, ks):
+        # two rows per write, so the rows cross several writes
+        monkeypatch.setattr(lltkit.cli, "_ROWS_PER_WRITE", 2)
+        code, out = self.sweep(capsys, law_file, envelope, mode, ks, fmt)
+        assert (code, out) == self.expected(envelope, mode, ks, fmt)
+        assert code == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("ks", [range(2300, 2600), range(2000, 2340)],
+                             ids=["upper-end", "lower-end"])
+    def test_central_refused_at_far_end_prints_only_the_error(self, capsys, law_file,
+                                                              fmt, ks):
+        # the central range ends about 55 steps from the mean; a refused
+        # sweep prints the error of its first refused point and no row
+        code, out = self.sweep(capsys, law_file, "central", "bounded-plug-ins", ks, fmt)
+        assert (code, out) == self.expected("central", "bounded-plug-ins", ks, fmt)
+        assert code == 1 and "central range condition" in out
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # quad and brentq are imported by the two functions that call them
+    code = ("import sys, lltkit.cli; "
+            "sys.exit(any(m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

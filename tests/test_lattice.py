@@ -148,6 +148,14 @@ class TestKappaIndex:
         with pytest.raises(PreconditionError, match="not on the sum lattice"):
             kappa_index(kappa, 0.25, 0.5)
 
+    @pytest.mark.parametrize("v0, d", [(0.0, 0.1), (0.7, 0.3), (-123456.7, 0.1)])
+    def test_far_points_computed_in_floats_accepted(self, v0, d):
+        # v0 + d*k misses the lattice by more than 1e-9 of a step at some of these k
+        ks = range(30_000_000, 30_000_200)
+        assert [kappa_index(v0 + d * k, v0, d) for k in ks] == list(ks)
+        with pytest.raises(PreconditionError, match="not on the sum lattice"):
+            kappa_index(v0 + d * (ks[0] + 0.5), v0, d)
+
 
 class TestSpanMultiple:
     def test_even_support(self):
