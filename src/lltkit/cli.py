@@ -35,7 +35,8 @@ from typing import Any
 from . import bounds, gamkrelidze, partition, scenery
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import reconstruct, split, xi_law
-from .lattice import characteristics, delta_smoothness, moments, pmf_from_json, theta
+from .lattice import (characteristics, delta_smoothness, lattice_position, moments, pmf_from_json,
+                      theta)
 
 ENV_CONSTANTS = "LLT_CONSTANTS"
 
@@ -198,8 +199,10 @@ def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | No
         return None
     if None in sweep_ends or not all(map(math.isfinite, sweep_ends)):
         raise LatticeError("llt-bound requires --kappa or finite --kappa-from and --kappa-to")
-    k_lo = math.ceil((args.kappa_from - spec.v0) / spec.d - 1e-9)
-    k_hi = math.floor((args.kappa_to - spec.v0) / spec.d + 1e-9)
+    # each end admits the lattice points that --kappa admits there
+    r_lo, slack_lo = lattice_position(args.kappa_from, spec.v0, spec.d)
+    r_hi, slack_hi = lattice_position(args.kappa_to, spec.v0, spec.d)
+    k_lo, k_hi = math.ceil(r_lo - slack_lo), math.floor(r_hi + slack_hi)
     if k_hi < k_lo:
         raise LatticeError(f"kappa sweep from {args.kappa_from} to {args.kappa_to} holds no "
                            f"point of the sum lattice L({spec.v0}, {spec.d})")

@@ -9,20 +9,22 @@ one shifted, scaled add of the array per positive mass, so a sparse part
 convolution over its span, plus O(1) work on Python scalars (its atoms are
 read once as pairs, and a two-atom part's norms come from its two
 masses).  A part with ``count >= 2`` is densified on its own span and
-raised to its power with one transform pair (``scipy.fft``): one double
-``rfft``, a pointwise power over the bits of ``count``, one double
-``irfft``, with the frequencies where the power survives evaluated again
-and raised in extended precision, unless the double power is already as
-accurate as its inverse transform.  Entries of the
-power at or below its error bound are set to 0.0; it is then spread at
-stride ``s`` (its span over the common lattice of all spans) onto that
-lattice, so the gaps under a coarser span stay exact zeros, and
-folded in with ``numpy.convolve`` over the nonzero windows of the running
-array and of the power only.  Every oracle reads the dense array of the
-resulting :class:`SumLaw` in place, and ``SumLaw.err_abs`` bounds how far
-any of its masses can be from the exact law (derived at :func:`sum_law`).
-The normal CDF is ``scipy.special.ndtr`` (absolute error near machine
-precision).
+raised to its power with one transform pair of ``numpy.fft`` (numpy's
+pocketfft, which keeps ``np.longdouble`` in long double from numpy 2.0 on):
+one double ``rfft``, a pointwise power over the bits of ``count``, one
+double ``irfft``, with the frequencies where the power survives evaluated
+again and raised in extended precision, unless the double power is already
+as accurate as its inverse transform.  Entries of the power at or below
+its error bound are set to 0.0; it is then spread at stride ``s`` (its
+span over the common lattice of all spans) onto that lattice, so the gaps
+under a coarser span stay exact zeros, and folded in with
+``numpy.convolve`` over the nonzero windows of the running array and of
+the power only.  Every oracle reads the dense array of the resulting
+:class:`SumLaw` in place, and ``SumLaw.err_abs`` bounds how far any of its
+masses can be from the exact law (derived at :func:`sum_law`).  The normal
+CDF is ``scipy.special.ndtr`` (absolute error near machine precision),
+which scipy loads on first use, so building a law never imports
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import fft
-from scipy.special import ndtr
+import scipy  # scipy.special is loaded by its first attribute access
 
 from .errors import LatticeError, NumericsError
 from .lattice import LatticePmf, _moments
@@ -180,7 +181,8 @@ def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
 
 def _eta(size: int, u: float) -> float:
     """Higham's normwise error constant ``eta_N`` of a power-of-two transform
-    of length ``size`` computed with unit roundoff u and twiddles within 4u."""
+    of length ``size`` computed with unit roundoff u and twiddles within 4u,
+    the model taken for numpy's pocketfft (``numpy.fft``)."""
     eta = max(1, size.bit_length() - 1) * (4.0 * u + _gamma(4, u) * (math.sqrt(2.0) + 4.0 * u))
     return eta / (1.0 - eta)
 
@@ -231,7 +233,8 @@ def _transform_at(dense: np.ndarray, bf: _Bounds, freqs: np.ndarray, size: int):
     ks = np.flatnonzero(dense)
     ue = float(np.finfo(_EXT).epsneg)
     if 4 * len(freqs) * len(ks) > size * (size.bit_length() - 1) + 2**13:
-        return fft.rfft(dense.astype(_EXT), size)[freqs], _eta(size, ue) * math.sqrt(size) * bf.n2
+        ext = np.fft.rfft(dense.astype(_EXT), size)[freqs]
+        return ext, _eta(size, ue) * math.sqrt(size) * bf.n2
     step = min(8, size)  # every r is a multiple of it
     last = min(size, 8 * int(freqs[-1]) * int(ks[-1])) // step  # below size/8, m = j k
     phi = np.arange(last + 1, dtype=_EXT) * (step * np.arctan(_EXT(1)) / size)
@@ -260,7 +263,7 @@ def _power(dense: np.ndarray, count: int):
     length = count * (len(dense) - 1) + 1
     size = 1 << (length - 1).bit_length()
     bf = _measured(dense)
-    spec = fft.rfft(dense, size)
+    spec = np.fft.rfft(dense, size)
     power = _raise(spec, count)
     eta = _eta(size, _U)
     delta = eta * math.sqrt(size) * bf.n2
@@ -297,7 +300,7 @@ def _power(dense: np.ndarray, count: int):
         s1 = float((twice[keep] * e).sum()) * up
         s2 = float((twice[keep] * (e * e)).sum()) * up
     d1, d2 = double_err(cut)
-    z = fft.irfft(power, size)
+    z = np.fft.irfft(power, size)
     inv = eta * math.sqrt(float(np.square(z).sum())) * (1.0 + 2.0 * (size + 2) * _U) / (1.0 - eta)
     einf = (s1 + d1) * (1.0 + 4.0 * _U) + inv
     e2 = (math.sqrt(s2) + d2) * (1.0 + 4.0 * _U) + inv
@@ -394,7 +397,10 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``N = 2^t`` obeys ``||fl(F v) - F v||_2 <= eta_N ||F v||_2`` with
        ``eta_N = t eta / (1 - t eta)``, ``eta = mu + gamma_4 (sqrt 2 + mu)``,
        twiddles within ``mu = 4u`` (we take this as the model of the
-       power-of-two transforms of ``scipy.fft``).  A complex product errs by
+       power-of-two transforms of ``numpy.fft``, numpy's pocketfft; from
+       numpy 2.0 on it transforms ``np.longdouble`` in long double, where
+       numpy 1.x cast it to double, so the extended frequencies and ``u_e``
+       below need numpy >= 2.0).  A complex product errs by
        ``sqrt(2) gamma_2`` relatively; the roundings of a power by squaring
        enter it with multiplicities that add up to ``n - 1``, so it errs by
        ``eps_n(u) = (n - 1) sqrt2 gamma_2 / (1 - (n - 1) sqrt2 gamma_2)``
@@ -605,7 +611,7 @@ def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
     ks, w = law.atoms()
-    phi = ndtr((law.v0 + law.D * ks - center) / scale)
+    phi = scipy.special.ndtr((law.v0 + law.D * ks - center) / scale)
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
     return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())

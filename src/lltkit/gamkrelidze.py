@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+import scipy  # scipy.special is loaded by its first attribute access
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
 from .convolve import _U, SumLaw
@@ -124,7 +124,7 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
                            f"points, above the cap of {WINDOW_CAP}")
     p = np.zeros(size)
     p[ks - k_lo] = w
-    edges = ndtr((np.arange(k_lo - 1, k_hi + 1) - a_n) / sd)
+    edges = scipy.special.ndtr((np.arange(k_lo - 1, k_hi + 1) - a_n) / sd)
     ell = np.diff(edges)
     d = p - ell
     prefix = np.concatenate([[0.0], np.cumsum(d)])

@@ -186,10 +186,18 @@ def kappa_index(kappa: float, v0: float, d: float) -> int:
     on; the ``4u (|r| + |kappa/d|)`` term admits every such point, so an
     ``llt-bound`` sweep is never refused at one of its own points.
     """
-    r = (kappa - v0) / d
-    if not math.isfinite(r) or abs(r - round(r)) > 1e-9 + 2.0**-51 * (abs(r) + abs(kappa / d)):
+    r, slack = lattice_position(kappa, v0, d)
+    if not math.isfinite(r) or abs(r - round(r)) > slack:
         raise PreconditionError(f"kappa = {kappa} is not on the sum lattice L({v0}, {d})")
     return round(r)
+
+
+def lattice_position(kappa: float, v0: float, d: float) -> tuple[float, float]:
+    """``r = (kappa - v0)/d`` and the slack within which r stands for a
+    lattice index k, ``|r - k| <= slack`` (derived at :func:`kappa_index`);
+    the ``llt-bound`` sweep rounds its ends by the same slack."""
+    r = (kappa - v0) / d
+    return r, 1e-9 + 2.0**-51 * (abs(r) + abs(kappa / d))
 
 
 @dataclass(frozen=True)

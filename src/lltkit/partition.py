@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+import scipy  # scipy.special is loaded by its first attribute access
 
 from .convolve import sum_law
 from .errors import NumericsError, PreconditionError
@@ -52,7 +52,7 @@ def _normalize_m(m: int) -> int:
 
 def _centering_lhs(sigma: float, m: int, n: int) -> float:
     js = np.arange(m, n + 1, dtype=float)
-    return float(np.sum(js * expit(-sigma * js)))
+    return float(np.sum(js * scipy.special.expit(-sigma * js)))
 
 
 def solve_sigma(m: int, n: int) -> float:
@@ -108,11 +108,12 @@ def solve_sigma(m: int, n: int) -> float:
         res = g(sigma)
         if abs(res) <= SIGMA_RESIDUAL_TOL:
             break
-        slope = -float(np.sum(js * js * expit(sigma * js) * expit(-sigma * js)))
+        slope = -float(np.sum(js * js * scipy.special.expit(sigma * js)
+                              * scipy.special.expit(-sigma * js)))
         sigma -= res / slope
     res = g(sigma)
     if abs(res) > SIGMA_RESIDUAL_TOL:
-        t = js * expit(-sigma * js)
+        t = js * scipy.special.expit(-sigma * js)
         # the bound B of the docstring; 2**-52 is 2u
         bound = 2.0**-52 * ((len(js) + 4) * float(np.sum(t))
                             + abs(sigma) * float(np.sum(js * t)) + abs(res))
@@ -137,7 +138,7 @@ def _model_count(m: int, n: int, sigma: float) -> int:
     if sigma == float("-inf"):
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
     js = np.arange(m, n + 1, dtype=float)
-    p_hit = expit(-sigma * js)  # P{X_j = j}
+    p_hit = scipy.special.expit(-sigma * js)  # P{X_j = j}
     # the masses make_pmf stores for [(0, 1 - p), (j, p)], a zero mass dropped:
     # their fsum, the rounded (1 - p) + p, is 1.0 for every p in [0, 1] (1 - p
     # is exact for p >= 1/2 and off by at most 2^-54 below), so normalizing

@@ -265,6 +265,24 @@ class TestLltBound:
         code, out = run_cli(capsys, argv + ["--kappa-to", "35"])
         assert code == 2 and "6 points" in json.loads(out)["error"]["message"]
 
+    def test_one_point_sweep_prints_the_single_point_row(self, capsys, tmp_path):
+        # far lattice points of L(0, 0.1) given as their shortest decimals; a
+        # fixed 1e-9 step tolerance on the sweep ends refused 40 of these 200
+        # one-point sweeps that --kappa accepts
+        path = tmp_path / "tenths.json"
+        path.write_text(json.dumps({"v0": 0, "D": 0.1, "probs": [[0, 1], [1, 1]]}))
+        argv = ["llt-bound", str(path), "--n", "60000000", "--mode", "bounded-plug-ins"]
+        for k in range(30_000_000, 30_000_200):
+            kappa = repr(0.1 * k)
+            code, single = run_cli(capsys, argv + ["--kappa", kappa])
+            assert code == 0
+            code, sweep = run_cli(capsys, argv + ["--kappa-from", kappa, "--kappa-to", kappa])
+            assert code == 0, kappa
+            (row,) = json.loads(sweep)
+            single = json.loads(single)
+            assert row == {key: single[key] for key in row}
+            assert row["kappa"] == float(kappa)
+
     def test_csv_sweep_matches_json_values(self, capsys, bern_file):
         argv = ["llt-bound", bern_file, "--n", "16", "--kappa-from", "6",
                 "--kappa-to", "10", "--h", "0.25"]
@@ -760,7 +778,30 @@ class TestSweepRows:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # quad and brentq are imported by the two functions that call them
-    code = ("import sys, lltkit.cli; "
-            "sys.exit(any(m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')))")
+    # quad and brentq are imported by the two functions that call them, the
+    # transforms are numpy's, and scipy loads scipy.special on first use
+    code = ("import sys, lltkit.cli; sys.exit(any(m in sys.modules for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft')))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_bounded_commands_leave_scipy_special_unloaded(tmp_path):
+    # bounded envelopes and characteristics need no special function; scipy
+    # itself stays imported, since perfbench's worker reads the version of
+    # sys.modules["scipy"] after its requests
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]}))
+    argvs = [
+        ["llt-bound", str(law), "--n", "4000", "--mode", "bounded-plug-ins", "--format", "csv",
+         "--kappa-from", "3990", "--kappa-to", "4010"],
+        ["llt-bound", str(law), "--n", "4000", "--mode", "bounded-plug-ins", "--envelope", "psi",
+         "--kappa", "4000"],
+        ["characteristics", str(law)],
+    ]
+    code = ("import sys, lltkit.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert lltkit.cli.main(argv) == 0, argv\n"
+            "assert 'scipy' in sys.modules\n"
+            "sys.exit('scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -288,15 +288,13 @@ class TestSumLaw:
 
     def test_one_transform_pair_per_power(self, monkeypatch):
         # a power is one rfft, a pointwise power and one irfft, whatever its count
-        from scipy import fft
-
         calls = []
         for name in ("rfft", "irfft"):
-            def spy(*args, _name=name, _f=getattr(fft, name), **kwargs):
+            def spy(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
 
-            monkeypatch.setattr(fft, name, spy)
+            monkeypatch.setattr(np.fft, name, spy)
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (3, 0.1)])
         for count in list(range(2, 40)) + [1000]:
             calls.clear()
@@ -777,6 +775,16 @@ class TestLltDiscrepancy:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # the FFT kernel uses scipy.fft; scipy.signal would add a third to the import time
+    # the FFT kernel uses numpy.fft; scipy.signal would add a third to the import time
     code = "import sys, lltkit; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                    reason="long double is double here")
+def test_fft_keeps_long_double():
+    # numpy 1.x's fft cast long double to double: the extended frequencies of
+    # sum_law's powers would then be double, and its err_abs would not hold
+    x = np.arange(8, dtype=np.longdouble) / 7
+    assert np.fft.rfft(x).dtype == np.clongdouble
+    assert np.fft.irfft(np.fft.rfft(x), 8).dtype == np.longdouble

@@ -21,7 +21,7 @@ from lltkit import (
     theta,
 )
 from lltkit.errors import PreconditionError
-from lltkit.lattice import kappa_index
+from lltkit.lattice import kappa_index, lattice_position
 
 from .conftest import random_pmf
 
@@ -155,6 +155,10 @@ class TestKappaIndex:
         assert [kappa_index(v0 + d * k, v0, d) for k in ks] == list(ks)
         with pytest.raises(PreconditionError, match="not on the sum lattice"):
             kappa_index(v0 + d * (ks[0] + 0.5), v0, d)
+        # the llt-bound sweep rounds its ends by the same slack
+        for k in ks:
+            r, slack = lattice_position(v0 + d * k, v0, d)
+            assert math.ceil(r - slack) == math.floor(r + slack) == k
 
 
 class TestSpanMultiple:
