@@ -34,7 +34,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .convolve import SumLaw, _as_count, bernoulli, exact_moments, kolmogorov_bound, sum_law
+from .convolve import (_U, SumLaw, _as_count, bernoulli, exact_moments, kolmogorov_bound,
+                       sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
@@ -351,9 +352,6 @@ def refined_bernoulli_comparison(n: int, z: int) -> float:
     return 2.0 * val / (math.pi * math.sqrt(n))
 
 
-#: unit roundoff of IEEE double precision
-_UNIT_ROUNDOFF = 2.0**-53
-
 #: roundings charged per scan entry to the Gaussian term, the difference and
 #: the n^{3/2} scaling, in units of the unit roundoff.  About 14 are needed,
 #: allowing 4 ulps for ``np.exp``; the rest is room to spare.
@@ -392,7 +390,7 @@ def c0_scan_error_bound(n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise LatticeError(f"need n_max >= 1, got {n_max}")
-    u = _UNIT_ROUNDOFF
+    u = _U
     n = np.arange(1, n_max + 1, dtype=float)
     gamma = n * u / (1.0 - n * u)
     underflow = n**1.5 * (n + 2.0) * 2.0**-1074
@@ -648,9 +646,11 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     rho_n from the exact tail of B_n, a sum of Bernoulli(level) parts (when h
     is given, checked before any law is built).  H_n is taken about the xi
     sum's exact mean and variance (:func:`lltkit.convolve.exact_moments`).
-    Both are rounded up by their floating-point error
-    (:func:`lltkit.convolve.kolmogorov_bound`,
-    :meth:`SumLaw.two_sided_tail_bound`), so they bound the values of the
+    rho_n is ``P{|B_n - Theta_n| > h Theta_n}`` with Theta_n and ``h
+    Theta_n`` as exact fractions, so the points of the tail are decided
+    exactly (:meth:`SumLaw.two_sided_tail_bound`).  Both are rounded up by
+    their floating-point error (:func:`lltkit.convolve.kolmogorov_bound`,
+    the tail's masses and ``err_abs``), so they bound the values of the
     exact laws from above."""
     if h is not None:
         _check_h(h)

@@ -22,6 +22,7 @@ a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -35,8 +36,7 @@ from typing import Any
 from . import bounds, gamkrelidze, partition, scenery
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import reconstruct, split, xi_law
-from .lattice import (characteristics, delta_smoothness, lattice_position, moments, pmf_from_json,
-                      theta)
+from .lattice import characteristics, lattice_position, moments, pmf_from_json, theta
 
 ENV_CONSTANTS = "LLT_CONSTANTS"
 
@@ -283,9 +283,8 @@ def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
     h = _pick_h(args, spec.theta_n)
     extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, args.constants)
     out = report.to_json_dict()
-    out["pointwise_check"] = check.to_json_dict()
-    out["extraction_bound"] = extr.to_json_dict()
-    out["extraction_bound"]["h"] = h
+    out["pointwise_check"] = dataclasses.asdict(check)
+    out["extraction_bound"] = {**dataclasses.asdict(extr), "h": h}
     return out
 
 
@@ -317,44 +316,26 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
 
 
 def _cmd_partition(args: argparse.Namespace) -> dict:
-    return partition.count_partitions(args.m, args.n, args.partition_mode).to_json_dict()
+    return dataclasses.asdict(partition.count_partitions(args.m, args.n, args.partition_mode))
 
 
 def _cmd_validate(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
-    checks = []
-    th = theta(pmf)
-    de = delta_smoothness(pmf)
-    checks.append(
-        {"name": "delta_equals_2_minus_2_theta", "residual": abs(de - (2.0 - 2.0 * th))}
-    )
-    mean, var = moments(pmf)
-    checks.append(
-        {"name": "variance_at_least_quarter_span_sq_theta", "residual": max(0.0, pmf.D**2 * th / 4.0 - var)}
-    )
-    if th > 0:
+    ch = characteristics(pmf)
+    rows = [  # (name, residual, tolerance)
+        ("delta_equals_2_minus_2_theta", abs(ch.delta - (2.0 - 2.0 * ch.theta)), 1e-12),
+        ("variance_at_least_quarter_span_sq_theta",
+         max(0.0, pmf.D**2 * ch.theta / 4.0 - ch.variance), 1e-12),
+    ]
+    if ch.theta > 0:
         sp = split(pmf)
         rec = reconstruct(sp)
-        err = max(
-            abs(rec.mass(k) - pmf.mass(k)) for k in set(pmf.probs) | set(rec.probs)
-        )
-        checks.append({"name": "reconstruction_pointwise", "residual": err})
-        xi = xi_law(sp)
-        _, xv = moments(xi)
-        checks.append(
-            {
-                "name": "xi_variance_identity",
-                "residual": abs(xv - (var - pmf.D**2 * sp.vartheta / 4.0)),
-            }
-        )
-    tolerances = {
-        "delta_equals_2_minus_2_theta": 1e-12,
-        "variance_at_least_quarter_span_sq_theta": 1e-12,
-        "reconstruction_pointwise": 1e-14,
-        "xi_variance_identity": 1e-12,
-    }
-    for c in checks:
-        c["pass"] = bool(c["residual"] <= tolerances[c["name"]])
+        err = max(abs(rec.mass(k) - pmf.mass(k)) for k in set(pmf.probs) | set(rec.probs))
+        _, xv = moments(xi_law(sp))
+        rows += [("reconstruction_pointwise", err, 1e-14),
+                 ("xi_variance_identity",
+                  abs(xv - (ch.variance - pmf.D**2 * sp.vartheta / 4.0)), 1e-12)]
+    checks = [{"name": name, "residual": r, "pass": bool(r <= tol)} for name, r, tol in rows]
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 

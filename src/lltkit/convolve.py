@@ -2,8 +2,9 @@
 variables, and the brute-force statistics every bound is checked against.
 
 :func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
-parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`.
-A part with ``count == 1`` is folded into the running array by its atoms:
+parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`,
+and folds every part into one zero array of the final length, allocated
+once.  A part with ``count == 1`` is folded into it by its atoms:
 one shifted, scaled add of the array per positive mass, so a sparse part
 (the partition model's ``{0, j}``) costs its array passes, not a
 convolution over its span, plus O(1) work on Python scalars (its atoms are
@@ -19,12 +20,12 @@ its error bound are set to 0.0; it is then spread at stride ``s`` (its
 span over the common lattice of all spans) onto that lattice, so the gaps
 under a coarser span stay exact zeros, and folded in with
 ``numpy.convolve`` over the nonzero windows of the running array and of
-the power only.  Every oracle reads the dense array of the resulting
-:class:`SumLaw` in place, and ``SumLaw.err_abs`` bounds how far any of its
-masses can be from the exact law (derived at :func:`sum_law`).  The normal
-CDF is ``scipy.special.ndtr`` (absolute error near machine precision),
-which scipy loads on first use, so building a law never imports
-``scipy.special``.
+the power only, the product written back over the array's old window.
+Every oracle reads the dense array of the resulting :class:`SumLaw` in
+place, and ``SumLaw.err_abs`` bounds how far any of its masses can be from
+the exact law (derived at :func:`sum_law`).  The normal CDF is
+``scipy.special.ndtr`` (absolute error near machine precision), which scipy
+loads on first use, so building a law never imports ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -103,26 +104,21 @@ class SumLaw:
         """An upper bound on ``P{|S - center| > radius}`` under the exact law;
         ``center`` and ``radius`` may be floats or exact ``Fraction`` values.
 
-        Points whose computed distance from ``center`` clears ``radius`` by
-        more than ``8u (reach + radius)``, ``reach = |v0| + |D| max|k| +
-        |center|``, are in or out as computed: that margin covers the
-        roundings of the point ``v0 + D k``, of its distance and of ``center``
-        and ``radius`` to floats.  The points within it are decided in
-        rational arithmetic.  Each tail entry adds ``err_abs`` for its
-        distance from the exact mass, zeros included; the sum of the masses
-        adds ``gamma_L`` of itself, and the result is rounded up by ``1 + 4u``."""
+        The points within ``radius`` of ``center`` are the indices from
+        ``ceil((center - radius - v0)/D)`` to ``floor((center + radius -
+        v0)/D)``, both computed in rational arithmetic, so the tail is the
+        two end slices of ``probs`` outside them, decided exactly (all of
+        ``probs`` when ``radius < 0``).  Each tail entry adds ``err_abs`` for
+        its distance from the exact mass, zeros included; the sum of the
+        masses adds ``gamma_L`` of itself, and the result is rounded up by
+        ``1 + 4u``."""
         size = len(self.probs)
-        ks = np.arange(self.first, self.first + size)
-        c, r = float(center), float(radius)
-        reach = abs(self.v0) + abs(self.D) * max(abs(self.first), abs(self.first + size - 1))
-        dist = np.abs(self.v0 + self.D * ks - c)
-        tail = dist > r
-        near = np.flatnonzero(np.abs(dist - r) <= 8.0 * _U * (reach + abs(c) + r))
         v0, d, center, radius = (Fraction(x) for x in (self.v0, self.D, center, radius))
-        for i in near.tolist():
-            tail[i] = abs(v0 + d * int(ks[i]) - center) > radius
-        mass = float(self.probs[tail].sum()) * (1.0 + _gamma(size, _U))
-        return (mass + int(np.count_nonzero(tail)) * self.err_abs) * (1.0 + 4.0 * _U)
+        a = min(max(math.ceil((center - radius - v0) / d) - self.first, 0), size)
+        b = max(min(math.floor((center + radius - v0) / d) + 1 - self.first, size), a)
+        tail = np.concatenate((self.probs[:a], self.probs[b:]))
+        mass = float(tail.sum()) * (1.0 + _gamma(size, _U))
+        return (mass + len(tail) * self.err_abs) * (1.0 + 4.0 * _U)
 
     def to_json_dict(self) -> dict:
         """The pmf schema of :meth:`LatticePmf.to_json_dict`, positive masses only."""
@@ -362,30 +358,30 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
 
     **Kernel.**  A part with ``count == 1`` is folded by its atoms: for each
     positive mass ``(k, w)``, in increasing k, ``w`` times the running array
-    is added at offset ``k s`` (nothing is dropped).  The adds run in place,
-    in one array of the final length allocated at the first count-1 part;
-    a two-atom part ``{0: a, j: b}`` scales the window by a and adds b times
-    it at j, the same roundings as ``0 + a x`` then ``+ b x``.  A part with
-    ``count = n >= 2`` is densified on its own span, ``f`` of length ``l``,
-    and raised to its power ``f^{*n}`` (length ``L = n (l - 1) + 1``) by one
-    transform pair of length ``N = 2^t``, the least power of two ``>= L``,
-    so the cyclic power is the linear one: one double ``rfft``, the
-    pointwise power ``F^n`` in complex128 by squaring over the bits of n
-    (square, then multiply by ``F`` where the bit is set), one double
-    ``irfft``.  Unless the double power's error bound is already within
-    that of the inverse transform (laws of many atoms at small n, step 3),
-    the frequencies where the power survives, ``|F^_j| + delta >= tau =
-    u_e^(1/n)`` with ``u_e`` the unit roundoff of ``_EXT``
+    is added at offset ``k s`` (nothing is dropped).  Every part is folded
+    into one zero array of the final length, allocated once; the adds run in
+    place, and a two-atom part ``{0: a, j: b}`` scales the window by a and
+    adds b times it at j, the same roundings as ``0 + a x`` then ``+ b x``.
+    A part with ``count = n >= 2`` is densified on its own span, ``f`` of
+    length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
+    + 1``) by one transform pair of length ``N = 2^t``, the least power of
+    two ``>= L``, so the cyclic power is the linear one: one double
+    ``rfft``, the pointwise power ``F^n`` in complex128 by squaring over the
+    bits of n (square, then multiply by ``F`` where the bit is set), one
+    double ``irfft``.  Unless the double power's error bound is already
+    within that of the inverse transform (laws of many atoms at small n,
+    step 3), the frequencies where the power survives, ``|F^_j| + delta >=
+    tau = u_e^(1/n)`` with ``u_e`` the unit roundoff of ``_EXT``
     (``np.longdouble``: ``2^-64`` on x86-64), are evaluated again in
     ``_EXT`` (:func:`_transform_at`: straight from the atoms, or by one
     extended ``rfft`` where the direct sums would cost more), raised to the
     power there and rounded to double once.  Everywhere else the double
-    power stands.  Entries of the power at or below its ``e_inf``
-    bound are then set to 0.0: this removes FFT noise, negatives and
-    subnormals.  The power is spread at stride ``s`` onto the common
-    lattice and folded in with ``numpy.convolve`` of the nonzero windows of
-    the running array and of the power; the product is written into the
-    full-length array, so the zeros outside the windows stay exact.
+    power stands.  Entries of the power at or below its ``e_inf`` bound are
+    then set to 0.0: this removes FFT noise, negatives and subnormals.  The
+    power is spread at stride ``s`` onto the common lattice and folded in
+    with ``numpy.convolve`` of the nonzero windows of the running array and
+    of the power; the old window is then zeroed and the product written into
+    its new window, so the zeros outside the windows stay exact.
 
     **Error bound.**  For each computed vector ``x^`` standing for an exact
     ``x >= 0`` the kernel carries bounds on ``||x^||_p`` and ``e_p >=
@@ -512,17 +508,11 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         length += count * s * span
     if length > _LENGTH_CAP:
         raise LatticeError(f"exact law of {length} points, above the cap of {_LENGTH_CAP}")
-    acc, ab = np.array([1.0]), _Bounds(1.0, 1.0, 1.0)
-    size, lo, hi = 1, 0, 1  # the sum so far has length size; its nonzeros lie in acc[lo:hi]
-    whole = scratch = None  # the count-1 parts' accumulator of the final length
-    first = 0
+    acc, scratch = np.zeros(length), np.empty(length)
+    acc[0], ab = 1.0, _Bounds(1.0, 1.0, 1.0)
+    lo, hi, first = 0, 1, 0  # the nonzeros of the sum so far lie in acc[lo:hi]
     for (_, count), (s, k0, span, pos) in zip(parts, atoms):
-        size += count * s * span
         if count == 1:  # one shifted add per atom, in increasing k, in place
-            if acc is not whole:
-                whole, scratch = np.zeros(length), np.empty(length)
-                whole[lo:hi] = acc[lo:hi]
-                acc = whole
             win, x = acc[lo:hi], scratch[:hi - lo]
             if len(pos) == 2 and pos[0][0] == 0:  # {0: a, j: b}: a x, then b x added at j
                 (_, a), (j, b) = pos
@@ -544,7 +534,6 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             lo, hi = lo + s * pos[0][0], hi + s * pos[-1][0]
         else:
             win = acc[lo:hi]
-            out = np.zeros(size)
             ks, w = zip(*pos)
             dense = np.zeros(span + 1)
             dense[list(ks)] = w
@@ -552,10 +541,11 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # gaps stay exact zeros
             spread[::s] = power[nz[0]:nz[-1] + 1]
-            lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
-            out[lo:hi] = np.convolve(win, spread)
+            product = np.convolve(win, spread)
             ab = _direct_product(ab, pb, min(len(win), len(spread)))
-            acc = out
+            win[:] = 0.0
+            lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
+            acc[lo:hi] = product
         first += count * s * k0
     total = math.fsum(acc[np.flatnonzero(acc)].tolist())
     n = sum(count for _, count in parts)

@@ -35,9 +35,6 @@ from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
 from .convolve import _U, SumLaw
 from .errors import LatticeError
 
-#: Gaussian cell-integral tails below this are outside the scan window
-_TAIL_EPS = 1e-16
-
 #: most points an interval-discrepancy window (and its d-table) may hold
 WINDOW_CAP = 10**6
 
@@ -115,7 +112,7 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
     ks, w = sum_law.atoms()
     ks = ks + _integer_shift(sum_law)
     sd = math.sqrt(b_n)
-    margin = 9.5  # ndtr(-9.5) ~ 1e-21 < _TAIL_EPS
+    margin = 9.5  # ndtr(-9.5) ~ 1e-21 < 1e-16
     k_lo = min(int(ks[0]), math.floor(a_n - margin * sd))
     k_hi = max(int(ks[-1]), math.ceil(a_n + margin * sd))
     size = k_hi - k_lo + 1
@@ -159,17 +156,6 @@ class PointwiseCheck:
     @property
     def all_pass(self) -> bool:
         return self.pointwise_ok and self.gaussian_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pointwise_ok": self.pointwise_ok,
-            "gaussian_ok": self.gaussian_ok,
-            "pointwise_max_lhs": self.pointwise_max_lhs,
-            "pointwise_bound": self.pointwise_bound,
-            "gaussian_max_lhs": self.gaussian_max_lhs,
-            "gaussian_bound": self.gaussian_bound,
-            "failures": list(self.failures),
-        }
 
 
 def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
@@ -234,13 +220,6 @@ class ExtractionSmoothnessBound:
     value: float
     terms: tuple[float, float, float]
     b_over_theta: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "terms": list(self.terms),
-            "b_over_theta": self.b_over_theta,
-        }
 
 
 def smoothness_via_extraction(

@@ -70,6 +70,14 @@ def _integral(k, what: str) -> int:
     raise LatticeError(f"{what} must be an integer, got {k!r}")
 
 
+def _real(x, what: str) -> float:
+    """``x`` as a float: an int or a float; anything else (a string, a JSON
+    ``true`` too) is a :class:`LatticeError` naming ``what``."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise LatticeError(f"{what} must be a number, got {x!r}")
+
+
 def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> LatticePmf:
     """Build a pmf from (index, weight) pairs.
 
@@ -97,8 +105,8 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
 def pmf_from_json(obj: Mapping) -> LatticePmf:
     """Parse the pmf JSON schema produced by :meth:`LatticePmf.to_json_dict`."""
     try:
-        entries = [(k, float(w)) for k, w in obj["probs"]]
-        return make_pmf(float(obj["v0"]), float(obj["D"]), entries)
+        entries = [(k, _real(w, "weight")) for k, w in obj["probs"]]
+        return make_pmf(_real(obj["v0"], "v0"), _real(obj["D"], "D"), entries)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, LatticeError):
             raise

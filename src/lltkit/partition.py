@@ -36,7 +36,7 @@ import scipy  # scipy.special is loaded by its first attribute access
 
 from .convolve import sum_law
 from .errors import NumericsError, PreconditionError
-from .lattice import LatticePmf
+from .lattice import LatticePmf, _integral
 
 #: enumeration budget for the brute-force counter
 ENUMERATION_LIMIT = 60
@@ -45,9 +45,10 @@ ENUMERATION_LIMIT = 60
 SIGMA_RESIDUAL_TOL = 1e-12
 
 
-def _normalize_m(m: int) -> int:
-    # parts are at least 1; m = 0 is read as m = 1
-    return max(int(m), 1)
+def _normalize(m: int, n: int) -> tuple[int, int]:
+    """``m`` and ``n`` as ints, each an int or an integral float (anything else
+    is a ``LatticeError``); parts are at least 1, so m = 0 is read as m = 1."""
+    return max(_integral(m, "m"), 1), _integral(n, "n")
 
 
 def _centering_lhs(sigma: float, m: int, n: int) -> float:
@@ -80,7 +81,7 @@ def solve_sigma(m: int, n: int) -> float:
 
     about ``2 N n u``, as ``sum_j t_j`` is about n at the root.
     """
-    m = _normalize_m(m)
+    m, n = _normalize(m, n)
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
     if m > n:
@@ -129,7 +130,7 @@ def count_via_model(m: int, n: int) -> int:
     The product is assembled in log space; the pre-rounding distance to the
     nearest integer must be at most 1e-6.
     """
-    m = _normalize_m(m)
+    m, n = _normalize(m, n)
     return _model_count(m, n, solve_sigma(m, n))
 
 
@@ -166,7 +167,7 @@ def count_via_enumeration(m: int, n: int) -> int:
 
     Pure integer arithmetic; refuses n beyond the enumeration budget.
     """
-    m = _normalize_m(m)
+    m, n = _normalize(m, n)
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
     if n > ENUMERATION_LIMIT:
@@ -188,21 +189,12 @@ class PartitionInstance:
     q_model: int | None
     q_enum: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "sigma": self.sigma,
-            "q_model": self.q_model,
-            "q_enum": self.q_enum,
-        }
-
 
 def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
     """Run the requested counters and package the result."""
     if mode not in ("model", "enum", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    m = _normalize_m(m)
+    m, n = _normalize(m, n)
     sigma = solve_sigma(m, n)
     q_model = _model_count(m, n, sigma) if mode in ("model", "both") else None
     q_enum = count_via_enumeration(m, n) if mode in ("enum", "both") else None

@@ -62,7 +62,8 @@ from .bounds import (
 from .convolve import SumLaw, _is_integer, sum_law
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
-from .lattice import LatticePmf, _integral, _moments, kappa_index, pmf_from_json, theta
+from .lattice import (LatticePmf, _integral, _moments, _real, kappa_index, pmf_from_json,
+                      theta)
 
 #: cap on the units of work of an exact enumeration (see :func:`_check_budget`)
 _ENUM_BUDGET = 5_000_000
@@ -132,8 +133,8 @@ def scenery_from_json(obj: Mapping) -> SceneryModel:
     """Parse the model JSON schema mirroring :meth:`SceneryModel.to_json_dict`."""
     try:
         prof = obj["vartheta"]
-        profile = (float(prof) if isinstance(prof, (int, float))
-                   else {_integral(r, "profile site"): float(v) for r, v in prof})
+        profile = ({_integral(r, "profile site"): _real(v, "profile level") for r, v in prof}
+                   if isinstance(prof, list) else _real(prof, "vartheta"))
         return SceneryModel(
             x_law=pmf_from_json(obj["x_law"]),
             increment_law=pmf_from_json(obj["increments"]),

@@ -634,6 +634,29 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err["kind"] == "input-error" and "must be an integer" in err["message"]
 
+    _X = {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]}
+    _INC = {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1]]}
+
+    @pytest.mark.parametrize("command, obj", [
+        ("characteristics", {"v0": "0", "D": 1, "probs": [[0, 1], [1, 1]]}),
+        ("characteristics", {"v0": 0, "D": True, "probs": [[0, 1], [1, 1]]}),
+        ("characteristics", {"v0": 0, "D": 1, "probs": [[0, "0.5"], [1, 0.5]]}),
+        ("validate", {"v0": 0, "D": 1, "probs": [[0, 0.5], [1, True]]}),
+        ("scenery", {"x_law": _X, "increments": _INC, "n": 4, "vartheta": True}),
+        ("scenery", {"x_law": _X, "increments": _INC, "n": 4, "vartheta": "0.5"}),
+        ("scenery", {"x_law": _X, "increments": _INC, "n": 4, "vartheta": [[1, "0.5"]]}),
+        ("scenery", {"x_law": {**_X, "probs": [[0, 1], [1, False]]}, "increments": _INC,
+                     "n": 4, "vartheta": 0.5}),
+    ], ids=["v0-string", "D-true", "weight-string", "weight-true", "vartheta-true",
+            "vartheta-string", "profile-level-string", "x-law-weight-false"])
+    def test_non_number_exits_2(self, capsys, tmp_path, command, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_cli(capsys, [command, str(path)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and "must be a number" in err["message"]
+
     @pytest.mark.parametrize("argv", [
         ["llt-bound", "{coin}", "--n", "1000000000", "--kappa", "5"],
         ["partition", "--m", "1", "--n", "5000", "--mode", "model"],

@@ -481,14 +481,15 @@ class TestPowerAccuracy:
 
 
 class _ConvolveSpy:
-    """Stands in for numpy.convolve and records its arguments."""
+    """Stands in for numpy.convolve and records copies of its arguments (the
+    running window is zeroed after the call returns)."""
 
     def __init__(self):
         self.args = []
         self.convolve = np.convolve
 
     def __call__(self, a, v, *rest):
-        self.args += [np.asarray(a), np.asarray(v)]
+        self.args += [np.array(a), np.array(v)]
         return self.convolve(a, v, *rest)
 
 
@@ -656,6 +657,27 @@ class TestPoissonBinomial:
             bound = law.two_sided_tail_bound(200, r)
             assert exact(r) <= bound <= exact(r) + 1e-11
         assert law.two_sided_tail_bound(200.0, 20.0) == law.two_sided_tail_bound(200, Fraction(20))
+
+    @pytest.mark.parametrize("v0, d", [(0.25, 0.5), (-1.5, 0.75)])
+    def test_tail_decided_exactly_off_the_unit_lattice(self, v0, d):
+        # centres on lattice points and radii that are multiples of the span
+        # put points exactly on c - r and c + r, which are not in the tail;
+        # a negative radius puts every point in it
+        law = sum_law([(make_pmf(v0, d, [(0, 0.3), (1, 0.5), (3, 0.2)]), 5)])
+        size = len(law.probs)
+        points = [Fraction(law.v0) + Fraction(law.D) * (law.first + i) for i in range(size)]
+        mid = law.v0 + law.D * (law.first + size // 2)
+        cases = [(c, j * law.D) for c in (mid, mid + law.D) for j in (0, 1, 2, 5)]
+        cases += [(Fraction(mid) + Fraction(1, 3), Fraction(law.D) * 3 - Fraction(1, 3)),
+                  (Fraction(mid), Fraction(law.D) * 4 + Fraction(1, 10**30)),
+                  (mid, Fraction(law.D) * 4 - Fraction(1, 10**30)), (mid, -0.25)]
+        up = 1.0 + convolve._gamma(size, convolve._U)
+        for c, r in cases:
+            tail = np.array([abs(x - Fraction(c)) > Fraction(r) for x in points])
+            expected = ((float(law.probs[tail].sum()) * up + int(tail.sum()) * law.err_abs)
+                        * (1.0 + 4.0 * convolve._U))
+            assert law.two_sided_tail_bound(c, r) == expected
+        assert law.two_sided_tail_bound(mid, -0.25) >= 1.0
 
     def test_chernoff_dominates_small_grid(self):
         for n in (10, 50):

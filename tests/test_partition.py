@@ -9,6 +9,7 @@ import pytest
 from scipy.special import expit
 
 from lltkit import (
+    LatticeError,
     NumericsError,
     PreconditionError,
     count_partitions,
@@ -97,6 +98,14 @@ class TestModelCount:
         inst = count_partitions(3, 10)
         assert inst.q_model == inst.q_enum == 3
         assert inst.m == 3 and inst.n == 10
+
+    @pytest.mark.parametrize("count", [count_partitions, count_via_model,
+                                       count_via_enumeration, solve_sigma])
+    def test_non_integral_m_or_n_refused(self, count):
+        for m, n in ((2.7, 10), (3, 10.5), (3, "10")):
+            with pytest.raises(LatticeError, match="must be an integer"):
+                count(m, n)
+        assert count(3.0, 10.0) == count(3, 10)
 
     def test_mode_selection(self):
         assert count_partitions(1, 12, "enum").q_model is None
