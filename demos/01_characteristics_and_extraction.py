@@ -27,7 +27,7 @@ for name, p in laws.items():
     ch = characteristics(p)
     print(
         f"{name:24s} {ch.theta:8.4f} {ch.delta:8.4f} {2 - 2 * ch.theta:10.4f} "
-        f"{ch.variance:8.4f} {ch.maximal_span_multiple:10d}"
+        f"{ch.variance:8.4f} {ch.span_multiple:10d}"
     )
 
 print()

@@ -74,7 +74,7 @@ def _read_json(path: str) -> Any:
             return json.load(fobj)
     except OSError as exc:
         raise LatticeError(f"cannot read input file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, an over-long integer literal, or bad UTF-8
         raise LatticeError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -129,12 +129,8 @@ def _json_scalar(x: Any) -> str:
     return "null" if x is None else json.dumps(x)
 
 
-#: sweep rows formatted per write to stdout
-_ROWS_PER_WRITE = 1024
-
-
 def _write_sweep(reports: Iterator[bounds.BoundReport], output_format: str) -> None:
-    """Write the rows of a sweep to stdout as they are computed, with the
+    """Write the rows of a sweep to stdout, each as it is computed, with the
     text that :func:`render` gives for the list of their ``row()`` dicts: a
     CSV header and one line per row, or a JSON list of objects, both with
     the keys sorted.  Each row is read from the report's attributes that
@@ -152,14 +148,8 @@ def _write_sweep(reports: Iterator[bounds.BoundReport], output_format: str) -> N
     def text(report: bounds.BoundReport) -> str:
         return template % tuple(map(encode, values(report)))
 
-    parts = [head, text(first)]
-    for report in reports:
-        parts += (sep, text(report))
-        if len(parts) >= 2 * _ROWS_PER_WRITE:
-            sys.stdout.write("".join(parts))
-            parts.clear()
-    parts.append(tail)
-    sys.stdout.write("".join(parts))
+    sys.stdout.writelines(itertools.chain((head, text(first)),
+                                          (sep + text(r) for r in reports), (tail,)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +158,7 @@ def _write_sweep(reports: Iterator[bounds.BoundReport], output_format: str) -> N
 
 def _cmd_characteristics(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
-    return characteristics(pmf).to_json_dict()
+    return dataclasses.asdict(characteristics(pmf))
 
 
 def _cmd_split(args: argparse.Namespace) -> dict:
@@ -275,10 +265,10 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
     spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
-    law = spec.law
-    a_n = args.a_n if args.a_n is not None else law.mean
-    b_n = args.b_n if args.b_n is not None else law.variance
-    report = gamkrelidze.interval_discrepancy(law, a_n, b_n)
+    # centred on the E S_n and Var S_n that llt-bound prints for the same sum
+    a_n = args.a_n if args.a_n is not None else spec.mean
+    b_n = args.b_n if args.b_n is not None else spec.var
+    report = gamkrelidze.interval_discrepancy(spec.law, a_n, b_n)
     check = gamkrelidze.effective_pointwise_bound(report)
     h = _pick_h(args, spec.theta_n)
     extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, args.constants)
@@ -294,7 +284,7 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
     model = scenery.scenery_from_json(_read_json(args.input))
     if args.kappa is None:
         # any walk, revisiting ones included: the identity carries c_{h,k}
-        return scenery.second_moment_check(model).to_json_dict()
+        return dataclasses.asdict(scenery.second_moment_check(model))
     # the envelope reports the exact value too, and refuses a lazy or
     # revisiting walk before that law is built
     report = scenery.scenery_envelope(model, args.h, args.kappa, args.constants)
@@ -304,14 +294,7 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
             model, args.kappa, samples=args.mc_samples, seed=args.seed
         )
         lo, hi = est.interval()
-        out["monte_carlo"] = {
-            "p_hat": est.p_hat,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-            "ci3_low": lo,
-            "ci3_high": hi,
-        }
+        out["monte_carlo"] = {**dataclasses.asdict(est), "ci3_low": lo, "ci3_high": hi}
     return out
 
 

@@ -45,6 +45,10 @@ from .lattice import LatticePmf, _moments
 #: unit roundoff of double precision
 _U = 2.0**-53
 
+#: absolute error charged to ``scipy.special.ndtr``, the normal CDF Phi: the
+#: model of Cephes' ``ndtr``, whose absolute error is a few u
+_NDTR_ERR = 8.0 * _U
+
 #: the rounding-up factor of :func:`_measured` for a double vector of length 2
 _UP2 = 1.0 + 2.0 * 4 * _U + 4.0 * _U
 
@@ -343,6 +347,13 @@ def _common_lattice(spans: list[float]) -> tuple[float, list[int]]:
     return finest * g / den, [strides[D] // g for D in spans]
 
 
+def _check_length(length: int) -> None:
+    """Refuse, as a ``LatticeError``, an exact law of ``length`` points, more
+    than ``_LENGTH_CAP``."""
+    if length > _LENGTH_CAP:
+        raise LatticeError(f"exact law of {length} points, above the cap of {_LENGTH_CAP}")
+
+
 def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     """Exact law of the independent sum of ``count`` copies of each ``law`` in
     ``parts = [(law, count), ...]``, folded in the order given, with a
@@ -506,8 +517,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         span = int(items[-1][0]) - k0
         atoms.append((s, k0, span, [(k - k0, w) for k, w in items if w > 0]))
         length += count * s * span
-    if length > _LENGTH_CAP:
-        raise LatticeError(f"exact law of {length} points, above the cap of {_LENGTH_CAP}")
+    _check_length(length)
     acc, scratch = np.zeros(length), np.empty(length)
     acc[0], ab = 1.0, _Bounds(1.0, 1.0, 1.0)
     lo, hi, first = 0, 1, 0  # the nonzeros of the sum so far lie in acc[lo:hi]
@@ -624,8 +634,7 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
       within ``3u`` of one err by ``gamma_L (1 + 3u)``; the CDF before a
       jump subtracts one mass more (``u``), and the masses' total may miss
       one by ``3u``, which the supremum at infinity sees;
-    - the ``ndtr`` error, taken as ``8u`` absolute (the model of Cephes'
-      ``ndtr``, whose absolute error is a few u);
+    - the ``ndtr`` error, ``_NDTR_ERR = 8u`` absolute;
     - the argument's rounding: ``(v0 + D k - c)/s`` is within ``5u reach /
       s`` of its value in real arithmetic, ``reach = |v0| + |D| max|k| +
       |c|``, and Phi moves by at most ``1/sqrt(2 pi)`` times that;
@@ -641,7 +650,7 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     size = len(law.probs)
     last = law.first + size - 1
     reach = abs(law.v0) + abs(law.D) * max(abs(law.first), abs(last)) + abs(c)
-    err = (size * law.err_abs + _gamma(size, _U) * (1.0 + 3.0 * _U) + 13.0 * _U
+    err = (size * law.err_abs + _gamma(size, _U) * (1.0 + 3.0 * _U) + (_NDTR_ERR + 5.0 * _U)
            + 2.5 * _U * reach / s)
     return (dist / (1.0 - _U) + err) * (1.0 + 16.0 * _U)
 

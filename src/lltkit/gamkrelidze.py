@@ -32,14 +32,11 @@ import numpy as np
 import scipy  # scipy.special is loaded by its first attribute access
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
-from .convolve import _U, SumLaw
+from .convolve import _NDTR_ERR, _U, SumLaw
 from .errors import LatticeError
 
 #: most points an interval-discrepancy window (and its d-table) may hold
 WINDOW_CAP = 10**6
-
-#: bound on the absolute error of ``scipy.special.ndtr``, the normal CDF Phi
-_PHI_ERR = 1e-15
 
 
 def _integer_shift(law: SumLaw) -> int:
@@ -170,8 +167,8 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
     ``err_abs`` and u the unit roundoff:
 
     - *Cell edges.*  ``Phi((k - a_n)/sqrt(b_n))`` is ndtr (absolute error
-      1e-15) at an argument ``x (1 + theta)``, ``|theta| <= gamma_3`` (the
-      subtraction, the square root and the division), which moves Phi by
+      ``_NDTR_ERR = 8u``) at an argument ``x (1 + theta)``, ``|theta| <=
+      gamma_3`` (the subtraction, the square root and the division), which moves Phi by
       ``|x phi(xi) theta| <= gamma_3 / 4`` since ``|t phi(t)| <= 0.242``.
     - *Table entries.*  ``ell_k`` is the difference of two edges, rounded by
       ``u |ell_k|``, and ``d_k = p_k - ell_k`` is rounded by ``u |d_k|``, so
@@ -196,7 +193,7 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
     with np.errstate(over="ignore"):
         gauss = np.exp(-((ks - report.a_n) ** 2) / (2.0 * report.b_n)) / math.sqrt(2.0 * math.pi)
     lhs2 = np.abs(sb * report.p - gauss)
-    edge = _PHI_ERR + 0.75 * _U / (1.0 - 3.0 * _U)
+    edge = _NDTR_ERR + 0.75 * _U / (1.0 - 3.0 * _U)
     err_d = report.err_abs + 2.0 * edge + 2.0 * _U * (np.abs(report.ell) + np.abs(report.d))
     ok1 = lhs1 <= (bound1 + sb * err_d) * (1.0 + 8.0 * _U)
     err_2 = sb * (report.err_abs + 2.0 * _U * report.p) + 12.0 * _U * gauss + _U

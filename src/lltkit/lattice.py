@@ -61,20 +61,28 @@ class LatticePmf:
 
 
 def _integral(k, what: str) -> int:
-    """``k`` as an int: an int, or a float with an integral value; anything
-    else (a JSON ``true`` too) is a :class:`LatticeError` naming ``what``."""
-    if isinstance(k, int) and not isinstance(k, bool):
-        return k
+    """``k`` as an int: an int, or a float with an integral value, of
+    magnitude at most 2^53, so that every ``v0 + D*k`` computed in doubles
+    reads it exactly; anything else (a JSON ``true`` too) is a
+    :class:`LatticeError` naming ``what``."""
     if isinstance(k, float) and k.is_integer():
-        return int(k)
+        k = int(k)
+    if isinstance(k, int) and not isinstance(k, bool):
+        if abs(k) <= 2**53:
+            return k
+        raise LatticeError(f"{what} {k} is above 2^53 in magnitude")
     raise LatticeError(f"{what} must be an integer, got {k!r}")
 
 
 def _real(x, what: str) -> float:
-    """``x`` as a float: an int or a float; anything else (a string, a JSON
-    ``true`` too) is a :class:`LatticeError` naming ``what``."""
+    """``x`` as a float: an int or a float that a double holds; anything
+    else (a string, a JSON ``true``, an int beyond the doubles too) is a
+    :class:`LatticeError` naming ``what``."""
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise LatticeError(f"{what} {x} is beyond the range of a double") from None
     raise LatticeError(f"{what} must be a number, got {x!r}")
 
 
@@ -210,28 +218,20 @@ def lattice_position(kappa: float, v0: float, d: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Characteristics:
-    """Summary of a pmf: both smoothness characteristics, moments, span info.
+    """Summary of a pmf: both smoothness characteristics, moments, span info;
+    the ``characteristics`` command prints these fields.
 
-    ``maximal_span_multiple`` is the largest integer g such that every
-    difference of support points is a multiple of g*D (gcd of index
-    differences; reported as 1 for a single-point support).  A value above 1
-    means the variable actually lives on a coarser lattice than declared.
+    ``span_multiple`` is the largest integer g such that every difference of
+    support points is a multiple of g*D (gcd of index differences; reported
+    as 1 for a single-point support).  A value above 1 means the variable
+    actually lives on a coarser lattice than declared.
     """
 
     theta: float
     delta: float
     mean: float
     variance: float
-    maximal_span_multiple: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "delta": self.delta,
-            "mean": self.mean,
-            "variance": self.variance,
-            "span_multiple": self.maximal_span_multiple,
-        }
+    span_multiple: int
 
 
 def span_multiple(pmf: LatticePmf) -> int:
@@ -251,5 +251,5 @@ def characteristics(pmf: LatticePmf) -> Characteristics:
         delta=delta_smoothness(pmf),
         mean=mean,
         variance=var,
-        maximal_span_multiple=span_multiple(pmf),
+        span_multiple=span_multiple(pmf),
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.special is loaded by its first attribute access
 
-from .convolve import sum_law
+from .convolve import _check_length, sum_law
 from .errors import NumericsError, PreconditionError
 from .lattice import LatticePmf, _integral
 
@@ -130,8 +130,7 @@ def count_via_model(m: int, n: int) -> int:
     The product is assembled in log space; the pre-rounding distance to the
     nearest integer must be at most 1e-6.
     """
-    m, n = _normalize(m, n)
-    return _model_count(m, n, solve_sigma(m, n))
+    return count_partitions(m, n, "model").q_model
 
 
 def _model_count(m: int, n: int, sigma: float) -> int:
@@ -191,13 +190,19 @@ class PartitionInstance:
 
 
 def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
-    """Run the requested counters and package the result."""
+    """Run the requested counters and package the result.
+
+    The model's law length cap (its parts m..n span ``sum_j j`` points) and
+    then the enumeration, with its budget, come before the tilt is solved,
+    so a refused n costs no work in n."""
     if mode not in ("model", "enum", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     m, n = _normalize(m, n)
+    if mode != "enum" and m <= n:
+        _check_length(1 + (m + n) * (n - m + 1) // 2)
+    q_enum = count_via_enumeration(m, n) if mode != "model" else None
     sigma = solve_sigma(m, n)
-    q_model = _model_count(m, n, sigma) if mode in ("model", "both") else None
-    q_enum = count_via_enumeration(m, n) if mode in ("enum", "both") else None
+    q_model = _model_count(m, n, sigma) if mode != "enum" else None
     if q_model is not None and q_enum is not None and q_model != q_enum:
         raise NumericsError(f"model count {q_model} disagrees with enumeration {q_enum}")
     return PartitionInstance(m=m, n=n, sigma=sigma, q_model=q_model, q_enum=q_enum)

@@ -256,8 +256,9 @@ def _iter_paths(model: SceneryModel) -> Iterator[tuple[tuple[int, ...], float]]:
 @dataclass
 class SceneryMoments:
     """First and second moments of S_n and S'_n, exact over the increment
-    paths, with ``theta_n`` and the revisit correction
-    ``c_sum = sum_{h != k} c_{h,k}`` of the identity."""
+    paths, with ``theta_n``, the revisit correction ``c_sum = sum_{h != k}
+    c_{h,k}`` of the identity and its residual ``identity_residual = E S^2 -
+    (E S'^2 + D^2 Theta/4 + (D^2/4) c_sum)``; the CLI prints these fields."""
 
     theta_n: float
     c_sum: float
@@ -265,25 +266,7 @@ class SceneryMoments:
     es_prime: float
     es2: float
     es2_prime: float
-    d: float
-
-    @property
-    def identity_residual(self) -> float:
-        """``E S^2 - (E S'^2 + D^2 Theta/4 + (D^2/4) sum c_{h,k})``."""
-        return self.es2 - (
-            self.es2_prime + self.d**2 * self.theta_n / 4.0 + self.d**2 / 4.0 * self.c_sum
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_n": self.theta_n,
-            "es": self.es,
-            "es_prime": self.es_prime,
-            "es2": self.es2,
-            "es2_prime": self.es2_prime,
-            "c_sum": self.c_sum,
-            "identity_residual": self.identity_residual,
-        }
+    identity_residual: float
 
 
 def second_moment_check(model: SceneryModel) -> SceneryMoments:
@@ -323,8 +306,10 @@ def second_moment_check(model: SceneryModel) -> SceneryMoments:
         es2 += pp * (v + m * m)
         esp += pp * mp
         esp2 += pp * (vp + mp * mp)
-    return SceneryMoments(theta_n=theta_n, c_sum=c_sum, es=es, es_prime=esp,
-                          es2=es2, es2_prime=esp2, d=model.x_law.D)
+    d = model.x_law.D
+    residual = es2 - (esp2 + d**2 * theta_n / 4.0 + d**2 / 4.0 * c_sum)
+    return SceneryMoments(theta_n=theta_n, c_sum=c_sum, es=es, es_prime=esp, es2=es2,
+                          es2_prime=esp2, identity_residual=residual)
 
 
 # ---------------------------------------------------------------------------

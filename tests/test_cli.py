@@ -10,10 +10,10 @@ import sys
 import pytest
 
 import lltkit.cli
-from lltkit import bounds, iid_sum, make_pmf, pmf_from_json, theta
+from lltkit import bounds, iid_sum, make_pmf, partition, pmf_from_json, theta
 from lltkit.bounds import BoundReport, ConstantsRegistry
 from lltkit.cli import main, render
-from lltkit.errors import PreconditionError
+from lltkit.errors import NumericsError, PreconditionError
 from lltkit.gamkrelidze import WINDOW_CAP
 
 
@@ -305,6 +305,19 @@ class TestOtherCommands:
         assert payload["vartheta"] == 0.25
         assert payload["xi_law"]["D"] == 0.5
 
+    def test_split_csv_cells_hold_the_json_lists(self, capsys, bern_file):
+        _, out_json = run_cli(capsys, ["split", bern_file])
+        _, out_csv = run_cli(capsys, ["split", bern_file, "--format", "csv"])
+        payload = json.loads(out_json)
+        header, row = out_csv.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        lists = {"joint": payload["joint"], "tau": payload["tau"],
+                 "source.probs": payload["source"]["probs"],
+                 "xi_law.probs": payload["xi_law"]["probs"]}
+        for key, value in lists.items():
+            # comma-free, so the row still splits into its cells
+            assert cells[key] == json.dumps(value, sort_keys=True, separators=(";", ":"))
+
     def test_split_rejects_bad_level(self, capsys, bern_file):
         code, out = run_cli(capsys, ["split", bern_file, "--vartheta", "0.9"])
         assert code == 1
@@ -316,6 +329,17 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["pointwise_check"]["pointwise_ok"] is True
         assert payload["extraction_bound"]["value"] >= payload["M"]
+
+    def test_gamkrelidze_centres_on_the_llt_bound_moments(self, capsys, tmp_path):
+        # E S_n and Var S_n of the prepared sum; the moments re-summed from
+        # the computed masses of this law miss them in the last digits
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 5], [1, 3], [3, 2]]}))
+        _, out = run_cli(capsys, ["gamkrelidze", str(path), "--n", "200"])
+        report = json.loads(out)
+        _, out = run_cli(capsys, ["llt-bound", str(path), "--n", "200", "--kappa", "180"])
+        params = json.loads(out)["params"]
+        assert (report["a_n"], report["b_n"]) == (params["e_s_n"], params["var_s_n"])
 
     def test_gamkrelidze_theta_zero_exits_1(self, capsys, tmp_path):
         # {0, 2} on L(0, 0.5) is not integer-valued, but the sum is prepared
@@ -484,6 +508,26 @@ class TestErrorsAndOverrides:
         code, out = run_cli(capsys, ["characteristics", str(bad)])
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "input-error"
+
+    @pytest.mark.parametrize("text", [b'{"v0": 0, "D": 1, "probs": [[0, ' + b"1" * 5000 + b"]]}",
+                                      b'\xff{"v0": 0}'], ids=["5000-digit-int", "not-utf-8"])
+    def test_unreadable_json_exits_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        code, out = run_cli(capsys, ["characteristics", str(bad)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and err["message"].startswith("malformed JSON")
+
+    def test_numerical_failure_exits_2(self, capsys, bern_file, monkeypatch):
+        def drift(args):
+            raise NumericsError("masses drifted")
+
+        monkeypatch.setitem(lltkit.cli._COMMANDS, "characteristics", drift)
+        code, out = run_cli(capsys, ["characteristics", bern_file])
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "numerical-failure",
+                                             "message": "masses drifted"}}
 
     def test_missing_file_exits_2(self, capsys):
         code, out = run_cli(capsys, ["characteristics", "/nonexistent/x.json"])
@@ -669,6 +713,46 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err["kind"] == "input-error" and "above the cap" in err["message"]
 
+    _BIG = int("1" * 401)
+
+    @pytest.mark.parametrize("obj", [
+        {"v0": _BIG, "D": 1, "probs": [[0, 1], [1, 1]]},
+        {"v0": 0, "D": 1, "probs": [[0, 1], [_BIG, 1]]},
+        {"v0": 0, "D": 1, "probs": [[0, 1], [1, _BIG]]},
+    ], ids=["v0", "support-index", "weight"])
+    def test_out_of_range_integer_exits_2(self, capsys, tmp_path, obj):
+        # a double cannot hold v0 or the weight; an index above 2^53 would
+        # be rounded in every v0 + D*k
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_cli(capsys, ["characteristics", str(path)])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and str(self._BIG) in err["message"]
+
+    @pytest.mark.parametrize("mode", ["model", "enum", "both"])
+    def test_partition_n_above_2_to_53_exits_2(self, capsys, mode):
+        code, out = run_cli(capsys, ["partition", "--m", "1", "--n", str(10**20), "--mode", mode])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err == {"kind": "input-error", "message": f"n {10**20} is above 2^53 in magnitude"}
+
+    @pytest.mark.parametrize("mode, code, kind, message", [
+        ("model", 2, "input-error", "above the cap of 8388608"),
+        ("both", 2, "input-error", "above the cap of 8388608"),
+        ("enum", 1, "hypothesis-rejected", f"enumeration budget exceeded: n = {2**53} > 60"),
+    ])
+    def test_partition_refused_before_the_tilt(self, capsys, monkeypatch, mode, code, kind,
+                                               message):
+        # at n = 2^53 the tilt equation alone would need a 64 PiB array
+        def no_tilt(m, n):
+            raise AssertionError("the tilt was solved")
+
+        monkeypatch.setattr(partition, "solve_sigma", no_tilt)
+        got, out = run_cli(capsys, ["partition", "--m", "1", "--n", str(2**53), "--mode", mode])
+        err = json.loads(out)["error"]
+        assert (got, err["kind"]) == (code, kind) and err["message"].endswith(message)
+
     def test_exact_plug_ins_name_the_conditional_law_refused(self, capsys, tmp_path):
         # {0, 1, 2}/4 at n = 3e6: S_n has 6000001 points, under the cap, but
         # the xi law {0, 1, 3, 4} on L(0, 1/2) makes a sum of 12000001
@@ -685,8 +769,6 @@ class TestInputRules:
     def test_key_error_in_a_command_propagates(self, bern_file, monkeypatch):
         # every input parser turns its own KeyError into an input error, so
         # one that reaches run is a defect, not bad input
-        import lltkit.cli
-
         def defect(args):
             raise KeyError("defect")
 
@@ -779,11 +861,10 @@ class TestSweepRows:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("mode", ["exact-plug-ins", "bounded-plug-ins"])
     @pytest.mark.parametrize("envelope", ["sandwich", "central", "psi"])
-    @pytest.mark.parametrize("ks", [range(2328, 2339), range(2333, 2334)],
-                             ids=["eleven", "one"])
-    def test_matches_single_points(self, capsys, law_file, monkeypatch, envelope, mode, fmt, ks):
-        # two rows per write, so the rows cross several writes
-        monkeypatch.setattr(lltkit.cli, "_ROWS_PER_WRITE", 2)
+    @pytest.mark.parametrize("ks", [range(2328, 2339), range(2333, 2334), range(2330, 2341)],
+                             ids=["eleven", "one", "upper-end-farther"])
+    def test_matches_single_points(self, capsys, law_file, envelope, mode, fmt, ks):
+        # every row is its own write, so the rows cross several writes
         code, out = self.sweep(capsys, law_file, envelope, mode, ks, fmt)
         assert (code, out) == self.expected(envelope, mode, ks, fmt)
         assert code == 0

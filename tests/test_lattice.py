@@ -74,6 +74,13 @@ class TestMakePmf:
             pmf_from_json({"v0": 0, "D": 1, "probs": [[True, 1], [False, 1]]})
         assert pmf_from_json({"v0": 0, "D": 1, "probs": [[1.0, 1]]}).probs == {1: 1.0}
 
+    def test_json_index_within_2_to_53(self):
+        # v0 + D*k is computed in doubles, which hold every integer up to 2^53
+        assert pmf_from_json({"v0": 0, "D": 1, "probs": [[2**53, 1]]}).probs == {2**53: 1.0}
+        for k in (2**53 + 1, -(2**53) - 1, 2.0**60):
+            with pytest.raises(LatticeError, match=f"support index {int(k)} is above 2"):
+                pmf_from_json({"v0": 0, "D": 1, "probs": [[k, 1]]})
+
 
 class TestTheta:
     def test_fair_bernoulli(self, fair_bernoulli):
@@ -175,7 +182,7 @@ class TestSpanMultiple:
         ch = characteristics(fair_bernoulli)
         assert ch.theta == 0.5 and ch.delta == 1.0
         assert ch.mean == 0.5 and ch.variance == 0.25
-        assert ch.maximal_span_multiple == 1
+        assert ch.span_multiple == 1
 
 
 # ---------------------------------------------------------------------------
