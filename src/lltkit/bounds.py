@@ -22,6 +22,12 @@ Plug-ins come in two modes: ``exact-plug-ins`` evaluates H_n and rho_n with
 the exact oracles of :mod:`lltkit.convolve` (for validation), while
 ``bounded-plug-ins`` substitutes an Esseen-type bound for H_n and a Chernoff
 bound for rho_n, making the envelopes fully effective with no oracle.
+
+Every envelope has one body, which computes the scalars of a request once
+and evaluates a block of lattice points as columns of Python floats (kappa,
+exact, Gaussian, lower, upper).  :func:`sandwich_envelope`,
+:func:`central_envelope` and :func:`psi_envelope` are its one-point case; an
+``llt-bound`` sweep reads its columns block by block.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,15 +75,15 @@ class ConstantsRegistry:
         "c2: fixed to 12*(c1+1), the larger of the two published forms, conservatively."
     )
 
-    @property
+    @cached_property
     def c1(self) -> float:
         return max(4.0, self.c0)
 
-    @property
+    @cached_property
     def c2(self) -> float:
         return 12.0 * (self.c1 + 1.0)
 
-    @property
+    @cached_property
     def c3(self) -> float:
         return max(self.c2, 2.0**1.5 * self.ce)
 
@@ -148,8 +154,7 @@ class BoundReport:
         when there is no exact value."""
         if self.exact is None:
             return None
-        margin = min(self.exact - self.lower, self.upper - self.exact)
-        return margin > 0.0 if abs(margin) > self.exact_err else None
+        return _verdict(self.exact, self.lower, self.upper, self.exact_err)
 
     @property
     def envelope_width(self) -> float:
@@ -698,23 +703,111 @@ def bounded_plug_ins(
 # envelopes
 
 
-def _envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: bool,
-              band: Callable[[float, float, float], tuple]) -> BoundReport:
-    """Body of every envelope: the lattice check on kappa, the exact value
-    and its error from ``spec.law`` when ``exact`` is true, the Gaussian term
-    ``base * exp(-dev2 / (2 Var(S_n)))`` with ``base = D / sqrt(2 pi Var(S_n))``
-    and ``dev2 = (kappa - E S_n)^2``, and the report.  ``band(dev2, base,
-    gaussian)`` returns the lower and upper bounds and the envelope's own
-    parameters."""
-    k = kappa_index(kappa, spec.v0, spec.d)
-    value, err = (spec.law.mass(k), spec.law.err_abs) if exact else (None, 0.0)
-    dev2 = (kappa - spec.mean) ** 2
-    base = spec.d / math.sqrt(2.0 * math.pi * spec.var)
-    gaussian = base * math.exp(-dev2 / (2.0 * spec.var))
-    lower, upper, params = band(dev2, base, gaussian)
-    params = {"theta_n": spec.theta_n, **params, "var_s_n": spec.var, "e_s_n": spec.mean,
-              "mode": plug_ins.mode}
-    return BoundReport(kappa, value, gaussian, lower, upper, params, err)
+def _verdict(exact: float, lower: float, upper: float, err: float) -> bool | None:
+    """Whether ``lower <= exact <= upper``, when the envelope decides it by
+    more than ``err``; None otherwise."""
+    margin = min(exact - lower, upper - exact)
+    return margin > 0.0 if abs(margin) > err else None
+
+
+@dataclass(slots=True)
+class _Body:
+    """Body of every envelope for one request: the scalars it reads, computed
+    once, and its values over a block of lattice points (:meth:`columns`),
+    at one point (:meth:`report`) or over a whole sweep (:meth:`sweep`).
+
+    ``band(kappas, mean, base, two_var)`` returns one ``(dev2, gaussian,
+    lower, upper)`` row per kappa, with ``dev2 = (kappa - E S_n)^2``, the
+    Gaussian term ``base * exp(-dev2 / two_var)``, ``base = D / sqrt(2 pi
+    Var(S_n))`` and ``two_var = 2 Var(S_n)``.  ``limit`` is the bound on
+    ``dev2 / Var(S_n)`` of the envelope's central range and its text (None
+    when it has none), and ``params`` the parameters of its report.
+
+    The rows are evaluated per element in Python floats, with ``**`` (C
+    ``pow``) and ``math.exp``: numpy's square ``x * x`` and ``np.exp``
+    round apart from them at some points, and the printed digits must not
+    depend on how many points a call evaluates.
+    """
+
+    spec: SumSpec
+    exact: bool
+    params: dict
+    band: Callable[[list[float], float, float, float], list[tuple]]
+    limit: tuple[float, str] | None = None
+
+    def columns(self, k0: int, kappas: list[float]) -> tuple:
+        """The envelope at the lattice points ``kappas`` of indices ``k0, k0 +
+        1, ...``: the kappa, exact, gaussian, lower and upper columns, then
+        the ``exact_err`` that the verdict of every point reads.  With
+        ``exact`` the exact values and their error come from ``spec.law``,
+        built before the central range is checked; without it the exact
+        column is None and the error 0.0.  The first point outside the
+        central range raises."""
+        spec, var = self.spec, self.spec.var
+        law = spec.law if self.exact else None
+        base = spec.d / math.sqrt(2.0 * math.pi * var)
+        dev2, gaussian, lower, upper = zip(*self.band(kappas, spec.mean, base, 2.0 * var))
+        if self.limit is not None and max(dev2) / var > self.limit[0]:
+            bound, text = self.limit
+            ratio = next(q / var for q in dev2 if q / var > bound)
+            raise PreconditionError(
+                f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
+                f"{text} failed: {ratio:.6g} > {bound:.6g}"
+            )
+        if law is None:
+            return kappas, None, gaussian, lower, upper, 0.0
+        return kappas, law.masses(k0, len(kappas)), gaussian, lower, upper, law.err_abs
+
+    def report(self, kappa: float) -> BoundReport:
+        """The one-point case: the lattice check on kappa, then its columns."""
+        spec = self.spec
+        _, exact, (gaussian,), (lower,), (upper,), err = self.columns(
+            kappa_index(kappa, spec.v0, spec.d), [kappa])
+        return BoundReport(kappa, None if exact is None else exact[0], gaussian, lower, upper,
+                           self.params, err)
+
+    def sweep(self, sweep: range, block: int) -> Iterator[tuple]:
+        """The columns of the lattice indices ``sweep`` in lattice order, in
+        blocks of ``block`` indices computed as they are read.  Every refusal
+        is raised before this returns: the exact law is built first, then the
+        central range is checked over the whole sweep, and a refused sweep
+        raises the error of its first refused point."""
+        spec = self.spec
+        starts = range(sweep.start, sweep.stop, block)
+
+        def at(k0: int) -> list[float]:
+            return [spec.v0 + spec.d * k for k in range(k0, min(k0 + block, sweep.stop))]
+
+        if self.exact:  # built here, so that its refusal comes first
+            spec.law
+        if self.limit is not None:  # each block raises its first refused point
+            for k0 in starts:
+                self.columns(k0, at(k0))
+        return (self.columns(k0, at(k0)) for k0 in starts)
+
+
+def _sandwich_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
+                   exact: bool) -> _Body:
+    h, rho = plug_ins.h, plug_ins.rho_n
+    if rho is None or h is None:
+        raise LatticeError("sandwich envelope needs a rho_n plug-in and the h it was taken at")
+    _check_h(h)
+    den_up, den_lo = 2.0 * (1.0 + h) * spec.var, 2.0 * (1.0 - h) * spec.var
+    up_factor, lo_factor = (1.0 + h) / (1.0 - h), (1.0 - h) / (1.0 + h)
+    shrunk = (1.0 - h) * spec.theta_n
+    t = constants.c1 / math.sqrt(shrunk)
+    up_term = t * (plug_ins.h_n + 1.0 / shrunk)
+    lo_term = t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho)
+
+    def band(kappas: list[float], mean: float, base: float, two_var: float) -> list[tuple]:
+        exp = math.exp
+        return [(q := (x - mean) ** 2, base * exp(-q / two_var),
+                 lo_factor * (base * exp(-q / den_lo)) - lo_term - rho,
+                 up_factor * (base * exp(-q / den_up)) + up_term + rho) for x in kappas]
+
+    params = {"theta_n": spec.theta_n, "h": h, "H_n_used": plug_ins.h_n, "rho_n_used": rho,
+              "var_s_n": spec.var, "e_s_n": spec.mean, "mode": plug_ins.mode}
+    return _Body(spec, exact, params, band)
 
 
 def sandwich_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
@@ -729,49 +822,40 @@ def sandwich_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
     ``BoundReport.lower_negative``).  With ``exact`` true the report carries
     ``P{S_n = kappa}`` from ``spec.law`` and its ``err_abs``.
     """
-    h, rho = plug_ins.h, plug_ins.rho_n
-    if rho is None or h is None:
-        raise LatticeError("sandwich envelope needs a rho_n plug-in and the h it was taken at")
-    _check_h(h)
-
-    def band(dev2: float, base: float, gaussian: float) -> tuple[float, float, dict]:
-        g_up = base * math.exp(-dev2 / (2.0 * (1.0 + h) * spec.var))
-        g_lo = base * math.exp(-dev2 / (2.0 * (1.0 - h) * spec.var))
-        shrunk = (1.0 - h) * spec.theta_n
-        t = constants.c1 / math.sqrt(shrunk)
-        return (
-            (1.0 - h) / (1.0 + h) * g_lo - t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho) - rho,
-            (1.0 + h) / (1.0 - h) * g_up + t * (plug_ins.h_n + 1.0 / shrunk) + rho,
-            {"h": h, "H_n_used": plug_ins.h_n, "rho_n_used": rho},
-        )
-
-    return _envelope(spec, kappa, plug_ins, exact, band)
+    return _sandwich_body(spec, plug_ins, constants, exact).report(kappa)
 
 
-def _symmetric_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns, exact: bool,
-                        stat: float, const: float,
-                        limit: Callable[[float], float], limit_text: str,
-                        params: dict) -> BoundReport:
+def _symmetric_body(spec: SumSpec, plug_ins: PlugIns, exact: bool, stat: float,
+                    const: float, limit: Callable[[float], float], limit_text: str,
+                    params: dict) -> _Body:
     """Body of :func:`central_envelope` and :func:`psi_envelope`: the
     half-width ``const * (D sqrt(log(Theta_n) / (Var(S_n) Theta_n)) + (stat +
     1/Theta_n) / sqrt(Theta_n))`` around the Gaussian term, on the central
     range ``(kappa - E S_n)^2 / Var(S_n) <= limit(log Theta_n)``."""
     theta_n, var = spec.theta_n, spec.var
     log_t = _log_theta_n(theta_n)
+    half = const * (
+        spec.d * math.sqrt(log_t / (var * theta_n)) + (stat + 1.0 / theta_n) / math.sqrt(theta_n)
+    )
 
-    def band(dev2: float, base: float, gaussian: float) -> tuple[float, float, dict]:
-        bound = limit(log_t)
-        if dev2 / var > bound:
-            raise PreconditionError(
-                f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
-                f"{limit_text} failed: {dev2 / var:.6g} > {bound:.6g}"
-            )
-        half = const * (
-            spec.d * math.sqrt(log_t / (var * theta_n)) + (stat + 1.0 / theta_n) / math.sqrt(theta_n)
-        )
-        return gaussian - half, gaussian + half, {**params, "half_width": half}
+    def band(kappas: list[float], mean: float, base: float, two_var: float) -> list[tuple]:
+        exp = math.exp
+        return [(q := (x - mean) ** 2, g := base * exp(-q / two_var), g - half, g + half)
+                for x in kappas]
 
-    return _envelope(spec, kappa, plug_ins, exact, band)
+    params = {"theta_n": theta_n, **params, "half_width": half, "var_s_n": var,
+              "e_s_n": spec.mean, "mode": plug_ins.mode}
+    return _Body(spec, exact, params, band, (limit(log_t), limit_text))
+
+
+def _central_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
+                  exact: bool) -> _Body:
+    return _symmetric_body(
+        spec, plug_ins, exact, stat=plug_ins.h_n, const=constants.c2,
+        limit=lambda log_t: math.sqrt(spec.theta_n / (14.0 * log_t)),
+        limit_text="sqrt(theta_n / (14 log theta_n))",
+        params={"H_n_used": plug_ins.h_n, "rho_n_used": None},
+    )
 
 
 def central_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
@@ -787,11 +871,18 @@ def central_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
         C2 * ( D * sqrt(log(Theta_n) / (Var(S_n) Theta_n))
                + (H_n + 1/Theta_n) / sqrt(Theta_n) ).
     """
-    return _symmetric_envelope(
-        spec, kappa, plug_ins, exact, stat=plug_ins.h_n, const=constants.c2,
-        limit=lambda log_t: math.sqrt(spec.theta_n / (14.0 * log_t)),
-        limit_text="sqrt(theta_n / (14 log theta_n))",
-        params={"H_n_used": plug_ins.h_n, "rho_n_used": None},
+    return _central_body(spec, plug_ins, constants, exact).report(kappa)
+
+
+def _psi_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
+              exact: bool) -> _Body:
+    if plug_ins.l_n is None:
+        raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
+    return _symmetric_body(
+        spec, plug_ins, exact, stat=plug_ins.l_n, const=constants.c3,
+        limit=lambda log_t: math.sqrt(7.0 * log_t / (2.0 * spec.theta_n)),
+        limit_text="sqrt(7 log theta_n / (2 theta_n))",
+        params={"l_n": plug_ins.l_n},
     )
 
 
@@ -805,14 +896,11 @@ def psi_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
     range ``(kappa - E S_n)^2 / Var(S_n) <= sqrt(7 log(Theta_n) / (2 Theta_n))``;
     ``exact`` is read as in :func:`sandwich_envelope`.
     """
-    if plug_ins.l_n is None:
-        raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
-    return _symmetric_envelope(
-        spec, kappa, plug_ins, exact, stat=plug_ins.l_n, const=constants.c3,
-        limit=lambda log_t: math.sqrt(7.0 * log_t / (2.0 * spec.theta_n)),
-        limit_text="sqrt(7 log theta_n / (2 theta_n))",
-        params={"l_n": plug_ins.l_n},
-    )
+    return _psi_body(spec, plug_ins, constants, exact).report(kappa)
+
+
+#: the body of each envelope by its ``llt-bound --envelope`` name
+_BODIES = {"sandwich": _sandwich_body, "central": _central_body, "psi": _psi_body}
 
 
 # ---------------------------------------------------------------------------

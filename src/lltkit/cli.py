@@ -13,8 +13,10 @@ validate         identity checks for a pmf (reconstruction, delta, variance)
 Output is JSON (default) or CSV, deterministic for fixed arguments and seed.
 Exit codes: 0 success, 1 a stated hypothesis failed for the input,
 2 malformed input.  Floating-point numbers are emitted with 17 significant
-digits so that values round-trip exactly.  An ``llt-bound`` sweep writes its
-rows as they are computed, after every refusal has been decided.  The
+digits so that values round-trip exactly.  An ``llt-bound`` sweep decides
+every refusal over its whole range first; then it computes the envelope's
+columns a fixed block of lattice points at a time and writes each block's
+rows from one template, so its memory does not grow with its length.  The
 argument parser is built once per process; each call of :func:`main` parses
 a fresh namespace.
 """
@@ -30,7 +32,7 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import Any
 
 from . import bounds, gamkrelidze, partition, scenery
@@ -129,27 +131,61 @@ def _json_scalar(x: Any) -> str:
     return "null" if x is None else json.dumps(x)
 
 
-def _write_sweep(reports: Iterator[bounds.BoundReport], output_format: str) -> None:
-    """Write the rows of a sweep to stdout, each as it is computed, with the
-    text that :func:`render` gives for the list of their ``row()`` dicts: a
-    CSV header and one line per row, or a JSON list of objects, both with
-    the keys sorted.  Each row is read from the report's attributes that
-    the keys of the first ``row()`` name."""
-    first = next(reports)
-    names = sorted(first.row())
-    values = operator.attrgetter(*names)
-    if output_format == "csv":
-        head, sep, tail, encode = ",".join(names) + "\n", "\n", "\n", _fmt
-        template = ",".join(["%s"] * len(names))
+#: lattice points per block of a sweep: each block's columns are computed,
+#: formatted and written before the next, so memory stays flat in the length
+_SWEEP_BLOCK = 64
+
+#: the ``sandwich_ok`` cell of each verdict, per format
+_VERDICT_TEXT = {"csv": {True: "true", False: "false", None: ""},
+                 "json": {True: "true", False: "false", None: "null"}}
+
+
+def _write_sweep(blocks: Iterator[tuple], output_format: str) -> None:
+    """Write the rows of a sweep to stdout a block at a time, with the text
+    that :func:`render` gives for the list of their ``row()`` dicts: a CSV
+    header and one line per row, or a JSON list of objects, both with the
+    keys sorted.  Each row is one ``%`` of a template with a cell per key:
+    ``%.17g`` for a float in CSV, ``repr`` (``json.dumps`` when a block
+    holds a value that is not finite) in JSON, and a lookup for the
+    verdict."""
+    first = next(blocks)
+    csv, exact = output_format == "csv", first[1] is not None
+    cells = dict.fromkeys(("envelope_width", "exact", "gaussian", "kappa", "lower", "upper"),
+                          "%.17g" if csv else "%s")
+    if exact:
+        cells["sandwich_ok"] = "%s"
     else:
-        head, sep, tail, encode = "[\n", ",\n", "\n]\n", _json_scalar
-        template = "  {\n" + ",\n".join(f'    "{name}": %s' for name in names) + "\n  }"
+        cells["exact"] = "" if csv else "null"
+    names = sorted(cells)
+    if csv:
+        head, sep, tail = ",".join(names) + "\n", "\n", "\n"
+        template = ",".join(cells[name] for name in names)
+    else:
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        template = "  {\n" + ",\n".join(f'    "{name}": {cells[name]}' for name in names) + "\n  }"
+    verdict_text = _VERDICT_TEXT[output_format]
 
-    def text(report: bounds.BoundReport) -> str:
-        return template % tuple(map(encode, values(report)))
+    def text(block: tuple) -> str:
+        kappa, values, gaussian, lower, upper, err = block
+        cols = {"envelope_width": list(map(operator.sub, upper, lower)),
+                "gaussian": gaussian, "kappa": kappa, "lower": lower, "upper": upper}
+        if exact:
+            cols["exact"] = values
+        if not csv:
+            finite = all(map(math.isfinite, itertools.chain(*cols.values())))
+            cols = {name: list(map(repr if finite else _json_scalar, col))
+                    for name, col in cols.items()}
+        if exact:
+            cols["sandwich_ok"] = [verdict_text[v] for v in map(
+                bounds._verdict, values, lower, upper, itertools.repeat(err))]
+        rows = zip(*(cols[name] for name in names if name in cols))
+        return sep.join([template % row for row in rows])
 
-    sys.stdout.writelines(itertools.chain((head, text(first)),
-                                          (sep + text(r) for r in reports), (tail,)))
+    write = sys.stdout.write
+    write(head + text(first))
+    for block in blocks:
+        write(sep + text(block))
+    write(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -202,35 +238,6 @@ def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | No
     return range(k_lo, k_hi + 1)
 
 
-def _sweep_reports(envelope: Callable[..., bounds.BoundReport], spec: bounds.SumSpec,
-                   sweep: range, plug: bounds.PlugIns, constants: bounds.ConstantsRegistry,
-                   exact: bool) -> Iterator[bounds.BoundReport]:
-    """The reports of a sweep in lattice order, computed as they are read;
-    every refusal is raised before this returns.
-
-    A refusal that does not depend on kappa shows at any point, and the
-    lattice check passes every point of the sweep (see ``kappa_index``).
-    The central range condition of the symmetric envelopes grows with
-    |kappa - E S_n|, so the end farthest from the mean decides it; that end
-    is computed first.  When it is the last point and is refused, the points
-    are computed in order up to the first refused one, whose error a sweep
-    in order raises.
-    """
-    def at(k: int) -> bounds.BoundReport:
-        return envelope(spec, spec.v0 + spec.d * k, plug, constants, exact)
-
-    lo, hi = sweep[0], sweep[-1]
-    if abs(spec.v0 + spec.d * hi - spec.mean) <= abs(spec.v0 + spec.d * lo - spec.mean):
-        return itertools.chain([at(lo)], map(at, sweep[1:]))
-    try:
-        last = at(hi)
-    except (LatticeError, PreconditionError, NumericsError):
-        for k in sweep:
-            at(k)
-        raise
-    return itertools.chain(map(at, sweep[:-1]), [last])
-
-
 def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     if args.h is not None and args.envelope != "sandwich":
         raise LatticeError(f"llt-bound --h applies to the sandwich envelope only, "
@@ -255,11 +262,12 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
         plug = bounds.exact_plug_ins(spec, h)
     else:
         plug = bounds.bounded_plug_ins(spec, h, constants=constants)
-    # looked up per request, so that wrappers set on the bounds module apply
-    envelope = getattr(bounds, f"{args.envelope}_envelope")
     if sweep is None:
+        # looked up per request, so that wrappers set on the bounds module apply
+        envelope = getattr(bounds, f"{args.envelope}_envelope")
         return envelope(spec, args.kappa, plug, constants, exact).to_json_dict(constants)
-    return _sweep_reports(envelope, spec, sweep, plug, constants, exact)
+    body = bounds._BODIES[args.envelope](spec, plug, constants, exact)
+    return body.sweep(sweep, _SWEEP_BLOCK)
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:

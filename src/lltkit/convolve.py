@@ -104,6 +104,14 @@ class SumLaw:
         i = k - self.first
         return float(self.probs[i]) if 0 <= i < len(self.probs) else 0.0
 
+    def masses(self, k0: int, count: int) -> list[float]:
+        """``P{S = v0 + D*k}`` for the ``count`` indices k from ``k0`` on, in
+        one slice when the array holds them all."""
+        lo = k0 - self.first
+        if 0 <= lo and lo + count <= len(self.probs):
+            return self.probs[lo:lo + count].tolist()
+        return [self.mass(k) for k in range(k0, k0 + count)]
+
     def two_sided_tail_bound(self, center, radius) -> float:
         """An upper bound on ``P{|S - center| > radius}`` under the exact law;
         ``center`` and ``radius`` may be floats or exact ``Fraction`` values.

@@ -17,6 +17,7 @@ can be extracted from the variable (see :mod:`lltkit.extraction`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -75,10 +76,10 @@ def _integral(k, what: str) -> int:
 
 
 def _real(x, what: str) -> float:
-    """``x`` as a float: an int or a float that a double holds; anything
-    else (a string, a JSON ``true``, an int beyond the doubles too) is a
-    :class:`LatticeError` naming ``what``."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
+    """``x`` as a float: a real number (an int, a float, a numpy scalar, a
+    Fraction) that a double holds; anything else (a string, a JSON ``true``,
+    an int beyond the doubles too) is a :class:`LatticeError` naming ``what``."""
+    if isinstance(x, (int, float, numbers.Real)) and not isinstance(x, bool):
         try:
             return float(x)
         except OverflowError:
@@ -91,7 +92,10 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
 
     Weights may be unnormalized; they are merged by index, validated
     (non-negative, at least one positive) and normalized to sum to one.
+    ``v0``, ``D`` and every weight must be real numbers that a double holds;
+    anything else is a :class:`LatticeError` that names the value.
     """
+    D, v0 = _real(D, "D"), _real(v0, "v0")
     if not (D > 0) or not math.isfinite(D):
         raise LatticeError(f"lattice span must be positive and finite, got D={D!r}")
     if not math.isfinite(v0):
@@ -99,7 +103,7 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
     merged: dict[int, float] = {}
     for k, w in entries:
         k = _integral(k, "support index")
-        w = float(w)
+        w = _real(w, "weight")
         if not math.isfinite(w) or w < 0:
             raise LatticeError(f"weight at index {k} must be finite and >= 0, got {w!r}")
         merged[k] = merged.get(k, 0.0) + w
@@ -107,14 +111,13 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
     if total <= 0:
         raise LatticeError("at least one weight must be positive")
     probs = {k: w / total for k, w in sorted(merged.items()) if w > 0}
-    return LatticePmf(float(v0), float(D), probs)
+    return LatticePmf(v0, D, probs)
 
 
 def pmf_from_json(obj: Mapping) -> LatticePmf:
     """Parse the pmf JSON schema produced by :meth:`LatticePmf.to_json_dict`."""
     try:
-        entries = [(k, _real(w, "weight")) for k, w in obj["probs"]]
-        return make_pmf(_real(obj["v0"], "v0"), _real(obj["D"], "D"), entries)
+        return make_pmf(obj["v0"], obj["D"], obj["probs"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, LatticeError):
             raise
@@ -203,9 +206,10 @@ def kappa_index(kappa: float, v0: float, d: float) -> int:
     ``llt-bound`` sweep is never refused at one of its own points.
     """
     r, slack = lattice_position(kappa, v0, d)
-    if not math.isfinite(r) or abs(r - round(r)) > slack:
+    k = round(r) if math.isfinite(r) else None
+    if k is None or abs(r - k) > slack:
         raise PreconditionError(f"kappa = {kappa} is not on the sum lattice L({v0}, {d})")
-    return round(r)
+    return k
 
 
 def lattice_position(kappa: float, v0: float, d: float) -> tuple[float, float]:

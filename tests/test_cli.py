@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from typing import Any
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import lltkit.cli
 from lltkit import bounds, iid_sum, make_pmf, partition, pmf_from_json, theta
 from lltkit.bounds import BoundReport, ConstantsRegistry
 from lltkit.cli import main, render
-from lltkit.errors import NumericsError, PreconditionError
+from lltkit.errors import LatticeError, NumericsError, PreconditionError
 from lltkit.gamkrelidze import WINDOW_CAP
 
 
@@ -816,9 +823,42 @@ class TestSuccessiveCalls:
         assert len(json.loads(forward[6][1])) == 5
 
 
+def _outcome(call) -> tuple[int, Any]:
+    """(exit code, value or error object) of ``call()``, with the refusals
+    mapped as :func:`lltkit.cli.run` maps them."""
+    try:
+        return 0, call()
+    except PreconditionError as exc:
+        return 1, {"error": {"kind": "hypothesis-rejected", "message": str(exc)}}
+    except NumericsError as exc:
+        return 2, {"error": {"kind": "numerical-failure", "message": str(exc)}}
+    except LatticeError as exc:
+        return 2, {"error": {"kind": "input-error", "message": str(exc)}}
+
+
+def _single_point_sweep(law: dict, n: int, envelope: str, mode: str, h: float | None,
+                        ks: range) -> tuple[int, Any]:
+    """(exit code, rows or error object) of a sweep over the lattice indices
+    ``ks``, from the single-point envelopes in lattice order, as ``llt-bound``
+    sets them up."""
+    def rows():
+        pmf = pmf_from_json(law)
+        spec = bounds.prepare_sum([(pmf, theta(pmf), n)])
+        constants = bounds.DEFAULT_CONSTANTS
+        exact = mode == "exact-plug-ins"
+        if envelope == "psi" or not exact:
+            plug = bounds.bounded_plug_ins(spec, h, constants=constants)
+        else:
+            plug = bounds.exact_plug_ins(spec, h)
+        fn = getattr(bounds, f"{envelope}_envelope")
+        return [fn(spec, spec.v0 + spec.d * k, plug, constants, exact).row() for k in ks]
+
+    return _outcome(rows)
+
+
 class TestSweepRows:
     """A sweep prints what rendering the ``row()`` dicts of its single-point
-    envelopes prints, written as the rows are computed."""
+    envelopes prints, however its points fall into blocks."""
 
     LAW = {"v0": 0.25, "D": 0.5, "probs": [[0, 1], [1, 3], [2, 2]]}
     N = 2000
@@ -832,21 +872,9 @@ class TestSweepRows:
     def expected(self, envelope, mode, ks, fmt):
         """(exit code, stdout) of the sweep over the lattice indices ``ks``,
         from the single-point envelopes in order."""
-        pmf = pmf_from_json(self.LAW)
-        spec = bounds.prepare_sum([(pmf, theta(pmf), self.N)])
-        constants = bounds.DEFAULT_CONSTANTS
-        exact = mode == "exact-plug-ins"
         h = 0.25 if envelope == "sandwich" else None
-        if envelope == "psi" or not exact:
-            plug = bounds.bounded_plug_ins(spec, h, constants=constants)
-        else:
-            plug = bounds.exact_plug_ins(spec, h)
-        fn = getattr(bounds, f"{envelope}_envelope")
-        try:
-            rows = [fn(spec, spec.v0 + spec.d * k, plug, constants, exact).row() for k in ks]
-        except PreconditionError as exc:
-            return 1, render({"error": {"kind": "hypothesis-rejected", "message": str(exc)}}, fmt)
-        return 0, render(rows, fmt)
+        code, payload = _single_point_sweep(self.LAW, self.N, envelope, mode, h, ks)
+        return code, render(payload, fmt)
 
     def sweep(self, capsys, law_file, envelope, mode, ks, fmt):
         argv = ["llt-bound", law_file, "--n", str(self.N), "--mode", mode,
@@ -879,6 +907,90 @@ class TestSweepRows:
         code, out = self.sweep(capsys, law_file, "central", "bounded-plug-ins", ks, fmt)
         assert (code, out) == self.expected("central", "bounded-plug-ins", ks, fmt)
         assert code == 1 and "central range condition" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("ks", [range(2330, 2400), range(2200, 2336)],
+                             ids=["upper-end", "lower-end"])
+    def test_psi_refused_at_either_end_prints_only_the_error(self, capsys, law_file, fmt, ks):
+        # the psi range ends about 11 steps from the mean
+        code, out = self.sweep(capsys, law_file, "psi", "bounded-plug-ins", ks, fmt)
+        assert (code, out) == self.expected("psi", "bounded-plug-ins", ks, fmt)
+        assert code == 1 and "central range condition" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_of_several_blocks(self, capsys, law_file, fmt):
+        # two whole blocks and half of one, far into both tails
+        block = lltkit.cli._SWEEP_BLOCK
+        ks = range(2333 - block, 2333 + block + block // 2)
+        code, out = self.sweep(capsys, law_file, "sandwich", "bounded-plug-ins", ks, fmt)
+        assert (code, out) == self.expected("sandwich", "bounded-plug-ins", ks, fmt)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_random_laws_match_single_points(self, data):
+        # 2-6 atom laws off the unit lattice, every envelope, mode and format,
+        # sweeps of one point to several blocks, refused ones included
+        atoms = data.draw(st.integers(2, 6))
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=atoms, max_size=atoms))
+        v0 = data.draw(st.sampled_from([-7.25, -0.1, 0.3, 2.5, 1e3]))
+        d = data.draw(st.sampled_from([0.1, 0.3, 0.5, 2.5]))
+        law = {"v0": v0, "D": d, "probs": [[k, w] for k, w in enumerate(weights)]}
+        n = data.draw(st.integers(20, 2000))
+        envelope = data.draw(st.sampled_from(["sandwich", "central", "psi"]))
+        mode = data.draw(st.sampled_from(["exact-plug-ins", "bounded-plug-ins"]))
+        fmt = data.draw(st.sampled_from(["csv", "json"]))
+        h = data.draw(st.floats(0.05, 0.6)) if envelope == "sandwich" else None
+        # the sweep starts within 3 sd of the mean and spans up to 3 sd, in
+        # lattice steps, so that either of its ends can leave the central range
+        mean = sum(k * w for k, w in enumerate(weights)) / sum(weights)
+        sd = (n * sum((k - mean) ** 2 * w for k, w in enumerate(weights)) / sum(weights)) ** 0.5
+        start = round(n * mean + data.draw(st.floats(-3.0, 3.0)) * sd)
+        ks = range(start, start + 1 + min(80, int(data.draw(st.floats(0.0, 3.0)) * sd)))
+        block = data.draw(st.integers(1, 8))
+
+        code, payload = _single_point_sweep(law, n, envelope, mode, h, ks)
+        refused_at = ("" if code != 1 else " at the first point" if _single_point_sweep(
+            law, n, envelope, mode, h, ks[:1])[0] == 1 else " past the first point")
+        event(f"exit {code}{refused_at}, {'one block' if len(ks) <= block else 'blocks'}")
+        expected = (code, render(payload, fmt))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "law.json")
+            with open(path, "w", encoding="utf-8") as fobj:
+                json.dump(law, fobj)
+            argv = ["llt-bound", path, "--n", str(n), "--mode", mode, "--envelope", envelope,
+                    "--format", fmt, "--kappa-from", repr(v0 * n + d * ks[0]),
+                    "--kappa-to", repr(v0 * n + d * ks[-1])]
+            if h is not None:
+                argv += ["--h", repr(h)]
+            out = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lltkit.cli, "_SWEEP_BLOCK", block)
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+        assert (code, out.getvalue()) == expected
+
+    def test_pinned_point_where_numpy_squares_apart(self, capsys, tmp_path):
+        # sweep-exact request 20 of the benchmark at seed 1: at kappa = 337
+        # (kappa - E S_n) ** 2 is 51.89297654993819 in Python (C pow), where
+        # numpy's square gives 51.89297654993818 and moves the printed
+        # Gaussian term from ...072 to ...076; the sweep row must stay the
+        # single-point report's
+        law = {"v0": 0.0, "D": 1.0, "probs": [[0, 0.46717696905934547], [1, 0.5328230309406545]]}
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law))
+        argv = ["llt-bound", str(path), "--n", "646", "--mode", "exact-plug-ins"]
+        code, out = run_cli(capsys, argv + ["--kappa-from", "319", "--kappa-to", "369",
+                                            "--format", "csv"])
+        assert code == 0
+        header, *lines = out.splitlines()
+        names = header.split(",")
+        (line,) = [row for row in lines if row.split(",")[names.index("kappa")] == "337"]
+        code, single = run_cli(capsys, argv + ["--kappa", "337"])
+        report = json.loads(single)
+        assert code == 0
+        assert (337.0 - report["params"]["e_s_n"]) ** 2 == 51.89297654993819
+        assert report["gaussian"] == 0.026772328094253072
+        assert [header, line] == render({key: report[key] for key in names}, "csv").splitlines()
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():

@@ -57,6 +57,30 @@ class TestMakePmf:
         with pytest.raises(LatticeError):
             make_pmf(0, 1, [(0, 0.0), (1, 0.0)])
 
+    @pytest.mark.parametrize("v0, d, entries, what", [
+        (0, 1, [(0, 10**400)], "weight"),
+        (10**400, 1, [(0, 1)], "v0"),
+        (0, 10**400, [(0, 1)], "D"),
+    ], ids=["weight", "v0", "D"])
+    def test_rejects_an_int_no_double_holds(self, v0, d, entries, what):
+        # refused as input, not an OverflowError from float()
+        with pytest.raises(LatticeError, match=f"^{what} {10**400} is beyond the range"):
+            make_pmf(v0, d, entries)
+
+    @pytest.mark.parametrize("v0, d, entries", [
+        ("0", 1, [(0, 1)]), (0, True, [(0, 1)]), (0, 1, [(0, "0.5")]), (0, 1, [(0, None)]),
+    ], ids=["str-v0", "bool-D", "str-weight", "none-weight"])
+    def test_rejects_a_value_that_is_not_a_number(self, v0, d, entries):
+        with pytest.raises(LatticeError, match="must be a number"):
+            make_pmf(v0, d, entries)
+
+    def test_accepts_real_numbers_of_other_types(self):
+        from fractions import Fraction
+
+        p = make_pmf(np.int64(1), Fraction(1, 2), [(0, np.float32(1.0)), (1, np.int64(3))])
+        assert (p.v0, p.D, p.probs) == (1.0, 0.5, {0: 0.25, 1: 0.75})
+        assert type(p.v0) is float and type(p.D) is float
+
     def test_json_round_trip(self):
         p = make_pmf(-1.5, 0.5, [(2, 3), (4, 1)])
         q = pmf_from_json(p.to_json_dict())

@@ -57,9 +57,12 @@ def test_traced_requests_run_clean(tracer, tmp_path, capsys):
         "n": 32,
         "vartheta": 0.5,
     }))
+    # a sweep evaluates its rows in the private column body of bounds, so
+    # only single points reach the traced envelope functions and their hook
     requests = [
         ["llt-bound", str(law), "--n", "60", "--mode", "exact-plug-ins",
          "--kappa-from", "60", "--kappa-to", "70", "--format", "csv"],
+        ["llt-bound", str(law), "--n", "60", "--mode", "exact-plug-ins", "--kappa", "66"],
         ["gamkrelidze", str(law), "--n", "60"],
         ["partition", "--m", "2", "--n", "80", "--mode", "model"],
     ]
@@ -71,7 +74,7 @@ def test_traced_requests_run_clean(tracer, tmp_path, capsys):
     assert {"bounds.exact_plug_ins", "bounds.sandwich_envelope",
             "gamkrelidze.interval_discrepancy"} <= ran
     metrics = t.layer_metrics()
-    assert metrics["bounds.points"] == 11
+    assert metrics["bounds.points"] == 1
     assert metrics["gamkrelidze.window_points"] > 0
 
     # the Monte Carlo hook, on a request of its own so the counts above stay put
@@ -82,11 +85,14 @@ def test_traced_requests_run_clean(tracer, tmp_path, capsys):
     assert "scenery.monte_carlo_point_prob" in ran
     assert t.layer_metrics()["scenery.mc_ns_per_sample"] > 0
 
-    # the symmetric envelopes in bounded mode: a central sweep and a psi point
+    # the symmetric envelopes in bounded mode: a central sweep, a central
+    # point and a psi point
     before = t.layer_metrics()["bounds.points"]
     for argv in (
         ["llt-bound", str(law), "--n", "1000", "--mode", "bounded-plug-ins",
          "--envelope", "central", "--kappa-from", "1095", "--kappa-to", "1105"],
+        ["llt-bound", str(law), "--n", "1000", "--mode", "bounded-plug-ins",
+         "--envelope", "central", "--kappa", "1105"],
         ["llt-bound", str(law), "--n", "1000", "--mode", "bounded-plug-ins",
          "--envelope", "psi", "--kappa", "1100"],
     ):
@@ -94,4 +100,4 @@ def test_traced_requests_run_clean(tracer, tmp_path, capsys):
     capsys.readouterr()
     assert raised == []
     assert {"bounds.central_envelope", "bounds.psi_envelope", "bounds.bounded_plug_ins"} <= ran
-    assert t.layer_metrics()["bounds.points"] == before + 11 + 1
+    assert t.layer_metrics()["bounds.points"] == before + 2
