@@ -23,19 +23,24 @@ the exact oracles of :mod:`lltkit.convolve` (for validation), while
 ``bounded-plug-ins`` substitutes an Esseen-type bound for H_n and a Chernoff
 bound for rho_n, making the envelopes fully effective with no oracle.
 
-Every envelope has one body, which computes the scalars of a request once
-and evaluates a block of lattice points as columns of Python floats (kappa,
-exact, Gaussian, lower, upper).  :func:`sandwich_envelope`,
+Every envelope has one body, which holds the scalars of a request, computed
+once: each side as its terms (factor, variance denominator, term, rho_n;
+the central and psi envelopes are the Gaussian term minus and plus one
+half-width).  The body evaluates a block of lattice points as the columns
+of every field a row prints (kappa, exact, Gaussian, lower, upper, width and
+verdict), in Python floats.  :func:`sandwich_envelope`,
 :func:`central_envelope` and :func:`psi_envelope` are its one-point case; an
-``llt-bound`` sweep reads its columns block by block.
+``llt-bound`` sweep writes its columns block by block.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -713,15 +718,16 @@ def _verdict(exact: float, lower: float, upper: float, err: float) -> bool | Non
 @dataclass(slots=True)
 class _Body:
     """Body of every envelope for one request: the scalars it reads, computed
-    once, and its values over a block of lattice points (:meth:`columns`),
-    at one point (:meth:`report`) or over a whole sweep (:meth:`sweep`).
+    once, and its rows over a block of lattice points (:meth:`columns`), at
+    one point (:meth:`report`) or over a whole sweep (:meth:`sweep`).
 
-    ``band(kappas, mean, base, two_var)`` returns one ``(dev2, gaussian,
-    lower, upper)`` row per kappa, with ``dev2 = (kappa - E S_n)^2``, the
-    Gaussian term ``base * exp(-dev2 / two_var)``, ``base = D / sqrt(2 pi
-    Var(S_n))`` and ``two_var = 2 Var(S_n)``.  ``limit`` is the bound on
-    ``dev2 / Var(S_n)`` of the envelope's central range and its text (None
-    when it has none), and ``params`` the parameters of its report.
+    Each side is data: ``lower`` and ``upper`` hold ``(factor, den, term,
+    rho)``, and a side at ``dev2 = (kappa - E S_n)^2`` is ``factor * (base *
+    exp(-dev2 / den))`` minus ``term`` then ``rho`` on the lower side, plus
+    them on the upper side, with ``base = D / sqrt(2 pi Var(S_n))``; the
+    Gaussian term is ``base * exp(-dev2 / (2 Var(S_n)))``.  ``limit`` is the
+    bound on ``dev2 / Var(S_n)`` of the envelope's central range and its text
+    (None when it has none), and ``params`` the parameters of its report.
 
     The rows are evaluated per element in Python floats, with ``**`` (C
     ``pow``) and ``math.exp``: numpy's square ``x * x`` and ``np.exp``
@@ -732,58 +738,75 @@ class _Body:
     spec: SumSpec
     exact: bool
     params: dict
-    band: Callable[[list[float], float, float, float], list[tuple]]
+    lower: tuple[float, float, float, float]
+    upper: tuple[float, float, float, float]
     limit: tuple[float, str] | None = None
 
-    def columns(self, k0: int, kappas: list[float]) -> tuple:
-        """The envelope at the lattice points ``kappas`` of indices ``k0, k0 +
-        1, ...``: the kappa, exact, gaussian, lower and upper columns, then
-        the ``exact_err`` that the verdict of every point reads.  With
-        ``exact`` the exact values and their error come from ``spec.law``,
-        built before the central range is checked; without it the exact
-        column is None and the error 0.0.  The first point outside the
-        central range raises."""
-        spec, var = self.spec, self.spec.var
-        law = spec.law if self.exact else None
-        base = spec.d / math.sqrt(2.0 * math.pi * var)
-        dev2, gaussian, lower, upper = zip(*self.band(kappas, spec.mean, base, 2.0 * var))
+    def deviations(self, kappas: list[float]) -> list[float]:
+        """``(kappa - E S_n)^2`` per point; an overflowing square raises
+        ``OverflowError``, and the first point outside the central range
+        raises :class:`PreconditionError`."""
+        mean, var = self.spec.mean, self.spec.var
+        dev2 = [(x - mean) ** 2 for x in kappas]
         if self.limit is not None and max(dev2) / var > self.limit[0]:
             bound, text = self.limit
             ratio = next(q / var for q in dev2 if q / var > bound)
-            raise PreconditionError(
-                f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
-                f"{text} failed: {ratio:.6g} > {bound:.6g}"
-            )
-        if law is None:
-            return kappas, None, gaussian, lower, upper, 0.0
-        return kappas, law.masses(k0, len(kappas)), gaussian, lower, upper, law.err_abs
+            raise PreconditionError(f"central range condition (kappa - E S_n)^2 / Var(S_n) <= "
+                                    f"{text} failed: {ratio:.6g} > {bound:.6g}")
+        return dev2
+
+    def columns(self, k0: int, kappas: list[float]) -> dict:
+        """The rows at the lattice points ``kappas`` of indices ``k0, k0 + 1,
+        ...`` as columns, keyed as :meth:`BoundReport.row`: kappa, exact,
+        gaussian, lower, upper, envelope_width and, with exact values,
+        sandwich_ok.  With ``exact`` the exact values and the ``err_abs`` of
+        the verdict come from ``spec.law``, built before :meth:`deviations`
+        runs; without it the exact column is None."""
+        spec = self.spec
+        law = spec.law if self.exact else None
+        dev2 = self.deviations(kappas)
+        base, two_var, exp = spec.d / math.sqrt(2.0 * math.pi * spec.var), 2.0 * spec.var, math.exp
+        (lf, ld, lt, lr), (uf, ud, ut, ur) = self.lower, self.upper
+        lower = [lf * (base * exp(-q / ld)) - lt - lr for q in dev2]
+        upper = [uf * (base * exp(-q / ud)) + ut + ur for q in dev2]
+        cols = {"kappa": kappas, "exact": None, "lower": lower, "upper": upper,
+                "gaussian": [base * exp(-q / two_var) for q in dev2],
+                "envelope_width": list(map(operator.sub, upper, lower))}
+        if law is not None:
+            exact = cols["exact"] = law.masses(k0, len(kappas))
+            cols["sandwich_ok"] = list(map(_verdict, exact, lower, upper, repeat(law.err_abs)))
+        return cols
 
     def report(self, kappa: float) -> BoundReport:
         """The one-point case: the lattice check on kappa, then its columns."""
         spec = self.spec
-        _, exact, (gaussian,), (lower,), (upper,), err = self.columns(
-            kappa_index(kappa, spec.v0, spec.d), [kappa])
-        return BoundReport(kappa, None if exact is None else exact[0], gaussian, lower, upper,
-                           self.params, err)
+        cols = self.columns(kappa_index(kappa, spec.v0, spec.d), [kappa])
+        exact = None if cols["exact"] is None else cols["exact"][0]
+        return BoundReport(kappa, exact, cols["gaussian"][0], cols["lower"][0], cols["upper"][0],
+                           self.params, spec.law.err_abs if self.exact else 0.0)
 
-    def sweep(self, sweep: range, block: int) -> Iterator[tuple]:
+    def sweep(self, sweep: range, block: int) -> Iterator[dict]:
         """The columns of the lattice indices ``sweep`` in lattice order, in
         blocks of ``block`` indices computed as they are read.  Every refusal
-        is raised before this returns: the exact law is built first, then the
-        central range is checked over the whole sweep, and a refused sweep
-        raises the error of its first refused point."""
+        is raised before this returns: the exact law is built first, then
+        :meth:`deviations` runs over the whole sweep with a central range,
+        so that a refused sweep raises the error of its first refused point,
+        and over its two ends without one, where ``|kappa - E S_n|`` and so
+        an overflowing square are largest."""
         spec = self.spec
-        starts = range(sweep.start, sweep.stop, block)
+        blocks = range(0, len(sweep), block)
 
-        def at(k0: int) -> list[float]:
-            return [spec.v0 + spec.d * k for k in range(k0, min(k0 + block, sweep.stop))]
+        def at(ks: Iterable[int]) -> list[float]:
+            return [spec.v0 + spec.d * k for k in ks]
 
         if self.exact:  # built here, so that its refusal comes first
             spec.law
-        if self.limit is not None:  # each block raises its first refused point
-            for k0 in starts:
-                self.columns(k0, at(k0))
-        return (self.columns(k0, at(k0)) for k0 in starts)
+        if self.limit is None:
+            self.deviations(at((sweep[0], sweep[-1])))
+        else:  # each block raises its first refused point
+            for i in blocks:
+                self.deviations(at(sweep[i:i + block]))
+        return (self.columns(sweep[i], at(sweep[i:i + block])) for i in blocks)
 
 
 def _sandwich_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
@@ -792,22 +815,15 @@ def _sandwich_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistr
     if rho is None or h is None:
         raise LatticeError("sandwich envelope needs a rho_n plug-in and the h it was taken at")
     _check_h(h)
-    den_up, den_lo = 2.0 * (1.0 + h) * spec.var, 2.0 * (1.0 - h) * spec.var
-    up_factor, lo_factor = (1.0 + h) / (1.0 - h), (1.0 - h) / (1.0 + h)
     shrunk = (1.0 - h) * spec.theta_n
     t = constants.c1 / math.sqrt(shrunk)
-    up_term = t * (plug_ins.h_n + 1.0 / shrunk)
-    lo_term = t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho)
-
-    def band(kappas: list[float], mean: float, base: float, two_var: float) -> list[tuple]:
-        exp = math.exp
-        return [(q := (x - mean) ** 2, base * exp(-q / two_var),
-                 lo_factor * (base * exp(-q / den_lo)) - lo_term - rho,
-                 up_factor * (base * exp(-q / den_up)) + up_term + rho) for x in kappas]
-
+    lower = ((1.0 - h) / (1.0 + h), 2.0 * (1.0 - h) * spec.var,
+             t * (plug_ins.h_n + 1.0 / shrunk + 2.0 * rho), rho)
+    upper = ((1.0 + h) / (1.0 - h), 2.0 * (1.0 + h) * spec.var,
+             t * (plug_ins.h_n + 1.0 / shrunk), rho)
     params = {"theta_n": spec.theta_n, "h": h, "H_n_used": plug_ins.h_n, "rho_n_used": rho,
               "var_s_n": spec.var, "e_s_n": spec.mean, "mode": plug_ins.mode}
-    return _Body(spec, exact, params, band)
+    return _Body(spec, exact, params, lower, upper)
 
 
 def sandwich_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
@@ -826,33 +842,25 @@ def sandwich_envelope(spec: SumSpec, kappa: float, plug_ins: PlugIns,
 
 
 def _symmetric_body(spec: SumSpec, plug_ins: PlugIns, exact: bool, stat: float,
-                    const: float, limit: Callable[[float], float], limit_text: str,
-                    params: dict) -> _Body:
+                    const: float, limit: float, limit_text: str, params: dict) -> _Body:
     """Body of :func:`central_envelope` and :func:`psi_envelope`: the
     half-width ``const * (D sqrt(log(Theta_n) / (Var(S_n) Theta_n)) + (stat +
-    1/Theta_n) / sqrt(Theta_n))`` around the Gaussian term, on the central
-    range ``(kappa - E S_n)^2 / Var(S_n) <= limit(log Theta_n)``."""
+    1/Theta_n) / sqrt(Theta_n))`` below and above the Gaussian term, on the
+    central range ``(kappa - E S_n)^2 / Var(S_n) <= limit``."""
     theta_n, var = spec.theta_n, spec.var
-    log_t = _log_theta_n(theta_n)
-    half = const * (
-        spec.d * math.sqrt(log_t / (var * theta_n)) + (stat + 1.0 / theta_n) / math.sqrt(theta_n)
-    )
-
-    def band(kappas: list[float], mean: float, base: float, two_var: float) -> list[tuple]:
-        exp = math.exp
-        return [(q := (x - mean) ** 2, g := base * exp(-q / two_var), g - half, g + half)
-                for x in kappas]
-
+    half = const * (spec.d * math.sqrt(math.log(theta_n) / (var * theta_n))
+                    + (stat + 1.0 / theta_n) / math.sqrt(theta_n))
+    side = (1.0, 2.0 * var, half, 0.0)
     params = {"theta_n": theta_n, **params, "half_width": half, "var_s_n": var,
               "e_s_n": spec.mean, "mode": plug_ins.mode}
-    return _Body(spec, exact, params, band, (limit(log_t), limit_text))
+    return _Body(spec, exact, params, side, side, (limit, limit_text))
 
 
 def _central_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
                   exact: bool) -> _Body:
     return _symmetric_body(
         spec, plug_ins, exact, stat=plug_ins.h_n, const=constants.c2,
-        limit=lambda log_t: math.sqrt(spec.theta_n / (14.0 * log_t)),
+        limit=math.sqrt(spec.theta_n / (14.0 * _log_theta_n(spec.theta_n))),
         limit_text="sqrt(theta_n / (14 log theta_n))",
         params={"H_n_used": plug_ins.h_n, "rho_n_used": None},
     )
@@ -880,7 +888,7 @@ def _psi_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
         raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
     return _symmetric_body(
         spec, plug_ins, exact, stat=plug_ins.l_n, const=constants.c3,
-        limit=lambda log_t: math.sqrt(7.0 * log_t / (2.0 * spec.theta_n)),
+        limit=math.sqrt(7.0 * _log_theta_n(spec.theta_n) / (2.0 * spec.theta_n)),
         limit_text="sqrt(7 log theta_n / (2 theta_n))",
         params={"l_n": plug_ins.l_n},
     )

@@ -24,12 +24,13 @@ a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from collections.abc import Iterator
@@ -88,7 +89,7 @@ def _fmt(x: Any) -> str:
     if x is None:
         return ""
     if isinstance(x, (list, tuple, dict)):
-        # comma-free encoding keeps the CSV cell grammar intact
+        # with ";" a list cell holds no comma, so CSV prints it unquoted
         return json.dumps(x, sort_keys=True, separators=(";", ":"))
     return str(x)
 
@@ -118,10 +119,12 @@ def render(payload: Any, output_format: str) -> str:
         for key in flat:
             if key not in headers:
                 headers.append(key)
-    lines = [",".join(headers)]
-    for flat in flat_rows:
-        lines.append(",".join(_fmt(flat.get(h)) for h in headers))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    # minimal quoting: only a cell with a comma, a quote or a newline is quoted
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows([_fmt(flat.get(h)) for h in headers] for flat in flat_rows)
+    return out.getvalue()
 
 
 def _json_scalar(x: Any) -> str:
@@ -135,49 +138,42 @@ def _json_scalar(x: Any) -> str:
 #: formatted and written before the next, so memory stays flat in the length
 _SWEEP_BLOCK = 64
 
-#: the ``sandwich_ok`` cell of each verdict, per format
+#: the cell of each verdict, per format
 _VERDICT_TEXT = {"csv": {True: "true", False: "false", None: ""},
                  "json": {True: "true", False: "false", None: "null"}}
 
 
-def _write_sweep(blocks: Iterator[tuple], output_format: str) -> None:
+def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
     """Write the rows of a sweep to stdout a block at a time, with the text
     that :func:`render` gives for the list of their ``row()`` dicts: a CSV
     header and one line per row, or a JSON list of objects, both with the
-    keys sorted.  Each row is one ``%`` of a template with a cell per key:
-    ``%.17g`` for a float in CSV, ``repr`` (``json.dumps`` when a block
-    holds a value that is not finite) in JSON, and a lookup for the
-    verdict."""
+    keys sorted.  The names and cells come from the first block's columns:
+    a column of None is a constant cell, a column of floats ``%.17g`` in CSV
+    and ``repr`` (``json.dumps`` when a block holds a value that is not
+    finite) in JSON, and any other column (the verdicts) a lookup.  Each row
+    is one ``%`` of the template."""
     first = next(blocks)
-    csv, exact = output_format == "csv", first[1] is not None
-    cells = dict.fromkeys(("envelope_width", "exact", "gaussian", "kappa", "lower", "upper"),
-                          "%.17g" if csv else "%s")
-    if exact:
-        cells["sandwich_ok"] = "%s"
-    else:
-        cells["exact"] = "" if csv else "null"
-    names = sorted(cells)
-    if csv:
+    as_csv, verdict_text = output_format == "csv", _VERDICT_TEXT[output_format]
+    names = sorted(first)
+    floats = [name for name in names if first[name] and type(first[name][0]) is float]
+    verdicts = [name for name in names if first[name] and name not in floats]
+    # a column of None prints the format's empty cell, as an undecided verdict does
+    cells = {name: verdict_text[None] if first[name] is None
+             else "%.17g" if as_csv and name in floats else "%s" for name in names}
+    if as_csv:
         head, sep, tail = ",".join(names) + "\n", "\n", "\n"
         template = ",".join(cells[name] for name in names)
     else:
         head, sep, tail = "[\n", ",\n", "\n]\n"
         template = "  {\n" + ",\n".join(f'    "{name}": {cells[name]}' for name in names) + "\n  }"
-    verdict_text = _VERDICT_TEXT[output_format]
 
-    def text(block: tuple) -> str:
-        kappa, values, gaussian, lower, upper, err = block
-        cols = {"envelope_width": list(map(operator.sub, upper, lower)),
-                "gaussian": gaussian, "kappa": kappa, "lower": lower, "upper": upper}
-        if exact:
-            cols["exact"] = values
-        if not csv:
+    def text(block: dict) -> str:
+        cols = {name: block[name] for name in floats}
+        if not as_csv:
             finite = all(map(math.isfinite, itertools.chain(*cols.values())))
             cols = {name: list(map(repr if finite else _json_scalar, col))
                     for name, col in cols.items()}
-        if exact:
-            cols["sandwich_ok"] = [verdict_text[v] for v in map(
-                bounds._verdict, values, lower, upper, itertools.repeat(err))]
+        cols.update((name, [verdict_text[v] for v in block[name]]) for name in verdicts)
         rows = zip(*(cols[name] for name in names if name in cols))
         return sep.join([template % row for row in rows])
 
@@ -344,15 +340,17 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> tuple[int, Any]:
     """Dispatch parsed arguments whose ``constants`` holds the registry;
     returns (exit_code, payload-or-error-object).  The payload of an
-    ``llt-bound`` sweep is an iterator of its reports, whose refusals have
-    all been raised here."""
+    ``llt-bound`` sweep is an iterator of its blocks of row columns, whose
+    refusals have all been raised here."""
     try:
-        payload = _COMMANDS[args.command](args)
-        return 0, payload
+        return 0, _COMMANDS[args.command](args)
     except PreconditionError as exc:
         return 1, {"error": {"kind": "hypothesis-rejected", "message": str(exc)}}
     except NumericsError as exc:
         return 2, {"error": {"kind": "numerical-failure", "message": str(exc)}}
+    except OverflowError as exc:
+        return 2, {"error": {"kind": "numerical-failure",
+                             "message": f"a value beyond the range of doubles: {exc}"}}
     except LatticeError as exc:
         return 2, {"error": {"kind": "input-error", "message": str(exc)}}
 

@@ -215,8 +215,13 @@ def kappa_index(kappa: float, v0: float, d: float) -> int:
 def lattice_position(kappa: float, v0: float, d: float) -> tuple[float, float]:
     """``r = (kappa - v0)/d`` and the slack within which r stands for a
     lattice index k, ``|r - k| <= slack`` (derived at :func:`kappa_index`);
-    the ``llt-bound`` sweep rounds its ends by the same slack."""
+    the ``llt-bound`` sweep rounds its ends by the same slack.  A finite
+    kappa more than 2^53 steps from v0, where doubles no longer tell
+    neighbouring lattice points apart (the bound of :func:`_integral`), is a
+    :class:`LatticeError`."""
     r = (kappa - v0) / d
+    if math.isfinite(kappa) and not abs(r) <= 2**53:
+        raise LatticeError(f"kappa = {kappa} lies more than 2^53 steps from v0 on L({v0}, {d})")
     return r, 1e-9 + 2.0**-51 * (abs(r) + abs(kappa / d))
 
 

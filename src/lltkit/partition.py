@@ -18,12 +18,11 @@ array, about n^3/3 multiply-adds in all where a convolution over each part's
 span would take n^4/8.  Beyond its array passes a part costs O(1) work on
 Python scalars: the parts are built as ``LatticePmf`` directly, with the
 masses ``make_pmf`` would store, and the kernel reads their two atoms as
-scalars.  ``count_via_model(1, 300)`` takes 10.5-11.2 ms, against
-14.5-15.1 ms when every part went through ``make_pmf`` and numpy arrays
-(best of 40 calls, shared 2-core Intel Xeon, NumPy 2.4).  The assembled
-real number must land within 1e-6 of an integer or the computation is
-rejected rather than silently rounded; which n are refused depends on the
-rounding of that law, not on a precondition.
+scalars.  ``count_via_model(1, 300)`` takes 10.5-11.2 ms (best of 40
+calls, shared 2-core Intel Xeon, NumPy 2.4).  The assembled real number
+must land within 1e-6 of an integer or the computation is rejected rather
+than silently rounded; which n are refused depends on the rounding of that
+law, not on a precondition.
 """
 
 from __future__ import annotations

@@ -77,6 +77,8 @@ class SceneryModel:
     and +-1 walks are models too.  The oracles that need strictly positive
     (or nonnegative) increments check that themselves.
     ``vartheta_profile`` is either one constant level or a map r -> level.
+    ``n`` is read as the JSON reader reads it: an integer, or a float with
+    an integral value (``2.0``); anything else is a :class:`LatticeError`.
     """
 
     x_law: LatticePmf
@@ -85,6 +87,7 @@ class SceneryModel:
     vartheta_profile: float | Mapping[int, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integral(self.n, "n"))
         inc = self.increment_law
         if abs(inc.D - 1.0) > 1e-12 or abs(inc.v0) > 1e-12:
             raise LatticeError("increment law must live on the integer lattice L(0, 1)")
@@ -138,7 +141,7 @@ def scenery_from_json(obj: Mapping) -> SceneryModel:
         return SceneryModel(
             x_law=pmf_from_json(obj["x_law"]),
             increment_law=pmf_from_json(obj["increments"]),
-            n=_integral(obj["n"], "n"),
+            n=obj["n"],
             vartheta_profile=profile,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -468,10 +471,9 @@ def _cuts(masses: Iterable[float]) -> list[int]:
     ``|T_i - Q_i 2^32| <= 1/2`` and atom i is drawn with probability
     ``(T_i - T_{i-1}) / 2^32`` (``T_{-1} = 0``; the last atom takes the rest
     up to 2^32): within 2^-32 of its stored mass, the last atom within 2^-33
-    plus the few ulps by which the stored masses miss 1.  The float32 cuts
-    this replaced were only within about 6e-8.  An atom of mass below 2^-33
-    at either end of the support is never drawn.  A cut of 2^32 can never be
-    reached, nor can the atoms after it, so it is dropped.
+    plus the few ulps by which the stored masses miss 1.  An atom of mass
+    below 2^-33 at either end of the support is never drawn.  A cut of 2^32
+    can never be reached, nor can the atoms after it, so it is dropped.
 
     :func:`_site_draws` reads u one byte at a time, whatever the number of
     cuts: with ``u = (B << 24) | L`` and ``T = (b << 24) | l``, ``u >= T``

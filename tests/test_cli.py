@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import lltkit.cli
 from lltkit import bounds, iid_sum, make_pmf, partition, pmf_from_json, theta
 from lltkit.bounds import BoundReport, ConstantsRegistry
-from lltkit.cli import main, render
+from lltkit.cli import _flatten, _fmt, main, render
+from lltkit.convolve import SumLaw
 from lltkit.errors import LatticeError, NumericsError, PreconditionError
 from lltkit.gamkrelidze import WINDOW_CAP
 
@@ -167,6 +169,16 @@ class TestLltBound:
         )
         assert code == 1
         assert "not on the sum lattice" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("ends", [["--kappa", "1e300"],
+                                      ["--kappa-from", "1e300", "--kappa-to", "1e300"]])
+    def test_kappa_beyond_2_to_53_steps_exits_2(self, capsys, bern_file, ends):
+        # a double there names no single lattice point: refused before it is
+        # squared into an overflow or counted as a sweep of 10^300 points
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "64", *ends])
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "input-error", "message": (
+            "kappa = 1e+300 lies more than 2^53 steps from v0 on L(0.0, 1.0)")}}
 
     def test_byte_identical_reruns(self, capsys, bern_file):
         argv = ["llt-bound", bern_file, "--n", "32", "--kappa", "16", "--h", "0.25"]
@@ -784,6 +796,71 @@ class TestInputRules:
             main(["characteristics", bern_file])
 
 
+class TestOverflow:
+    """A value beyond the range of doubles exits 2 with only a
+    numerical-failure object, in a sweep too."""
+
+    @staticmethod
+    def overflow_text() -> str:
+        """What an overflowing ``**`` says on this platform."""
+        try:
+            1e200 ** 2
+        except OverflowError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("d, argv", [
+        (1e200, ["characteristics"]),  # the variance
+        (1e200, ["validate"]),
+        (1e140, ["llt-bound", "--n", "64", "--mode", "bounded-plug-ins", "--kappa", "0"]),  # |x|^3
+        # 2^52 steps out, within the lattice rule: (kappa - E S_n)^2
+        (1e140, ["llt-bound", "--n", "64", "--kappa", "4.503599627370496e+155"]),
+        (1e140, ["llt-bound", "--n", "64", "--kappa-from", "4.503599627370496e+155",
+                 "--kappa-to", "4.503599627370499e+155"]),
+        (1e140, ["llt-bound", "--n", "1000", "--envelope", "central", "--kappa-from",
+                 "4.503599627370496e+155", "--kappa-to", "4.503599627370499e+155"]),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exits_2(self, capsys, tmp_path, d, argv, fmt):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"v0": 0, "D": d, "probs": [[0, 1], [1, 1]]}))
+        code, out = run_cli(capsys, [argv[0], str(path), *argv[1:], "--format", fmt])
+        error = {"kind": "numerical-failure",
+                 "message": f"a value beyond the range of doubles: {self.overflow_text()}"}
+        assert (code, out) == (2, render({"error": error}, fmt))
+
+
+class TestCsvCells:
+    """csv.reader reads every CSV output into rows as long as its header,
+    and each cell is ``_fmt`` of the JSON output's value (flattened)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["characteristics", "{law}"],
+        ["split", "{law}", "--vartheta", "0.25"],
+        ["llt-bound", "{law}", "--n", "100", "--kappa", "50"],  # the provenance holds commas
+        ["llt-bound", "{law}", "--n", "100", "--kappa-from", "45", "--kappa-to", "55"],
+        ["llt-bound", "{law}", "--n", "100", "--kappa", "100.5"],  # names L(0.0, 1.0)
+        ["gamkrelidze", "{law}", "--n", "50"],
+        ["scenery", "{model}"],
+        ["scenery", "{model}", "--kappa", "2", "--mc", "1000"],
+        ["partition", "--m", "2", "--n", "12"],
+        ["validate", "{law}"],  # a list cell of objects holds quotes
+    ])
+    def test_cells_are_the_json_values(self, capsys, bern_file, scenery_file, argv):
+        argv = [arg.format(law=bern_file, model=scenery_file) for arg in argv]
+        code, out = run_cli(capsys, argv)
+        csv_code, csv_out = run_cli(capsys, argv + ["--format", "csv"])
+        assert csv_code == code
+        payload = json.loads(out)
+        flats = []
+        for row in payload if isinstance(payload, list) else [payload]:
+            flats.append({})
+            _flatten("", row, flats[-1])
+        header, *rows = csv.reader(io.StringIO(csv_out))
+        assert header == list(flats[0]) and len(rows) == len(flats)
+        for row, flat in zip(rows, flats):
+            assert row == [_fmt(flat[key]) for key in header]
+
+
 class TestSuccessiveCalls:
     def test_call_order_does_not_change_output(self, capsys, bern_file, scenery_file, tmp_path):
         # the parser is shared by the calls of a process; no call may leave
@@ -968,6 +1045,30 @@ class TestSweepRows:
                 with contextlib.redirect_stdout(out):
                     code = main(argv)
         assert (code, out.getvalue()) == expected
+
+    def test_central_exact_sweep_reads_the_law_once_per_block(self, capsys, law_file,
+                                                             monkeypatch):
+        # the range check over the whole sweep squares deviations only; the
+        # exact masses are read once, as each block is written
+        reads = []
+        masses = SumLaw.masses
+        monkeypatch.setattr(SumLaw, "masses",
+                            lambda law, k0, count: reads.append(count) or masses(law, k0, count))
+        monkeypatch.setattr(lltkit.cli, "_SWEEP_BLOCK", 4)
+        code, _ = self.sweep(capsys, law_file, "central", "exact-plug-ins", range(2328, 2338), "csv")
+        assert (code, reads) == (0, [4, 4, 2])
+
+    @pytest.mark.parametrize("mode", ["exact-plug-ins", "bounded-plug-ins"])
+    @pytest.mark.parametrize("envelope", ["central", "psi"])
+    def test_symmetric_rows_are_the_gaussian_minus_and_plus_the_half_width(
+            self, capsys, law_file, envelope, mode):
+        code, out = self.sweep(capsys, law_file, envelope, mode, range(2328, 2339), "json")
+        assert code == 0
+        argv = ["llt-bound", law_file, "--n", str(self.N), "--mode", mode, "--envelope", envelope,
+                "--kappa", repr(0.25 * self.N + 0.5 * 2333)]
+        half = json.loads(run_cli(capsys, argv)[1])["params"]["half_width"]
+        for row in json.loads(out):
+            assert (row["lower"], row["upper"]) == (row["gaussian"] - half, row["gaussian"] + half)
 
     def test_pinned_point_where_numpy_squares_apart(self, capsys, tmp_path):
         # sweep-exact request 20 of the benchmark at seed 1: at kappa = 337

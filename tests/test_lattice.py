@@ -179,6 +179,15 @@ class TestKappaIndex:
         with pytest.raises(PreconditionError, match="not on the sum lattice"):
             kappa_index(kappa, 0.25, 0.5)
 
+    @pytest.mark.parametrize("kappa", [2.0**53 + 2.0, -(2.0**53) - 2.0, 1e300])
+    def test_more_than_2_to_53_steps_out_rejected(self, kappa):
+        # doubles no longer tell neighbouring lattice points apart there
+        assert kappa_index(2.0**53, 0.0, 1.0) == 2**53
+        with pytest.raises(LatticeError, match="more than 2\\^53 steps from v0"):
+            kappa_index(kappa, 0.0, 1.0)
+        with pytest.raises(LatticeError, match="more than 2\\^53 steps from v0"):
+            lattice_position(kappa * 0.5, 0.25, 0.5)
+
     @pytest.mark.parametrize("v0, d", [(0.0, 0.1), (0.7, 0.3), (-123456.7, 0.1)])
     def test_far_points_computed_in_floats_accepted(self, v0, d):
         # v0 + d*k misses the lattice by more than 1e-9 of a step at some of these k

@@ -141,6 +141,14 @@ class TestModelValidation:
             scenery_from_json(obj)
         assert scenery_from_json({**obj, field: 2.0 if field == "n" else [[1.0, 0.5]]})
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_n_must_be_an_integer(self, n):
+        # read as the JSON reader reads it, so no n reaches the oracles as 2.5 or True
+        with pytest.raises(LatticeError, match=f"n must be an integer, got {n!r}"):
+            SceneryModel(bern(), inc_ones(), n, 0.5)
+        m = SceneryModel(bern(), inc_ones(), 2.0, 0.5)
+        assert type(m.n) is int and second_moment_check(m).theta_n == 1.0
+
     def test_json_round_trip(self):
         m = SceneryModel(bern(), inc_12(), 4, {r: 0.25 for r in range(1, 9)})
         m2 = scenery_from_json(m.to_json_dict())
