@@ -131,13 +131,16 @@ class PlugIns:
 
 @dataclass
 class BoundReport:
-    """Lower/upper envelope at one lattice point, with all intermediates.
+    """The row of one lattice point, as its envelope body computed it
+    (:meth:`_Body.columns`), with the parameters of the envelope.
 
     ``exact`` is ``P{S_n = kappa}`` from an exact oracle, or None, and
     ``exact_err`` bounds its floating-point error (a law's ``err_abs``).
-    :attr:`sandwich_ok` is the envelope's verdict on it; :meth:`row` holds
-    the fields a sweep row prints and :meth:`to_json_dict` the single-point
-    output.
+    ``envelope_width`` is ``upper - lower`` and ``sandwich_ok`` the
+    envelope's verdict on ``exact``: true or false only when ``lower <= exact
+    <= upper`` is decided by more than ``exact_err``, None otherwise and when
+    there is no exact value.  :meth:`row` holds the fields a sweep row prints
+    and :meth:`to_json_dict` the single-point output.
     """
 
     kappa: float
@@ -145,37 +148,20 @@ class BoundReport:
     gaussian: float
     lower: float
     upper: float
+    envelope_width: float
     params: dict
+    sandwich_ok: bool | None = None
     exact_err: float = 0.0
 
     @property
     def lower_negative(self) -> bool:
         return self.lower < 0.0
 
-    @property
-    def sandwich_ok(self) -> bool | None:
-        """Whether ``lower <= exact <= upper``: true or false only when the
-        envelope decides it by more than ``exact_err``, None otherwise and
-        when there is no exact value."""
-        if self.exact is None:
-            return None
-        return _verdict(self.exact, self.lower, self.upper, self.exact_err)
-
-    @property
-    def envelope_width(self) -> float:
-        return self.upper - self.lower
-
     def row(self) -> dict:
         """The values, the width and, with an exact value, the verdict; each
-        key names an attribute of the report."""
-        out = {
-            "kappa": self.kappa,
-            "exact": self.exact,
-            "gaussian": self.gaussian,
-            "lower": self.lower,
-            "upper": self.upper,
-            "envelope_width": self.envelope_width,
-        }
+        key names a field of the report."""
+        out = {"kappa": self.kappa, "exact": self.exact, "gaussian": self.gaussian,
+               "lower": self.lower, "upper": self.upper, "envelope_width": self.envelope_width}
         if self.exact is not None:
             out["sandwich_ok"] = self.sandwich_ok
         return out
@@ -778,12 +764,15 @@ class _Body:
         return cols
 
     def report(self, kappa: float) -> BoundReport:
-        """The one-point case: the lattice check on kappa, then its columns."""
+        """The one-point case: the lattice check on kappa, then the one row
+        of its columns, width and verdict included, as a report."""
         spec = self.spec
         cols = self.columns(kappa_index(kappa, spec.v0, spec.d), [kappa])
         exact = None if cols["exact"] is None else cols["exact"][0]
+        verdict = cols.get("sandwich_ok", [None])[0]
         return BoundReport(kappa, exact, cols["gaussian"][0], cols["lower"][0], cols["upper"][0],
-                           self.params, spec.law.err_abs if self.exact else 0.0)
+                           cols["envelope_width"][0], self.params, verdict,
+                           spec.law.err_abs if self.exact else 0.0)
 
     def sweep(self, sweep: range, block: int) -> Iterator[dict]:
         """The columns of the lattice indices ``sweep`` in lattice order, in

@@ -119,12 +119,18 @@ def render(payload: Any, output_format: str) -> str:
         for key in flat:
             if key not in headers:
                 headers.append(key)
+    cells = [headers] + [[_fmt(flat.get(h)) for h in headers] for flat in flat_rows]
+    return "".join(map(_csv_line, cells))
+
+
+def _csv_line(cells: list[str]) -> str:
+    """One CSV row ending in a newline, with minimal quoting: only a cell
+    with a comma, a quote, a newline or a carriage return is quoted.  The
+    writer quotes a bare carriage return only when its rows end in CR LF, so
+    the row is written so and its own CR LF becomes a newline."""
     out = io.StringIO()
-    # minimal quoting: only a cell with a comma, a quote or a newline is quoted
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows([_fmt(flat.get(h)) for h in headers] for flat in flat_rows)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2] + "\n"
 
 
 def _json_scalar(x: Any) -> str:
@@ -210,6 +216,15 @@ def _pick_h(args: argparse.Namespace, theta_n: float) -> float:
         return FALLBACK_H
 
 
+def _iid_spec(args: argparse.Namespace) -> bounds.SumSpec:
+    """The prepared sum of ``--n`` copies of the input pmf, each extracted at
+    its theta."""
+    pmf = pmf_from_json(_read_json(args.input))
+    if args.n < 1:
+        raise LatticeError(f"{args.command} requires --n >= 1, got {args.n}")
+    return bounds.prepare_sum([(pmf, theta(pmf), args.n)])
+
+
 def _sweep_indices(args: argparse.Namespace, spec: bounds.SumSpec) -> range | None:
     """Lattice indices of the ``--kappa-from``/``--kappa-to`` sweep, or None
     for a single ``--kappa``; a sweep holds at least one lattice point and at
@@ -238,9 +253,8 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     if args.h is not None and args.envelope != "sandwich":
         raise LatticeError(f"llt-bound --h applies to the sandwich envelope only, "
                            f"not --envelope {args.envelope}")
-    pmf = pmf_from_json(_read_json(args.input))
     constants = args.constants
-    spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
+    spec = _iid_spec(args)
     sweep = _sweep_indices(args, spec)
     if args.law_out:
         text = render(spec.law.to_json_dict(), "json")
@@ -252,9 +266,7 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     exact = args.mode == "exact-plug-ins"
     # only the sandwich reads h and rho_n, and only the psi envelope reads L_n
     h = _pick_h(args, spec.theta_n) if args.envelope == "sandwich" else None
-    if args.envelope == "psi":
-        plug = bounds.bounded_plug_ins(spec, constants=constants)
-    elif exact:
+    if exact and args.envelope != "psi":
         plug = bounds.exact_plug_ins(spec, h)
     else:
         plug = bounds.bounded_plug_ins(spec, h, constants=constants)
@@ -267,8 +279,7 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
-    pmf = pmf_from_json(_read_json(args.input))
-    spec = bounds.prepare_sum([(pmf, theta(pmf), args.n)])
+    spec = _iid_spec(args)
     # centred on the E S_n and Var S_n that llt-bound prints for the same sum
     a_n = args.a_n if args.a_n is not None else spec.mean
     b_n = args.b_n if args.b_n is not None else spec.var
@@ -338,11 +349,15 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> tuple[int, Any]:
-    """Dispatch parsed arguments whose ``constants`` holds the registry;
-    returns (exit_code, payload-or-error-object).  The payload of an
-    ``llt-bound`` sweep is an iterator of its blocks of row columns, whose
-    refusals have all been raised here."""
+    """Dispatch parsed arguments whose ``constants`` holds the path of the
+    constants override file, or None for ``LLT_CONSTANTS``; returns
+    (exit_code, payload-or-error-object).  Every refusal becomes its error
+    object here, a bad override included.  The payload of an ``llt-bound``
+    sweep is an iterator of its blocks of row columns, whose refusals have
+    all been raised here."""
     try:
+        # one registry per invocation; every subcommand reads it from here
+        args.constants = _load_constants(args.constants or os.environ.get(ENV_CONSTANTS))
         return 0, _COMMANDS[args.command](args)
     except PreconditionError as exc:
         return 1, {"error": {"kind": "hypothesis-rejected", "message": str(exc)}}
@@ -418,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        # one registry per invocation; every subcommand reads it from here
-        args.constants = _load_constants(args.constants or os.environ.get(ENV_CONSTANTS))
-    except LatticeError as exc:
-        sys.stdout.write(render({"error": {"kind": "input-error", "message": str(exc)}}, "json"))
-        return 2
     code, payload = run(args)
     if isinstance(payload, Iterator):
         _write_sweep(payload, args.format)

@@ -50,11 +50,6 @@ def _normalize(m: int, n: int) -> tuple[int, int]:
     return max(_integral(m, "m"), 1), _integral(n, "n")
 
 
-def _centering_lhs(sigma: float, m: int, n: int) -> float:
-    js = np.arange(m, n + 1, dtype=float)
-    return float(np.sum(js * scipy.special.expit(-sigma * js)))
-
-
 def solve_sigma(m: int, n: int) -> float:
     """Solve ``sum_{j=m..n} j/(1 + e^{sigma j}) = n`` for sigma.
 
@@ -91,8 +86,10 @@ def solve_sigma(m: int, n: int) -> float:
     if total == n:
         return float("-inf")
 
+    js = np.arange(m, n + 1, dtype=float)
+
     def g(s: float) -> float:
-        return _centering_lhs(s, m, n) - n
+        return float(np.sum(js * scipy.special.expit(-s * js))) - n
 
     lo, hi = -1.0, 1.0
     while g(lo) < 0:
@@ -102,7 +99,6 @@ def solve_sigma(m: int, n: int) -> float:
     from scipy.optimize import brentq  # on first use, so importing lltkit skips scipy.optimize
 
     sigma = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    js = np.arange(m, n + 1, dtype=float)
     # polish with Newton steps; g is smooth and strictly decreasing
     for _ in range(8):
         res = g(sigma)

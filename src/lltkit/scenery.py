@@ -423,7 +423,8 @@ def scenery_envelope(
     Y_k are i.i.d., so the plain envelope applies with ``Theta_n = n *
     vartheta``, the moments of the i.i.d. sum and exact oracle plug-ins.  The
     n-fold x law, ``spec.law``, is then the exact law of S_n: the report's
-    ``exact`` is its mass at kappa and ``exact_err`` its ``err_abs``.
+    ``exact`` is its mass at kappa and ``exact_err`` its ``err_abs``.  A
+    model with n = 0 sums no step and is a :class:`LatticeError`.
     """
     if min(model.increment_law.support) < 1:
         raise PreconditionError("scenery envelope requires strictly positive increments")
@@ -432,6 +433,8 @@ def scenery_envelope(
             "scenery envelope requires a constant vartheta profile (the conditional "
             "summands are not known to be independent otherwise)"
         )
+    if model.n < 1:
+        raise LatticeError(f"scenery envelope needs a model with n >= 1, got n = {model.n}")
     spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
     return sandwich_envelope(spec, kappa, exact_plug_ins(spec, h), constants, exact=True)
 

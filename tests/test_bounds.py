@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lltkit import (
     ConstantsRegistry,
     DEFAULT_C0,
+    DEFAULT_CONSTANTS,
     LatticeError,
     PlugIns,
     PreconditionError,
@@ -602,6 +603,38 @@ class TestPsiEnvelope:
         assert plug.l_n is None
         with pytest.raises(LatticeError):
             psi_envelope(spec, 32.0, plug)
+
+
+class TestReportIsItsRow:
+    """A one-point report holds the row its body computes over any block
+    that holds the point: width and verdict included, field by field."""
+
+    LAW = make_pmf(0.25, 0.5, [(0, 1), (1, 3), (2, 2)])
+    N = 2000
+
+    @pytest.mark.parametrize("mode", ["exact-plug-ins", "bounded-plug-ins"])
+    @pytest.mark.parametrize("envelope", ["sandwich", "central", "psi"])
+    def test_report_row_is_the_column_row(self, envelope, mode):
+        spec = prepare_sum([(self.LAW, theta(self.LAW), self.N)])
+        exact = mode == "exact-plug-ins"
+        h = 0.25 if envelope == "sandwich" else None
+        if exact and envelope != "psi":
+            plug = exact_plug_ins(spec, h)
+        else:
+            plug = bounded_plug_ins(spec, h)
+        body = bounds._BODIES[envelope](spec, plug, DEFAULT_CONSTANTS, exact)
+        # E S_n sits at lattice index 7 N / 6, about 2333
+        ks = range(2328, 2339)
+        cols = body.columns(ks[0], [spec.v0 + spec.d * k for k in ks])
+        assert ("sandwich_ok" in cols) is exact
+        for i, k in enumerate(ks):
+            report = getattr(bounds, f"{envelope}_envelope")(
+                spec, spec.v0 + spec.d * k, plug, DEFAULT_CONSTANTS, exact)
+            row = report.row()
+            assert set(row) == set(cols)
+            for name, col in cols.items():
+                assert row[name] == (None if col is None else col[i]), name
+            assert report.exact_err == (spec.law.err_abs if exact else 0.0)
 
 
 class TestExactPlugInBounds:

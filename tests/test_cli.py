@@ -586,6 +586,38 @@ class TestErrorsAndOverrides:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "input-error"
 
+    @pytest.mark.parametrize("command", ["llt-bound", "gamkrelidze"])
+    def test_no_summands_names_the_n_option(self, capsys, bern_file, command):
+        argv = [command, bern_file, "--n", "0"]
+        if command == "llt-bound":
+            argv += ["--kappa", "0"]
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "input-error",
+                                            "message": f"{command} requires --n >= 1, got 0"}
+
+    def test_scenery_envelope_of_no_steps_names_the_model_n(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                                    "increments": {"v0": 0, "D": 1, "probs": [[1, 1]]},
+                                    "n": 0, "vartheta": 0.5}))
+        assert run_cli(capsys, ["scenery", str(path)])[0] == 0  # the moment check runs
+        code, out = run_cli(capsys, ["scenery", str(path), "--kappa", "0"])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input-error" and "n = 0" in err["message"]
+        assert "part 0" not in err["message"]
+
+    def test_bad_override_error_follows_the_format(self, capsys, tmp_path):
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps({"ce": -1}))
+        code, out = run_cli(capsys, ["--constants", str(consts), "partition", "--m", "2",
+                                     "--n", "10", "--format", "csv"])
+        assert code == 2
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["error.kind", "error.message"] and len(rows) == 1
+        assert rows[0][0] == "input-error" and "constants override 'ce'" in rows[0][1]
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -634,28 +666,37 @@ class TestErrorsAndOverrides:
 
 
 class TestSandwichVerdict:
+    """The verdict rule, ``bounds._verdict``, on the envelope [0.25, 0.75]
+    with an exact value that errs by at most 1e-12, and the report that
+    holds a row's verdict."""
+
     @staticmethod
-    def _report(exact, err):
-        return BoundReport(kappa=0.0, exact=exact, gaussian=0.5, lower=0.25, upper=0.75,
-                           params={"h": 0.25}, exact_err=err)
+    def _verdict(exact):
+        return bounds._verdict(exact, 0.25, 0.75, 1e-12)
 
     def test_holds_by_more_than_the_error(self):
-        assert self._report(0.75 - 2e-12, 1e-12).sandwich_ok is True
+        assert self._verdict(0.75 - 2e-12) is True
 
     def test_fails_by_more_than_the_error(self):
-        assert self._report(0.25 - 2e-12, 1e-12).sandwich_ok is False
+        assert self._verdict(0.25 - 2e-12) is False
 
     def test_undecided_within_the_error(self):
         for exact in (0.75 - 0.5e-12, 0.75 + 0.5e-12, 0.25, 0.25 - 0.5e-12):
-            assert self._report(exact, 1e-12).sandwich_ok is None
+            assert self._verdict(exact) is None
 
     def test_no_exact_value_no_verdict(self):
-        report = self._report(None, 0.0)
-        assert report.sandwich_ok is None
+        report = BoundReport(kappa=0.0, exact=None, gaussian=0.5, lower=0.25, upper=0.75,
+                             envelope_width=0.5, params={"h": 0.25}, sandwich_ok=None)
         assert "sandwich_ok" not in report.row()
+        # a body without exact values leaves the verdict undecided
+        spec = bounds.prepare_sum([(make_pmf(0.0, 1.0, [(0, 1), (1, 1)]), 0.5, 64)])
+        plug = bounds.bounded_plug_ins(spec, 0.25)
+        assert bounds.sandwich_envelope(spec, 32.0, plug).sandwich_ok is None
 
     def test_row_and_json_keys(self):
-        report = self._report(0.5, 1e-12)
+        report = BoundReport(kappa=0.0, exact=0.5, gaussian=0.5, lower=0.25, upper=0.75,
+                             envelope_width=0.5, params={"h": 0.25}, sandwich_ok=True,
+                             exact_err=1e-12)
         assert report.row() == {"kappa": 0.0, "exact": 0.5, "gaussian": 0.5, "lower": 0.25,
                                 "upper": 0.75, "envelope_width": 0.5, "sandwich_ok": True}
         out = report.to_json_dict(ConstantsRegistry())
@@ -859,6 +900,17 @@ class TestCsvCells:
         assert header == list(flats[0]) and len(rows) == len(flats)
         for row, flat in zip(rows, flats):
             assert row == [_fmt(flat[key]) for key in header]
+
+    def test_carriage_return_cell_is_quoted(self, capsys, tmp_path):
+        path = str(tmp_path / "no\rsuch.json")
+        code, out = run_cli(capsys, ["characteristics", path, "--format", "csv"])
+        json_code, json_out = run_cli(capsys, ["characteristics", path])
+        assert code == json_code == 2
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["error.kind", "error.message"]
+        assert len(rows) == 1 and len(rows[0]) == len(header)
+        assert rows[0][1] == json.loads(json_out)["error"]["message"]
+        assert "\r" in rows[0][1]
 
 
 class TestSuccessiveCalls:
