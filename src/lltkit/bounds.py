@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -93,14 +93,7 @@ class ConstantsRegistry:
         return max(self.c2, 2.0**1.5 * self.ce)
 
     def to_json_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "ce": self.ce,
-            "provenance": self.provenance,
-        }
+        return {**asdict(self), "c1": self.c1, "c2": self.c2, "c3": self.c3}
 
 
 DEFAULT_CONSTANTS = ConstantsRegistry()
@@ -306,17 +299,17 @@ def calibrate_c0_scan(n_max: int) -> np.ndarray:
     return out
 
 
-def calibrated_registry(n_max: int, ce: float = DEFAULT_CE) -> ConstantsRegistry:
-    """Registry with c0 recalibrated by an exact scan up to ``n_max``."""
+def calibrated_registry(n_max: int) -> ConstantsRegistry:
+    """Registry with c0 recalibrated by an exact scan up to ``n_max`` and the
+    default ce."""
     scan = calibrate_c0_scan(n_max)
     c0 = float(scan.max())
     argmax = int(scan.argmax()) + 1
     return ConstantsRegistry(
         c0=c0,
-        ce=ce,
         provenance=(
             f"c0: exact scan for n <= {n_max}, max {c0!r} attained at n = {argmax} "
-            f"(empirical, not certified beyond the scan). ce: {ce} (user-supplied default)."
+            f"(empirical, not certified beyond the scan). ce: {DEFAULT_CE} (user-supplied default)."
         ),
     )
 
@@ -430,16 +423,18 @@ def c0_tail_bound(n: int) -> float:
     return math.nextafter(float(_tail_bound_interval(_interval_context(), n).b), math.inf)
 
 
-def certified_registry(n0: int, ce: float = DEFAULT_CE) -> ConstantsRegistry:
-    """Registry whose c0 bounds the scaled fair-coin gap at every n >= 1.
+def certified_registry(n0: int) -> ConstantsRegistry:
+    """Registry whose c0, :data:`DEFAULT_C0`, bounds the scaled fair-coin gap
+    at every n >= 1; its ce is the default.
 
     Let b_n be the Binomial(n, 1/2) pmf, ``x = (2z - n)/sqrt(n)``,
     ``g_n(z) = sqrt(2/(pi n)) exp(-x^2/2)`` and
     ``s_n = n^{3/2} sup_z |b_n(z) - g_n(z)|`` (the entries of
     :func:`calibrate_c0_scan`).  s_n tends to ``L = sqrt(2/pi)/4`` from
     below, so the returned c0, the smallest double not below L (checked in
-    interval arithmetic), is the least double that bounds every s_n.  It does
-    not depend on n0, which only sets where the scan hands over to the tail.
+    interval arithmetic: c0 >= L and its predecessor < L), is the least
+    double that bounds every s_n.  It does not depend on n0, which only sets
+    where the scan hands over to the tail.
 
     **Scan, n <= n0.**  Every entry of ``calibrate_c0_scan(n0)`` plus its
     :func:`c0_scan_error_bound` must lie strictly below c0.
@@ -496,14 +491,12 @@ def certified_registry(n0: int, ce: float = DEFAULT_CE) -> ConstantsRegistry:
         )
     ctx = _interval_context()
     limit = _gap_limit(ctx)
-    c0 = float(limit.b)
-    if (ctx.mpf(c0) >= limit) is not True:
-        c0 = math.nextafter(c0, math.inf)
+    c0 = DEFAULT_C0
     if not (
         (ctx.mpf(c0) >= limit) is True
         and (ctx.mpf(math.nextafter(c0, -math.inf)) < limit) is True
     ):
-        raise NumericsError("cannot pin the smallest double above sqrt(2/pi)/4")
+        raise NumericsError(f"c0 = {c0!r} is not the smallest double >= sqrt(2/pi)/4")
     u0 = ctx.mpf(C0_TAIL_U0)
     # interval comparisons return True only when they hold on the whole enclosure
     decreasing_from = (5 / (-2 * ctx.log(ctx.cos(u0))), 3 / u0**2)
@@ -520,13 +513,12 @@ def certified_registry(n0: int, ce: float = DEFAULT_CE) -> ConstantsRegistry:
         raise NumericsError(f"scan entry at n = {bad} plus its error bound reaches c0 = {c0!r}")
     return ConstantsRegistry(
         c0=c0,
-        ce=ce,
         provenance=(
             f"c0: certified for every n: the smallest double >= sqrt(2/pi)/4, the limit of the "
             f"n^(3/2)-scaled binomial/Gaussian gap; exact scan with floating-point error bounds "
             f"for n <= {n0} (largest entry plus bound {float(worst.max())!r}), analytic tail bound "
             f"for n > {n0} (below the limit from N* = {C0_TAIL_N_STAR}). "
-            f"ce: {ce} (user-supplied default)."
+            f"ce: {DEFAULT_CE} (user-supplied default)."
         ),
     )
 
@@ -682,9 +674,16 @@ def bounded_plug_ins(
     ``E psi(X_j)`` is taken about the lattice origin, not about ``E X_j``, so
     the bound grows with the distance of the law from 0: for ``{1, 2, 1}/4``
     at n = 1e4 it is 0.0224 / 0.112 / 0.493 / 4.6e4 at v0 = -1 / 0 / 1 /
-    100, against an exact H_n of 0.0016."""
+    100, against an exact H_n of 0.0016.
+
+    A denominator that is not > 0, as when ``psi(sqrt(Var S_n))`` or Var S_n
+    itself underflows on a tiny span, is a :class:`NumericsError`."""
     moms = psi_moments([p for p, _, _ in spec.parts], psi)
-    l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / psi(math.sqrt(spec.var))
+    scale = psi(math.sqrt(spec.var))
+    if not (scale > 0):
+        raise NumericsError(f"L_n undefined: its denominator psi(sqrt(Var S_n)) = {scale!r} is "
+                            f"not > 0 (Var S_n = {spec.var!r})")
+    l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / scale
     h_n = 2.0**1.5 * constants.ce * l_n
     rho = chernoff_rho(spec.theta_n, h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, h=h, l_n=l_n)
@@ -877,7 +876,7 @@ def _psi_body(spec: SumSpec, plug_ins: PlugIns, constants: ConstantsRegistry,
         raise LatticeError("psi envelope needs an L_n plug-in (bounded-plug-ins)")
     return _symmetric_body(
         spec, plug_ins, exact, stat=plug_ins.l_n, const=constants.c3,
-        limit=math.sqrt(7.0 * _log_theta_n(spec.theta_n) / (2.0 * spec.theta_n)),
+        limit=h_default(spec.theta_n),
         limit_text="sqrt(7 log theta_n / (2 theta_n))",
         params={"l_n": plug_ins.l_n},
     )

@@ -52,7 +52,8 @@ def _load_constants(path: str | None) -> bounds.ConstantsRegistry:
     """The default registry with the values of the override file at ``path``.
 
     The file holds a JSON object that may set ``c0`` and ``ce`` (finite
-    numbers > 0) and ``provenance`` (a string); c1-c3 are derived.
+    numbers > 0) and ``provenance`` (a string); c1-c3 are derived and must
+    be finite.
     """
     over = _read_json(path) if path else {}
     if not isinstance(over, dict):
@@ -68,7 +69,11 @@ def _load_constants(path: str | None) -> bounds.ConstantsRegistry:
                 f"constants override {key!r}: {value!r} rejected; the file may set c0 and ce "
                 "(finite numbers > 0) and provenance (a string)"
             )
-    return bounds.ConstantsRegistry(**values)
+    registry = bounds.ConstantsRegistry(**values)
+    if not math.isfinite(registry.c3):  # c3 >= c2 >= c1
+        raise LatticeError(f"constants override rejected: the derived constants must be finite, "
+                           f"got c2 = {registry.c2!r}, c3 = {registry.c3!r}")
+    return registry
 
 
 def _read_json(path: str) -> Any:
@@ -133,20 +138,9 @@ def _csv_line(cells: list[str]) -> str:
     return out.getvalue()[:-2] + "\n"
 
 
-def _json_scalar(x: Any) -> str:
-    """``json.dumps(x)`` for one value of a sweep row."""
-    if type(x) is float and math.isfinite(x):
-        return repr(x)
-    return "null" if x is None else json.dumps(x)
-
-
 #: lattice points per block of a sweep: each block's columns are computed,
 #: formatted and written before the next, so memory stays flat in the length
 _SWEEP_BLOCK = 64
-
-#: the cell of each verdict, per format
-_VERDICT_TEXT = {"csv": {True: "true", False: "false", None: ""},
-                 "json": {True: "true", False: "false", None: "null"}}
 
 
 def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
@@ -156,10 +150,12 @@ def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
     keys sorted.  The names and cells come from the first block's columns:
     a column of None is a constant cell, a column of floats ``%.17g`` in CSV
     and ``repr`` (``json.dumps`` when a block holds a value that is not
-    finite) in JSON, and any other column (the verdicts) a lookup.  Each row
-    is one ``%`` of the template."""
+    finite) in JSON, and any other column (the verdicts) a lookup of the
+    cells that :func:`_fmt` (CSV) or ``json.dumps`` (JSON) gives True, False
+    and None.  Each row is one ``%`` of the template."""
     first = next(blocks)
-    as_csv, verdict_text = output_format == "csv", _VERDICT_TEXT[output_format]
+    as_csv = output_format == "csv"
+    verdict_text = {v: (_fmt if as_csv else json.dumps)(v) for v in (True, False, None)}
     names = sorted(first)
     floats = [name for name in names if first[name] and type(first[name][0]) is float]
     verdicts = [name for name in names if first[name] and name not in floats]
@@ -177,7 +173,7 @@ def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
         cols = {name: block[name] for name in floats}
         if not as_csv:
             finite = all(map(math.isfinite, itertools.chain(*cols.values())))
-            cols = {name: list(map(repr if finite else _json_scalar, col))
+            cols = {name: list(map(repr if finite else json.dumps, col))
                     for name, col in cols.items()}
         cols.update((name, [verdict_text[v] for v in block[name]]) for name in verdicts)
         rows = zip(*(cols[name] for name in names if name in cols))

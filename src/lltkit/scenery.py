@@ -448,8 +448,9 @@ class MonteCarloEstimate:
     samples: int
     seed: int
 
-    def interval(self, z: float = 3.0) -> tuple[float, float]:
-        return self.p_hat - z * self.stderr, self.p_hat + z * self.stderr
+    def interval(self) -> tuple[float, float]:
+        """The three-standard-error interval ``p_hat -/+ 3 stderr``."""
+        return self.p_hat - 3.0 * self.stderr, self.p_hat + 3.0 * self.stderr
 
 
 #: draws per Monte Carlo chunk; a chunk holds this many small ints

@@ -643,6 +643,21 @@ class TestErrorsAndOverrides:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "input-error"
 
+    @pytest.mark.parametrize("override, c2", [({"c0": 1e308}, "inf"), ({"ce": 1e308}, "60.0")],
+                             ids=["c0", "ce"])
+    def test_override_with_infinite_derived_constant_exits_2(self, capsys, bern_file, tmp_path,
+                                                             override, c2):
+        # finite c0 and ce can still overflow c2 = 12 (c1 + 1) or c3 = 2^1.5 ce
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps(override))
+        code, out = run_cli(capsys, ["--constants", str(consts), "llt-bound", bern_file,
+                                     "--n", "32", "--kappa", "16"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "input-error",
+            "message": "constants override rejected: the derived constants must be finite, "
+                       f"got c2 = {c2}, c3 = inf"}
+
     def test_bad_override_rejected_for_every_subcommand(self, capsys, tmp_path, monkeypatch):
         consts = tmp_path / "consts.json"
         consts.write_text(json.dumps({"ce": -1}))
@@ -870,6 +885,24 @@ class TestOverflow:
         assert (code, out) == (2, render({"error": error}, fmt))
 
 
+class TestTinySpan:
+    """Bounded plug-ins on a span so small that psi(sqrt(Var S_n)), or Var
+    S_n itself, underflows to 0 refuse L_n with a numerical-failure object."""
+
+    @pytest.mark.parametrize("d", [1e-110, 1e-200])
+    @pytest.mark.parametrize("envelope", ["sandwich", "central", "psi"])
+    def test_l_n_refused(self, capsys, tmp_path, d, envelope):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"v0": 0, "D": d, "probs": [[0, 1], [1, 1]]}))
+        code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "100", "--mode",
+                                     "bounded-plug-ins", "--envelope", envelope,
+                                     "--kappa", repr(50 * d)])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "numerical-failure"
+        assert error["message"].startswith("L_n undefined: its denominator psi(sqrt(Var S_n))")
+
+
 class TestCsvCells:
     """csv.reader reads every CSV output into rows as long as its header,
     and each cell is ``_fmt`` of the JSON output's value (flattened)."""
@@ -1053,6 +1086,19 @@ class TestSweepRows:
         ks = range(2333 - block, 2333 + block + block // 2)
         code, out = self.sweep(capsys, law_file, "sandwich", "bounded-plug-ins", ks, fmt)
         assert (code, out) == self.expected("sandwich", "bounded-plug-ins", ks, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cells_match_single_points(self, capsys, tmp_path, fmt):
+        # a subnormal theta makes 1/((1-h) Theta_n) overflow, so the envelope
+        # sides are -inf and inf and the JSON rows take the non-finite path
+        law = {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1e-320]]}
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law))
+        code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "1000", "--format", fmt,
+                                     "--kappa-from", "0", "--kappa-to", "1"])
+        expected = _single_point_sweep(law, 1000, "sandwich", "exact-plug-ins", 0.25, range(2))
+        assert (code, out) == (expected[0], render(expected[1], fmt))
+        assert code == 0 and ("Infinity" if fmt == "json" else "inf") in out
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
