@@ -21,6 +21,7 @@ from .bounds import (
     central_envelope,
     certified_registry,
     chernoff_rho,
+    constants_from_json,
     de_moivre_envelope,
     exact_plug_ins,
     h_default,

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .convolve import (_U, SumLaw, _as_count, bernoulli, exact_moments, kolmogor
                        sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
-from .lattice import LatticePmf, kappa_index, moments, psi_moments, theta
+from .lattice import LatticePmf, _real, kappa_index, moments, psi_moments, theta
 
 #: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
 #: Gaussian comparison, valid for every n: the smallest double not below
@@ -63,12 +63,21 @@ DEFAULT_C0 = 0.19947114020071635
 DEFAULT_CE = 0.5600
 
 
+#: message refusing a constants key and its value, ``.format(key, value)``
+_REFUSED = ("constants override {!r}: {!r} rejected; the file may set c0 and ce (finite "
+            "numbers > 0) and provenance (a string)")
+
+
 @dataclass(frozen=True)
 class ConstantsRegistry:
     """Numerical constants with calibration provenance.
 
-    Derived constants: ``c1 = max(4, c0)``, ``c2 = 12 * (c1 + 1)``,
-    ``c3 = max(c2, 2**1.5 * ce)``.
+    ``c0`` and ``ce`` must be real numbers, finite and > 0, and are stored
+    as floats; ``provenance`` must be a string.  The derived constants
+    ``c1 = max(4, c0)``, ``c2 = 12 * (c1 + 1)`` and
+    ``c3 = max(c2, 2**1.5 * ce)`` are set on construction and must be
+    finite.  Anything else is a :class:`LatticeError`, the same one that a
+    constants file with those values gives (:func:`constants_from_json`).
     """
 
     c0: float = DEFAULT_C0
@@ -79,21 +88,38 @@ class ConstantsRegistry:
         "ce: Esseen-type constant, literature default 0.5600, user-overridable. "
         "c2: fixed to 12*(c1+1), the larger of the two published forms, conservatively."
     )
+    c1: float = field(init=False)
+    c2: float = field(init=False)
+    c3: float = field(init=False)
 
-    @cached_property
-    def c1(self) -> float:
-        return max(4.0, self.c0)
+    def __post_init__(self) -> None:
+        for key, value in (("c0", self.c0), ("ce", self.ce)):
+            try:
+                x = _real(value, key)
+            except LatticeError:
+                x = math.nan
+            if not 0 < x < math.inf:
+                raise LatticeError(_REFUSED.format(key, value))
+            object.__setattr__(self, key, x)
+        if not isinstance(self.provenance, str):
+            raise LatticeError(_REFUSED.format("provenance", self.provenance))
+        object.__setattr__(self, "c1", max(4.0, self.c0))
+        object.__setattr__(self, "c2", 12.0 * (self.c1 + 1.0))
+        object.__setattr__(self, "c3", max(self.c2, 2.0**1.5 * self.ce))
+        if not math.isfinite(self.c3):  # c3 >= c2 >= c1
+            raise LatticeError(f"constants override rejected: the derived constants must be "
+                               f"finite, got c2 = {self.c2!r}, c3 = {self.c3!r}")
 
-    @cached_property
-    def c2(self) -> float:
-        return 12.0 * (self.c1 + 1.0)
 
-    @cached_property
-    def c3(self) -> float:
-        return max(self.c2, 2.0**1.5 * self.ce)
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "c1": self.c1, "c2": self.c2, "c3": self.c3}
+def constants_from_json(obj: Any) -> ConstantsRegistry:
+    """The registry of a constants override object: the defaults with the
+    values of its keys, a subset of ``c0``, ``ce`` and ``provenance``."""
+    if not isinstance(obj, dict):
+        raise LatticeError("constants override file must hold a JSON object")
+    for key, value in obj.items():
+        if key not in ("c0", "ce", "provenance"):
+            raise LatticeError(_REFUSED.format(key, value))
+    return ConstantsRegistry(**obj)
 
 
 DEFAULT_CONSTANTS = ConstantsRegistry()
@@ -165,7 +191,7 @@ class BoundReport:
             **self.row(),
             "lower_negative": self.lower_negative,
             "params": dict(self.params),
-            "constants": constants.to_json_dict(),
+            "constants": asdict(constants),
         }
 
 
@@ -677,13 +703,17 @@ def bounded_plug_ins(
     100, against an exact H_n of 0.0016.
 
     A denominator that is not > 0, as when ``psi(sqrt(Var S_n))`` or Var S_n
-    itself underflows on a tiny span, is a :class:`NumericsError`."""
+    itself underflows on a tiny span, and an L_n that is not finite, as when
+    ``E psi(X_j)`` overflows on a huge span, are a :class:`NumericsError`."""
     moms = psi_moments([p for p, _, _ in spec.parts], psi)
     scale = psi(math.sqrt(spec.var))
     if not (scale > 0):
         raise NumericsError(f"L_n undefined: its denominator psi(sqrt(Var S_n)) = {scale!r} is "
                             f"not > 0 (Var S_n = {spec.var!r})")
     l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / scale
+    if not math.isfinite(l_n):
+        raise NumericsError(f"L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n)) = {l_n!r} is not "
+                            f"finite (its denominator is {scale!r})")
     h_n = 2.0**1.5 * constants.ce * l_n
     rho = chernoff_rho(spec.theta_n, h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, h=h, l_n=l_n)

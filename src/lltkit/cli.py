@@ -48,34 +48,6 @@ ENV_CONSTANTS = "LLT_CONSTANTS"
 FALLBACK_H = 0.25
 
 
-def _load_constants(path: str | None) -> bounds.ConstantsRegistry:
-    """The default registry with the values of the override file at ``path``.
-
-    The file holds a JSON object that may set ``c0`` and ``ce`` (finite
-    numbers > 0) and ``provenance`` (a string); c1-c3 are derived and must
-    be finite.
-    """
-    over = _read_json(path) if path else {}
-    if not isinstance(over, dict):
-        raise LatticeError("constants override file must hold a JSON object")
-    values = {}
-    for key, value in over.items():
-        if key in ("c0", "ce") and type(value) in (int, float) and 0 < value <= sys.float_info.max:
-            values[key] = float(value)
-        elif key == "provenance" and isinstance(value, str):
-            values[key] = value
-        else:
-            raise LatticeError(
-                f"constants override {key!r}: {value!r} rejected; the file may set c0 and ce "
-                "(finite numbers > 0) and provenance (a string)"
-            )
-    registry = bounds.ConstantsRegistry(**values)
-    if not math.isfinite(registry.c3):  # c3 >= c2 >= c1
-        raise LatticeError(f"constants override rejected: the derived constants must be finite, "
-                           f"got c2 = {registry.c2!r}, c3 = {registry.c3!r}")
-    return registry
-
-
 def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fobj:
@@ -114,16 +86,10 @@ def render(payload: Any, output_format: str) -> str:
     if output_format != "csv":
         raise LatticeError(f"unknown output format {output_format!r}")
     rows = payload if isinstance(payload, list) else [payload]
-    flat_rows = []
-    for row in rows:
-        flat: dict = {}
+    flat_rows: list[dict] = [{} for _ in rows]
+    for row, flat in zip(rows, flat_rows):
         _flatten("", row, flat)
-        flat_rows.append(flat)
-    headers: list[str] = []
-    for flat in flat_rows:
-        for key in flat:
-            if key not in headers:
-                headers.append(key)
+    headers = list(dict.fromkeys(key for flat in flat_rows for key in flat))
     cells = [headers] + [[_fmt(flat.get(h)) for h in headers] for flat in flat_rows]
     return "".join(map(_csv_line, cells))
 
@@ -252,13 +218,6 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     constants = args.constants
     spec = _iid_spec(args)
     sweep = _sweep_indices(args, spec)
-    if args.law_out:
-        text = render(spec.law.to_json_dict(), "json")
-        try:
-            with open(args.law_out, "w", encoding="utf-8") as fobj:
-                fobj.write(text)
-        except OSError as exc:
-            raise LatticeError(f"cannot write output file {args.law_out}: {exc}") from exc
     exact = args.mode == "exact-plug-ins"
     # only the sandwich reads h and rho_n, and only the psi envelope reads L_n
     h = _pick_h(args, spec.theta_n) if args.envelope == "sandwich" else None
@@ -269,9 +228,16 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
     if sweep is None:
         # looked up per request, so that wrappers set on the bounds module apply
         envelope = getattr(bounds, f"{args.envelope}_envelope")
-        return envelope(spec, args.kappa, plug, constants, exact).to_json_dict(constants)
-    body = bounds._BODIES[args.envelope](spec, plug, constants, exact)
-    return body.sweep(sweep, _SWEEP_BLOCK)
+        out = envelope(spec, args.kappa, plug, constants, exact).to_json_dict(constants)
+    else:  # every refusal of the sweep is raised here
+        out = bounds._BODIES[args.envelope](spec, plug, constants, exact).sweep(sweep, _SWEEP_BLOCK)
+    if args.law_out:  # written once no refusal is left
+        try:
+            with open(args.law_out, "w", encoding="utf-8") as fobj:
+                fobj.write(render(spec.law.to_json_dict(), "json"))
+        except OSError as exc:
+            raise LatticeError(f"cannot write output file {args.law_out}: {exc}") from exc
+    return out
 
 
 def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
@@ -353,7 +319,9 @@ def run(args: argparse.Namespace) -> tuple[int, Any]:
     all been raised here."""
     try:
         # one registry per invocation; every subcommand reads it from here
-        args.constants = _load_constants(args.constants or os.environ.get(ENV_CONSTANTS))
+        path = args.constants or os.environ.get(ENV_CONSTANTS)
+        args.constants = (bounds.constants_from_json(_read_json(path)) if path
+                          else bounds.DEFAULT_CONSTANTS)
         return 0, _COMMANDS[args.command](args)
     except PreconditionError as exc:
         return 1, {"error": {"kind": "hypothesis-rejected", "message": str(exc)}}

@@ -62,13 +62,14 @@ class LatticePmf:
 
 
 def _integral(k, what: str) -> int:
-    """``k`` as an int: an int, or a float with an integral value, of
-    magnitude at most 2^53, so that every ``v0 + D*k`` computed in doubles
-    reads it exactly; anything else (a JSON ``true`` too) is a
-    :class:`LatticeError` naming ``what``."""
+    """``k`` as an int: an integer (a numpy integer too), or a float with an
+    integral value, of magnitude at most 2^53, so that every ``v0 + D*k``
+    computed in doubles reads it exactly; anything else (a JSON ``true``
+    too) is a :class:`LatticeError` naming ``what``."""
     if isinstance(k, float) and k.is_integer():
         k = int(k)
-    if isinstance(k, int) and not isinstance(k, bool):
+    if isinstance(k, (int, numbers.Integral)) and not isinstance(k, bool):
+        k = int(k)
         if abs(k) <= 2**53:
             return k
         raise LatticeError(f"{what} {k} is above 2^53 in magnitude")

@@ -77,8 +77,9 @@ class SceneryModel:
     and +-1 walks are models too.  The oracles that need strictly positive
     (or nonnegative) increments check that themselves.
     ``vartheta_profile`` is either one constant level or a map r -> level.
-    ``n`` is read as the JSON reader reads it: an integer, or a float with
-    an integral value (``2.0``); anything else is a :class:`LatticeError`.
+    ``n`` is read as the JSON reader reads it: an integer (a numpy integer
+    too), or a float with an integral value (``2.0``); anything else is a
+    :class:`LatticeError`.
     """
 
     x_law: LatticePmf

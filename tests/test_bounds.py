@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +17,7 @@ from lltkit import (
     DEFAULT_C0,
     DEFAULT_CONSTANTS,
     LatticeError,
+    NumericsError,
     PlugIns,
     PreconditionError,
     bernoulli,
@@ -26,6 +27,7 @@ from lltkit import (
     central_envelope,
     certified_registry,
     chernoff_rho,
+    constants_from_json,
     de_moivre_envelope,
     exact_plug_ins,
     h_default,
@@ -105,6 +107,54 @@ class TestConstantsRegistry:
         reg = calibrated_registry(100)
         assert reg.c0 == pytest.approx(C0_SCAN_100, abs=1e-14)
         assert "n <= 100" in reg.provenance
+
+    def test_derived_constants_are_fields(self):
+        reg = ConstantsRegistry(c0=Fraction(1, 5), ce=np.float64(2.0))
+        assert asdict(reg) == {"c0": 0.2, "ce": 2.0, "provenance": DEFAULT_CONSTANTS.provenance,
+                               "c1": 4.0, "c2": 60.0, "c3": 60.0}
+        assert all(type(asdict(reg)[key]) is float for key in ("c0", "ce", "c1", "c2", "c3"))
+
+    @pytest.mark.parametrize("values, message", [
+        ({"c0": 1e308}, "constants override rejected: the derived constants must be finite, "
+                        "got c2 = inf, c3 = inf"),
+        ({"ce": 1e308}, "constants override rejected: the derived constants must be finite, "
+                        "got c2 = 60.0, c3 = inf"),
+        ({"ce": float("nan")}, "constants override 'ce': nan rejected; "),
+        ({"c0": -1.0}, "constants override 'c0': -1.0 rejected; "),
+        ({"c0": 0}, "constants override 'c0': 0 rejected; "),
+        ({"ce": True}, "constants override 'ce': True rejected; "),
+        ({"c0": "0.2"}, "constants override 'c0': '0.2' rejected; "),
+        ({"c0": 10**400}, f"constants override 'c0': {10**400} rejected; "),
+        ({"provenance": 3}, "constants override 'provenance': 3 rejected; "),
+    ], ids=["c0-overflows-c2", "ce-overflows-c3", "ce-nan", "c0-negative", "c0-zero", "ce-bool",
+            "c0-string", "c0-beyond-doubles", "provenance-number"])
+    def test_refuses_what_no_envelope_can_use(self, values, message):
+        rule = "the file may set c0 and ce (finite numbers > 0) and provenance (a string)"
+        if message.endswith("; "):
+            message += rule
+        with pytest.raises(LatticeError) as err:
+            ConstantsRegistry(**values)
+        assert str(err.value) == message
+        with pytest.raises(LatticeError) as err:
+            constants_from_json(values)
+        assert str(err.value) == message
+
+    def test_from_json_sets_a_subset_of_the_fields(self):
+        assert constants_from_json({}) == DEFAULT_CONSTANTS
+        reg = constants_from_json({"c0": 1, "provenance": "pinned"})
+        assert reg == ConstantsRegistry(c0=1.0, provenance="pinned")
+        assert type(reg.c0) is float
+
+    @pytest.mark.parametrize("obj, message", [
+        ([0.2], "constants override file must hold a JSON object"),
+        (0.2, "constants override file must hold a JSON object"),
+        ({"c0": 0.3, "c1": 5}, "constants override 'c1': 5 rejected; the file may set c0 and ce "
+                               "(finite numbers > 0) and provenance (a string)"),
+    ], ids=["list", "number", "unknown-key"])
+    def test_from_json_refuses_other_objects(self, obj, message):
+        with pytest.raises(LatticeError) as err:
+            constants_from_json(obj)
+        assert str(err.value) == message
 
 
 class TestCalibrateC0:
@@ -706,6 +756,13 @@ class TestBoundedPlugIns:
         n = 50
         bounded_plug_ins(prepare_sum([(uniform3, 2.0 / 3.0, 1)] * n), psi=psi)
         assert calls == check_calls + n * support + 1
+
+    @pytest.mark.parametrize("d, n", [(5e102, 4), (3.6e102, 9)])
+    def test_non_finite_l_n_refused(self, d, n):
+        # sum_j E|X_j|^3 overflows while Var S_n and its psi stay finite
+        spec = prepare_sum([(make_pmf(0.0, d, [(0, 1), (1, 1)]), 0.5, n)])
+        with pytest.raises(NumericsError, match=r"^L_n = sum_j E psi\(X_j\) / "):
+            bounded_plug_ins(spec, 0.25)
 
 
 class TestDeMoivreEnvelope:

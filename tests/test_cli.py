@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -198,6 +199,29 @@ class TestLltBound:
         assert law["D"] == 1.0 and law["v0"] == 0.0
         masses = dict((int(k), v) for k, v in law["probs"])
         assert masses[4] == pytest.approx(math.comb(8, 4) / 2**8, rel=1e-13)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--n", "64", "--h", "1.5", "--kappa", "32"], 1),
+        (["--n", "4000", "--mode", "bounded-plug-ins", "--envelope", "central",
+          "--kappa", "2100"], 1),
+        (["--n", "4000", "--mode", "bounded-plug-ins", "--envelope", "central",
+          "--kappa-from", "2000", "--kappa-to", "2100"], 1),
+        (["--n", "64", "--envelope", "psi", "--kappa", "32"], 1),
+    ], ids=["h-out-of-range", "central-point-outside", "central-sweep-outside",
+            "psi-theta-n-too-small"])
+    def test_refused_request_writes_no_law(self, capsys, bern_file, tmp_path, argv, code):
+        law_path = tmp_path / "law.json"
+        argv = ["llt-bound", bern_file, *argv, "--law-out", str(law_path)]
+        assert run_cli(capsys, argv)[0] == code
+        assert not law_path.exists()
+
+    def test_law_out_written_with_a_sweep(self, capsys, bern_file, tmp_path):
+        law_path = tmp_path / "law.json"
+        argv = ["llt-bound", bern_file, "--n", "8", "--kappa-from", "2", "--kappa-to", "6"]
+        code, out = run_cli(capsys, [*argv, "--law-out", str(law_path)])
+        assert (code, out) == run_cli(capsys, argv)
+        assert pmf_from_json(json.loads(law_path.read_text())).probs[4] == pytest.approx(
+            math.comb(8, 4) / 2**8, rel=1e-13)
 
     def test_law_out_unwritable_path_exits_2(self, capsys, bern_file, tmp_path):
         path = tmp_path / "no" / "such" / "law.json"
@@ -658,6 +682,22 @@ class TestErrorsAndOverrides:
             "message": "constants override rejected: the derived constants must be finite, "
                        f"got c2 = {c2}, c3 = inf"}
 
+    @pytest.mark.parametrize("values", [
+        {"c0": 1e308}, {"ce": float("nan")}, {"c0": -1.0}, {"ce": True}, {"c0": "0.2"},
+        {"provenance": None}, {"c2": 1.0},
+    ], ids=["c0-overflows-c2", "ce-nan", "c0-negative", "ce-bool", "c0-string",
+            "provenance-null", "c2-derived"])
+    def test_file_refused_as_the_python_api_refuses_it(self, capsys, bern_file, tmp_path,
+                                                       values):
+        consts = tmp_path / "consts.json"
+        consts.write_text(json.dumps(values))
+        with pytest.raises(LatticeError) as err:
+            bounds.constants_from_json(values)
+        code, out = run_cli(capsys, ["--constants", str(consts), "llt-bound", bern_file,
+                                     "--n", "32", "--kappa", "16"])
+        assert (code, json.loads(out)) == (2, {"error": {"kind": "input-error",
+                                                         "message": str(err.value)}})
+
     def test_bad_override_rejected_for_every_subcommand(self, capsys, tmp_path, monkeypatch):
         consts = tmp_path / "consts.json"
         consts.write_text(json.dumps({"ce": -1}))
@@ -717,7 +757,7 @@ class TestSandwichVerdict:
         out = report.to_json_dict(ConstantsRegistry())
         assert set(out) == set(report.row()) | {"lower_negative", "params", "constants"}
         assert out["lower_negative"] is False and out["params"] == {"h": 0.25}
-        assert out["constants"] == ConstantsRegistry().to_json_dict()
+        assert out["constants"] == dataclasses.asdict(ConstantsRegistry())
 
     def test_exact_mode_passes_the_law_error(self, capsys, bern_file, monkeypatch):
         import lltkit.bounds as bounds
@@ -901,6 +941,25 @@ class TestTinySpan:
         error = json.loads(out)["error"]
         assert error["kind"] == "numerical-failure"
         assert error["message"].startswith("L_n undefined: its denominator psi(sqrt(Var S_n))")
+
+
+class TestHugeSpan:
+    """Bounded plug-ins on a span so large that sum_j E|X_j|^3 overflows,
+    while Var S_n and its psi stay finite, refuse L_n with a
+    numerical-failure object instead of printing an infinite envelope."""
+
+    @pytest.mark.parametrize("envelope", ["sandwich", "central", "psi"])
+    def test_l_n_refused(self, capsys, tmp_path, envelope):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"v0": 0, "D": 5e102, "probs": [[0, 1], [1, 1]]}))
+        code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "4", "--mode",
+                                     "bounded-plug-ins", "--envelope", envelope,
+                                     "--kappa", "1e103"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "numerical-failure",
+            "message": "L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n)) = inf is not finite "
+                       "(its denominator is 1.25e+308)"}
 
 
 class TestCsvCells:

@@ -81,6 +81,17 @@ class TestMakePmf:
         assert (p.v0, p.D, p.probs) == (1.0, 0.5, {0: 0.25, 1: 0.75})
         assert type(p.v0) is float and type(p.D) is float
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_accepts_numpy_integer_indices(self, dtype):
+        w = [1.0, 2.0, 1.0]
+        p = make_pmf(0, 1, zip(np.arange(3, dtype=dtype), w))
+        assert p == make_pmf(0, 1, zip(range(3), w))
+        assert all(type(k) is int for k in p.probs)
+        with pytest.raises(LatticeError, match="support index must be an integer, got np.True_"):
+            make_pmf(0, 1, [(np.bool_(True), 1.0)])
+        with pytest.raises(LatticeError, match=f"support index {2**53 + 1} is above 2"):
+            make_pmf(0, 1, [(np.int64(2**53 + 1), 1.0)])
+
     def test_json_round_trip(self):
         p = make_pmf(-1.5, 0.5, [(2, 3), (4, 1)])
         q = pmf_from_json(p.to_json_dict())

@@ -43,6 +43,13 @@ class TestEnumeration:
             count_via_enumeration(1, 61)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_numpy_integer_m_and_n(dtype):
+    out = count_partitions(dtype(2), dtype(10))
+    assert out == count_partitions(2, 10)
+    assert type(out.m) is int and type(out.n) is int
+
+
 class TestSolveSigma:
     def test_residual_within_tolerance(self):
         for m, n in [(1, 10), (2, 17), (5, 30), (1, 60)]:

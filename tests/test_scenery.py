@@ -149,6 +149,12 @@ class TestModelValidation:
         m = SceneryModel(bern(), inc_ones(), 2.0, 0.5)
         assert type(m.n) is int and second_moment_check(m).theta_n == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_numpy_integer_n_and_sites(self, dtype):
+        m = SceneryModel(bern(), inc_12(), dtype(4), {dtype(r): 0.25 for r in range(1, 9)})
+        assert m == SceneryModel(bern(), inc_12(), 4, {r: 0.25 for r in range(1, 9)})
+        assert type(m.n) is int and second_moment_check(m).theta_n == 1.0
+
     def test_json_round_trip(self):
         m = SceneryModel(bern(), inc_12(), 4, {r: 0.25 for r in range(1, 9)})
         m2 = scenery_from_json(m.to_json_dict())
