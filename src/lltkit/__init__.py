@@ -7,6 +7,12 @@ brute-force machinery (convolutions, Poisson-binomial laws, Kolmogorov
 distances) that every envelope is validated against.
 """
 
+# The bare package, which loads no subpackage (about 1 MB): no command
+# imports scipy otherwise, and ``perfbench/worker.py`` reads
+# ``sys.modules["scipy"].__version__`` after its requests.  scipy.integrate
+# is imported by the one function that uses it.
+import scipy  # noqa: F401
+
 from .bounds import (
     BoundReport,
     ConstantsRegistry,

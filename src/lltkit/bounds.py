@@ -703,8 +703,9 @@ def bounded_plug_ins(
     100, against an exact H_n of 0.0016.
 
     A denominator that is not > 0, as when ``psi(sqrt(Var S_n))`` or Var S_n
-    itself underflows on a tiny span, and an L_n that is not finite, as when
-    ``E psi(X_j)`` overflows on a huge span, are a :class:`NumericsError`."""
+    itself underflows on a tiny span, an L_n that is not finite, as when
+    ``E psi(X_j)`` overflows on a huge span, and an H_n that is not finite,
+    as when a huge ``ce`` overflows the product, are a :class:`NumericsError`."""
     moms = psi_moments([p for p, _, _ in spec.parts], psi)
     scale = psi(math.sqrt(spec.var))
     if not (scale > 0):
@@ -715,6 +716,9 @@ def bounded_plug_ins(
         raise NumericsError(f"L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n)) = {l_n!r} is not "
                             f"finite (its denominator is {scale!r})")
     h_n = 2.0**1.5 * constants.ce * l_n
+    if not math.isfinite(h_n):
+        raise NumericsError(f"H_n = 2^1.5 ce L_n = {h_n!r} is not finite "
+                            f"(ce = {constants.ce!r}, L_n = {l_n!r})")
     rho = chernoff_rho(spec.theta_n, h) if h is not None else None
     return PlugIns(h_n=h_n, rho_n=rho, h=h, l_n=l_n)
 

@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator
 from typing import Any
@@ -347,6 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
+        # a value such as -4.4e-16 is a number, not an option: argparse reads
+        # it so from Python 3.13 on, and before that only without an exponent
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 

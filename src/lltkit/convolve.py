@@ -24,8 +24,9 @@ the power only, the product written back over the array's old window.
 Every oracle reads the dense array of the resulting :class:`SumLaw` in
 place, and ``SumLaw.err_abs`` bounds how far any of its masses can be from
 the exact law (derived at :func:`sum_law`).  The normal CDF is
-``scipy.special.ndtr`` (absolute error near machine precision), which scipy
-loads on first use, so building a law never imports ``scipy.special``.
+:func:`_ndtr`, Cephes' ``ndtr`` (absolute error near machine precision) in
+numpy with libm's ``exp``, which gives the doubles of ``scipy.special.ndtr``
+without importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy  # scipy.special is loaded by its first attribute access
 
 from .errors import LatticeError, NumericsError
 from .lattice import LatticePmf, _moments
@@ -45,9 +45,39 @@ from .lattice import LatticePmf, _moments
 #: unit roundoff of double precision
 _U = 2.0**-53
 
-#: absolute error charged to ``scipy.special.ndtr``, the normal CDF Phi: the
-#: model of Cephes' ``ndtr``, whose absolute error is a few u
+#: absolute error charged to :func:`_ndtr`, the normal CDF Phi: the model of
+#: Cephes' ``ndtr``, whose absolute error is a few u
 _NDTR_ERR = 8.0 * _U
+
+#: C's ``M_SQRT1_2``, the same double
+_SQRT1_2 = math.sqrt(0.5)
+
+#: Cephes' ``MAXLOG``, ``log(DBL_MAX)``: libm's ``exp`` overflows above it
+_MAXLOG = math.log(np.finfo(float).max)
+
+#: Cephes' rational approximations, highest degree first: the numerators T,
+#: P, R and denominators U, Q, S of ``erf`` on [0, 1] and of ``erfc`` on
+#: [1, 8) and [8, inf).  The leading 1 of U, Q and S is Cephes' ``p1evl``,
+#: and the leading zeros that pad each to 9 coefficients leave Horner's
+#: rule the same doubles (``0 x + 0`` is 0 and ``0 x + c`` is c, x finite).
+_NDTR_POLY = np.array([
+    (0.0, 0.0, 0.0, 0.0, 9.60497373987051638749e0, 9.00260197203842689217e1,
+     2.23200534594684319226e3, 7.00332514112805075473e3, 5.55923013010394962768e4),
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
+    (0.0, 0.0, 0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0,
+     5.01905042251180477414e0, 6.16021097993053585195e0, 7.40974269950448939160e0,
+     2.97886665372100240670e0),
+    (0.0, 0.0, 0.0, 1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+     4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4),
+    (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2),
+    (0.0, 0.0, 1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+     1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
+     3.36907645100081516050e0),
+])
 
 #: the rounding-up factor of :func:`_measured` for a double vector of length 2
 _UP2 = 1.0 + 2.0 * 4 * _U + 4.0 * _U
@@ -185,6 +215,22 @@ def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
     ninf = min(x.ninf * y.n1, x.n1 * y.ninf, x.n2 * y.n2)
     return _Bounds(n1 * (1.0 + g), n2 * (1.0 + g), ninf * (1.0 + g),
                    *_propagate(x, y, g * n1, g * n2, g * ninf))
+
+
+def _pair_product(x: _Bounds, a: float, b: float, m: int) -> _Bounds:
+    """``_direct_product(x, _measured(np.array([a, b])), m)``, the same doubles,
+    on Python floats with one ``_Bounds`` built: numpy sums two doubles as
+    their rounded sum, and the pair's error terms, all zero, add nothing to
+    :func:`_propagate`'s sums."""
+    y1, y2, yinf = (a + b) * _UP2, math.sqrt(a * a + b * b) * _UP2, max(a, b) * (1.0 + 2.0 * _U)
+    g = _gamma(m, _U)
+    n1, n2 = x.n1 * y1, min(x.n2 * y1, x.n1 * y2)
+    ninf = min(x.ninf * y1, x.n1 * yinf, x.n2 * y2)
+    e1 = x.e1 * y1 + g * n1
+    e2 = min(x.e2 * y1, x.e1 * y2) + g * n2
+    einf = min(x.einf * y1, x.e1 * yinf, x.e2 * y2) + g * ninf
+    return _Bounds(n1 * (1.0 + g), n2 * (1.0 + g), ninf * (1.0 + g),
+                   e1, min(e2, e1), min(einf, e2, e1))
 
 
 def _eta(size: int, u: float) -> float:
@@ -481,7 +527,8 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        with the norms of its positive masses; a two-atom part ``{0: a, j:
        b}`` computes them from the scalars, ``(a + b) up``, ``sqrt(a^2 +
        b^2) up`` and ``max(a, b) (1 + 2u)`` with ``up = 1 + 12u``, the same
-       doubles as the sums over a 2-entry array, which numpy rounds once.
+       doubles as the sums over a 2-entry array, which numpy rounds once,
+       and takes its step on those floats (:func:`_pair_product`).
     3. *Extended set*: the cutoff ``tau`` comes from the precision, so it
        adds no setting.  A frequency left out has ``c_j < tau``, and its
        share of ``e_inf`` carries ``tau^(n-2) <= u_e / tau^2``; membership
@@ -538,17 +585,15 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
                 win *= a
                 j = lo + s * j
                 acc[j:j + len(x)] += x
-                # _measured of [a, b]: numpy sums two doubles as their rounded sum
-                bp = _Bounds((a + b) * _UP2, math.sqrt(a * a + b * b) * _UP2,
-                             max(a, b) * (1.0 + 2.0 * _U))
+                ab = _pair_product(ab, a, b, min(len(x), 2))
             else:
                 x[:] = win
                 win[:] = 0.0
                 for k, wk in pos:
                     k = lo + s * k
                     acc[k:k + len(x)] += wk * x
-                bp = _measured(np.array([w for _, w in pos]))
-            ab = _direct_product(ab, bp, min(len(x), len(pos)))
+                ab = _direct_product(ab, _measured(np.array([w for _, w in pos])),
+                                     min(len(x), len(pos)))
             lo, hi = lo + s * pos[0][0], hi + s * pos[-1][0]
         else:
             win = acc[lo:hi]
@@ -609,6 +654,45 @@ def bernoulli(t: float) -> LatticePmf:
     return LatticePmf(0.0, 1.0, {0: 1.0 - t, 1: t} if t < 1.0 else {1: 1.0})
 
 
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The normal CDF Phi of each entry of the 1-d float array ``a``: Cephes'
+    ``ndtr`` (S. Moshier, *Methods and Programs for Mathematical Functions*,
+    1989) with its ``erf`` and ``erfc``, in scipy's branch order and with
+    its coefficients, so the doubles are those of ``scipy.special.ndtr``.
+    ``exp`` is libm's (``math.exp``, per entry of the ``erfc`` tail), as in
+    the C code; numpy's vectorized ``exp`` rounds differently.
+
+    With ``x = a/sqrt2`` and ``z = |x|``, ``z < 1/sqrt2`` gives ``0.5 + 0.5
+    erf(x)`` and any other z ``0.5 erfc(z)``, taken from 1 when ``x > 0``.
+    ``erf(w)`` for ``|w| < 1`` is ``w T(w^2) / U(w^2)``, and ``erfc(z)`` is
+    ``1 - erf(z)`` below 1, ``exp(-z^2) P(z) / Q(z)`` below 8, ``exp(-z^2)
+    R(z) / S(z)`` from 8 on, and 0 where ``z^2 > MAXLOG``.  One Horner pass
+    evaluates each entry's numerator and denominator from ``_NDTR_POLY``.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    c = np.minimum(z, 27.0)  # 27^2 > MAXLOG; every product below stays finite
+    zz = c * c
+    inside = zz <= _MAXLOG  # elsewhere erfc(z) is 0, or x is NaN
+    series = z < 1.0
+    near = z < _SQRT1_2
+    f = np.where(near, x, c)  # w of erf(w), or exp(-z^2) in the tail
+    tail = np.flatnonzero(inside & ~series)
+    f[tail] = np.fromiter(map(math.exp, (-zz[tail]).tolist()), float, len(tail))
+    branch = (z >= 1.0).view(np.int8) + (z >= 8.0)  # T/U, P/Q or R/S
+    coef = np.take(_NDTR_POLY, np.concatenate([branch, branch + 3]), axis=0).T
+    arg = np.where(series, zz, c)
+    arg = np.concatenate([arg, arg])
+    ratio = coef[0] * arg + coef[1]
+    for step in coef[2:]:
+        ratio *= arg
+        ratio += step
+    r = f * ratio[:len(x)] / ratio[len(x):]  # erf(w) where z < 1, else erfc(z)
+    h = 0.5 * np.where(series, 1.0 - r, r)
+    y = np.where(near, 0.5 + 0.5 * r, np.where(x > 0.0, 1.0 - h, h))
+    return np.where(inside, y, 0.5 + 0.5 * np.sign(x))  # 0 or 1; NaN stays NaN
+
+
 def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
     """Exact sup-distance between the CDF of ``(S - center)/scale`` and Phi.
 
@@ -619,7 +703,7 @@ def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
     ks, w = law.atoms()
-    phi = scipy.special.ndtr((law.v0 + law.D * ks - center) / scale)
+    phi = _ndtr((law.v0 + law.D * ks - center) / scale)
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
     return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())

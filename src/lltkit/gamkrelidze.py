@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.special is loaded by its first attribute access
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
-from .convolve import _NDTR_ERR, _U, SumLaw
+from .convolve import _NDTR_ERR, _U, SumLaw, _ndtr
 from .errors import LatticeError
 
 #: most points an interval-discrepancy window (and its d-table) may hold
@@ -118,7 +117,7 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
                            f"points, above the cap of {WINDOW_CAP}")
     p = np.zeros(size)
     p[ks - k_lo] = w
-    edges = scipy.special.ndtr((np.arange(k_lo - 1, k_hi + 1) - a_n) / sd)
+    edges = _ndtr((np.arange(k_lo - 1, k_hi + 1) - a_n) / sd)
     ell = np.diff(edges)
     d = p - ell
     prefix = np.concatenate([[0.0], np.cumsum(d)])
@@ -166,7 +165,7 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
     table within its floating-point error could meet it; with ``E`` the law's
     ``err_abs`` and u the unit roundoff:
 
-    - *Cell edges.*  ``Phi((k - a_n)/sqrt(b_n))`` is ndtr (absolute error
+    - *Cell edges.*  ``Phi((k - a_n)/sqrt(b_n))`` is Cephes' ndtr (absolute error
       ``_NDTR_ERR = 8u``) at an argument ``x (1 + theta)``, ``|theta| <=
       gamma_3`` (the subtraction, the square root and the division), which moves Phi by
       ``|x phi(xi) theta| <= gamma_3 / 4`` since ``|t phi(t)| <= 0.242``.

@@ -93,7 +93,9 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
 
     Weights may be unnormalized; they are merged by index, validated
     (non-negative, at least one positive) and normalized to sum to one.
-    ``v0``, ``D`` and every weight must be real numbers that a double holds;
+    ``v0``, ``D`` and every weight must be real numbers that a double holds,
+    and the support points ``v0 + D*k`` of positive mass must be distinct
+    doubles (a span below the spacing of doubles at v0 collapses them);
     anything else is a :class:`LatticeError` that names the value.
     """
     D, v0 = _real(D, "D"), _real(v0, "v0")
@@ -112,6 +114,11 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
     if total <= 0:
         raise LatticeError("at least one weight must be positive")
     probs = {k: w / total for k, w in sorted(merged.items()) if w > 0}
+    points = [(v0 + D * k, k) for k in probs]  # non-decreasing in k, as D > 0
+    for (x, k), (y, j) in zip(points, points[1:]):
+        if x == y:
+            raise LatticeError(f"support points collapse: v0 + D*k is {x!r} at k = {k} and "
+                               f"k = {j} (v0 = {v0!r}, D = {D!r})")
     return LatticePmf(v0, D, probs)
 
 

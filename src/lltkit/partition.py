@@ -11,7 +11,10 @@ for j = m..n and any real sigma, the count satisfies the exact identity
 
 sigma only affects numerical conditioning; the canonical choice centers the
 sum at n by solving ``sum_{j=m..n} j / (1 + e^{sigma j}) = n`` (the left side
-is strictly decreasing in sigma).  ``P{sum X_j = n}`` is read from
+is strictly decreasing in sigma) by Brent's method.  The logistic and the
+root finder are lltkit's own, :func:`_expit` and :func:`_brentq`, and give
+the doubles of scipy's ``expit`` and ``brentq``, so a count imports no scipy
+subpackage.  ``P{sum X_j = n}`` is read from
 :func:`lltkit.convolve.sum_law` over the n - m + 1 two-point laws as count-1
 parts; each is folded by its two atoms, two shifted adds of the running
 array, about n^3/3 multiply-adds in all where a convolution over each part's
@@ -31,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.special is loaded by its first attribute access
 
-from .convolve import _check_length, sum_law
+from .convolve import _MAXLOG, _check_length, sum_law
 from .errors import NumericsError, PreconditionError
 from .lattice import LatticePmf, _integral
 
@@ -42,6 +44,60 @@ ENUMERATION_LIMIT = 60
 
 #: residual target for the centering equation
 SIGMA_RESIDUAL_TOL = 1e-12
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic ``1 / (1 + e^-x)`` of each entry of the 1-d array ``x``,
+    with libm's ``exp`` (``math.exp``): scipy's ``expit``, the same doubles."""
+    t = -x
+    e = np.fromiter(map(math.exp, np.minimum(t, _MAXLOG).tolist()), float, len(t))
+    e[t > _MAXLOG] = np.inf  # C's exp overflows to inf there, where math.exp raises
+    return 1.0 / (1.0 + e)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of ``f`` in the bracket ``[xa, xb]`` by Brent's method (R.
+    Brent, *Algorithms for Minimization without Derivatives*, 1973), line for
+    line scipy's C ``brentq``, so its steps and its root are the same doubles:
+    inverse quadratic or secant steps kept within the bracket, bisection
+    otherwise, until the bracket is within ``xtol + rtol |x|``."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericsError(f"no sign change on [{xa}, {xb}]")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericsError(f"Brent's method did not converge (maxiter = {maxiter})")
 
 
 def _normalize(m: int, n: int) -> tuple[int, int]:
@@ -65,7 +121,7 @@ def solve_sigma(m: int, n: int) -> float:
     ``t_j = fl(j * expit(fl(-sigma j)))``.  With unit roundoff u and to first
     order, each term errs by the relative ``(|sigma| j + 5) u``: the rounded
     argument moves ``expit`` by ``|sigma| j u`` (as ``|d log expit(x)/dx| <=
-    1``), scipy's ``expit`` is within 4u (measured: 2.2u) and the product
+    1``), ``_expit`` (scipy's ``expit``) is within 4u (measured: 2.2u) and the product
     adds u.  A sum of N non-negative terms in any order errs by ``(N - 1) u``
     times their sum (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 4), the subtraction of n by ``u |r|``.  Doubling covers
@@ -89,27 +145,24 @@ def solve_sigma(m: int, n: int) -> float:
     js = np.arange(m, n + 1, dtype=float)
 
     def g(s: float) -> float:
-        return float(np.sum(js * scipy.special.expit(-s * js))) - n
+        return float(np.sum(js * _expit(-s * js))) - n
 
     lo, hi = -1.0, 1.0
     while g(lo) < 0:
         lo *= 2.0
     while g(hi) > 0:
         hi *= 2.0
-    from scipy.optimize import brentq  # on first use, so importing lltkit skips scipy.optimize
-
-    sigma = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    sigma = _brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     # polish with Newton steps; g is smooth and strictly decreasing
     for _ in range(8):
         res = g(sigma)
         if abs(res) <= SIGMA_RESIDUAL_TOL:
             break
-        slope = -float(np.sum(js * js * scipy.special.expit(sigma * js)
-                              * scipy.special.expit(-sigma * js)))
+        slope = -float(np.sum(js * js * _expit(sigma * js) * _expit(-sigma * js)))
         sigma -= res / slope
     res = g(sigma)
     if abs(res) > SIGMA_RESIDUAL_TOL:
-        t = js * scipy.special.expit(-sigma * js)
+        t = js * _expit(-sigma * js)
         # the bound B of the docstring; 2**-52 is 2u
         bound = 2.0**-52 * ((len(js) + 4) * float(np.sum(t))
                             + abs(sigma) * float(np.sum(js * t)) + abs(res))
@@ -133,7 +186,7 @@ def _model_count(m: int, n: int, sigma: float) -> int:
     if sigma == float("-inf"):
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
     js = np.arange(m, n + 1, dtype=float)
-    p_hit = scipy.special.expit(-sigma * js)  # P{X_j = j}
+    p_hit = _expit(-sigma * js)  # P{X_j = j}
     # the masses make_pmf stores for [(0, 1 - p), (j, p)], a zero mass dropped:
     # their fsum, the rounded (1 - p) + p, is 1.0 for every p in [0, 1] (1 - p
     # is exact for p >= 1/2 and off by at most 2^-54 below), so normalizing

@@ -765,6 +765,16 @@ class TestBoundedPlugIns:
             bounded_plug_ins(spec, 0.25)
 
 
+    def test_non_finite_h_n_refused(self):
+        # L_n = 18 is finite, and 2^1.5 ce L_n overflows for a huge ce that
+        # the registry accepts (its c3 = 2^1.5 ce is finite)
+        spec = prepare_sum([(make_pmf(1.0, 1.0, [(0, 1), (1, 1)]), 0.5, 4)])
+        with pytest.raises(NumericsError, match=r"^H_n = 2\^1\.5 ce L_n = inf is not finite "
+                                                r"\(ce = 1e\+307, L_n = 18\.0\)$"):
+            bounded_plug_ins(spec, 0.25, constants=ConstantsRegistry(ce=1e307))
+        assert bounded_plug_ins(spec, 0.25, constants=ConstantsRegistry(ce=1e306)).h_n < math.inf
+
+
 class TestDeMoivreEnvelope:
     def test_center_bound_formula(self):
         est, bound = de_moivre_envelope(1000, 0.5, 500, 0.5)

@@ -943,6 +943,54 @@ class TestTinySpan:
         assert error["message"].startswith("L_n undefined: its denominator psi(sqrt(Var S_n))")
 
 
+class TestNonFiniteValues:
+    """A huge ce overflows H_n = 2^1.5 ce L_n, and a huge v0 collapses the
+    lattice points: each is refused with an error object, exit 2."""
+
+    def test_h_n_refused(self, capsys, tmp_path):
+        law, consts = tmp_path / "law.json", tmp_path / "ce.json"
+        law.write_text(json.dumps({"v0": 1, "D": 1, "probs": [[0, 1], [1, 1]]}))
+        consts.write_text(json.dumps({"ce": 1e307}))
+        code, out = run_cli(capsys, ["--constants", str(consts), "llt-bound", str(law), "--n", "4",
+                                     "--mode", "bounded-plug-ins", "--kappa", "6", "--h", "0.25"])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "numerical-failure",
+            "message": "H_n = 2^1.5 ce L_n = inf is not finite (ce = 1e+307, L_n = 18.0)"}
+
+    @pytest.mark.parametrize("command", ["characteristics", "validate"])
+    def test_collapsed_lattice_refused(self, capsys, tmp_path, command):
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"v0": 1e102, "D": 1, "probs": [[0, 1], [1, 1]]}))
+        code, out = run_cli(capsys, [command, str(law)])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "input-error",
+            "message": "support points collapse: v0 + D*k is 1e+102 at k = 0 and k = 1 "
+                       "(v0 = 1e+102, D = 1.0)"}
+
+
+_OFF_LATTICE = {"v0": -0.1, "D": 0.3, "probs": [[0, 0.5], [1, 0.25]]}
+
+
+@pytest.mark.parametrize("law, option, value, argv", [
+    (_OFF_LATTICE, "--kappa-from", "-4.440892098500626e-16",
+     ["llt-bound", "{law}", "--n", "39", "--kappa-to", "1.2", "--format", "csv"]),
+    (_OFF_LATTICE, "--kappa", "-1e0",
+     ["llt-bound", "{law}", "--n", "10", "--mode", "bounded-plug-ins"]),
+    ({"v0": -1, "D": 1, "probs": [[0, 0.5], [1, 0.25]]}, "--a", "-2.5e1",
+     ["gamkrelidze", "{law}", "--n", "39"]),
+], ids=["kappa-from", "kappa", "a"])
+def test_negative_numbers_in_exponent_form_are_values(capsys, tmp_path, law, option, value, argv):
+    # "--kappa -1e0" reads as "--kappa=-1e0", not as a second option
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    argv = [a.replace("{law}", str(path)) for a in argv]
+    spaced = run_cli(capsys, argv + [option, value])
+    assert spaced == run_cli(capsys, argv + [f"{option}={value}"])
+    assert spaced[0] == 0 and spaced[1]
+
+
 class TestHugeSpan:
     """Bounded plug-ins on a span so large that sum_j E|X_j|^3 overflows,
     while Var S_n and its psi stay finite, refuse L_n with a
@@ -1252,30 +1300,46 @@ class TestSweepRows:
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # quad and brentq are imported by the two functions that call them, the
-    # transforms are numpy's, and scipy loads scipy.special on first use
+    # quad is imported by the one function that calls it, the transforms are
+    # numpy's, and ndtr, expit and brentq are lltkit's own
     code = ("import sys, lltkit.cli; sys.exit(any(m in sys.modules for m in "
             "('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft')))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-def test_bounded_commands_leave_scipy_special_unloaded(tmp_path):
-    # bounded envelopes and characteristics need no special function; scipy
-    # itself stays imported, since perfbench's worker reads the version of
-    # sys.modules["scipy"] after its requests
+def test_commands_leave_scipy_subpackages_unloaded(tmp_path):
+    # no command needs scipy.special or scipy.optimize, the exact ones (an
+    # exact sweep, gamkrelidze, the scenery envelope with Monte Carlo, each
+    # partition mode) included; scipy itself stays imported, since perfbench's
+    # worker reads the version of sys.modules["scipy"] after its requests
     law = tmp_path / "law.json"
     law.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]}))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                                 "increments": {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1]]},
+                                 "n": 16, "vartheta": 0.5}))
     argvs = [
         ["llt-bound", str(law), "--n", "4000", "--mode", "bounded-plug-ins", "--format", "csv",
          "--kappa-from", "3990", "--kappa-to", "4010"],
         ["llt-bound", str(law), "--n", "4000", "--mode", "bounded-plug-ins", "--envelope", "psi",
          "--kappa", "4000"],
+        ["llt-bound", str(law), "--n", "600", "--format", "csv", "--kappa-from", "590",
+         "--kappa-to", "610"],
+        ["llt-bound", str(law), "--n", "64", "--kappa", "64"],
         ["characteristics", str(law)],
+        ["split", str(law), "--vartheta", "0.25"],
+        ["validate", str(law)],
+        ["gamkrelidze", str(law), "--n", "600"],
+        ["scenery", str(model)],
+        ["scenery", str(model), "--kappa", "24", "--mc", "2000"],
+        ["partition", "--m", "1", "--n", "40", "--mode", "both"],
+        ["partition", "--m", "2", "--n", "150", "--mode", "model"],
+        ["partition", "--m", "1", "--n", "30", "--mode", "enum"],
     ]
     code = ("import sys, lltkit.cli\n"
             f"for argv in {argvs!r}:\n"
             "    assert lltkit.cli.main(argv) == 0, argv\n"
             "assert 'scipy' in sys.modules\n"
-            "sys.exit('scipy.special' in sys.modules)")
+            "sys.exit(any(m in sys.modules for m in ('scipy.special', 'scipy.optimize')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

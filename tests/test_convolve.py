@@ -28,8 +28,8 @@ from lltkit import (
 )
 
 from lltkit import convolve
-from lltkit.convolve import (_Bounds, _direct_product, _measured, _power, exact_moments,
-                             kolmogorov_bound)
+from lltkit.convolve import (_MAXLOG, _Bounds, _direct_product, _measured, _ndtr,
+                             _pair_product, _power, exact_moments, kolmogorov_bound)
 
 from .conftest import random_pmf
 
@@ -565,14 +565,23 @@ class TestSparseFold:
     def test_count_one_bounds_are_the_measured_norms(self, monkeypatch):
         # every count-1 part enters the bound chain with the norms _measured
         # gives for its positive masses, to the bit, also where a drift of
-        # one of them would be hidden by a min() further down the chain
+        # one of them would be hidden by a min() further down the chain; a
+        # two-atom part {0: a, j: b} takes its step on floats, which must be
+        # _direct_product's with those norms, to the bit
         seen = []
 
         def spy(x, y, m):
             seen.append(y)
             return _direct_product(x, y, m)
 
+        def pair_spy(x, a, b, m):
+            seen.append(y := _measured(np.array([a, b])))
+            step = _pair_product(x, a, b, m)
+            assert step == _direct_product(x, y, m)
+            return step
+
         monkeypatch.setattr(convolve, "_direct_product", spy)
+        monkeypatch.setattr(convolve, "_pair_product", pair_spy)
         rng = np.random.default_rng(5)
         pairs = [make_pmf(0.0, 1.0, [(0, a), (int(j), 1.0)]) for a, j in
                  [(1e-300, 1), (5e-324, 2), (1.0, 3), (0.3, 1)]]
@@ -794,6 +803,45 @@ class TestLltDiscrepancy:
     def test_degenerate_variance_rejected(self, point_mass):
         with pytest.raises(LatticeError):
             llt_discrepancy(iid_sum(point_mass, 1))
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The bit patterns of a float array, every NaN as one pattern."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+class TestNdtr:
+    """``_ndtr`` gives the doubles of ``scipy.special.ndtr``, bit for bit."""
+
+    @pytest.mark.parametrize("center", [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)],
+                             ids=["erf-erfc", "erfc-1", "erfc-8"])
+    def test_dense_grid_at_each_branch_edge(self, center):
+        # |a| = sqrt2 |x|: x = 1/sqrt2 switches erf for erfc, x = 1 erfc's
+        # 1 - erf for P/Q, and x = 8 P/Q for R/S
+        a = center + np.arange(-20000, 20001) * 2.0**-40
+        a = np.concatenate([a, -a, np.linspace(center - 1e-3, center + 1e-3, 20001)])
+        assert np.array_equal(_bits(_ndtr(a)), _bits(ndtr(a)))
+
+    def test_random_values(self):
+        rng = np.random.default_rng(29)
+        a = np.concatenate([rng.uniform(-45.0, 45.0, 200000), 3.0 * rng.standard_normal(200000)])
+        assert np.array_equal(_bits(_ndtr(a)), _bits(ndtr(a)))
+
+    def test_special_values_and_the_underflow_edge(self):
+        # erfc(z) is 0 once z^2 > MAXLOG, near |a| = sqrt(2 MAXLOG) = 37.68;
+        # huge finite values square to inf, and numpy must not warn of it
+        edge = math.sqrt(_MAXLOG)
+        z = edge + np.arange(-2000, 2001) * 2.0**-47
+        a = np.concatenate([z * math.sqrt(2.0), np.linspace(37.5, 38.5, 4001)])
+        big = np.finfo(float).max
+        a = np.concatenate([a, -a, [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                                    1e200, -1e200, big, -big]])
+        assert np.array_equal(_bits(_ndtr(a)), _bits(ndtr(a)))
+        assert ((z[1:] * z[1:] > _MAXLOG) & (z[:-1] * z[:-1] <= _MAXLOG)).any()
+
+    def test_empty_and_one_entry_arrays(self):
+        assert _ndtr(np.array([])).shape == (0,)
+        assert _ndtr(np.array([0.5])).tolist() == [float(ndtr(0.5))]
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -74,6 +74,22 @@ class TestMakePmf:
         with pytest.raises(LatticeError, match="must be a number"):
             make_pmf(v0, d, entries)
 
+    @pytest.mark.parametrize("v0, d, entries, pair", [
+        (1e102, 1, [(0, 1), (1, 1)], (0, 1)),
+        (1.0, 1e-17, [(0, 1), (1, 1)], (0, 1)),
+        (1e16, 1, [(0, 1), (1, 1), (5, 1)], (0, 1)),  # 1e16 + 1 rounds to even
+        (0.0, 1e308, [(1, 1), (2, 1), (3, 1)], (2, 3)),  # both overflow to inf
+    ], ids=["huge-v0", "tiny-span", "tie", "overflow"])
+    def test_rejects_support_points_that_collapse(self, v0, d, entries, pair):
+        # two stored points v0 + D*k that are one double would merge atoms
+        with pytest.raises(LatticeError, match=f"^support points collapse: v0 \\+ D\\*k is "
+                                               f".* at k = {pair[0]} and k = {pair[1]} "):
+            make_pmf(v0, d, entries)
+
+    def test_accepts_a_collapsing_index_without_mass(self):
+        # only stored points count: 1e16 + 1 is 1e16, but it carries no mass
+        assert make_pmf(1e16, 1, [(0, 1), (1, 0), (2, 1)]).probs == {0: 0.5, 2: 0.5}
+
     def test_accepts_real_numbers_of_other_types(self):
         from fractions import Fraction
 

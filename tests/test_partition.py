@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import expit
 
 from lltkit import (
@@ -21,7 +22,7 @@ from lltkit import (
 )
 from lltkit import partition
 
-from .test_convolve import _fresh_array_fold
+from .test_convolve import _bits, _fresh_array_fold
 
 
 class TestEnumeration:
@@ -82,6 +83,48 @@ class TestSolveSigma:
     def test_infeasible_rejected(self):
         with pytest.raises(PreconditionError):
             solve_sigma(5, 4)
+
+
+class TestScipyRoutines:
+    """``_expit`` and ``_brentq`` give the doubles of scipy's ``expit`` and
+    ``brentq``, bit for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_root_and_logistic_on_the_partition_grid(self, m):
+        # the bracket and tolerances of solve_sigma, one g for both solvers
+        for n in range(max(m, 2), 301):
+            if (m + n) * (n - m + 1) // 2 <= n:
+                continue
+            js = np.arange(m, n + 1, dtype=float)
+
+            def g(s):
+                return float(np.sum(js * expit(-s * js))) - n
+
+            lo, hi = -1.0, 1.0
+            while g(lo) < 0:
+                lo *= 2.0
+            while g(hi) > 0:
+                hi *= 2.0
+            root = partition._brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            assert root.hex() == brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200).hex()
+            for x in (-root * js, root * js, -lo * js):
+                assert np.array_equal(_bits(partition._expit(x)), _bits(expit(x)))
+
+    def test_logistic_where_exp_overflows(self):
+        # C's exp(-x) is inf above MAXLOG, so expit is 0.0 there; math.exp
+        # would raise
+        edge = -partition._MAXLOG
+        x = edge + np.arange(-50, 51) * 2.0**-43
+        x = np.concatenate([x, [-710.0, -745.2, -1e308, -np.inf, np.inf, np.nan, 0.0, -0.0,
+                                5e-324, 36.0, 37.0, 710.0, 1e308]])
+        assert np.array_equal(_bits(partition._expit(x)), _bits(expit(x)))
+        assert partition._expit(np.array([np.nextafter(edge, -np.inf)])).tolist() == [0.0]
+
+    def test_brentq_refusals(self):
+        with pytest.raises(NumericsError, match="no sign change"):
+            partition._brentq(lambda x: x - 5.0, 0.0, 1.0, 1e-15, 8.9e-16, 200)
+        with pytest.raises(NumericsError, match=r"did not converge \(maxiter = 1\)"):
+            partition._brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 1e-15, 8.9e-16, 1)
 
 
 class TestModelCount:
