@@ -668,8 +668,8 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     exact laws from above."""
     if h is not None:
         _check_h(h)
+    parts = [(xi_law(split(p, t)), c) for p, t, c in spec.parts]
     try:
-        parts = [(xi_law(split(p, t)), c) for p, t, c in spec.parts]
         xi = sum_law(parts)
     except LatticeError as exc:  # name the law refused: it is not that of S_n
         raise LatticeError(f"conditional xi law on L({spec.v0:g}, {spec.d / 2:g}) "

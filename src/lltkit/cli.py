@@ -40,7 +40,7 @@ from typing import Any
 from . import bounds, gamkrelidze, partition, scenery
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import reconstruct, split, xi_law
-from .lattice import characteristics, lattice_position, moments, pmf_from_json, theta
+from .lattice import LatticePmf, characteristics, lattice_position, moments, pmf_from_json, theta
 
 ENV_CONSTANTS = "LLT_CONSTANTS"
 
@@ -280,13 +280,38 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
     return dataclasses.asdict(partition.count_partitions(args.m, args.n, args.partition_mode))
 
 
+def _variance_tolerance(pmf: LatticePmf, variance: float) -> float:
+    """Tolerance of ``validate``'s two variance identities, which the exact
+    laws obey exactly: ``max(1e-12, 64 u (R (S + u R) + Var X + D^2))``
+    with u = 2^-53, ``R = max_k (D (|k| + 1) + |v0 + D k|)`` and ``S = D
+    (k_max - k_min)`` over the support.
+
+    To first order in u: a support point (of X, or of xi on ``L(v0, D/2)``)
+    rounds by at most ``u R``, which moves a variance by ``2 u R S`` (``3 u
+    R S`` for xi, whose extent is ``S + D/2 <= 3 S / 2``), and the rounded
+    mean, within ``4 u R`` of the points' mean, adds at most its square,
+    ``17 u^2 R^2`` with the points' own rounding.  The products, squares
+    and sums round a variance by ``5u``, and the stored masses miss one by
+    ``2u``: ``7 u Var`` per variance.  The split's masses lie within ``9u``
+    of the source's, which moves xi's variance by ``9u (2 Var X + D^2 /
+    2)``, and ``D^2 vartheta / 4`` and the difference round by ``u D^2``
+    and ``u Var X``.  So the xi residual is at most ``33 u Var X + 5 u R S
+    + 34 u^2 R^2 + 6 u D^2`` and the other about half of it; 64 covers each
+    coefficient.  The floor is the fixed tolerance that held before."""
+    u, ks = 2.0**-53, list(pmf.probs)
+    r = max(pmf.D * (abs(k) + 1) + abs(pmf.point(k)) for k in ks)
+    s = pmf.D * (ks[-1] - ks[0])
+    return max(1e-12, 64.0 * u * (r * (s + u * r) + variance + pmf.D**2))
+
+
 def _cmd_validate(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
     ch = characteristics(pmf)
+    tol = _variance_tolerance(pmf, ch.variance)
     rows = [  # (name, residual, tolerance)
         ("delta_equals_2_minus_2_theta", abs(ch.delta - (2.0 - 2.0 * ch.theta)), 1e-12),
         ("variance_at_least_quarter_span_sq_theta",
-         max(0.0, pmf.D**2 * ch.theta / 4.0 - ch.variance), 1e-12),
+         max(0.0, pmf.D**2 * ch.theta / 4.0 - ch.variance), tol),
     ]
     if ch.theta > 0:
         sp = split(pmf)
@@ -295,7 +320,7 @@ def _cmd_validate(args: argparse.Namespace) -> dict:
         _, xv = moments(xi_law(sp))
         rows += [("reconstruction_pointwise", err, 1e-14),
                  ("xi_variance_identity",
-                  abs(xv - (ch.variance - pmf.D**2 * sp.vartheta / 4.0)), 1e-12)]
+                  abs(xv - (ch.variance - pmf.D**2 * sp.vartheta / 4.0)), tol)]
     checks = [{"name": name, "residual": r, "pass": bool(r <= tol)} for name, r, tol in rows]
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,8 +169,7 @@ class SumLaw:
         return {"v0": self.v0, "D": self.D, "probs": probs}
 
 
-@dataclass(frozen=True)
-class _Bounds:
+class _Bounds(NamedTuple):
     """Upper bounds on the norms of a computed vector (``n1``, ``n2``,
     ``ninf``) and on the norms of its difference from the exact non-negative
     vector it stands for (``e1``, ``e2``, ``einf``)."""
@@ -195,40 +194,22 @@ def _measured(x: np.ndarray, e1: float = 0.0, e2: float = 0.0, einf: float = 0.0
                    float(ax.max()) * (1.0 + 2.0 * _U), e1, e2, einf)
 
 
-def _propagate(x: _Bounds, y: _Bounds, d1: float, d2: float, dinf: float):
-    """Error bounds (1-, 2- and inf-norm) of a computed ``x^ * y^ + D``
-    against the exact ``x * y``, when ``D`` obeys ``(d1, d2, dinf)``."""
-    x1, x2, xinf = x.n1 + x.e1, x.n2 + x.e2, x.ninf + x.einf
-    e1 = x.e1 * y.n1 + x1 * y.e1 + d1
-    e2 = min(x.e2 * y.n1, x.e1 * y.n2) + min(x1 * y.e2, x2 * y.e1) + d2
-    einf = (min(x.einf * y.n1, x.e1 * y.ninf, x.e2 * y.n2)
-            + min(xinf * y.e1, x1 * y.einf, x2 * y.e2) + dinf)
-    return e1, min(e2, e1), min(einf, e2, e1)
-
-
 def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
     """Bounds of ``numpy.convolve`` of ``x^`` and ``y^``, each entry a dot
-    product of at most ``m`` terms; its norms are bounded, not measured."""
+    product of at most ``m`` terms, against the exact ``x * y``: its norms
+    are bounded, not measured, and its errors (1-, 2- and inf-norm) are
+    those of both factors plus the rounding of the products."""
+    xn1, xn2, xninf, xe1, xe2, xeinf = x
+    yn1, yn2, yninf, ye1, ye2, yeinf = y
     g = _gamma(m, _U)
-    n1 = x.n1 * y.n1
-    n2 = min(x.n2 * y.n1, x.n1 * y.n2)
-    ninf = min(x.ninf * y.n1, x.n1 * y.ninf, x.n2 * y.n2)
-    return _Bounds(n1 * (1.0 + g), n2 * (1.0 + g), ninf * (1.0 + g),
-                   *_propagate(x, y, g * n1, g * n2, g * ninf))
-
-
-def _pair_product(x: _Bounds, a: float, b: float, m: int) -> _Bounds:
-    """``_direct_product(x, _measured(np.array([a, b])), m)``, the same doubles,
-    on Python floats with one ``_Bounds`` built: numpy sums two doubles as
-    their rounded sum, and the pair's error terms, all zero, add nothing to
-    :func:`_propagate`'s sums."""
-    y1, y2, yinf = (a + b) * _UP2, math.sqrt(a * a + b * b) * _UP2, max(a, b) * (1.0 + 2.0 * _U)
-    g = _gamma(m, _U)
-    n1, n2 = x.n1 * y1, min(x.n2 * y1, x.n1 * y2)
-    ninf = min(x.ninf * y1, x.n1 * yinf, x.n2 * y2)
-    e1 = x.e1 * y1 + g * n1
-    e2 = min(x.e2 * y1, x.e1 * y2) + g * n2
-    einf = min(x.einf * y1, x.e1 * yinf, x.e2 * y2) + g * ninf
+    n1 = xn1 * yn1
+    n2 = min(xn2 * yn1, xn1 * yn2)
+    ninf = min(xninf * yn1, xn1 * yninf, xn2 * yn2)
+    x1, x2, xinf = xn1 + xe1, xn2 + xe2, xninf + xeinf
+    e1 = xe1 * yn1 + x1 * ye1 + g * n1
+    e2 = min(xe2 * yn1, xe1 * yn2) + min(x1 * ye2, x2 * ye1) + g * n2
+    einf = (min(xeinf * yn1, xe1 * yninf, xe2 * yn2)
+            + min(xinf * ye1, x1 * yeinf, x2 * ye2) + g * ninf)
     return _Bounds(n1 * (1.0 + g), n2 * (1.0 + g), ninf * (1.0 + g),
                    e1, min(e2, e1), min(einf, e2, e1))
 
@@ -359,14 +340,14 @@ def _power(dense: np.ndarray, count: int):
     einf = (s1 + d1) * (1.0 + 4.0 * _U) + inv
     e2 = (math.sqrt(s2) + d2) * (1.0 + 4.0 * _U) + inv
     x = z[:length]
-    bx = _measured(x, min(length * einf, math.sqrt(length) * e2), e2, einf)
-    drop = x <= bx.einf
+    e1 = min(length * einf, math.sqrt(length) * e2)
+    drop = x <= einf
     if drop.any():
-        tail = _measured(x[drop])
-        top = max(0.0, float(x[drop].max()))
+        dropped = x[drop]
+        tail = _measured(dropped)
+        e1, e2, einf = e1 + tail.n1, e2 + tail.n2, einf + max(0.0, float(dropped.max()))
         x = np.where(drop, 0.0, x)
-        bx = _measured(x, bx.e1 + tail.n1, bx.e2 + tail.n2, bx.einf + top)
-    return x, bx
+    return x, _measured(x, e1, e2, einf)
 
 
 def _is_integer(x) -> bool:
@@ -527,8 +508,8 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        with the norms of its positive masses; a two-atom part ``{0: a, j:
        b}`` computes them from the scalars, ``(a + b) up``, ``sqrt(a^2 +
        b^2) up`` and ``max(a, b) (1 + 2u)`` with ``up = 1 + 12u``, the same
-       doubles as the sums over a 2-entry array, which numpy rounds once,
-       and takes its step on those floats (:func:`_pair_product`).
+       doubles as the sums over a 2-entry array, which numpy rounds once.
+       Every fold, of either kind, takes the same step (:func:`_direct_product`).
     3. *Extended set*: the cutoff ``tau`` comes from the precision, so it
        adds no setting.  A frequency left out has ``c_j < tau``, and its
        share of ``e_inf`` carries ``tau^(n-2) <= u_e / tau^2``; membership
@@ -585,15 +566,16 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
                 win *= a
                 j = lo + s * j
                 acc[j:j + len(x)] += x
-                ab = _pair_product(ab, a, b, min(len(x), 2))
+                pb = _Bounds((a + b) * _UP2, math.sqrt(a * a + b * b) * _UP2,
+                             max(a, b) * (1.0 + 2.0 * _U))
             else:
                 x[:] = win
                 win[:] = 0.0
                 for k, wk in pos:
                     k = lo + s * k
                     acc[k:k + len(x)] += wk * x
-                ab = _direct_product(ab, _measured(np.array([w for _, w in pos])),
-                                     min(len(x), len(pos)))
+                pb = _measured(np.array([w for _, w in pos]))
+            ab = _direct_product(ab, pb, min(len(x), len(pos)))
             lo, hi = lo + s * pos[0][0], hi + s * pos[-1][0]
         else:
             win = acc[lo:hi]

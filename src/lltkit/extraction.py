@@ -107,11 +107,15 @@ def xi_law(sp: BernoulliSplit) -> LatticePmf:
     """Law of ``xi = V + (D/2)*eps`` on the refined lattice ``L(v0, D/2)``.
 
     Mean equals the source mean; variance equals the source variance minus
-    ``D**2 * vartheta / 4``.
+    ``D**2 * vartheta / 4``.  A refusal names the refined lattice, which the
+    source law does not give.
     """
     src = sp.source
     out: dict[int, float] = {}
     for (k, e), p in sp.joint.items():
         kk = 2 * k + e
         out[kk] = out.get(kk, 0.0) + p
-    return make_pmf(src.v0, src.D / 2.0, out.items())
+    try:
+        return make_pmf(src.v0, src.D / 2.0, out.items())
+    except LatticeError as exc:
+        raise LatticeError(f"conditional xi law on L({src.v0:g}, {src.D / 2:g}): {exc}") from exc

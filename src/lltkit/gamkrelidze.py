@@ -88,7 +88,7 @@ class SmoothnessReport:
             "rho": self.rho,
             "a_n": self.a_n,
             "b_n": self.b_n,
-            "d_table": [[int(k), float(v)] for k, v in zip(self.ks, self.d)],
+            "d_table": [[k, v] for k, v in zip(self.ks.tolist(), self.d.tolist())],
         }
 
 

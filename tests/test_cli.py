@@ -14,6 +14,7 @@ import sys
 import tempfile
 from typing import Any
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -542,6 +543,59 @@ class TestOtherCommands:
         assert payload["all_pass"] is True
         names = {c["name"] for c in payload["checks"]}
         assert "reconstruction_pointwise" in names
+
+    def test_validate_passes_random_laws(self, capsys, tmp_path):
+        # 2-6 atoms on spans 1e-3..1e7, and on span 1 at |v0| 1e9..1e13: the
+        # variance identities hold up to the roundings of O(D^2) and O(|v0| D)
+        # quantities, above any fixed absolute tolerance
+        rng = np.random.default_rng(3)
+        path = tmp_path / "law.json"
+        for i in range(300):
+            m = int(rng.integers(2, 7))
+            ks = np.sort(rng.choice(np.arange(-4, 9), m, replace=False)).tolist()
+            w = (rng.random(m) + 0.05).tolist()
+            if i < 200:
+                v0, d = float(rng.uniform(-10, 10)), float(10 ** rng.uniform(-3, 7))
+            else:
+                v0, d = float(rng.choice([-1, 1]) * 10 ** rng.uniform(9, 13)), 1.0
+            path.write_text(json.dumps({"v0": v0, "D": d, "probs": list(zip(ks, w))}))
+            code, out = run_cli(capsys, ["validate", str(path)])
+            assert code == 0 and json.loads(out)["all_pass"] is True, (v0, d, ks, w, out)
+
+    @pytest.mark.parametrize("v0, d, stretch", [(3.0, 1.0, 5e-7), (3.0, 1e3, 5e-7),
+                                                 (1e12, 1.0, 0.1)])
+    def test_validate_fails_a_broken_identity(self, capsys, tmp_path, monkeypatch,
+                                              v0, d, stretch):
+        # an xi law whose span is stretched fails the xi identity and nothing
+        # else: by 5e-7 its variance is off by 1e-6 relative, and at |v0| =
+        # 1e12, where the tolerance allows for the points' rounding, by 0.1
+        xi_law = lltkit.cli.xi_law
+
+        def stretched(sp):
+            law = xi_law(sp)
+            return make_pmf(law.v0, law.D * (1.0 + stretch), law.probs.items())
+
+        monkeypatch.setattr(lltkit.cli, "xi_law", stretched)
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"v0": v0, "D": d, "probs": [[0, 1], [1, 2], [2, 1]]}))
+        code, out = run_cli(capsys, ["validate", str(path)])
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert code == 0 and failed == ["xi_variance_identity"]
+
+    @pytest.mark.parametrize("command", [["validate"], ["split"],
+                                         ["llt-bound", "--n", "4", "--kappa", "4",
+                                          "--mode", "exact-plug-ins"]])
+    def test_half_lattice_collapse_names_the_xi_law(self, capsys, tmp_path, command):
+        # the input's points are distinct, the xi law's on L(v0, D/2) are not
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"v0": 11248766609.43312, "D": 2.104877610497365e-06,
+                                    "probs": [[17, 1], [18, 2], [19, 1]]}))
+        assert run_cli(capsys, ["characteristics", str(path)])[0] == 0
+        code, out = run_cli(capsys, [command[0], str(path), *command[1:]])
+        error = json.loads(out)["error"]
+        assert code == 2 and error["kind"] == "input-error"
+        assert error["message"].startswith(
+            "conditional xi law on L(1.12488e+10, 1.05244e-06): support points collapse")
 
 
 class TestErrorsAndOverrides:

@@ -28,8 +28,8 @@ from lltkit import (
 )
 
 from lltkit import convolve
-from lltkit.convolve import (_MAXLOG, _Bounds, _direct_product, _measured, _ndtr,
-                             _pair_product, _power, exact_moments, kolmogorov_bound)
+from lltkit.convolve import (_MAXLOG, _Bounds, _direct_product, _measured, _ndtr, _power,
+                             exact_moments, kolmogorov_bound)
 
 from .conftest import random_pmf
 
@@ -563,25 +563,18 @@ class TestSparseFold:
         assert law.first == 3
 
     def test_count_one_bounds_are_the_measured_norms(self, monkeypatch):
-        # every count-1 part enters the bound chain with the norms _measured
-        # gives for its positive masses, to the bit, also where a drift of
-        # one of them would be hidden by a min() further down the chain; a
-        # two-atom part {0: a, j: b} takes its step on floats, which must be
-        # _direct_product's with those norms, to the bit
+        # every count-1 part, a two-atom part {0: a, j: b} built from its
+        # two floats included, enters the bound chain with the norms
+        # _measured gives for its positive masses, to the bit, also where a
+        # drift of one of them would be hidden by a min() further down the
+        # chain
         seen = []
 
         def spy(x, y, m):
             seen.append(y)
             return _direct_product(x, y, m)
 
-        def pair_spy(x, a, b, m):
-            seen.append(y := _measured(np.array([a, b])))
-            step = _pair_product(x, a, b, m)
-            assert step == _direct_product(x, y, m)
-            return step
-
         monkeypatch.setattr(convolve, "_direct_product", spy)
-        monkeypatch.setattr(convolve, "_pair_product", pair_spy)
         rng = np.random.default_rng(5)
         pairs = [make_pmf(0.0, 1.0, [(0, a), (int(j), 1.0)]) for a, j in
                  [(1e-300, 1), (5e-324, 2), (1.0, 3), (0.3, 1)]]
@@ -600,6 +593,30 @@ class TestSparseFold:
         law = sum_law(parts)
         assert law.first == first
         assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+
+
+_ERR_ABS_PINS = {  # parts, and the err_abs the bound chain gave them
+    "121-n300": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 300)],
+                 "0x1.221a0e461c256p-48"),
+    "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
+                 "0x1.dbf431807c361p-49"),
+    "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
+              "0x1.adcab16b75ddbp-49"),
+    "partition-m1-n100": (lambda: _partition_model_parts(1, 100), "0x1.9734e7e3bdd5cp-47"),
+    "mixed-spans": (lambda: [(make_pmf(0.0, 2.0, [(0, 0.5), (1, 0.5)]), 3),
+                             (make_pmf(0.5, 3.0, [(0, 0.2), (1, 0.3), (2, 0.5)]), 4),
+                             (make_pmf(0.0, 1.0, [(0, 0.6), (2, 0.1), (5, 0.3)]), 1),
+                             (bernoulli(0.3), 1)],
+                    "0x1.831c272871513p-49"),
+}
+
+
+@pytest.mark.parametrize("case", _ERR_ABS_PINS)
+def test_err_abs_is_pinned(case):
+    # the bound chain (powers with their tail drop, two-atom and general
+    # count-1 folds, spans 2 and 3 on lattice 1) gives the same double
+    parts, pinned = _ERR_ABS_PINS[case]
+    assert sum_law(parts()).err_abs.hex() == pinned
 
 
 class TestLengthCap:
