@@ -282,26 +282,18 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
 
 def _variance_tolerance(pmf: LatticePmf, variance: float) -> float:
     """Tolerance of ``validate``'s two variance identities, which the exact
-    laws obey exactly: ``max(1e-12, 64 u (R (S + u R) + Var X + D^2))``
-    with u = 2^-53, ``R = max_k (D (|k| + 1) + |v0 + D k|)`` and ``S = D
-    (k_max - k_min)`` over the support.
+    laws obey exactly: ``max(1e-12, 40 u (Var X + D^2))`` with u = 2^-53.
 
-    To first order in u: a support point (of X, or of xi on ``L(v0, D/2)``)
-    rounds by at most ``u R``, which moves a variance by ``2 u R S`` (``3 u
-    R S`` for xi, whose extent is ``S + D/2 <= 3 S / 2``), and the rounded
-    mean, within ``4 u R`` of the points' mean, adds at most its square,
-    ``17 u^2 R^2`` with the points' own rounding.  The products, squares
-    and sums round a variance by ``5u``, and the stored masses miss one by
-    ``2u``: ``7 u Var`` per variance.  The split's masses lie within ``9u``
-    of the source's, which moves xi's variance by ``9u (2 Var X + D^2 /
-    2)``, and ``D^2 vartheta / 4`` and the difference round by ``u D^2``
-    and ``u Var X``.  So the xi residual is at most ``33 u Var X + 5 u R S
-    + 34 u^2 R^2 + 6 u D^2`` and the other about half of it; 64 covers each
-    coefficient.  The floor is the fixed tolerance that held before."""
-    u, ks = 2.0**-53, list(pmf.probs)
-    r = max(pmf.D * (abs(k) + 1) + abs(pmf.point(k)) for k in ks)
-    s = pmf.D * (ks[-1] - ks[0])
-    return max(1e-12, 64.0 * u * (r * (s + u * r) + variance + pmf.D**2))
+    To first order in u: :func:`lltkit.lattice.moments` gives each variance
+    within ``9 u Var`` of its own, and Var xi <= Var X.  The split's masses lie
+    within ``9u`` of the source's, which moves xi's variance by ``9u (2 Var
+    X + D^2 / 2)``; ``D^2 vartheta / 4`` rounds by ``u D^2 / 2`` and the
+    difference by ``u Var X``.  So the xi residual is at most ``37 u Var X +
+    5 u D^2``, and ``D^2 theta / 4 - Var X`` at most ``9 u Var X + u D^2``;
+    40 covers each coefficient.  The points' offset v0 enters neither, as
+    the moments are summed on the index lattice.  The floor is the fixed
+    tolerance that held before."""
+    return max(1e-12, 40.0 * 2.0**-53 * (variance + pmf.D**2))
 
 
 def _cmd_validate(args: argparse.Namespace) -> dict:

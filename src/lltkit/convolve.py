@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import LatticeError, NumericsError
-from .lattice import LatticePmf, _moments
+from .lattice import LatticePmf, _index_moments
 
 #: unit roundoff of double precision
 _U = 2.0**-53
@@ -114,7 +114,7 @@ class SumLaw:
     @cached_property
     def _mean_variance(self) -> tuple[float, float]:
         ks, w = self.atoms()
-        return _moments((self.v0 + self.D * ks).tolist(), w.tolist())
+        return _index_moments(self.v0, self.D, ks.tolist(), w.tolist())
 
     @property
     def mean(self) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
 from .convolve import _NDTR_ERR, _U, SumLaw, _ndtr
-from .errors import LatticeError
+from .errors import LatticeError, NumericsError
 
 #: most points an interval-discrepancy window (and its d-table) may hold
 WINDOW_CAP = 10**6
@@ -232,11 +232,14 @@ def smoothness_via_extraction(
 
     for any 0 < h < 1; the first term is ``b_n`` times :func:`chernoff_rho`.
     The reported ``b_over_theta`` ratio is what keeps the bound O(1) when b_n
-    grows proportionally to Theta_n.
+    grows proportionally to Theta_n.  A Theta_n so small that
+    ``Theta_n^{3/2}`` underflows to 0 is a :class:`NumericsError`.
     """
     if not (b_n > 0):
         raise LatticeError(f"need b_n > 0, got {b_n}")
     theta_n = spec.theta_n
+    if theta_n**1.5 == 0.0:
+        raise NumericsError(f"Theta_n^(3/2) underflows to 0 at Theta_n = {theta_n!r}")
     t1 = b_n * chernoff_rho(theta_n, h)
     t2 = 2.0 * constants.c0 * b_n / ((1.0 - h) ** 1.5 * theta_n**1.5)
     t3 = 2.0 * b_n / (math.sqrt(math.pi * math.e) * (1.0 - h) * theta_n)

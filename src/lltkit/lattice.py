@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import LatticeError, PreconditionError
 
@@ -95,7 +95,8 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
     (non-negative, at least one positive) and normalized to sum to one.
     ``v0``, ``D`` and every weight must be real numbers that a double holds,
     and the support points ``v0 + D*k`` of positive mass must be distinct
-    doubles (a span below the spacing of doubles at v0 collapses them);
+    finite doubles (a span below the spacing of doubles at v0 collapses
+    them, a huge one overflows them);
     anything else is a :class:`LatticeError` that names the value.
     """
     D, v0 = _real(D, "D"), _real(v0, "v0")
@@ -119,6 +120,10 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
         if x == y:
             raise LatticeError(f"support points collapse: v0 + D*k is {x!r} at k = {k} and "
                                f"k = {j} (v0 = {v0!r}, D = {D!r})")
+    for x, k in points:
+        if not math.isfinite(x):
+            raise LatticeError(f"support point v0 + D*k is {x!r} at k = {k}, beyond the range "
+                               f"of doubles (v0 = {v0!r}, D = {D!r})")
     return LatticePmf(v0, D, probs)
 
 
@@ -155,15 +160,43 @@ def delta_smoothness(pmf: LatticePmf) -> float:
 
 
 def moments(pmf: LatticePmf) -> tuple[float, float]:
-    """Mean and variance as exact finite sums over the support."""
-    return _moments([pmf.point(k) for k in pmf.probs], list(pmf.probs.values()))
+    """Mean and variance, summed on the index lattice by :func:`_index_moments`.
+
+    Against the exact moments of the stored masses scaled to total one
+    (:func:`lltkit.convolve.exact_moments`), to first order in u = 2^-53:
+    the variance is within ``9 u Var`` and the mean within ``u |E X| + 10 u D
+    max_k |k|``; neither depends on how many ulps of v0 the support spans.
+    The derivation is at :func:`_index_moments`, with the normalized masses
+    summing to ``1 + eta``, ``|eta| <= 2u``."""
+    return _index_moments(pmf.v0, pmf.D, list(pmf.probs), list(pmf.probs.values()))
 
 
-def _moments(points: list[float], weights: list[float]) -> tuple[float, float]:
-    """Mean and variance of the masses ``weights`` at ``points``, each one fsum."""
-    mean = math.fsum(x * p for x, p in zip(points, weights))
-    var = math.fsum((x - mean) ** 2 * p for x, p in zip(points, weights))
-    return mean, var
+def _index_moments(v0: float, D: float, ks: Sequence[int], ps: Sequence[float]
+                   ) -> tuple[float, float]:
+    """Mean and variance of the masses ``ps`` at the points ``v0 + D*k`` of
+    ``L(v0, D)``, summed on the indices ``ks`` (increasing from their first,
+    k0) so that v0 enters the mean only:
+
+        m = fsum((k - k0) p),  mean = v0 + D (k0 + m),
+        var = D**2 fsum(((k - k0) - m)^2 p).
+
+    Rounding, to first order in u = 2^-53, with ``j = k - k0 >= 0`` exact
+    and ``S = sum p = 1 + eta``: m is within ``(2u + |eta|) mu_j`` of the
+    exact index mean ``mu_j = sum j p / S``, and an error e in m adds ``S
+    e^2`` to the sum of squares, whose first-order term it leaves alone.
+    The difference, square, product and fsum round each term by 5u, and
+    ``D**2`` and its product by 2u more: the variance is within ``(7u +
+    |eta|) Var + D^2 e^2``, e^2 a second-order term.  The mean rounds by u
+    in ``k0 + m``, in the product and in the sum with v0, and carries ``D
+    e``.  ``**`` raises OverflowError where ``D**2`` overflows, and so does
+    a variance that overflows in its product."""
+    k0 = ks[0]
+    m = math.fsum((k - k0) * p for k, p in zip(ks, ps))
+    s = math.fsum(((k - k0) - m) ** 2 * p for k, p in zip(ks, ps))
+    var = D**2 * s
+    if var == math.inf:
+        raise OverflowError(f"the variance D**2 * {s!r} at D = {D!r}")
+    return v0 + D * (k0 + m), var
 
 
 def _check_psi(psi: Callable[[float], float]) -> None:

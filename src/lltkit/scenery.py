@@ -62,7 +62,7 @@ from .bounds import (
 from .convolve import SumLaw, _is_integer, sum_law
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
-from .lattice import (LatticePmf, _integral, _moments, _real, kappa_index, pmf_from_json,
+from .lattice import (LatticePmf, _index_moments, _integral, _real, kappa_index, pmf_from_json,
                       theta)
 
 #: cap on the units of work of an exact enumeration (see :func:`_check_budget`)
@@ -215,25 +215,15 @@ def _check_budget(model: SceneryModel, per_path: int, extra: int = 0) -> None:
 def _site_table(model: SceneryModel, js: set[int]) -> tuple[dict[int, float], dict]:
     """The level of every site that U_j can reach for j in ``js``, each
     checked for coverage and range by :meth:`SceneryModel.vartheta_at`, and,
-    per distinct level, its (V, eps, L) outcomes as three lists: the values
-    of X, those of xi, and their probabilities."""
+    per distinct level, the joint law of (V, eps) at that level as its
+    ``((k, e), P{(V, eps) = (v_k, e)})`` items in increasing order."""
     sites, reach = set(), {0}
     for j in range(1, max(js, default=0) + 1):
         reach = {r + s for r in reach for s in model.increment_law.probs}
         if j in js:
             sites |= reach
     levels = {r: model.vartheta_at(r) for r in sorted(sites)}
-    x = model.x_law
-    outcomes = {}
-    for v in set(levels.values()):
-        outcomes[v] = x_vals, xi_vals, probs = [], [], []
-        for (k, e), p in sorted(split(x, v).joint.items()):
-            base = x.v0 + x.D * k
-            for coin in (0, 1):
-                x_vals.append(base + e * x.D * coin)
-                xi_vals.append(base + e * x.D / 2.0)
-                probs.append(p * 0.5)
-    return levels, outcomes
+    return levels, {v: sorted(split(model.x_law, v).joint.items()) for v in set(levels.values())}
 
 
 def _iter_paths(model: SceneryModel) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -287,15 +277,22 @@ def second_moment_check(model: SceneryModel) -> SceneryMoments:
     """
     n = model.n
     _check_budget(model, n, n * (n - 1))
-    levels, outcomes = _site_table(model, set(range(1, n + 1)))
+    levels, joints = _site_table(model, set(range(1, n + 1)))
     revisits = min(model.increment_law.support) < 1
     theta_n, table = _walk_table(model, n if revisits or not model.constant_profile else 0)
     c_sum = 0.0
     if revisits:  # the products of c_hk, pair by pair
         pairs = ((h, k) for h in range(1, n + 1) for k in range(1, n + 1) if h != k)
         c_sum = math.fsum(table[abs(k - h) - 1][1] * table[min(h, k) - 1][0] for h, k in pairs)
-    # (mean, variance) of X and of xi at each level, then at each site
-    moments = {v: (_moments(xs, ps), _moments(xis, ps)) for v, (xs, xis, ps) in outcomes.items()}
+    # (mean, variance) of X = V + D eps L and of xi = V + (D/2) eps at each
+    # level, on their indices 2k + 2e L and 2k + e of L(v0, D/2), then at each site
+    x, moments = model.x_law, {}
+    for v, joint in joints.items():
+        ps = [p * 0.5 for _, p in joint for _ in (0, 1)]
+        xs = [2 * k + 2 * e * coin for (k, e), _ in joint for coin in (0, 1)]
+        xis = [2 * k + e for (k, e), _ in joint for _ in (0, 1)]
+        moments[v] = (_index_moments(x.v0, x.D / 2.0, xs, ps),
+                      _index_moments(x.v0, x.D / 2.0, xis, ps))
     site = {r: moments[v] for r, v in levels.items()}
     es = es2 = esp = esp2 = 0.0
     for sites, pp in _iter_paths(model):
@@ -376,13 +373,13 @@ def y_covariance_factorization(
     if min(model.increment_law.support) < 1:
         raise PreconditionError("covariance factorization requires strictly positive increments")
     _check_budget(model, 1)
-    levels, outcomes = _site_table(model, {h, k})
+    levels, joints = _site_table(model, {h, k})
     ind_a = indicator(interval_a)
     ind_b = indicator(interval_b)
-    # P{xi in A} and P{xi in B} at each level; xi repeats each (V, eps) atom
-    # for both coin values
-    hit_a, hit_b = ({v: math.fsum(p * ind(xi) for xi, p in zip(xis, ps))
-                     for v, (_, xis, ps) in outcomes.items()} for ind in (ind_a, ind_b))
+    # P{xi in A} and P{xi in B} at each level, xi = v_k + e D/2 at each (V, eps) atom
+    x = model.x_law
+    hit_a, hit_b = ({v: math.fsum(p * ind(x.point(k) + e * x.D / 2.0) for (k, e), p in joint)
+                     for v, joint in joints.items()} for ind in (ind_a, ind_b))
 
     e_ab = e_a = e_b = 0.0
     e_tt = e_th = e_tk = 0.0

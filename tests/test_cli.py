@@ -563,12 +563,12 @@ class TestOtherCommands:
             assert code == 0 and json.loads(out)["all_pass"] is True, (v0, d, ks, w, out)
 
     @pytest.mark.parametrize("v0, d, stretch", [(3.0, 1.0, 5e-7), (3.0, 1e3, 5e-7),
-                                                 (1e12, 1.0, 0.1)])
+                                                 (1e12, 1.0, 0.1), (1e12, 1.0, 1e-9)])
     def test_validate_fails_a_broken_identity(self, capsys, tmp_path, monkeypatch,
                                               v0, d, stretch):
         # an xi law whose span is stretched fails the xi identity and nothing
         # else: by 5e-7 its variance is off by 1e-6 relative, and at |v0| =
-        # 1e12, where the tolerance allows for the points' rounding, by 0.1
+        # 1e12, where the tolerance does not grow with |v0|, by 0.1 and by 1e-9
         xi_law = lltkit.cli.xi_law
 
         def stretched(sp):
@@ -978,6 +978,16 @@ class TestOverflow:
                  "message": f"a value beyond the range of doubles: {self.overflow_text()}"}
         assert (code, out) == (2, render({"error": error}, fmt))
 
+    @pytest.mark.parametrize("command", ["characteristics", "validate"])
+    def test_variance_overflowing_in_its_product_exits_2(self, capsys, tmp_path, command):
+        # D^2 = 1e308 is a double, D^2 times the index variance 2.5e19 is not
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"v0": 0, "D": 1e154, "probs": [[0, 1], [10**10, 1]]}))
+        code, out = run_cli(capsys, [command, str(path)])
+        error = {"kind": "numerical-failure", "message": "a value beyond the range of doubles: "
+                                                         "the variance D**2 * 2.5e+19 at D = 1e+154"}
+        assert (code, json.loads(out)) == (2, {"error": error})
+
 
 class TestTinySpan:
     """Bounded plug-ins on a span so small that psi(sqrt(Var S_n)), or Var
@@ -998,8 +1008,9 @@ class TestTinySpan:
 
 
 class TestNonFiniteValues:
-    """A huge ce overflows H_n = 2^1.5 ce L_n, and a huge v0 collapses the
-    lattice points: each is refused with an error object, exit 2."""
+    """A huge ce overflows H_n = 2^1.5 ce L_n, a huge v0 collapses the
+    lattice points, a huge D k overflows a support point and a tiny theta
+    underflows Theta_n^{3/2}: each is refused with an error object, exit 2."""
 
     def test_h_n_refused(self, capsys, tmp_path):
         law, consts = tmp_path / "law.json", tmp_path / "ce.json"
@@ -1022,6 +1033,30 @@ class TestNonFiniteValues:
             "kind": "input-error",
             "message": "support points collapse: v0 + D*k is 1e+102 at k = 0 and k = 1 "
                        "(v0 = 1e+102, D = 1.0)"}
+
+    @pytest.mark.parametrize("command", ["characteristics", "validate"])
+    @pytest.mark.parametrize("probs", [[[-(2**53), 0.2], [5, 1]],
+                                       [[-(2**53), 0.2], [5, 1], [2**53, 0.3]]])
+    def test_support_point_beyond_the_doubles_refused(self, capsys, tmp_path, command, probs):
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"v0": 7, "D": 1e300, "probs": probs}))
+        code, out = run_cli(capsys, [command, str(law)])
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "kind": "input-error",
+            "message": "support point v0 + D*k is -inf at k = -9007199254740992, beyond the "
+                       "range of doubles (v0 = 7.0, D = 1e+300)"}}
+
+    def test_theta_n_underflow_refused(self, capsys, tmp_path):
+        # theta = 1.4e-285, so Theta_n = 4.1e-282 at n = 3000 and its 3/2 power is 0
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"v0": 0.5, "D": 1,
+                                   "probs": [[18, 1e-300], [19, 7.258335250867347e-16]]}))
+        code, out = run_cli(capsys, ["gamkrelidze", str(law), "--n", "3000"])
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "kind": "numerical-failure",
+            "message": "Theta_n^(3/2) underflows to 0 at Theta_n = 4.1331791606642995e-282"}}
 
 
 _OFF_LATTICE = {"v0": -0.1, "D": 0.3, "probs": [[0, 0.5], [1, 0.25]]}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lltkit import (
     span_multiple,
     theta,
 )
+from lltkit.convolve import exact_moments
 from lltkit.errors import PreconditionError
 from lltkit.lattice import kappa_index, lattice_position
 
@@ -85,6 +87,14 @@ class TestMakePmf:
         with pytest.raises(LatticeError, match=f"^support points collapse: v0 \\+ D\\*k is "
                                                f".* at k = {pair[0]} and k = {pair[1]} "):
             make_pmf(v0, d, entries)
+
+    @pytest.mark.parametrize("entries", [[(-(2**53), 0.2), (5, 1)],
+                                         [(-(2**53), 0.2), (5, 1), (2**53, 0.3)]])
+    def test_rejects_support_points_beyond_the_doubles(self, entries):
+        # D k overflows to -inf (and +inf) at the first and last index
+        with pytest.raises(LatticeError, match=f"^support point v0 \\+ D\\*k is -inf at "
+                                               f"k = {-(2**53)}, beyond the range of doubles"):
+            make_pmf(7, 1e300, entries)
 
     def test_accepts_a_collapsing_index_without_mass(self):
         # only stored points count: 1e16 + 1 is 1e16, but it carries no mass
@@ -175,6 +185,41 @@ class TestMoments:
         mean, var = moments(uniform3)
         assert mean == pytest.approx(1.0, abs=1e-15)
         assert var == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+class TestIndexMoments:
+    """Moments summed on the index lattice are within a few u of the exact
+    moments of the stored masses wherever v0 lies: the variance within ``C u
+    (Var + D^2)`` and the mean within ``C u (|E X| + D max|k|)``, with the C
+    of ``cli._variance_tolerance``."""
+
+    C, U = 40, Fraction(2) ** -53
+
+    def test_random_laws_match_the_rational_moments(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(3000):
+            m = int(rng.integers(2, 7))
+            ks = rng.choice(np.arange(-6, 10), m, replace=False).tolist()
+            w = (rng.random(m) + 0.05).tolist()
+            v0 = float(rng.choice([-1, 1]) * 10 ** rng.uniform(0, 13))
+            d = float(10 ** rng.uniform(-3, 7))
+            pmf = make_pmf(v0, d, zip(ks, w))
+            mean, var = moments(pmf)
+            exact_mean, exact_var = exact_moments([(pmf, 1)])
+            dd = Fraction(d) ** 2
+            assert abs(Fraction(var) - exact_var) <= self.C * self.U * (exact_var + dd), \
+                (v0, d, ks, w)
+            scale = abs(exact_mean) + Fraction(d) * max(abs(k) for k in ks)
+            assert abs(Fraction(mean) - exact_mean) <= self.C * self.U * scale, (v0, d, ks, w)
+
+    def test_extent_of_a_few_ulps_of_v0(self):
+        # the support spans 2 D = 4.2e-6, about 2 ulps of v0 = 1.1e10; each
+        # point rounds by up to 9.5e-7, the variance is still D^2 / 2
+        d = 2.104877610497365e-06
+        var = characteristics(make_pmf(11248766609.43312, d, [(17, 1), (18, 2), (19, 1)])).variance
+        exact = Fraction(d) ** 2 / 2
+        assert abs(Fraction(var) - exact) <= 4 * self.U * (exact + Fraction(d) ** 2)
+        assert var == 2.2152548775865484e-12
 
 
 class TestPsiMoment:
