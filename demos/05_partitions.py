@@ -3,8 +3,8 @@
 
 q_m(n) counts partitions of n into distinct parts >= m.  A sum of tilted
 two-point variables turns the count into e^{sigma n} * prod(1 + e^{-sigma j})
-* P{Y = n}, evaluated by exact convolution; the tilt sigma centers Y at n but
-the identity holds for every sigma.
+* P{Y = n}, read from a long-double 0/1 knapsack over 0..n; the tilt sigma
+centers Y at n but the identity holds for every sigma.
 """
 
 from lltkit import count_partitions, count_via_enumeration, count_via_model, solve_sigma

@@ -4,12 +4,10 @@ variables, and the brute-force statistics every bound is checked against.
 :func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
 parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`,
 and folds every part into one zero array of the final length, allocated
-once.  A part with ``count == 1`` is folded into it by its atoms:
-one shifted, scaled add of the array per positive mass, so a sparse part
-(the partition model's ``{0, j}``) costs its array passes, not a
-convolution over its span, plus O(1) work on Python scalars (its atoms are
-read once as pairs, and a two-atom part's norms come from its two
-masses).  A part with ``count >= 2`` is densified on its own span and
+once.  A part with ``count == 1`` is folded into it by its atoms: one
+shifted, scaled add of the array per positive mass, so a sparse part costs
+its array passes, not a convolution over its span (its atoms are read once
+as pairs).  A part with ``count >= 2`` is densified on its own span and
 raised to its power with one transform pair of ``numpy.fft`` (numpy's
 pocketfft, which keeps ``np.longdouble`` in long double from numpy 2.0 on):
 one double ``rfft``, a pointwise power over the bits of ``count``, one
@@ -79,9 +77,6 @@ _NDTR_POLY = np.array([
      3.36907645100081516050e0),
 ])
 
-#: the rounding-up factor of :func:`_measured` for a double vector of length 2
-_UP2 = 1.0 + 2.0 * 4 * _U + 4.0 * _U
-
 #: the precision of the frequencies whose power survives (``sum_law``)
 _EXT = np.longdouble
 
@@ -103,7 +98,7 @@ class SumLaw:
     rigorous bound on ``max_i |probs[i] - P{S = v0 + D * (first + i)}|``.
     Zeros in the array (tails dropped at the bound, underflowed tails, gaps
     under coarser spans) are not support points.  ``mean`` and ``variance``
-    are summed on first read, since the partition model never reads them."""
+    are summed on first read, since not every oracle reads them."""
 
     probs: np.ndarray
     first: int
@@ -406,8 +401,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     positive mass ``(k, w)``, in increasing k, ``w`` times the running array
     is added at offset ``k s`` (nothing is dropped).  Every part is folded
     into one zero array of the final length, allocated once; the adds run in
-    place, and a two-atom part ``{0: a, j: b}`` scales the window by a and
-    adds b times it at j, the same roundings as ``0 + a x`` then ``+ b x``.
+    place.
     A part with ``count = n >= 2`` is densified on its own span, ``f`` of
     length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
     + 1``) by one transform pair of length ``N = 2^t``, the least power of
@@ -505,10 +499,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``numpy.convolve`` arguments.
        The fold's norms are carried as bounds, never recomputed, so the
        count-1 path costs nothing beyond its adds.  A count-1 part enters
-       with the norms of its positive masses; a two-atom part ``{0: a, j:
-       b}`` computes them from the scalars, ``(a + b) up``, ``sqrt(a^2 +
-       b^2) up`` and ``max(a, b) (1 + 2u)`` with ``up = 1 + 12u``, the same
-       doubles as the sums over a 2-entry array, which numpy rounds once.
+       with the norms of its positive masses.
        Every fold, of either kind, takes the same step (:func:`_direct_product`).
     3. *Extended set*: the cutoff ``tau`` comes from the precision, so it
        adds no setting.  A frequency left out has ``c_j < tau``, and its
@@ -560,21 +551,12 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     for (_, count), (s, k0, span, pos) in zip(parts, atoms):
         if count == 1:  # one shifted add per atom, in increasing k, in place
             win, x = acc[lo:hi], scratch[:hi - lo]
-            if len(pos) == 2 and pos[0][0] == 0:  # {0: a, j: b}: a x, then b x added at j
-                (_, a), (j, b) = pos
-                np.multiply(win, b, out=x)
-                win *= a
-                j = lo + s * j
-                acc[j:j + len(x)] += x
-                pb = _Bounds((a + b) * _UP2, math.sqrt(a * a + b * b) * _UP2,
-                             max(a, b) * (1.0 + 2.0 * _U))
-            else:
-                x[:] = win
-                win[:] = 0.0
-                for k, wk in pos:
-                    k = lo + s * k
-                    acc[k:k + len(x)] += wk * x
-                pb = _measured(np.array([w for _, w in pos]))
+            x[:] = win
+            win[:] = 0.0
+            for k, wk in pos:
+                k = lo + s * k
+                acc[k:k + len(x)] += wk * x
+            pb = _measured(np.array([w for _, w in pos]))
             ab = _direct_product(ab, pb, min(len(x), len(pos)))
             lo, hi = lo + s * pos[0][0], hi + s * pos[-1][0]
         else:

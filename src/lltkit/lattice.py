@@ -116,14 +116,14 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
         raise LatticeError("at least one weight must be positive")
     probs = {k: w / total for k, w in sorted(merged.items()) if w > 0}
     points = [(v0 + D * k, k) for k in probs]  # non-decreasing in k, as D > 0
+    for x, k in points:  # first, as points that overflow to one infinity also collapse
+        if not math.isfinite(x):
+            raise LatticeError(f"support point v0 + D*k is {x!r} at k = {k}, beyond the range "
+                               f"of doubles (v0 = {v0!r}, D = {D!r})")
     for (x, k), (y, j) in zip(points, points[1:]):
         if x == y:
             raise LatticeError(f"support points collapse: v0 + D*k is {x!r} at k = {k} and "
                                f"k = {j} (v0 = {v0!r}, D = {D!r})")
-    for x, k in points:
-        if not math.isfinite(x):
-            raise LatticeError(f"support point v0 + D*k is {x!r} at k = {k}, beyond the range "
-                               f"of doubles (v0 = {v0!r}, D = {D!r})")
     return LatticePmf(v0, D, probs)
 
 

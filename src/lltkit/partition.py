@@ -14,18 +14,60 @@ sum at n by solving ``sum_{j=m..n} j / (1 + e^{sigma j}) = n`` (the left side
 is strictly decreasing in sigma) by Brent's method.  The logistic and the
 root finder are lltkit's own, :func:`_expit` and :func:`_brentq`, and give
 the doubles of scipy's ``expit`` and ``brentq``, so a count imports no scipy
-subpackage.  ``P{sum X_j = n}`` is read from
-:func:`lltkit.convolve.sum_law` over the n - m + 1 two-point laws as count-1
-parts; each is folded by its two atoms, two shifted adds of the running
-array, about n^3/3 multiply-adds in all where a convolution over each part's
-span would take n^4/8.  Beyond its array passes a part costs O(1) work on
-Python scalars: the parts are built as ``LatticePmf`` directly, with the
-masses ``make_pmf`` would store, and the kernel reads their two atoms as
-scalars.  ``count_via_model(1, 300)`` takes 10.5-11.2 ms (best of 40
-calls, shared 2-core Intel Xeon, NumPy 2.4).  The assembled real number
-must land within 1e-6 of an integer or the computation is rejected rather
-than silently rounded; which n are refused depends on the rounding of that
-law, not on a precondition.
+subpackage.
+
+**The knapsack.**  Every atom is >= 0, so mass that passes n never comes
+back, and ``P{Y = n}`` is the last entry of a weighted 0/1 knapsack over
+the indices 0..n: part j maps ``acc[k]`` to ``a_j acc[k] + p_j acc[k - j]``
+(``a_j = P{X_j = 0}``, ``p_j = P{X_j = j}``), the float twin of
+:func:`count_via_enumeration`'s loop.  That is three array passes of n + 1
+entries per part, O(n^2) in all, where folding the whole law of ``sum_j
+j`` points took about n^3/3 multiply-adds.  The mass a part carries past n is
+added onto the entries n + 1..2n, where it stays, never scaled again, for
+the conservation check.  Of the two masses the lighter is the logistic
+``1 / (1 + e^{|sigma| j})`` and the heavier is 1 minus it, so both keep
+their relative accuracy for either sign of sigma.
+
+**Precision.**  The fold, the masses and the assembly ``sigma n + sum_j
+log(1 + e^{-sigma j}) + log P{Y = n}`` run in ``_FOLD``, ``np.longdouble``,
+with unit roundoff ``u_e`` (2^-64 on x86-64).  Double is not enough: the
+count reaches 1.1e11 at n = 300, so the 1e-6 rule asks for a relative
+error near 1e-17, and the double fold of the whole law refused 43 of the
+576 (m, n) of the benchmark's partition requests (m 1..8, n 10..60 and
+100..300 step 10); the long-double knapsack refuses none of them.  Where
+long double is double (MSVC, macOS arm64), ``u_e = 2^-53``: the bounds
+below loosen, 45 of those 576 are refused, and none gets a wrong count (a
+test runs the fold in double).
+
+**Error bounds**, with ``gamma_k = k u_e / (1 - k u_e)`` (Higham, *Accuracy
+and Stability of Numerical Algorithms*, ch. 3) and N = n - m + 1 parts:
+
+- *each entry*: ``fl(fl(a x_k) + fl(p x_{k-j}))`` rounds each of its two
+  non-negative terms twice, so after N parts every entry of 0..n, ``P{Y =
+  n}`` among them, is within ``gamma_2N`` relatively of the exact fold of
+  the stored masses (3.3e-17 at n = 300), plus ``2N 2^-1074`` for
+  underflow;
+- *conservation*: the heavier mass is ``fl(1 - light)``, so ``s_j = a_j +
+  p_j`` is within ``u_e`` of 1.  With X the mass on 0..n and C the carried
+  mass, a part maps their exact total to ``s_j X + C``, and each computed
+  entry, on 0..n or carried, is within ``gamma_2`` of its value from the
+  entries before, so the computed total M moves by a factor within
+  ``(1 + gamma_2)(1 + u_e)`` of 1 per part, and ``|M - 1| <= gamma_3N``.
+  Summing its 2n + 1 entries adds ``gamma_2n``, and underflow at most
+  ``2^-1074`` per product:
+
+      |T - 1| <= gamma_(3N + 2n) + 2 (n + 1) N 2^-1074,
+
+  computed in double and rounded up by ``1 + 2^-40``; a larger drift raises
+  :class:`NumericsError`.  On the benchmark's (m, n) the drift is at most
+  6% of it, in long double and in double.
+
+The assembled count must land within 1e-6 of an integer or the
+computation is refused rather than silently rounded; which n are refused
+depends on the rounding, not on a precondition.  ``count_via_model(1,
+300)`` takes 2.6-3.5 ms, 0.65-0.87 ms of it :func:`solve_sigma`, against
+11.9-15.1 ms for the fold of the whole law (best of 40 calls, shared 2-core
+Intel Xeon, NumPy 2.4).
 """
 
 from __future__ import annotations
@@ -35,15 +77,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import _MAXLOG, _check_length, sum_law
+from .convolve import _MAXLOG, _check_length, _gamma
 from .errors import NumericsError, PreconditionError
-from .lattice import LatticePmf, _integral
+from .lattice import _integral
 
 #: enumeration budget for the brute-force counter
 ENUMERATION_LIMIT = 60
 
 #: residual target for the centering equation
 SIGMA_RESIDUAL_TOL = 1e-12
+
+#: the precision of the model's knapsack: long double (a 64-bit significand
+#: on x86-64; double where the platform's long double is double)
+_FOLD = np.longdouble
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -175,34 +221,69 @@ def solve_sigma(m: int, n: int) -> float:
 def count_via_model(m: int, n: int) -> int:
     """Evaluate the tilted-model identity and return the integer count.
 
-    The product is assembled in log space; the pre-rounding distance to the
-    nearest integer must be at most 1e-6.
+    ``P{Y = n}`` comes from the long-double knapsack of the module
+    docstring and the product is assembled in log space; the pre-rounding
+    distance to the nearest integer must be at most 1e-6.
     """
     return count_partitions(m, n, "model").q_model
 
 
+def _tilted_masses(m: int, n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``P{X_j = 0}`` and ``P{X_j = j}`` for j = m..n at the tilt ``sigma``,
+    in ``_FOLD``: the lighter of the two is the logistic ``1 / (1 + e^{|sigma|
+    j})`` and the heavier is 1 minus it (``sigma >= 0``: the mass at j is the
+    lighter)."""
+    t = np.arange(m, n + 1).astype(_FOLD) * _FOLD(abs(sigma))
+    with np.errstate(over="ignore"):  # e^t is inf past the range, and light is 0
+        light = 1 / (1 + np.exp(t))
+    heavy = 1 - light
+    return (heavy, light) if sigma >= 0 else (light, heavy)
+
+
+def _knapsack(a: np.ndarray, p: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The law of ``Y = sum_j X_j`` on 0..n, for the parts ``j = m..n`` with
+    ``P{X_j = 0} = a[j - m]`` and ``P{X_j = j} = p[j - m]``, followed on
+    n + 1..2n by the mass each part carried past n, kept where it landed and
+    never scaled again.  Part j maps ``acc[k]`` to ``a_j acc[k] + p_j acc[k -
+    j]`` on 0..n, ``count_via_enumeration``'s loop with weights."""
+    acc = np.zeros(2 * n + 1, dtype=a.dtype)
+    acc[0] = 1
+    law, shifted = acc[:n + 1], np.empty(n + 1, dtype=a.dtype)
+    for j, aj, pj in zip(range(m, n + 1), a, p):
+        np.multiply(law, pj, out=shifted)
+        law *= aj
+        acc[j:j + n + 1] += shifted
+    return acc
+
+
 def _model_count(m: int, n: int, sigma: float) -> int:
-    """:func:`count_via_model` at the solved tilt ``sigma`` of ``(m, n)``."""
+    """:func:`count_via_model` at the tilt ``sigma`` of ``(m, n)`` (any real
+    sigma; ``-inf``, the solved tilt of m = n, is read as 0): the masses,
+    their knapsack, its conservation check, ``P{Y = n} > 0``, and the
+    identity assembled in ``_FOLD`` and held to the 1e-6 rule (module
+    docstring)."""
     if sigma == float("-inf"):
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
-    js = np.arange(m, n + 1, dtype=float)
-    p_hit = _expit(-sigma * js)  # P{X_j = j}
-    # the masses make_pmf stores for [(0, 1 - p), (j, p)], a zero mass dropped:
-    # their fsum, the rounded (1 - p) + p, is 1.0 for every p in [0, 1] (1 - p
-    # is exact for p >= 1/2 and off by at most 2^-54 below), so normalizing
-    # leaves both as they are
-    law = sum_law([(LatticePmf(0.0, 1.0, {k: w for k, w in ((0, a), (j, b)) if w > 0}), 1)
-                   for j, a, b in zip(range(m, n + 1), (1.0 - p_hit).tolist(), p_hit.tolist())])
-    p_y = law.mass(n)
-    if p_y <= 0.0:
+    a, p = _tilted_masses(m, n, sigma)
+    acc = _knapsack(a, p, m, n)
+    # the conservation bound of the module docstring, rounded up
+    ue, parts = float(np.finfo(_FOLD).epsneg), n - m + 1
+    bound = (_gamma(3 * parts + 2 * n, ue) + 2 * (n + 1) * parts * 2.0**-1074) * (1.0 + 2.0**-40)
+    drift = float(abs(acc.sum() - 1))
+    if not drift <= bound:
+        raise NumericsError(f"knapsack mass drifted by {drift:.3e}, beyond its error bound "
+                            f"{bound:.3e}")
+    p_y = acc[n]
+    if p_y <= 0:
         raise NumericsError(f"P{{Y = {n}}} vanished; identity cannot be assembled")
-    log_q = sigma * n + float(np.sum(np.logaddexp(0.0, -sigma * js))) + math.log(p_y)
-    q_real = math.exp(log_q)
-    nearest = round(q_real)
+    s = _FOLD(sigma)
+    js = np.arange(m, n + 1).astype(_FOLD)
+    q_real = np.exp(s * n + np.logaddexp(_FOLD(0), -s * js).sum() + np.log(p_y))
+    nearest = np.rint(q_real)
     if abs(q_real - nearest) > 1e-6:
         raise NumericsError(
-            f"model count {q_real!r} is {abs(q_real - nearest):.3e} from an integer; "
-            "refusing to round"
+            f"model count {float(q_real)!r} is {float(abs(q_real - nearest)):.3e} from an "
+            "integer; refusing to round"
         )
     return int(nearest)
 
@@ -240,9 +321,11 @@ class PartitionInstance:
 def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
     """Run the requested counters and package the result.
 
-    The model's law length cap (its parts m..n span ``sum_j j`` points) and
-    then the enumeration, with its budget, come before the tilt is solved,
-    so a refused n costs no work in n."""
+    The model's length cap, ``1 + sum_j j`` points over its parts m..n (the
+    whole law's length, though the knapsack holds only 2n + 1 entries, so
+    the same n are refused as when the whole law was folded), and then the
+    enumeration, with its budget, come before the tilt is solved, so a
+    refused n costs no work in n."""
     if mode not in ("model", "enum", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     m, n = _normalize(m, n)

@@ -242,7 +242,9 @@ class _WalkCounter(dict):
 
 
 def _partition_model_parts(m, n):
-    """The parts of the law count_via_model(m, n) reads P{Y = n} from."""
+    """The two-point parts ``{0: 1 - p_j, j: p_j}``, j = m..n, of the
+    partition model at its centred tilt: many sparse count-1 parts whose
+    law spans ``sum_j j`` points."""
     from scipy.special import expit
 
     from lltkit.partition import solve_sigma

@@ -80,21 +80,24 @@ class TestMakePmf:
         (1e102, 1, [(0, 1), (1, 1)], (0, 1)),
         (1.0, 1e-17, [(0, 1), (1, 1)], (0, 1)),
         (1e16, 1, [(0, 1), (1, 1), (5, 1)], (0, 1)),  # 1e16 + 1 rounds to even
-        (0.0, 1e308, [(1, 1), (2, 1), (3, 1)], (2, 3)),  # both overflow to inf
-    ], ids=["huge-v0", "tiny-span", "tie", "overflow"])
+    ], ids=["huge-v0", "tiny-span", "tie"])
     def test_rejects_support_points_that_collapse(self, v0, d, entries, pair):
         # two stored points v0 + D*k that are one double would merge atoms
         with pytest.raises(LatticeError, match=f"^support points collapse: v0 \\+ D\\*k is "
                                                f".* at k = {pair[0]} and k = {pair[1]} "):
             make_pmf(v0, d, entries)
 
-    @pytest.mark.parametrize("entries", [[(-(2**53), 0.2), (5, 1)],
-                                         [(-(2**53), 0.2), (5, 1), (2**53, 0.3)]])
-    def test_rejects_support_points_beyond_the_doubles(self, entries):
-        # D k overflows to -inf (and +inf) at the first and last index
-        with pytest.raises(LatticeError, match=f"^support point v0 \\+ D\\*k is -inf at "
-                                               f"k = {-(2**53)}, beyond the range of doubles"):
-            make_pmf(7, 1e300, entries)
+    @pytest.mark.parametrize("v0, d, entries, point, k", [
+        (7, 1e300, [(-(2**53), 0.2), (5, 1)], "-inf", -(2**53)),
+        (7, 1e300, [(-(2**53), 0.2), (5, 1), (2**53, 0.3)], "-inf", -(2**53)),
+        (0.0, 1e308, [(1, 1), (2, 1), (3, 1)], "inf", 2),  # 2 and 3 both overflow to inf
+    ], ids=["entries0", "entries1", "overflow"])
+    def test_rejects_support_points_beyond_the_doubles(self, v0, d, entries, point, k):
+        # D k overflows at the first index that is out of range, and overflow
+        # is named before the collapse of the points it makes one infinity
+        with pytest.raises(LatticeError, match=f"^support point v0 \\+ D\\*k is {point} at "
+                                               f"k = {k}, beyond the range of doubles"):
+            make_pmf(v0, d, entries)
 
     def test_accepts_a_collapsing_index_without_mass(self):
         # only stored points count: 1e16 + 1 is 1e16, but it carries no mass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +17,12 @@ from lltkit import (
     count_partitions,
     count_via_enumeration,
     count_via_model,
-    make_pmf,
     solve_sigma,
-    sum_law,
 )
 from lltkit import partition
+from lltkit.convolve import _gamma
 
-from .test_convolve import _bits, _fresh_array_fold
+from .test_convolve import _bits
 
 
 class TestEnumeration:
@@ -203,58 +203,41 @@ def _knapsack_counts(m: int, n_max: int) -> list[int]:
     return counts
 
 
-def test_model_verdicts_on_the_benchmark_grid():
-    # the grid of the exact-oracles model partitions: every verdict is a
-    # refusal or the exact count, never a wrong integer; 44 points were
-    # refused before count-1 parts were folded by their atoms
+#: the (m, n) of the benchmark's partition requests: the model grid (n
+#: 100..300 step 10), the model-vs-enumeration grid (n 10..60) and the
+#: small model grid (n 20..60 step 10), m 1..8 on each
+_BENCHMARK_GRID = sorted({(m, n) for m in range(1, 9)
+                          for n in [*range(100, 301, 10), *range(10, 61)]})
+
+
+def _verdicts(grid):
+    """The (m, n) of ``grid`` that ``count_via_model`` refuses; every count
+    it gives must be the knapsack's."""
+    exact = {m: _knapsack_counts(m, 300) for m in {m for m, _ in grid}}
     refused = []
-    for m in range(1, 9):
-        exact = _knapsack_counts(m, 300)
-        for n in range(100, 301, 10):
-            try:
-                q = count_via_model(m, n)
-            except NumericsError:
-                refused.append((m, n))
-                continue
-            assert q == exact[n], (m, n)
-    assert len(refused) <= 44, refused
+    for m, n in grid:
+        try:
+            q = count_via_model(m, n)
+        except NumericsError:
+            refused.append((m, n))
+            continue
+        assert q == exact[m][n], (m, n)
+    return refused
 
 
-class _Stop(Exception):
-    """Ends a model count once its parts are recorded."""
+def test_model_verdicts_on_the_benchmark_grid():
+    # every verdict is the exact count: the long-double knapsack refuses
+    # none of them (the double fold of the whole law refused 43)
+    assert _verdicts(_BENCHMARK_GRID) == []
 
 
-def _model_parts(monkeypatch, m, n, sigma):
-    """The parts _model_count(m, n, sigma) passes to sum_law."""
-    calls = []
-
-    def spy(parts):
-        calls.append(parts)
-        raise _Stop
-
-    monkeypatch.setattr(partition, "sum_law", spy)
-    with pytest.raises(_Stop):
-        partition._model_count(m, n, sigma)
-    return calls[0]
-
-
-def _make_pmf_parts(m, n, sigma):
-    """The parts as make_pmf builds them, at the tilt _model_count uses:
-    sigma = -inf (m = n) is read as 0."""
-    sigma = 0.0 if sigma == float("-inf") else sigma
-    js = np.arange(m, n + 1, dtype=float)
-    return [(make_pmf(0.0, 1.0, [(0, 1.0 - p), (int(j), p)]), 1)
-            for j, p in zip(js, expit(-sigma * js))]
+def _ratio(x) -> Fraction:
+    """A long double (or double) as an exact fraction."""
+    return Fraction(*x.as_integer_ratio())
 
 
 class TestModelParts:
-    """_model_count builds its two-point parts without make_pmf, to the bit."""
-
-    def test_parts_equal_make_pmf_on_the_benchmark_grid(self, monkeypatch):
-        grid = [(m, n) for m in range(1, 9) for n in range(100, 301, 10)]
-        for m, n in grid + [(1, 1), (7, 7), (300, 300)]:
-            sigma = solve_sigma(m, n)
-            assert _model_parts(monkeypatch, m, n, sigma) == _make_pmf_parts(m, n, sigma), (m, n)
+    """The two-point masses of the tilted model and their knapsack."""
 
     def test_two_masses_sum_to_one(self):
         # why make_pmf's normalization leaves 1 - p and p as they are
@@ -263,22 +246,79 @@ class TestModelParts:
                             1.0 - 10.0 ** rng.uniform(-17, 0, 10**5), [0.0, 0.5, 1.0]])
         assert np.all((1.0 - p) + p == 1.0)
 
-    @pytest.mark.parametrize("sigma", [40.0, -40.0])
-    def test_zero_masses_are_dropped(self, monkeypatch, sigma):
-        # sigma = 40: P{X_j = j} is 0.0 from j = 19 on; sigma = -40: it is 1.0
-        parts = _model_parts(monkeypatch, 1, 30, sigma)
-        assert parts == _make_pmf_parts(1, 30, sigma)
-        one_atom = [law.probs for law, _ in parts if len(law.probs) == 1]
-        if sigma > 0:
-            assert one_atom and all(probs == {0: 1.0} for probs in one_atom)
-        else:
-            assert len(one_atom) == 30 and one_atom[4] == {5: 1.0}
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.05, 40.0, -1e-3, -0.7, -40.0])
+    def test_masses_are_within_a_unit_roundoff_of_one(self, sigma):
+        # the heavier mass is 1 minus the lighter, so their exact sum is
+        # within u_e of 1 (the conservation bound's first step); the lighter
+        # is P{X_j = j} for sigma >= 0 and P{X_j = 0} below
+        a, p = partition._tilted_masses(1, 300, sigma)
+        ue = Fraction(float(np.finfo(partition._FOLD).epsneg))
+        assert all(abs(_ratio(x) + _ratio(y) - 1) <= ue for x, y in zip(a, p))
+        assert np.all((p <= 0.5) if sigma >= 0 else (a <= 0.5))
 
-    @pytest.mark.parametrize("m, n", [(1, 100), (1, 300), (2, 250), (5, 260), (7, 280)])
-    def test_model_mass_equals_the_fresh_fold(self, monkeypatch, m, n):
-        # the mass the identity reads, bit for bit; three of these are refused
+    @pytest.mark.parametrize("m, n", [(1, 12), (1, 40), (3, 33), (8, 40), (29, 30), (15, 20)])
+    def test_fold_is_within_its_bound_of_the_exact_fold(self, m, n):
+        # the same long-double masses folded in rational arithmetic: each
+        # entry of 0..n is within gamma_2N relatively (module docstring), and
+        # the computed total, prefix and carried mass, within the
+        # conservation bound of 1
+        a, p = partition._tilted_masses(m, n, solve_sigma(m, n))
+        acc = partition._knapsack(a, p, m, n)
+        exact = [Fraction(1)] + [Fraction(0)] * (2 * n)
+        for j, aj, pj in zip(range(m, n + 1), map(_ratio, a), map(_ratio, p)):
+            shifted = [pj * x for x in exact[:n + 1]]
+            exact[:n + 1] = [aj * x for x in exact[:n + 1]]
+            for k, x in enumerate(shifted):
+                exact[j + k] += x
+        parts, ue = n - m + 1, float(np.finfo(partition._FOLD).epsneg)
+        rel, tiny = Fraction(_gamma(2 * parts, ue)), Fraction(2.0**-1073)
+        for k in range(n + 1):
+            assert abs(_ratio(acc[k]) - exact[k]) <= rel * exact[k] + parts * tiny
+        drift = abs(_ratio(acc.sum()) - 1)
+        assert drift <= Fraction(_gamma(3 * parts + 2 * n, ue))
+        assert exact[n] > 0
+
+    @pytest.mark.parametrize("m, n, sigma", [
+        (1, 30, 40.0), (2, 24, 40.0), (29, 30, -40.0), (5, 12, -40.0),
+    ])
+    def test_count_at_a_steep_tilt(self, m, n, sigma):
+        # P{Y = n} is near e^{-40 * 30} = e^{-1200} at (1, 30), which long
+        # double holds; at sigma = -40 the part 29 is left out with
+        # P{X_29 = 0} near e^{-1160}
+        assert partition._model_count(m, n, sigma) == _knapsack_counts(m, n)[n]
+
+    @pytest.mark.parametrize("m, n", [(2, 24), (1, 60), (1, 200), (3, 260), (8, 300)])
+    def test_count_off_the_centred_tilt(self, m, n):
+        # the identity holds for every sigma, so the count does not move
         sigma = solve_sigma(m, n)
-        law = sum_law(_model_parts(monkeypatch, m, n, sigma))
-        first, ref, _ = _fresh_array_fold(_make_pmf_parts(m, n, sigma))
-        assert law.first == first == 0
-        assert law.mass(n) == ref[n - first]
+        exact = _knapsack_counts(m, n)[n]
+        for ds in (-1e-3, 1e-3):
+            assert partition._model_count(m, n, sigma + ds) == exact
+
+    def test_double_fold_gives_no_wrong_count(self, monkeypatch):
+        # where long double is double (MSVC, macOS arm64) the fold runs in
+        # double: some grid points are refused, none gets a wrong integer
+        monkeypatch.setattr(partition, "_FOLD", np.float64)
+        refused = _verdicts(_BENCHMARK_GRID)
+        assert 0 < len(refused) < len(_BENCHMARK_GRID) // 4
+
+    @pytest.mark.parametrize("corrupt", ["carried-mass-lost", "one-entry-off", "below-an-ulp"])
+    def test_corrupted_fold_trips_the_conservation_check(self, monkeypatch, corrupt):
+        # "below-an-ulp" adds twice the bound, 8.1e-17 at (2, 150) in long
+        # double, which a total rounded to double would not show
+        knapsack = partition._knapsack
+        ue = float(np.finfo(partition._FOLD).epsneg)
+
+        def corrupted(a, p, m, n):
+            acc = knapsack(a, p, m, n)
+            if corrupt == "carried-mass-lost":
+                acc[n + 1:] = 0
+            elif corrupt == "one-entry-off":  # the largest entry off by 2^-40 of itself
+                acc[np.argmax(acc[:n + 1])] *= 1 + 2**-40
+            else:
+                acc[0] += 2 * _gamma(3 * (n - m + 1) + 2 * n, ue)
+            return acc
+
+        monkeypatch.setattr(partition, "_knapsack", corrupted)
+        with pytest.raises(NumericsError, match="knapsack mass drifted by"):
+            count_via_model(2, 150)
