@@ -13,10 +13,15 @@ validate         identity checks for a pmf (reconstruction, delta, variance)
 Output is JSON (default) or CSV, deterministic for fixed arguments and seed.
 Exit codes: 0 success, 1 a stated hypothesis failed for the input,
 2 malformed input.  Floating-point numbers are emitted with 17 significant
-digits so that values round-trip exactly.  An ``llt-bound`` sweep decides
-every refusal over its whole range first; then it computes the envelope's
-columns a fixed block of lattice points at a time and writes each block's
-rows from one template, so its memory does not grow with its length.  The
+digits so that values round-trip exactly.  JSON is byte for byte the text
+of ``json.dumps(payload, sort_keys=True, indent=2)``, written by lltkit's
+own writer (:func:`render`): json indents in pure Python, one call per
+value, where the writer joins a list of scalars once and writes a list of
+rows of scalars, such as the ``gamkrelidze`` d-table, as one ``%`` of a row
+template over its cells.  An ``llt-bound`` sweep decides every refusal over
+its whole range first; then it computes the envelope's columns a fixed
+block of lattice points at a time and writes each block's rows from one
+template, so its memory does not grow with its length.  The
 argument parser is built once per process; each call of :func:`main` parses
 a fresh namespace.
 """
@@ -35,6 +40,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import bounds, gamkrelidze, partition, scenery
@@ -80,10 +86,116 @@ def _flatten(prefix: str, obj: Any, out: dict) -> None:
         out[prefix] = obj
 
 
+#: the JSON text of the three constants, as json writes them
+_CONSTANT_TEXT = {True: "true", False: "false", None: "null"}
+
+
+def _scalar_text(x: Any) -> str | None:
+    """The JSON text of a scalar, in json's order of tests (a str, a
+    constant, an int, a float, each with its subclasses), or None for any
+    other value.  A float is ``float.__repr__`` of it, or NaN or an infinity
+    by name."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return _CONSTANT_TEXT[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return None
+
+
+def _cell_texts(values: list | tuple) -> list | None:
+    """The JSON text of each scalar of ``values``, or None when one of them
+    is not a scalar.  A column of finite floats maps ``float.__repr__`` and a
+    column of ints ``int.__repr__``; any other column is read cell by cell."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds & {list, tuple, dict}:
+        return None
+    texts = list(map(_scalar_text, values))
+    return None if None in texts else texts
+
+
+def _rows_text(rows: list | tuple, inner: str, sep: str) -> str | None:
+    """The rows of a list, joined by ``sep``, when every row is a list or
+    tuple of scalars and all have one positive length: one ``%`` of a row
+    template over the cells flattened row by row.  None for any other list."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    width = len(rows[0])
+    if not width or len(set(map(len, rows))) != 1:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    cells = [None] * len(flat)
+    for j in range(width):
+        column = _cell_texts(flat[j::width])
+        if column is None:  # a row holds a container
+            return None
+        cells[j::width] = column
+    cell_sep = ",\n" + inner + "  "
+    row = "[\n" + inner + "  " + cell_sep.join(["%s"] * width) + "\n" + inner + "]"
+    return sep.join([row] * len(rows)) % tuple(cells)
+
+
+def _list_text(items: list | tuple, indent: str) -> str:
+    """A list or tuple whose first line starts at the nesting ``indent``: a
+    list of scalars is one join of its cell texts, a list of rows of
+    scalars :func:`_rows_text`, and any other list is written item by item."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    texts = _cell_texts(items)
+    if texts is not None:
+        body = sep.join(texts)
+    else:
+        body = _rows_text(items, inner, sep)
+        if body is None:
+            body = sep.join([_json_text(item, inner) for item in items])
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json writes it: a string, or the text of a float,
+    constant or int as one."""
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return text if isinstance(key, str) else '"' + text + '"'
+
+
+def _json_text(obj: Any, indent: str) -> str:
+    """The text that ``json.dumps(obj, sort_keys=True, indent=2)`` gives,
+    with every line after the first further indented by ``indent``."""
+    text = _scalar_text(obj)
+    if text is not None:
+        return text
+    if isinstance(obj, (list, tuple)):
+        return _list_text(obj, indent)
+    if not isinstance(obj, dict):
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    # json sorts the items, not the keys: the same comparisons, the same order
+    items = [f"{_key_text(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items())]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+
 def render(payload: Any, output_format: str) -> str:
-    """Serialize a payload deterministically."""
+    """Serialize a payload deterministically: JSON is the text of
+    ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, byte
+    for byte, and CSV is a header and one line per flattened row."""
     if output_format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload, "") + "\n"
     if output_format != "csv":
         raise LatticeError(f"unknown output format {output_format!r}")
     rows = payload if isinstance(payload, list) else [payload]
@@ -232,10 +344,11 @@ def _cmd_llt_bound(args: argparse.Namespace) -> Any:
         out = envelope(spec, args.kappa, plug, constants, exact).to_json_dict(constants)
     else:  # every refusal of the sweep is raised here
         out = bounds._BODIES[args.envelope](spec, plug, constants, exact).sweep(sweep, _SWEEP_BLOCK)
-    if args.law_out:  # written once no refusal is left
+    if args.law_out:  # written once no refusal is left, the law's own length cap included
+        text = render(spec.law.to_json_dict(), "json")
         try:
             with open(args.law_out, "w", encoding="utf-8") as fobj:
-                fobj.write(render(spec.law.to_json_dict(), "json"))
+                fobj.write(text)
         except OSError as exc:
             raise LatticeError(f"cannot write output file {args.law_out}: {exc}") from exc
     return out

@@ -92,7 +92,8 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
     """Build a pmf from (index, weight) pairs.
 
     Weights may be unnormalized; they are merged by index, validated
-    (non-negative, at least one positive) and normalized to sum to one.
+    (non-negative, at least one positive, with a sum that a double holds) and
+    normalized to sum to one.
     ``v0``, ``D`` and every weight must be real numbers that a double holds,
     and the support points ``v0 + D*k`` of positive mass must be distinct
     finite doubles (a span below the spacing of doubles at v0 collapses
@@ -111,7 +112,12 @@ def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> Latti
         if not math.isfinite(w) or w < 0:
             raise LatticeError(f"weight at index {k} must be finite and >= 0, got {w!r}")
         merged[k] = merged.get(k, 0.0) + w
-    total = math.fsum(merged.values())
+    try:
+        total = math.fsum(merged.values())
+    except OverflowError:  # finite weights whose sum overflows
+        total = math.inf
+    if total == math.inf:  # a merged weight may be inf too; each would normalize to NaN
+        raise LatticeError("the weights sum beyond the range of doubles; scale them down")
     if total <= 0:
         raise LatticeError("at least one weight must be positive")
     probs = {k: w / total for k, w in sorted(merged.items()) if w > 0}

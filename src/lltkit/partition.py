@@ -64,10 +64,15 @@ and Stability of Numerical Algorithms*, ch. 3) and N = n - m + 1 parts:
 
 The assembled count must land within 1e-6 of an integer or the
 computation is refused rather than silently rounded; which n are refused
-depends on the rounding, not on a precondition.  ``count_via_model(1,
-300)`` takes 2.6-3.5 ms, 0.65-0.87 ms of it :func:`solve_sigma`, against
-11.9-15.1 ms for the fold of the whole law (best of 40 calls, shared 2-core
-Intel Xeon, NumPy 2.4).
+depends on the rounding, not on a precondition.  Where the spacing of
+``_FOLD`` at the count exceeds 1e-6, every value is within 1e-6 of an
+integer and the rule certifies nothing, so such a count is refused too: in
+long double that is every count of 2^44 (about 1.8e13) or more, from n =
+409 at m = 1 (the rule alone passes a wrong integer from n = 760 on).
+Certifying those counts needs an interval on the count, not a rounding
+rule.  ``count_via_model(1, 300)`` takes 2.6-3.5 ms, 0.65-0.87 ms of it
+:func:`solve_sigma`, against 11.9-15.1 ms for the fold of the whole law
+(best of 40 calls, shared 2-core Intel Xeon, NumPy 2.4).
 """
 
 from __future__ import annotations
@@ -86,6 +91,10 @@ ENUMERATION_LIMIT = 60
 
 #: residual target for the centering equation
 SIGMA_RESIDUAL_TOL = 1e-12
+
+#: how far the assembled count may lie from an integer and still be rounded
+#: to it; a count where the spacing of ``_FOLD`` exceeds it is refused
+INTEGER_TOL = 1e-6
 
 #: the precision of the model's knapsack: long double (a 64-bit significand
 #: on x86-64; double where the platform's long double is double)
@@ -223,7 +232,9 @@ def count_via_model(m: int, n: int) -> int:
 
     ``P{Y = n}`` comes from the long-double knapsack of the module
     docstring and the product is assembled in log space; the pre-rounding
-    distance to the nearest integer must be at most 1e-6.
+    distance to the nearest integer must be at most 1e-6, and a count whose
+    spacing in ``_FOLD`` exceeds 1e-6 (2^44 or more in long double) is
+    refused.
     """
     return count_partitions(m, n, "model").q_model
 
@@ -260,8 +271,8 @@ def _model_count(m: int, n: int, sigma: float) -> int:
     """:func:`count_via_model` at the tilt ``sigma`` of ``(m, n)`` (any real
     sigma; ``-inf``, the solved tilt of m = n, is read as 0): the masses,
     their knapsack, its conservation check, ``P{Y = n} > 0``, and the
-    identity assembled in ``_FOLD`` and held to the 1e-6 rule (module
-    docstring)."""
+    identity assembled in ``_FOLD``, refused where the spacing of ``_FOLD``
+    exceeds the 1e-6 rule and otherwise held to it (module docstring)."""
     if sigma == float("-inf"):
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
     a, p = _tilted_masses(m, n, sigma)
@@ -279,8 +290,16 @@ def _model_count(m: int, n: int, sigma: float) -> int:
     s = _FOLD(sigma)
     js = np.arange(m, n + 1).astype(_FOLD)
     q_real = np.exp(s * n + np.logaddexp(_FOLD(0), -s * js).sum() + np.log(p_y))
+    # the gap to the next value up; np.spacing gives NaN for the long double
+    # just below a power of two (NumPy 2.4)
+    spacing = np.nextafter(q_real, _FOLD(np.inf)) - q_real
+    if not spacing <= INTEGER_TOL:  # every value there is within the rule of an integer
+        raise NumericsError(
+            f"model count {float(q_real)!r} is where the fold's spacing is "
+            f"{float(spacing):.3e}, above the {INTEGER_TOL:.0e} rule; refusing to round"
+        )
     nearest = np.rint(q_real)
-    if abs(q_real - nearest) > 1e-6:
+    if abs(q_real - nearest) > INTEGER_TOL:
         raise NumericsError(
             f"model count {float(q_real)!r} is {float(abs(q_real - nearest)):.3e} from an "
             "integer; refusing to round"

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -208,8 +209,10 @@ class TestLltBound:
         (["--n", "4000", "--mode", "bounded-plug-ins", "--envelope", "central",
           "--kappa-from", "2000", "--kappa-to", "2100"], 1),
         (["--n", "64", "--envelope", "psi", "--kappa", "32"], 1),
+        # bounded plug-ins build no law, so the law's own length cap refuses it last
+        (["--n", "10000000", "--mode", "bounded-plug-ins", "--kappa", "5000000"], 2),
     ], ids=["h-out-of-range", "central-point-outside", "central-sweep-outside",
-            "psi-theta-n-too-small"])
+            "psi-theta-n-too-small", "bounded-law-above-the-cap"])
     def test_refused_request_writes_no_law(self, capsys, bern_file, tmp_path, argv, code):
         law_path = tmp_path / "law.json"
         argv = ["llt-bound", bern_file, *argv, "--law-out", str(law_path)]
@@ -906,6 +909,11 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err == {"kind": "input-error", "message": f"n {10**20} is above 2^53 in magnitude"}
 
+    def test_partition_count_beyond_the_spacing_rule_exits_2(self, capsys):
+        code, out = run_cli(capsys, ["partition", "--m", "1", "--n", "800", "--mode", "model"])
+        err = json.loads(out)["error"]
+        assert (code, err["kind"]) == (2, "numerical-failure") and "spacing" in err["message"]
+
     @pytest.mark.parametrize("mode, code, kind, message", [
         ("model", 2, "input-error", "above the cap of 8388608"),
         ("both", 2, "input-error", "above the cap of 8388608"),
@@ -1035,6 +1043,19 @@ class TestNonFiniteValues:
                        "(v0 = 1e+102, D = 1.0)"}
 
     @pytest.mark.parametrize("command", ["characteristics", "validate"])
+    @pytest.mark.parametrize("probs", [[[1, 1.7e308], [1, 1.7e308]], [[1, 1.7e308], [2, 1.7e308]]])
+    def test_weights_summing_beyond_the_doubles_refused(self, capsys, tmp_path, command, probs):
+        # one index's merged weight overflowed to inf and printed NaN moments;
+        # two indices overflowed in fsum, a numerical failure
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"v0": 0, "D": 1, "probs": probs}))
+        code, out = run_cli(capsys, [command, str(law)])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "input-error",
+            "message": "the weights sum beyond the range of doubles; scale them down"}
+
+    @pytest.mark.parametrize("command", ["characteristics", "validate"])
     @pytest.mark.parametrize("probs", [[[-(2**53), 0.2], [5, 1]],
                                        [[-(2**53), 0.2], [5, 1], [2**53, 0.3]]])
     def test_support_point_beyond_the_doubles_refused(self, capsys, tmp_path, command, probs):
@@ -1097,6 +1118,99 @@ class TestHugeSpan:
             "kind": "numerical-failure",
             "message": "L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n)) = inf is not finite "
                        "(its denominator is 1.25e+308)"}
+
+
+class _Count(int):
+    """An int subclass whose own repr json does not use."""
+
+    def __repr__(self) -> str:
+        return "Count()"
+
+
+def _canonical(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _written(write, payload: Any) -> Any:
+    """The text ``write`` gives for ``payload``, or the type and message of
+    the error it raises."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308])
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é字😀'),
+                          st.characters()))
+_SCALARS = st.one_of(
+    _EDGE_FLOATS, st.floats(), st.floats().map(np.float64),
+    st.integers(-2**70, 2**70), st.integers(-2**70, 2**70).map(_Count),
+    st.booleans(), st.none(), _TEXT,
+)
+_KEYS = st.one_of(_TEXT, st.integers(-2**70, 2**70), st.floats(), _EDGE_FLOATS,
+                  st.booleans(), st.none(), st.integers().map(_Count))
+
+
+def _rows(cells):
+    """Lists of rows of one length, each a list or a tuple."""
+    return st.integers(0, 4).flatmap(lambda width: st.lists(st.one_of(
+        st.lists(cells, min_size=width, max_size=width),
+        st.tuples(*[cells] * width)), max_size=8))
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6), st.lists(children, max_size=6).map(tuple),
+        _rows(_SCALARS), _rows(children), st.lists(st.lists(_SCALARS, max_size=4), max_size=5),
+        st.dictionaries(_TEXT, children, max_size=5),
+        st.dictionaries(st.one_of(st.integers(-2**70, 2**70), st.floats(), st.booleans()),
+                        children, max_size=5),
+        st.dictionaries(_KEYS, children, max_size=3),
+    )
+
+
+_PAYLOADS = st.recursive(_SCALARS, _containers, max_leaves=30)
+
+
+class TestJsonWriter:
+    """``render`` writes the text of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        expected = _written(_canonical, payload)
+        event("refused" if isinstance(expected, tuple) else "written")
+        assert _written(lambda p: render(p, "json"), payload) == expected
+
+    @pytest.mark.parametrize("payload", [
+        [], {}, [[]], [[], []], [[1, 2], [3]], [[1, [2]], [3, 4]], [(1, 2.5), [3, math.nan]],
+        {"d": [[k, k / 7] for k in range(-3, 40)]}, [[np.float64(0.1), _Count(5)]],
+        [[True, None], [False, "a\"b"]], {1.5: 1, 2: 2, True: 3}, {None: -0.0}, 2**64,
+        "\u00e9\x00", [[math.inf, -math.inf]] * 3,
+    ])
+    def test_pinned_payloads(self, payload):
+        assert render(payload, "json") == _canonical(payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.int64(1), [1, np.int64(2)], [[1, 2], [3, {1, 2}]], {"a": object()},
+        {(1,): 2}, {1: 2, "a": 3}, [[np.bool_(True)]], np.arange(3),
+    ])
+    def test_unserializable_value_raises_as_json_does(self, payload):
+        with pytest.raises(TypeError) as raised:
+            _canonical(payload)
+        with pytest.raises(TypeError, match=re.escape(str(raised.value))):
+            render(payload, "json")
+
+    def test_command_outputs_are_canonical(self, capsys, bern_file, scenery_file, tmp_path):
+        law = tmp_path / "law.json"
+        for argv in (["gamkrelidze", bern_file, "--n", "50"],
+                     ["llt-bound", bern_file, "--n", "64", "--kappa", "32", "--law-out", str(law)],
+                     ["split", bern_file], ["validate", bern_file], ["scenery", scenery_file],
+                     ["partition", "--m", "1", "--n", "800", "--mode", "model"]):
+            _, out = run_cli(capsys, argv)
+            assert out == _canonical(json.loads(out))
+        assert law.read_text() == _canonical(json.loads(law.read_text()))
 
 
 class TestCsvCells:

@@ -231,6 +231,24 @@ def test_model_verdicts_on_the_benchmark_grid():
     assert _verdicts(_BENCHMARK_GRID) == []
 
 
+@pytest.mark.parametrize("n", [760, 800, 900])
+def test_counts_beyond_the_spacing_rule_refused(n):
+    # at m = 1 the count passes 2^44 from n = 409 on, where the long-double
+    # spacing exceeds 1e-6 and every value is within 1e-6 of an integer; at
+    # n = 800 the rule alone let through 23926108358272941062, and the count
+    # ends in ...056
+    with pytest.raises(NumericsError, match="spacing is .* above the 1e-06 rule"):
+        count_via_model(1, n)
+
+
+def test_spacing_rule_starts_at_2_to_44():
+    assert _knapsack_counts(1, 409)[408] < 2**44 <= _knapsack_counts(1, 409)[409]
+    with pytest.raises(NumericsError, match="spacing"):
+        count_via_model(1, 409)
+    # q_1(45) = 2^11 is assembled just below it, where np.spacing is NaN
+    assert count_via_model(1, 45) == 2048
+
+
 def _ratio(x) -> Fraction:
     """A long double (or double) as an exact fraction."""
     return Fraction(*x.as_integer_ratio())
