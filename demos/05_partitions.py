@@ -12,7 +12,7 @@ from lltkit import count_partitions, count_via_enumeration, count_via_model, sol
 print(f"{'m':>3s} {'n':>3s} {'sigma':>10s} {'model':>7s} {'enum':>7s}")
 for m, n in [(1, 6), (1, 10), (3, 10), (1, 20), (2, 24), (5, 30), (30, 30)]:
     inst = count_partitions(m, n)
-    sig = "-inf" if inst.sigma == float("-inf") else f"{inst.sigma:10.6f}"
+    sig = "none" if inst.sigma is None else f"{inst.sigma:10.6f}"  # none at m = n
     print(f"{m:3d} {n:3d} {sig:>10s} {inst.q_model:7d} {inst.q_enum:7d}")
 
 print()

@@ -13,7 +13,12 @@ pocketfft, which keeps ``np.longdouble`` in long double from numpy 2.0 on):
 one double ``rfft``, a pointwise power over the bits of ``count``, one
 double ``irfft``, with the frequencies where the power survives evaluated
 again and raised in extended precision, unless the double power is already
-as accurate as its inverse transform.  Entries of the power at or below
+as accurate as its inverse transform.  The transform covers only the
+power's Hoeffding window, about ``12 span sqrt(count)`` points around its
+mean outside of which the power holds at most ``u^2`` of mass, wherever
+that is shorter than the whole support: the cyclic power is read back on
+the window, so the transform length grows as ``sqrt(count)``, not as
+``count``.  Entries of the power at or below
 its error bound are set to 0.0; it is then spread at stride ``s`` (its
 span over the common lattice of all spans) onto that lattice, so the gaps
 under a coarser span stay exact zeros, and folded in with
@@ -89,6 +94,11 @@ _MAX_REFINE = 1000
 #: most entries an exact law may hold: every law within it fits a 2^23-point
 #: FFT, and the largest took 8.2 s at 610 MB peak RSS on one Intel Xeon core
 _LENGTH_CAP = 2**23
+
+#: most probability a Hoeffding window may leave out, u^2: the window adds
+#: 2 u^2 to a power's e_inf, which is never below 9u 2^-11.5 under the length
+#: cap (``sum_law``, error bound step 4)
+_OUTSIDE = _U * _U
 
 
 @dataclass(frozen=True)
@@ -287,12 +297,29 @@ def _transform_at(dense: np.ndarray, bf: _Bounds, freqs: np.ndarray, size: int):
     return out, err
 
 
+def _window(dense: np.ndarray, bf: _Bounds, count: int) -> tuple[int, int, float]:
+    """The indices ``[a, b]`` on which :func:`_power` reads ``dense`` to the
+    power ``count``, and a bound on the exact power's mass outside them:
+    its Hoeffding window (``sum_law``, error bound step 4) where that needs
+    a shorter transform than the whole support, else the whole support and
+    0.0."""
+    last = count * (len(dense) - 1)
+    center = count * float(np.arange(len(dense)) @ dense) / float(dense.sum())
+    reach = (len(dense) - 1) * math.sqrt(count * math.log(2.0 / _OUTSIDE) / 2.0)
+    a = max(0, math.floor(center - reach) - 1)
+    b = min(last, math.ceil(center + reach) + 1)
+    if (b - a).bit_length() < last.bit_length():
+        return a, b, _OUTSIDE * bf.n1 ** count * (1.0 + 4.0 * _U)
+    return 0, last, 0.0
+
+
 def _power(dense: np.ndarray, count: int):
-    """``dense`` convolved with itself to the power ``count >= 2``, with
-    entries at or below its error bound set to 0.0, and its bounds."""
-    length = count * (len(dense) - 1) + 1
-    size = 1 << (length - 1).bit_length()
+    """``dense`` convolved with itself to the power ``count >= 2``, read on
+    its window (:func:`_window`): the window's first index, the power there
+    with entries at or below its error bound set to 0.0, and its bounds."""
     bf = _measured(dense)
+    a, b, outside = _window(dense, bf, count)
+    size = 1 << (b - a).bit_length()  # the least power of two >= b - a + 1
     spec = np.fft.rfft(dense, size)
     power = _raise(spec, count)
     eta = _eta(size, _U)
@@ -334,15 +361,18 @@ def _power(dense: np.ndarray, count: int):
     inv = eta * math.sqrt(float(np.square(z).sum())) * (1.0 + 2.0 * (size + 2) * _U) / (1.0 - eta)
     einf = (s1 + d1) * (1.0 + 4.0 * _U) + inv
     e2 = (math.sqrt(s2) + d2) * (1.0 + 4.0 * _U) + inv
-    x = z[:length]
-    e1 = min(length * einf, math.sqrt(length) * e2)
+    # the cyclic power read on [a, b], with wraparound where b >= N
+    x = z[a:b + 1] if b < size else np.take(z, np.arange(a, b + 1), mode="wrap")
+    e1 = min((b - a + 1) * einf, math.sqrt(b - a + 1) * e2)
+    # the aliased mass and the mass left out: each at most `outside`
+    e1, e2, einf = e1 + 2.0 * outside, e2 + 2.0 * outside, einf + 2.0 * outside
     drop = x <= einf
     if drop.any():
         dropped = x[drop]
         tail = _measured(dropped)
         e1, e2, einf = e1 + tail.n1, e2 + tail.n2, einf + max(0.0, float(dropped.max()))
         x = np.where(drop, 0.0, x)
-    return x, _measured(x, e1, e2, einf)
+    return a, x, _measured(x, e1, e2, einf)
 
 
 def _is_integer(x) -> bool:
@@ -404,8 +434,12 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     place.
     A part with ``count = n >= 2`` is densified on its own span, ``f`` of
     length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
-    + 1``) by one transform pair of length ``N = 2^t``, the least power of
-    two ``>= L``, so the cyclic power is the linear one: one double
+    + 1``) on its window ``[a, b]`` (step 4): the Hoeffding window where its
+    ``W = b - a + 1`` points need a shorter transform than L points, else
+    the whole support (``a = 0``, ``W = L``).  One transform pair of length
+    ``N = 2^t``, the least power of two ``>= W``, gives the cyclic power,
+    which is read on ``[a, b]`` with wraparound (on the whole support it is
+    the linear power): one double
     ``rfft``, the pointwise power ``F^n`` in complex128 by squaring over the
     bits of n (square, then multiply by ``F`` where the bit is set), one
     double ``irfft``.  Unless the double power's error bound is already
@@ -416,9 +450,10 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     ``_EXT`` (:func:`_transform_at`: straight from the atoms, or by one
     extended ``rfft`` where the direct sums would cost more), raised to the
     power there and rounded to double once.  Everywhere else the double
-    power stands.  Entries of the power at or below its ``e_inf`` bound are
+    power stands.  Entries of the window at or below its ``e_inf`` bound are
     then set to 0.0: this removes FFT noise, negatives and subnormals.  The
-    power is spread at stride ``s`` onto the common lattice and folded in
+    window is placed at offset a, spread at stride ``s`` onto the common
+    lattice and folded in
     with ``numpy.convolve`` of the nonzero windows of the running array and
     of the power; the old window is then zeroed and the product written into
     its new window, so the zeros outside the windows stay exact.
@@ -478,11 +513,14 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        most ``eta_N ||irfft(P^)||_2 <= eta_N ||z^||_2 / (1 - eta_N)`` in
        the 2- and inf-norms, ``z^`` the computed inverse of length N.  The
        spectrum's error reaches the power through ``||F^-1 e||_inf <=
-       ||e||_1 / N`` and Parseval, ``||F^-1 e||_2 = ||e||_2 / sqrt(N)``:
+       ||e||_1 / N`` and Parseval, ``||F^-1 e||_2 = ||e||_2 / sqrt(N)``, so
+       against the exact cyclic power (``f^{*n}`` summed over the indices
+       congruent mod N; the linear power when ``N >= L``) the W entries read
+       on the window err by
 
            e_inf = sum_j e_j / N + eta_N ||z^||_2 / (1 - eta_N),
            e_2   = sqrt(sum_j e_j^2 / N) + eta_N ||z^||_2 / (1 - eta_N),
-           e_1   = min(L e_inf, sqrt(L) e_2),
+           e_1   = min(W e_inf, sqrt(W) e_2),
 
        the sums over the extended frequencies (K) taken as computed and
        rounded up by ``1 + 2 (|K| + 4) u``, those over the others as above.
@@ -517,13 +555,37 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        arm64), ``u_e = u``: the set shrinks and ``err_abs`` loosens.
        Measured on the three 3-point laws of the tests, it is
        5.9e-15-1.1e-14 at n = 2 (1.7-1.8x the long-double bound),
-       8.3e-14-1.2e-13 at n = 300 (19-23x) and 1.5e-12-2.2e-12 at n = 2e4
-       (440-500x).
-    4. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
+       7.4e-14-9.5e-14 at n = 300 (18-22x) and 6.0e-13-8.5e-13 at n = 2e4
+       (320-380x).
+    4. *Window* (Hoeffding, JASA 58 (1963) 13-30, Thm 2).  The n summands
+       of the scaled law ``g = f / ||f||_1`` lie in ``[0, l - 1]``, so their
+       sum S obeys ``P{S - n mu >= t} <= exp(-2 t^2 / (n (l - 1)^2))``, and
+       the same below.  With ``T = u^2`` (``_OUTSIDE``) and ``t = (l - 1)
+       sqrt(n ln(2/T) / 2)``, each side holds at most ``T/2``: the window
+       ``a = max(0, floor(c - t) - 1)``, ``b = min(L - 1, ceil(c + t) +
+       1)``, c the computed ``n mu``, leaves out at most T of S's
+       probability, so at most ``T' = T ||f||_1^n`` of the power's mass
+       (``||f||_1^n`` rounded up by ``1 + 4u``).  The margin of
+       one index covers the roundings of c and t: c is a dot product and a
+       sum of at most l terms, a quotient and a product, within ``(2l + 4)
+       u c < 2^-6`` of ``n mu`` as ``c <= n (l - 1) < 2^23`` and ``l <=
+       2^22 + 1`` (n >= 2), and t errs by a few u of itself.  Since ``W <= N``, each
+       index outside the window is congruent mod N to at most one inside
+       it, so the cyclic power's entries on the window exceed the linear
+       power's by at most T' in total (aliasing), and the entries left out
+       of the window hold at most T' (truncation): ``e_inf``, ``e_2`` and
+       ``e_1`` each grow by ``2T'``.  T comes from the precision, so it adds
+       no setting: ``e_inf`` is at least ``eta_N ||z^||_2``, with ``eta_N
+       > 9u`` and ``||z^||_2 >= ||z^||_1 / sqrt(N)``, about ``2^-11.5`` as
+       ``N <= 2^23``, so ``2T`` moves it by less than 2^-43 of itself.  The window is taken only where it
+       shortens the transform; at n = 2e3-8e3 a law on 2-4 points needs N
+       = 1024-4096 on it instead of 2048-32768, and ``err_abs`` shrinks
+       with ``eta_N sqrt(N)`` and W.
+    5. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
        error there to at most ``x^_i + e_inf``, so ``e_inf`` grows by the
        largest dropped entry and ``e_1``, ``e_2`` by the norms of the dropped
        entries.
-    5. *Normalization* by ``T = fsum(acc^)`` (correctly rounded): with exact
+    6. *Normalization* by ``T = fsum(acc^)`` (correctly rounded): with exact
        mass ``M``, ``|M - T| <= e_1 + 2u T =: d``, and each quotient rounds
        by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T - d) + u
        max acc^) / T``, times ``1 + 2^-40`` for the rounding of the bound.
@@ -564,14 +626,14 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             ks, w = zip(*pos)
             dense = np.zeros(span + 1)
             dense[list(ks)] = w
-            power, pb = _power(dense, count)
+            a, power, pb = _power(dense, count)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # gaps stay exact zeros
             spread[::s] = power[nz[0]:nz[-1] + 1]
             product = np.convolve(win, spread)
             ab = _direct_product(ab, pb, min(len(win), len(spread)))
             win[:] = 0.0
-            lo, hi = lo + s * int(nz[0]), hi + s * int(nz[-1])
+            lo, hi = lo + s * (a + int(nz[0])), hi + s * (a + int(nz[-1]))
             acc[lo:hi] = product
         first += count * s * k0
     total = math.fsum(acc[np.flatnonzero(acc)].tolist())

@@ -328,11 +328,13 @@ def count_via_enumeration(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class PartitionInstance:
-    """One solved instance: tilt parameter and the two counts."""
+    """One solved instance: tilt parameter and the two counts.  ``sigma`` is
+    None where the centring equation degenerates (m = n), so the JSON holds
+    ``null`` there, not the ``-Infinity`` that RFC 8259 lacks."""
 
     m: int
     n: int
-    sigma: float
+    sigma: float | None
     q_model: int | None
     q_enum: int | None
 
@@ -355,4 +357,5 @@ def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
     q_model = _model_count(m, n, sigma) if mode != "enum" else None
     if q_model is not None and q_enum is not None and q_model != q_enum:
         raise NumericsError(f"model count {q_model} disagrees with enumeration {q_enum}")
-    return PartitionInstance(m=m, n=n, sigma=sigma, q_model=q_model, q_enum=q_enum)
+    return PartitionInstance(m=m, n=n, sigma=None if sigma == -math.inf else sigma,
+                             q_model=q_model, q_enum=q_enum)

@@ -539,6 +539,20 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["q_model"] == payload["q_enum"] == 3
 
+    def test_partition_at_m_equal_n_is_strict_json(self, capsys):
+        # the centring equation degenerates at m = n: sigma prints as null
+        # (an empty CSV cell), and a reader that refuses NaN and Infinity
+        # parses the output
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, out = run_cli(capsys, ["partition", "--m", "5", "--n", "5"])
+        payload = json.loads(out, parse_constant=refuse)
+        assert code == 0 and payload == {"m": 5, "n": 5, "q_enum": 1, "q_model": 1,
+                                         "sigma": None}
+        code, out = run_cli(capsys, ["partition", "--m", "5", "--n", "5", "--format", "csv"])
+        assert code == 0 and out.splitlines() == ["m,n,q_enum,q_model,sigma", "5,5,1,1,"]
+
     def test_validate_command(self, capsys, bern_file):
         code, out = run_cli(capsys, ["validate", bern_file])
         assert code == 0

@@ -44,10 +44,8 @@ _EXAMPLES = int(os.environ.get("LLTKIT_CONTRACT_EXAMPLES", "250"))
 _KINDS = {"hypothesis-rejected", "numerical-failure", "input-error"}
 
 #: the cells that may be infinite at exit 0, with their value there: the
-#: sides and width of a vacuous sandwich, and partition's tilt at m = n, where
-#: the centring equation degenerates (``partition.solve_sigma``)
-_INFINITE_CELLS = {"lower": -math.inf, "upper": math.inf, "envelope_width": math.inf,
-                   "sigma": -math.inf}
+#: sides and width of a vacuous sandwich
+_INFINITE_CELLS = {"lower": -math.inf, "upper": math.inf, "envelope_width": math.inf}
 
 _BIG = [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 + 1, -(2**64)]
 _HOSTILE = st.sampled_from([0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
