@@ -425,7 +425,10 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     offsets add up into ``v0``.  A law of more than ``_LENGTH_CAP`` points
     is refused, as a ``LatticeError``, before anything is allocated.  The
     exact law is that of independent summands whose pmfs are the stored
-    masses, each scaled to total one.
+    masses, each scaled to total one; each part's masses must already total
+    one to within the rounding of :func:`lltkit.lattice.make_pmf`'s
+    normalization (the drift test below), or the part is refused, as a
+    ``NumericsError``, before anything is allocated.
 
     **Kernel.**  A part with ``count == 1`` is folded by its atoms: for each
     positive mass ``(k, w)``, in increasing k, ``w`` times the running array
@@ -590,17 +593,26 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T - d) + u
        max acc^) / T``, times ``1 + 2^-40`` for the rounding of the bound.
 
-    The drift test checks the carried bound: stored masses are normalized
-    to within ``2u`` (:func:`lltkit.lattice.make_pmf`), so the exact mass is
-    within ``3u n`` of one for n summands, and ``|T - 1| > e_1 + 3u n + 2u``
-    raises :class:`NumericsError`.
+    The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
+    divides each weight by their correctly rounded sum, so its masses total
+    one to within ``2u / (1 - u)`` and their ``fsum``, correctly rounded,
+    lies within ``2u`` of one (doubles are ``u`` apart below one and ``2u``
+    above it); so does that of :func:`bernoulli`'s ``1 - t`` and t.  A part
+    whose ``fsum`` lies further off is refused before the fold, so each
+    exact mass is within ``3u`` of one, the sum's within ``3u n`` for n
+    summands, and ``|T - 1| > e_1 + 3u n + 2u`` raises
+    :class:`NumericsError`.
     """
     parts = [(p, _as_count(count, j)) for j, (p, count) in enumerate(parts)]
     if not parts:
         raise LatticeError("need at least one summand")
     d, strides = _common_lattice([p.D for p, _ in parts])
     atoms, length = [], 1  # per part: stride, first listed index, span, positive atoms
-    for (p, count), s in zip(parts, strides):
+    for j, ((p, count), s) in enumerate(zip(parts, strides)):
+        mass = math.fsum(p.probs.values())
+        if abs(mass - 1.0) > 2.0 * _U:
+            raise NumericsError(f"part {j}: its masses total {mass!r}, not one to within "
+                                "2u; normalize the law (make_pmf does)")
         items = sorted(p.probs.items())
         k0 = int(items[0][0])  # the first listed atom, massless or not
         span = int(items[-1][0]) - k0

@@ -1518,7 +1518,8 @@ class TestSweepRows:
 
 def test_import_leaves_integrate_and_optimize_unloaded():
     # quad is imported by the one function that calls it, the transforms are
-    # numpy's, and ndtr, expit and brentq are lltkit's own
+    # numpy's, ndtr and expit are lltkit's own, and so is the partition
+    # tilt's root finder
     code = ("import sys, lltkit.cli; sys.exit(any(m in sys.modules for m in "
             "('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft')))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.special import ndtr
 from lltkit import (
     LatticeError,
     LatticePmf,
+    NumericsError,
     bernoulli,
     chernoff_rho,
     iid_sum,
@@ -242,16 +244,16 @@ class _WalkCounter(dict):
         return super().items()
 
 
-def _partition_model_parts(m, n):
+def _partition_model_parts(m, n, sigma=None):
     """The two-point parts ``{0: 1 - p_j, j: p_j}``, j = m..n, of the
-    partition model at its centred tilt: many sparse count-1 parts whose
-    law spans ``sum_j j`` points."""
+    partition model at the tilt ``sigma`` (by default its centred tilt):
+    many sparse count-1 parts whose law spans ``sum_j j`` points."""
     from scipy.special import expit
 
     from lltkit.partition import solve_sigma
 
     js = np.arange(m, n + 1)
-    p_hit = expit(-solve_sigma(m, n) * js.astype(float))
+    p_hit = expit(-(solve_sigma(m, n) if sigma is None else sigma) * js.astype(float))
     return [(make_pmf(0.0, 1.0, [(0, 1.0 - ph), (int(j), ph)]), 1)
             for j, ph in zip(js, p_hit)]
 
@@ -693,7 +695,12 @@ _ERR_ABS_PINS = {  # parts, and the err_abs the bound chain gave them
                  "0x1.0dd00b8c9c835p-49"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
               "0x1.adcab16b75ddbp-49"),
-    "partition-m1-n100": (lambda: _partition_model_parts(1, 100), "0x1.9734e7e3bdd5cp-47"),
+    # the parts at a fixed tilt, the centred one as solve_sigma gave it when
+    # the pin was taken, so the pin follows sum_law alone, not the last bits
+    # of the root
+    "partition-m1-n100": (
+        lambda: _partition_model_parts(1, 100, float.fromhex("0x1.7322b21829726p-4")),
+        "0x1.9734e7e3bdd5cp-47"),
     "mixed-spans": (lambda: [(make_pmf(0.0, 2.0, [(0, 0.5), (1, 0.5)]), 3),
                              (make_pmf(0.5, 3.0, [(0, 0.2), (1, 0.3), (2, 0.5)]), 4),
                              (make_pmf(0.0, 1.0, [(0, 0.6), (2, 0.1), (5, 0.3)]), 1),
@@ -726,6 +733,45 @@ class TestLengthCap:
                       [(fair_bernoulli, 4), (make_pmf(0.0, 2.0, [(0, 1), (3, 1)]), 1)]):
             with pytest.raises(LatticeError, match="exact law of 11 points, above the cap of 10"):
                 sum_law(parts)
+
+
+class TestPartMass:
+    @pytest.mark.parametrize("count", [1, 10, 1000, 2000])
+    def test_unnormalized_part_refused_before_the_fold(self, monkeypatch, count):
+        # masses of total 2, built without make_pmf: without the check the
+        # fold ends in a drift refusal (count 10), an IndexError (1000) or an
+        # OverflowError after overflow warnings (2000)
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the mass check")
+
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(np, name, no_alloc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"part 0: its masses total 2\.0, not one"):
+                sum_law([(LatticePmf(0.0, 1.0, {0: 1.0, 1: 1.0}), count)])
+
+    def test_mass_check_is_2u(self):
+        # 1 + 2u passes, 1 + 4u (the next double up) is refused, and below
+        # one 1 - 2u passes and 1 - 3u is refused
+        for total, ok in ((1 + 2.0**-52, True), (1 + 2.0**-51, False),
+                          (1 - 2.0**-52, True), (1 - 3 * 2.0**-53, False)):
+            law = LatticePmf(0.0, 1.0, {0: 0.5, 1: total - 0.5})
+            assert math.fsum(law.probs.values()) == total
+            if ok:
+                assert sum_law([(law, 3), (bernoulli(0.25), 1)]).probs.sum() == pytest.approx(1)
+            else:
+                with pytest.raises(NumericsError, match="not one to within 2u"):
+                    sum_law([(bernoulli(0.25), 1), (law, 3)])
+
+    def test_normalized_laws_pass_the_mass_check(self):
+        # make_pmf's masses, those of the xi laws it builds and bernoulli's
+        # total one to within 2u, which 3,000 random laws reach
+        rng = np.random.default_rng(5)
+        laws = [random_pmf(rng, require_theta=True) for _ in range(300)]
+        laws += [xi_law(split(p)) for p in laws] + [bernoulli(float(t)) for t in rng.random(200)]
+        worst = max(abs(math.fsum(p.probs.values()) - 1) for p in laws)
+        assert worst <= 2.0**-52
 
 
 class TestPoissonBinomial:

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from lltkit import (
@@ -51,6 +50,23 @@ def test_numpy_integer_m_and_n(dtype):
     assert type(out.m) is int and type(out.n) is int
 
 
+def _residual_and_bound(m, n, sigma):
+    """The residual of the centring equation at ``sigma`` and the rounding
+    bound B of ``solve_sigma``'s docstring (scipy's expit, the doubles of
+    ``_expit``)."""
+    js = np.arange(m, n + 1, dtype=float)
+    t = js * expit(-sigma * js)
+    res = float(np.sum(t)) - n
+    return res, 2.0**-52 * ((len(js) + 4) * float(np.sum(t))
+                            + abs(sigma) * float(np.sum(js * t)) + abs(res))
+
+
+def _assert_residual_within_rule(m, n, sigma):
+    """The residual at ``sigma`` is at most ``SIGMA_RESIDUAL_TOL`` or B."""
+    res, bound = _residual_and_bound(m, n, sigma)
+    assert abs(res) <= partition.SIGMA_RESIDUAL_TOL or abs(res) <= bound, (m, n, res, bound)
+
+
 class TestSolveSigma:
     def test_residual_within_tolerance(self):
         for m, n in [(1, 10), (2, 17), (5, 30), (1, 60)]:
@@ -69,6 +85,32 @@ class TestSolveSigma:
         assert abs(residual) <= 4 * math.ulp(n)
         assert sigma == pytest.approx(math.pi / math.sqrt(12 * n), rel=0.01)
 
+    @pytest.mark.parametrize("n", [60000, 100000])
+    def test_large_n_stops_one_step_past_the_rounding_bound(self, monkeypatch, n):
+        # no residual reaches 1e-12 here; the first one within B (about
+        # 2 N n u, 8e-7 at n = 6e4) is that of the next-to-last iterate
+        xs = []
+        monkeypatch.setattr(partition, "_expit",
+                            lambda x, f=partition._expit: xs.append(x) or f(x))
+        sigma = solve_sigma(1, n)
+        iterates = [-float(x[0]) for x in xs]  # x = -sigma j from j = 1
+        within = []
+        for s in iterates:
+            res, bound = _residual_and_bound(1, n, s)
+            assert abs(res) > partition.SIGMA_RESIDUAL_TOL
+            within.append(abs(res) <= bound)
+        assert within.index(True) == len(xs) - 2 and len(xs) <= 20
+        assert iterates[-1] == sigma
+        _assert_residual_within_rule(1, n, sigma)
+
+    def test_negative_roots(self):
+        # the parts n - 1 and n sum to 2n - 1 < 2n, so the root is negative,
+        # near -1/n^2
+        for n in range(3, 301):
+            sigma = solve_sigma(n - 1, n)
+            assert -2.0 / n**2 < sigma < 0, n
+            _assert_residual_within_rule(n - 1, n, sigma)
+
     def test_degenerate_single_part(self):
         assert solve_sigma(1, 1) == float("-inf")
         assert solve_sigma(7, 7) == float("-inf")
@@ -79,35 +121,47 @@ class TestSolveSigma:
         assert solve_sigma(m, n) > 0
         m, n = 29, 30  # sum/2 = 29.5 < 30 -> negative root
         assert solve_sigma(m, n) < 0
+        m, n = 1, 3  # sum/2 = 3 = n: the first iterate is the root
+        assert solve_sigma(m, n) == 0.0
 
     def test_infeasible_rejected(self):
         with pytest.raises(PreconditionError):
             solve_sigma(5, 4)
 
+    def test_refused_when_the_loop_cannot_converge(self, monkeypatch):
+        # a logistic stuck at one: g is sum_j j - n > 0 everywhere and g' is
+        # 0, so every Newton step is infinite and bisects the bracket [0, 1]
+        # toward its upper end, and the residual never falls
+        sigmas = []
+
+        def stuck(x):
+            sigmas.append(-float(x[0]) / 2)  # x = -sigma j, j = 2..10
+            return np.ones_like(x)
+
+        monkeypatch.setattr(partition, "_expit", stuck)
+        with pytest.raises(NumericsError, match=r"centering equation residual 4\.400e\+01 above"):
+            solve_sigma(2, 10)
+        assert sigmas[:4] == [0.0, 0.5, 0.75, 0.875] and 0.875 < sigmas[-1] <= 1
+
 
 class TestScipyRoutines:
-    """``_expit`` and ``_brentq`` give the doubles of scipy's ``expit`` and
-    ``brentq``, bit for bit."""
+    """``_expit`` gives the doubles of scipy's ``expit``, bit for bit, and
+    ``solve_sigma``'s root, which it evaluates, meets its residual rule."""
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_root_and_logistic_on_the_partition_grid(self, m):
-        # the bracket and tolerances of solve_sigma, one g for both solvers
+        # every (m, n) of the benchmark's partition grid, and the n between:
+        # the residual rule, the root's sign from g(0) = sum_j j / 2 - n, and
+        # the logistic at the root, its mirror and the bracket end sigma = -1
         for n in range(max(m, 2), 301):
-            if (m + n) * (n - m + 1) // 2 <= n:
+            total = (m + n) * (n - m + 1) // 2
+            if total <= n:
                 continue
+            root = solve_sigma(m, n)
+            _assert_residual_within_rule(m, n, root)
+            assert (root > 0) == (total > 2 * n) and (root < 0) == (total < 2 * n)
             js = np.arange(m, n + 1, dtype=float)
-
-            def g(s):
-                return float(np.sum(js * expit(-s * js))) - n
-
-            lo, hi = -1.0, 1.0
-            while g(lo) < 0:
-                lo *= 2.0
-            while g(hi) > 0:
-                hi *= 2.0
-            root = partition._brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-            assert root.hex() == brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200).hex()
-            for x in (-root * js, root * js, -lo * js):
+            for x in (-root * js, root * js, js):
                 assert np.array_equal(_bits(partition._expit(x)), _bits(expit(x)))
 
     def test_logistic_where_exp_overflows(self):
@@ -119,12 +173,6 @@ class TestScipyRoutines:
                                 5e-324, 36.0, 37.0, 710.0, 1e308]])
         assert np.array_equal(_bits(partition._expit(x)), _bits(expit(x)))
         assert partition._expit(np.array([np.nextafter(edge, -np.inf)])).tolist() == [0.0]
-
-    def test_brentq_refusals(self):
-        with pytest.raises(NumericsError, match="no sign change"):
-            partition._brentq(lambda x: x - 5.0, 0.0, 1.0, 1e-15, 8.9e-16, 200)
-        with pytest.raises(NumericsError, match=r"did not converge \(maxiter = 1\)"):
-            partition._brentq(lambda x: x**3 - 0.3, 0.0, 1.0, 1e-15, 8.9e-16, 1)
 
 
 class TestModelCount:
