@@ -13,17 +13,21 @@ pocketfft, which keeps ``np.longdouble`` in long double from numpy 2.0 on):
 one double ``rfft``, a pointwise power over the bits of ``count``, one
 double ``irfft``, with the frequencies where the power survives evaluated
 again and raised in extended precision, unless the double power is already
-as accurate as its inverse transform.  The transform covers only the
-power's Hoeffding window, about ``12 span sqrt(count)`` points around its
-mean outside of which the power holds at most ``u^2`` of mass, wherever
-that is shorter than the whole support: the cyclic power is read back on
-the window, so the transform length grows as ``sqrt(count)``, not as
-``count``.  Entries of the power at or below
-its error bound are set to 0.0; it is then spread at stride ``s`` (its
+as accurate as its inverse transform (summed from the atoms with twiddles
+read from a full-circle table built once per transform length and kept
+within ``_TWIDDLE_BYTES``, or by one extended ``rfft``).  The transform
+covers only the power's Hoeffding window, about ``12 span sqrt(count)``
+points around its mean outside of which the power holds at most ``u^2`` of
+mass, wherever that is shorter than the whole support: the cyclic power is
+read back on the window, so the transform length grows as ``sqrt(count)``,
+not as ``count``.  Entries of the power at or below its error bound are
+set to 0.0; it is then spread at stride ``s`` (its
 span over the common lattice of all spans) onto that lattice, so the gaps
 under a coarser span stay exact zeros, and folded in with
 ``numpy.convolve`` over the nonzero windows of the running array and of
-the power only, the product written back over the array's old window.
+the power only, the product written back over the array's old window; the
+first part's power is written in as it is, its product with the unit.
+The sum is normalized in place on the window that holds its nonzeros.
 Every oracle reads the dense array of the resulting :class:`SumLaw` in
 place, and ``SumLaw.err_abs`` bounds how far any of its masses can be from
 the exact law (derived at :func:`sum_law`).  The normal CDF is
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,7 +67,9 @@ _MAXLOG = math.log(np.finfo(float).max)
 #: [1, 8) and [8, inf).  The leading 1 of U, Q and S is Cephes' ``p1evl``,
 #: and the leading zeros that pad each to 9 coefficients leave Horner's
 #: rule the same doubles (``0 x + 0`` is 0 and ``0 x + c`` is c, x finite).
-_NDTR_POLY = np.array([
+#: Stored one column per polynomial, so that each Horner step reads one
+#: contiguous row of the gathered coefficients.
+_NDTR_POLY = np.ascontiguousarray(np.array([
     (0.0, 0.0, 0.0, 0.0, 9.60497373987051638749e0, 9.00260197203842689217e1,
      2.23200534594684319226e3, 7.00332514112805075473e3, 5.55923013010394962768e4),
     (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
@@ -80,13 +86,20 @@ _NDTR_POLY = np.array([
     (0.0, 0.0, 1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
      1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
      3.36907645100081516050e0),
-])
+]).T)
 
 #: the precision of the frequencies whose power survives (``sum_law``)
 _EXT = np.longdouble
 
 #: (frequency, atom) pairs summed at once by :func:`_transform_at`: about 8 MB
 _PAIRS = 2**16
+
+#: most bytes the kept twiddle tables of one precision hold together
+#: (:func:`_twiddles`): in long double, every size up to 2^17
+_TWIDDLE_BYTES = 2**23
+
+#: the full-circle twiddle tables built so far, by ``(size, _EXT)``
+_TWIDDLES: dict = {}
 
 #: largest refinement of the finest span that a common lattice may need
 _MAX_REFINE = 1000
@@ -192,8 +205,8 @@ def _gamma(k: int, u: float) -> float:
 
 
 def _measured(x: np.ndarray, e1: float = 0.0, e2: float = 0.0, einf: float = 0.0) -> _Bounds:
-    """Bounds with the norms of ``x`` summed in its own precision and rounded up."""
-    up = 1.0 + 2.0 * (len(x) + 2) * float(np.finfo(x.dtype).epsneg) + 4.0 * _U
+    """Bounds with the norms of the doubles ``x`` summed in double and rounded up."""
+    up = 1.0 + 2.0 * (len(x) + 2) * _U + 4.0 * _U
     ax = np.abs(x)
     return _Bounds(float(ax.sum()) * up, math.sqrt(float(np.square(x).sum())) * up,
                    float(ax.max()) * (1.0 + 2.0 * _U), e1, e2, einf)
@@ -219,6 +232,7 @@ def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
                    e1, min(e2, e1), min(einf, e2, e1))
 
 
+@cache
 def _eta(size: int, u: float) -> float:
     """Higham's normwise error constant ``eta_N`` of a power-of-two transform
     of length ``size`` computed with unit roundoff u and twiddles within 4u,
@@ -245,54 +259,99 @@ def _raise(z: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _octant_table(size: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` in ``_EXT`` of the angles ``phi = (pi/4) t step /
+    size`` in ``[0, pi/4]``, ``step = min(8, size)``, for t = 0..top: the
+    angles :func:`_circle` reduces every twiddle to (``top = size/step``
+    covers them all)."""
+    step = min(8, size)
+    phi = np.arange(top + 1, dtype=_EXT) * (step * np.arctan(_EXT(1)) / size)
+    return np.cos(phi), np.sin(phi)
+
+
+def _circle(m: np.ndarray, size: int, cos: np.ndarray, sin: np.ndarray):
+    """``cos`` and ``sin`` in ``_EXT`` of ``2 pi m / size`` for integers ``0
+    <= m < size``, from :func:`_octant_table`'s ``cos`` and ``sin``.  Each
+    angle is reduced to an octant by integer arithmetic, ``(pi/4) (o +
+    r/size)``; its cosine and sine are a swap and sign change of those of
+    ``(pi/4) t/size`` in ``[0, pi/4]`` (t = r, or ``size - r`` in an odd
+    octant), so the eighth-turn points are exact and every other value is
+    one ``cos`` or ``sin`` of a small angle rounded twice."""
+    step = min(8, size)  # every r is a multiple of it
+    o, r = np.divmod(8 * m, size)
+    odd = (o & 1).astype(bool)
+    t = np.where(odd, size - r, r) // step
+    quarter = o >> 1
+    swap = odd ^ (quarter & 1).astype(bool)  # cos and sin trade places
+    ct, st = cos[t], sin[t]
+    c, s = np.where(swap, st, ct), np.where(swap, ct, st)
+    c[(quarter == 1) | (quarter == 2)] *= -1
+    s[quarter >= 2] *= -1
+    return c, s
+
+
+def _twiddles(size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The full circle of the power of two ``size``: :func:`_circle` of
+    every ``m < size``, built on first use per ``(size, _EXT)`` and kept,
+    or None where it would not fit the budget.  A table takes ``2 itemsize
+    size`` bytes (32 size in long double); only sizes with ``4 itemsize
+    size <= _TWIDDLE_BYTES`` are kept, so the kept tables of one type,
+    one per power of two at most, hold less than ``_TWIDDLE_BYTES``
+    together (in long double: every size up to 2^17, under 8 MB)."""
+    key = (size, _EXT)
+    table = _TWIDDLES.get(key)
+    if table is None and 4 * np.dtype(_EXT).itemsize * size <= _TWIDDLE_BYTES:
+        step = min(8, size)
+        table = _TWIDDLES[key] = _circle(np.arange(size), size, *_octant_table(size, size // step))
+    return table
+
+
 def _transform_at(dense: np.ndarray, bf: _Bounds, freqs: np.ndarray, size: int):
     """``sum_k dense[k] exp(-2 pi i j k / size)`` for each j in ``freqs`` (in
     increasing order), in ``_EXT``, and a bound on the error of every value
     (``bf`` bounds the norms of ``dense``).
 
-    They are summed straight from the A positive entries.  Each angle ``2 pi
-    m / size`` (``m = j k mod size``, exact in integers) is reduced to an
-    octant by integer arithmetic, ``(pi/4) (o + r/size)``; the twiddle is a
-    swap and sign change of ``cos`` and ``sin`` of ``phi = (pi/4) t/size``
-    in ``[0, pi/4]``, read from a table of the angles up to the largest t
-    that can occur, so the eighth-turn points are exact and the table holds
-    at most ``size/8 + 1`` angles.  The pairs ``(j, k)`` are taken
-    ``_PAIRS`` at a time.  Their error bound, ``sqrt2 (gamma_A(u_e) (1 +
+    They are summed straight from the A positive entries, the pairs ``(j,
+    k)`` taken ``_PAIRS`` at a time.  A pair's twiddle is read from the
+    full circle of ``size`` (:func:`_twiddles`) at ``m = j k mod size``,
+    exact in integers.  Where no table is kept (``size > 2^17`` in long
+    double) each block reduces its m to a table of the octant angles up to
+    the largest one reached, built once per call (:func:`_circle`): the
+    same long doubles.  No ``perfbench`` workload reaches that path (their
+    sizes are 4096 at most), so its cost is timed only in single calls
+    (ROADMAP item 1b's many-atom workload is to measure it).  Their error bound, ``sqrt2 (gamma_A(u_e) (1 +
     4u_e) + 4u_e) ||f||_1``, is far below that of a transform, ``eta_N(u_e)
-    sqrt(N) ||f||_2``, but a pair costs about 100 ns, as much as 15-20
-    butterfly steps of an extended transform.  Where ``4 |freqs| A``
-    exceeds ``size log2(size) + 2^13``, so that the sums would cost about
-    four extended transforms or more, one extended ``rfft`` gives the
-    values instead.  That takes a law of many atoms whose power the double
-    transform cannot already give within its inverse transform's error:
-    a heavy atom among many light ones (a spectrum near 1 everywhere) at
-    any n, or 40-1000 atoms of similar mass at n of about 4-16.  The
-    constants come from single-call timings on one Intel Xeon core; no
-    ``perfbench`` workload has such laws (see ROADMAP).
+    sqrt(N) ||f||_2``.  On one Intel Xeon core a pair costs 13-20 ns read
+    from a kept table (50-60 ns by octant reduction), on top of about 10
+    us per call, and one extended ``rfft`` about 35 ns per point.  Where
+    ``4 |freqs| A`` exceeds ``size log2(size) + 2^13``, one extended
+    ``rfft`` gives the values instead.  That rule was fitted to the octant
+    reduction's cost of about 100-150 ns a pair, and it stays: the two
+    paths carry different bounds, so moving the rule moves ``err_abs`` and
+    the digits printed from it.  It takes a law of many atoms whose power
+    the double transform cannot already give within its inverse transform's
+    error: a heavy atom among many light ones (a spectrum near 1
+    everywhere) at any n, or 40-1000 atoms of similar mass at n of about
+    4-16.  No ``perfbench`` workload has such laws (see ROADMAP).
     """
     ks = np.flatnonzero(dense)
     ue = float(np.finfo(_EXT).epsneg)
     if 4 * len(freqs) * len(ks) > size * (size.bit_length() - 1) + 2**13:
         ext = np.fft.rfft(dense.astype(_EXT), size)[freqs]
         return ext, _eta(size, ue) * math.sqrt(size) * bf.n2
-    step = min(8, size)  # every r is a multiple of it
-    last = min(size, 8 * int(freqs[-1]) * int(ks[-1])) // step  # below size/8, m = j k
-    phi = np.arange(last + 1, dtype=_EXT) * (step * np.arctan(_EXT(1)) / size)
-    cos, sin = np.cos(phi), np.sin(phi)
+    table = _twiddles(size)
+    if table is None:  # no t exceeds 8 j k / step or size / step
+        octant = _octant_table(size, min(size, 8 * int(freqs[-1]) * int(ks[-1])) // min(8, size))
     w = dense[ks].astype(_EXT)
-    out = np.empty(len(freqs), dtype=(w[0] * 1j).dtype)
+    out = np.empty(len(freqs), dtype=np.result_type(w, 1j))
     rows = max(1, _PAIRS // len(ks))
     for lo in range(0, len(freqs), rows):
-        o, r = np.divmod(8 * (np.multiply.outer(freqs[lo:lo + rows], ks) % size), size)
-        odd = (o & 1).astype(bool)
-        t = np.where(odd, size - r, r) // step
-        quarter = o >> 1
-        swap = odd ^ (quarter & 1).astype(bool)  # cos and sin trade places
-        ct, st = cos[t], sin[t]
-        c, s = np.where(swap, st, ct), np.where(swap, ct, st)
-        c[(quarter == 1) | (quarter == 2)] *= -1
-        s[quarter >= 2] *= -1
-        out[lo:lo + rows] = (c @ w) - 1j * (s @ w)
+        m = np.multiply.outer(freqs[lo:lo + rows], ks) & (size - 1)
+        c, s = (table[0][m], table[1][m]) if table is not None else _circle(m, size, *octant)
+        # the parts of (c @ w) - 1j (s @ w), whose imaginary part is 0.0 - s @ w
+        # (+0.0, not -0.0, where s @ w is 0)
+        out.real[lo:lo + rows] = c @ w
+        out.imag[lo:lo + rows] = 0.0 - s @ w
     err = math.sqrt(2.0) * (_gamma(len(ks), ue) * (1.0 + 4.0 * ue) + 4.0 * ue) * bf.n1
     return out, err
 
@@ -324,8 +383,7 @@ def _power(dense: np.ndarray, count: int):
     power = _raise(spec, count)
     eta = _eta(size, _U)
     delta = eta * math.sqrt(size) * bf.n2
-    twice = np.full(len(spec), 2.0)  # j and size - j
-    twice[0] = twice[-1] = 1.0
+    half = len(spec) - 1  # each 0 < j < half stands for j and size - j
     eps = _pow_err(count, _U)
     norm = (bf.n2 * (1.0 + eta) + delta) * (1.0 + 4.0 * _U)
 
@@ -340,10 +398,12 @@ def _power(dense: np.ndarray, count: int):
 
     cut = (bf.n1 + 2.0 * delta) * (1.0 + 4.0 * _U)  # every |F^_j| + delta
     s1 = s2 = 0.0
+    sq = np.square(np.abs(power))
+    sq[1:half] *= 2.0
     # unless the double power is already within the inverse transform's error,
     # the frequencies whose power can reach the extended unit roundoff ue are
     # evaluated again in _EXT (sum_law, error bound step 3)
-    if double_err(cut)[0] > eta * math.sqrt(float((twice * np.square(np.abs(power))).sum()) / size):
+    if double_err(cut)[0] > eta * math.sqrt(float(sq.sum()) / size):
         ue = float(np.finfo(_EXT).epsneg)
         cut = ue ** (1.0 / count) * (1.0 - 64.0 * _U)
         keep = np.flatnonzero(np.abs(spec) >= (cut - delta) * (1.0 - 8.0 * _U))
@@ -354,8 +414,11 @@ def _power(dense: np.ndarray, count: int):
         cn = c if count == 2 else _raise(c, count - 1) * (1.0 + _gamma(count, _U))
         e = cn * (count * delta_e + (pe + _U * (1.0 + pe)) * c) * (1.0 + 4.0 * _U) + 2.0**-1074
         up = (1.0 + 2.0 * (len(e) + 4) * _U) / size
-        s1 = float((twice[keep] * e).sum()) * up
-        s2 = float((twice[keep] * (e * e)).sum()) * up
+        ee = e * e
+        mid = slice(int(keep[0] == 0), len(keep) - int(keep[-1] == half))  # stand for two
+        e[mid] *= 2.0
+        ee[mid] *= 2.0
+        s1, s2 = float(e.sum()) * up, float(ee.sum()) * up
     d1, d2 = double_err(cut)
     z = np.fft.irfft(power, size)
     inv = eta * math.sqrt(float(np.square(z).sum())) * (1.0 + 2.0 * (size + 2) * _U) / (1.0 - eta)
@@ -371,7 +434,7 @@ def _power(dense: np.ndarray, count: int):
         dropped = x[drop]
         tail = _measured(dropped)
         e1, e2, einf = e1 + tail.n1, e2 + tail.n2, einf + max(0.0, float(dropped.max()))
-        x = np.where(drop, 0.0, x)
+        x[drop] = 0.0
     return a, x, _measured(x, e1, e2, einf)
 
 
@@ -395,6 +458,8 @@ def _common_lattice(spans: list[float]) -> tuple[float, list[int]]:
     ``_MAX_REFINE``; any other pair is refused as a ``LatticeError``.  Each
     distinct span is classified once, in order of first appearance."""
     finest = min(spans)
+    if finest == max(spans):
+        return finest, [1] * len(spans)
     ratios = {D: D / finest for D in spans}
     den = math.lcm(*(Fraction(r).limit_denominator(_MAX_REFINE).denominator
                      for r in ratios.values()))
@@ -434,7 +499,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     positive mass ``(k, w)``, in increasing k, ``w`` times the running array
     is added at offset ``k s`` (nothing is dropped).  Every part is folded
     into one zero array of the final length, allocated once; the adds run in
-    place.
+    place, and the first part folds into the unit without a product.  The
+    nonzeros always lie in one running window of the array, and the sum,
+    peak and division of the normalization read that window only.
     A part with ``count = n >= 2`` is densified on its own span, ``f`` of
     length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
     + 1``) on its window ``[a, b]`` (step 4): the Hoeffding window where its
@@ -451,7 +518,8 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     tau = u_e^(1/n)`` with ``u_e`` the unit roundoff of ``_EXT``
     (``np.longdouble``: ``2^-64`` on x86-64), are evaluated again in
     ``_EXT`` (:func:`_transform_at`: straight from the atoms, or by one
-    extended ``rfft`` where the direct sums would cost more), raised to the
+    extended ``rfft`` where the direct sums would cost more; their twiddles
+    come from a table kept per transform length), raised to the
     power there and rounded to double once.  Everywhere else the double
     power stands.  Entries of the window at or below its ``e_inf`` bound are
     then set to 0.0: this removes FFT noise, negatives and subnormals.  The
@@ -588,7 +656,8 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        error there to at most ``x^_i + e_inf``, so ``e_inf`` grows by the
        largest dropped entry and ``e_1``, ``e_2`` by the norms of the dropped
        entries.
-    6. *Normalization* by ``T = fsum(acc^)`` (correctly rounded): with exact
+    6. *Normalization* by ``T = fsum(acc^)`` (correctly rounded, so summed
+       over the running window: the zeros outside it add nothing): with exact
        mass ``M``, ``|M - T| <= e_1 + 2u T =: d``, and each quotient rounds
        by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T - d) + u
        max acc^) / T``, times ``1 + 2^-40`` for the rounding of the bound.
@@ -622,7 +691,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     acc, scratch = np.zeros(length), np.empty(length)
     acc[0], ab = 1.0, _Bounds(1.0, 1.0, 1.0)
     lo, hi, first = 0, 1, 0  # the nonzeros of the sum so far lie in acc[lo:hi]
-    for (_, count), (s, k0, span, pos) in zip(parts, atoms):
+    for j, ((_, count), (s, k0, span, pos)) in enumerate(zip(parts, atoms)):
         if count == 1:  # one shifted add per atom, in increasing k, in place
             win, x = acc[lo:hi], scratch[:hi - lo]
             x[:] = win
@@ -640,25 +709,29 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             dense[list(ks)] = w
             a, power, pb = _power(dense, count)
             nz = np.flatnonzero(power)
-            spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # gaps stay exact zeros
-            spread[::s] = power[nz[0]:nz[-1] + 1]
-            product = np.convolve(win, spread)
+            spread = power[nz[0]:nz[-1] + 1]
+            if s > 1:  # gaps stay exact zeros
+                spread = np.zeros((nz[-1] - nz[0]) * s + 1)
+                spread[::s] = power[nz[0]:nz[-1] + 1]
+            # the first part's product with the unit is the spread itself
+            product = np.convolve(win, spread) if j else spread
             ab = _direct_product(ab, pb, min(len(win), len(spread)))
             win[:] = 0.0
             lo, hi = lo + s * (a + int(nz[0])), hi + s * (a + int(nz[-1]))
             acc[lo:hi] = product
         first += count * s * k0
-    total = math.fsum(acc[np.flatnonzero(acc)].tolist())
+    win = acc[lo:hi]  # every nonzero: the zeros around it would divide to 0.0
+    total = math.fsum(win.tolist())
     n = sum(count for _, count in parts)
     if abs(total - 1.0) > ab.e1 + 3.0 * _U * n + 2.0 * _U:
         raise NumericsError(f"convolution mass drifted by {abs(total - 1.0):.3e}, "
                             f"beyond its error bound {ab.e1:.3e}")
-    probs = acc / total
-    peak = float(acc.max())
+    peak = float(win.max())
+    win /= total
     dm = ab.e1 + 2.0 * _U * total
     err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
     v0 = math.fsum(count * p.v0 for p, count in parts)
-    return SumLaw(probs=probs, first=first, v0=v0, D=d, err_abs=err)
+    return SumLaw(probs=acc, first=first, v0=v0, D=d, err_abs=err)
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:
@@ -715,10 +788,11 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     series = z < 1.0
     near = z < _SQRT1_2
     f = np.where(near, x, c)  # w of erf(w), or exp(-z^2) in the tail
-    tail = np.flatnonzero(inside & ~series)
+    erfc = z >= 1.0
+    tail = np.flatnonzero(inside & erfc)  # NaN is neither inside nor erfc
     f[tail] = np.fromiter(map(math.exp, (-zz[tail]).tolist()), float, len(tail))
-    branch = (z >= 1.0).view(np.int8) + (z >= 8.0)  # T/U, P/Q or R/S
-    coef = np.take(_NDTR_POLY, np.concatenate([branch, branch + 3]), axis=0).T
+    branch = erfc.view(np.int8) + (z >= 8.0)  # T/U, P/Q or R/S
+    coef = np.take(_NDTR_POLY, np.concatenate([branch, branch + 3]), axis=1)
     arg = np.where(series, zz, c)
     arg = np.concatenate([arg, arg])
     ratio = coef[0] * arg + coef[1]

@@ -18,9 +18,10 @@ process and checks what a caller may rely on:
 - no warning is raised (the test configuration makes warnings errors).
 
 The examples are derandomized, so a run is repeatable.  A longer run, for
-example when re-anchoring, sets ``LLTKIT_CONTRACT_EXAMPLES``:
+example when re-anchoring, sets ``LLTKIT_CONTRACT_EXAMPLES``, which
+``tests/test_soundness.py`` reads too:
 
-    LLTKIT_CONTRACT_EXAMPLES=5000 python -m pytest tests/test_contract.py
+    LLTKIT_CONTRACT_EXAMPLES=5000 python -m pytest tests/test_contract.py tests/test_soundness.py
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 import subprocess
@@ -485,6 +486,105 @@ class TestPowerAccuracy:
         assert ext[0] == 1.0 and ext[1] < 0.2 and ext[2] < 0.05
 
 
+def _octant_reference(size):
+    """cos and sin in ``_EXT`` of ``2 pi m / size`` for every m < size, by
+    the octant reduction each call of the direct sums made before the
+    tables were kept: ``cos`` and ``sin`` of the octant angles up to the
+    largest one reached, then a swap and sign change per octant."""
+    ext = convolve._EXT
+    step = min(8, size)
+    o, r = np.divmod(8 * np.arange(size), size)
+    odd = (o & 1).astype(bool)
+    t = np.where(odd, size - r, r) // step
+    phi = np.arange(int(t.max()) + 1, dtype=ext) * (step * np.arctan(ext(1)) / size)
+    cos, sin = np.cos(phi), np.sin(phi)
+    quarter = o >> 1
+    swap = odd ^ (quarter & 1).astype(bool)
+    c, s = np.where(swap, sin[t], cos[t]), np.where(swap, cos[t], sin[t])
+    c[(quarter == 1) | (quarter == 2)] *= -1
+    s[quarter >= 2] *= -1
+    return c, s
+
+
+def _same_bits(x, y):
+    """Equal values and signs of zero; a long double's padding bytes are
+    not compared."""
+    if np.iscomplexobj(x):
+        return _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag)
+    return (x.dtype == y.dtype and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+class TestTwiddles:
+    """The full-circle twiddle tables of the direct sums (``_twiddles``)."""
+
+    @pytest.mark.parametrize("ext", [np.longdouble, np.float64], ids=["longdouble", "double"])
+    def test_table_is_the_octant_reduction(self, monkeypatch, ext):
+        # every power-of-two size to 2^16: the same values, to the sign of zero
+        monkeypatch.setattr(convolve, "_EXT", ext)
+        for t in range(1, 17):
+            c, s = convolve._twiddles(2**t)
+            ref_c, ref_s = _octant_reference(2**t)
+            assert _same_bits(c, ref_c) and _same_bits(s, ref_s), 2**t
+
+    def test_twiddles_within_4u(self):
+        # the bound's model of the direct sums: each twiddle within 4 u_e
+        def exact(v):  # a power-of-two denominator: exact at 40 digits
+            num, den = v.as_integer_ratio()
+            return mpmath.mpf(num) / den
+
+        size = 1024
+        c, s = convolve._twiddles(size)
+        ue = float(np.finfo(convolve._EXT).epsneg)
+        with mpmath.workdps(40):
+            for m in range(size):
+                angle = 2 * mpmath.pi * m / size
+                assert abs(exact(c[m]) - mpmath.cos(angle)) <= 4 * ue
+                assert abs(exact(s[m]) - mpmath.sin(angle)) <= 4 * ue
+
+    def test_cache_is_keyed_on_the_extended_type(self, monkeypatch):
+        # a table built in one type is never served after _EXT changes
+        for ext in (np.longdouble, np.float64, np.longdouble, np.float64):
+            monkeypatch.setattr(convolve, "_EXT", ext)
+            for size in (8, 64, 4096):
+                c, s = convolve._twiddles(size)
+                assert c.dtype == s.dtype == np.dtype(ext)
+            law = iid_sum(make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.45), (2, 0.25)]), 300)
+            assert law.err_abs <= 1e-12
+
+    def test_kept_tables_stay_within_their_budget(self, monkeypatch):
+        # the kept tables of each type hold less than _TWIDDLE_BYTES, and a
+        # size beyond it gets no table
+        for ext in (np.longdouble, np.float64):
+            monkeypatch.setattr(convolve, "_EXT", ext)
+            itemsize = np.dtype(ext).itemsize
+            largest = convolve._TWIDDLE_BYTES // (4 * itemsize)
+            for t in range(1, largest.bit_length()):
+                assert convolve._twiddles(2**t) is not None
+            assert convolve._twiddles(2 * largest) is None
+            kept = sum(c.nbytes + s.nbytes for (_, e), (c, s) in convolve._TWIDDLES.items()
+                       if e is ext)
+            assert kept < convolve._TWIDDLE_BYTES
+
+    def test_sizes_beyond_the_budget_keep_the_bits(self, monkeypatch):
+        # with no table kept, each block reduces its angles to the octant
+        # table: the same extended values
+        dense = np.zeros(9)
+        dense[[0, 1, 4, 8]] = [0.25, 0.4, 0.15, 0.2]
+        freqs = np.arange(0, 513, 3)
+        kept = convolve._transform_at(dense, _measured(dense), freqs, 1024)
+        monkeypatch.setattr(convolve, "_TWIDDLE_BYTES", 0)
+        monkeypatch.setattr(convolve, "_TWIDDLES", {})
+        monkeypatch.setattr(convolve, "_PAIRS", 100)
+        reduced = convolve._transform_at(dense, _measured(dense), freqs, 1024)
+        assert convolve._TWIDDLES == {}
+        assert _same_bits(kept[0], reduced[0]) and kept[1] == reduced[1]
+
+    def test_nothing_is_built_at_import(self):
+        code = "import sys, lltkit; sys.exit(len(lltkit.convolve._TWIDDLES))"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def _hoeffding_window(law, count):
     """The window ``_power`` reads ``law`` to the power ``count`` on, and
     the bound on the mass it leaves out; it must be shorter than the law's
@@ -688,24 +788,24 @@ class TestSparseFold:
         assert np.all(np.abs(law.probs - ref) <= law.err_abs)
 
 
-_ERR_ABS_PINS = {  # parts, and the err_abs the bound chain gave them
+_ERR_ABS_PINS = {  # parts, and the err_abs, first index and sha1 of the masses they gave
     "121-n300": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 300)],
-                 "0x1.fe16657f803f4p-49"),
+                 "0x1.fe16657f803f4p-49", 0, "276bc13d73f8b9a1a8f9ca0daff591e367c90614"),
     "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
-                 "0x1.0dd00b8c9c835p-49"),
+                 "0x1.0dd00b8c9c835p-49", 0, "d3a6de95ab45dec63318557d7477a42596102e62"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
-              "0x1.adcab16b75ddbp-49"),
+              "0x1.adcab16b75ddbp-49", 0, "56a87a59983780baa3b29572552327b86d32dd92"),
     # the parts at a fixed tilt, the centred one as solve_sigma gave it when
     # the pin was taken, so the pin follows sum_law alone, not the last bits
     # of the root
     "partition-m1-n100": (
         lambda: _partition_model_parts(1, 100, float.fromhex("0x1.7322b21829726p-4")),
-        "0x1.9734e7e3bdd5cp-47"),
+        "0x1.9734e7e3bdd5cp-47", 0, "08f9d8b46676689c921df840a46248c580d6de68"),
     "mixed-spans": (lambda: [(make_pmf(0.0, 2.0, [(0, 0.5), (1, 0.5)]), 3),
                              (make_pmf(0.5, 3.0, [(0, 0.2), (1, 0.3), (2, 0.5)]), 4),
                              (make_pmf(0.0, 1.0, [(0, 0.6), (2, 0.1), (5, 0.3)]), 1),
                              (bernoulli(0.3), 1)],
-                    "0x1.831c272871513p-49"),
+                    "0x1.831c272871513p-49", 0, "9d910af305f6619dcc9fe0e961f8beeee32a05fd"),
 }
 
 
@@ -713,9 +813,14 @@ _ERR_ABS_PINS = {  # parts, and the err_abs the bound chain gave them
 def test_err_abs_is_pinned(case):
     # the bound chain (powers on their Hoeffding window, 121 at n = 300 and
     # 2e4, or on their whole support, with their tail drop, two-atom and
-    # general count-1 folds, spans 2 and 3 on lattice 1) gives the same double
-    parts, pinned = _ERR_ABS_PINS[case]
-    assert sum_law(parts()).err_abs.hex() == pinned
+    # general count-1 folds, spans 2 and 3 on lattice 1) gives the same
+    # double, and the kernel the same masses: a change that keeps the bound
+    # but moves a mass fails here
+    parts, pinned, first, digest = _ERR_ABS_PINS[case]
+    law = sum_law(parts())
+    assert law.err_abs.hex() == pinned
+    assert law.first == first
+    assert hashlib.sha1(law.probs.tobytes()).hexdigest() == digest
 
 
 class TestLengthCap:
