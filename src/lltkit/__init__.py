@@ -3,8 +3,11 @@
 The package computes two-sided, explicit-constant envelopes for point
 probabilities ``P{S_n = kappa}`` of sums of independent lattice variables by
 extracting a Bernoulli component from every summand, and ships the exact
-brute-force machinery (convolutions, Poisson-binomial laws, Kolmogorov
-distances) that every envelope is validated against.
+machinery that every envelope is validated against: the exact law of a sum
+(:func:`sum_law`), its Kolmogorov distance and its scaled LLT discrepancy.
+Gamkrelidze's smoothness statistics, random-scenery moments and
+distinct-part partition counts through a tilted two-point model apply the
+same theorem.
 """
 
 # The bare package, which loads no subpackage (about 1 MB): no command

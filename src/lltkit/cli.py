@@ -227,19 +227,20 @@ def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
     that :func:`render` gives for the list of their ``row()`` dicts: a CSV
     header and one line per row, or a JSON list of objects, both with the
     keys sorted.  The names and cells come from the first block's columns:
-    a column of None is a constant cell, a column of floats ``%.17g`` in CSV
-    and ``repr`` (``json.dumps`` when a block holds a value that is not
-    finite) in JSON, and any other column (the verdicts) a lookup of the
-    cells that :func:`_fmt` (CSV) or ``json.dumps`` (JSON) gives True, False
-    and None.  Each row is one ``%`` of the template."""
+    a column of None is a constant cell; in CSV a column of floats is
+    ``%.17g`` and any other column (the verdicts) a lookup of the cells that
+    :func:`_fmt` gives True, False and None, and in JSON every column is the
+    JSON text of its cells, :func:`_cell_texts`.  Each row is one ``%`` of
+    the template."""
     first = next(blocks)
     as_csv = output_format == "csv"
-    verdict_text = {v: (_fmt if as_csv else json.dumps)(v) for v in (True, False, None)}
+    verdict_text = {v: _fmt(v) for v in (True, False, None)}
     names = sorted(first)
-    floats = [name for name in names if first[name] and type(first[name][0]) is float]
-    verdicts = [name for name in names if first[name] and name not in floats]
+    columns = [name for name in names if first[name]]
+    floats = [name for name in columns if type(first[name][0]) is float]
     # a column of None prints the format's empty cell, as an undecided verdict does
-    cells = {name: verdict_text[None] if first[name] is None
+    blank = verdict_text[None] if as_csv else _CONSTANT_TEXT[None]
+    cells = {name: blank if first[name] is None
              else "%.17g" if as_csv and name in floats else "%s" for name in names}
     if as_csv:
         head, sep, tail = ",".join(names) + "\n", "\n", "\n"
@@ -249,14 +250,12 @@ def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
         template = "  {\n" + ",\n".join(f'    "{name}": {cells[name]}' for name in names) + "\n  }"
 
     def text(block: dict) -> str:
-        cols = {name: block[name] for name in floats}
-        if not as_csv:
-            finite = all(map(math.isfinite, itertools.chain(*cols.values())))
-            cols = {name: list(map(repr if finite else json.dumps, col))
-                    for name, col in cols.items()}
-        cols.update((name, [verdict_text[v] for v in block[name]]) for name in verdicts)
-        rows = zip(*(cols[name] for name in names if name in cols))
-        return sep.join([template % row for row in rows])
+        if as_csv:
+            cols = [block[name] if name in floats else [verdict_text[v] for v in block[name]]
+                    for name in columns]
+        else:
+            cols = [_cell_texts(block[name]) for name in columns]
+        return sep.join([template % row for row in zip(*cols)])
 
     write = sys.stdout.write
     write(head + text(first))

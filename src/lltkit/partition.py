@@ -30,14 +30,9 @@ their relative accuracy for either sign of sigma.
 
 **Precision.**  The fold, the masses and the assembly ``sigma n + sum_j
 log(1 + e^{-sigma j}) + log P{Y = n}`` run in ``_FOLD``, ``np.longdouble``,
-with unit roundoff ``u_e`` (2^-64 on x86-64).  Double is not enough: the
-count reaches 1.1e11 at n = 300, so the 1e-6 rule asks for a relative
-error near 1e-17, and the double fold of the whole law refused 43 of the
-576 (m, n) of the benchmark's partition requests (m 1..8, n 10..60 and
-100..300 step 10); the long-double knapsack refuses none of them.  Where
-long double is double (MSVC, macOS arm64), ``u_e = 2^-53``: the bounds
-below loosen, 45 of those 576 are refused, and none gets a wrong count (a
-test runs the fold in double).
+with unit roundoff ``u_e`` (2^-64 on x86-64).  Where long double is double
+(MSVC, macOS arm64), ``u_e = 2^-53`` and every bound below loosens with it
+(the tests run the fold in double too).
 
 **Error bounds**, with ``gamma_k = k u_e / (1 - k u_e)`` (Higham, *Accuracy
 and Stability of Numerical Algorithms*, ch. 3) and N = n - m + 1 parts:
@@ -62,17 +57,62 @@ and Stability of Numerical Algorithms*, ch. 3) and N = n - m + 1 parts:
   :class:`NumericsError`.  On the benchmark's (m, n) the drift is at most
   6% of it, in long double and in double.
 
-The assembled count must land within 1e-6 of an integer or the
-computation is refused rather than silently rounded; which n are refused
-depends on the rounding, not on a precondition.  Where the spacing of
-``_FOLD`` at the count exceeds 1e-6, every value is within 1e-6 of an
-integer and the rule certifies nothing, so such a count is refused too: in
-long double that is every count of 2^44 (about 1.8e13) or more, from n =
-409 at m = 1 (the rule alone passes a wrong integer from n = 760 on).
-Certifying those counts needs an interval on the count, not a rounding
-rule.  ``count_via_model(1, 300)`` takes 1.9-2.2 ms, 0.40-0.57 ms of it
-:func:`solve_sigma`, against 11.9-15.1 ms for the fold of the whole law
-(best of 40 calls, shared 2-core Intel Xeon, NumPy 2.4).
+**The count.**  The rule on q^, the assembled count, is one bound E on
+``|q^ - q_m(n)|``, from the rounding of what the code computes.  Its model
+of libm: NumPy's ``exp`` and ``log`` of ``_FOLD`` are within ``gamma_4`` of
+the exact value and ``log1p`` within ``gamma_8`` (on 4e4 sampled arguments,
+NumPy 2.4 with glibc on x86-64 erred by at most 1.5, 1.3 and 4.3 ``u_e`` in
+long double and 1.2, 1.1 and 1.0 in double; a test checks the model against
+40-digit mpmath).  With ``tau_j = fl(|sigma| j)``,
+the argument that the masses and the assembly share, and counts in units
+of ``u_e``:
+
+- *the arguments*: the identity holds exactly with ``tau_j / j`` as the
+  tilt of part j, the masses ``1 / (1 + e^{tau_j})`` and 1 minus it, and
+  the factors ``1 + e^{-sgn(sigma) tau_j}``: each partition S of n then
+  weighs ``e^{sigma n - sgn(sigma) sum_{j in S} tau_j}``, not 1, and
+  ``sum_{j in S} j = n`` puts that exponent within ``u_e |sigma| n``;
+  ``fl(sigma n)`` adds as much, so 2 ``|sigma n|``;
+- *the masses*: the lighter ``fl(1 / fl(1 + exp(tau_j)))`` is within
+  ``gamma_6`` of its exact value, and the heavier ``fl(1 - light)`` within
+  ``gamma_7``, as light <= heavy.  Every term of ``P{Y = n}`` is a product
+  of N masses, so the exact fold of the stored masses is within
+  ``gamma_7N`` of ``P_tau{Y = n}``, and the knapsack adds ``gamma_2N`` and
+  ``2N t_e`` (t_e the smallest subnormal of ``_FOLD``): ``9N + 2N t_e /
+  (u_e p^)``, p^ the computed ``P{Y = n}``; its log adds 4 ``|log p^|``;
+- *the sum*: NumPy's ``logaddexp(0, x)`` is ``log1p(exp(-|x|))``, plus x
+  when x > 0, so each of its N terms is positive and within ``gamma_13``
+  of its value (an error of exp moves ``log1p(y)`` by at most as much
+  relatively, as ``y / (1 + y) <= log1p(y)``); summing them in any order
+  adds ``N - 1`` to each, so the sum L^ already formed reads its bound,
+  ``(N + 12) L^``;
+- *the assembly*: the two adds, ``|sigma n| + L^`` and ``|sigma n| + L^ +
+  |log p^|``, and the final exp, 4.
+
+Together, with each ``|.|`` the computed value,
+
+    R = (N + 14) L^ + 4 |sigma n| + 5 |log p^| + 9N + 4 + 2N t_e / (u_e p^).
+
+Each count above is at most R, so each piece is at most its share of ``R
+u_e / (1 - 2 R u_e)``, which bounds ``|log q^ - log q_m(n)|``; as ``e^x - 1
+<= x / (1 - x)``,
+
+    |q^ - q_m(n)| <= E = q^ R u_e / (1 - 3 R u_e),
+
+computed in double and rounded up by ``1 + 2^-40``, which also covers the
+rounding of the test.  The derivation needs every lighter mass normal
+(``tau_j`` below 708 in double), as it is at the solved tilts: ``|sigma|
+n`` stayed below 60 over a scan of (m, n) under the length cap.
+
+The count is ``rint(q^)`` when ``|q^ - rint(q^)| <= E < 1/2 - |q^ -
+rint(q^)|``, so that it is the only integer the bound admits; otherwise
+:class:`NumericsError` names q^ and E.  E grows with q^, and the
+certified n form an initial segment at each m (a test checks 50 n past
+the first refusal): on x86-64 (glibc, NumPy 2.4) n <= 496, 512, 529, 545,
+562, 578, 594 and 610 at m = 1..8 in long double, and n <= 330, 344, 358,
+371, 384, 397, 410 and 423 in double.  The 576 (m, n) of the benchmark's
+partition requests (m 1..8, n 10..60 and 100..300 step 10) are all
+certified in both.
 """
 
 from __future__ import annotations
@@ -82,8 +122,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import _MAXLOG, _check_length, _gamma
-from .errors import NumericsError, PreconditionError
+from .convolve import _LENGTH_CAP, _MAXLOG, _gamma
+from .errors import LatticeError, NumericsError, PreconditionError
 from .lattice import _integral
 
 #: enumeration budget for the brute-force counter
@@ -91,10 +131,6 @@ ENUMERATION_LIMIT = 60
 
 #: residual target for the centering equation
 SIGMA_RESIDUAL_TOL = 1e-12
-
-#: how far the assembled count may lie from an integer and still be rounded
-#: to it; a count where the spacing of ``_FOLD`` exceeds it is refused
-INTEGER_TOL = 1e-6
 
 #: the precision of the model's knapsack: long double (a 64-bit significand
 #: on x86-64; double where the platform's long double is double)
@@ -200,10 +236,10 @@ def count_via_model(m: int, n: int) -> int:
     """Evaluate the tilted-model identity and return the integer count.
 
     ``P{Y = n}`` comes from the long-double knapsack of the module
-    docstring and the product is assembled in log space; the pre-rounding
-    distance to the nearest integer must be at most 1e-6, and a count whose
-    spacing in ``_FOLD`` exceeds 1e-6 (2^44 or more in long double) is
-    refused.
+    docstring and the product q^ is assembled in log space; the count is
+    the integer nearest q^ when it is the only one within the rounding
+    bound E of q^ (module docstring), and is refused with a
+    :class:`NumericsError` naming q^ and E otherwise.
     """
     return count_partitions(m, n, "model").q_model
 
@@ -236,12 +272,12 @@ def _knapsack(a: np.ndarray, p: np.ndarray, m: int, n: int) -> np.ndarray:
     return acc
 
 
-def _model_count(m: int, n: int, sigma: float) -> int:
-    """:func:`count_via_model` at the tilt ``sigma`` of ``(m, n)`` (any real
-    sigma; ``-inf``, the solved tilt of m = n, is read as 0): the masses,
-    their knapsack, its conservation check, ``P{Y = n} > 0``, and the
-    identity assembled in ``_FOLD``, refused where the spacing of ``_FOLD``
-    exceeds the 1e-6 rule and otherwise held to it (module docstring)."""
+def _model_estimate(m: int, n: int, sigma: float) -> tuple[np.floating, float]:
+    """The model count q^ of ``(m, n)`` at the tilt ``sigma`` (any real sigma;
+    ``-inf``, the solved tilt of m = n, is read as 0) and its rounding bound
+    E, ``|q^ - q_m(n)| <= E`` (module docstring): the masses, their knapsack,
+    its conservation check, ``P{Y = n} > 0``, and the identity assembled in
+    ``_FOLD``."""
     if sigma == float("-inf"):
         sigma = 0.0  # the identity holds for every sigma; pick a benign one
     a, p = _tilted_masses(m, n, sigma)
@@ -257,22 +293,24 @@ def _model_count(m: int, n: int, sigma: float) -> int:
     if p_y <= 0:
         raise NumericsError(f"P{{Y = {n}}} vanished; identity cannot be assembled")
     s = _FOLD(sigma)
-    js = np.arange(m, n + 1).astype(_FOLD)
-    q_real = np.exp(s * n + np.logaddexp(_FOLD(0), -s * js).sum() + np.log(p_y))
-    # the gap to the next value up; np.spacing gives NaN for the long double
-    # just below a power of two (NumPy 2.4)
-    spacing = np.nextafter(q_real, _FOLD(np.inf)) - q_real
-    if not spacing <= INTEGER_TOL:  # every value there is within the rule of an integer
-        raise NumericsError(
-            f"model count {float(q_real)!r} is where the fold's spacing is "
-            f"{float(spacing):.3e}, above the {INTEGER_TOL:.0e} rule; refusing to round"
-        )
+    tilt, log_p = s * n, np.log(p_y)
+    terms = np.logaddexp(_FOLD(0), -s * np.arange(m, n + 1).astype(_FOLD)).sum()
+    q_real = np.exp(tilt + terms + log_p)
+    # the rounding count R and the bound E of the module docstring, rounded up
+    r = ((parts + 14) * float(terms) + 4 * abs(float(tilt)) + 5 * abs(float(log_p)) + 9 * parts
+         + 4 + float(2 * parts * np.finfo(_FOLD).smallest_subnormal / p_y) / ue)
+    return q_real, float(q_real) * r * ue / (1 - 3 * r * ue) * (1 + 2.0**-40)
+
+
+def _model_count(m: int, n: int, sigma: float) -> int:
+    """:func:`count_via_model` at the tilt ``sigma``: the integer nearest
+    q^, where it is the only one within the rounding bound E of q^."""
+    q_real, err = _model_estimate(m, n, sigma)
     nearest = np.rint(q_real)
-    if abs(q_real - nearest) > INTEGER_TOL:
-        raise NumericsError(
-            f"model count {float(q_real)!r} is {float(abs(q_real - nearest)):.3e} from an "
-            "integer; refusing to round"
-        )
+    off = abs(q_real - nearest)
+    if not (off <= err and err < 0.5 - off):
+        raise NumericsError(f"model count {float(q_real)!r} has the rounding bound {err:.3e}, "
+                            "which admits no single integer; refusing to round")
     return int(nearest)
 
 
@@ -311,16 +349,17 @@ class PartitionInstance:
 def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
     """Run the requested counters and package the result.
 
-    The model's length cap, ``1 + sum_j j`` points over its parts m..n (the
-    whole law's length, though the knapsack holds only 2n + 1 entries, so
-    the same n are refused as when the whole law was folded), and then the
-    enumeration, with its budget, come before the tilt is solved, so a
-    refused n costs no work in n."""
+    The model's length cap, ``1 + m + ... + n`` points (the whole law's
+    length, though the knapsack holds only 2n + 1 entries, so the same n
+    are refused as when the whole law was folded; the message names that
+    sum and the cap), and then the enumeration, with its budget, come
+    before the tilt is solved, so a refused n costs no work in n."""
     if mode not in ("model", "enum", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     m, n = _normalize(m, n)
-    if mode != "enum" and m <= n:
-        _check_length(1 + (m + n) * (n - m + 1) // 2)
+    if mode != "enum" and m <= n and (length := 1 + (m + n) * (n - m + 1) // 2) > _LENGTH_CAP:
+        raise LatticeError(f"partition model: 1 + {m} + ... + {n} = {length}, above the cap "
+                           f"of {_LENGTH_CAP}")
     q_enum = count_via_enumeration(m, n) if mode != "model" else None
     sigma = solve_sigma(m, n)
     q_model = _model_count(m, n, sigma) if mode != "enum" else None

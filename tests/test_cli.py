@@ -923,10 +923,20 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err == {"kind": "input-error", "message": f"n {10**20} is above 2^53 in magnitude"}
 
-    def test_partition_count_beyond_the_spacing_rule_exits_2(self, capsys):
+    def test_partition_count_beyond_the_rounding_bound_exits_2(self, capsys):
+        # the bound on the assembled count admits more than one integer there
         code, out = run_cli(capsys, ["partition", "--m", "1", "--n", "800", "--mode", "model"])
         err = json.loads(out)["error"]
-        assert (code, err["kind"]) == (2, "numerical-failure") and "spacing" in err["message"]
+        assert (code, err["kind"]) == (2, "numerical-failure")
+        assert "rounding bound" in err["message"] and "admits no single integer" in err["message"]
+
+    def test_partition_model_cap_names_the_sum_of_the_parts(self, capsys):
+        # the cap is on 1 + m + ... + n, the length of the whole model law
+        code, out = run_cli(capsys, ["partition", "--m", "2000", "--n", "4600", "--mode", "model"])
+        assert code == 2 and json.loads(out)["error"] == {
+            "kind": "input-error",
+            "message": ("partition model: 1 + 2000 + ... + 4600 = 8583301, above the cap of "
+                        "8388608")}
 
     @pytest.mark.parametrize("mode, code, kind, message", [
         ("model", 2, "input-error", "above the cap of 8388608"),
@@ -1423,6 +1433,8 @@ class TestSweepRows:
         expected = _single_point_sweep(law, 1000, "sandwich", "exact-plug-ins", 0.25, range(2))
         assert (code, out) == (expected[0], render(expected[1], fmt))
         assert code == 0 and ("Infinity" if fmt == "json" else "inf") in out
+        if fmt == "json":
+            assert out == json.dumps(expected[1], sort_keys=True, indent=2) + "\n"
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -279,27 +280,114 @@ def test_model_verdicts_on_the_benchmark_grid():
     assert _verdicts(_BENCHMARK_GRID) == []
 
 
-@pytest.mark.parametrize("n", [760, 800, 900])
-def test_counts_beyond_the_spacing_rule_refused(n):
-    # at m = 1 the count passes 2^44 from n = 409 on, where the long-double
-    # spacing exceeds 1e-6 and every value is within 1e-6 of an integer; at
-    # n = 800 the rule alone let through 23926108358272941062, and the count
-    # ends in ...056
-    with pytest.raises(NumericsError, match="spacing is .* above the 1e-06 rule"):
-        count_via_model(1, n)
-
-
-def test_spacing_rule_starts_at_2_to_44():
-    assert _knapsack_counts(1, 409)[408] < 2**44 <= _knapsack_counts(1, 409)[409]
-    with pytest.raises(NumericsError, match="spacing"):
-        count_via_model(1, 409)
-    # q_1(45) = 2^11 is assembled just below it, where np.spacing is NaN
-    assert count_via_model(1, 45) == 2048
-
-
 def _ratio(x) -> Fraction:
     """A long double (or double) as an exact fraction."""
     return Fraction(*x.as_integer_ratio())
+
+
+def _mpf(x) -> mpmath.mpf:
+    """A long double (or double) as an mpmath number, exact at 40 digits."""
+    num, den = x.as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+@pytest.mark.parametrize("n", [760, 800, 900])
+def test_counts_beyond_the_rounding_bound_refused(n):
+    # at m = 1 the rounding bound E is near 1/2 from n = 497 on in long double
+    # on x86-64 (n = 331 in double), and past it here: no single integer is
+    # then within E of q^
+    q_real, err = partition._model_estimate(1, n, solve_sigma(1, n))
+    assert err > 0.5 and abs(_ratio(q_real) - _knapsack_counts(1, n)[n]) <= err
+    with pytest.raises(NumericsError, match=r"rounding bound .* admits no single integer"):
+        count_via_model(1, n)
+
+
+def test_counts_past_2_to_44_certified():
+    # the long-double spacing passes 1e-6 at 2^44, from n = 409 on at m = 1,
+    # and n = 340 lands 1.9e-6 from an integer: the bound certifies both
+    exact = _knapsack_counts(1, 409)
+    assert exact[408] < 2**44 <= exact[409]
+    assert count_via_model(1, 340) == exact[340] and count_via_model(1, 409) == exact[409]
+    # q_1(45) = 2^11 is assembled just below it
+    assert count_via_model(1, 45) == 2048
+
+
+_FOLDS = pytest.mark.parametrize("fold", [np.longdouble, np.float64], ids=["longdouble", "double"])
+
+
+@_FOLDS
+@pytest.mark.parametrize("m", range(1, 9))
+def test_certified_n_form_an_initial_segment(monkeypatch, fold, m):
+    # every n from m on is certified with its exact count up to a first
+    # refusal, and the 50 n after it are refused too
+    monkeypatch.setattr(partition, "_FOLD", fold)
+    exact, first = _knapsack_counts(m, 700), None
+    for n in range(m, 701):
+        try:
+            q = count_via_model(m, n)
+        except NumericsError:
+            first = n if first is None else first
+        else:
+            assert first is None and q == exact[n], (m, n, first)
+        if first is not None and n == first + 50:
+            break
+    assert first is not None and n == first + 50, (m, first)
+
+
+def _assert_within_the_bound(m, n, sigma):
+    """``|q^ - q_m(n)| <= E`` exactly, for the estimate at ``sigma``."""
+    q_real, err = partition._model_estimate(m, n, sigma)
+    assert abs(_ratio(q_real) - _knapsack_counts(m, n)[n]) <= Fraction(err), (m, n, sigma)
+
+
+@_FOLDS
+def test_rounding_bound_holds_on_drawn_instances(monkeypatch, fold):
+    # fixed draws of (m, n) on both sides of the certified range
+    monkeypatch.setattr(partition, "_FOLD", fold)
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n = int(rng.integers(1, 701))
+        m = int(rng.integers(1, n + 1))
+        _assert_within_the_bound(m, n, solve_sigma(m, n))
+
+
+@_FOLDS
+def test_rounding_bound_holds_off_the_centred_tilt(monkeypatch, fold):
+    # the off-centre and steep tilts of TestModelParts; e^{1200} is past
+    # the doubles, so the steep ones run in long double only
+    monkeypatch.setattr(partition, "_FOLD", fold)
+    for m, n in [(2, 24), (1, 60), (1, 200), (3, 260), (8, 300), (1, 450), (4, 520)]:
+        for ds in (-1e-3, 1e-3):
+            _assert_within_the_bound(m, n, solve_sigma(m, n) + ds)
+    if fold is np.longdouble:
+        for m, n, sigma in [(1, 30, 40.0), (2, 24, 40.0), (29, 30, -40.0), (5, 12, -40.0)]:
+            _assert_within_the_bound(m, n, sigma)
+
+
+@_FOLDS
+def test_libm_within_the_rounding_model(fold):
+    # the rounding model of the module docstring: exp and log within 4 u_e,
+    # log1p within 8 u_e and logaddexp(0, x) within 13 u_e, relatively, of
+    # 40-digit values, on arguments of the ranges the count evaluates
+    rng = np.random.default_rng(5)
+    ue = float(np.finfo(fold).epsneg)
+    top = 1200 if np.finfo(fold).maxexp > 1024 else 700
+    x = np.concatenate([rng.uniform(-top, top, 500), rng.uniform(-2, 2, 500)]).astype(fold)
+    x = x * fold(1 + 1e-9)  # fill the long double's low bits
+    small = np.exp(-np.abs(x))
+    small = small[small > 0]
+
+    def worst(f, g, args):  # the largest relative error of f against g
+        with mpmath.workdps(40):
+            return max(float(abs(_mpf(y) / g(_mpf(a)) - 1)) for a, y in zip(args, f(args)))
+
+    def softplus(a):  # log(1 + e^a) without cancelling 1 + e^a
+        return a + mpmath.log1p(mpmath.exp(-a)) if a > 0 else mpmath.log1p(mpmath.exp(a))
+
+    assert worst(np.exp, mpmath.exp, x) <= 4 * ue
+    assert worst(np.log, mpmath.log, np.concatenate([small, np.abs(x) + 1])) <= 4 * ue
+    assert worst(np.log1p, mpmath.log1p, small) <= 8 * ue
+    assert worst(lambda a: np.logaddexp(fold(0), a), softplus, x) <= 13 * ue
 
 
 class TestModelParts:
@@ -361,12 +449,12 @@ class TestModelParts:
         for ds in (-1e-3, 1e-3):
             assert partition._model_count(m, n, sigma + ds) == exact
 
-    def test_double_fold_gives_no_wrong_count(self, monkeypatch):
+    def test_double_fold_refuses_no_grid_point(self, monkeypatch):
         # where long double is double (MSVC, macOS arm64) the fold runs in
-        # double: some grid points are refused, none gets a wrong integer
+        # double: every grid point still gets its exact count (the 1e-6
+        # rule refused 47 of them)
         monkeypatch.setattr(partition, "_FOLD", np.float64)
-        refused = _verdicts(_BENCHMARK_GRID)
-        assert 0 < len(refused) < len(_BENCHMARK_GRID) // 4
+        assert _verdicts(_BENCHMARK_GRID) == []
 
     @pytest.mark.parametrize("corrupt", ["carried-mass-lost", "one-entry-off", "below-an-ulp"])
     def test_corrupted_fold_trips_the_conservation_check(self, monkeypatch, corrupt):
