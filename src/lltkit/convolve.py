@@ -1,39 +1,41 @@
-"""Exact distribution engine: the dense law of a sum of independent lattice
-variables, and the brute-force statistics every bound is checked against.
+"""Exact distribution engine: the law of a sum of independent lattice
+variables on the window that holds its masses, and the brute-force
+statistics every bound is checked against.
 
 :func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
 parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`,
-and folds every part into one zero array of the final length, allocated
-once.  A part with ``count == 1`` is folded into it by its atoms: one
-shifted, scaled add of the array per positive mass, so a sparse part costs
-its array passes, not a convolution over its span (its atoms are read once
-as pairs).  A part with ``count >= 2`` is densified on its own span and
-raised to its power with one transform pair of ``numpy.fft`` (numpy's
-pocketfft, which keeps ``np.longdouble`` in long double from numpy 2.0 on):
-one double ``rfft``, a pointwise power over the bits of ``count``, one
-double ``irfft``, with the frequencies where the power survives evaluated
-again and raised in extended precision, unless the double power is already
-as accurate as its inverse transform (summed from the atoms with twiddles
-read from a full-circle table built once per transform length and kept
-within ``_TWIDDLE_BYTES``, or by one extended ``rfft``).  The transform
-covers only the power's Hoeffding window, about ``12 span sqrt(count)``
-points around its mean outside of which the power holds at most ``u^2`` of
-mass, wherever that is shorter than the whole support: the cyclic power is
-read back on the window, so the transform length grows as ``sqrt(count)``,
-not as ``count``.  Entries of the power at or below its error bound are
-set to 0.0; it is then spread at stride ``s`` (its
-span over the common lattice of all spans) onto that lattice, so the gaps
-under a coarser span stay exact zeros, and folded in with
-``numpy.convolve`` over the nonzero windows of the running array and of
-the power only, the product written back over the array's old window; the
-first part's power is written in as it is, its product with the unit.
-The sum is normalized in place on the window that holds its nonzeros.
-Every oracle reads the dense array of the resulting :class:`SumLaw` in
-place, and ``SumLaw.err_abs`` bounds how far any of its masses can be from
-the exact law (derived at :func:`sum_law`).  The normal CDF is
-:func:`_ndtr`, Cephes' ``ndtr`` (absolute error near machine precision) in
-numpy with libm's ``exp``, which gives the doubles of ``scipy.special.ndtr``
-without importing ``scipy.special``.
+and folds every part into the running window of the sum, the entries from
+the first to the last one kept; the support's other indices are exact zeros
+and are never allocated.  A part with ``count == 1`` is folded by its atoms
+into one fresh zero array: one shifted, scaled add of the window per
+positive mass, so a sparse part costs its array passes, not a convolution
+over its span (its atoms are read once as pairs).  A part with ``count >=
+2`` is densified on its own span and raised to its power with one transform
+pair of ``numpy.fft`` (numpy's pocketfft, which keeps ``np.longdouble`` in
+long double from numpy 2.0 on): one double ``rfft``, a pointwise power over
+the bits of ``count``, one double ``irfft``, with the frequencies where the
+power survives evaluated again and raised in extended precision, unless the
+double power is already as accurate as its inverse transform (summed from
+the atoms with twiddles read from a full-circle table built once per
+transform length and kept within ``_TWIDDLE_BYTES``, or by one extended
+``rfft``).  The transform covers only the power's Hoeffding window, about
+``12 span sqrt(count)`` points around its mean outside of which the power
+holds at most ``u^2`` of mass, wherever that is shorter than the whole
+support: the cyclic power is read back on the window, so the transform
+length grows as ``sqrt(count)``, not as ``count``.  Entries of the power at
+or below its error bound are set to 0.0; it is then spread at stride ``s``
+(its span over the common lattice of all spans) onto that lattice, so the
+gaps under a coarser span stay exact zeros, and folded in with
+``numpy.convolve`` of the running window and the power's nonzero window,
+whose product is the new window; the first part's power is the window as it
+is, its product with the unit.  The sum is normalized in place.  Every
+oracle reads the window of the resulting :class:`SumLaw` in place and
+charges the zeros outside it from the support's extent, and
+``SumLaw.err_abs`` bounds how far any of its masses, on the window or off
+it, can be from the exact law (derived at :func:`sum_law`).  The normal CDF
+is :func:`_ndtr`, Cephes' ``ndtr`` (absolute error near machine precision)
+in numpy with libm's ``exp``, which gives the doubles of
+``scipy.special.ndtr`` without importing ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ _TWIDDLES: dict = {}
 #: largest refinement of the finest span that a common lattice may need
 _MAX_REFINE = 1000
 
-#: most entries an exact law may hold: every law within it fits a 2^23-point
-#: FFT, and the largest took 8.2 s at 610 MB peak RSS on one Intel Xeon core
+#: most entries the running window of an exact law may span (``sum_law``):
+#: it bounds every array the fold allocates, and every power within it fits
+#: a 2^23-point FFT
 _LENGTH_CAP = 2**23
 
 #: most probability a Hoeffding window may leave out, u^2: the window adds
@@ -116,18 +119,23 @@ _OUTSIDE = _U * _U
 
 @dataclass(frozen=True)
 class SumLaw:
-    """Exact law of a sum of independent lattice variables, held dense:
-    ``probs[i] = P{S = v0 + D * (first + i)}`` to within ``err_abs``, a
-    rigorous bound on ``max_i |probs[i] - P{S = v0 + D * (first + i)}|``.
-    Zeros in the array (tails dropped at the bound, underflowed tails, gaps
-    under coarser spans) are not support points.  ``mean`` and ``variance``
-    are summed on first read, since not every oracle reads them."""
+    """Exact law of a sum of independent lattice variables, held on the
+    window of entries the kernel kept: ``probs[i] = P{S = v0 + D * (first +
+    i)}`` to within ``err_abs``, a rigorous bound on the distance of every
+    computed mass from the exact one.  ``extent`` is the first and last
+    lattice index of the support (each summand's listed support added up);
+    its indices outside the window hold computed masses of exact 0.0, each
+    also within ``err_abs`` of the exact mass.  Zeros in the array (tails
+    dropped at the bound, underflowed tails, gaps under coarser spans) are
+    not support points.  ``mean`` and ``variance`` are summed on first
+    read, since not every oracle reads them."""
 
     probs: np.ndarray
     first: int
     v0: float
     D: float
     err_abs: float
+    extent: tuple[int, int]
 
     @cached_property
     def _mean_variance(self) -> tuple[float, float]:
@@ -148,17 +156,18 @@ class SumLaw:
         return self.first + nz, self.probs[nz]
 
     def mass(self, k: int) -> float:
-        """``P{S = v0 + D*k}``; 0.0 off the array."""
+        """``P{S = v0 + D*k}``; 0.0 off the window."""
         i = k - self.first
         return float(self.probs[i]) if 0 <= i < len(self.probs) else 0.0
 
     def masses(self, k0: int, count: int) -> list[float]:
-        """``P{S = v0 + D*k}`` for the ``count`` indices k from ``k0`` on, in
-        one slice when the array holds them all."""
-        lo = k0 - self.first
-        if 0 <= lo and lo + count <= len(self.probs):
-            return self.probs[lo:lo + count].tolist()
-        return [self.mass(k) for k in range(k0, k0 + count)]
+        """``P{S = v0 + D*k}`` for the ``count`` indices k from ``k0`` on: their
+        overlap with the window in one slice, 0.0 elsewhere."""
+        i = k0 - self.first
+        lo, hi = max(i, 0), min(i + count, len(self.probs))
+        if hi <= lo:
+            return [0.0] * count
+        return [0.0] * (lo - i) + self.probs[lo:hi].tolist() + [0.0] * (i + count - hi)
 
     def two_sided_tail_bound(self, center, radius) -> float:
         """An upper bound on ``P{|S - center| > radius}`` under the exact law;
@@ -167,18 +176,21 @@ class SumLaw:
         The points within ``radius`` of ``center`` are the indices from
         ``ceil((center - radius - v0)/D)`` to ``floor((center + radius -
         v0)/D)``, both computed in rational arithmetic, so the tail is the
-        two end slices of ``probs`` outside them, decided exactly (all of
-        ``probs`` when ``radius < 0``).  Each tail entry adds ``err_abs`` for
-        its distance from the exact mass, zeros included; the sum of the
-        masses adds ``gamma_L`` of itself, and the result is rounded up by
-        ``1 + 4u``."""
-        size = len(self.probs)
+        indices of ``extent`` outside them, decided exactly (all of them when
+        ``radius < 0``).  Each tail index adds ``err_abs`` for its distance
+        from the exact mass, the zeros outside the window included; the
+        tail's masses are summed by ``math.fsum`` (one rounding), charged
+        ``gamma_L`` of themselves with L the extent's length, and the result
+        is rounded up by ``1 + 4u``."""
+        lo, hi = self.extent
         v0, d, center, radius = (Fraction(x) for x in (self.v0, self.D, center, radius))
-        a = min(max(math.ceil((center - radius - v0) / d) - self.first, 0), size)
-        b = max(min(math.floor((center + radius - v0) / d) + 1 - self.first, size), a)
-        tail = np.concatenate((self.probs[:a], self.probs[b:]))
-        mass = float(tail.sum()) * (1.0 + _gamma(size, _U))
-        return (mass + len(tail) * self.err_abs) * (1.0 + 4.0 * _U)
+        a = min(max(math.ceil((center - radius - v0) / d), lo), hi + 1)
+        b = max(min(math.floor((center + radius - v0) / d) + 1, hi + 1), a)
+        # the window's entries before index a and from index b on
+        i, j = max(a - self.first, 0), max(b - self.first, 0)
+        mass = math.fsum(self.probs[:i].tolist() + self.probs[j:].tolist())
+        mass *= 1.0 + _gamma(hi - lo + 1, _U)
+        return (mass + (hi - lo + 1 - (b - a)) * self.err_abs) * (1.0 + 4.0 * _U)
 
     def to_json_dict(self) -> dict:
         """The pmf schema of :meth:`LatticePmf.to_json_dict`, positive masses only."""
@@ -348,36 +360,38 @@ def _transform_at(dense: np.ndarray, bf: _Bounds, freqs: np.ndarray, size: int):
     for lo in range(0, len(freqs), rows):
         m = np.multiply.outer(freqs[lo:lo + rows], ks) & (size - 1)
         c, s = (table[0][m], table[1][m]) if table is not None else _circle(m, size, *octant)
-        # the parts of (c @ w) - 1j (s @ w), whose imaginary part is 0.0 - s @ w
-        # (+0.0, not -0.0, where s @ w is 0)
-        out.real[lo:lo + rows] = c @ w
-        out.imag[lo:lo + rows] = 0.0 - s @ w
+        # the parts of c.w - 1j s.w, whose imaginary part is 0.0 - s.w (+0.0,
+        # not -0.0, where s.w is 0); vecdot sums each row by itself, so the
+        # doubles do not follow the block shape, as a matmul's may
+        out.real[lo:lo + rows] = np.vecdot(c, w)
+        out.imag[lo:lo + rows] = 0.0 - np.vecdot(s, w)
     err = math.sqrt(2.0) * (_gamma(len(ks), ue) * (1.0 + 4.0 * ue) + 4.0 * ue) * bf.n1
     return out, err
 
 
-def _window(dense: np.ndarray, bf: _Bounds, count: int) -> tuple[int, int, float]:
-    """The indices ``[a, b]`` on which :func:`_power` reads ``dense`` to the
-    power ``count``, and a bound on the exact power's mass outside them:
-    its Hoeffding window (``sum_law``, error bound step 4) where that needs
-    a shorter transform than the whole support, else the whole support and
-    0.0."""
-    last = count * (len(dense) - 1)
-    center = count * float(np.arange(len(dense)) @ dense) / float(dense.sum())
-    reach = (len(dense) - 1) * math.sqrt(count * math.log(2.0 / _OUTSIDE) / 2.0)
+def _window(pos: list[tuple[int, float]], span: int, count: int) -> tuple[int, int]:
+    """The indices ``[a, b]`` on which :func:`_power` reads a law to the
+    power ``count``, from its positive atoms ``pos`` (index, mass) on ``[0,
+    span]``: its Hoeffding window (``sum_law``, error bound step 4) where
+    that needs a shorter transform than the whole support ``[0, count
+    span]``, else the whole support.  The mean is summed from the atoms,
+    so :func:`sum_law` finds every window before it allocates anything."""
+    last = count * span
+    center = count * math.fsum(k * w for k, w in pos) / math.fsum(w for _, w in pos)
+    reach = span * math.sqrt(count * math.log(2.0 / _OUTSIDE) / 2.0)
     a = max(0, math.floor(center - reach) - 1)
     b = min(last, math.ceil(center + reach) + 1)
-    if (b - a).bit_length() < last.bit_length():
-        return a, b, _OUTSIDE * bf.n1 ** count * (1.0 + 4.0 * _U)
-    return 0, last, 0.0
+    return (a, b) if (b - a).bit_length() < last.bit_length() else (0, last)
 
 
-def _power(dense: np.ndarray, count: int):
+def _power(dense: np.ndarray, count: int, a: int, b: int):
     """``dense`` convolved with itself to the power ``count >= 2``, read on
-    its window (:func:`_window`): the window's first index, the power there
-    with entries at or below its error bound set to 0.0, and its bounds."""
+    its window ``[a, b]`` (:func:`_window`): the power there with entries
+    at or below its error bound set to 0.0, and its bounds."""
     bf = _measured(dense)
-    a, b, outside = _window(dense, bf, count)
+    # the mass a Hoeffding window leaves out (none on the whole support)
+    last = count * (len(dense) - 1)
+    outside = _OUTSIDE * bf.n1 ** count * (1.0 + 4.0 * _U) if b - a < last else 0.0
     size = 1 << (b - a).bit_length()  # the least power of two >= b - a + 1
     spec = np.fft.rfft(dense, size)
     power = _raise(spec, count)
@@ -424,8 +438,9 @@ def _power(dense: np.ndarray, count: int):
     inv = eta * math.sqrt(float(np.square(z).sum())) * (1.0 + 2.0 * (size + 2) * _U) / (1.0 - eta)
     einf = (s1 + d1) * (1.0 + 4.0 * _U) + inv
     e2 = (math.sqrt(s2) + d2) * (1.0 + 4.0 * _U) + inv
-    # the cyclic power read on [a, b], with wraparound where b >= N
-    x = z[a:b + 1] if b < size else np.take(z, np.arange(a, b + 1), mode="wrap")
+    # the cyclic power read on [a, b], with wraparound where b >= N (take's
+    # "wrap" mode would step each index down by N, a/N times)
+    x = z[a:b + 1] if b < size else np.roll(z, -a)[:b - a + 1]
     e1 = min((b - a + 1) * einf, math.sqrt(b - a + 1) * e2)
     # the aliased mass and the mass left out: each at most `outside`
     e1, e2, einf = e1 + 2.0 * outside, e2 + 2.0 * outside, einf + 2.0 * outside
@@ -435,7 +450,7 @@ def _power(dense: np.ndarray, count: int):
         tail = _measured(dropped)
         e1, e2, einf = e1 + tail.n1, e2 + tail.n2, einf + max(0.0, float(dropped.max()))
         x[drop] = 0.0
-    return a, x, _measured(x, e1, e2, einf)
+    return x, _measured(x, e1, e2, einf)
 
 
 def _is_integer(x) -> bool:
@@ -472,36 +487,34 @@ def _common_lattice(spans: list[float]) -> tuple[float, list[int]]:
     return finest * g / den, [strides[D] // g for D in spans]
 
 
-def _check_length(length: int) -> None:
-    """Refuse, as a ``LatticeError``, an exact law of ``length`` points, more
-    than ``_LENGTH_CAP``."""
-    if length > _LENGTH_CAP:
-        raise LatticeError(f"exact law of {length} points, above the cap of {_LENGTH_CAP}")
-
-
 def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     """Exact law of the independent sum of ``count`` copies of each ``law`` in
     ``parts = [(law, count), ...]``, folded in the order given, with a
-    rigorous bound ``err_abs`` on ``max_i |probs[i] - exact law|``.
+    rigorous bound ``err_abs`` on the distance of every computed mass, on
+    the window and off it, from the exact law.
 
     Spans must share a lattice (every ratio within ``1e-9`` of a fraction of
     denominator at most ``_MAX_REFINE``; the law lives on the coarsest span
     they are all integer multiples of) and counts are integers >= 1;
-    offsets add up into ``v0``.  A law of more than ``_LENGTH_CAP`` points
-    is refused, as a ``LatticeError``, before anything is allocated.  The
+    offsets add up into ``v0``.  A pre-pass over the atoms finds each
+    part's window (:func:`_window`) and so a bound on the running window,
+    ``1 + sum s (b - a)`` over the parts; where it exceeds ``_LENGTH_CAP``
+    points the law is refused, as a ``LatticeError`` naming that window,
+    before anything is allocated.  It bounds every array the fold makes:
+    the running window, each power's window ``W <= N <= 2^23`` and its
+    spread, and each part's dense law, shorter than its power's window.  The
     exact law is that of independent summands whose pmfs are the stored
     masses, each scaled to total one; each part's masses must already total
     one to within the rounding of :func:`lltkit.lattice.make_pmf`'s
     normalization (the drift test below), or the part is refused, as a
     ``NumericsError``, before anything is allocated.
 
-    **Kernel.**  A part with ``count == 1`` is folded by its atoms: for each
-    positive mass ``(k, w)``, in increasing k, ``w`` times the running array
-    is added at offset ``k s`` (nothing is dropped).  Every part is folded
-    into one zero array of the final length, allocated once; the adds run in
-    place, and the first part folds into the unit without a product.  The
-    nonzeros always lie in one running window of the array, and the sum,
-    peak and division of the normalization read that window only.
+    **Kernel.**  The sum is held on its running window, from the first
+    entry kept to the last, which starts as the unit ``[1.0]``.  A part with
+    ``count == 1`` is folded by its atoms: for each positive mass ``(k,
+    w)``, in increasing k, ``w`` times the window is added at offset ``(k -
+    k_1) s`` into one fresh zero array, ``k_1`` its first positive atom
+    (nothing is dropped); that array is the new window.
     A part with ``count = n >= 2`` is densified on its own span, ``f`` of
     length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
     + 1``) on its window ``[a, b]`` (step 4): the Hoeffding window where its
@@ -523,11 +536,10 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     power there and rounded to double once.  Everywhere else the double
     power stands.  Entries of the window at or below its ``e_inf`` bound are
     then set to 0.0: this removes FFT noise, negatives and subnormals.  The
-    window is placed at offset a, spread at stride ``s`` onto the common
-    lattice and folded in
-    with ``numpy.convolve`` of the nonzero windows of the running array and
-    of the power; the old window is then zeroed and the product written into
-    its new window, so the zeros outside the windows stay exact.
+    power's nonzero window is spread at stride ``s`` onto the common
+    lattice, and its ``numpy.convolve`` with the running window is the new
+    window; the first part's spread is the window, its product with the
+    unit.  The support's indices outside the final window are exact zeros.
 
     **Error bound.**  For each computed vector ``x^`` standing for an exact
     ``x >= 0`` the kernel carries bounds on ``||x^||_p`` and ``e_p >=
@@ -636,11 +648,14 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``a = max(0, floor(c - t) - 1)``, ``b = min(L - 1, ceil(c + t) +
        1)``, c the computed ``n mu``, leaves out at most T of S's
        probability, so at most ``T' = T ||f||_1^n`` of the power's mass
-       (``||f||_1^n`` rounded up by ``1 + 4u``).  The margin of
-       one index covers the roundings of c and t: c is a dot product and a
-       sum of at most l terms, a quotient and a product, within ``(2l + 4)
-       u c < 2^-6`` of ``n mu`` as ``c <= n (l - 1) < 2^23`` and ``l <=
-       2^22 + 1`` (n >= 2), and t errs by a few u of itself.  Since ``W <= N``, each
+       (``||f||_1^n`` rounded up by ``1 + 4u``).  The margin of one index
+       covers the roundings of c and t.  c is n times one ``math.fsum`` of
+       the atoms over another, the first one's terms ``k w`` each rounded
+       once, so it is within ``gamma_5 n mu <= gamma_5 n (l - 1)`` of ``n
+       mu``.  Where the window is read it holds ``[c - t, c]`` or ``[c, c +
+       t]``, so ``t < W <= 2^23`` under the cap, hence ``n (l - 1)^2 = 2 t^2
+       / ln(2/T) < 2^41`` and c errs by less than ``gamma_5 2^41 < 2^-9``;
+       t errs by a few u of itself, under ``2^-27``.  Since ``W <= N``, each
        index outside the window is congruent mod N to at most one inside
        it, so the cyclic power's entries on the window exceed the linear
        power's by at most T' in total (aliasing), and the entries left out
@@ -648,19 +663,21 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``e_1`` each grow by ``2T'``.  T comes from the precision, so it adds
        no setting: ``e_inf`` is at least ``eta_N ||z^||_2``, with ``eta_N
        > 9u`` and ``||z^||_2 >= ||z^||_1 / sqrt(N)``, about ``2^-11.5`` as
-       ``N <= 2^23``, so ``2T`` moves it by less than 2^-43 of itself.  The window is taken only where it
-       shortens the transform; at n = 2e3-8e3 a law on 2-4 points needs N
-       = 1024-4096 on it instead of 2048-32768, and ``err_abs`` shrinks
-       with ``eta_N sqrt(N)`` and W.
+       ``N <= 2^23``, so ``2T`` moves it by less than 2^-43 of itself.  The
+       window is taken only where it shortens the transform; at n =
+       2e3-8e3 a law on 2-4 points needs N = 1024-4096 on it instead of
+       2048-32768, and ``err_abs`` shrinks with ``eta_N sqrt(N)`` and W.
     5. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
        error there to at most ``x^_i + e_inf``, so ``e_inf`` grows by the
        largest dropped entry and ``e_1``, ``e_2`` by the norms of the dropped
        entries.
-    6. *Normalization* by ``T = fsum(acc^)`` (correctly rounded, so summed
-       over the running window: the zeros outside it add nothing): with exact
-       mass ``M``, ``|M - T| <= e_1 + 2u T =: d``, and each quotient rounds
-       by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T - d) + u
-       max acc^) / T``, times ``1 + 2^-40`` for the rounding of the bound.
+    6. *Normalization* by ``T = fsum(acc^)``, ``acc^`` the final window
+       (correctly rounded, and the zeros outside it would add nothing): with
+       exact mass ``M``, ``|M - T| <= e_1 + 2u T =: d``, and each quotient
+       rounds by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T -
+       d) + u max acc^) / T``, times ``1 + 2^-40`` for the rounding of the
+       bound.  It holds at every index of the support, the zeros outside
+       the window (``acc^ = 0.0`` there) included.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
     divides each weight by their correctly rounded sum, so its masses total
@@ -676,7 +693,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     if not parts:
         raise LatticeError("need at least one summand")
     d, strides = _common_lattice([p.D for p, _ in parts])
-    atoms, length = [], 1  # per part: stride, first listed index, span, positive atoms
+    # per part: stride, span, positive atoms and the window [a, b] it is read on;
+    # `window` bounds the running window's length
+    folds, first, length, window = [], 0, 1, 1
     for j, ((p, count), s) in enumerate(zip(parts, strides)):
         mass = math.fsum(p.probs.values())
         if abs(mass - 1.0) > 2.0 * _U:
@@ -685,53 +704,53 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         items = sorted(p.probs.items())
         k0 = int(items[0][0])  # the first listed atom, massless or not
         span = int(items[-1][0]) - k0
-        atoms.append((s, k0, span, [(k - k0, w) for k, w in items if w > 0]))
+        pos = [(k - k0, w) for k, w in items if w > 0]
+        a, b = (pos[0][0], pos[-1][0]) if count == 1 else _window(pos, span, count)
+        folds.append((s, span, pos, a, b))
+        first += count * s * k0
         length += count * s * span
-    _check_length(length)
-    acc, scratch = np.zeros(length), np.empty(length)
-    acc[0], ab = 1.0, _Bounds(1.0, 1.0, 1.0)
-    lo, hi, first = 0, 1, 0  # the nonzeros of the sum so far lie in acc[lo:hi]
-    for j, ((_, count), (s, k0, span, pos)) in enumerate(zip(parts, atoms)):
-        if count == 1:  # one shifted add per atom, in increasing k, in place
-            win, x = acc[lo:hi], scratch[:hi - lo]
-            x[:] = win
-            win[:] = 0.0
+        window += s * (b - a)
+    if window > _LENGTH_CAP:
+        raise LatticeError(f"exact law on a window of {window} points, above the cap of "
+                           f"{_LENGTH_CAP}")
+    probs, lo, ab = np.ones(1), 0, _Bounds(1.0, 1.0, 1.0)  # probs[0] is at index first + lo
+    for j, ((_, count), (s, span, pos, a, b)) in enumerate(zip(parts, folds)):
+        if count == 1:  # one shifted add per atom, in increasing k, into a fresh array
+            out = np.zeros(len(probs) + s * (b - a))
             for k, wk in pos:
-                k = lo + s * k
-                acc[k:k + len(x)] += wk * x
+                k = s * (k - a)
+                out[k:k + len(probs)] += wk * probs
             pb = _measured(np.array([w for _, w in pos]))
-            ab = _direct_product(ab, pb, min(len(x), len(pos)))
-            lo, hi = lo + s * pos[0][0], hi + s * pos[-1][0]
+            ab = _direct_product(ab, pb, min(len(probs), len(pos)))
+            lo += s * a
         else:
-            win = acc[lo:hi]
             ks, w = zip(*pos)
             dense = np.zeros(span + 1)
             dense[list(ks)] = w
-            a, power, pb = _power(dense, count)
+            power, pb = _power(dense, count, a, b)
             nz = np.flatnonzero(power)
             spread = power[nz[0]:nz[-1] + 1]
             if s > 1:  # gaps stay exact zeros
                 spread = np.zeros((nz[-1] - nz[0]) * s + 1)
                 spread[::s] = power[nz[0]:nz[-1] + 1]
-            # the first part's product with the unit is the spread itself
-            product = np.convolve(win, spread) if j else spread
-            ab = _direct_product(ab, pb, min(len(win), len(spread)))
-            win[:] = 0.0
-            lo, hi = lo + s * (a + int(nz[0])), hi + s * (a + int(nz[-1]))
-            acc[lo:hi] = product
-        first += count * s * k0
-    win = acc[lo:hi]  # every nonzero: the zeros around it would divide to 0.0
-    total = math.fsum(win.tolist())
+            # the first part's product with the unit is the spread itself, copied
+            # so that the law does not keep the transform's whole buffer alive
+            out = np.convolve(probs, spread) if j else spread.copy()
+            ab = _direct_product(ab, pb, min(len(probs), len(spread)))
+            lo += s * (a + int(nz[0]))
+        probs = out
+    total = math.fsum(probs.tolist())
     n = sum(count for _, count in parts)
     if abs(total - 1.0) > ab.e1 + 3.0 * _U * n + 2.0 * _U:
         raise NumericsError(f"convolution mass drifted by {abs(total - 1.0):.3e}, "
                             f"beyond its error bound {ab.e1:.3e}")
-    peak = float(win.max())
-    win /= total
+    peak = float(probs.max())
+    probs /= total
     dm = ab.e1 + 2.0 * _U * total
     err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
     v0 = math.fsum(count * p.v0 for p, count in parts)
-    return SumLaw(probs=acc, first=first, v0=v0, D=d, err_abs=err)
+    return SumLaw(probs=probs, first=first + lo, v0=v0, D=d, err_abs=err,
+                  extent=(first, first + length - 1))
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:
@@ -833,7 +852,8 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     five parts:
 
     - the CDF error: each exact CDF value lies within ``L err_abs`` of the
-      sum of the computed masses up to it, L = ``len(probs)``;
+      sum of the computed masses up to it, L the length of ``extent``
+      (the zeros outside the window are charged too);
     - the ``cumsum`` rounding: partial sums of at most L masses of total
       within ``3u`` of one err by ``gamma_L (1 + 3u)``; the CDF before a
       jump subtracts one mass more (``u``), and the masses' total may miss
@@ -851,9 +871,9 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     """
     c, s = float(mean), math.sqrt(float(variance))
     dist = kolmogorov_distance(law, c, s)
-    size = len(law.probs)
-    last = law.first + size - 1
-    reach = abs(law.v0) + abs(law.D) * max(abs(law.first), abs(last)) + abs(c)
+    lo, hi = law.extent
+    size = hi - lo + 1
+    reach = abs(law.v0) + abs(law.D) * max(abs(lo), abs(hi)) + abs(c)
     err = (size * law.err_abs + _gamma(size, _U) * (1.0 + 3.0 * _U) + (_NDTR_ERR + 5.0 * _U)
            + 2.5 * _U * reach / s)
     return (dist / (1.0 - _U) + err) * (1.0 + 16.0 * _U)
@@ -865,7 +885,10 @@ def llt_discrepancy(law: SumLaw) -> float:
         sup_N | sqrt(Var) * P{S = N} - D/sqrt(2 pi) * exp(-(N - E S)^2 / (2 Var)) |
 
     with N running over the whole sum lattice, including points outside the
-    support (where only the Gaussian term contributes).
+    support (where only the Gaussian term contributes).  The window and the
+    points within 10 standard deviations of the mean are scanned; at every
+    other N the computed mass is 0.0 and the Gaussian term is below ``D
+    e^-50 / sqrt(2 pi)``.
     """
     var = law.variance
     if not (var > 0):

@@ -102,7 +102,7 @@ u_e / (1 - 2 R u_e)``, which bounds ``|log q^ - log q_m(n)|``; as ``e^x - 1
 computed in double and rounded up by ``1 + 2^-40``, which also covers the
 rounding of the test.  The derivation needs every lighter mass normal
 (``tau_j`` below 708 in double), as it is at the solved tilts: ``|sigma|
-n`` stayed below 60 over a scan of (m, n) under the length cap.
+n`` stayed below 60 over a scan of (m, n) under ``_MODEL_CAP``.
 
 The count is ``rint(q^)`` when ``|q^ - rint(q^)| <= E < 1/2 - |q^ -
 rint(q^)|``, so that it is the only integer the bound admits; otherwise
@@ -122,7 +122,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import _LENGTH_CAP, _MAXLOG, _gamma
+from .convolve import _MAXLOG, _gamma
 from .errors import LatticeError, NumericsError, PreconditionError
 from .lattice import _integral
 
@@ -131,6 +131,11 @@ ENUMERATION_LIMIT = 60
 
 #: residual target for the centering equation
 SIGMA_RESIDUAL_TOL = 1e-12
+
+#: most points ``1 + m + ... + n`` the model may count over: a bound on the
+#: work of its knapsack (``n - m + 1`` passes over ``n + 1`` entries), not on
+#: what it allocates (``2n + 1`` entries)
+_MODEL_CAP = 2**23
 
 #: the precision of the model's knapsack: long double (a 64-bit significand
 #: on x86-64; double where the platform's long double is double)
@@ -349,17 +354,16 @@ class PartitionInstance:
 def count_partitions(m: int, n: int, mode: str = "both") -> PartitionInstance:
     """Run the requested counters and package the result.
 
-    The model's length cap, ``1 + m + ... + n`` points (the whole law's
-    length, though the knapsack holds only 2n + 1 entries, so the same n
-    are refused as when the whole law was folded; the message names that
-    sum and the cap), and then the enumeration, with its budget, come
+    The model's cap, ``_MODEL_CAP`` on ``1 + m + ... + n`` (the length of
+    the whole model law, a bound on the knapsack's work; the message names
+    that sum and the cap), and then the enumeration, with its budget, come
     before the tilt is solved, so a refused n costs no work in n."""
     if mode not in ("model", "enum", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     m, n = _normalize(m, n)
-    if mode != "enum" and m <= n and (length := 1 + (m + n) * (n - m + 1) // 2) > _LENGTH_CAP:
+    if mode != "enum" and m <= n and (length := 1 + (m + n) * (n - m + 1) // 2) > _MODEL_CAP:
         raise LatticeError(f"partition model: 1 + {m} + ... + {n} = {length}, above the cap "
-                           f"of {_LENGTH_CAP}")
+                           f"of {_MODEL_CAP}")
     q_enum = count_via_enumeration(m, n) if mode != "model" else None
     sigma = solve_sigma(m, n)
     q_model = _model_count(m, n, sigma) if mode != "enum" else None

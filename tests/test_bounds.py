@@ -325,11 +325,11 @@ class TestHDefault:
 
 
 def _sum_shift(a, b):
-    """Largest change of a sum of entries between two laws on one array
+    """Largest change of a sum of entries between two laws on one support
     whose entries each lie within err_abs of the same exact law, plus the
     summations' rounding."""
-    assert (a.first, len(a.probs)) == (b.first, len(b.probs))
-    size = len(a.probs)
+    assert a.extent == b.extent
+    size = a.extent[1] - a.extent[0] + 1
     return size * (a.err_abs + b.err_abs) + 2 * size * 2.0**-53
 
 
@@ -339,7 +339,7 @@ def _kolmogorov_shift(a, b):
     1/sqrt(2 pi)-Lipschitz, by the moved centering and scale at the lattice
     points, where both suprema are attained."""
     sd_a, sd_b = math.sqrt(a.variance), math.sqrt(b.variance)
-    pts = a.v0 + a.D * np.arange(a.first, a.first + len(a.probs))
+    pts = a.v0 + a.D * np.arange(a.extent[0], a.extent[1] + 1)
     reach = float(np.abs(pts - b.mean).max())
     moved = abs(a.mean - b.mean) / sd_a + reach * abs(1.0 / sd_a - 1.0 / sd_b)
     return _sum_shift(a, b) + moved / math.sqrt(2.0 * math.pi) + 2e-15  # Phi's own error

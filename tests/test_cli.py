@@ -210,7 +210,7 @@ class TestLltBound:
           "--kappa-from", "2000", "--kappa-to", "2100"], 1),
         (["--n", "64", "--envelope", "psi", "--kappa", "32"], 1),
         # bounded plug-ins build no law, so the law's own length cap refuses it last
-        (["--n", "10000000", "--mode", "bounded-plug-ins", "--kappa", "5000000"], 2),
+        (["--n", "10000000000000", "--mode", "bounded-plug-ins", "--kappa", "5000000000000"], 2),
     ], ids=["h-out-of-range", "central-point-outside", "central-sweep-outside",
             "psi-theta-n-too-small", "bounded-law-above-the-cap"])
     def test_refused_request_writes_no_law(self, capsys, bern_file, tmp_path, argv, code):
@@ -888,7 +888,7 @@ class TestInputRules:
         assert err["kind"] == "input-error" and "must be a number" in err["message"]
 
     @pytest.mark.parametrize("argv", [
-        ["llt-bound", "{coin}", "--n", "1000000000", "--kappa", "5"],
+        ["llt-bound", "{coin}", "--n", "10000000000000", "--kappa", "5"],
         ["partition", "--m", "1", "--n", "5000", "--mode", "model"],
         ["partition", "--m", "1", "--n", "60000", "--mode", "model"],
         ["partition", "--m", "1", "--n", "100000", "--mode", "model"],
@@ -955,17 +955,18 @@ class TestInputRules:
         assert (got, err["kind"]) == (code, kind) and err["message"].endswith(message)
 
     def test_exact_plug_ins_name_the_conditional_law_refused(self, capsys, tmp_path):
-        # {0, 1, 2}/4 at n = 3e6: S_n has 6000001 points, under the cap, but
-        # the xi law {0, 1, 3, 4} on L(0, 1/2) makes a sum of 12000001
+        # {0, 1, 2}/4 at n = 1e11: S_n's window of 7702821 points is under
+        # the cap, but the xi law {0, 1, 3, 4} on L(0, 1/2), of twice the
+        # span, needs one of 15405639
         path = tmp_path / "dist.json"
         path.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]}))
-        code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "3000000",
-                                     "--kappa", "3000000", "--mode", "exact-plug-ins"])
+        code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "100000000000",
+                                     "--kappa", "100000000000", "--mode", "exact-plug-ins"])
         assert code == 2
         err = json.loads(out)["error"]
         assert err["kind"] == "input-error"
-        assert err["message"] == ("conditional xi law on L(0, 0.5) for exact H_n: exact law of "
-                                  "12000001 points, above the cap of 8388608")
+        assert err["message"] == ("conditional xi law on L(0, 0.5) for exact H_n: exact law on a "
+                                  "window of 15405639 points, above the cap of 8388608")
 
     def test_key_error_in_a_command_propagates(self, bern_file, monkeypatch):
         # every input parser turns its own KeyError into an input error, so

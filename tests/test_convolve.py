@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -41,6 +42,22 @@ def _probs(law):
     """The positive masses of a SumLaw as an index -> mass dict."""
     ks, w = law.atoms()
     return dict(zip(ks.tolist(), w.tolist()))
+
+
+def _on_support(law):
+    """The first index of the law's support and its masses over the whole
+    support, the zeros outside the window included."""
+    lo, hi = law.extent
+    return lo, np.array(law.masses(lo, hi - lo + 1))
+
+
+def _assert_near(law, first, ref, slack=0.0):
+    """The law's support is ``ref``'s, from index ``first`` on, and every
+    mass on it, the zeros outside the window included, lies within
+    ``err_abs`` (plus ``slack``) of ``ref``."""
+    got_first, masses = _on_support(law)
+    assert (got_first, len(masses)) == (first, len(ref))
+    assert np.all(np.abs(masses - ref) <= law.err_abs + slack)
 
 
 class TestConvolveAll:
@@ -118,12 +135,12 @@ class TestConvolveAll:
         first, ref = _sequential_reference([
             (make_pmf(0.5, 1.0, [(2 * k, w) for k, w in x]), 2),
             (make_pmf(-1.0, 1.0, [(3 * k, w) for k, w in x]), 3)])
-        assert (law.D, law.first, law.v0) == (1.0, first, -2.0)
+        assert (law.D, law.v0) == (1.0, -2.0)
         assert first == 2 * 2 + 3 * 3
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
         # spans 1 and 0.7 share the lattice 0.1
         law = sum_law([(make_pmf(0.0, 1.0, x), 1), (make_pmf(0.0, 0.7, x), 1)])
-        assert law.D == pytest.approx(0.1, rel=1e-15) and law.first == 17
+        assert law.D == pytest.approx(0.1, rel=1e-15) and law.extent[0] == 17
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -175,7 +192,7 @@ def _fresh_array_fold(parts):
     bounds for the others.
     numpy.convolve in _sequential_reference rounds its dot products
     differently, so only this reference pins the bits of the fold.
-    Returns (first index, masses, err_abs)."""
+    Returns (first index, masses on the whole support, err_abs)."""
     u = 2.0**-53
     d = min(p.D for p, _ in parts)
     acc, lo, hi, first = np.array([1.0]), 0, 1, 0
@@ -195,7 +212,8 @@ def _fresh_array_fold(parts):
         else:
             dense = np.zeros(span + 1)
             dense[ks] = w
-            a, power, pb = _power(dense, count)
+            a, b = convolve._window(list(zip(ks.tolist(), w.tolist())), span, count)
+            power, pb = _power(dense, count, a, b)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)
             spread[::s] = power[nz[0]:nz[-1] + 1]
@@ -265,15 +283,14 @@ class TestSumLaw:
         parts = _random_parts(np.random.default_rng(seed))
         law = sum_law(parts)
         first, ref = _sequential_reference(parts)
-        assert law.first == first
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
 
     def test_repeated_counts_of_one_law(self):
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
         for count in (1, 2, 57):
             first, ref = _sequential_reference([(p, count)])
             law = iid_sum(p, count)
-            assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+            _assert_near(law, first, ref)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_count_one_parts_keep_the_sequential_bits(self, seed):
@@ -282,15 +299,13 @@ class TestSumLaw:
         parts = [(law, 1) for law, _ in _random_parts(np.random.default_rng(seed))]
         first, ref = _sequential_reference(parts)
         law = sum_law(parts)
-        assert law.first == first
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
 
     def test_partition_model_law_keeps_the_sequential_bits(self):
         parts = _partition_model_parts(1, 150)
         first, ref = _sequential_reference(parts)
         law = sum_law(parts)
-        assert law.first == first
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
 
     def test_one_transform_pair_per_power(self, monkeypatch):
         # a power is one rfft, a pointwise power and one irfft, whatever its count
@@ -331,8 +346,7 @@ class TestSumLaw:
         # {1, 2, 1}/4 is Binomial(2, 1/2), so n = 1000 copies give Binomial(2000, 1/2)
         law = iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 1000)
         exact = np.array([math.comb(2000, k) / 2**2000 for k in range(2001)])
-        assert law.first == 0
-        assert np.all(np.abs(law.probs - exact) <= law.err_abs + 2.0**-53 * exact)
+        _assert_near(law, 0, exact, 2.0**-53 * exact)
 
     @pytest.mark.parametrize("probs", [(0.7, 0.2, 0.1), (0.05, 0.15, 0.8), (0.5, 0.0, 0.5)])
     def test_error_bound_holds_on_extended_reference(self, probs):
@@ -345,7 +359,7 @@ class TestSumLaw:
             ref = np.convolve(ref, dense)
         ref = (ref / ref.sum()).astype(float)
         law = iid_sum(p, 300)
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs + 2.0**-53 * ref)
+        _assert_near(law, 0, ref, 2.0**-53 * ref)
 
     def test_each_law_densified_once(self):
         p = LatticePmf(0.0, 1.0, _WalkCounter({0: 0.25, 1: 0.5, 2: 0.25}))
@@ -357,7 +371,7 @@ class TestSumLaw:
     def test_mass_is_zero_off_the_array(self):
         law = iid_sum(make_pmf(2.0, 1.0, [(3, 1), (4, 1)]), 5)
         last = law.first + len(law.probs) - 1
-        assert (law.first, last) == (15, 20)
+        assert (law.first, last) == law.extent == (15, 20)
         assert law.mass(law.first) > 0.0 and law.mass(last) > 0.0
         # first - 1 maps to array position -1, which must not wrap around
         assert law.mass(law.first - 1) == 0.0
@@ -398,11 +412,12 @@ def _integer_power(law, count):
 
 
 def _assert_within_bound(law, first, masses, total):
-    """Every computed mass lies within err_abs of ``masses[i] / total``, in
-    rational arithmetic."""
-    assert (law.first, len(law.probs)) == (first, len(masses))
+    """Every computed mass on the whole support, the zeros outside the window
+    included, lies within err_abs of ``masses[i] / total``, in rational
+    arithmetic."""
+    assert law.extent == (first, first + len(masses) - 1)
     en, ed = law.err_abs.as_integer_ratio()
-    for p, c in zip(law.probs.tolist(), masses):
+    for p, c in zip(law.masses(first, len(masses)), masses, strict=True):
         num, den = p.as_integer_ratio()  # |num/den - c/total| <= en/ed, cross-multiplied
         assert abs(num * total - c * den) * ed <= en * total * den
 
@@ -470,12 +485,28 @@ class TestPowerAccuracy:
 
     def test_direct_sums_in_blocks_keep_the_bits(self, monkeypatch):
         # the (frequency, atom) pairs are summed a block at a time; blocks of
-        # 7 pairs give the same doubles as one block
-        p = make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.45), (2, 0.25)])
-        whole = iid_sum(p, 300)
-        monkeypatch.setattr(convolve, "_PAIRS", 7)
-        blocks = iid_sum(p, 300)
-        assert np.array_equal(whole.probs, blocks.probs) and whole.err_abs == blocks.err_abs
+        # 7 pairs give the same values, to the sign of zero, as one block, in
+        # either extended type (a matmul's doubles may follow the block shape)
+        for ext in (np.longdouble, np.float64):
+            monkeypatch.setattr(convolve, "_EXT", ext)
+            rng = np.random.default_rng(11)
+            for _ in range(60):
+                size = 2 ** int(rng.integers(4, 11))
+                span = int(rng.integers(1, min(size, 40)))
+                dense = np.zeros(span + 1)
+                ks = rng.choice(span + 1, int(rng.integers(1, min(span + 1, 12) + 1)),
+                                replace=False)
+                dense[ks] = rng.random(len(ks)) + 1e-3
+                dense /= dense.sum()
+                picks = int(rng.integers(1, min(size // 2, 60) + 1))
+                freqs = np.sort(rng.choice(size // 2 + 1, picks, replace=False))
+                # the direct sums, not one extended rfft
+                assert 4 * len(freqs) * len(ks) <= size * (size.bit_length() - 1) + 2**13
+                monkeypatch.setattr(convolve, "_PAIRS", 2**16)
+                whole = convolve._transform_at(dense, _measured(dense), freqs, size)
+                monkeypatch.setattr(convolve, "_PAIRS", 7)
+                blocks = convolve._transform_at(dense, _measured(dense), freqs, size)
+                assert _same_bits(whole[0], blocks[0]) and whole[1] == blocks[1], ext
 
     def test_extended_set_spans_all_to_few_frequencies(self, ext):
         # count 2 re-evaluates every frequency, count 1000 a seventh of
@@ -590,12 +621,14 @@ def _hoeffding_window(law, count):
     the bound on the mass it leaves out; it must be shorter than the law's
     whole support, so that the transform is shorter too."""
     items = sorted(law.probs.items())
-    dense = np.zeros(items[-1][0] - items[0][0] + 1)
+    k0, span = items[0][0], items[-1][0] - items[0][0]
+    a, b = convolve._window([(k - k0, w) for k, w in items if w > 0], span, count)
+    last = count * span
+    assert (b - a).bit_length() < last.bit_length()
+    dense = np.zeros(span + 1)
     for k, w in items:
-        dense[k - items[0][0]] = w
-    a, b, outside = convolve._window(dense, _measured(dense), count)
-    last = count * (len(dense) - 1)
-    assert (b - a).bit_length() < last.bit_length() and outside > 0.0
+        dense[k - k0] = w
+    outside = convolve._OUTSIDE * _measured(dense).n1 ** count * (1.0 + 4.0 * convolve._U)
     return a, b, outside
 
 
@@ -632,10 +665,11 @@ class TestWindow:
         # every index, inside the window and out, is within err_abs of the
         # exact mass (compared in rational arithmetic), and the exact mass
         # outside the window is within the Hoeffding bound
-        assert law.first == 0
+        masses = list(masses)
+        assert law.extent == (0, len(masses) - 1)
         en, ed = law.err_abs.as_integer_ratio()
         left_out = 0
-        for i, (p, c) in enumerate(zip(law.probs.tolist(), masses, strict=True)):
+        for i, (p, c) in enumerate(zip(law.masses(0, len(masses)), masses, strict=True)):
             num, den = p.as_integer_ratio()
             assert abs(num * total - c * den) * ed <= en * total * den, i
             if not a <= i <= b:
@@ -655,9 +689,7 @@ class TestWindow:
             count = 4096 // span + 1
             _hoeffding_window(law, count)
             first, ref = _sequential_reference([(law, count)])
-            got = iid_sum(law, count)
-            assert got.first == first
-            assert np.all(np.abs(got.probs - ref) <= got.err_abs)
+            _assert_near(iid_sum(law, count), first, ref)
 
     def test_powered_parts_with_other_parts(self):
         # windows of two powers on strides 1 and 2, folded with count-1 parts
@@ -669,8 +701,7 @@ class TestWindow:
         parts = [(p, 700), (bernoulli(0.3), 1), (q, 1100), (gapped, 1)]
         first, ref = _sequential_reference(parts)
         law = sum_law(parts)
-        assert law.first == first
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
 
 
 class _ConvolveSpy:
@@ -697,7 +728,7 @@ class TestSparseFold:
         monkeypatch.setattr(np, "convolve", spy)
         law = sum_law(_partition_model_parts(1, 150))
         assert spy.args == []
-        assert (law.first, len(law.probs)) == (0, 150 * 151 // 2 + 1)
+        assert law.extent == (0, 150 * 151 // 2)
 
     def test_powered_parts_convolve_their_nonzero_windows(self, monkeypatch):
         spy = _ConvolveSpy()
@@ -709,18 +740,19 @@ class TestSparseFold:
             # own nonzero window, about 1.4e3 entries and not 20001
             assert x[0] > 0.0 and x[-1] > 0.0
             assert len(x) < 2000
-        assert (law.first, len(law.probs)) == (0, 40001)
+        assert law.extent == (0, 40000)
+        # the law is held on its window alone: 1.4e3 entries, not 40001
+        assert len(law.probs) < 2000
         assert law.err_abs <= 1e-13
 
     def _assert_fresh_array_bits(self, parts):
         law = sum_law(parts)
         first, ref, ref_err = _fresh_array_fold(parts)
-        assert law.first == first
-        assert np.array_equal(law.probs, ref)
+        assert law.extent == (first, first + len(ref) - 1)
+        assert np.array_equal(_on_support(law)[1], ref)
         assert law.err_abs == ref_err
         first, ref = _sequential_reference(parts)
-        assert law.first == first
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
         return law
 
     def test_count_one_parts_after_a_power_keep_the_bits(self):
@@ -728,7 +760,7 @@ class TestSparseFold:
         # so the running window starts past 0 when the two-atom parts come in
         faint = make_pmf(0.0, 1.0, [(0, 1e-20), (1, 0.6), (2, 0.4)])
         law = self._assert_fresh_array_bits([(faint, 3)] + _partition_model_parts(2, 40))
-        assert law.probs[0] == 0.0 and law.probs[1] == 0.0
+        assert law.mass(0) == 0.0 and law.mass(1) == 0.0 and law.first > 1
 
     def test_count_one_parts_with_many_atoms_keep_the_bits(self):
         # the gapped laws list a massless first atom, so their masses start past 0
@@ -753,7 +785,7 @@ class TestSparseFold:
         point = LatticePmf(0.0, 1.0, {3: 1.0})
         parts = _partition_model_parts(1, 20)
         law = self._assert_fresh_array_bits(parts[:10] + [(point, 1)] + parts[10:])
-        assert law.first == 3
+        assert law.extent[0] == 3
 
     def test_count_one_bounds_are_the_measured_norms(self, monkeypatch):
         # every count-1 part, a two-atom part {0: a, j: b} built from its
@@ -784,15 +816,14 @@ class TestSparseFold:
         parts = [(self._P, 300), (self._Q, 300)]
         first, ref = _sequential_reference(parts)
         law = sum_law(parts)
-        assert law.first == first
-        assert np.all(np.abs(law.probs - ref) <= law.err_abs)
+        _assert_near(law, first, ref)
 
 
-_ERR_ABS_PINS = {  # parts, and the err_abs, first index and sha1 of the masses they gave
+_ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of its masses
     "121-n300": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 300)],
-                 "0x1.fe16657f803f4p-49", 0, "276bc13d73f8b9a1a8f9ca0daff591e367c90614"),
+                 "0x1.fe16657f803f4p-49", 205, "c67b53260ec1eea142edcc14136c9b5d50550110"),
     "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
-                 "0x1.0dd00b8c9c835p-49", 0, "d3a6de95ab45dec63318557d7477a42596102e62"),
+                 "0x1.0dd00b8c9c835p-49", 19235, "db7d9c342333303ed9eea65bd50686935b95d977"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
               "0x1.adcab16b75ddbp-49", 0, "56a87a59983780baa3b29572552327b86d32dd92"),
     # the parts at a fixed tilt, the centred one as solve_sigma gave it when
@@ -823,6 +854,68 @@ def test_err_abs_is_pinned(case):
     assert hashlib.sha1(law.probs.tobytes()).hexdigest() == digest
 
 
+class TestReach:
+    """Exact laws whose support is far past the length cap: the law is held
+    on its window alone."""
+
+    @staticmethod
+    def _log_mass(n, k, p, q):
+        """log P{S = k} for S Binomial(n, p / (p + q)), at 40 digits."""
+        with mpmath.workdps(40):
+            p, q = mpmath.mpf(p), mpmath.mpf(q)  # exact: both are doubles
+            return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                    + k * mpmath.log(p / (p + q)) + (n - k) * mpmath.log(q / (p + q)))
+
+    @pytest.mark.parametrize("n", [10**7, 10**8, 10**9])
+    def test_bernoulli_against_log_gamma_references(self, n):
+        # Bernoulli(0.3), its stored masses scaled to total one: at the mean,
+        # +3 sd and -5 sd each mass is within err_abs of the 40-digit value,
+        # and 40 sd out, past the window, the mass is 0.0 and the exact one
+        # below err_abs
+        coin = bernoulli(0.3)
+        law = iid_sum(coin, n)
+        assert law.extent == (0, n) and len(law.probs) < 2**18
+        p, q = coin.probs[1], coin.probs[0]
+        mean, sd = n * p / (p + q), math.sqrt(n * p * q) / (p + q)
+        for z in (0, 3, -5, -40):
+            k = round(mean + z * sd)
+            exact = mpmath.exp(self._log_mass(n, k, p, q))
+            assert abs(law.mass(k) - exact) <= law.err_abs, (z, law.mass(k), exact)
+        assert law.mass(round(mean - 40 * sd)) == 0.0
+        assert law.err_abs <= 1e-12
+
+    def test_readers_do_not_depend_on_the_layout(self):
+        # a law on its window and the same masses padded with zeros out to
+        # its extent give the same values to every reader: the zeros outside
+        # the window are charged from the extent, not read
+        p = make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)])
+        for parts in ([(bernoulli(0.3), 10**5)], [(p, 20000), (bernoulli(0.25), 1)]):
+            law = sum_law(parts)
+            lo, hi = law.extent
+            padded = dataclasses.replace(law, probs=np.array(law.masses(lo, hi - lo + 1)), first=lo)
+            assert len(law.probs) < (hi - lo + 1) / 10
+            mean, var = exact_moments(parts)
+            assert kolmogorov_bound(law, mean, var) == kolmogorov_bound(padded, mean, var)
+            assert llt_discrepancy(law) == llt_discrepancy(padded)
+            sd = math.sqrt(var)
+            for c, r in ((mean, 0), (mean, 3 * sd), (mean + sd / 3, 2 * sd), (mean, 20 * sd),
+                         (lo - 5, 1), (hi, -1)):
+                assert law.two_sided_tail_bound(c, r) == padded.two_sided_tail_bound(c, r)
+            assert law.to_json_dict() == padded.to_json_dict()
+            assert law.masses(lo - 3, 50) == padded.masses(lo - 3, 50)
+
+    def test_tail_bound_charges_the_zeros_outside_the_window(self):
+        # every index of the support outside the window adds err_abs, as
+        # when the zeros were held: a radius that holds the window leaves
+        # a tail of zeros only
+        law = iid_sum(bernoulli(0.3), 10**7)
+        lo, hi = law.first, law.first + len(law.probs) - 1
+        center, radius = Fraction(lo + hi, 2), Fraction(hi - lo, 2)
+        inside = hi - lo + 1
+        expected = (10**7 + 1 - inside) * law.err_abs * (1.0 + 4.0 * convolve._U)
+        assert law.two_sided_tail_bound(center, radius) == expected
+
+
 class TestLengthCap:
     def test_refused_before_any_allocation(self, monkeypatch, fair_bernoulli):
         def no_alloc(*args, **kwargs):
@@ -831,12 +924,40 @@ class TestLengthCap:
         monkeypatch.setattr(convolve, "_LENGTH_CAP", 10)
         assert len(sum_law([(fair_bernoulli, 9)]).probs) == 10  # at the cap
         assert len(sum_law([(fair_bernoulli, 1)] * 9).probs) == 10
-        for name in ("zeros", "empty"):  # the pre-pass reads only the atoms
-            monkeypatch.setattr(np, name, no_alloc)
-        monkeypatch.setattr(convolve, "_power", no_alloc)
+        self._spy(monkeypatch, no_alloc)
         for parts in ([(fair_bernoulli, 10)], [(fair_bernoulli, 1)] * 10,
                       [(fair_bernoulli, 4), (make_pmf(0.0, 2.0, [(0, 1), (3, 1)]), 1)]):
-            with pytest.raises(LatticeError, match="exact law of 11 points, above the cap of 10"):
+            with pytest.raises(LatticeError,
+                               match="exact law on a window of 11 points, above the cap of 10"):
+                sum_law(parts)
+
+    @staticmethod
+    def _spy(monkeypatch, no_alloc):
+        for name in ("zeros", "empty", "ones", "convolve"):  # the pre-pass reads only the atoms
+            monkeypatch.setattr(np, name, no_alloc)
+        monkeypatch.setattr(convolve, "_power", no_alloc)
+
+    def test_windows_above_the_cap_refused_before_any_allocation(self, monkeypatch,
+                                                                 fair_bernoulli):
+        # the cap is on the window, not the support: a coin's window at n =
+        # 1e12 is over 2^23 points, and one at n = 4e11 is under it but is
+        # pushed over by a count-1 part of span 1e6; the message names the
+        # window the pre-pass found
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the length check")
+
+        coin = [(0, 0.5), (1, 0.5)]
+        big = convolve._window(coin, 1, 10**12)
+        near = convolve._window(coin, 1, 4 * 10**11)
+        assert near[1] - near[0] + 1 <= convolve._LENGTH_CAP < big[1] - big[0] + 1
+        assert near[1] - near[0] + 10**6 + 1 > convolve._LENGTH_CAP
+        self._spy(monkeypatch, no_alloc)
+        wide = make_pmf(0.0, 1.0, [(0, 1), (10**6, 1)])
+        for parts, window in (([(fair_bernoulli, 10**12)], big[1] - big[0] + 1),
+                              ([(fair_bernoulli, 4 * 10**11), (wide, 1)],
+                               near[1] - near[0] + 10**6 + 1)):
+            with pytest.raises(LatticeError, match=f"exact law on a window of {window} points, "
+                                                   f"above the cap of {convolve._LENGTH_CAP}"):
                 sum_law(parts)
 
 
@@ -933,9 +1054,10 @@ class TestPoissonBinomial:
         # put points exactly on c - r and c + r, which are not in the tail;
         # a negative radius puts every point in it
         law = sum_law([(make_pmf(v0, d, [(0, 0.3), (1, 0.5), (3, 0.2)]), 5)])
-        size = len(law.probs)
-        points = [Fraction(law.v0) + Fraction(law.D) * (law.first + i) for i in range(size)]
-        mid = law.v0 + law.D * (law.first + size // 2)
+        first, masses = _on_support(law)
+        size = len(masses)
+        points = [Fraction(law.v0) + Fraction(law.D) * (first + i) for i in range(size)]
+        mid = law.v0 + law.D * (first + size // 2)
         cases = [(c, j * law.D) for c in (mid, mid + law.D) for j in (0, 1, 2, 5)]
         cases += [(Fraction(mid) + Fraction(1, 3), Fraction(law.D) * 3 - Fraction(1, 3)),
                   (Fraction(mid), Fraction(law.D) * 4 + Fraction(1, 10**30)),
@@ -943,7 +1065,7 @@ class TestPoissonBinomial:
         up = 1.0 + convolve._gamma(size, convolve._U)
         for c, r in cases:
             tail = np.array([abs(x - Fraction(c)) > Fraction(r) for x in points])
-            expected = ((float(law.probs[tail].sum()) * up + int(tail.sum()) * law.err_abs)
+            expected = ((math.fsum(masses[tail].tolist()) * up + int(tail.sum()) * law.err_abs)
                         * (1.0 + 4.0 * convolve._U))
             assert law.two_sided_tail_bound(c, r) == expected
         assert law.two_sided_tail_bound(mid, -0.25) >= 1.0
