@@ -663,9 +663,10 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     rho_n is ``P{|B_n - Theta_n| > h Theta_n}`` with Theta_n and ``h
     Theta_n`` as exact fractions, so the points of the tail are decided
     exactly (:meth:`SumLaw.two_sided_tail_bound`).  Both are rounded up by
-    their floating-point error (:func:`lltkit.convolve.kolmogorov_bound`,
-    the tail's masses and ``err_abs``), so they bound the values of the
-    exact laws from above."""
+    their floating-point error, each charging its law's ``err_l1`` once
+    for the distance of all its masses from the exact ones
+    (:func:`lltkit.convolve.kolmogorov_bound`, the tail's masses plus
+    ``err_l1``), so they bound the values of the exact laws from above."""
     if h is not None:
         _check_h(h)
     parts = [(xi_law(split(p, t)), c) for p, t, c in spec.parts]

@@ -29,12 +29,13 @@ gaps under a coarser span stay exact zeros, and folded in with
 ``numpy.convolve`` of the running window and the power's nonzero window,
 whose product is the new window; the first part's power is the window as it
 is, its product with the unit.  The sum is normalized in place.  Every
-oracle reads the window of the resulting :class:`SumLaw` in place and
-charges the zeros outside it from the support's extent, and
+oracle reads the window of the resulting :class:`SumLaw` in place.
 ``SumLaw.err_abs`` bounds how far any of its masses, on the window or off
-it, can be from the exact law (derived at :func:`sum_law`).  The normal CDF
-is :func:`_ndtr`, Cephes' ``ndtr`` (absolute error near machine precision)
-in numpy with libm's ``exp``, which gives the doubles of
+it, can be from the exact law, and ``SumLaw.err_l1`` how far all of them
+together can be, in the l1 norm (both derived at :func:`sum_law`): a reader
+that sums masses charges ``err_l1`` once, not ``err_abs`` per index.  The
+normal CDF is :func:`_ndtr`, Cephes' ``ndtr`` (absolute error near machine
+precision) in numpy with libm's ``exp``, which gives the doubles of
 ``scipy.special.ndtr`` without importing ``scipy.special``.
 """
 
@@ -122,20 +123,21 @@ class SumLaw:
     """Exact law of a sum of independent lattice variables, held on the
     window of entries the kernel kept: ``probs[i] = P{S = v0 + D * (first +
     i)}`` to within ``err_abs``, a rigorous bound on the distance of every
-    computed mass from the exact one.  ``extent`` is the first and last
-    lattice index of the support (each summand's listed support added up);
-    its indices outside the window hold computed masses of exact 0.0, each
-    also within ``err_abs`` of the exact mass.  Zeros in the array (tails
-    dropped at the bound, underflowed tails, gaps under coarser spans) are
-    not support points.  ``mean`` and ``variance`` are summed on first
-    read, since not every oracle reads them."""
+    computed mass from the exact one; every index off the window holds a
+    computed mass of exact 0.0, also within ``err_abs`` of the exact mass.
+    ``err_l1`` bounds the sum of those distances over every index, ``sum_k
+    |p^_k - p_k|``; it grows with the window, so it does not replace
+    ``err_abs`` for a single mass.  Zeros in the array (tails dropped at the
+    bound, underflowed tails, gaps under coarser spans) are not support
+    points.  ``mean`` and ``variance`` are summed on first read, since not
+    every oracle reads them."""
 
     probs: np.ndarray
     first: int
     v0: float
     D: float
     err_abs: float
-    extent: tuple[int, int]
+    err_l1: float
 
     @cached_property
     def _mean_variance(self) -> tuple[float, float]:
@@ -176,21 +178,18 @@ class SumLaw:
         The points within ``radius`` of ``center`` are the indices from
         ``ceil((center - radius - v0)/D)`` to ``floor((center + radius -
         v0)/D)``, both computed in rational arithmetic, so the tail is the
-        indices of ``extent`` outside them, decided exactly (all of them when
-        ``radius < 0``).  Each tail index adds ``err_abs`` for its distance
-        from the exact mass, the zeros outside the window included; the
-        tail's masses are summed by ``math.fsum`` (one rounding), charged
-        ``gamma_L`` of themselves with L the extent's length, and the result
-        is rounded up by ``1 + 4u``."""
-        lo, hi = self.extent
+        window's entries outside them, decided exactly (all of them when
+        ``radius < 0``).  Their masses are summed by ``math.fsum`` (one
+        rounding), ``err_l1`` covers the distance of every tail mass from the
+        exact one, on the window and off it, and the sum is rounded up by
+        ``1 + 4u``."""
         v0, d, center, radius = (Fraction(x) for x in (self.v0, self.D, center, radius))
-        a = min(max(math.ceil((center - radius - v0) / d), lo), hi + 1)
-        b = max(min(math.floor((center + radius - v0) / d) + 1, hi + 1), a)
+        a = math.ceil((center - radius - v0) / d)
+        b = max(math.floor((center + radius - v0) / d) + 1, a)
         # the window's entries before index a and from index b on
         i, j = max(a - self.first, 0), max(b - self.first, 0)
         mass = math.fsum(self.probs[:i].tolist() + self.probs[j:].tolist())
-        mass *= 1.0 + _gamma(hi - lo + 1, _U)
-        return (mass + (hi - lo + 1 - (b - a)) * self.err_abs) * (1.0 + 4.0 * _U)
+        return (mass + self.err_l1) * (1.0 + 4.0 * _U)
 
     def to_json_dict(self) -> dict:
         """The pmf schema of :meth:`LatticePmf.to_json_dict`, positive masses only."""
@@ -331,14 +330,15 @@ def _transform_at(dense: np.ndarray, bf: _Bounds, freqs: np.ndarray, size: int):
     the largest one reached, built once per call (:func:`_circle`): the
     same long doubles.  No ``perfbench`` workload reaches that path (their
     sizes are 4096 at most), so its cost is timed only in single calls
-    (ROADMAP item 1b's many-atom workload is to measure it).  Their error bound, ``sqrt2 (gamma_A(u_e) (1 +
-    4u_e) + 4u_e) ||f||_1``, is far below that of a transform, ``eta_N(u_e)
-    sqrt(N) ||f||_2``.  On one Intel Xeon core a pair costs 13-20 ns read
-    from a kept table (50-60 ns by octant reduction), on top of about 10
-    us per call, and one extended ``rfft`` about 35 ns per point.  Where
-    ``4 |freqs| A`` exceeds ``size log2(size) + 2^13``, one extended
-    ``rfft`` gives the values instead.  That rule was fitted to the octant
-    reduction's cost of about 100-150 ns a pair, and it stays: the two
+    (ROADMAP item 1b's many-atom workload is to measure it).  The direct
+    sums' error bound, ``sqrt2 (gamma_A(u_e) (1 + 4u_e) + 4u_e) ||f||_1``,
+    is far below that of a transform, ``eta_N(u_e) sqrt(N) ||f||_2``.  On
+    one Intel Xeon core a pair costs 13-20 ns read from a kept table (50-60
+    ns by octant reduction), on top of about 10 us per call, and one
+    extended ``rfft`` about 35 ns per point.  Where ``4 |freqs| A`` exceeds
+    ``size log2(size) + 2^13``, one extended ``rfft`` gives the values
+    instead.  That rule was fitted to the octant reduction's cost of about
+    100-150 ns a pair, and it stays: the two
     paths carry different bounds, so moving the rule moves ``err_abs`` and
     the digits printed from it.  It takes a law of many atoms whose power
     the double transform cannot already give within its inverse transform's
@@ -491,7 +491,8 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     """Exact law of the independent sum of ``count`` copies of each ``law`` in
     ``parts = [(law, count), ...]``, folded in the order given, with a
     rigorous bound ``err_abs`` on the distance of every computed mass, on
-    the window and off it, from the exact law.
+    the window and off it, from the exact law, and a bound ``err_l1`` on the
+    sum of those distances.
 
     Spans must share a lattice (every ratio within ``1e-9`` of a fraction of
     denominator at most ``_MAX_REFINE``; the law lives on the coarsest span
@@ -672,12 +673,30 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        largest dropped entry and ``e_1``, ``e_2`` by the norms of the dropped
        entries.
     6. *Normalization* by ``T = fsum(acc^)``, ``acc^`` the final window
-       (correctly rounded, and the zeros outside it would add nothing): with
-       exact mass ``M``, ``|M - T| <= e_1 + 2u T =: d``, and each quotient
-       rounds by ``u``, so ``err_abs = (e_inf + (max acc^ + e_inf) d / (T -
-       d) + u max acc^) / T``, times ``1 + 2^-40`` for the rounding of the
-       bound.  It holds at every index of the support, the zeros outside
-       the window (``acc^ = 0.0`` there) included.
+       (correctly rounded, and the zeros outside it would add nothing).
+       Every entry of ``acc^`` is ``>= 0`` (the folds add products of
+       non-negative entries, and the tail drop zeroes the negatives), so
+       their exact sum S is within ``u S`` of T, and ``S <= T / (1 - u)``.
+       With exact mass ``M``, ``|M - T| <= e_1 + u S <= e_1 + 2u T =: d``,
+       and each quotient rounds by ``u``, so ``err_abs = (e_inf + (max acc^
+       + e_inf) d / (T - d) + u max acc^) / T``, times ``1 + 2^-40`` for the
+       rounding of the bound.  It holds at every index of the support, the
+       zeros outside the window (``acc^ = 0.0`` there) included.  Summed
+       over every index, with ``p_k = acc_k / M`` the exact law (``e_1``
+       already covers the whole support: the truncated and aliased mass of
+       step 4 and the dropped tails of step 5),
+
+           sum_k |p^_k - p_k| <= sum_k |p^_k - acc^_k / T|
+                                 + sum_k |acc^_k - acc_k| / T + |M - T| / T
+                              <= u S / T + e_1 / T + (e_1 + u S) / T
+                              <= 2 e_1 / T + 2u / (1 - u),
+
+       and ``err_l1 = (2 e_1 / T + 2u) (1 + 2^-40)``: the factor covers the
+       two roundings of the bound and ``2u^2 / (1 - u)``, far below ``2^-40
+       2u``.  A reader that sums masses charges this one number, not
+       ``err_abs`` per index: for the coin at n = 1e9, ``err_abs`` is
+       7.4e-14 and ``err_l1`` 3.4e-9, where ``err_abs`` over the support's
+       1e9 + 1 indices is 7.4e-5.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
     divides each weight by their correctly rounded sum, so its masses total
@@ -695,7 +714,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     d, strides = _common_lattice([p.D for p, _ in parts])
     # per part: stride, span, positive atoms and the window [a, b] it is read on;
     # `window` bounds the running window's length
-    folds, first, length, window = [], 0, 1, 1
+    folds, first, window = [], 0, 1
     for j, ((p, count), s) in enumerate(zip(parts, strides)):
         mass = math.fsum(p.probs.values())
         if abs(mass - 1.0) > 2.0 * _U:
@@ -708,7 +727,6 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         a, b = (pos[0][0], pos[-1][0]) if count == 1 else _window(pos, span, count)
         folds.append((s, span, pos, a, b))
         first += count * s * k0
-        length += count * s * span
         window += s * (b - a)
     if window > _LENGTH_CAP:
         raise LatticeError(f"exact law on a window of {window} points, above the cap of "
@@ -748,9 +766,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     probs /= total
     dm = ab.e1 + 2.0 * _U * total
     err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
+    err_l1 = (2.0 * ab.e1 / total + 2.0 * _U) * (1.0 + 2.0**-40)
     v0 = math.fsum(count * p.v0 for p, count in parts)
-    return SumLaw(probs=probs, first=first + lo, v0=v0, D=d, err_abs=err,
-                  extent=(first, first + length - 1))
+    return SumLaw(probs=probs, first=first + lo, v0=v0, D=d, err_abs=err, err_l1=err_l1)
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:
@@ -849,19 +867,19 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     They are rounded to ``c = float(mean)`` and ``s = sqrt(float(variance))``.
     The bound is :func:`kolmogorov_distance` of the computed masses about c
     and s, divided by ``1 - u`` for the rounding of each difference, plus
-    five parts:
+    five parts, each taken over the A atoms (positive masses) it evaluates:
 
-    - the CDF error: each exact CDF value lies within ``L err_abs`` of the
-      sum of the computed masses up to it, L the length of ``extent``
-      (the zeros outside the window are charged too);
-    - the ``cumsum`` rounding: partial sums of at most L masses of total
-      within ``3u`` of one err by ``gamma_L (1 + 3u)``; the CDF before a
+    - the CDF error: each exact CDF value lies within ``err_l1`` of the sum
+      of the computed masses up to it;
+    - the ``cumsum`` rounding: partial sums of at most A masses of total
+      within ``3u`` of one err by ``gamma_A (1 + 3u)``; the CDF before a
       jump subtracts one mass more (``u``), and the masses' total may miss
       one by ``3u``, which the supremum at infinity sees;
     - the ``ndtr`` error, ``_NDTR_ERR = 8u`` absolute;
     - the argument's rounding: ``(v0 + D k - c)/s`` is within ``5u reach /
       s`` of its value in real arithmetic, ``reach = |v0| + |D| max|k| +
-      |c|``, and Phi moves by at most ``1/sqrt(2 pi)`` times that;
+      |c|`` over the atoms' indices k, and Phi moves by at most ``1/sqrt(2
+      pi)`` times that;
     - the moments' rounding: ``|c - mean| <= u |c|`` moves the argument by
       at most ``u reach / s`` more, and s is within ``2u`` of
       ``sqrt(variance)`` relatively, which moves ``Phi(t)`` by at most ``2u
@@ -871,10 +889,9 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     """
     c, s = float(mean), math.sqrt(float(variance))
     dist = kolmogorov_distance(law, c, s)
-    lo, hi = law.extent
-    size = hi - lo + 1
-    reach = abs(law.v0) + abs(law.D) * max(abs(lo), abs(hi)) + abs(c)
-    err = (size * law.err_abs + _gamma(size, _U) * (1.0 + 3.0 * _U) + (_NDTR_ERR + 5.0 * _U)
+    ks = law.atoms()[0]
+    reach = abs(law.v0) + abs(law.D) * max(abs(int(ks[0])), abs(int(ks[-1]))) + abs(c)
+    err = (law.err_l1 + _gamma(len(ks), _U) * (1.0 + 3.0 * _U) + (_NDTR_ERR + 5.0 * _U)
            + 2.5 * _U * reach / s)
     return (dist / (1.0 - _U) + err) * (1.0 + 16.0 * _U)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConstantsRegistry, DEFAULT_CONSTANTS, SumSpec, chernoff_rho
-from .convolve import _NDTR_ERR, _U, SumLaw, _ndtr
+from .convolve import _NDTR_ERR, _U, SumLaw, _gamma, _ndtr
 from .errors import LatticeError, NumericsError
 
 #: most points an interval-discrepancy window (and its d-table) may hold
@@ -63,7 +63,8 @@ class SmoothnessReport:
     ``d``, ``ell`` and ``p`` are dense arrays over the integer window
     ``k_lo..k_lo + len - 1`` covering the support plus a Gaussian tail margin;
     ``rho`` is the exact sup over intervals of ``|sum d_k|``.  ``err_abs`` is
-    the law's bound on the error of every ``p`` entry (not printed).
+    the law's bound on the error of every ``p`` entry, and ``err_l1`` its
+    bound on the sum of those errors over every index (neither is printed).
     """
 
     M: float
@@ -76,6 +77,7 @@ class SmoothnessReport:
     ell: np.ndarray
     p: np.ndarray
     err_abs: float
+    err_l1: float
 
     @property
     def ks(self) -> np.ndarray:
@@ -98,10 +100,10 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
     The sup over intervals of a sum equals (max - min) over prefix sums, so
     rho_n comes from one cumulative pass over a window that holds every
     positive mass of ``sum_law`` and outside of which the Gaussian cell
-    integrals are below 1e-16.  Outside it the exact masses are at most
-    ``sum_law.err_abs`` (tails the kernel dropped at its error bound); a
-    longer window than ``WINDOW_CAP`` points is refused before it is
-    allocated.
+    integrals are below 1e-16.  Outside it the exact masses are each at
+    most ``sum_law.err_abs`` and together at most ``sum_law.err_l1`` (tails
+    the kernel dropped at its error bound); a longer window than
+    ``WINDOW_CAP`` points is refused before it is allocated.
     """
     if not (math.isfinite(a_n) and 0.0 < b_n < math.inf):
         raise LatticeError(f"need a finite a_n and a finite b_n > 0, got {a_n} and {b_n}")
@@ -134,6 +136,7 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
         ell=ell,
         p=p,
         err_abs=sum_law.err_abs,
+        err_l1=sum_law.err_l1,
     )
 
 
@@ -161,9 +164,12 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
     (ii) |sqrt(b_n) P{S_n=k} - (1/sqrt(2 pi)) e^{-(k-a_n)^2/(2 b_n)}|
              <= 2 sqrt(R) sqrt(rho_n) + 1/sqrt(2 pi e b_n),
 
-    with R and rho_n as computed from the table.  A side fails only when no
-    table within its floating-point error could meet it; with ``E`` the law's
-    ``err_abs`` and u the unit roundoff:
+    with R and rho_n as computed from the table; ``pointwise_bound`` and
+    ``gaussian_bound`` are those computed right sides.  A side fails only
+    when no table within its floating-point error could meet it, so each is
+    compared against the right side at the upper ends of R's and rho_n's
+    error intervals; with ``E`` the law's ``err_abs``, ``E_1`` its
+    ``err_l1``, W the window's length and u the unit roundoff:
 
     - *Cell edges.*  ``Phi((k - a_n)/sqrt(b_n))`` is Cephes' ndtr (absolute error
       ``_NDTR_ERR = 8u``) at an argument ``x (1 + theta)``, ``|theta| <=
@@ -173,19 +179,40 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
       ``u |ell_k|``, and ``d_k = p_k - ell_k`` is rounded by ``u |d_k|``, so
       the exact ``d_k`` is within ``e_k = E + 2 edge + 2u (|ell_k| + |d_k|)``
       of the table's.
+    - *rho_n.*  rho_n is the largest difference of two prefix sums of the
+      table.  Such a difference sums d over an interval of the window, whose
+      cells telescope to two edges, so it is within ``E_1 + 2 edge`` of the
+      exact interval sum (``E_1`` bounds the masses' errors over every
+      index), plus the roundings of its cells, ``u (|ell_k| + |d_k|)`` each,
+      and of the two prefixes ``cumsum`` formed, ``gamma_W sum_k |d_k|``
+      each: at most ``2 gamma_(W + 2) sum_k (|ell_k| + |d_k|)`` with the sum
+      as computed.  An interval reaching past the window adds the Gaussian
+      cells outside it, below ``2 Phi(-9.5) < 3e-21``, which one u covers,
+      and ``E_1`` already covers the masses there.  So every interval sum is
+      within ``Delta = E_1 + 2 edge + u + 2 gamma_(W + 2) sum_k (|ell_k| +
+      |d_k|)`` of its table value, and the exact rho_n is at most ``rho_up
+      = (rho_n + Delta)(1 + 8u)``.
+    - *M.*  Each difference of neighbouring masses, on the law's window
+      and off it, is within ``2E`` of the exact one, so the exact M is at
+      most ``M_up = (M + 2 b_n E)(1 + 8u)``, and R at most ``R_up = (M_up +
+      sqrt(2/(e pi)))(1 + 8u)``.  Each factor ``1 + 8u`` covers the
+      roundings of the value it multiplies (``max - min`` for rho_n, the
+      product and the difference for M) and of the bound's own sums.
     - *The Gaussian of (ii).*  Its exponent is rounded by ``gamma_4``
       relatively, which moves ``e^{-z}`` by at most ``gamma_4 z e^{-z} <=
       gamma_4 / e``; allowing exp 4 ulp and the division by ``sqrt(2 pi)``,
       it is within ``12u gauss_k + u`` of the exact value.
     - *Comparison.*  Each left side is rounded by at most ``gamma_2``
       relatively, and the right sides below by a few u; the factor ``1 + 8u``
-      covers both.  So (i) fails when ``sqrt(b_n)|d_k|`` exceeds ``(bound_1 +
-      sqrt(b_n) e_k)(1 + 8u)``, and (ii) when its left side exceeds
-      ``(bound_2 + sqrt(b_n) (E + 2u p_k) + 12u gauss_k + u)(1 + 8u)``.
+      covers both.  With ``bound_1 = 2 sqrt(R_up) sqrt(rho_up)`` and
+      ``bound_2 = bound_1 + 1/sqrt(2 pi e b_n)``, (i) fails when
+      ``sqrt(b_n)|d_k|`` exceeds ``(bound_1 + sqrt(b_n) e_k)(1 + 8u)``, and
+      (ii) when its left side exceeds ``(bound_2 + sqrt(b_n) (E + 2u p_k) +
+      12u gauss_k + u)(1 + 8u)``.
     """
     sb = math.sqrt(report.b_n)
+    gauss_floor = 1.0 / math.sqrt(2.0 * math.pi * math.e * report.b_n)
     bound1 = 2.0 * math.sqrt(report.R) * math.sqrt(report.rho)
-    bound2 = bound1 + 1.0 / math.sqrt(2.0 * math.pi * math.e * report.b_n)
     ks = report.ks
     lhs1 = sb * np.abs(report.d)
     # a tiny b_n overflows the exponent to -inf, and exp(-inf) = 0 is right
@@ -193,10 +220,18 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
         gauss = np.exp(-((ks - report.a_n) ** 2) / (2.0 * report.b_n)) / math.sqrt(2.0 * math.pi)
     lhs2 = np.abs(sb * report.p - gauss)
     edge = _NDTR_ERR + 0.75 * _U / (1.0 - 3.0 * _U)
-    err_d = report.err_abs + 2.0 * edge + 2.0 * _U * (np.abs(report.ell) + np.abs(report.d))
-    ok1 = lhs1 <= (bound1 + sb * err_d) * (1.0 + 8.0 * _U)
+    cells = np.abs(report.ell) + np.abs(report.d)
+    delta = (report.err_l1 + 2.0 * edge + _U
+             + 2.0 * _gamma(len(cells) + 2, _U) * float(cells.sum()))
+    up = 1.0 + 8.0 * _U
+    rho_up = (report.rho + delta) * up
+    r_up = ((report.M + 2.0 * report.b_n * report.err_abs) * up
+            + math.sqrt(2.0 / (math.e * math.pi))) * up
+    bound1_up = 2.0 * math.sqrt(r_up) * math.sqrt(rho_up)
+    err_d = report.err_abs + 2.0 * edge + 2.0 * _U * cells
+    ok1 = lhs1 <= (bound1_up + sb * err_d) * up
     err_2 = sb * (report.err_abs + 2.0 * _U * report.p) + 12.0 * _U * gauss + _U
-    ok2 = lhs2 <= (bound2 + err_2) * (1.0 + 8.0 * _U)
+    ok2 = lhs2 <= (bound1_up + gauss_floor + err_2) * up
     failures = sorted(int(k) for k in ks[~(ok1 & ok2)])
     return PointwiseCheck(
         pointwise_ok=bool(ok1.all()),
@@ -204,7 +239,7 @@ def effective_pointwise_bound(report: SmoothnessReport) -> PointwiseCheck:
         pointwise_max_lhs=float(lhs1.max()),
         pointwise_bound=bound1,
         gaussian_max_lhs=float(lhs2.max()),
-        gaussian_bound=bound2,
+        gaussian_bound=bound1 + gauss_floor,
         failures=failures,
     )
 

@@ -162,11 +162,19 @@ def solve_sigma(m: int, n: int) -> float:
 
     Returns ``-inf`` when the equation degenerates (total part mass equals n,
     i.e. m = n, where the only partition is {n} itself).  Raises when no
-    partition exists at all.  Otherwise one Newton iteration from sigma = 0
-    finds the root.  g is decreasing, convex for sigma > 0 and concave for
-    sigma < 0 (``expit''(x)`` has the sign of -x), so the root's side is the
-    sign of ``g(0) = sum_j j / 2 - n`` and, in exact arithmetic, each step
-    from sigma = 0 lands between its iterate and the root.  The root lies in
+    partition exists at all.  Otherwise one Newton iteration finds the root.
+    g is decreasing, convex for sigma > 0 and concave for sigma < 0
+    (``expit''(x)`` has the sign of -x), so the root's side is the sign of
+    ``g(0) = sum_j j / 2 - n``.  A root at or below 0 (``sum_j j <= 2n``) is
+    approached from sigma = 0, and in exact arithmetic each step lands
+    between its iterate and the root.  A positive root is approached from
+    ``pi / sqrt(12 n)``, where m = 1's sum ``sum_j j / (1 + e^{sigma j})`` is
+    about ``pi^2 / (12 sigma^2) - 1/24`` (Euler-Maclaurin) and g about
+    ``-1/24``; a larger m or a sum cut at n only lowers g there, so the
+    start lies at or above the root, where g is convex, and its step lands
+    below the root, from where the steps rise to it as from sigma = 0.
+    (From sigma = 0, Newton's steps toward a positive root grow only about
+    1.5-fold each while g is near ``c / sigma^2 - n``.)  The root lies in
     [-1, 1]: ``sum_j j / (1 + e^j) < e / (e - 1)^2 < 1 <= n`` puts ``g(1) <
     0``, and with m < n the parts sum to at least ``2n - 1``, so ``g(-1) > n
     - 2 >= 0``.  The loop keeps that bracket, moving its lower end to each
@@ -180,12 +188,13 @@ def solve_sigma(m: int, n: int) -> float:
     Newton's next exact residual is then of order ``r^2 g'' / g'^2``, far
     below B, so its computed residual is rounding that further steps only
     redraw.  (Stopping at the first r within B accepts up to B itself, 8e-7
-    at n = 6e4; there the first such r is 8.7e-11, and the step after it
+    at n = 6e4; there the first such r is 2.2e-8, and the step after it
     leaves 7.3e-12, one ulp of n.)  The root is refused only when r exceeds
     both that target and B, which happens when the loop runs out of steps.
-    It evaluates g at most 11 times on the benchmark's partition grid and 19
-    times at n = 1e5.  From n = 8192 on, r is a multiple of half an ulp of
-    n, which is above 1e-12, so the target cannot always be met.
+    It evaluates g at most 7 times on the benchmark's partition grid (5.0 on
+    average) and 3 times at m = 1, n = 6e4 and 1e5.  From n = 8192 on, r is
+    a multiple of half an ulp of n, which is above 1e-12, so the target
+    cannot always be met.
 
     r is ``fl(fl(sum_j t_j) - n)`` over the ``N = n - m + 1`` terms
     ``t_j = fl(j * expit(fl(-sigma j)))``.  With unit roundoff u and to first
@@ -213,7 +222,9 @@ def solve_sigma(m: int, n: int) -> float:
         return float("-inf")
 
     js = np.arange(m, n + 1, dtype=float)
-    lo, hi, sigma, settled = -1.0, 1.0, 0.0, False
+    # g(0) = total/2 - n: a positive root starts near m = 1's, pi / sqrt(12 n)
+    sigma = math.pi / math.sqrt(12 * n) if total > 2 * n else 0.0
+    lo, hi, settled = -1.0, 1.0, False
     for _ in range(100):
         x = _expit(-sigma * js)
         t = js * x

@@ -325,21 +325,21 @@ class TestHDefault:
 
 
 def _sum_shift(a, b):
-    """Largest change of a sum of entries between two laws on one support
-    whose entries each lie within err_abs of the same exact law, plus the
-    summations' rounding."""
-    assert a.extent == b.extent
-    size = a.extent[1] - a.extent[0] + 1
-    return size * (a.err_abs + b.err_abs) + 2 * size * 2.0**-53
+    """Largest change of a bound on a sum of exact masses between two laws
+    that stand for the same exact law: each law's sum of computed masses
+    lies within its err_l1 of the exact sum and each bound adds that err_l1
+    once more, plus the summations' rounding over the windows."""
+    size = max(len(a.probs), len(b.probs))
+    return 2 * (a.err_l1 + b.err_l1) + 2 * size * 2.0**-53
 
 
 def _kolmogorov_shift(a, b):
     """Largest change of ``kolmogorov_distance(law, law.mean, sd)`` between
     two such laws: the CDFs move by ``_sum_shift``, and Phi, which is
-    1/sqrt(2 pi)-Lipschitz, by the moved centering and scale at the lattice
-    points, where both suprema are attained."""
+    1/sqrt(2 pi)-Lipschitz, by the moved centering and scale at the atoms of
+    either law, where both suprema are attained."""
     sd_a, sd_b = math.sqrt(a.variance), math.sqrt(b.variance)
-    pts = a.v0 + a.D * np.arange(a.extent[0], a.extent[1] + 1)
+    pts = a.v0 + a.D * np.concatenate([a.atoms()[0], b.atoms()[0]])
     reach = float(np.abs(pts - b.mean).max())
     moved = abs(a.mean - b.mean) / sd_a + reach * abs(1.0 / sd_a - 1.0 / sd_b)
     return _sum_shift(a, b) + moved / math.sqrt(2.0 * math.pi) + 2e-15  # Phi's own error

@@ -44,19 +44,20 @@ def _probs(law):
     return dict(zip(ks.tolist(), w.tolist()))
 
 
-def _on_support(law):
-    """The first index of the law's support and its masses over the whole
-    support, the zeros outside the window included."""
-    lo, hi = law.extent
-    return lo, np.array(law.masses(lo, hi - lo + 1))
+def _on_support(law, first, size):
+    """The law's masses over the ``size`` indices of a support from index
+    ``first`` on, the zeros outside the window included; every positive mass
+    lies on that support."""
+    ks = law.atoms()[0]
+    assert first <= ks[0] and ks[-1] < first + size
+    return np.array(law.masses(first, size))
 
 
 def _assert_near(law, first, ref, slack=0.0):
-    """The law's support is ``ref``'s, from index ``first`` on, and every
-    mass on it, the zeros outside the window included, lies within
-    ``err_abs`` (plus ``slack``) of ``ref``."""
-    got_first, masses = _on_support(law)
-    assert (got_first, len(masses)) == (first, len(ref))
+    """Every mass of the law over ``ref``'s support, from index ``first`` on,
+    the zeros outside the window included, lies within ``err_abs`` (plus
+    ``slack``) of ``ref``, and no positive mass lies off that support."""
+    masses = _on_support(law, first, len(ref))
     assert np.all(np.abs(masses - ref) <= law.err_abs + slack)
 
 
@@ -140,7 +141,7 @@ class TestConvolveAll:
         _assert_near(law, first, ref)
         # spans 1 and 0.7 share the lattice 0.1
         law = sum_law([(make_pmf(0.0, 1.0, x), 1), (make_pmf(0.0, 0.7, x), 1)])
-        assert law.D == pytest.approx(0.1, rel=1e-15) and law.extent[0] == 17
+        assert law.D == pytest.approx(0.1, rel=1e-15) and law.first == 17
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -371,7 +372,7 @@ class TestSumLaw:
     def test_mass_is_zero_off_the_array(self):
         law = iid_sum(make_pmf(2.0, 1.0, [(3, 1), (4, 1)]), 5)
         last = law.first + len(law.probs) - 1
-        assert (law.first, last) == law.extent == (15, 20)
+        assert (law.first, last) == (15, 20)
         assert law.mass(law.first) > 0.0 and law.mass(last) > 0.0
         # first - 1 maps to array position -1, which must not wrap around
         assert law.mass(law.first - 1) == 0.0
@@ -415,9 +416,8 @@ def _assert_within_bound(law, first, masses, total):
     """Every computed mass on the whole support, the zeros outside the window
     included, lies within err_abs of ``masses[i] / total``, in rational
     arithmetic."""
-    assert law.extent == (first, first + len(masses) - 1)
     en, ed = law.err_abs.as_integer_ratio()
-    for p, c in zip(law.masses(first, len(masses)), masses, strict=True):
+    for p, c in zip(_on_support(law, first, len(masses)), masses, strict=True):
         num, den = p.as_integer_ratio()  # |num/den - c/total| <= en/ed, cross-multiplied
         assert abs(num * total - c * den) * ed <= en * total * den
 
@@ -666,10 +666,9 @@ class TestWindow:
         # exact mass (compared in rational arithmetic), and the exact mass
         # outside the window is within the Hoeffding bound
         masses = list(masses)
-        assert law.extent == (0, len(masses) - 1)
         en, ed = law.err_abs.as_integer_ratio()
         left_out = 0
-        for i, (p, c) in enumerate(zip(law.masses(0, len(masses)), masses, strict=True)):
+        for i, (p, c) in enumerate(zip(_on_support(law, 0, len(masses)), masses, strict=True)):
             num, den = p.as_integer_ratio()
             assert abs(num * total - c * den) * ed <= en * total * den, i
             if not a <= i <= b:
@@ -728,7 +727,7 @@ class TestSparseFold:
         monkeypatch.setattr(np, "convolve", spy)
         law = sum_law(_partition_model_parts(1, 150))
         assert spy.args == []
-        assert law.extent == (0, 150 * 151 // 2)
+        assert 0 <= law.first and law.first + len(law.probs) <= 150 * 151 // 2 + 1
 
     def test_powered_parts_convolve_their_nonzero_windows(self, monkeypatch):
         spy = _ConvolveSpy()
@@ -740,7 +739,7 @@ class TestSparseFold:
             # own nonzero window, about 1.4e3 entries and not 20001
             assert x[0] > 0.0 and x[-1] > 0.0
             assert len(x) < 2000
-        assert law.extent == (0, 40000)
+        assert 0 <= law.first and law.first + len(law.probs) <= 40001
         # the law is held on its window alone: 1.4e3 entries, not 40001
         assert len(law.probs) < 2000
         assert law.err_abs <= 1e-13
@@ -748,8 +747,7 @@ class TestSparseFold:
     def _assert_fresh_array_bits(self, parts):
         law = sum_law(parts)
         first, ref, ref_err = _fresh_array_fold(parts)
-        assert law.extent == (first, first + len(ref) - 1)
-        assert np.array_equal(_on_support(law)[1], ref)
+        assert np.array_equal(_on_support(law, first, len(ref)), ref)
         assert law.err_abs == ref_err
         first, ref = _sequential_reference(parts)
         _assert_near(law, first, ref)
@@ -785,7 +783,7 @@ class TestSparseFold:
         point = LatticePmf(0.0, 1.0, {3: 1.0})
         parts = _partition_model_parts(1, 20)
         law = self._assert_fresh_array_bits(parts[:10] + [(point, 1)] + parts[10:])
-        assert law.extent[0] == 3
+        assert law.first == 3
 
     def test_count_one_bounds_are_the_measured_norms(self, monkeypatch):
         # every count-1 part, a two-atom part {0: a, j: b} built from its
@@ -854,6 +852,78 @@ def test_err_abs_is_pinned(case):
     assert hashlib.sha1(law.probs.tobytes()).hexdigest() == digest
 
 
+def _exact_fold(parts):
+    """The exact law of ``parts``, each law's stored masses scaled to total
+    one, on the finest span of the parts (every span a multiple of it):
+    integer weights by lattice index and their total, folded one summand at
+    a time in Python integers."""
+    d = min(p.D for p, _ in parts)
+    law, total = {0: 1}, 1
+    for p, count in parts:
+        s = round(p.D / d)
+        fracs = {k: Fraction(w) for k, w in p.probs.items() if w > 0}
+        scale = math.lcm(*(f.denominator for f in fracs.values()))
+        atoms = [(s * k, int(f * scale)) for k, f in fracs.items()]
+        for _ in range(count):
+            out = {}
+            for i, a in law.items():
+                for k, w in atoms:
+                    out[i + k] = out.get(i + k, 0) + a * w
+            law, total = out, total * sum(w for _, w in atoms)
+    return law, total
+
+
+def _l1_distance(law, exact, total):
+    """``sum_k |p^_k - exact[k] / total|`` over every index, exactly."""
+    ks, w = law.atoms()
+    got = {int(k): Fraction(float(p)) for k, p in zip(ks, w)}
+    return sum(abs(got.get(k, 0) - Fraction(exact.get(k, 0), total))
+               for k in got.keys() | exact.keys())
+
+
+def _mixed_parts(rng):
+    """1-3 parts on spans 0.5 and 1 (D and 2D), offsets off zero, counts
+    1-12, 2-4 atoms on 0..5, and now and then one heavy atom."""
+    parts = []
+    for _ in range(int(rng.integers(1, 4))):
+        ks = np.sort(rng.choice(6, size=int(rng.integers(2, 5)), replace=False))
+        ws = rng.random(len(ks)) + 1e-3
+        if rng.random() < 0.3:
+            ws[int(rng.integers(len(ws)))] *= 1e3
+        law = make_pmf(float(rng.choice([-1.25, 0.5, 3.0])), float(rng.choice([0.5, 1.0])),
+                       list(zip(ks.tolist(), ws.tolist())))
+        parts.append((law, int(rng.integers(1, 13))))
+    return parts
+
+
+class TestErrL1:
+    """err_l1 against exact laws: it bounds the l1 distance of all the
+    computed masses from the exact ones, the zeros off the window included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_parts_against_exact_folds(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(40):
+            parts = _mixed_parts(rng)
+            law = sum_law(parts)
+            exact, total = _exact_fold(parts)
+            assert _l1_distance(law, exact, total) <= Fraction(law.err_l1), parts
+            assert law.err_l1 <= 1e-12
+
+    @pytest.mark.parametrize("count", [600, 2500])
+    def test_binomials_on_their_windows(self, count):
+        # Bernoulli(1/4) to the power n is C(n, k) 3^(n - k) / 4^n, and {1, 2,
+        # 1}/4 to the power n is Binomial(2n, 1/2): both powered on their
+        # Hoeffding windows, the exact mass outside counted in the distance
+        for law, row in ((bernoulli(0.25), _binomial_row(count, 3)),
+                         (make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), _binomial_row(2 * count))):
+            _hoeffding_window(law, count)
+            exact = dict(enumerate(row))
+            got = iid_sum(law, count)
+            assert _l1_distance(got, exact, 4**count) <= Fraction(got.err_l1)
+            assert got.err_l1 <= 1e-12
+
+
 class TestReach:
     """Exact laws whose support is far past the length cap: the law is held
     on its window alone."""
@@ -874,7 +944,8 @@ class TestReach:
         # below err_abs
         coin = bernoulli(0.3)
         law = iid_sum(coin, n)
-        assert law.extent == (0, n) and len(law.probs) < 2**18
+        assert 0 <= law.first and law.first + len(law.probs) <= n + 1
+        assert len(law.probs) < 2**18
         p, q = coin.probs[1], coin.probs[0]
         mean, sd = n * p / (p + q), math.sqrt(n * p * q) / (p + q)
         for z in (0, 3, -5, -40):
@@ -886,34 +957,46 @@ class TestReach:
 
     def test_readers_do_not_depend_on_the_layout(self):
         # a law on its window and the same masses padded with zeros out to
-        # its extent give the same values to every reader: the zeros outside
-        # the window are charged from the extent, not read
+        # its whole support give the same values to every reader: the zeros
+        # outside the window are charged through err_l1, not read, and the
+        # readers take their rounding and reach over the atoms
         p = make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)])
-        for parts in ([(bernoulli(0.3), 10**5)], [(p, 20000), (bernoulli(0.25), 1)]):
+        for parts, hi in (([(bernoulli(0.3), 10**5)], 10**5),
+                          ([(p, 20000), (bernoulli(0.25), 1)], 40001)):
             law = sum_law(parts)
-            lo, hi = law.extent
-            padded = dataclasses.replace(law, probs=np.array(law.masses(lo, hi - lo + 1)), first=lo)
-            assert len(law.probs) < (hi - lo + 1) / 10
+            padded = dataclasses.replace(law, probs=np.array(law.masses(0, hi + 1)), first=0)
+            assert len(law.probs) < (hi + 1) / 10
             mean, var = exact_moments(parts)
             assert kolmogorov_bound(law, mean, var) == kolmogorov_bound(padded, mean, var)
             assert llt_discrepancy(law) == llt_discrepancy(padded)
             sd = math.sqrt(var)
             for c, r in ((mean, 0), (mean, 3 * sd), (mean + sd / 3, 2 * sd), (mean, 20 * sd),
-                         (lo - 5, 1), (hi, -1)):
+                         (-5, 1), (hi, -1)):
                 assert law.two_sided_tail_bound(c, r) == padded.two_sided_tail_bound(c, r)
             assert law.to_json_dict() == padded.to_json_dict()
-            assert law.masses(lo - 3, 50) == padded.masses(lo - 3, 50)
+            assert law.masses(-3, 50) == padded.masses(-3, 50)
 
-    def test_tail_bound_charges_the_zeros_outside_the_window(self):
-        # every index of the support outside the window adds err_abs, as
-        # when the zeros were held: a radius that holds the window leaves
-        # a tail of zeros only
+    def test_a_radius_holding_the_window_is_charged_err_l1_alone(self):
+        # the tail of a radius that holds the window has no computed mass:
+        # its bound is err_l1, which covers the exact masses off the window
         law = iid_sum(bernoulli(0.3), 10**7)
         lo, hi = law.first, law.first + len(law.probs) - 1
         center, radius = Fraction(lo + hi, 2), Fraction(hi - lo, 2)
-        inside = hi - lo + 1
-        expected = (10**7 + 1 - inside) * law.err_abs * (1.0 + 4.0 * convolve._U)
+        expected = law.err_l1 * (1.0 + 4.0 * convolve._U)
         assert law.two_sided_tail_bound(center, radius) == expected
+        assert law.two_sided_tail_bound(center, radius - 1) > expected
+
+    @pytest.mark.parametrize("n", [10**7, 10**8, 10**9])
+    def test_kolmogorov_bound_stays_near_the_distance(self, n):
+        # the coin's xi law: the bound adds err_l1 and a few roundings to the
+        # computed distance, not err_abs per index of the support
+        coin = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
+        parts = [(xi_law(split(coin, theta(coin))), n)]
+        law = sum_law(parts)
+        mean, var = exact_moments(parts)
+        dist = kolmogorov_distance(law, float(mean), math.sqrt(float(var)))
+        gap = kolmogorov_bound(law, mean, var) - dist
+        assert law.err_l1 <= gap <= law.err_l1 + 1e-10 and gap <= 1e-8
 
 
 class TestLengthCap:
@@ -1012,9 +1095,11 @@ class TestPoissonBinomial:
 
     def test_tail_inequality_is_strict(self):
         # the deviation event excludes its boundary: |B - 2| > 2 is impossible
-        # for four coins (|0 - 2| = 2 does not count)
+        # for four coins (|0 - 2| = 2 does not count), so the tail holds no
+        # computed mass and its bound is err_l1 alone
         law = sum_law([(bernoulli(0.5), 4)])
-        assert law.two_sided_tail_bound(2.0, 1.0 * 2.0) == 0.0
+        assert law.two_sided_tail_bound(2.0, 1.0 * 2.0) == law.err_l1 * (1.0 + 4.0 * convolve._U)
+        assert law.err_l1 < 1e-14
 
     def test_certain_successes(self):
         law = sum_law([(bernoulli(1.0), 3)])
@@ -1054,19 +1139,17 @@ class TestPoissonBinomial:
         # put points exactly on c - r and c + r, which are not in the tail;
         # a negative radius puts every point in it
         law = sum_law([(make_pmf(v0, d, [(0, 0.3), (1, 0.5), (3, 0.2)]), 5)])
-        first, masses = _on_support(law)
-        size = len(masses)
+        first, size = 0, 16  # the support: 5 copies of {0, 1, 3}
+        masses = _on_support(law, first, size)
         points = [Fraction(law.v0) + Fraction(law.D) * (first + i) for i in range(size)]
         mid = law.v0 + law.D * (first + size // 2)
         cases = [(c, j * law.D) for c in (mid, mid + law.D) for j in (0, 1, 2, 5)]
         cases += [(Fraction(mid) + Fraction(1, 3), Fraction(law.D) * 3 - Fraction(1, 3)),
                   (Fraction(mid), Fraction(law.D) * 4 + Fraction(1, 10**30)),
                   (mid, Fraction(law.D) * 4 - Fraction(1, 10**30)), (mid, -0.25)]
-        up = 1.0 + convolve._gamma(size, convolve._U)
         for c, r in cases:
             tail = np.array([abs(x - Fraction(c)) > Fraction(r) for x in points])
-            expected = ((math.fsum(masses[tail].tolist()) * up + int(tail.sum()) * law.err_abs)
-                        * (1.0 + 4.0 * convolve._U))
+            expected = (math.fsum(masses[tail].tolist()) + law.err_l1) * (1.0 + 4.0 * convolve._U)
             assert law.two_sided_tail_bound(c, r) == expected
         assert law.two_sided_tail_bound(mid, -0.25) >= 1.0
 

@@ -11,6 +11,7 @@ import pytest
 from lltkit import (
     LatticeError,
     PreconditionError,
+    SmoothnessReport,
     effective_pointwise_bound,
     h_default,
     iid_sum,
@@ -145,8 +146,9 @@ class TestEffectivePointwiseBound:
 
     def test_slack_reads_the_law_error(self, fair_bernoulli):
         # sqrt(b_n) = 4: a table entry off by e moves the left side of (i)
-        # by 4e, so a side 4e-12 above its bound is within the error of a
-        # law with err_abs = 2e-12, and beyond that of one with 5e-13
+        # by 4e, so a side 8e-12 above its bound is within the error of a
+        # law with err_abs = 2e-12, and beyond that of one with 5e-13 (the
+        # allowances for rho_n's and M's own rounding add 3e-12 here)
         report = interval_discrepancy(iid_sum(fair_bernoulli, 64), 32.0, 16.0)
         top = 4.0 * float(np.abs(report.d).max())
 
@@ -154,8 +156,40 @@ class TestEffectivePointwiseBound:
             rho = (bound / (2.0 * math.sqrt(report.R))) ** 2
             return effective_pointwise_bound(replace(report, rho=rho, err_abs=err))
 
-        assert check(top - 4e-12, 2e-12).pointwise_ok
-        assert not check(top - 4e-12, 5e-13).pointwise_ok
+        assert check(top - 8e-12, 2e-12).pointwise_ok
+        assert not check(top - 8e-12, 5e-13).pointwise_ok
+
+    @staticmethod
+    def _report(rho, M, err_abs, err_l1):
+        """A hand-built report at b_n = 1e8: the two cells +-1e-6 of an
+        interval discrepancy 1e-6 whose left side of (i), 1e-2, is far past
+        its computed bound 2 sqrt(R rho_n), about 1.4e-3, and whose table
+        entries are exact; (ii) holds with room."""
+        b_n, d = 1e8, np.array([1e-6, -1e-6])
+        p = np.full(2, 1.0 / math.sqrt(2.0 * math.pi * b_n))
+        return SmoothnessReport(M=M, R=M + math.sqrt(2.0 / (math.e * math.pi)), rho=rho,
+                                a_n=0.0, b_n=b_n, k_lo=0, d=d, ell=p - d, p=p,
+                                err_abs=err_abs, err_l1=err_l1)
+
+    def test_rho_within_its_rounding_allowance(self):
+        # the law's err_l1 = 6e-5 lets the exact rho_n reach 6.1e-5, where
+        # 2 sqrt(R rho_n) passes 1e-2: the side holds for some table within
+        # the error, so it does not fail; with err_l1 = 1e-6 it does
+        report = self._report(1e-6, 0.0, 0.0, 6e-5)
+        check = effective_pointwise_bound(report)
+        assert check.pointwise_ok and check.failures == []
+        assert check.pointwise_bound == 2.0 * math.sqrt(report.R) * math.sqrt(report.rho)
+        assert not effective_pointwise_bound(self._report(1e-6, 0.0, 0.0, 1e-6)).pointwise_ok
+
+    def test_M_within_its_rounding_allowance(self):
+        # err_abs = 1.25e-7 lets the exact M reach 2 b_n err_abs = 25, where
+        # 2 sqrt(R rho_n) reaches 1e-2; with err_abs = 1e-8 it stays near
+        # 2e-3, and the side fails
+        report = self._report(1e-6, 0.0, 1.25e-7, 1.25e-7)
+        check = effective_pointwise_bound(report)
+        assert check.pointwise_ok and check.gaussian_ok
+        assert check.pointwise_bound == 2.0 * math.sqrt(report.R) * math.sqrt(report.rho)
+        assert not effective_pointwise_bound(self._report(1e-6, 0.0, 1e-8, 1e-8)).pointwise_ok
 
 
 class TestSmoothnessViaExtraction:

@@ -131,8 +131,9 @@ class TestSolveSigma:
 
     def test_refused_when_the_loop_cannot_converge(self, monkeypatch):
         # a logistic stuck at one: g is sum_j j - n > 0 everywhere and g' is
-        # 0, so every Newton step is infinite and bisects the bracket [0, 1]
-        # toward its upper end, and the residual never falls
+        # 0, so every Newton step from the start pi / sqrt(12 n) of a positive
+        # root is infinite and bisects the bracket [start, 1] toward its upper
+        # end, and the residual never falls
         sigmas = []
 
         def stuck(x):
@@ -142,7 +143,9 @@ class TestSolveSigma:
         monkeypatch.setattr(partition, "_expit", stuck)
         with pytest.raises(NumericsError, match=r"centering equation residual 4\.400e\+01 above"):
             solve_sigma(2, 10)
-        assert sigmas[:4] == [0.0, 0.5, 0.75, 0.875] and 0.875 < sigmas[-1] <= 1
+        start = math.pi / math.sqrt(12 * 10)
+        halves = [start, (start + 1) / 2, ((start + 1) / 2 + 1) / 2]
+        assert sigmas[:3] == halves and halves[-1] < sigmas[-1] <= 1
 
 
 class TestScipyRoutines:
