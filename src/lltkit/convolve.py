@@ -849,9 +849,14 @@ def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
     from one of the two sides, so it suffices to compare Phi against the CDF
     value before and after every jump (every positive mass).
     """
+    return _kolmogorov_distance(law, *law.atoms(), center, scale)
+
+
+def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: float,
+                         scale: float) -> float:
+    """:func:`kolmogorov_distance` on the atoms ``(ks, w)`` of ``law``."""
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
-    ks, w = law.atoms()
     phi = _ndtr((law.v0 + law.D * ks - center) / scale)
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
@@ -888,8 +893,8 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     The sum is rounded up by ``1 + 16u``.
     """
     c, s = float(mean), math.sqrt(float(variance))
-    dist = kolmogorov_distance(law, c, s)
-    ks = law.atoms()[0]
+    ks, w = law.atoms()
+    dist = _kolmogorov_distance(law, ks, w, c, s)
     reach = abs(law.v0) + abs(law.D) * max(abs(int(ks[0])), abs(int(ks[-1]))) + abs(c)
     err = (law.err_l1 + _gamma(len(ks), _U) * (1.0 + 3.0 * _U) + (_NDTR_ERR + 5.0 * _U)
            + 2.5 * _U * reach / s)

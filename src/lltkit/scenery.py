@@ -34,10 +34,11 @@ increment paths only: ``E[S_n | path] = sum_r l_r mu_r`` and
 ``E[S_n^2 | path] = sum_r l_r^2 sigma_r^2 + (sum_r l_r mu_r)^2``, with
 ``mu_r``, ``sigma_r^2`` the mean and variance of X over the (V, eps, L)
 outcomes at r's level (likewise for S'_n with xi).  The Monte Carlo oracle
-draws n scenery values per sample, one per step; it also admits lazy walks
-(increments >= 0 with ``P{Y = 0} > 0``), whose local times are the lengths of
-their runs of stays: a step that stays repeats the previous step's value, so
-each visited site still weighs one fresh draw by its local time.
+samples walks only, for increments >= 0: given a walk's local times, the
+lengths of its runs of stays, ``S_n`` is a sum of independent parts ``l X``
+whose law is exact, so each walk contributes its conditional mass.  A
+strictly positive walk has every local time 1, and its estimate is the
+exact mass of the n-fold x law.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -439,7 +438,8 @@ def scenery_envelope(
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Seeded frequency estimate of a point probability."""
+    """Seeded estimate of a point probability: the mean over the sampled
+    walks of each walk's exact conditional mass, with its standard error."""
 
     p_hat: float
     stderr: float
@@ -451,143 +451,55 @@ class MonteCarloEstimate:
         return self.p_hat - 3.0 * self.stderr, self.p_hat + 3.0 * self.stderr
 
 
-#: draws per Monte Carlo chunk; a chunk holds this many small ints
+#: stay flags per Monte Carlo chunk of lazy walks
 _CHUNK_DRAWS = 1_000_000
 
-#: 2^32, one past the largest uint32 uniform
-_WORDS32 = 1 << 32
+
+def _profile_mass(x: LatticePmf, profile: Mapping[int, int], t: int) -> float:
+    """``P{sum_l l (K_1 + ... + K_{m_l}) = t}`` for the local-time profile
+    ``profile = {l: m_l}`` and i.i.d. copies K of the lattice index of X,
+    from one :func:`sum_law` call: the part of local time l is the x law's
+    masses on span l, m_l times.  A unit part (the point mass at 0 on span
+    1) comes first: it pins the common lattice to the integers, where
+    :func:`sum_law` would refuse a ratio of two local times above
+    ``_MAX_REFINE``, and it is the whole sum of the empty profile (n = 0).
+    Its fold multiplies by 1.0, so the profile ``{1: n}`` gives the doubles
+    of ``sum_law([(x_law, n)])``."""
+    parts = [(LatticePmf(0.0, float(l), x.probs), m) for l, m in sorted(profile.items())]
+    return sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts]).mass(t)
 
 
-def _chunk_rows(n: int) -> int:
-    """Samples per chunk for an n-step walk."""
-    return max(1, _CHUNK_DRAWS // max(n, 1))
+def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-d bool array ``flags`` and how often each
+    occurs.  A row of at most 63 flags is read as the bits of one int64
+    (the first flag lowest), so one ``np.unique`` of integers groups them;
+    longer rows, at most ``_CHUNK_DRAWS / 64`` a chunk, are compared whole."""
+    if flags.shape[1] > 63:
+        return np.unique(flags, axis=0, return_counts=True)
+    at = np.arange(flags.shape[1])
+    distinct, counts = np.unique(flags @ (1 << at), return_counts=True)
+    return distinct[:, None] >> at & 1 == 1, counts
 
 
-def _cuts(masses: Iterable[float]) -> list[int]:
-    """Integer cut points of an inverse-cdf draw from a uint32 uniform u, for
-    a law whose atoms carry ``masses`` and then the rest: the draw is atom i,
-    with i the number of cuts at or below u.
-
-    Cut i is ``T_i = min(round(Q_i 2^32), 2^32)``, where ``Q_i`` is the exact
-    (rational) sum of the stored masses of atoms 0..i, so
-    ``|T_i - Q_i 2^32| <= 1/2`` and atom i is drawn with probability
-    ``(T_i - T_{i-1}) / 2^32`` (``T_{-1} = 0``; the last atom takes the rest
-    up to 2^32): within 2^-32 of its stored mass, the last atom within 2^-33
-    plus the few ulps by which the stored masses miss 1.  An atom of mass
-    below 2^-33 at either end of the support is never drawn.  A cut of 2^32
-    can never be reached, nor can the atoms after it, so it is dropped.
-
-    :func:`_site_draws` reads u one byte at a time, whatever the number of
-    cuts: with ``u = (B << 24) | L`` and ``T = (b << 24) | l``, ``u >= T``
-    exactly when ``B > b``, or ``B == b`` and ``L >= l``.  So a cut decides
-    most draws by its top byte b alone; only a draw whose top byte ties with
-    b (probability 2^-8), and only when ``l > 0``, reads 24 more bits.  The
-    law drawn is the one above, bit for bit.
-    """
-    cuts = (min(round(q * _WORDS32), _WORDS32) for q in accumulate(map(Fraction, masses)))
-    return [t for t in cuts if t < _WORDS32]
-
-
-def _offset_type(ks: np.ndarray) -> np.dtype:
-    """The smallest unsigned type that holds every offset ``ks[i] - ks[0]``."""
-    return np.min_scalar_type(int(ks[-1] - ks[0]))
-
-
-def _tie_positions(ties: np.ndarray) -> np.ndarray:
-    """Flat indices of the true entries of the bool array ``ties``, whose
-    length is a multiple of 8, in increasing order.  Ties are rare, so the
-    search runs over 8-byte words first and expands only the nonzero ones:
-    a byte-wise ``np.flatnonzero`` over the whole array costs more than the
-    compare that made it."""
-    words = ties.view(np.uint64)
-    hit_words = np.flatnonzero(words != 0)
-    within = np.flatnonzero(words[hit_words].view(np.bool_))
-    return hit_words[within >> 3] * 8 + (within & 7)
-
-
-def _add_hits(draws: np.ndarray, compares: list, gaps: list[int], out: np.ndarray,
-              hit: np.ndarray) -> None:
-    """Write to ``out`` the sum over the ``(compare, threshold)`` pairs of
-    ``gap * compare(draws, threshold)``, through the bool buffer ``hit`` of
-    ``out``'s shape."""
-    ones = hit.view(np.uint8)
-    for i, ((compare, threshold), gap) in enumerate(zip(compares, gaps)):
-        compare(draws, threshold, out=hit)
-        if i == 0:
-            np.multiply(ones, out.dtype.type(gap), out=out)
-        elif gap == 1:
-            out += ones
-        else:
-            out += ones * out.dtype.type(gap)
-
-
-def _site_draws(rng: np.random.Generator, ks: np.ndarray, cuts: list[int], out: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """Draws of the law with support indices ``ks`` and cut points ``cuts``
-    (see :func:`_cuts`) for a block of sites, as lattice-index offsets from
-    the least support point ``ks[0]``, written to ``out`` in C order.
-
-    ``out`` is a contiguous array of :func:`_offset_type` of ``ks``, and
-    ``scratch`` a bool array of at least twice ``out.size`` rounded up to a
-    multiple of 8 entries; both are overwritten, so that a chunk loop reuses
-    them instead of allocating (and faulting in) fresh arrays per chunk.
-
-    A draw is the sum of the gaps ``ks[i+1] - ks[i]`` over the cuts ``T_i <=
-    u`` for a uint32 uniform u, read one byte at a time.  Write ``u = (B <<
-    24) | L``, with B a uniform byte and L 24 independent uniform bits, and
-    ``T = (b << 24) | l`` likewise; then ``u >= T`` holds exactly when ``B >
-    b``, or ``B == b`` and ``L >= l``, and when ``B >= b`` if ``l == 0``, so
-    such a cut (a cut at 0 among them) never ties.  B is one byte of the raw
-    generator words per site, and each cut costs one compare of the bytes,
-    which decides every site whose B is no cut's tie byte (the top byte of a
-    cut with ``l > 0``).  The tied sites, 2^-8 of them per tie byte, are
-    found in one search over all tie bytes; after the block's bytes each
-    reads its L, in C order, as the top 24 bits of one uint32 half of a raw
-    word, and its draw is taken again by a full compare of ``u = (B << 24) |
-    L`` with the cuts.  So cuts that share a top byte read the same L, and
-    every site's draw is that of one uint32 uniform, exactly as a full 32-bit
-    compare would draw it, for any number of cuts.
-
-    Two laws read the raw words otherwise, with the same law drawn.  A law
-    with no cut is a point mass and reads none.  A single cut at 2^31 is a
-    fair coin: ``u >= 2^31`` is u's top bit, so each draw takes one bit of a
-    raw word.
-    """
-    dt = out.dtype
-    if not cuts:
-        out[...] = 0
-        return
-    size = out.size
-    raw = rng.bit_generator.random_raw
-    gaps = np.diff(ks).tolist()
-    if cuts == [_WORDS32 >> 1]:
-        bits = np.unpackbits(raw(-(-size // 64)).view(np.uint8), count=size).reshape(out.shape)
-        np.multiply(bits, dt.type(gaps[0]), out=out)
-        return
-    hit = scratch[:size].reshape(out.shape)
-    # whole words of bytes, so that the tie search can read them 8 at a time
-    block = raw(-(-size // 8)).view(np.uint8)
-    tops = [(t >> 24, t & 0xFFFFFF) for t in cuts]
-    compares = [(np.greater if low else np.greater_equal, top) for top, low in tops]
-    _add_hits(block[:size].reshape(out.shape), compares, gaps, out, hit)
-    tie_tops = sorted({top for top, low in tops if low})
-    if not tie_tops:
-        return
-    ties, equal = scratch[len(block):2 * len(block)], scratch[:len(block)]
-    np.equal(block, tie_tops[0], out=ties)
-    for top in tie_tops[1:]:
-        ties |= np.equal(block, top, out=equal)
-    tied = _tie_positions(ties)
-    tied = tied[tied < size]
-    low_bits = raw(-(-len(tied) // 2)).view(np.uint32)[:len(tied)] >> 8
-    u = block[tied].astype(np.uint32) << 24 | low_bits
-    draws = np.zeros(len(tied), dt)
-    _add_hits(u, [(np.greater_equal, t) for t in cuts], gaps, draws, np.empty(len(tied), np.bool_))
-    out.reshape(-1)[tied] = draws
-
-
-#: support of the move flag of a lazy walk: 0 stays, 1 moves
-_MOVE_KS = np.array([0, 1], dtype=np.int64)
+def _lazy_profiles(n: int, p_stay: float, samples: int, seed: int) -> Counter:
+    """How many of ``samples`` walks of n >= 2 steps with stay probability
+    ``0 < p_stay < 1`` have each local-time profile, keyed by its ``(l,
+    m_l)`` pairs in increasing l.  Steps 2..n stay with probability within
+    2^-53 of ``p_stay`` (``random() < p_stay``), ``_CHUNK_DRAWS`` flags a
+    chunk; a run opens at step 1 and at every move, and the local times are
+    the runs' lengths, counted once per distinct stay pattern of a chunk."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, _CHUNK_DRAWS // (n - 1))
+    profiles: Counter = Counter()
+    for done in range(0, samples, rows):
+        stays, counts = _distinct_rows(rng.random((min(rows, samples - done), n - 1)) < p_stay)
+        at = np.flatnonzero(np.insert(~stays, 0, True, axis=1))  # the steps that open a run
+        lengths = np.diff(at, append=len(stays) * n)
+        width = int(lengths.max()) + 1
+        runs = np.bincount(at // n * width + lengths, minlength=len(stays) * width)
+        for row, count in zip(runs.reshape(len(stays), width).tolist(), counts.tolist()):
+            profiles[tuple((l, m) for l, m in enumerate(row) if m)] += count
+    return profiles
 
 
 def monte_carlo_point_prob(
@@ -596,82 +508,49 @@ def monte_carlo_point_prob(
     samples: int = 10_000_000,
     seed: int = 1,
 ) -> MonteCarloEstimate:
-    """Simulate the composed sum through the walk's local times and estimate
-    ``P{S_n = kappa}`` with its binomial standard error.
+    """Estimate ``P{S_n = kappa}`` by conditional Monte Carlo over the walk's
+    local times, with the sample standard error.
 
-    Each sample draws the walk and fresh scenery at the sites it visits.
     Increments must be >= 0: such a walk never returns to a site it has
-    left, so only whether each step moves matters, and ``S_n`` is the sum of
-    one scenery draw per distinct site weighted by its local time.  Each
-    sample draws n scenery values, one per step.  Under strictly positive
-    increments every local time is 1 and a sample is those n i.i.d. draws.
-    Under ``p0 = P{Y = 0} > 0`` one stay flag is also drawn per step, and a
-    step that stays repeats the previous step's value, so each visited site
-    reads the one fresh draw of the step that opened it.
+    left, so its local times are the lengths of its runs of stays (steps
+    with ``Y = 0``; step 1 always opens a site).  Given them, ``S_n = sum_l
+    l (X_1 + ... + X_{m_l})`` over the ``m_l`` sites of local time l, a sum
+    of independent parts whose law :func:`sum_law` gives exactly
+    (:func:`_profile_mass`, in lattice indices).  The estimate is the mean
+    of that conditional mass over ``samples`` walks: each distinct profile's
+    mass weighted by its share of the walks (Rao-Blackwellization; Asmussen
+    and Glynn, Stochastic Simulation, 2007, ch. V), with ``stderr =
+    sqrt(max(sum w m^2 - p_hat^2, 0) / samples)``, the binomial error when
+    every mass is 0 or 1.
 
-    Randomness comes from ``numpy.random.default_rng(seed)`` (PCG64), so runs
-    are reproducible given (samples, seed).  Chunks of samples are laid out
-    step-major, one row of ``c`` samples per step, so that a sample's sum
-    over its steps is n contiguous row adds.  Each chunk draws its scenery
-    values, then its stay flags, through :func:`_site_draws`: one random
-    byte per draw, with the ties of a byte with a cut resolved by 24 more
-    bits (one bit per draw for a fair coin, none for a point mass), which is
-    exactly an inverse-cdf draw from a uint32 uniform against integer cut
-    points (:func:`_cuts`).  So every atom of the x law, and the stay flag,
-    is drawn with probability within 2^-32 of its stored mass.  A lazy walk
-    then carries values forward down the steps in place, row k becoming
-    ``v[k-1] + (v[k] - v[k-1]) * moved[k]``; in the unsigned offset type
-    the difference wraps, and the result is exact because both candidates
-    are offsets that fit the type.  Sums are carried in integer index space
-    so the hit test is exact; a sample's sum is at most ``n * span`` and is
-    accumulated in the smallest unsigned type that holds that.
+    Stay flags are drawn only when ``0 < p0 = P{Y = 0} < 1`` and ``n >= 2``,
+    from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
+    reproducible given (samples, seed) (:func:`_lazy_profiles`).  Every
+    other walk has one profile, ``{1: n}`` (strictly positive increments, or
+    n = 1) or ``{n: 1}`` (every step stays), and no random number is drawn:
+    ``p_hat`` is that profile's exact mass, for ``{1: n}`` the doubles of
+    ``sum_law([(x_law, n)])``, and ``stderr`` is 0.  At n = 0, ``S_0 = 0``.
+    ``stderr`` is the sampling error alone: each mass errs by its law's
+    ``err_abs`` too.  A lazy walk costs one exact law per distinct profile
+    it samples, and a law past :func:`sum_law`'s length cap is refused as
+    a ``LatticeError``, as the envelope's is.
     """
     if min(model.increment_law.support) < 0:
         raise PreconditionError("Monte Carlo oracle requires increments >= 0")
     if not (_is_integer(samples) and samples >= 1 and _is_integer(seed) and seed >= 0):
         raise LatticeError(f"need integer samples >= 1 and seed >= 0, got {samples!r} and {seed!r}")
     samples, seed = int(samples), int(seed)
-    x = model.x_law
-    n = model.n
-    x_ks = np.array(x.support, dtype=np.int64)
-    x_cuts = _cuts(x.probs[k] for k in x.support[:-1])
-    target = kappa_index(kappa, n * x.v0, x.D) - n * int(x_ks[0])
-    acc = np.min_scalar_type(n * int(x_ks[-1] - x_ks[0]))
+    x, n = model.x_law, model.n
+    t = kappa_index(kappa, n * x.v0, x.D)
     p_stay = model.increment_law.mass(0)
-    move_cuts = _cuts([p_stay])
-    rows = _chunk_rows(n)
-    lazy = p_stay > 0.0 and n > 1
-    # Every chunk reuses the same buffers (scenery draws, stay flags, the
-    # scratch of _site_draws), cut from one block of a fixed size per call,
-    # each a multiple of 8 entries; the last chunk uses their prefixes.  A
-    # page costs a fault when first touched, and a block of one size per
-    # call comes back from the allocator already touched: replaying the
-    # scenery-mc benchmark requests, about 20 faults per request against
-    # about 500 with arrays made per chunk or sized after n.
-    cap = -(-max(rows * n, _CHUNK_DRAWS) // 8) * 8
-    x_type = _offset_type(x_ks)
-    x_bytes, move_bytes = cap * x_type.itemsize, cap if lazy else 0
-    work = np.empty(x_bytes + move_bytes + 2 * cap, np.uint8)
-    x_buf = work[:x_bytes].view(x_type)
-    move_buf = work[x_bytes:x_bytes + move_bytes]
-    scratch = work[x_bytes + move_bytes:].view(np.bool_)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        c = min(rows, samples - done)
-        vals = x_buf[:n * c].reshape(n, c)
-        _site_draws(rng, x_ks, x_cuts, vals, scratch)
-        if lazy:
-            moved = move_buf[:n * c].reshape(n, c)
-            _site_draws(rng, _MOVE_KS, move_cuts, moved, scratch)
-            for k in range(1, n):  # v[k] = v[k-1] + (v[k] - v[k-1]) * moved[k]
-                step = vals[k]
-                step -= vals[k - 1]
-                step *= moved[k]
-                step += vals[k - 1]
-        hits += int(np.count_nonzero(vals.sum(axis=0, dtype=acc) == target))
-        done += c
-    p_hat = hits / samples
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / samples)
+    if 0.0 < p_stay < 1.0 and n >= 2:
+        profiles = _lazy_profiles(n, p_stay, samples, seed)
+    else:  # one profile: no step, every step a stay, or every local time 1
+        key = () if n == 0 else ((n, 1),) if p_stay == 1.0 else ((1, n),)
+        profiles = {key: samples}
+    weighted = [(count / samples, _profile_mass(x, dict(key), t))
+                for key, count in profiles.items()]
+    p_hat = math.fsum(w * m for w, m in weighted)
+    second = math.fsum(w * m * m for w, m in weighted)
+    stderr = math.sqrt(max(second - p_hat * p_hat, 0.0) / samples)
     return MonteCarloEstimate(p_hat=p_hat, stderr=stderr, samples=samples, seed=seed)

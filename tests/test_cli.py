@@ -516,6 +516,22 @@ class TestOtherCommands:
             model = scenery_from_json(json.load(fobj))
         assert mc["p_hat"] == monte_carlo_point_prob(model, 2.0, samples=5000, seed=0).p_hat
 
+    def test_scenery_mc_interval_holds_a_far_tail_value(self, capsys, tmp_path):
+        # P{S_40 = 36} = 8.3e-8 for a fair coin: a frequency over 40000 walks
+        # reads 0 there, with an interval of width 3e-152 that excludes it
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 1]]},
+                                    "increments": {"v0": 0, "D": 1, "probs": [[1, 1]]},
+                                    "n": 40, "vartheta": 0.5}))
+        code, out = run_cli(capsys, ["scenery", str(path), "--kappa", "36", "--mc", "40000",
+                                     "--seed", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        mc = payload["monte_carlo"]
+        assert payload["exact"] == pytest.approx(math.comb(40, 36) / 2**40, rel=1e-12)
+        assert mc["ci3_low"] <= payload["exact"] <= mc["ci3_high"]
+        assert (mc["p_hat"], mc["stderr"]) == (payload["exact"], 0.0)
+
     def test_scenery_profile_map_round_trip(self, capsys, tmp_path):
         path = tmp_path / "model_profile.json"
         path.write_text(

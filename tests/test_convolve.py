@@ -998,6 +998,18 @@ class TestReach:
         gap = kolmogorov_bound(law, mean, var) - dist
         assert law.err_l1 <= gap <= law.err_l1 + 1e-10 and gap <= 1e-8
 
+    def test_kolmogorov_bound_reads_the_atoms_once(self, monkeypatch):
+        # the distance, the rounding terms and the reach share one read of
+        # the window
+        parts = [(bernoulli(0.3), 600)]
+        law = sum_law(parts)
+        mean, var = exact_moments(parts)
+        want = kolmogorov_bound(law, mean, var)
+        reads, atoms = [], convolve.SumLaw.atoms
+        monkeypatch.setattr(convolve.SumLaw, "atoms", lambda self: reads.append(1) or atoms(self))
+        assert kolmogorov_bound(law, mean, var) == want
+        assert len(reads) == 1
+
 
 class TestLengthCap:
     def test_refused_before_any_allocation(self, monkeypatch, fair_bernoulli):

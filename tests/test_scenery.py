@@ -32,7 +32,8 @@ from lltkit import (
     y_covariance_factorization,
 )
 from lltkit import scenery
-from lltkit.scenery import _WORDS32, _chunk_rows, _cuts, _offset_type, _site_draws
+from lltkit.lattice import LatticePmf
+from lltkit.scenery import _lazy_profiles, _profile_mass
 
 
 def bern():
@@ -599,8 +600,11 @@ class TestSceneryEnvelope:
         assert rep.lower <= lo and hi <= rep.upper
         # the 3-sigma interval is far narrower than the envelope gap
         assert (hi - lo) < 0.05 * (rep.upper - rep.lower)
+        # every walk has the profile {1: n}: the estimate is the exact mass, with
+        # no sampling error, and within the law's error bound of the true value
+        assert (est.p_hat, est.stderr) == (rep.exact, 0.0)
         exact = math.comb(64, 32) / 2**64
-        assert lo <= exact <= hi
+        assert abs(est.p_hat - exact) <= rep.exact_err
 
     def test_mc_deterministic_given_seed(self):
         m = SceneryModel(bern(), inc_12(), 8, 0.5)
@@ -615,8 +619,8 @@ class TestSceneryEnvelope:
             monte_carlo_point_prob(m, 4.0, samples=samples, seed=seed)
 
     def test_three_point_scenery_law(self):
-        # non-two-point scenery values drive the generic sampling path; the
-        # composed law still equals the iid convolution
+        # three-point scenery values: the composed law still equals the iid
+        # convolution, and the Monte Carlo estimate is its mass
         uni3 = make_pmf(0.0, 1.0, [(0, 1), (1, 1), (2, 1)])
         n = 24
         m = SceneryModel(uni3, inc_12(), n, 2.0 / 3.0)
@@ -656,34 +660,52 @@ def lazy_sum_law(x_law, p0, n):
     return dist
 
 
-def assert_within_5_se(model, law, samples, seed):
-    """p_hat at every lattice point of mass >= 1e-3 within 5 standard errors."""
+def assert_within_5_se(model, law, samples, seed, tolerance_samples=None):
+    """p_hat at every lattice point of mass >= 1e-3 within 5 binomial
+    standard errors of ``tolerance_samples`` walks (``samples`` by default):
+    the conditional estimate errs less than a frequency of as many walks, so
+    a test may draw fewer walks than its tolerance counts."""
     x = model.x_law
     for k, p in sorted(law.items()):
         if p < 1e-3:
             continue
         kappa = model.n * x.v0 + x.D * k
         est = monte_carlo_point_prob(model, kappa, samples=samples, seed=seed)
-        se = math.sqrt(p * (1 - p) / samples)
+        se = math.sqrt(p * (1 - p) / (tolerance_samples or samples))
         assert abs(est.p_hat - p) <= 5 * se, (k, est.p_hat, p)
 
 
+def run_lengths(stays):
+    """The local-time profile of one walk from its stay flags of steps 2..n,
+    counted one step at a time."""
+    runs = [1]
+    for stay in stays:
+        if stay:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return tuple(sorted(Counter(runs).items()))
+
+
 class TestMonteCarloLocalTimes:
-    """The sampler reads only the x law and the walk; models whose x law has
-    no valid constant level pass an empty (unread) vartheta profile."""
+    """Lazy walks: the stay flags, their run lengths and the estimate over
+    the profiles.  The estimator reads only the x law and the walk; models
+    whose x law has no valid constant level pass an empty (unread) vartheta
+    profile."""
 
     @pytest.mark.parametrize("p0", [0.3, 0.9])
     @pytest.mark.parametrize("x_law", [
         bern(),
         make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]),
-        # offsets that span their whole type, so the carry's differences wrap
+        # offsets that span a whole uint8 and past it
         make_pmf(0.0, 1.0, [(0, 1), (255, 1)]),
         make_pmf(0.0, 1.0, [(0, 1), (300, 2)]),
     ], ids=["fair-coin", "three-point-gap", "uint8-wrap", "uint16-wrap"])
     def test_lazy_walk_matches_run_length_law(self, p0, x_law):
         n = 8
         m = SceneryModel(x_law, lazy_inc(p0), n, {})
-        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=100_000, seed=5)
+        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=20_000, seed=5,
+                           tolerance_samples=100_000)
 
     def test_zero_first_step_opens_a_site(self):
         # a stay on step 1 must read the first site's draw, not wrap to site -1
@@ -695,19 +717,64 @@ class TestMonteCarloLocalTimes:
         assert_within_5_se(m, law, samples=200_000, seed=9)
 
     def test_all_stays_read_one_site(self):
+        # every step stays: the one profile {6: 1}, S_6 = 6 X exactly
         m = SceneryModel(bern(), make_pmf(0.0, 1.0, [(0, 1)]), 6, 0.5)
         est = monte_carlo_point_prob(m, 6.0, samples=20_000, seed=2)
         assert monte_carlo_point_prob(m, 3.0, samples=20_000, seed=2).p_hat == 0.0
-        assert abs(est.p_hat - 0.5) <= 5 * math.sqrt(0.25 / 20_000)
+        assert (est.p_hat, est.stderr) == (0.5, 0.0)
 
-    def test_lazy_walk_over_several_chunks(self):
-        # the stay flags and the site gather of the step-major layout, with
-        # the last chunk a partial one
+    def test_lazy_walk_over_several_chunks(self, monkeypatch):
+        # the stay flags of several chunks of 10000 walks, the last a partial one
+        monkeypatch.setattr(scenery, "_CHUNK_DRAWS", 90_000)
         x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
-        n, p0, samples = 10, 0.3, 250_000
-        assert samples > 2 * _chunk_rows(n) and samples % _chunk_rows(n)
+        n, p0, samples = 10, 0.3, 25_000
+        rows = scenery._CHUNK_DRAWS // (n - 1)
+        assert samples > 2 * rows and samples % rows
         m = SceneryModel(x_law, lazy_inc(p0), n, {})
-        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=samples, seed=13)
+        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=samples, seed=13,
+                           tolerance_samples=250_000)
+
+    @pytest.mark.parametrize("n", [8, 64, 65, 70], ids=["short", "63-flags", "64-flags", "long"])
+    def test_profiles_are_the_run_lengths_of_the_stream(self, n, monkeypatch):
+        # chunks of 20 walks, so that 250 walks take 13 chunks, the last a
+        # partial one; rows of up to 63 flags are grouped as integers, longer
+        # ones whole
+        monkeypatch.setattr(scenery, "_CHUNK_DRAWS", 20 * (n - 1))
+        p0, samples, seed = 0.6, 250, 11
+        rng = np.random.default_rng(seed)
+        want = Counter()
+        for done in range(0, samples, 20):
+            for stays in (rng.random((min(20, samples - done), n - 1)) < p0).tolist():
+                want[run_lengths(stays)] += 1
+        assert _lazy_profiles(n, p0, samples, seed) == want
+
+    def test_estimate_is_the_mean_of_the_exact_masses(self):
+        # p_hat and stderr from the profile counts, each mass from its own law
+        x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
+        n, p0, samples, seed = 6, 0.4, 3000, 8
+        m = SceneryModel(x_law, lazy_inc(p0), n, {})
+        profiles = _lazy_profiles(n, p0, samples, seed)
+        assert len(profiles) > 5
+        for t in (5, 6, 7):
+            masses = {key: sum(p for s, p in run_length_law(x_law, key).items() if s == t)
+                      for key in profiles}
+            p = sum(c * masses[key] for key, c in profiles.items()) / samples
+            second = sum(c * masses[key] ** 2 for key, c in profiles.items()) / samples
+            est = monte_carlo_point_prob(m, float(t), samples=samples, seed=seed)
+            assert est.p_hat == pytest.approx(p, rel=1e-12)
+            assert est.stderr == pytest.approx(math.sqrt((second - p * p) / samples), rel=1e-9)
+
+    def test_local_times_above_1000_are_not_refused(self):
+        # the spans 1001 and 1002 have no common lattice of refinement at most
+        # 1000 on their own; the profile's mass is still exact
+        x = LatticePmf(0.0, 1.0, bern().probs)
+        with pytest.raises(LatticeError, match="incompatible spans"):
+            sum_law([(LatticePmf(0.0, 1001.0, x.probs), 1), (LatticePmf(0.0, 1002.0, x.probs), 1)])
+        for profile in ({1001: 1, 1002: 2}, {2002: 1, 3003: 1}):
+            law = run_length_law(bern(), tuple(profile.items()))
+            for t in sorted({*law, *(t + 1 for t in law), 1001}):
+                assert _profile_mass(bern(), profile, t) == pytest.approx(law.get(t, 0.0),
+                                                                          abs=1e-15)
 
     def test_negative_increments_refused(self):
         m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
@@ -721,139 +788,55 @@ class TestMonteCarloLocalTimes:
         make_pmf(0.0, 1.0, [(0, 1), (2, 1)]),
     ], ids=["fair-coin", "three-point", "two-point-gap", "fair-coin-gap"])
     def test_more_samples_than_one_chunk(self, x_law):
+        # a strictly positive walk at n = 250: the mode's exact mass
         n = 250
-        samples = 10_000
-        assert samples > 2 * _chunk_rows(n)
         m = SceneryModel(x_law, inc_12(), n, {})
         law = iid_sum(x_law, n)
         k = law.first + int(np.argmax(law.probs))  # the mode
-        p = law.mass(k)
-        est = monte_carlo_point_prob(m, law.v0 + law.D * k, samples=samples, seed=4)
-        assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples)
+        est = monte_carlo_point_prob(m, law.v0 + law.D * k, samples=10_000, seed=4)
+        assert (est.p_hat, est.stderr) == (law.mass(k), 0.0)
 
 
-#: sites of a draw block in the tie-rule tests: 21007, not a multiple of 8
-DRAW_SHAPE = (7, 3001)
+def run_length_law(x_law, profile):
+    """Exact law, by lattice index, of ``sum_l l (X_1 + ... + X_{m_l})`` for
+    the profile's ``(l, m_l)`` pairs, convolved one scenery value at a time."""
+    law = {0: 1.0}
+    for l, m in profile:
+        for _ in range(m):
+            nxt: dict[int, float] = {}
+            for s, ps in law.items():
+                for k, pk in x_law.probs.items():
+                    nxt[s + l * k] = nxt.get(s + l * k, 0.0) + ps * pk
+            law = nxt
+    return law
 
 
-def full_compare_draws(ks, cuts, fill, seed=5):
-    """Replay of the byte path's stream from ``default_rng(seed)``, drawn by a
-    full 32-bit compare: B is the block's bytes, L is read at the tied sites
-    (in C order, whatever their tie byte) and is ``fill`` at every other site, and
-    the draw at ``u = (B << 24) | L`` is the sum of the gaps over the cuts
-    ``T <= u``.  Returns the draws, the replayed generator and the Ls read."""
-    size = math.prod(DRAW_SHAPE)
-    replay = np.random.default_rng(seed)
-    raw = replay.bit_generator.random_raw
-    b = raw(-(-size // 8)).view(np.uint8)[:size].astype(np.uint64)
-    tops = sorted({t >> 24 for t in cuts if t % 2**24})
-    tied = np.flatnonzero(np.isin(b, tops))
-    assert len(tied) >= 20 * len(tops)  # about 82 ties per top byte
-    low = np.full(size, fill, np.uint64)
-    low[tied] = drawn = raw(-(-len(tied) // 2)).view(np.uint32)[:len(tied)] >> 8
-    u = b << 24 | low
-    return sum(int(g) * (u >= t) for t, g in zip(cuts, np.diff(ks))), replay, drawn
-
-
-def block_draws(rng, ks, cuts):
-    """One block of :data:`DRAW_SHAPE` draws from ``_site_draws``, into fresh
-    buffers."""
-    ks = np.array(ks)
-    out = np.empty(DRAW_SHAPE, _offset_type(ks))
-    _site_draws(rng, ks, cuts, out, np.empty(-(-out.size // 8) * 16, np.bool_))
-    return out
+def assert_exact(model, kappa, samples=1000, seed=1):
+    """The estimate is the exact mass of the n-fold x law at kappa, with no
+    sampling error."""
+    law = iid_sum(model.x_law, model.n)
+    est = monte_carlo_point_prob(model, kappa, samples=samples, seed=seed)
+    k = round((kappa - law.v0) / law.D)
+    assert (est.p_hat, est.stderr) == (law.mass(k), 0.0), (kappa, est)
 
 
 class TestMonteCarloDraws:
-    """The draw stage: integer cut points per atom, the stay flags of lazy
-    walks, the row-sum accumulator and the sample and seed rules."""
+    """Walks with one local-time profile (strictly positive, every step a
+    stay, n = 0) give their exact mass and draw nothing; the sample and seed
+    rules."""
 
-    def test_cut_points_within_2_pow_minus_32_of_each_mass(self):
-        rng = np.random.default_rng(12)
-        for size in [2, 3, 5, 9] * 25:
-            w = rng.random(size) ** 4
-            law = make_pmf(0.0, 1.0, enumerate(w.tolist()))
-            masses = [law.probs[k] for k in law.support]
-            cuts = _cuts(masses[:-1])
-            edges = [0, *cuts, *[2**32] * (size - len(cuts))]
-            for i, mass in enumerate(masses):
-                drawn = Fraction(edges[i + 1] - edges[i], 2**32)
-                assert abs(drawn - Fraction(mass)) <= Fraction(1, 2**32), (size, i)
-        assert _cuts([0.5]) == [2**31]
-        assert _cuts([0.3, 0.7]) == [round(0.3 * 2**32)]  # the cut at 2^32 is dropped
-
-    @pytest.mark.parametrize("ks, cuts", [
-        # a cut at 0, two cuts that share the top byte 77, a cut with zero low bits
-        ([0, 1, 2, 3, 4], [0, 77 << 24 | 100, 77 << 24 | 0x900000, 200 << 24]),
-        # the same cuts with a gap above one byte, so uint16 offsets
-        ([0, 2, 3, 303, 304], [0, 77 << 24 | 100, 77 << 24 | 0x900000, 200 << 24]),
-        # a first cut that ties
-        ([0, 1, 3], [77 << 24 | 100, 77 << 24 | 0x900000]),
-        # ties at two top bytes, one L per tied site in C order
-        ([0, 1, 2, 4], [0, 77 << 24 | 100, 150 << 24 | 5000]),
-        # eleven cuts of a twelve-atom law: nine tie bytes, two shared by two cuts
-        ([0, 1, 2, 4, 5, 6, 9, 10, 11, 12, 14, 15],
-         [3 << 24 | 1, 30 << 24 | 9, 30 << 24 | 0x800000, 64 << 24, 90 << 24 | 77,
-          128 << 24 | 5, 160 << 24 | 0xFFFFFF, 161 << 24 | 1, 200 << 24 | 400,
-          200 << 24 | 401, 250 << 24 | 0x123456]),
-        # 13 and 63 cuts with gaps of 2: one draw rule for any number of cuts
-        # (12 tie bytes and a cut at 2^31; 63 tie bytes)
-        (list(range(0, 28, 2)), _cuts([1 / 14] * 13)),
-        (list(range(0, 128, 2)), _cuts([1 / 65] * 63)),
-        ([0, 1], _cuts([0.3])),
-        ([0, 1], [100 << 24]),
-    ], ids=["shared-top-byte", "wide-gaps", "first-cut-ties", "two-tie-bytes", "twelve-atoms",
-            "thirteen-cuts", "sixty-three-cuts", "stay-flag", "zero-low-bits"])
-    def test_byte_path_is_a_full_32_bit_compare(self, ks, cuts):
-        for fill in (0, 2**24 - 1):
-            want, replay, _ = full_compare_draws(ks, cuts, fill)
-            rng = np.random.default_rng(5)
-            got = block_draws(rng, ks, cuts)
-            assert np.array_equal(got.reshape(-1), want)
-            assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
-
-    def test_cut_equal_to_a_drawn_uniform_is_hit(self):
-        # take a cut's low bits from an L that the stream draws, so that u == T
-        # at that site: the draw must count the cut there (u >= T, not u > T)
-        _, _, drawn = full_compare_draws([0, 1], [77 << 24 | 100], 0)
-        cut = 77 << 24 | int(drawn[drawn > 0][0])
-        want, _, _ = full_compare_draws([0, 1], [cut], 0)
-        got = block_draws(np.random.default_rng(5), [0, 1], [cut])
-        assert np.array_equal(got.reshape(-1), want)
-
-    def test_padding_byte_never_ties(self):
-        # the block is whole raw words, so its last byte lies past the sites;
-        # a seed whose padding byte equals a tie byte must read no L for it
-        size, words = math.prod(DRAW_SHAPE), -(-math.prod(DRAW_SHAPE) // 8)
-        seed = next(s for s in range(5000)
-                    if np.random.default_rng(s).bit_generator.random_raw(words)
-                    .view(np.uint8)[size] == 77)
-        want, replay, _ = full_compare_draws([0, 1], [77 << 24 | 100], 0, seed)
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(block_draws(rng, [0, 1], [77 << 24 | 100]).reshape(-1), want)
-        assert rng.bit_generator.random_raw() == replay.bit_generator.random_raw()
-
-    def test_fair_coin_takes_one_bit_per_draw(self):
-        ks, shape = np.array([0, 300]), (5, 1001)
-        got = np.empty(shape, np.uint16)
-        _site_draws(np.random.default_rng(8), ks, [_WORDS32 >> 1], got, np.empty(5008, np.bool_))
-        raw = np.random.default_rng(8).bit_generator.random_raw
-        bits = np.unpackbits(raw(-(-5005 // 64)).view(np.uint8))[:5005]
-        assert np.array_equal(got.reshape(-1), 300 * bits.astype(np.uint16))
-
-    @pytest.mark.parametrize("x_law, n, kappa, samples, seed, hits", [
-        (bern(), 32, 16.0, 40_000, 1, 5780),
-        (make_pmf(0.0, 1.0, [(0, 4), (3, 1)]), 64, 39.0, 40_000, 2, 4983),
-        (make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]), 80, 72.0, 40_000, 3, 1570),
-        (make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]), 250, 225.0, 10_000, 4, 208),
+    @pytest.mark.parametrize("x_law, n, kappa, samples, seed", [
+        (bern(), 32, 16.0, 40_000, 1),
+        (make_pmf(0.0, 1.0, [(0, 4), (3, 1)]), 64, 39.0, 40_000, 2),
+        (make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]), 80, 72.0, 40_000, 3),
+        (make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)]), 250, 225.0, 10_000, 4),
     ], ids=["fair-coin", "skewed-two-point", "three-point", "several-chunks"])
-    def test_seeded_streams_are_pinned(self, x_law, n, kappa, samples, seed, hits):
-        # p_hat of seeded requests on a strictly positive walk, pinned so that
-        # any change to the stream a request draws shows here
+    def test_seeded_streams_are_pinned(self, x_law, n, kappa, samples, seed):
+        # seeded requests on a strictly positive walk: every seed gives the
+        # exact mass, the value the envelope prints
         m = SceneryModel(x_law, inc_12(), n, {})
-        assert samples > _chunk_rows(n)
-        est = monte_carlo_point_prob(m, kappa, samples=samples, seed=seed)
-        assert est.p_hat == hits / samples
+        assert_exact(m, kappa, samples, seed)
+        assert_exact(m, kappa, samples, seed + 1)
 
     @pytest.mark.parametrize("x_law", [
         make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
@@ -862,23 +845,24 @@ class TestMonteCarloDraws:
         make_pmf(0.0, 1.0, [(k, k % 5 + 1) for k in range(20)]),
     ], ids=["two-point", "three-point", "five-point", "twenty-point"])
     def test_each_atom_at_n_1(self, x_law):
-        # S_1 = X: every atom's p_hat lies within 5 standard errors of its mass
+        # S_1 = X: each atom's p_hat is its mass
         m = SceneryModel(x_law, inc_12(), 1, {})
-        samples = 200_000
         for k, p in x_law.probs.items():
-            est = monte_carlo_point_prob(m, x_law.point(k), samples=samples, seed=7)
-            assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples), (k, est.p_hat, p)
+            assert_exact(m, x_law.point(k), samples=200_000, seed=7)
+            assert monte_carlo_point_prob(m, x_law.point(k), 200_000, 7).p_hat == pytest.approx(p)
 
     @pytest.mark.parametrize("entries, never", [
         ([(0, 1e-11), (1, 1.0), (2, 1e-11)], (0, 2)),
         ([(0, 1.0), (1, 1e-11), (2, 1.0)], (1,)),
     ], ids=["at-both-ends", "between-integral-cuts"])
     def test_atom_below_2_pow_minus_33_is_never_drawn(self, entries, never):
+        # an atom far below any sampling resolution still gets its own mass
         x_law = make_pmf(0.0, 1.0, entries)
         assert all(x_law.probs[k] < 2.0**-33 for k in never)
         m = SceneryModel(x_law, inc_12(), 1, {})
         for k in never:
-            assert monte_carlo_point_prob(m, float(k), samples=100_000, seed=3).p_hat == 0.0
+            assert_exact(m, float(k), samples=100_000, seed=3)
+            assert monte_carlo_point_prob(m, float(k), 100_000, 3).p_hat > 0.0
 
     @pytest.mark.parametrize("p0", [1e-12, 1 - 1e-12])
     def test_extreme_stay_probabilities(self, p0):
@@ -890,17 +874,43 @@ class TestMonteCarloDraws:
             assert monte_carlo_point_prob(m, 1.0, samples=100_000, seed=5).p_hat == 0.0
 
     @pytest.mark.parametrize("n, gap, p1, k", [
-        (250, 300, 0.9, 225),  # sums above 65535 need the wide accumulator
-        (255, 257, 0.99, 255),  # n * span = 65535: the largest sum fits uint16
-        (255, 1, 0.99, 255),  # n * span = 255: the largest sum fits uint8
+        (250, 300, 0.9, 225),  # sums above 65535
+        (255, 257, 0.99, 255),  # n * span = 65535
+        (255, 1, 0.99, 255),  # n * span = 255
     ], ids=["wide", "uint16-edge", "uint8-edge"])
     def test_row_sums_do_not_wrap(self, n, gap, p1, k):
         x_law = make_pmf(0.0, 1.0, [(0, 1 - p1), (gap, p1)])
         m = SceneryModel(x_law, inc_12(), n, {})
         p = math.comb(n, k) * p1**k * (1 - p1) ** (n - k)
-        samples = 20_000
-        est = monte_carlo_point_prob(m, float(gap * k), samples=samples, seed=6)
-        assert abs(est.p_hat - p) <= 5 * math.sqrt(p * (1 - p) / samples)
+        assert_exact(m, float(gap * k), samples=20_000, seed=6)
+        est = monte_carlo_point_prob(m, float(gap * k), samples=20_000, seed=6)
+        assert est.p_hat == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("increments, n, kappa, want", [
+        (inc_12(), 40, 38.0, iid_sum(bern(), 40).mass(38)),
+        (make_pmf(0.0, 1.0, [(0, 1)]), 6, 6.0, 0.5),
+        (inc_12(), 0, 0.0, 1.0),
+        (lazy_inc(0.3), 1, 0.0, 0.5),
+    ], ids=["strictly-positive", "all-stays", "no-steps", "lazy-one-step"])
+    def test_one_profile_draws_nothing(self, increments, n, kappa, want, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("a random number was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        m = SceneryModel(bern(), increments, n, 0.5)
+        est = monte_carlo_point_prob(m, kappa, samples=10_000, seed=3)
+        assert (est.p_hat, est.stderr) == (want, 0.0)
+
+    def test_no_steps(self):
+        # S_0 = 0: p_hat is 1 at kappa = 0 and 0 at every other lattice point
+        m = SceneryModel(make_pmf(0.5, 2.0, [(0, 1), (1, 3)]), inc_12(), 0, {})
+        assert monte_carlo_point_prob(m, 0.0, samples=500, seed=1) == scenery.MonteCarloEstimate(
+            p_hat=1.0, stderr=0.0, samples=500, seed=1)
+        for kappa in (-4.0, 2.0, 6.0):
+            est = monte_carlo_point_prob(m, kappa, samples=500, seed=1)
+            assert (est.p_hat, est.stderr) == (0.0, 0.0)
+        with pytest.raises(PreconditionError, match="not on the sum lattice"):
+            monte_carlo_point_prob(m, 1.0, samples=500, seed=1)
 
     @pytest.mark.parametrize("samples, seed", [
         (1e4, 3), (True, 3), (np.float64(100), 3), (100, 2.0), (100, False),
