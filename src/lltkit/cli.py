@@ -376,7 +376,8 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
         # any walk, revisiting ones included: the identity carries c_{h,k}
         return dataclasses.asdict(scenery.second_moment_check(model))
     # the envelope reports the exact value too, and refuses a lazy or
-    # revisiting walk before that law is built
+    # revisiting walk before that law is built; the model keeps the law, so
+    # --mc reads it instead of building it again
     report = scenery.scenery_envelope(model, args.h, args.kappa, args.constants)
     out = report.to_json_dict(args.constants)
     if args.mc_samples is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -110,6 +111,14 @@ class SceneryModel:
             raise LatticeError(f"vartheta profile does not cover reachable site {r}") from None
         _check_level(v, theta(self.x_law), "site", r)
         return v
+
+    @cached_property
+    def n_fold_law(self) -> SumLaw:
+        """``sum_law([(x_law, n)])``, the n-fold x law, built on first read
+        (n >= 1) and kept as long as the model: on a strictly positive walk it
+        is the exact law of S_n, so :func:`scenery_envelope` and
+        :func:`monte_carlo_point_prob` read this one law."""
+        return sum_law([(self.x_law, self.n)])
 
     def u_law(self, j: int) -> SumLaw:
         """Exact law of ``U_j``, the j-fold increment convolution (j >= 1)."""
@@ -419,9 +428,12 @@ def scenery_envelope(
     picked up are n i.i.d. copies of the x law, and the conditional summands
     Y_k are i.i.d., so the plain envelope applies with ``Theta_n = n *
     vartheta``, the moments of the i.i.d. sum and exact oracle plug-ins.  The
-    n-fold x law, ``spec.law``, is then the exact law of S_n: the report's
-    ``exact`` is its mass at kappa and ``exact_err`` its ``err_abs``.  A
-    model with n = 0 sums no step and is a :class:`LatticeError`.
+    n-fold x law is then the exact law of S_n: ``spec.law`` is the model's
+    :attr:`SceneryModel.n_fold_law`, read after the plug-ins' laws are
+    built, so :func:`monte_carlo_point_prob` on the same model reads it
+    again instead of rebuilding it.  The report's ``exact`` is its mass at
+    kappa and ``exact_err`` its ``err_abs``.  A model with n = 0 sums no
+    step and is a :class:`LatticeError`.
     """
     if min(model.increment_law.support) < 1:
         raise PreconditionError("scenery envelope requires strictly positive increments")
@@ -433,7 +445,11 @@ def scenery_envelope(
     if model.n < 1:
         raise LatticeError(f"scenery envelope needs a model with n >= 1, got n = {model.n}")
     spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
-    return sandwich_envelope(spec, kappa, exact_plug_ins(spec, h), constants, exact=True)
+    plug_ins = exact_plug_ins(spec, h)
+    # the spec's one part is (x_law, n), so its law is the model's; seeded after
+    # the plug-ins so that a refused xi law is still the error raised first
+    spec.__dict__["law"] = model.n_fold_law
+    return sandwich_envelope(spec, kappa, plug_ins, constants, exact=True)
 
 
 @dataclass(frozen=True)
@@ -462,9 +478,7 @@ def _profile_mass(x: LatticePmf, profile: Mapping[int, int], t: int) -> float:
     masses on span l, m_l times.  A unit part (the point mass at 0 on span
     1) comes first: it pins the common lattice to the integers, where
     :func:`sum_law` would refuse a ratio of two local times above
-    ``_MAX_REFINE``, and it is the whole sum of the empty profile (n = 0).
-    Its fold multiplies by 1.0, so the profile ``{1: n}`` gives the doubles
-    of ``sum_law([(x_law, n)])``."""
+    ``_MAX_REFINE``, and it is the whole sum of the empty profile (n = 0)."""
     parts = [(LatticePmf(0.0, float(l), x.probs), m) for l, m in sorted(profile.items())]
     return sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts]).mass(t)
 
@@ -528,8 +542,11 @@ def monte_carlo_point_prob(
     reproducible given (samples, seed) (:func:`_lazy_profiles`).  Every
     other walk has one profile, ``{1: n}`` (strictly positive increments, or
     n = 1) or ``{n: 1}`` (every step stays), and no random number is drawn:
-    ``p_hat`` is that profile's exact mass, for ``{1: n}`` the doubles of
-    ``sum_law([(x_law, n)])``, and ``stderr`` is 0.  At n = 0, ``S_0 = 0``.
+    ``p_hat`` is that profile's exact mass and ``stderr`` is 0.  The profile
+    ``{1: n}`` reads :attr:`SceneryModel.n_fold_law`, the law that
+    :func:`scenery_envelope` prints ``exact`` from, so a model that has been
+    through the envelope builds no law here and ``p_hat`` is ``exact`` bit
+    for bit.  At n = 0, ``S_0 = 0``.
     ``stderr`` is the sampling error alone: each mass errs by its law's
     ``err_abs`` too.  A lazy walk costs one exact law per distinct profile
     it samples, and a law past :func:`sum_law`'s length cap is refused as
@@ -548,8 +565,8 @@ def monte_carlo_point_prob(
     else:  # one profile: no step, every step a stay, or every local time 1
         key = () if n == 0 else ((n, 1),) if p_stay == 1.0 else ((1, n),)
         profiles = {key: samples}
-    weighted = [(count / samples, _profile_mass(x, dict(key), t))
-                for key, count in profiles.items()]
+    weighted = [(count / samples, model.n_fold_law.mass(t) if key == ((1, n),)
+                 else _profile_mass(x, dict(key), t)) for key, count in profiles.items()]
     p_hat = math.fsum(w * m for w, m in weighted)
     second = math.fsum(w * m * m for w, m in weighted)
     stderr = math.sqrt(max(second - p_hat * p_hat, 0.0) / samples)

@@ -532,6 +532,43 @@ class TestOtherCommands:
         assert mc["ci3_low"] <= payload["exact"] <= mc["ci3_high"]
         assert (mc["p_hat"], mc["stderr"]) == (payload["exact"], 0.0)
 
+    def test_scenery_mc_builds_the_n_fold_law_once(self, capsys, scenery_file, monkeypatch):
+        # the xi law and the B_n law for the plug-ins, then the law of S_n,
+        # which the envelope and the Monte Carlo estimate both read
+        import lltkit.convolve
+
+        calls = []
+        original = lltkit.convolve.sum_law
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("lltkit") and getattr(module, "sum_law",
+                                                                None) is original:
+                monkeypatch.setattr(module, "sum_law",
+                                    lambda parts: calls.append(parts) or original(parts))
+        code, out = run_cli(capsys, ["scenery", scenery_file, "--kappa", "2", "--mc", "1000"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["monte_carlo"]["p_hat"] == payload["exact"]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("x_law, n, vartheta, kappa", [
+        ({"v0": -1.5, "D": 0.5, "probs": [[0, 3], [1, 1], [3, 2]]}, 12, 0.1, -16.5),
+        ({"v0": 0.25, "D": 2, "probs": [[-2, 1], [-1, 2], [0, 3], [4, 1]]}, 9, 0.2, 2.25),
+        ({"v0": 0, "D": 1, "probs": [[-1, 0], [0, 1], [1, 1]]}, 16, 0.5, 8),
+    ], ids=["v0-and-D-below-1", "D-2", "massless-lowest-atom"])
+    def test_scenery_mc_is_the_printed_exact(self, capsys, tmp_path, x_law, n, vartheta,
+                                             kappa):
+        # a strictly positive walk's estimate is the envelope's exact mass, bit
+        # for bit, off the integer lattice too
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"x_law": x_law, "n": n, "vartheta": vartheta,
+                                    "increments": {"v0": 0, "D": 1, "probs": [[1, 1], [2, 1]]}}))
+        code, out = run_cli(capsys, ["scenery", str(path), "--kappa", str(kappa), "--mc", "1000"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] > 0.0
+        mc = payload["monte_carlo"]
+        assert (mc["p_hat"], mc["stderr"]) == (payload["exact"], 0.0)
+
     def test_scenery_profile_map_round_trip(self, capsys, tmp_path):
         path = tmp_path / "model_profile.json"
         path.write_text(

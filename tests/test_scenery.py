@@ -838,6 +838,18 @@ class TestMonteCarloDraws:
         assert_exact(m, kappa, samples, seed)
         assert_exact(m, kappa, samples, seed + 1)
 
+    def test_varying_profile_without_the_envelope(self):
+        # the envelope refuses a varying profile, so the estimate builds the
+        # model's n-fold law itself, and its mass is the estimate bit for bit
+        x_law = make_pmf(0.5, 2.0, [(0, 1), (1, 3), (2, 2)])
+        n = 20
+        m = SceneryModel(x_law, inc_12(), n, {r: 0.1 + 0.01 * (r % 7) for r in range(1, 2 * n + 1)})
+        with pytest.raises(PreconditionError, match="constant vartheta profile"):
+            scenery_envelope(m, 0.25, 10.0 + 2.0 * n)
+        for k in (15, 22, 28):
+            assert_exact(m, n * 0.5 + 2.0 * k)
+        assert vars(m)["n_fold_law"] is m.n_fold_law
+
     @pytest.mark.parametrize("x_law", [
         make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
         make_pmf(2.0, 1.0, [(0, 1), (2, 5), (7, 2)]),
