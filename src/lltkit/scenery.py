@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
@@ -455,32 +456,38 @@ def scenery_envelope(
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     """Seeded estimate of a point probability: the mean over the sampled
-    walks of each walk's exact conditional mass, with its standard error."""
+    walks of each walk's exact conditional mass, with its standard error and
+    ``err_abs``, the mean of the masses' laws' ``err_abs`` weighted as the
+    masses are, rounded up: it bounds how far the computed masses move
+    ``p_hat``, as ``stderr`` measures how far the sampling does."""
 
     p_hat: float
     stderr: float
+    err_abs: float
     samples: int
     seed: int
 
     def interval(self) -> tuple[float, float]:
-        """The three-standard-error interval ``p_hat -/+ 3 stderr``."""
-        return self.p_hat - 3.0 * self.stderr, self.p_hat + 3.0 * self.stderr
+        """The three-standard-error interval, widened by the masses' error:
+        ``p_hat -/+ (3 stderr + err_abs)``."""
+        half = 3.0 * self.stderr + self.err_abs
+        return self.p_hat - half, self.p_hat + half
 
 
 #: stay flags per Monte Carlo chunk of lazy walks
 _CHUNK_DRAWS = 1_000_000
 
 
-def _profile_mass(x: LatticePmf, profile: Mapping[int, int], t: int) -> float:
-    """``P{sum_l l (K_1 + ... + K_{m_l}) = t}`` for the local-time profile
-    ``profile = {l: m_l}`` and i.i.d. copies K of the lattice index of X,
-    from one :func:`sum_law` call: the part of local time l is the x law's
+def _profile_law(x: LatticePmf, profile: Mapping[int, int]) -> SumLaw:
+    """The law, in lattice indices, of ``sum_l l (K_1 + ... + K_{m_l})`` for
+    the local-time profile ``profile = {l: m_l}`` and i.i.d. copies K of the
+    lattice index of X, from one :func:`sum_law` call: the part of local time l is the x law's
     masses on span l, m_l times.  A unit part (the point mass at 0 on span
     1) comes first: it pins the common lattice to the integers, where
     :func:`sum_law` would refuse a ratio of two local times above
     ``_MAX_REFINE``, and it is the whole sum of the empty profile (n = 0)."""
     parts = [(LatticePmf(0.0, float(l), x.probs), m) for l, m in sorted(profile.items())]
-    return sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts]).mass(t)
+    return sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts])
 
 
 def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,7 +537,7 @@ def monte_carlo_point_prob(
     with ``Y = 0``; step 1 always opens a site).  Given them, ``S_n = sum_l
     l (X_1 + ... + X_{m_l})`` over the ``m_l`` sites of local time l, a sum
     of independent parts whose law :func:`sum_law` gives exactly
-    (:func:`_profile_mass`, in lattice indices).  The estimate is the mean
+    (:func:`_profile_law`, in lattice indices).  The estimate is the mean
     of that conditional mass over ``samples`` walks: each distinct profile's
     mass weighted by its share of the walks (Rao-Blackwellization; Asmussen
     and Glynn, Stochastic Simulation, 2007, ch. V), with ``stderr =
@@ -548,7 +555,13 @@ def monte_carlo_point_prob(
     through the envelope builds no law here and ``p_hat`` is ``exact`` bit
     for bit.  At n = 0, ``S_0 = 0``.
     ``stderr`` is the sampling error alone: each mass errs by its law's
-    ``err_abs`` too.  A lazy walk costs one exact law per distinct profile
+    ``err_abs`` too, and the estimate's ``err_abs`` is the mean of those,
+    weighted by the profiles' counts in rational arithmetic and rounded up
+    once, so at one profile it is that law's ``err_abs`` (for ``{1: n}``
+    the envelope's ``exact_err``).  The mean's own rounding, a few ulps of
+    ``p_hat`` at most, is not in it; at one profile, of weight 1.0, there is
+    none.  :meth:`MonteCarloEstimate.interval` adds ``err_abs`` to the three
+    standard errors.  A lazy walk costs one exact law per distinct profile
     it samples, and a law past :func:`sum_law`'s length cap is refused as
     a ``LatticeError``, as the envelope's is.
     """
@@ -565,9 +578,13 @@ def monte_carlo_point_prob(
     else:  # one profile: no step, every step a stay, or every local time 1
         key = () if n == 0 else ((n, 1),) if p_stay == 1.0 else ((1, n),)
         profiles = {key: samples}
-    weighted = [(count / samples, model.n_fold_law.mass(t) if key == ((1, n),)
-                 else _profile_mass(x, dict(key), t)) for key, count in profiles.items()]
+    laws = [(count, model.n_fold_law if key == ((1, n),) else _profile_law(x, dict(key)))
+            for key, count in profiles.items()]
+    weighted = [(count / samples, law.mass(t)) for count, law in laws]
     p_hat = math.fsum(w * m for w, m in weighted)
     second = math.fsum(w * m * m for w, m in weighted)
     stderr = math.sqrt(max(second - p_hat * p_hat, 0.0) / samples)
-    return MonteCarloEstimate(p_hat=p_hat, stderr=stderr, samples=samples, seed=seed)
+    err = sum(count * Fraction(law.err_abs) for count, law in laws) / samples
+    err_abs = float(err) if float(err) >= err else math.nextafter(float(err), math.inf)
+    return MonteCarloEstimate(p_hat=p_hat, stderr=stderr, err_abs=err_abs, samples=samples,
+                              seed=seed)

@@ -33,7 +33,7 @@ from lltkit import (
 )
 from lltkit import scenery
 from lltkit.lattice import LatticePmf
-from lltkit.scenery import _lazy_profiles, _profile_mass
+from lltkit.scenery import _lazy_profiles, _profile_law
 
 
 def bern():
@@ -605,6 +605,11 @@ class TestSceneryEnvelope:
         assert (est.p_hat, est.stderr) == (rep.exact, 0.0)
         exact = math.comb(64, 32) / 2**64
         assert abs(est.p_hat - exact) <= rep.exact_err
+        # the interval is widened by the law's error bound, so it holds the
+        # true mass, which the computed one misses by 3 ulps
+        assert est.err_abs == rep.exact_err
+        assert Fraction(lo) <= Fraction(math.comb(64, 32), 2**64) <= Fraction(hi)
+        assert est.p_hat != exact
 
     def test_mc_deterministic_given_seed(self):
         m = SceneryModel(bern(), inc_12(), 8, 0.5)
@@ -763,6 +768,15 @@ class TestMonteCarloLocalTimes:
             est = monte_carlo_point_prob(m, float(t), samples=samples, seed=seed)
             assert est.p_hat == pytest.approx(p, rel=1e-12)
             assert est.stderr == pytest.approx(math.sqrt((second - p * p) / samples), rel=1e-9)
+        # err_abs: the counts' mean of each profile law's err_abs, rounded up
+        # once; the profile {1: n} reads the model's n-fold law
+        assert ((1, n),) in profiles
+        laws = {key: m.n_fold_law if key == ((1, n),) else _profile_law(x_law, dict(key))
+                for key in profiles}
+        err = sum(c * Fraction(laws[key].err_abs) for key, c in profiles.items()) / samples
+        assert 0 <= Fraction(est.err_abs) - err < Fraction(math.ulp(est.err_abs))
+        assert est.interval() == (est.p_hat - (3 * est.stderr + est.err_abs),
+                                  est.p_hat + (3 * est.stderr + est.err_abs))
 
     def test_local_times_above_1000_are_not_refused(self):
         # the spans 1001 and 1002 have no common lattice of refinement at most
@@ -773,8 +787,8 @@ class TestMonteCarloLocalTimes:
         for profile in ({1001: 1, 1002: 2}, {2002: 1, 3003: 1}):
             law = run_length_law(bern(), tuple(profile.items()))
             for t in sorted({*law, *(t + 1 for t in law), 1001}):
-                assert _profile_mass(bern(), profile, t) == pytest.approx(law.get(t, 0.0),
-                                                                          abs=1e-15)
+                assert _profile_law(bern(), profile).mass(t) == pytest.approx(law.get(t, 0.0),
+                                                                              abs=1e-15)
 
     def test_negative_increments_refused(self):
         m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
@@ -916,8 +930,9 @@ class TestMonteCarloDraws:
     def test_no_steps(self):
         # S_0 = 0: p_hat is 1 at kappa = 0 and 0 at every other lattice point
         m = SceneryModel(make_pmf(0.5, 2.0, [(0, 1), (1, 3)]), inc_12(), 0, {})
+        unit = sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1)])
         assert monte_carlo_point_prob(m, 0.0, samples=500, seed=1) == scenery.MonteCarloEstimate(
-            p_hat=1.0, stderr=0.0, samples=500, seed=1)
+            p_hat=1.0, stderr=0.0, err_abs=unit.err_abs, samples=500, seed=1)
         for kappa in (-4.0, 2.0, 6.0):
             est = monte_carlo_point_prob(m, kappa, samples=500, seed=1)
             assert (est.p_hat, est.stderr) == (0.0, 0.0)
