@@ -457,9 +457,9 @@ def scenery_envelope(
 class MonteCarloEstimate:
     """Seeded estimate of a point probability: the mean over the sampled
     walks of each walk's exact conditional mass, with its standard error and
-    ``err_abs``, the mean of the masses' laws' ``err_abs`` weighted as the
-    masses are, rounded up: it bounds how far the computed masses move
-    ``p_hat``, as ``stderr`` measures how far the sampling does."""
+    ``err_abs``, the mean over the same walks of their masses' ``err_abs``,
+    rounded up: ``stderr`` measures how far the sampling moves ``p_hat``,
+    ``err_abs`` bounds how far the computed masses do."""
 
     p_hat: float
     stderr: float
@@ -481,8 +481,8 @@ _CHUNK_DRAWS = 1_000_000
 def _profile_law(x: LatticePmf, profile: Mapping[int, int]) -> SumLaw:
     """The law, in lattice indices, of ``sum_l l (K_1 + ... + K_{m_l})`` for
     the local-time profile ``profile = {l: m_l}`` and i.i.d. copies K of the
-    lattice index of X, from one :func:`sum_law` call: the part of local time l is the x law's
-    masses on span l, m_l times.  A unit part (the point mass at 0 on span
+    lattice index of X, from one :func:`sum_law` call: the part of local
+    time l is the x law's masses on span l, m_l times.  A unit part (the point mass at 0 on span
     1) comes first: it pins the common lattice to the integers, where
     :func:`sum_law` would refuse a ratio of two local times above
     ``_MAX_REFINE``, and it is the whole sum of the empty profile (n = 0)."""
@@ -585,6 +585,8 @@ def monte_carlo_point_prob(
     second = math.fsum(w * m * m for w, m in weighted)
     stderr = math.sqrt(max(second - p_hat * p_hat, 0.0) / samples)
     err = sum(count * Fraction(law.err_abs) for count, law in laws) / samples
-    err_abs = float(err) if float(err) >= err else math.nextafter(float(err), math.inf)
+    err_abs = float(err)
+    if err_abs < err:  # rounded up
+        err_abs = math.nextafter(err_abs, math.inf)
     return MonteCarloEstimate(p_hat=p_hat, stderr=stderr, err_abs=err_abs, samples=samples,
                               seed=seed)
