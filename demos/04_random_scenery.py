@@ -3,11 +3,12 @@
 
 The walk visits strictly increasing integer sites; the scenery attaches an
 iid lattice variable to every site.  Small walks are enumerated exactly;
-the composed-sum envelope is checked against the exact law.  The Monte
-Carlo oracle samples walks and averages each walk's exact mass given its
-local times: on a strictly positive walk it is the exact value, and a lazy
-walk, which stays put with probability p0, needs one exact law per distinct
-profile of local times it samples.
+the composed-sum envelope is checked against the exact law.  A walk whose
+increments are >= 0 never returns to a site it has left, so the Monte
+Carlo oracle samples nothing: it prints the exact annealed mass with its
+error bound, from the n-fold x law on a strictly positive walk and from
+the renewal recursion of the run lengths on a lazy walk, which stays put
+with probability p0.
 """
 
 from lltkit import (
@@ -51,14 +52,13 @@ rep = scenery_envelope(model, 0.25, kappa)
 print(f"theta_n = {theta_n_scenery(model):.0f}; envelope at kappa = {kappa:.0f}: "
       f"[{rep.lower:.5f}, {rep.upper:.5f}], exact {rep.exact:.5f}")
 est = monte_carlo_point_prob(model, kappa, samples=1_000_000, seed=42)
-print(f"Monte Carlo ({est.samples:,} walks, seed {est.seed}): p_hat = {est.p_hat:.5f}, "
-      f"stderr = {est.stderr} (every walk has n sites of local time 1)")
+print(f"Monte Carlo ({est.samples:,} samples asked, seed {est.seed}): p_hat = {est.p_hat:.5f}, "
+      f"stderr = {est.stderr} (every walk has n sites of local time 1; none is drawn)")
 print(f"p_hat is the exact value: {est.p_hat == rep.exact}")
 
 print()
-print("=== a lazy walk (p0 = 0.3), n = 16: the estimate over its local times ===")
+print("=== a lazy walk (p0 = 0.3), n = 16: its exact annealed law ===")
 lazy = SceneryModel(bern, make_pmf(0, 1, [(0, 3), (1, 7)]), 16, 0.5)
 est = monte_carlo_point_prob(lazy, 8.0, samples=20_000, seed=42)
-lo, hi = est.interval()
-print(f"P{{S_16 = 8}}: p_hat = {est.p_hat:.5f}, stderr = {est.stderr:.1e}, "
-      f"3-sigma interval [{lo:.5f}, {hi:.5f}]")
+print(f"P{{S_16 = 8}} = {est.p_hat:.10f} +- {est.err_abs:.1e} (err_abs), "
+      f"stderr = {est.stderr}: no walk is drawn")

@@ -186,13 +186,13 @@ class BoundReport:
         return out
 
     def to_json_dict(self, constants: ConstantsRegistry) -> dict:
-        """:meth:`row` plus ``lower_negative``, the parameters and the constants."""
-        return {
-            **self.row(),
-            "lower_negative": self.lower_negative,
-            "params": dict(self.params),
-            "constants": asdict(constants),
-        }
+        """:meth:`row` plus ``lower_negative``, the parameters, the constants
+        and, with an exact value, its error bound ``exact_err``."""
+        out = {**self.row(), "lower_negative": self.lower_negative,
+               "params": dict(self.params), "constants": asdict(constants)}
+        if self.exact is not None:
+            out["exact_err"] = self.exact_err
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,13 @@ def _power(dense: np.ndarray, count: int, a: int, b: int):
     e1 = min((b - a + 1) * einf, math.sqrt(b - a + 1) * e2)
     # the aliased mass and the mass left out: each at most `outside`
     e1, e2, einf = e1 + 2.0 * outside, e2 + 2.0 * outside, einf + 2.0 * outside
+    return _drop_small(x, e1, e2, einf)
+
+
+def _drop_small(x: np.ndarray, e1: float, e2: float, einf: float):
+    """``x`` with its entries at or below ``einf`` set to 0.0, in place, and
+    its bounds: the errors ``e1``, ``e2``, ``einf`` grown by what was dropped
+    (``sum_law``, error bound step 5)."""
     drop = x <= einf
     if drop.any():
         dropped = x[drop]
@@ -485,6 +492,15 @@ def _common_lattice(spans: list[float]) -> tuple[float, list[int]]:
             raise LatticeError(f"incompatible spans: {D} and {finest} have no common lattice")
     g = math.gcd(*strides.values())
     return finest * g / den, [strides[D] // g for D in spans]
+
+
+def _check_total(p: LatticePmf, what: str) -> None:
+    """Refuse, as a ``NumericsError`` naming ``what``, a law whose masses'
+    ``fsum`` lies more than 2u from one (``sum_law``'s drift test)."""
+    mass = math.fsum(p.probs.values())
+    if abs(mass - 1.0) > 2.0 * _U:
+        raise NumericsError(f"{what}: its masses total {mass!r}, not one to within 2u; "
+                            "normalize the law (make_pmf does)")
 
 
 def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
@@ -716,10 +732,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     # `window` bounds the running window's length
     folds, first, window = [], 0, 1
     for j, ((p, count), s) in enumerate(zip(parts, strides)):
-        mass = math.fsum(p.probs.values())
-        if abs(mass - 1.0) > 2.0 * _U:
-            raise NumericsError(f"part {j}: its masses total {mass!r}, not one to within "
-                                "2u; normalize the law (make_pmf does)")
+        _check_total(p, f"part {j}")
         items = sorted(p.probs.items())
         k0 = int(items[0][0])  # the first listed atom, massless or not
         span = int(items[-1][0]) - k0
@@ -757,8 +770,16 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             ab = _direct_product(ab, pb, min(len(probs), len(spread)))
             lo += s * (a + int(nz[0]))
         probs = out
+    return _normalized(probs, ab, sum(count for _, count in parts), first + lo,
+                       math.fsum(count * p.v0 for p, count in parts), d)
+
+
+def _normalized(probs: np.ndarray, ab: _Bounds, n: int, first: int, v0: float, d: float):
+    """The law of a sum of n summands from its computed window ``probs``
+    (every entry >= 0, bounded by ``ab``), divided in place by its ``fsum``,
+    with ``err_abs`` and ``err_l1`` (``sum_law``, error bound step 6, and
+    the drift test)."""
     total = math.fsum(probs.tolist())
-    n = sum(count for _, count in parts)
     if abs(total - 1.0) > ab.e1 + 3.0 * _U * n + 2.0 * _U:
         raise NumericsError(f"convolution mass drifted by {abs(total - 1.0):.3e}, "
                             f"beyond its error bound {ab.e1:.3e}")
@@ -767,8 +788,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     dm = ab.e1 + 2.0 * _U * total
     err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
     err_l1 = (2.0 * ab.e1 / total + 2.0 * _U) * (1.0 + 2.0**-40)
-    v0 = math.fsum(count * p.v0 for p, count in parts)
-    return SumLaw(probs=probs, first=first + lo, v0=v0, D=d, err_abs=err, err_l1=err_l1)
+    return SumLaw(probs=probs, first=first, v0=v0, D=d, err_abs=err, err_l1=err_l1)
 
 
 def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:

@@ -33,20 +33,20 @@ the values at distinct sites are independent, so the exact oracles enumerate
 increment paths only: ``E[S_n | path] = sum_r l_r mu_r`` and
 ``E[S_n^2 | path] = sum_r l_r^2 sigma_r^2 + (sum_r l_r mu_r)^2``, with
 ``mu_r``, ``sigma_r^2`` the mean and variance of X over the (V, eps, L)
-outcomes at r's level (likewise for S'_n with xi).  The Monte Carlo oracle
-samples walks only, for increments >= 0: given a walk's local times, the
-lengths of its runs of stays, ``S_n`` is a sum of independent parts ``l X``
-whose law is exact, so each walk contributes its conditional mass.  A
-strictly positive walk has every local time 1, and its estimate is the
-exact mass of the n-fold x law.
+outcomes at r's level (likewise for S'_n with xi).  A walk with increments
+>= 0 never returns to a site it has left: its local times are the lengths
+of its runs of stays, which form a renewal sequence, so the law of S_n
+averaged over the walk is exact (:attr:`SceneryModel.annealed_law`): the
+n-fold x law on a strictly positive walk, and one renewal recursion over
+the characteristic functions ``psi(l t)`` on a lazy one.  The Monte Carlo
+oracle reads that law and draws no random number.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
@@ -60,7 +60,8 @@ from .bounds import (
     prepare_sum,
     sandwich_envelope,
 )
-from .convolve import SumLaw, _is_integer, sum_law
+from .convolve import (_EXT, _LENGTH_CAP, _U, SumLaw, _check_total, _drop_small, _eta,
+                       _is_integer, _measured, _normalized, _transform_at, sum_law)
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
 from .lattice import (LatticePmf, _index_moments, _integral, _real, kappa_index, pmf_from_json,
@@ -114,12 +115,29 @@ class SceneryModel:
         return v
 
     @cached_property
-    def n_fold_law(self) -> SumLaw:
-        """``sum_law([(x_law, n)])``, the n-fold x law, built on first read
-        (n >= 1) and kept as long as the model: on a strictly positive walk it
-        is the exact law of S_n, so :func:`scenery_envelope` and
-        :func:`monte_carlo_point_prob` read this one law."""
-        return sum_law([(self.x_law, self.n)])
+    def annealed_law(self) -> SumLaw:
+        """The exact law of S_n, averaged over the walk, for increments >= 0,
+        built on first read and kept as long as the model; a negative
+        increment is a :class:`PreconditionError`.  Such a walk never
+        returns to a site it has left, so only ``p0 = P{Y = 0}`` matters.
+        A strictly positive walk (p0 = 0) or one step is ``sum_law([(x_law,
+        n)])``, the law :func:`scenery_envelope` prints ``exact`` from;
+        ``0 < p0 < 1`` takes the renewal recursion of the run lengths
+        (:func:`_renewal_law`, no :func:`sum_law` call); every step a stay
+        (p0 = 1, ``S_n = n X``) is one :func:`sum_law` of the x masses on
+        span n behind a unit part, which keeps the indices those of the x
+        lattice; and n = 0 is the unit law.  Each is labelled with S_n's
+        lattice, ``v0 = n x_law.v0`` and ``D = x_law.D``."""
+        x, n, p0 = self.x_law, self.n, self.increment_law.mass(0)
+        if min(self.increment_law.support) < 0:
+            raise PreconditionError("the annealed law of S_n requires increments >= 0")
+        if n >= 1 and (p0 == 0.0 or n == 1):
+            return sum_law([(x, n)])
+        if n >= 2 and p0 < 1.0:
+            return _renewal_law(x, n, p0)
+        parts = [(LatticePmf(0.0, float(n), x.probs), 1)] if n else []
+        law = sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts])
+        return replace(law, v0=n * x.v0, D=x.D)
 
     def u_law(self, j: int) -> SumLaw:
         """Exact law of ``U_j``, the j-fold increment convolution (j >= 1)."""
@@ -430,7 +448,7 @@ def scenery_envelope(
     Y_k are i.i.d., so the plain envelope applies with ``Theta_n = n *
     vartheta``, the moments of the i.i.d. sum and exact oracle plug-ins.  The
     n-fold x law is then the exact law of S_n: ``spec.law`` is the model's
-    :attr:`SceneryModel.n_fold_law`, read after the plug-ins' laws are
+    :attr:`SceneryModel.annealed_law`, read after the plug-ins' laws are
     built, so :func:`monte_carlo_point_prob` on the same model reads it
     again instead of rebuilding it.  The report's ``exact`` is its mass at
     kappa and ``exact_err`` its ``err_abs``.  A model with n = 0 sums no
@@ -449,17 +467,18 @@ def scenery_envelope(
     plug_ins = exact_plug_ins(spec, h)
     # the spec's one part is (x_law, n), so its law is the model's; seeded after
     # the plug-ins so that a refused xi law is still the error raised first
-    spec.__dict__["law"] = model.n_fold_law
+    spec.__dict__["law"] = model.annealed_law
     return sandwich_envelope(spec, kappa, plug_ins, constants, exact=True)
 
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Seeded estimate of a point probability: the mean over the sampled
-    walks of each walk's exact conditional mass, with its standard error and
-    ``err_abs``, the mean over the same walks of their masses' ``err_abs``,
-    rounded up: ``stderr`` measures how far the sampling moves ``p_hat``,
-    ``err_abs`` bounds how far the computed masses do."""
+    """The Monte Carlo oracle's record of ``P{S_n = kappa}``: ``p_hat`` with
+    its standard error ``stderr`` and ``err_abs``, a bound on how far the
+    computed mass is from the exact one, and the ``samples`` and ``seed``
+    of the request.  On the walks the oracle accepts (increments >= 0)
+    ``p_hat`` is the exact annealed mass, ``stderr`` is 0.0 and no walk is
+    drawn."""
 
     p_hat: float
     stderr: float
@@ -468,59 +487,138 @@ class MonteCarloEstimate:
     seed: int
 
     def interval(self) -> tuple[float, float]:
-        """The three-standard-error interval, widened by the masses' error:
+        """The three-standard-error interval, widened by the mass's error:
         ``p_hat -/+ (3 stderr + err_abs)``."""
         half = 3.0 * self.stderr + self.err_abs
         return self.p_hat - half, self.p_hat + half
 
 
-#: stay flags per Monte Carlo chunk of lazy walks
-_CHUNK_DRAWS = 1_000_000
+#: most complex multiply-adds, ``n (n - 1) / 2`` per frequency, that
+#: :func:`_renewal_law` may take
+_RENEWAL_WORK = 2**32
+
+#: most entries of one block of frequencies in :func:`_renewal_law` (per array)
+_RENEWAL_BLOCK = 2**18
 
 
-def _profile_law(x: LatticePmf, profile: Mapping[int, int]) -> SumLaw:
-    """The law, in lattice indices, of ``sum_l l (K_1 + ... + K_{m_l})`` for
-    the local-time profile ``profile = {l: m_l}`` and i.i.d. copies K of the
-    lattice index of X, from one :func:`sum_law` call: the part of local
-    time l is the x law's masses on span l, m_l times.  A unit part (the point mass at 0 on span
-    1) comes first: it pins the common lattice to the integers, where
-    :func:`sum_law` would refuse a ratio of two local times above
-    ``_MAX_REFINE``, and it is the whole sum of the empty profile (n = 0)."""
-    parts = [(LatticePmf(0.0, float(l), x.probs), m) for l, m in sorted(profile.items())]
-    return sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts])
+def _renewal_law(x: LatticePmf, n: int, p0: float) -> SumLaw:
+    """Exact law of ``S_n`` for a walk of n >= 2 steps with increments >= 0
+    that stays with probability ``0 < p0 < 1``, from the renewal recursion
+    of its run lengths, with ``err_abs`` and ``err_l1`` as :func:`sum_law`
+    derives them.
 
+    **Recursion** (Feller, An Introduction to Probability Theory, vol. I,
+    ch. XIII).  Step 1 opens a site and every move opens a new one, so the
+    local times are the lengths of the runs of stays, and the sizes of the
+    moves do not matter.  The first run has length ``l < m`` with
+    probability ``w_l = (1 - p0) p0^(l-1)``, after which the walk starts
+    afresh, and length m with ``b_m = p0^(m-1)``.  With ``psi`` the
+    characteristic function of the x law's index K, shifted to ``[0,
+    span]`` and scaled to total one (the exact law :func:`sum_law` reads),
+    and ``F_m`` that of the index sum after m steps, ``F_0 = 1`` and
 
-def _distinct_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the 2-d bool array ``flags`` and how often each
-    occurs.  A row of at most 63 flags is read as the bits of one int64
-    (the first flag lowest), so one ``np.unique`` of integers groups them;
-    longer rows, at most ``_CHUNK_DRAWS / 64`` a chunk, are compared whole."""
-    if flags.shape[1] > 63:
-        return np.unique(flags, axis=0, return_counts=True)
-    at = np.arange(flags.shape[1])
-    distinct, counts = np.unique(flags @ (1 << at), return_counts=True)
-    return distinct[:, None] >> at & 1 == 1, counts
+        F_m(t) = sum_{l=1}^{m-1} w_l psi(l t) F_{m-l}(t) + b_m psi(m t).
 
+    The weights total one and every ``|psi| <= 1``, so ``|F_m| <= 1``.  The
+    law of ``S_n - n k0`` lives on ``[0, n span]``: one forward transform
+    of the x masses on ``N > n span`` points (a power of two) gives
+    ``psi(l t_j)`` at index ``l j mod N`` for ``t_j = 2 pi j / N``, the
+    recursion runs on the half spectrum ``j <= N/2`` in complex128, blocks
+    of frequencies at a time, and one ``irfft`` of ``F_n`` gives the law,
+    with no aliasing.  Entries at or below the error bound are set to 0.0
+    and the law is divided by its ``fsum``, as in :func:`sum_law`.
 
-def _lazy_profiles(n: int, p_stay: float, samples: int, seed: int) -> Counter:
-    """How many of ``samples`` walks of n >= 2 steps with stay probability
-    ``0 < p_stay < 1`` have each local-time profile, keyed by its ``(l,
-    m_l)`` pairs in increasing l.  Steps 2..n stay with probability within
-    2^-53 of ``p_stay`` (``random() < p_stay``), ``_CHUNK_DRAWS`` flags a
-    chunk; a run opens at step 1 and at every move, and the local times are
-    the runs' lengths, counted once per distinct stay pattern of a chunk."""
-    rng = np.random.default_rng(seed)
-    rows = max(1, _CHUNK_DRAWS // (n - 1))
-    profiles: Counter = Counter()
-    for done in range(0, samples, rows):
-        stays, counts = _distinct_rows(rng.random((min(rows, samples - done), n - 1)) < p_stay)
-        at = np.flatnonzero(np.insert(~stays, 0, True, axis=1))  # the steps that open a run
-        lengths = np.diff(at, append=len(stays) * n)
-        width = int(lengths.max()) + 1
-        runs = np.bincount(at // n * width + lengths, minlength=len(stays) * width)
-        for row, count in zip(runs.reshape(len(stays), width).tolist(), counts.tolist()):
-            profiles[tuple((l, m) for l, m in enumerate(row) if m)] += count
-    return profiles
+    **Error bound.**  u is the unit roundoff, ``u_e`` that of ``_EXT``, and
+    ``gamma_k = k u / (1 - k u)``.
+
+    1. *Transform.*  The x masses total one to within 3u, or the law is
+       refused as :func:`sum_law` refuses a part (its drift test), so they
+       are within 3u of the exact law in the l1 norm; their transform at
+       the ``N/2 + 1`` frequencies comes from :func:`_transform_at` in
+       ``_EXT``, within ``delta_e``, and is rounded to complex128 (``u
+       |z|``, and ``2^-1074`` where it underflows).  The other half is its
+       conjugate, exactly.  So every value read errs by at most ``3u +
+       delta_e + u (1 + 3u + delta_e) + 2^-1074 <= delta = 5u + 2
+       delta_e``.
+    2. *Weights.*  ``p0^(l-1)`` by a running product in ``_EXT``, times
+       ``1 - p0`` there, rounded to double once: each weight within ``(u +
+       gamma_n(u_e) (1 + u)) w_l`` of its exact value, plus ``2^-1074``
+       where it underflows, so the weights of a step err by ``omega = 2u +
+       2n u_e`` in total, and total at most ``1 + omega``.
+    3. *Step.*  The products ``c_l = w_l psi(l t)`` are formed once (``u``
+       relatively), and step m sums m terms: the m - 1 complex products
+       ``c_l F_{m-l}`` (``sqrt2 gamma_2`` each, Higham Lemma 3.5), added
+       pairwise in place, half of the rows onto the other half, so that each
+       takes part in at most ``ceil(log2(m - 1))`` additions, and then ``b_m
+       psi(m t)``: ``gamma_d`` of the sum of the terms' moduli, ``d =
+       ceil(log2(m - 1)) + 1`` (Higham, Sec. 4.2).  The moduli total at most
+       ``(1 + u) (1 + delta) (1 + omega) (1 + E_{m-1})``, ``E_m`` the largest
+       error of ``F_m`` over the frequencies.  The exact weights total one
+       and ``|psi| <= 1``, so the errors of earlier steps carry over with
+       weight at most one, and
+
+           E_m <= E_{m-1} + (1 + E_{m-1}) kappa_m,
+           kappa_m = (rho_m + u + omega + delta) (1 + 2^-40 + 2 s),
+
+       ``rho_m = sqrt2 gamma_2 + gamma_d (1 + sqrt2 gamma_2) <= (d + 3) u``
+       and ``s = 2n u_e + 2 delta_e``: the factor covers the products of ``1
+       + u``, ``1 + delta`` and ``1 + omega`` (``u + delta + omega = 8u +
+       s``), the rounding of the bound and the underflows of the step's
+       fewer than 16 m operations (each below 2^-1074, and ``kappa_m > 10
+       u``).  As ``kappa_m <= kappa_n = ((d + 11) u + s) (1 + 2^-40 + 2
+       s)``, the error grows at most linearly in m: ``1 + E_n <= (1 +
+       kappa_n)^n``, so ``E_n <= n kappa_n / (1 - n kappa_n)``.
+    4. *Inverse.*  As in :func:`sum_law`'s step 1, the W = n span + 1
+       entries read err by ``e_inf = e_2 = E_n + eta_N ||z^||_2 / (1 -
+       eta_N)`` (the spectrum's error reaches them through ``||e||_1 / N``
+       and ``||e||_2 / sqrt(N)``, each at most ``E_n``), and ``e_1 =
+       sqrt(W) e_2``; ``irfft`` reads the Hermitian part of the spectrum,
+       no further from the exact one, which is Hermitian.  The bound is
+       computed and rounded up by ``1 + 2^-40``.  Then :func:`sum_law`'s
+       steps 5 and 6: the tail drop and the normalization, with its drift
+       test.
+
+    The bound is about ``n (log2 n + 11) u`` (``err_abs`` 3.0e-13 at n =
+    128).  The work is ``n (n - 1) / 2`` complex multiply-adds per
+    frequency; past ``_RENEWAL_WORK``, or past :func:`sum_law`'s length cap
+    W, the law is refused as a ``LatticeError`` before anything is
+    allocated.
+    """
+    items = sorted(x.probs.items())
+    k0, span = items[0][0], items[-1][0] - items[0][0]
+    width = n * span + 1
+    size = 1 << (width - 1).bit_length()  # the least power of two >= width
+    half = size // 2 + 1
+    if width > _LENGTH_CAP or n * (n - 1) // 2 * half > _RENEWAL_WORK:
+        raise LatticeError(f"annealed law of {width} points over {n} steps, above the cap of "
+                           f"{_LENGTH_CAP} points or {_RENEWAL_WORK} complex products")
+    _check_total(x, "the x law")
+    g = np.bincount([k - k0 for k, _ in items], weights=[p for _, p in items])
+    ext, delta_e = _transform_at(g, _measured(g), np.arange(half), size)
+    psi = np.concatenate([ext, ext[size // 2 - 1:0:-1].conj()]).astype(complex)  # every j mod N
+    powers = np.cumprod(np.concatenate([[1.0], np.full(n - 1, p0)]).astype(_EXT))  # p0^(l-1)
+    move, stay = (powers * (1.0 - _EXT(p0))).astype(float), powers.astype(float)
+    spectrum = []  # F_n, a block of frequencies j at a time
+    for j in np.array_split(np.arange(half), -(-half * (n + 1) // _RENEWAL_BLOCK)):
+        at = psi[np.arange(1, n + 1)[:, None] * j % size]  # psi(l t_j), l = 1..n
+        c = move[:, None] * at
+        f = np.ones((n + 1, len(j)), dtype=complex)  # f[0] = F_0
+        for m in range(1, n + 1):
+            terms = c[:m - 1] * f[m - 1:0:-1]  # w_l psi(l t) F_{m-l}, l = 1..m-1
+            k = m - 1
+            while k > 1:  # pairwise, in place: one addition per term and round
+                k, h = k - k // 2, k // 2
+                terms[:h] += terms[k:k + h]
+            f[m] = stay[m - 1] * at[m - 1] + terms[:1].sum(axis=0)  # terms[0]; none at m = 1
+        spectrum.append(f[n])
+    s = 2 * n * float(np.finfo(_EXT).epsneg) + 2 * delta_e
+    # (d + 11) u + s, with d = (n - 2).bit_length() + 1 additions per term at most
+    kappa = (((n - 2).bit_length() + 12) * _U + s) * (1.0 + 2.0**-40 + 2 * s)
+    z = np.fft.irfft(np.concatenate(spectrum), size)
+    inv = _eta(size, _U) * _measured(z).n2 / (1.0 - _eta(size, _U))
+    err = (n * kappa / (1.0 - n * kappa) + inv) * (1.0 + 2.0**-40)
+    probs, bounds = _drop_small(z[:width].copy(), math.sqrt(width) * err, err, err)
+    return _normalized(probs, bounds, n, n * k0, n * x.v0, x.D)
 
 
 def monte_carlo_point_prob(
@@ -529,64 +627,26 @@ def monte_carlo_point_prob(
     samples: int = 10_000_000,
     seed: int = 1,
 ) -> MonteCarloEstimate:
-    """Estimate ``P{S_n = kappa}`` by conditional Monte Carlo over the walk's
-    local times, with the sample standard error.
+    """``P{S_n = kappa}`` for a walk with increments >= 0, read off the
+    model's exact annealed law, :attr:`SceneryModel.annealed_law`.
 
-    Increments must be >= 0: such a walk never returns to a site it has
-    left, so its local times are the lengths of its runs of stays (steps
-    with ``Y = 0``; step 1 always opens a site).  Given them, ``S_n = sum_l
-    l (X_1 + ... + X_{m_l})`` over the ``m_l`` sites of local time l, a sum
-    of independent parts whose law :func:`sum_law` gives exactly
-    (:func:`_profile_law`, in lattice indices).  The estimate is the mean
-    of that conditional mass over ``samples`` walks: each distinct profile's
-    mass weighted by its share of the walks (Rao-Blackwellization; Asmussen
-    and Glynn, Stochastic Simulation, 2007, ch. V), with ``stderr =
-    sqrt(max(sum w m^2 - p_hat^2, 0) / samples)``, the binomial error when
-    every mass is 0 or 1.
-
-    Stay flags are drawn only when ``0 < p0 = P{Y = 0} < 1`` and ``n >= 2``,
-    from ``numpy.random.default_rng(seed)`` (PCG64), so runs are
-    reproducible given (samples, seed) (:func:`_lazy_profiles`).  Every
-    other walk has one profile, ``{1: n}`` (strictly positive increments, or
-    n = 1) or ``{n: 1}`` (every step stays), and no random number is drawn:
-    ``p_hat`` is that profile's exact mass and ``stderr`` is 0.  The profile
-    ``{1: n}`` reads :attr:`SceneryModel.n_fold_law`, the law that
-    :func:`scenery_envelope` prints ``exact`` from, so a model that has been
-    through the envelope builds no law here and ``p_hat`` is ``exact`` bit
-    for bit.  At n = 0, ``S_0 = 0``.
-    ``stderr`` is the sampling error alone: each mass errs by its law's
-    ``err_abs`` too, and the estimate's ``err_abs`` is the mean of those,
-    weighted by the profiles' counts in rational arithmetic and rounded up
-    once, so at one profile it is that law's ``err_abs`` (for ``{1: n}``
-    the envelope's ``exact_err``).  The mean's own rounding, a few ulps of
-    ``p_hat`` at most, is not in it; at one profile, of weight 1.0, there is
-    none.  :meth:`MonteCarloEstimate.interval` adds ``err_abs`` to the three
-    standard errors.  A lazy walk costs one exact law per distinct profile
-    it samples, and a law past :func:`sum_law`'s length cap is refused as
-    a ``LatticeError``, as the envelope's is.
+    Such a walk never returns to a site it has left, so the law of S_n is
+    known exactly (a strictly positive walk's is the n-fold x law; a lazy
+    walk's comes from the renewal recursion of its run lengths), and there
+    is nothing to estimate: ``p_hat`` is the law's mass at kappa, ``stderr``
+    is 0.0 and ``err_abs`` is the law's ``err_abs``, which
+    :meth:`MonteCarloEstimate.interval` adds.  No random number is drawn.
+    ``samples`` (>= 1) and ``seed`` (>= 0) must be integers, and are echoed.
+    A model that has been through :func:`scenery_envelope` builds no law
+    here, and ``p_hat`` is the envelope's ``exact``, bit for bit, with
+    ``err_abs`` its ``exact_err``.  At n = 0, ``S_0 = 0``.  Walks with a
+    negative increment are refused as a :class:`PreconditionError`, and a
+    lazy walk's law past the caps of :func:`_renewal_law` as a
+    :class:`LatticeError`.
     """
-    if min(model.increment_law.support) < 0:
-        raise PreconditionError("Monte Carlo oracle requires increments >= 0")
     if not (_is_integer(samples) and samples >= 1 and _is_integer(seed) and seed >= 0):
         raise LatticeError(f"need integer samples >= 1 and seed >= 0, got {samples!r} and {seed!r}")
-    samples, seed = int(samples), int(seed)
-    x, n = model.x_law, model.n
-    t = kappa_index(kappa, n * x.v0, x.D)
-    p_stay = model.increment_law.mass(0)
-    if 0.0 < p_stay < 1.0 and n >= 2:
-        profiles = _lazy_profiles(n, p_stay, samples, seed)
-    else:  # one profile: no step, every step a stay, or every local time 1
-        key = () if n == 0 else ((n, 1),) if p_stay == 1.0 else ((1, n),)
-        profiles = {key: samples}
-    laws = [(count, model.n_fold_law if key == ((1, n),) else _profile_law(x, dict(key)))
-            for key, count in profiles.items()]
-    weighted = [(count / samples, law.mass(t)) for count, law in laws]
-    p_hat = math.fsum(w * m for w, m in weighted)
-    second = math.fsum(w * m * m for w, m in weighted)
-    stderr = math.sqrt(max(second - p_hat * p_hat, 0.0) / samples)
-    err = sum(count * Fraction(law.err_abs) for count, law in laws) / samples
-    err_abs = float(err)
-    if err_abs < err:  # rounded up
-        err_abs = math.nextafter(err_abs, math.inf)
-    return MonteCarloEstimate(p_hat=p_hat, stderr=stderr, err_abs=err_abs, samples=samples,
-                              seed=seed)
+    t = kappa_index(kappa, model.n * model.x_law.v0, model.x_law.D)
+    law = model.annealed_law
+    return MonteCarloEstimate(p_hat=law.mass(t), stderr=0.0, err_abs=law.err_abs,
+                              samples=int(samples), seed=int(seed))

@@ -102,6 +102,27 @@ class TestLltBound:
         assert payload["exact"] is None
         assert payload["params"]["mode"] == "bounded-plug-ins"
 
+    @pytest.mark.parametrize("envelope", ["sandwich", "central", "psi"])
+    def test_single_point_prints_the_exact_error(self, capsys, bern_file, envelope):
+        # exact mode prints the law's err_abs beside exact; bounded mode has
+        # neither, and sweep rows stay as they are
+        law = iid_sum(make_pmf(0.0, 1.0, [(0, 1), (1, 1)]), 400)
+        argv = ["llt-bound", bern_file, "--n", "400", "--kappa", "200", "--envelope", envelope]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["exact"], payload["exact_err"]) == (law.mass(200), law.err_abs)
+        code, out = run_cli(capsys, argv + ["--format", "csv"])
+        header, row = csv.reader(io.StringIO(out))
+        assert float(dict(zip(header, row))["exact_err"]) == law.err_abs
+        code, out = run_cli(capsys, argv + ["--mode", "bounded-plug-ins"])
+        assert code == 0
+        assert "exact_err" not in json.loads(out)
+        code, out = run_cli(capsys, ["llt-bound", bern_file, "--n", "400", "--kappa-from",
+                                     "198", "--kappa-to", "202", "--envelope", envelope])
+        assert code == 0
+        assert all("exact_err" not in row for row in json.loads(out))
+
     def test_sweep_all_rows_pass(self, capsys, bern_file):
         code, out = run_cli(
             capsys,
@@ -550,6 +571,17 @@ class TestOtherCommands:
         assert payload["monte_carlo"]["p_hat"] == payload["exact"]
         assert len(calls) == 3
 
+    def test_scenery_prints_the_exact_error(self, capsys, scenery_file):
+        from lltkit import scenery_from_json
+
+        with open(scenery_file, encoding="utf-8") as fobj:
+            law = scenery_from_json(json.load(fobj)).annealed_law
+        code, out = run_cli(capsys, ["scenery", scenery_file, "--kappa", "2", "--mc", "1000"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["exact"], payload["exact_err"]) == (law.mass(2), law.err_abs)
+        assert payload["monte_carlo"]["err_abs"] == payload["exact_err"]
+
     @pytest.mark.parametrize("x_law, n, vartheta, kappa", [
         ({"v0": -1.5, "D": 0.5, "probs": [[0, 3], [1, 1], [3, 2]]}, 12, 0.1, -16.5),
         ({"v0": 0.25, "D": 2, "probs": [[-2, 1], [-1, 2], [0, 3], [4, 1]]}, 9, 0.2, 2.25),
@@ -879,9 +911,14 @@ class TestSandwichVerdict:
         assert report.row() == {"kappa": 0.0, "exact": 0.5, "gaussian": 0.5, "lower": 0.25,
                                 "upper": 0.75, "envelope_width": 0.5, "sandwich_ok": True}
         out = report.to_json_dict(ConstantsRegistry())
-        assert set(out) == set(report.row()) | {"lower_negative", "params", "constants"}
+        assert set(out) == set(report.row()) | {"lower_negative", "params", "constants",
+                                                "exact_err"}
         assert out["lower_negative"] is False and out["params"] == {"h": 0.25}
         assert out["constants"] == dataclasses.asdict(ConstantsRegistry())
+        assert out["exact_err"] == 1e-12
+        no_exact = dataclasses.replace(report, exact=None, sandwich_ok=None, exact_err=0.0)
+        assert set(no_exact.to_json_dict(ConstantsRegistry())) == (
+            set(no_exact.row()) | {"lower_negative", "params", "constants"})
 
     def test_exact_mode_passes_the_law_error(self, capsys, bern_file, monkeypatch):
         import lltkit.bounds as bounds

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ import pytest
 
 from lltkit import (
     LatticeError,
+    NumericsError,
     PreconditionError,
     SceneryModel,
     beta_functional,
@@ -33,7 +35,6 @@ from lltkit import (
 )
 from lltkit import scenery
 from lltkit.lattice import LatticePmf
-from lltkit.scenery import _lazy_profiles, _profile_law
 
 
 def bern():
@@ -640,11 +641,21 @@ class TestSceneryEnvelope:
         assert rep.lower <= lo and hi <= rep.upper
 
 
-def lazy_sum_law(x_law, p0, n):
-    """Exact law of S_n (by lattice index) for a walk that stays with
-    probability p0 and otherwise moves to a new site: enumerate the stay
-    patterns of steps 2..n and convolve the laws of l * X over the runs."""
-    dist: dict[int, float] = {}
+def exact_masses(x_law):
+    """The x law's masses as exact rationals, scaled to total one: the law
+    the exact oracles read."""
+    total = sum(map(Fraction, x_law.probs.values()))
+    return {k: Fraction(p) / total for k, p in x_law.probs.items()}
+
+
+def lazy_sum_law(model):
+    """Exact law of S_n, by lattice index and in rational arithmetic, for a
+    walk that stays with the model's ``p0 = P{Y = 0}`` and otherwise moves
+    to a new site: enumerate the stay patterns of steps 2..n and convolve
+    the laws of l * X over the runs."""
+    g, n = exact_masses(model.x_law), model.n
+    p0 = Fraction(model.increment_law.mass(0))
+    dist: dict[int, Fraction] = {}
     for stays in product((False, True), repeat=n - 1):
         runs = [1]
         for stay in stays:
@@ -652,51 +663,152 @@ def lazy_sum_law(x_law, p0, n):
                 runs[-1] += 1
             else:
                 runs.append(1)
-        w = p0 ** sum(stays) * (1 - p0) ** (n - 1 - sum(stays))
-        law = {0: w}
+        law = {0: p0 ** sum(stays) * (1 - p0) ** (n - 1 - sum(stays))}
         for l in runs:
-            nxt: dict[int, float] = {}
+            nxt: dict[int, Fraction] = {}
             for s, ps in law.items():
-                for k, pk in x_law.probs.items():
-                    nxt[s + l * k] = nxt.get(s + l * k, 0.0) + ps * pk
+                for k, pk in g.items():
+                    nxt[s + l * k] = nxt.get(s + l * k, 0) + ps * pk
             law = nxt
         for s, ps in law.items():
-            dist[s] = dist.get(s, 0.0) + ps
+            dist[s] = dist.get(s, 0) + ps
     return dist
 
 
-def assert_within_5_se(model, law, samples, seed, tolerance_samples=None):
-    """p_hat at every lattice point of mass >= 1e-3 within 5 binomial
-    standard errors of ``tolerance_samples`` walks (``samples`` by default):
-    the conditional estimate errs less than a frequency of as many walks, so
-    a test may draw fewer walks than its tolerance counts."""
+def renewal_sum_law(model):
+    """Exact law of S_n, by lattice index, from the renewal recursion of the
+    run lengths in integer arithmetic: with ``g_k = G_k / d`` the x masses
+    and ``p0 = a / b``, ``Q_m = R_m / (d^m b^(m-1))`` where
+
+        R_m = sum_{l<m} (b - a) a^(l-1) d^(l-1) G(z^l) R_{m-l} + a^(m-1) d^(m-1) G(z^m),
+
+    the law of a first run of length l < m followed by a fresh walk of m - l
+    steps, and of one run of m steps."""
+    g = exact_masses(model.x_law)
+    d = math.lcm(*(p.denominator for p in g.values()))
+    big = {k: int(p * d) for k, p in g.items()}
+    p0 = Fraction(model.increment_law.mass(0))
+    a, b, n = p0.numerator, p0.denominator, model.n
+    r = [None]
+    for m in range(1, n + 1):
+        law = {m * k: a ** (m - 1) * d ** (m - 1) * gk for k, gk in big.items()}
+        for l in range(1, m):
+            w = (b - a) * a ** (l - 1) * d ** (l - 1)
+            for k, gk in big.items():
+                wk, lk = w * gk, l * k
+                for s, rs in r[m - l].items():
+                    law[s + lk] = law.get(s + lk, 0) + wk * rs
+        r.append(law)
+    scale = d**n * b ** (n - 1)
+    return {s: Fraction(rs, scale) for s, rs in r[n].items()}
+
+
+def assert_within_err(law, exact):
+    """Every mass of the computed law within its ``err_abs`` of the exact one,
+    on the window and off it, and all of them within ``err_l1`` together."""
+    keys = set(exact) | set(range(law.first, law.first + len(law.probs)))
+    gaps = {k: abs(Fraction(law.mass(k)) - exact.get(k, 0)) for k in keys}
+    assert max(gaps.values()) <= Fraction(law.err_abs), max(gaps.items(), key=lambda kv: kv[1])
+    assert sum(gaps.values()) <= Fraction(law.err_l1)
+
+
+def assert_estimates_exact(model, exact, samples=1000, seed=1):
+    """The oracle's ``p_hat`` at every lattice point of the exact law, and one
+    step past each end, within its ``err_abs`` of the exact mass, with no
+    sampling error."""
     x = model.x_law
-    for k, p in sorted(law.items()):
-        if p < 1e-3:
-            continue
-        kappa = model.n * x.v0 + x.D * k
-        est = monte_carlo_point_prob(model, kappa, samples=samples, seed=seed)
-        se = math.sqrt(p * (1 - p) / (tolerance_samples or samples))
-        assert abs(est.p_hat - p) <= 5 * se, (k, est.p_hat, p)
+    for k in range(min(exact) - 1, max(exact) + 2):
+        est = monte_carlo_point_prob(model, model.n * x.v0 + x.D * k, samples=samples, seed=seed)
+        assert est.stderr == 0.0
+        assert abs(Fraction(est.p_hat) - exact.get(k, 0)) <= Fraction(est.err_abs), k
 
 
-def run_lengths(stays):
-    """The local-time profile of one walk from its stay flags of steps 2..n,
-    counted one step at a time."""
-    runs = [1]
-    for stay in stays:
-        if stay:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-    return tuple(sorted(Counter(runs).items()))
+LAZY_X_LAWS = [
+    bern(),
+    # negative and gapped indices, v0 != 0, D != 1
+    make_pmf(-1.5, 0.5, [(-2, 5), (0, 3), (3, 2)]),
+    make_pmf(0.25, 2.0, [(-1, 1), (2, 1)]),
+]
+STAY_PROBABILITIES = [1e-12, 0.3, 0.9, 1 - 1e-12]
+
+
+class TestAnnealedLaw:
+    """The model's exact law of S_n for increments >= 0, against rational
+    arithmetic: the enumerated stay patterns and the renewal recursion."""
+
+    @pytest.mark.parametrize("p0", [0.3, 0.9])
+    @pytest.mark.parametrize("x_law", LAZY_X_LAWS, ids=["fair-coin", "three-point", "D-2"])
+    def test_references_agree(self, x_law, p0):
+        m = SceneryModel(x_law, lazy_inc(p0), 6, {})
+        assert renewal_sum_law(m) == lazy_sum_law(m)
+
+    @pytest.mark.parametrize("p0", STAY_PROBABILITIES)
+    @pytest.mark.parametrize("x_law, n", [
+        (LAZY_X_LAWS[0], 10), (LAZY_X_LAWS[1], 8), (LAZY_X_LAWS[2], 9),
+    ], ids=["fair-coin", "three-point", "D-2"])
+    def test_within_its_bounds_of_the_enumeration(self, x_law, n, p0):
+        m = SceneryModel(x_law, lazy_inc(p0), n, {})
+        assert_within_err(m.annealed_law, lazy_sum_law(m))
+
+    @pytest.mark.parametrize("p0", STAY_PROBABILITIES)
+    @pytest.mark.parametrize("x_law", [
+        bern(),
+        # masses that total one exactly keep the rationals short
+        make_pmf(-1.5, 0.5, [(-2, 4), (0, 3), (3, 1)]),
+    ], ids=["fair-coin", "three-point"])
+    def test_within_its_bounds_of_the_recursion(self, x_law, p0):
+        m = SceneryModel(x_law, lazy_inc(p0), 32, {})
+        assert_within_err(m.annealed_law, renewal_sum_law(m))
+
+    @pytest.mark.parametrize("increments, n", [
+        (inc_12(), 5), (lazy_inc(0.3), 1), (lazy_inc(0.3), 5), (make_pmf(0.0, 1.0, [(0, 1)]), 5),
+        (lazy_inc(0.3), 0),
+    ], ids=["strictly-positive", "one-step", "lazy", "all-stays", "no-steps"])
+    def test_labelled_with_the_lattice_of_s_n(self, increments, n):
+        x_law = make_pmf(-1.5, 0.5, [(-2, 5), (0, 3), (3, 2)])
+        law = SceneryModel(x_law, increments, n, {}).annealed_law
+        assert (law.v0, law.D) == (n * x_law.v0, x_law.D)
+        if n:
+            assert_within_err(law, lazy_sum_law(SceneryModel(x_law, increments, n, {})))
+
+    def test_negative_increments_refused(self):
+        m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
+        with pytest.raises(PreconditionError, match="increments >= 0"):
+            m.annealed_law
+
+    @pytest.mark.parametrize("increments, what", [(inc_12(), "part 0"), (lazy_inc(0.3), "the x law")],
+                             ids=["strictly-positive", "lazy"])
+    def test_masses_that_do_not_total_one_refused(self, increments, what):
+        # the renewal recursion reads the x law as sum_law does, drift test included
+        x_law = LatticePmf(0.0, 1.0, {0: 1.0, 1: 1.0})
+        with pytest.raises(NumericsError, match=f"{what}: its masses total 2.0"):
+            SceneryModel(x_law, increments, 4, {}).annealed_law
+
+    def test_blocks_of_frequencies_change_no_double(self, monkeypatch):
+        # each frequency runs its own recursion, so the blocks' width moves nothing
+        x_law = make_pmf(-1.5, 0.5, [(-2, 5), (0, 3), (3, 2)])
+        whole = SceneryModel(x_law, lazy_inc(0.6), 20, {}).annealed_law
+        monkeypatch.setattr(scenery, "_RENEWAL_BLOCK", 5 * 21)  # 5 of the 65 frequencies a block
+        blocks = SceneryModel(x_law, lazy_inc(0.6), 20, {}).annealed_law
+        assert np.array_equal(blocks.probs, whole.probs)
+        assert (blocks.first, blocks.err_abs, blocks.err_l1) == (whole.first, whole.err_abs,
+                                                                 whole.err_l1)
+
+    @pytest.mark.parametrize("cap", ["_RENEWAL_WORK", "_LENGTH_CAP"])
+    def test_refused_past_its_caps(self, cap, monkeypatch):
+        # 8 steps of the coin: 9 points, and 28 products at each of 9 frequencies
+        monkeypatch.setattr(scenery, cap, {"_RENEWAL_WORK": 251, "_LENGTH_CAP": 8}[cap])
+        with pytest.raises(LatticeError, match="above the cap"):
+            SceneryModel(bern(), lazy_inc(0.3), 8, {}).annealed_law
+        monkeypatch.setattr(scenery, cap, {"_RENEWAL_WORK": 252, "_LENGTH_CAP": 9}[cap])
+        assert SceneryModel(bern(), lazy_inc(0.3), 8, {}).annealed_law.mass(4) > 0.0
 
 
 class TestMonteCarloLocalTimes:
-    """Lazy walks: the stay flags, their run lengths and the estimate over
-    the profiles.  The estimator reads only the x law and the walk; models
-    whose x law has no valid constant level pass an empty (unread) vartheta
-    profile."""
+    """Lazy walks: the oracle reads the exact annealed law, checked against
+    rational enumerations of the stay patterns.  The oracle reads only the x
+    law and the walk; models whose x law has no valid constant level pass
+    an empty (unread) vartheta profile."""
 
     @pytest.mark.parametrize("p0", [0.3, 0.9])
     @pytest.mark.parametrize("x_law", [
@@ -709,17 +821,16 @@ class TestMonteCarloLocalTimes:
     def test_lazy_walk_matches_run_length_law(self, p0, x_law):
         n = 8
         m = SceneryModel(x_law, lazy_inc(p0), n, {})
-        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=20_000, seed=5,
-                           tolerance_samples=100_000)
+        assert_estimates_exact(m, lazy_sum_law(m), samples=20_000, seed=5)
 
     def test_zero_first_step_opens_a_site(self):
-        # a stay on step 1 must read the first site's draw, not wrap to site -1
+        # a stay on step 1 opens the first site, which later stays read again
         n, p0 = 3, 0.9
         m = SceneryModel(bern(), lazy_inc(p0), n, 0.5)
-        law = lazy_sum_law(bern(), p0, n)
-        assert law[3] == pytest.approx(0.5 * p0**2 + 0.25 * 2 * p0 * (1 - p0)
-                                       + 0.125 * (1 - p0) ** 2, abs=1e-15)
-        assert_within_5_se(m, law, samples=200_000, seed=9)
+        law = lazy_sum_law(m)
+        stay = Fraction(m.increment_law.mass(0))
+        assert law[3] == (stay**2 / 2 + 2 * stay * (1 - stay) / 4 + (1 - stay) ** 2 / 8)
+        assert_estimates_exact(m, law, samples=200_000, seed=9)
 
     def test_all_stays_read_one_site(self):
         # every step stays: the one profile {6: 1}, S_6 = 6 X exactly
@@ -727,68 +838,6 @@ class TestMonteCarloLocalTimes:
         est = monte_carlo_point_prob(m, 6.0, samples=20_000, seed=2)
         assert monte_carlo_point_prob(m, 3.0, samples=20_000, seed=2).p_hat == 0.0
         assert (est.p_hat, est.stderr) == (0.5, 0.0)
-
-    def test_lazy_walk_over_several_chunks(self, monkeypatch):
-        # the stay flags of several chunks of 10000 walks, the last a partial one
-        monkeypatch.setattr(scenery, "_CHUNK_DRAWS", 90_000)
-        x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
-        n, p0, samples = 10, 0.3, 25_000
-        rows = scenery._CHUNK_DRAWS // (n - 1)
-        assert samples > 2 * rows and samples % rows
-        m = SceneryModel(x_law, lazy_inc(p0), n, {})
-        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=samples, seed=13,
-                           tolerance_samples=250_000)
-
-    @pytest.mark.parametrize("n", [8, 64, 65, 70], ids=["short", "63-flags", "64-flags", "long"])
-    def test_profiles_are_the_run_lengths_of_the_stream(self, n, monkeypatch):
-        # chunks of 20 walks, so that 250 walks take 13 chunks, the last a
-        # partial one; rows of up to 63 flags are grouped as integers, longer
-        # ones whole
-        monkeypatch.setattr(scenery, "_CHUNK_DRAWS", 20 * (n - 1))
-        p0, samples, seed = 0.6, 250, 11
-        rng = np.random.default_rng(seed)
-        want = Counter()
-        for done in range(0, samples, 20):
-            for stays in (rng.random((min(20, samples - done), n - 1)) < p0).tolist():
-                want[run_lengths(stays)] += 1
-        assert _lazy_profiles(n, p0, samples, seed) == want
-
-    def test_estimate_is_the_mean_of_the_exact_masses(self):
-        # p_hat and stderr from the profile counts, each mass from its own law
-        x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
-        n, p0, samples, seed = 6, 0.4, 3000, 8
-        m = SceneryModel(x_law, lazy_inc(p0), n, {})
-        profiles = _lazy_profiles(n, p0, samples, seed)
-        assert len(profiles) > 5
-        for t in (5, 6, 7):
-            masses = {key: sum(p for s, p in run_length_law(x_law, key).items() if s == t)
-                      for key in profiles}
-            p = sum(c * masses[key] for key, c in profiles.items()) / samples
-            second = sum(c * masses[key] ** 2 for key, c in profiles.items()) / samples
-            est = monte_carlo_point_prob(m, float(t), samples=samples, seed=seed)
-            assert est.p_hat == pytest.approx(p, rel=1e-12)
-            assert est.stderr == pytest.approx(math.sqrt((second - p * p) / samples), rel=1e-9)
-        # err_abs: the counts' mean of each profile law's err_abs, rounded up
-        # once; the profile {1: n} reads the model's n-fold law
-        assert ((1, n),) in profiles
-        laws = {key: m.n_fold_law if key == ((1, n),) else _profile_law(x_law, dict(key))
-                for key in profiles}
-        err = sum(c * Fraction(laws[key].err_abs) for key, c in profiles.items()) / samples
-        assert 0 <= Fraction(est.err_abs) - err < Fraction(math.ulp(est.err_abs))
-        assert est.interval() == (est.p_hat - (3 * est.stderr + est.err_abs),
-                                  est.p_hat + (3 * est.stderr + est.err_abs))
-
-    def test_local_times_above_1000_are_not_refused(self):
-        # the spans 1001 and 1002 have no common lattice of refinement at most
-        # 1000 on their own; the profile's mass is still exact
-        x = LatticePmf(0.0, 1.0, bern().probs)
-        with pytest.raises(LatticeError, match="incompatible spans"):
-            sum_law([(LatticePmf(0.0, 1001.0, x.probs), 1), (LatticePmf(0.0, 1002.0, x.probs), 1)])
-        for profile in ({1001: 1, 1002: 2}, {2002: 1, 3003: 1}):
-            law = run_length_law(bern(), tuple(profile.items()))
-            for t in sorted({*law, *(t + 1 for t in law), 1001}):
-                assert _profile_law(bern(), profile).mass(t) == pytest.approx(law.get(t, 0.0),
-                                                                              abs=1e-15)
 
     def test_negative_increments_refused(self):
         m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
@@ -811,20 +860,6 @@ class TestMonteCarloLocalTimes:
         assert (est.p_hat, est.stderr) == (law.mass(k), 0.0)
 
 
-def run_length_law(x_law, profile):
-    """Exact law, by lattice index, of ``sum_l l (X_1 + ... + X_{m_l})`` for
-    the profile's ``(l, m_l)`` pairs, convolved one scenery value at a time."""
-    law = {0: 1.0}
-    for l, m in profile:
-        for _ in range(m):
-            nxt: dict[int, float] = {}
-            for s, ps in law.items():
-                for k, pk in x_law.probs.items():
-                    nxt[s + l * k] = nxt.get(s + l * k, 0.0) + ps * pk
-            law = nxt
-    return law
-
-
 def assert_exact(model, kappa, samples=1000, seed=1):
     """The estimate is the exact mass of the n-fold x law at kappa, with no
     sampling error."""
@@ -835,9 +870,8 @@ def assert_exact(model, kappa, samples=1000, seed=1):
 
 
 class TestMonteCarloDraws:
-    """Walks with one local-time profile (strictly positive, every step a
-    stay, n = 0) give their exact mass and draw nothing; the sample and seed
-    rules."""
+    """Walks with increments >= 0 give their exact mass and draw nothing;
+    the sample and seed rules."""
 
     @pytest.mark.parametrize("x_law, n, kappa, samples, seed", [
         (bern(), 32, 16.0, 40_000, 1),
@@ -862,7 +896,7 @@ class TestMonteCarloDraws:
             scenery_envelope(m, 0.25, 10.0 + 2.0 * n)
         for k in (15, 22, 28):
             assert_exact(m, n * 0.5 + 2.0 * k)
-        assert vars(m)["n_fold_law"] is m.n_fold_law
+        assert vars(m)["annealed_law"] is m.annealed_law
 
     @pytest.mark.parametrize("x_law", [
         make_pmf(-1.5, 0.5, [(0, 3), (3, 1)]),
@@ -895,9 +929,9 @@ class TestMonteCarloDraws:
         x_law = make_pmf(0.0, 1.0, [(0, 5), (1, 3), (3, 2)])
         n = 4
         m = SceneryModel(x_law, lazy_inc(p0), n, {})
-        assert_within_5_se(m, lazy_sum_law(x_law, p0, n), samples=100_000, seed=5)
-        if p0 > 0.5:  # no move is ever drawn: S_n = n X, off its multiples never
-            assert monte_carlo_point_prob(m, 1.0, samples=100_000, seed=5).p_hat == 0.0
+        assert_estimates_exact(m, lazy_sum_law(m), samples=100_000, seed=5)
+        if p0 > 0.5:  # S_n = n X but for a move of probability 3e-12, which still counts
+            assert 0.0 < monte_carlo_point_prob(m, 1.0, samples=100_000, seed=5).p_hat < 1e-12
 
     @pytest.mark.parametrize("n, gap, p1, k", [
         (250, 300, 0.9, 225),  # sums above 65535
@@ -917,15 +951,44 @@ class TestMonteCarloDraws:
         (make_pmf(0.0, 1.0, [(0, 1)]), 6, 6.0, 0.5),
         (inc_12(), 0, 0.0, 1.0),
         (lazy_inc(0.3), 1, 0.0, 0.5),
-    ], ids=["strictly-positive", "all-stays", "no-steps", "lazy-one-step"])
+        (lazy_inc(0.3), 8, 4.0, None),
+        (lazy_inc(0.9), 128, 64.0, None),
+    ], ids=["strictly-positive", "all-stays", "no-steps", "lazy-one-step", "lazy-8",
+            "lazy-128"])
     def test_one_profile_draws_nothing(self, increments, n, kappa, want, monkeypatch):
+        # no walk with increments >= 0 is sampled; a lazy walk of several
+        # steps (want None) gives its annealed law's mass
         def no_rng(*args):
             raise AssertionError("a random number was drawn")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         m = SceneryModel(bern(), increments, n, 0.5)
         est = monte_carlo_point_prob(m, kappa, samples=10_000, seed=3)
+        if want is None:
+            want = m.annealed_law.mass(round(kappa))
+            assert 0.0 < want < 1.0
         assert (est.p_hat, est.stderr) == (want, 0.0)
+
+    @pytest.mark.parametrize("increments, n, calls", [
+        (lazy_inc(0.3), 8, 0),
+        (lazy_inc(0.9), 128, 0),
+        (make_pmf(0.0, 1.0, [(0, 1)]), 8, 1),
+    ], ids=["lazy-8", "lazy-128", "all-stays"])
+    def test_lazy_request_calls_sum_law_at_most_once(self, increments, n, calls, monkeypatch):
+        # the renewal recursion builds no sum_law; every step a stay builds one
+        import lltkit.convolve
+
+        seen = []
+        original = lltkit.convolve.sum_law
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("lltkit")
+                    and getattr(module, "sum_law", None) is original):
+                monkeypatch.setattr(module, "sum_law",
+                                    lambda parts: seen.append(parts) or original(parts))
+        m = SceneryModel(bern(), increments, n, 0.5)
+        for kappa in (0.0, n / 2, float(n)):
+            assert monte_carlo_point_prob(m, kappa, samples=10_000, seed=3).stderr == 0.0
+        assert len(seen) == calls
 
     def test_no_steps(self):
         # S_0 = 0: p_hat is 1 at kappa = 0 and 0 at every other lattice point
