@@ -10,7 +10,11 @@ and are never allocated.  A part with ``count == 1`` is folded by its atoms
 into one fresh zero array: one shifted, scaled add of the window per
 positive mass, so a sparse part costs its array passes, not a convolution
 over its span (its atoms are read once as pairs).  A part with ``count >=
-2`` is densified on its own span and raised to its power with one transform
+2`` and two positive atoms is a binomial: its masses on the power's window
+are products of the ratios of consecutive binomial terms, taken outward from
+the mode by ``numpy.cumprod`` and divided by their pairwise sum, with no
+transform and no extended precision.  Any other part with ``count >= 2`` is
+densified on its own span and raised to its power with one transform
 pair of ``numpy.fft`` (numpy's pocketfft, which keeps ``np.longdouble`` in
 long double from numpy 2.0 on): one double ``rfft``, a pointwise power over
 the bits of ``count``, one double ``irfft``, with the frequencies where the
@@ -113,8 +117,9 @@ _MAX_REFINE = 1000
 _LENGTH_CAP = 2**23
 
 #: most probability a Hoeffding window may leave out, u^2: the window adds
-#: 2 u^2 to a power's e_inf, which is never below 9u 2^-11.5 under the length
-#: cap (``sum_law``, error bound step 4)
+#: 2 u^2 to a power's e_inf, which under the length cap is never below 9u
+#: 2^-11.5 after a transform, nor below u 2^-23 for a binomial, whose largest
+#: entry is at least 1/W (``sum_law``, error bound steps 4 and 7)
 _OUTSIDE = _U * _U
 
 
@@ -447,6 +452,74 @@ def _power(dense: np.ndarray, count: int, a: int, b: int):
     return _drop_small(x, e1, e2, einf)
 
 
+def _pairwise_adds(size: int) -> int:
+    """Most roundings any term of a sum of ``size`` doubles passes through
+    in numpy's pairwise summation: one by one below 8 terms; up to 128 terms
+    in eight running sums, a tree of three levels and the rest one by one;
+    above that, halved (at a multiple of 8) with one more addition."""
+    if size < 8:
+        return size - 1
+    if size <= 128:
+        return size // 8 + 2 + size % 8
+    halvings = 0
+    while size > 128:
+        size -= size // 2 - size // 2 % 8  # the larger part
+        halvings += 1
+    return halvings + 25
+
+
+def _binomial(pos: list[tuple[int, float]], count: int, a: int, b: int):
+    """The law of the two positive atoms ``pos = [(i0, w0), (i1, w1)]`` to
+    the power ``count >= 2``, read on its window ``[a, b]`` (:func:`_window`):
+    the Binomial(count, w1 / (w0 + w1)) masses at the indices ``count i0 + j
+    (i1 - i0)`` by the ratio recurrence from the mode, with entries at or
+    below their error bound set to 0.0, and its bounds (``sum_law``, error
+    bound step 7)."""
+    (i0, w0), (i1, w1) = pos
+    n, gap, base = count, i1 - i0, count * i0
+    lo, hi = max(0, -((base - a) // gap)), min(n, (b - base) // gap)  # the j on [a, b]
+    (p0, q0), (p1, q1) = w0.as_integer_ratio(), w1.as_integer_ratio()
+    mode = (n + 1) * p1 * q0 // (p0 * q1 + p1 * q0)  # floor((n + 1) t), exactly
+    size, m = hi - lo + 1, mode - lo
+    out = np.zeros(b - a + 1)
+    first = base + lo * gap - a
+    x = out[first:first + (size - 1) * gap + 1:gap]  # the j = lo..hi, at stride gap
+    x[m] = 1.0
+    if mode < hi:  # P_{j+1} / P_j = (n - j) / (j + 1) w1 / w0
+        r = np.arange(mode + 1.0, hi + 1.0)  # j + 1
+        q = n + 1.0 - r
+        q /= r
+        q *= w1 / w0
+        np.cumprod(q, out=x[m + 1:])
+    if mode > lo:  # P_{j-1} / P_j = j / (n - j + 1) w0 / w1
+        r = np.arange(float(mode), float(lo), -1.0)  # j
+        q = n + 1.0 - r
+        np.divide(r, q, out=q)
+        q *= w0 / w1
+        np.cumprod(q, out=x[m - 1::-1])
+    r = q = None  # free the ratios before the bound's arrays are made
+    x /= x.sum()
+    # the bound of step 7, every factor rounded up
+    h = _gamma(_pairwise_adds(size), _U)
+    u4 = 4.0 * _U / (1.0 - 4.0 * size * _U) * (1.0 + 4.0 * _U)
+    kappa = (1.0 + 4.0 * _U) / ((1.0 - _U) * (1.0 - _gamma(4 * size, _U)))
+    s = 3.0 * (n + 1) * size * 2.0**-1074
+    c = 6.0 * s + 2.0**-1072
+    outside = _OUTSIDE if lo > 0 or hi < n else 0.0
+    e = np.abs(np.arange(-m, size - m, dtype=float))
+    e *= x  # k_j x^_j
+    g = (1.0 + h) * kappa * u4 * (float(e.sum()) * (1.0 + 2.0 * (size + 2) * _U)
+                                  + c * size * size)
+    lead = outside + h + 2.0 * size * s
+    nu = (lead + g * (1.0 + lead) / (1.0 - g)) * (1.0 + 8.0 * _U)
+    e *= kappa * u4
+    e += (kappa * (nu + _U)) * x
+    e += c
+    e1, e2, einf = _measured(e)[:3]
+    up = 1.0 + 8.0 * _U  # the rounding of the entries' bounds
+    return _drop_small(out, e1 * up + outside, e2 * up + outside, einf * up + outside)
+
+
 def _drop_small(x: np.ndarray, e1: float, e2: float, einf: float):
     """``x`` with its entries at or below ``einf`` set to 0.0, in place, and
     its bounds: the errors ``e1``, ``e2``, ``einf`` grown by what was dropped
@@ -532,7 +605,17 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     w)``, in increasing k, ``w`` times the window is added at offset ``(k -
     k_1) s`` into one fresh zero array, ``k_1`` its first positive atom
     (nothing is dropped); that array is the new window.
-    A part with ``count = n >= 2`` is densified on its own span, ``f`` of
+    A part with ``count = n >= 2`` and two positive atoms ``w0`` at ``i0``
+    and ``w1`` at ``i1`` is the law of ``n i0 + (i1 - i0) J`` with J
+    Binomial(n, t), ``t = w1 / (w0 + w1)`` (:func:`_binomial`, step 7).  On
+    the j with ``n i0 + (i1 - i0) j`` in its window ``[a, b]`` (step 4), it
+    starts from 1.0 at the mode ``m = floor((n + 1) t)``, found in integers,
+    and takes the ratios ``(n - j) / (j + 1) fl(w1 / w0)`` upward and ``j /
+    (n - j + 1) fl(w0 / w1)`` downward, one ``numpy.cumprod`` each way; the
+    products are divided by their ``numpy`` sum (pairwise) and placed at
+    stride ``i1 - i0`` on the window.  Nothing is transformed, so nothing is
+    aliased, and ``_EXT`` is not read.  Any other part with ``count = n >=
+    2`` (one atom, or three or more) is densified on its own span, ``f`` of
     length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
     + 1``) on its window ``[a, b]`` (step 4): the Hoeffding window where its
     ``W = b - a + 1`` points need a shorter transform than L points, else
@@ -551,8 +634,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     extended ``rfft`` where the direct sums would cost more; their twiddles
     come from a table kept per transform length), raised to the
     power there and rounded to double once.  Everywhere else the double
-    power stands.  Entries of the window at or below its ``e_inf`` bound are
-    then set to 0.0: this removes FFT noise, negatives and subnormals.  The
+    power stands.  Entries of either kind of power at or below its ``e_inf``
+    bound are then set to 0.0 (step 5): from a transform this removes FFT
+    noise, negatives and subnormals.  The
     power's nonzero window is spread at stride ``s`` onto the common
     lattice, and its ``numpy.convolve`` with the running window is the new
     window; the first part's spread is the window, its product with the
@@ -682,8 +766,11 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        > 9u`` and ``||z^||_2 >= ||z^||_1 / sqrt(N)``, about ``2^-11.5`` as
        ``N <= 2^23``, so ``2T`` moves it by less than 2^-43 of itself.  The
        window is taken only where it shortens the transform; at n =
-       2e3-8e3 a law on 2-4 points needs N = 1024-4096 on it instead of
-       2048-32768, and ``err_abs`` shrinks with ``eta_N sqrt(N)`` and W.
+       2e3-8e3 a law on 3-4 points needs N = 2048-4096 on it instead of
+       4096-32768, and ``err_abs`` shrinks with ``eta_N sqrt(N)`` and W.
+       A binomial (step 7) is read on the same window, where it needs no
+       transform: its entries off the window are left out, and none is
+       aliased.
     5. *Tail drop*: setting the entries ``x^_i <= e_inf`` to 0.0 moves the
        error there to at most ``x^_i + e_inf``, so ``e_inf`` grows by the
        largest dropped entry and ``e_1``, ``e_2`` by the norms of the dropped
@@ -710,9 +797,47 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        and ``err_l1 = (2 e_1 / T + 2u) (1 + 2^-40)``: the factor covers the
        two roundings of the bound and ``2u^2 / (1 - u)``, far below ``2^-40
        2u``.  A reader that sums masses charges this one number, not
-       ``err_abs`` per index: for the coin at n = 1e9, ``err_abs`` is
-       7.4e-14 and ``err_l1`` 3.4e-9, where ``err_abs`` over the support's
-       1e9 + 1 indices is 7.4e-5.
+       ``err_abs`` per index: for the coin at n = 1e9 (a binomial, step 7),
+       ``err_abs`` is 7.2e-16 and ``err_l1`` 2.4e-11, where ``err_abs`` over
+       the support's 1e9 + 1 indices is 7.2e-7.
+    7. *Binomial*.  The exact power of the scaled two-atom law is ``x_j =
+       z_j / Z`` on the indices ``n i0 + (i1 - i0) j``, with ``z_j =
+       P_j / P_m`` and ``Z`` the sum of all n + 1 of them (``Z >= z_m =
+       1``); every exact ratio is at most 1 away from the mode ``m``, so
+       every ``z_j <= 1``.  A computed ratio rounds three times: ``fl(w1 /
+       w0)`` once, the quotient of the integers ``n - j`` and ``j + 1`` once
+       (both exact below ``2^53``) and their product once; the cumulative
+       product rounds once more per factor.  So the entry ``k = |j - m|``
+       from the mode is ``z^_j = z_j (1 + theta_j) + xi_j`` with ``|theta_j|
+       <= gamma_4k`` and ``|xi_j| <= k sigma``, ``sigma = 3 (n + 1)
+       2^-1074``, a subnormal slack per product (a ratio below the normal
+       range errs by ``2^-1075`` absolutely, and the quotient scales that by
+       at most n).  The W computed entries are summed by ``numpy``'s
+       pairwise summation, where a term passes through at most ``h`` roundings
+       (:func:`_pairwise_adds`: ``W - 1`` below 8 terms, at most 25 up to
+       128, one more per halving above), and a sum that underflows is exact,
+       so ``S^ = sum_j z^_j (1 + phi_j)``, ``|phi_j| <= gamma_h``; ``S^ >=
+       1 - gamma_h`` as ``z^_m = 1``.  Each ``x^_j = fl(z^_j / S^)`` rounds
+       by u and ``2^-1075``.  With ``u' = u / (1 - 4Wu)``, ``kappa = 1 /
+       ((1 - u)(1 - gamma_4W))``, ``s = W sigma`` and ``c = 6s + 2^-1072``,
+       ``z_j / S^ <= kappa (x^_j + c)``; the window holds ``1 - tau`` of Z,
+       ``tau <= T' = T`` on a Hoeffding window that leaves a j out (step 4)
+       and 0 otherwise, so the normalization errs by ``nu >= |1 - S^ / Z|``,
+
+           nu = A + G (1 + A) / (1 - G),  A = T' + gamma_h + 2Ws,
+           G = (1 + gamma_h) kappa 4u' (sum_j k_j x^_j + c W^2),
+
+       and every computed entry by
+       ``e_j = kappa (4 k_j u' + nu + u) x^_j + c``.  The gaps under the
+       stride are exact zeros, and the exact entries off the window hold at
+       most T' together, so ``e_inf = max_j e_j + T'``, ``e_2 = ||e||_2 +
+       T'`` and ``e_1 = ||e||_1 + T'``: the mass left out counts twice, once
+       here and once inside ``nu``.  The sums are rounded up by ``1 + 2 (W
+       + 2) u`` and every factor by a few u.  The bound grows with the mean
+       distance from the mode, about ``4u sqrt(n t (1 - t))`` in ``e_1``,
+       not with a transform's ``eta_N sqrt(N)``: the coin at n = 1e9 has
+       ``e_1`` of 1.2e-11 (against 1.7e-9 by the transform in long double,
+       and 3.5e-6 in double).  Then the tail drop of step 5 applies.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
     divides each weight by their correctly rounded sum, so its masses total
@@ -755,10 +880,13 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             ab = _direct_product(ab, pb, min(len(probs), len(pos)))
             lo += s * a
         else:
-            ks, w = zip(*pos)
-            dense = np.zeros(span + 1)
-            dense[list(ks)] = w
-            power, pb = _power(dense, count, a, b)
+            if len(pos) == 2:
+                power, pb = _binomial(pos, count, a, b)
+            else:
+                ks, w = zip(*pos)
+                dense = np.zeros(span + 1)
+                dense[list(ks)] = w
+                power, pb = _power(dense, count, a, b)
             nz = np.flatnonzero(power)
             spread = power[nz[0]:nz[-1] + 1]
             if s > 1:  # gaps stay exact zeros
@@ -874,12 +1002,43 @@ def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
 
 def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: float,
                          scale: float) -> float:
-    """:func:`kolmogorov_distance` on the atoms ``(ks, w)`` of ``law``."""
+    """:func:`kolmogorov_distance` on the atoms ``(ks, w)`` of ``law``.
+
+    Phi is evaluated only on the central atoms, those with ``|x| <= r`` for
+    ``r = sqrt(2 ln(4 / max w))`` (where ``Phi(-r) < max w / 4``, and the
+    largest gap is at least ``max w / 2``), unless the gaps outside could
+    exceed the largest one inside.  The arguments x and the ``cumsum`` are
+    nondecreasing (rounding is monotone and D > 0), every computed CDF value
+    lies in ``[0, cdf_after[-1]]``, every computed Phi in ``[0, 1]`` and
+    within ``_NDTR_ERR`` of the exact, nondecreasing Phi.  So a gap left of
+    the window is at most ``max(cdf_after, phi + 2 _NDTR_ERR)`` at its left
+    edge (``|b - g| <= max(b, g)`` for ``b, g >= 0``), and one right of it
+    at most ``max(cdf_after[-1], 1) - min(cdf_before, phi - 2 _NDTR_ERR)``,
+    the least ``cdf_before`` taken over the atoms past the window.  Where
+    both edge bounds are at most the largest gap inside, that gap is the
+    largest of all, the same double as on every atom; otherwise Phi is
+    evaluated on every atom, as :func:`lltkit.bounds.calibrate_c0_scan`
+    falls back to whole rows."""
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
-    phi = _ndtr((law.v0 + law.D * ks - center) / scale)
+    x = (law.v0 + law.D * ks - center) / scale
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
+    r = math.sqrt(2.0 * math.log(4.0 / float(w.max())))
+    lo, hi = int(np.searchsorted(x, -r, "left")), int(np.searchsorted(x, r, "right"))
+    if lo < hi:
+        phi = _ndtr(x[lo:hi])
+        top = float(np.maximum(np.abs(cdf_after[lo:hi] - phi),
+                               np.abs(cdf_before[lo:hi] - phi)).max())
+        # the edge bounds, each rounded up (3 _NDTR_ERR covers a rounding of phi)
+        left = max(float(cdf_after[lo - 1]), float(phi[0]) + 3.0 * _NDTR_ERR) if lo else 0.0
+        right = 0.0
+        if hi < len(x):
+            floor = min(float(cdf_before[hi:].min()), float(phi[-1]) - 3.0 * _NDTR_ERR)
+            right = (max(float(cdf_after[-1]), 1.0) - floor) * (1.0 + 4.0 * _U)
+        if left <= top and right <= top:
+            return top
+    phi = _ndtr(x)
     return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())
 
 

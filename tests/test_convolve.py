@@ -186,8 +186,9 @@ def _sequential_reference(parts):
 
 def _fresh_array_fold(parts):
     """The kernel of sum_law with a fresh zero array per part: one add per
-    atom in increasing k for a count-1 part, the FFT power on its window
-    (placed at the window's offset) over nonzero windows for the others, and
+    atom in increasing k for a count-1 part, the binomial of a two-atom law
+    or the FFT power of any other on its window (placed at the window's
+    offset) over nonzero windows for the others, and
     the bound chain of each fold: the measured
     norms of the part's positive masses for a count-1 part, the power's
     bounds for the others.
@@ -211,10 +212,14 @@ def _fresh_array_fold(parts):
             ab = _direct_product(ab, _measured(w), min(len(win), len(w)))
             lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
         else:
-            dense = np.zeros(span + 1)
-            dense[ks] = w
-            a, b = convolve._window(list(zip(ks.tolist(), w.tolist())), span, count)
-            power, pb = _power(dense, count, a, b)
+            pos = list(zip(ks.tolist(), w.tolist()))
+            a, b = convolve._window(pos, span, count)
+            if len(pos) == 2:  # a binomial, with no transform
+                power, pb = convolve._binomial(pos, count, a, b)
+            else:
+                dense = np.zeros(span + 1)
+                dense[ks] = w
+                power, pb = _power(dense, count, a, b)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)
             spread[::s] = power[nz[0]:nz[-1] + 1]
@@ -309,7 +314,9 @@ class TestSumLaw:
         _assert_near(law, first, ref)
 
     def test_one_transform_pair_per_power(self, monkeypatch):
-        # a power is one rfft, a pointwise power and one irfft, whatever its count
+        # a power of three or more atoms is one rfft, a pointwise power and
+        # one irfft, whatever its count; a power of two atoms is a binomial
+        # and calls no transform
         calls = []
         for name in ("rfft", "irfft"):
             def spy(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
@@ -323,8 +330,13 @@ class TestSumLaw:
             sum_law([(p, count), (bernoulli(0.3), 1)])
             assert calls == ["rfft", "irfft"], count
         calls.clear()
-        sum_law([(p, 5), (bernoulli(0.3), 7)])
+        sum_law([(p, 5), (bernoulli(0.3), 7), (p, 3)])
         assert calls == ["rfft", "irfft"] * 2
+        gapped = LatticePmf(0.0, 1.0, {0: 0.0, 2: 0.4, 5: 0.6})  # a massless listed atom
+        for count in list(range(2, 40)) + [1000, 10**6]:
+            calls.clear()
+            sum_law([(bernoulli(0.3), count), (gapped, count), (bernoulli(0.3), 1)])
+            assert calls == [], count
         # a law of many atoms squared stays in double: extended values could
         # not bring its bound below the inverse transform's error
         calls.clear()
@@ -703,6 +715,91 @@ class TestWindow:
         _assert_near(law, first, ref)
 
 
+def _binomial_fold(law, count):
+    """The exact law of ``count`` copies of the two-atom ``law`` (its stored
+    masses scaled to total one): integer masses by index, the binomial row
+    at the stride of its two positive atoms, and their total."""
+    (k0, w0), (k1, w1) = [(k, Fraction(w)) for k, w in sorted(law.probs.items()) if w > 0]
+    scale = math.lcm(w0.denominator, w1.denominator)
+    c0, c1 = int(w0 * scale), int(w1 * scale)
+    exact, term = {}, c0**count
+    for j in range(count + 1):  # C(n, j) c1^j c0^(n - j)
+        exact[count * k0 + j * (k1 - k0)] = term
+        term = term * (count - j) * c1 // ((j + 1) * c0)
+    return exact, (c0 + c1) ** count
+
+
+def _assert_exact_law(law, exact, total):
+    """Every index of ``exact`` (integer masses over ``total``) and of every
+    positive computed mass is within err_abs of its exact mass, and all of
+    them together within err_l1, compared in integers."""
+    ks, w = law.atoms()
+    got = dict(zip(ks.tolist(), w.tolist()))
+    ratios = {k: float(got.get(k, 0.0)).as_integer_ratio() for k in got.keys() | exact.keys()}
+    den = max(d for _, d in ratios.values())  # every denominator divides the largest
+    en, ed = law.err_abs.as_integer_ratio()
+    ln, ld = law.err_l1.as_integer_ratio()
+    l1 = 0
+    for k, (num, d) in ratios.items():
+        diff = abs(num * (den // d) * total - exact.get(k, 0) * den)  # |p - c/total| den total
+        assert diff * ed <= en * den * total, k
+        l1 += diff
+    assert l1 * ld <= ln * den * total
+
+
+class TestBinomial:
+    """Powers of two-atom laws by the ratio recurrence from the mode, against
+    exact integer laws: every index within err_abs and the whole law within
+    err_l1."""
+
+    @staticmethod
+    def _two_atom_laws(rng):
+        """Two-atom laws at t near 0, 1 and 1/2 and at random, with the atoms
+        1-3 apart, offsets and spans off 0 and 1, and now and then a massless
+        listed atom before, between or after them; at t = 1e-310 and 5e-324
+        the ratio w1 / w0 is subnormal."""
+        ts = [0.5, 0.3, 1e-300, 1e-310, 5e-324, 2.0**-53, 1.0 - 2.0**-53]
+        ts += rng.random(5).tolist()
+        ts += (10.0 ** -rng.uniform(1.0, 300.0, 3)).tolist()
+        for t in ts:
+            gap, k0 = int(rng.integers(1, 4)), int(rng.integers(-3, 4))
+            probs = {k0: 1.0 - t, k0 + gap: t}
+            if rng.random() < 0.5:
+                probs[k0 + int(rng.choice([-1, gap + 1] + ([1] if gap > 1 else [])))] = 0.0
+            yield LatticePmf(float(rng.choice([0.0, -1.25, 3.5])),
+                             float(rng.choice([0.5, 1.0, 2.0])), probs)
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 40, 300])
+    def test_against_exact_binomials(self, count):
+        for law in self._two_atom_laws(np.random.default_rng(count)):
+            _assert_exact_law(iid_sum(law, count), *_binomial_fold(law, count))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_folded_with_other_parts(self, seed):
+        # binomials on spans D and 2D folded with a three-atom power and
+        # count-1 parts, against one-summand-at-a-time integer folds
+        rng = np.random.default_rng(900 + seed)
+        for law in self._two_atom_laws(rng):
+            coarse = LatticePmf(law.v0 + 0.5, 2.0 * law.D, dict(law.probs))
+            three = make_pmf(-law.v0, law.D, [(0, 0.2), (1, 0.5), (3, 0.3)])
+            parts = [(law, int(rng.integers(2, 13))), (three, int(rng.integers(2, 5))),
+                     (coarse, int(rng.integers(2, 9))), (law, 1)]
+            _assert_exact_law(sum_law(parts), *_exact_fold(parts))
+
+    def test_coin_does_not_read_the_extended_type(self, monkeypatch):
+        # the coin at n = 1e8 has the same bits, err_abs and err_l1 where long
+        # double is double, and err_l1 stays far below the transform's 3.4e-10
+        coin = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
+        law = iid_sum(coin, 10**8)
+        monkeypatch.setattr(convolve, "_EXT", np.float64)
+        monkeypatch.setattr(convolve, "_transform_at", None)  # never reached
+        again = iid_sum(coin, 10**8)
+        assert hashlib.sha1(law.probs.tobytes()).digest() == \
+            hashlib.sha1(again.probs.tobytes()).digest()
+        assert (law.first, law.err_abs, law.err_l1) == (again.first, again.err_abs, again.err_l1)
+        assert law.err_l1 < 1e-10 and law.err_abs < 1e-15
+
+
 class _ConvolveSpy:
     """Stands in for numpy.convolve and records copies of its arguments (the
     running window is zeroed after the call returns)."""
@@ -823,7 +920,7 @@ _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of it
     "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
                  "0x1.0dd00b8c9c835p-49", 19235, "db7d9c342333303ed9eea65bd50686935b95d977"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
-              "0x1.adcab16b75ddbp-49", 0, "56a87a59983780baa3b29572552327b86d32dd92"),
+              "0x1.470a3d70a5206p-50", 0, "34ca8b6b61c96f70ea331ab224349001789bc62d"),
     # the parts at a fixed tilt, the centred one as solve_sigma gave it when
     # the pin was taken, so the pin follows sum_law alone, not the last bits
     # of the root
@@ -834,15 +931,16 @@ _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of it
                              (make_pmf(0.5, 3.0, [(0, 0.2), (1, 0.3), (2, 0.5)]), 4),
                              (make_pmf(0.0, 1.0, [(0, 0.6), (2, 0.1), (5, 0.3)]), 1),
                              (bernoulli(0.3), 1)],
-                    "0x1.831c272871513p-49", 0, "9d910af305f6619dcc9fe0e961f8beeee32a05fd"),
+                    "0x1.4aec6d1fdea16p-49", 0, "9d910af305f6619dcc9fe0e961f8beeee32a05fd"),
 }
 
 
 @pytest.mark.parametrize("case", _ERR_ABS_PINS)
 def test_err_abs_is_pinned(case):
     # the bound chain (powers on their Hoeffding window, 121 at n = 300 and
-    # 2e4, or on their whole support, with their tail drop, two-atom and
-    # general count-1 folds, spans 2 and 3 on lattice 1) gives the same
+    # 2e4, or on their whole support, with their tail drop, binomials of
+    # two-atom laws, 73 at n = 2 and the span-2 coin of mixed-spans, two-atom
+    # and general count-1 folds, spans 2 and 3 on lattice 1) gives the same
     # double, and the kernel the same masses: a change that keeps the bound
     # but moves a mass fails here
     parts, pinned, first, digest = _ERR_ABS_PINS[case]
@@ -1237,6 +1335,26 @@ class TestKolmogorovDistance:
     def test_rejects_bad_scale(self, fair_bernoulli):
         with pytest.raises(LatticeError):
             kolmogorov_distance(iid_sum(fair_bernoulli, 1), 0.0, 0.0)
+
+    def test_central_window_keeps_the_doubles(self, monkeypatch):
+        # Phi is evaluated on the central atoms alone where the edge bounds
+        # allow it, and again on every atom where they do not (a center 10 sd
+        # off, where the largest gap lies at x = -5 or 5): the same double as
+        # Phi on every atom either way
+        seen = []
+        monkeypatch.setattr(convolve, "_ndtr", lambda a: seen.append(len(a)) or _ndtr(a))
+        law = iid_sum(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)]), 3000)
+        ks, w = law.atoms()
+        sd = math.sqrt(law.variance)
+        for shift, calls in ((0.0, 1), (10.0, 2), (-10.0, 2)):
+            seen.clear()
+            center = law.mean + shift * sd
+            phi = _ndtr((law.v0 + law.D * ks - center) / sd)
+            after = np.cumsum(w)
+            ref = float(np.maximum(np.abs(after - phi), np.abs(after - w - phi)).max())
+            assert kolmogorov_distance(law, center, sd) == ref
+            assert len(seen) == calls and seen[0] < len(ks) / 2 and seen[-1] <= len(ks)
+            assert (seen[-1] == len(ks)) == (calls == 2)
 
     @pytest.mark.parametrize("n", [20, 150, 600])
     def test_bound_dominates_exact_binomial_distance(self, n):
