@@ -1024,12 +1024,16 @@ def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: flo
     x = (law.v0 + law.D * ks - center) / scale
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
+
+    def largest_gap(lo: int, hi: int) -> tuple[np.ndarray, float]:
+        phi = _ndtr(x[lo:hi])
+        return phi, float(np.maximum(np.abs(cdf_after[lo:hi] - phi),
+                                     np.abs(cdf_before[lo:hi] - phi)).max())
+
     r = math.sqrt(2.0 * math.log(4.0 / float(w.max())))
     lo, hi = int(np.searchsorted(x, -r, "left")), int(np.searchsorted(x, r, "right"))
     if lo < hi:
-        phi = _ndtr(x[lo:hi])
-        top = float(np.maximum(np.abs(cdf_after[lo:hi] - phi),
-                               np.abs(cdf_before[lo:hi] - phi)).max())
+        phi, top = largest_gap(lo, hi)
         # the edge bounds, each rounded up (3 _NDTR_ERR covers a rounding of phi)
         left = max(float(cdf_after[lo - 1]), float(phi[0]) + 3.0 * _NDTR_ERR) if lo else 0.0
         right = 0.0
@@ -1038,8 +1042,7 @@ def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: flo
             right = (max(float(cdf_after[-1]), 1.0) - floor) * (1.0 + 4.0 * _U)
         if left <= top and right <= top:
             return top
-    phi = _ndtr(x)
-    return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())
+    return largest_gap(0, len(x))[1]
 
 
 def kolmogorov_bound(law: SumLaw, mean, variance) -> float:

@@ -786,6 +786,36 @@ class TestBinomial:
                      (coarse, int(rng.integers(2, 9))), (law, 1)]
             _assert_exact_law(sum_law(parts), *_exact_fold(parts))
 
+    def test_numpy_sums_as_the_bound_models(self):
+        # the normalization's bound takes numpy's pairwise summation: a
+        # Python copy of it gives the same doubles as ndarray.sum, and no term
+        # passes through more roundings than _pairwise_adds allows
+        def pairwise(x):  # (sum, most roundings of any term)
+            n = len(x)
+            if n < 8:
+                total = 0.0
+                for v in x:
+                    total += v
+                return total, max(n - 1, 0)
+            if n <= 128:
+                r = list(x[:8])
+                for i in range(8, n - n % 8, 8):
+                    r = [a + b for a, b in zip(r, x[i:i + 8])]
+                total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+                for v in x[n - n % 8:]:
+                    total += v
+                return total, n // 8 + 2 + n % 8
+            half = n // 2 - n // 2 % 8
+            (s1, d1), (s2, d2) = pairwise(x[:half]), pairwise(x[half:])
+            return s1 + s2, 1 + max(d1, d2)
+
+        rng = np.random.default_rng(3)
+        for size in (1, 5, 8, 77, 128, 129, 1000, 4099, 70001):
+            x = rng.random(size) ** 8
+            total, adds = pairwise(x.tolist())
+            assert x.sum() == total
+            assert adds <= convolve._pairwise_adds(size), size
+
     def test_coin_does_not_read_the_extended_type(self, monkeypatch):
         # the coin at n = 1e8 has the same bits, err_abs and err_l1 where long
         # double is double, and err_l1 stays far below the transform's 3.4e-10
