@@ -1,19 +1,23 @@
-"""Record the benchmark's end-to-end metrics of one checkout as a BENCH file.
+"""Record the benchmark's end-to-end metrics of checkouts as BENCH files.
 
     python tools/bench_record.py --out BENCH_1.json
-    python tools/bench_record.py --root ../parent --out BENCH_0.json --seeds 1 2 3
+    python tools/bench_record.py --root ../parent --out BENCH_0.json \\
+        --root . --out BENCH_1.json --seeds 1 2 3
 
 For each workload and seed it runs ``perfbench/run.py --workload W --seed S
---seconds 12 --trace 0`` of the checkout at ``--root`` (by default the one
-this script lives in), one run at a time, and reads the JSON object on the
-last stdout line.  It writes, per workload, the median and quartiles of
-each end-to-end metric over the seeds, the failure counts of every run and
-the raw values, together with the checkout's commit and the machine facts
-the harness prints.  A run that exits non-zero is recorded as an error and
-contributes no metric.  ``--seconds`` sizes each run's request count at
-the harness's reference speed (``REQUESTS_PER_SECOND`` in
-``perfbench/worker.py``), which a current machine outruns: four workloads
-at five seeds took about two minutes on two cores of an Intel Xeon.
+--seconds 12 --trace 0`` of each checkout given by ``--root`` (by default
+the one this script lives in), one run at a time, and reads the JSON object
+on the last stdout line.  With several checkouts their runs alternate, each
+seed in the other order, so that the machine's drift over the minutes of a
+record falls on all of them alike; one ``--out`` names each checkout's file.
+A file holds, per workload, the median and quartiles of each end-to-end
+metric over the seeds, the failure counts of every run and the raw values,
+together with the checkout's commit and the machine facts the harness
+prints.  A run that exits non-zero is recorded as an error and contributes
+no metric.  ``--seconds`` sizes each run's request count at the harness's
+reference speed (``REQUESTS_PER_SECOND`` in ``perfbench/worker.py``), which
+a current machine outruns: four workloads at five seeds took about two
+minutes a checkout on two cores of an Intel Xeon.
 """
 
 from __future__ import annotations
@@ -50,51 +54,66 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(root: str, seeds: list[int], seconds: float) -> dict:
-    workloads, facts = {}, {}
-    for workload in WORKLOADS:
-        runs = []
-        for seed in seeds:
-            run_facts, result = run_once(root, workload, seed, seconds)
-            facts = facts or run_facts
-            runs.append({"seed": seed, "result": result})
-            print(f"{workload} seed {seed}: "
-                  f"{'error' if result is None else 'ok'}", file=sys.stderr, flush=True)
-        done = [r["result"] for r in runs if r["result"] is not None]
-        names = list(done[0]["metrics"]) if done else []
-        workloads[workload] = {
-            "runs": len(runs),
-            "errors": len(runs) - len(done),
-            "failed": [r["result"]["failed"] if r["result"] else None for r in runs],
-            "attempted": [r["result"]["attempted"] if r["result"] else None for r in runs],
-            "correct": all(r["correct"] for r in done),
-            "metrics": {
-                name: {"unit": done[0]["metrics"][name]["unit"],
-                       **quartiles([r["metrics"][name]["value"] for r in done]),
-                       "values": [r["metrics"][name]["value"] for r in done]}
-                for name in names
-            },
-        }
+def summary(results: list[dict | None]) -> dict:
+    """One workload's entry of a record, from its runs' results in seed order."""
+    done = [r for r in results if r is not None]
+    names = list(done[0]["metrics"]) if done else []
     return {
+        "runs": len(results),
+        "errors": len(results) - len(done),
+        "failed": [r["failed"] if r else None for r in results],
+        "attempted": [r["attempted"] if r else None for r in results],
+        "correct": all(r["correct"] for r in done),
+        "metrics": {
+            name: {"unit": done[0]["metrics"][name]["unit"],
+                   **quartiles([r["metrics"][name]["value"] for r in done]),
+                   "values": [r["metrics"][name]["value"] for r in done]}
+            for name in names
+        },
+    }
+
+
+def record(roots: list[str], seeds: list[int], seconds: float) -> list[dict]:
+    """One record per checkout in ``roots``, their runs alternating."""
+    facts = [{} for _ in roots]
+    results = [{w: [] for w in WORKLOADS} for _ in roots]
+    for workload in WORKLOADS:
+        for turn, seed in enumerate(seeds):
+            order = range(len(roots)) if turn % 2 == 0 else reversed(range(len(roots)))
+            for i in order:
+                run_facts, result = run_once(roots[i], workload, seed, seconds)
+                facts[i] = facts[i] or run_facts
+                results[i][workload].append(result)
+                print(f"{roots[i]} {workload} seed {seed}: "
+                      f"{'error' if result is None else 'ok'}", file=sys.stderr, flush=True)
+    return [{
         "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
         "seeds": seeds,
-        "facts": {k: v for k, v in facts.items() if k not in ("workload", "seed", "seconds")},
-        "workloads": workloads,
-    }
+        "interleaved_with": len(roots) - 1,
+        "facts": {k: v for k, v in f.items() if k not in ("workload", "seed", "seconds")},
+        "workloads": {w: summary(rs) for w, rs in r.items()},
+    } for f, r in zip(facts, results)]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", default=HERE, help="checkout whose benchmark is run")
-    parser.add_argument("--out", required=True, help="the BENCH_*.json file to write")
+    parser.add_argument("--root", action="append",
+                        help="a checkout whose benchmark is run (default: this one); "
+                             "give one --out per --root")
+    parser.add_argument("--out", action="append", required=True,
+                        help="the BENCH_*.json file to write")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     parser.add_argument("--seconds", type=float, default=12.0)
     args = parser.parse_args(argv)
-    out = record(os.path.abspath(args.root), args.seeds, args.seconds)
-    with open(args.out, "w", encoding="utf-8") as fobj:
-        json.dump(out, fobj, indent=2, sort_keys=True)
-        fobj.write("\n")
-    return 1 if any(w["errors"] for w in out["workloads"].values()) else 0
+    roots = args.root or [HERE]
+    if len(roots) != len(args.out):
+        parser.error(f"{len(roots)} checkouts but {len(args.out)} output files")
+    records = record([os.path.abspath(r) for r in roots], args.seeds, args.seconds)
+    for path, out in zip(args.out, records):
+        with open(path, "w", encoding="utf-8") as fobj:
+            json.dump(out, fobj, indent=2, sort_keys=True)
+            fobj.write("\n")
+    return 1 if any(w["errors"] for out in records for w in out["workloads"].values()) else 0
 
 
 if __name__ == "__main__":
