@@ -1002,47 +1002,13 @@ def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
 
 def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: float,
                          scale: float) -> float:
-    """:func:`kolmogorov_distance` on the atoms ``(ks, w)`` of ``law``.
-
-    Phi is evaluated only on the central atoms, those with ``|x| <= r`` for
-    ``r = sqrt(2 ln(4 / max w))`` (where ``Phi(-r) < max w / 4``, and the
-    largest gap is at least ``max w / 2``), unless the gaps outside could
-    exceed the largest one inside.  The arguments x and the ``cumsum`` are
-    nondecreasing (rounding is monotone and D > 0), every computed CDF value
-    lies in ``[0, cdf_after[-1]]``, every computed Phi in ``[0, 1]`` and
-    within ``_NDTR_ERR`` of the exact, nondecreasing Phi.  So a gap left of
-    the window is at most ``max(cdf_after, phi + 2 _NDTR_ERR)`` at its left
-    edge (``|b - g| <= max(b, g)`` for ``b, g >= 0``), and one right of it
-    at most ``max(cdf_after[-1], 1) - min(cdf_before, phi - 2 _NDTR_ERR)``,
-    the least ``cdf_before`` taken over the atoms past the window.  Where
-    both edge bounds are at most the largest gap inside, that gap is the
-    largest of all, the same double as on every atom; otherwise Phi is
-    evaluated on every atom, as :func:`lltkit.bounds.calibrate_c0_scan`
-    falls back to whole rows."""
+    """:func:`kolmogorov_distance` on the atoms ``(ks, w)`` of ``law``."""
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
-    x = (law.v0 + law.D * ks - center) / scale
+    phi = _ndtr((law.v0 + law.D * ks - center) / scale)
     cdf_after = np.cumsum(w)
     cdf_before = cdf_after - w
-
-    def largest_gap(lo: int, hi: int) -> tuple[np.ndarray, float]:
-        phi = _ndtr(x[lo:hi])
-        return phi, float(np.maximum(np.abs(cdf_after[lo:hi] - phi),
-                                     np.abs(cdf_before[lo:hi] - phi)).max())
-
-    r = math.sqrt(2.0 * math.log(4.0 / float(w.max())))
-    lo, hi = int(np.searchsorted(x, -r, "left")), int(np.searchsorted(x, r, "right"))
-    if lo < hi:
-        phi, top = largest_gap(lo, hi)
-        # the edge bounds, each rounded up (3 _NDTR_ERR covers a rounding of phi)
-        left = max(float(cdf_after[lo - 1]), float(phi[0]) + 3.0 * _NDTR_ERR) if lo else 0.0
-        right = 0.0
-        if hi < len(x):
-            floor = min(float(cdf_before[hi:].min()), float(phi[-1]) - 3.0 * _NDTR_ERR)
-            right = (max(float(cdf_after[-1]), 1.0) - floor) * (1.0 + 4.0 * _U)
-        if left <= top and right <= top:
-            return top
-    return largest_gap(0, len(x))[1]
+    return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())
 
 
 def kolmogorov_bound(law: SumLaw, mean, variance) -> float:

@@ -2,19 +2,20 @@
 
     python tools/bench_record.py --out BENCH_1.json
     python tools/bench_record.py --root ../parent --out BENCH_0.json \\
-        --root . --out BENCH_1.json --seeds 1 2 3
+        --root . --out BENCH_1.json
 
-For each workload and seed it runs ``perfbench/run.py --workload W --seed S
---seconds 12 --trace 0`` of each checkout given by ``--root`` (by default
-the one this script lives in), one run at a time, and reads the JSON object
-on the last stdout line.  With several checkouts their runs alternate, each
-seed in the other order, so that the machine's drift over the minutes of a
-record falls on all of them alike; one ``--out`` names each checkout's file.
+For each workload and each of the seeds 1-5 it runs ``perfbench/run.py
+--workload W --seed S --seconds 12 --trace 0`` of each checkout given by
+``--root`` (by default the one this script lives in), one run at a time,
+and reads the JSON object on the last stdout line.  With several checkouts
+their runs alternate, each seed in the other order, so that the machine's
+drift over the minutes of a record falls on all of them alike; one
+``--out`` names each checkout's file.
 A file holds, per workload, the median and quartiles of each end-to-end
 metric over the seeds, the failure counts of every run and the raw values,
 together with the checkout's commit and the machine facts the harness
 prints.  A run that exits non-zero is recorded as an error and contributes
-no metric.  ``--seconds`` sizes each run's request count at the harness's
+no metric.  The harness's ``--seconds`` sizes each run's request count at its
 reference speed (``REQUESTS_PER_SECOND`` in ``perfbench/worker.py``), which
 a current machine outruns: four workloads at five seeds took about two
 minutes a checkout on two cores of an Intel Xeon.
@@ -31,12 +32,14 @@ import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep-exact", "sweep-bounded", "scenery-mc", "exact-oracles")
+SEEDS = (1, 2, 3, 4, 5)
+SECONDS = 12
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
+def run_once(root: str, workload: str, seed: int) -> tuple[dict, dict | None]:
     """The harness facts and last-line result of one run (None if it failed)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     facts = next((json.loads(line[len("facts "):]) for line in lines
@@ -73,22 +76,22 @@ def summary(results: list[dict | None]) -> dict:
     }
 
 
-def record(roots: list[str], seeds: list[int], seconds: float) -> list[dict]:
+def record(roots: list[str]) -> list[dict]:
     """One record per checkout in ``roots``, their runs alternating."""
     facts = [{} for _ in roots]
     results = [{w: [] for w in WORKLOADS} for _ in roots]
     for workload in WORKLOADS:
-        for turn, seed in enumerate(seeds):
+        for turn, seed in enumerate(SEEDS):
             order = range(len(roots)) if turn % 2 == 0 else reversed(range(len(roots)))
             for i in order:
-                run_facts, result = run_once(roots[i], workload, seed, seconds)
+                run_facts, result = run_once(roots[i], workload, seed)
                 facts[i] = facts[i] or run_facts
                 results[i][workload].append(result)
                 print(f"{roots[i]} {workload} seed {seed}: "
                       f"{'error' if result is None else 'ok'}", file=sys.stderr, flush=True)
     return [{
-        "command": f"perfbench/run.py --seconds {seconds:g} --trace 0",
-        "seeds": seeds,
+        "command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
+        "seeds": list(SEEDS),
         "interleaved_with": len(roots) - 1,
         "facts": {k: v for k, v in f.items() if k not in ("workload", "seed", "seconds")},
         "workloads": {w: summary(rs) for w, rs in r.items()},
@@ -102,13 +105,11 @@ def main(argv: list[str] | None = None) -> int:
                              "give one --out per --root")
     parser.add_argument("--out", action="append", required=True,
                         help="the BENCH_*.json file to write")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=float, default=12.0)
     args = parser.parse_args(argv)
     roots = args.root or [HERE]
     if len(roots) != len(args.out):
         parser.error(f"{len(roots)} checkouts but {len(args.out)} output files")
-    records = record([os.path.abspath(r) for r in roots], args.seeds, args.seconds)
+    records = record([os.path.abspath(r) for r in roots])
     for path, out in zip(args.out, records):
         with open(path, "w", encoding="utf-8") as fobj:
             json.dump(out, fobj, indent=2, sort_keys=True)
