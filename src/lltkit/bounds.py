@@ -49,7 +49,7 @@ from .convolve import (_U, SumLaw, _as_count, bernoulli, exact_moments, kolmogor
                        sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
-from .lattice import LatticePmf, _real, kappa_index, moments, psi_moments, theta
+from .lattice import LatticePmf, _integral, _real, kappa_index, moments, psi_moments, theta
 
 #: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
 #: Gaussian comparison, valid for every n: the smallest double not below
@@ -200,25 +200,22 @@ class BoundReport:
 
 
 def binomial_half_pmf(n: int) -> np.ndarray:
-    """pmf of Binomial(n, 1/2) over z = 0..n via the halved Pascal recursion.
+    """pmf of Binomial(n, 1/2) over z = 0..n by the ratio recurrence.
 
-    The half row z <= n/2 is stepped by :func:`_scan_step` and mirrored; the
-    computed row is symmetric (see :func:`calibrate_c0_scan`).
+    The whole half row z <= n/2 is that of :func:`_half_rows`, mirrored; the
+    computed row is symmetric by construction and nondecreasing up to its
+    center (see :func:`calibrate_c0_scan`).
     """
+    n = _integral(n, "n")
     if n < 0:
         raise LatticeError(f"need n >= 0, got {n}")
-    half = np.zeros(n // 2 + 3)
-    half[1] = 1.0
-    tmp = np.empty_like(half)
-    first = 0
-    for k in range(1, n + 1):
-        first = _scan_step(half, tmp, k, first)
-    row = half[1:n // 2 + 2]
-    return np.concatenate([row, row[:(n + 1) // 2][::-1]])
+    c = n // 2
+    half = _half_rows(np.array([n]), c + 1, _centers(n - c))[0, c::-1]
+    return np.concatenate([half, half[:(n + 1) // 2][::-1]])
 
 
-#: consecutive n whose Gaussian terms :func:`calibrate_c0_scan` evaluates as
-#: one 2-D array, and whose window check it reruns on full rows if one fails
+#: consecutive n whose half rows :func:`calibrate_c0_scan` evaluates as one
+#: 2-D array, and whose window check it reruns on whole half rows if one fails
 _SCAN_BLOCK = 128
 
 #: entries per sqrt(n) in the central window of the half row that
@@ -227,36 +224,56 @@ _SCAN_BLOCK = 128
 _SCAN_WINDOW = 3.0
 
 
-def _scan_step(half: np.ndarray, tmp: np.ndarray, n: int, first: int) -> int:
-    """Advance the half row in ``half`` from n - 1 to n in place; returns the
-    index of its first nonzero entry.
+def _centers(m_max: int) -> np.ndarray:
+    """``C(2m, m)/4^m`` for m = 0..m_max, one cumprod of ``(2i - 1)/(2i)``:
+    the center entry ``b_n(n // 2)`` of every n with ``ceil(n/2) = m``."""
+    two_i = 2.0 * np.arange(1, m_max + 1)
+    return np.cumprod(np.concatenate(([1.0], (two_i - 1.0) / two_i)))
 
-    ``half[z + 1]`` holds row entry z for ``z <= n // 2`` and ``half[0]`` is
-    0.0; ``first`` is the first nonzero entry of row n - 1.  Entry z of row
-    n is ``(old[z] + old[z - 1]) * 0.5``, one step of the halved Pascal
-    recursion; entries below ``first`` stay 0.0.
-    """
+
+def _half_rows(n: np.ndarray, width: int, centers: np.ndarray) -> np.ndarray:
+    """Row i holds ``b(n//2 - j)`` for j = 0..width of the pmf b of
+    Binomial(n[i], 1/2), outward from the center value in ``centers``
+    (:func:`_centers`) by ``b(z - 1) = b(z) * z/(n - z + 1)``: one cumprod
+    along each row.  The ratio into z = -1 is 0.0, so every entry below
+    z = 0 is a zero."""
     c = n // 2
-    if n % 2 == 0:
-        half[c + 1] = half[c]  # old[n/2] = old[n/2 - 1] by symmetry
-    t = tmp[first:c + 1]
-    np.add(half[first + 1:c + 2], half[first:c + 1], out=t)
-    np.multiply(t, 0.5, out=half[first + 1:c + 2])
-    while half[first + 1] == 0.0:
-        first += 1
-    return first
+    j = np.arange(1.0, width + 1.0)
+    rows = np.empty((len(n), width + 1))
+    rows[:, 0] = centers[n - c]
+    ratio = rows[:, 1:]
+    np.subtract((c + 1.0)[:, None], j, out=ratio)
+    ratio /= (n - c)[:, None] + j
+    return np.cumprod(rows, axis=1, out=rows)
 
 
-def _gauss_terms(n, z):
-    """``sqrt(2/(pi n)) exp(-(2z - n)^2/(2n))`` with the operations of the
-    scan, for a scalar n or a column of n against rows of z."""
-    return np.sqrt(2.0 / (np.pi * n)) * np.exp(-((2.0 * z - n) ** 2) / (2.0 * n))
+def _gauss_terms(n: np.ndarray, width: int) -> np.ndarray:
+    """``sqrt(2/(pi n)) exp(-(2z - n)^2/(2n))`` at the entries of
+    :func:`_half_rows`, z = n//2 - j, as the doubles that numpy gives for
+    that formula: ``(2z - n)^2 = (2j + n % 2)^2`` is an exact integer, read
+    from a table of both parities."""
+    twice_j = 2.0 * np.arange(width + 1)
+    gauss = np.array([twice_j**2, (twice_j + 1.0) ** 2])[n % 2]
+    gauss /= -2.0 * n[:, None]
+    np.exp(gauss, out=gauss)
+    gauss *= np.sqrt(2.0 / (np.pi * n))[:, None]
+    return gauss
 
 
-def _half_row_gap(half: np.ndarray, n: int) -> float:
-    """``max_z |pmf(z) - gauss(z)|`` over the whole half row of n."""
-    row = half[1:n // 2 + 2]
-    return np.abs(row - _gauss_terms(n, np.arange(len(row)))).max()
+def _block_gaps(n: np.ndarray, width: int, centers: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per n of ``n``, the largest ``|b(z) - g(z)|`` over the ``width + 1``
+    entries of :func:`_half_rows`, each at z >= 0, and whether the window
+    check of :func:`calibrate_c0_scan` shows that no entry further out is
+    larger."""
+    rows = _half_rows(n, width, centers)
+    gauss = _gauss_terms(n, width)
+    lo = n[0] // 2 + 1  # entries j >= lo lie below z = 0 for some n: whole rows only
+    below = gauss[:, lo:]
+    below[np.arange(lo, width + 1) > (n // 2)[:, None]] = 0.0
+    edge = np.maximum(rows[:, -1], gauss[:, -1] * (1.0 + 1e-9))
+    gauss -= rows
+    gap = np.abs(gauss, out=gauss).max(axis=1)
+    return gap, bool((edge <= gap).all())
 
 
 def calibrate_c0_scan(n_max: int) -> np.ndarray:
@@ -265,69 +282,55 @@ def calibrate_c0_scan(n_max: int) -> np.ndarray:
     Entry i holds the value for n = i + 1.  The running maximum of this array
     is the calibrated constant.
 
-    The entries are the doubles of the plain scan: the pmf row by the halved
-    Pascal recursion of :func:`binomial_half_pmf`, the Gaussian over the
-    whole row and the largest absolute difference.  Three facts let the scan
-    do less work for the same doubles.
+    Each entry is the largest absolute difference over the whole half row
+    ``z <= n/2`` of :func:`binomial_half_pmf` (the center value
+    ``C(2m, m)/4^m``, m = ceil(n/2), then ``b(z - 1) = b(z) z/(n - z + 1)``
+    outward), times ``n**1.5``, with the Gaussian of the formula.  Three facts
+    let the scan evaluate a central window of the half row for the same
+    doubles.
 
-    1. *Symmetry.*  The computed row is symmetric, because float ``+``
-       commutes and ``* 0.5`` is the same operation on both sides, and so is
-       the computed Gaussian, because ``(2z - n)^2`` is the same double at z
-       and n - z.  Only the half row ``z <= n/2`` is kept, in one buffer;
-       entries that underflowed to 0.0 stay 0.0 and are not stepped.
-    2. *Monotone half row.*  The computed half row is nondecreasing, since
-       rounding is monotone (by induction, with the mirrored center at even
-       n), so the row entry just outside a central window bounds every row
-       entry further out.
-    3. *Gaussian tail.*  The Gaussian term just outside the window, times
+    1. *Symmetry.*  The full row is the half row mirrored, so symmetric by
+       construction, and so is the computed Gaussian, because ``(2z - n)^2``
+       is the same double at z and n - z.
+    2. *Monotone half row.*  Every ratio ``z/(n - z + 1)`` with ``z <= n/2``
+       is at most 1, and rounding is monotone, so the computed entries do
+       not increase away from the center: the row entry at the outer end
+       of a central window bounds every row entry further out.
+    3. *Gaussian tail.*  The Gaussian term at the window's outer end, times
        ``1 + 1e-9`` for the few ulps of ``exp``, bounds every computed
        Gaussian term further out.
 
     With ``|b - g| <= max(b, g)`` for non-negative doubles b and g, no entry
-    outside the window can exceed the window's largest gap when both bounds
-    are at most that gap.  The window is the ``_SCAN_WINDOW * sqrt(n)``
-    entries of the half row nearest its center, and the gap is evaluated on
-    it for ``_SCAN_BLOCK`` consecutive n as one 2-D array.  If the check
-    fails for any n of a block, the block is rerun from its first half row
-    with the gap evaluated on whole half rows.
+    beyond the window can exceed the window's largest gap when both bounds
+    are at most that gap.  ``_SCAN_BLOCK`` consecutive n are evaluated as
+    one 2-D array, on the ``ceil(_SCAN_WINDOW * sqrt(n)) + 1`` entries of
+    each half row nearest its center, n the block's largest.  If the check
+    fails for any n of the block, or a window would reach below z = 0, the
+    block is evaluated on whole half rows instead.  No state passes from one
+    n to the next, and a cumprod's prefix does not depend on its length, so
+    a window holds the doubles of the whole half row: the result depends on
+    neither constant.
     """
+    n_max = _integral(n_max, "n_max")
     if n_max < 1:
         raise LatticeError(f"need n_max >= 1, got {n_max}")
-    out = np.empty(n_max)
-    half = np.zeros(n_max // 2 + 3)
-    half[1] = 1.0
-    tmp = np.empty_like(half)
-    first = 0
+    centers = _centers((n_max + 1) // 2)
+    out = np.array([n**1.5 for n in range(1, n_max + 1)])  # numpy's power may round apart
     for start in range(1, n_max + 1, _SCAN_BLOCK):
-        ns = range(start, min(start + _SCAN_BLOCK, n_max + 1))
-        width = math.ceil(_SCAN_WINDOW * math.sqrt(ns[-1]))
-        if start // 2 >= width:  # every window leaves at least one entry out
-            saved, saved_first = half[:ns[-1] // 2 + 2].copy(), first
-            rows = np.empty((len(ns), width))
-            edge = np.empty(len(ns))
-            for j, n in enumerate(ns):
-                first = _scan_step(half, tmp, n, first)
-                a = n // 2 - width + 1  # the window is z = a..n//2
-                rows[j] = half[a + 1:a + width + 1]
-                edge[j] = half[a]
-            col = np.array(ns)[:, None]
-            z = col // 2 - width + 1 + np.arange(width)
-            gap = np.abs(rows - _gauss_terms(col, z)).max(axis=1)
-            outside = _gauss_terms(col[:, 0], z[:, 0] - 1) * (1.0 + 1e-9)
-            if (np.maximum(edge, outside) <= gap).all():
-                for j, n in enumerate(ns):  # n**1.5 in Python: numpy's power may round apart
-                    out[n - 1] = n**1.5 * gap[j]
-                continue
-            half[:len(saved)], first = saved, saved_first
-        for n in ns:
-            first = _scan_step(half, tmp, n, first)
-            out[n - 1] = n**1.5 * _half_row_gap(half, n)
+        n = np.arange(start, min(start + _SCAN_BLOCK, n_max + 1))
+        whole = n[-1] // 2 + 1
+        width = math.ceil(_SCAN_WINDOW * math.sqrt(n[-1]))
+        gap, covered = _block_gaps(n, width if start // 2 >= width else whole, centers)
+        if not covered:
+            gap, _ = _block_gaps(n, whole, centers)
+        out[start - 1:n[-1]] *= gap
     return out
 
 
 def calibrated_registry(n_max: int) -> ConstantsRegistry:
     """Registry with c0 recalibrated by an exact scan up to ``n_max`` and the
     default ce."""
+    n_max = _integral(n_max, "n_max")
     scan = calibrate_c0_scan(n_max)
     c0 = float(scan.max())
     argmax = int(scan.argmax()) + 1
@@ -387,27 +390,40 @@ def c0_scan_error_bound(n_max: int) -> np.ndarray:
     scaled gap.  Every pmf value and Gaussian value at n is at most
     ``P_n = sqrt(2/(pi n))``: for n = 2m, ``C(2m, m)/4^m <= 1/sqrt(pi m)``,
     and the odd-n maximum is that value times ``(2m+1)/(2m+2)``, which stays
-    below ``P_{2m+1}``.  Each step of the Pascal recursion adds two
-    non-negative floats (one relative rounding) and halves the sum (exact, or
-    an absolute 2^-1075 in the subnormal range), so by induction the computed
-    row is within ``gamma_n b_n + n 2^-1074`` of the pmf b_n, with
-    ``gamma_n = (1+u)^n - 1 <= n u / (1 - n u)`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3).  The Gaussian term, the
-    difference and the final scaling cost ``_SCAN_ROUNDING_ULPS`` roundings
-    relative to P_n at most; this includes ``u/e`` for the rounded exponent
-    argument.  With ``n^{3/2} P_n = sqrt(2/pi) n``, the bound is
+    below ``P_{2m+1}``.  With ``gamma_k = (1+u)^k - 1 <= k u / (1 - k u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3), the
+    computed half row (:func:`_half_rows`) is within ``gamma_{2n} b_n +
+    n 2^-1074`` of the pmf b_n:
 
-        sqrt(2/pi) n (gamma_n + 32 u) + n^{3/2} (n + 2) 2^-1074.
+    - the center value ``C(2m, m)/4^m``, m = ceil(n/2), is a product of m
+      quotients ``(2i - 1)/(2i)`` of exact doubles, each rounded once, with
+      at most m roundings of the products: within ``gamma_{2m}``;
+    - the entry k steps out multiplies it by k quotients ``z/(n - z + 1)``
+      of exact integers, one rounding for each quotient and one for each
+      product: within ``gamma_{2m+2k} <= gamma_{2n}`` relatively, as
+      ``m + k <= ceil(n/2) + floor(n/2) = n``;
+    - below the normal range a product is off by an absolute 2^-1075 at
+      most instead; the later factors, rounded ratios below 1, carry it
+      outward by less than ``(1 + u)^{2k} < 2``, which adds less than
+      ``k 2^-1074 <= n 2^-1074``.
 
-    At n = 10^4 it is about 9e-9, against the 2.5e-6 between the scan
-    maximum and sqrt(2/pi)/4.  The windowed scan returns the same doubles as
-    the plain one over whole rows, so the bound is unchanged.
+    The Gaussian term, the difference and the final scaling cost
+    ``_SCAN_ROUNDING_ULPS`` roundings relative to P_n at most; this includes
+    ``u/e`` for the rounded exponent argument.  With
+    ``n^{3/2} P_n = sqrt(2/pi) n``, the bound is
+
+        sqrt(2/pi) n (gamma_{2n} + 32 u) + n^{3/2} (n + 2) 2^-1074.
+
+    At n = 10^4 it is about 1.8e-8, against the 2.5e-6 between the scan
+    maximum and sqrt(2/pi)/4.  It covers the windowed scan too, which
+    returns the doubles of whole half rows.
     """
+    n_max = _integral(n_max, "n_max")
     if n_max < 1:
         raise LatticeError(f"need n_max >= 1, got {n_max}")
     u = _U
     n = np.arange(1, n_max + 1, dtype=float)
-    gamma = n * u / (1.0 - n * u)
+    gamma = 2.0 * n * u / (1.0 - 2.0 * n * u)
     underflow = n**1.5 * (n + 2.0) * 2.0**-1074
     return math.sqrt(2.0 / math.pi) * n * (gamma + _SCAN_ROUNDING_ULPS * u) + underflow
 
@@ -510,6 +526,7 @@ def certified_registry(n0: int) -> ConstantsRegistry:
     Raises :class:`PreconditionError` when ``n0 < N*``, since the n in
     ``(n0, N*)`` would then be covered by neither part.
     """
+    n0 = _integral(n0, "n0")
     if n0 < C0_TAIL_N_STAR:
         raise PreconditionError(
             f"certified c0 needs a scan up to n0 >= N* = {C0_TAIL_N_STAR}, "

@@ -53,9 +53,12 @@ from lltkit.bounds import (
 
 from .conftest import random_pmf
 
-# frozen by the calibration scan; the per-n scaled gap increases with n
-C0_SCAN_100 = 0.19921869310773888
-C0_SCAN_1000 = 0.1994461751490505
+# frozen by the calibration scan; the per-n scaled gap increases with n.  The
+# exact gaps at n = 100 and 1000 (40 digits) are 0.19921869310777409 and
+# 0.19944617514904588, within 4.9e-14 and 3.3e-13 of these pins, inside the
+# error bounds 2.1e-12 and 1.8e-10.
+C0_SCAN_100 = 0.199218693107725
+C0_SCAN_1000 = 0.19944617514872134
 
 
 def _plain_scan(n_max: int) -> np.ndarray:
@@ -74,21 +77,37 @@ def _plain_scan(n_max: int) -> np.ndarray:
     return out
 
 
+def _plain_scan_error_bound(n_max: int) -> np.ndarray:
+    """The floating-point error bound of :func:`_plain_scan`: n steps of the
+    Pascal recursion round once each, ``gamma_n`` relatively, with the same
+    charges as :func:`c0_scan_error_bound` for the rest."""
+    u = 2.0**-53
+    n = np.arange(1, n_max + 1, dtype=float)
+    gamma = n * u / (1.0 - n * u)
+    underflow = n**1.5 * (n + 2.0) * 2.0**-1074
+    return math.sqrt(2.0 / math.pi) * n * (gamma + bounds._SCAN_ROUNDING_ULPS * u) + underflow
+
+
 @pytest.fixture(scope="module")
 def plain_scan_5000():
     return _plain_scan(5000)
 
 
-def _spy_whole_rows(monkeypatch) -> list:
-    """Record each n whose gap the scan evaluates on the whole half row."""
+@pytest.fixture(scope="module")
+def scan_5000():
+    return calibrate_c0_scan(5000)
+
+
+def _spy_blocks(monkeypatch) -> list:
+    """Record the first n and the width of each block the scan evaluates."""
     calls = []
-    whole = bounds._half_row_gap
+    block_gaps = bounds._block_gaps
 
-    def spy(half, n):
-        calls.append(n)
-        return whole(half, n)
+    def spy(n, width, centers):
+        calls.append((int(n[0]), width))
+        return block_gaps(n, width, centers)
 
-    monkeypatch.setattr(bounds, "_half_row_gap", spy)
+    monkeypatch.setattr(bounds, "_block_gaps", spy)
     return calls
 
 
@@ -173,23 +192,48 @@ class TestCalibrateC0:
         assert calibrate_c0_scan(100).max() == pytest.approx(C0_SCAN_100, abs=1e-14)
         assert calibrate_c0_scan(1000).max() == pytest.approx(C0_SCAN_1000, abs=1e-14)
 
-    def test_same_doubles_as_the_plain_scan(self, plain_scan_5000):
+    def test_windows_give_the_doubles_of_whole_rows(self, monkeypatch, scan_5000):
         block = bounds._SCAN_BLOCK
         n_maxes = [*range(1, 301), *range(1074, 1081), 5000]
         n_maxes += [block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1]
         for n_max in n_maxes:
-            assert np.array_equal(calibrate_c0_scan(n_max), plain_scan_5000[:n_max]), n_max
+            assert np.array_equal(calibrate_c0_scan(n_max), scan_5000[:n_max]), n_max
+        for setting, values in (("_SCAN_WINDOW", [0.2]), ("_SCAN_BLOCK", [7, 200, 1000])):
+            for value in values:  # a window of 0.2 widens every block to whole rows
+                monkeypatch.setattr(bounds, setting, value)
+                for n_max in n_maxes:
+                    assert np.array_equal(calibrate_c0_scan(n_max), scan_5000[:n_max]), \
+                        (setting, value, n_max)
+                monkeypatch.undo()
 
-    def test_windows_cover_every_block_after_the_first(self, monkeypatch, plain_scan_5000):
-        calls = _spy_whole_rows(monkeypatch)
-        assert np.array_equal(calibrate_c0_scan(5000), plain_scan_5000)
-        assert calls == list(range(1, bounds._SCAN_BLOCK + 1))
+    def test_within_both_error_bounds_of_the_pascal_scan(self, plain_scan_5000, scan_5000):
+        gap = np.abs(scan_5000 - plain_scan_5000)
+        assert (gap <= c0_scan_error_bound(5000) + _plain_scan_error_bound(5000)).all()
 
-    def test_failed_window_check_reruns_whole_rows(self, monkeypatch, plain_scan_5000):
-        calls = _spy_whole_rows(monkeypatch)
+    def test_gaussian_terms_are_the_doubles_of_the_formula(self):
+        n = np.arange(1, 601)
+        z = (n // 2)[:, None] - np.arange(301)
+        formula = np.sqrt(2.0 / (np.pi * n[:, None])) * np.exp(-((2.0 * z - n[:, None]) ** 2)
+                                                              / (2.0 * n[:, None]))
+        assert np.array_equal(bounds._gauss_terms(n, 300), formula)
+
+    def test_windows_cover_every_block_after_the_first(self, monkeypatch, scan_5000):
+        calls = _spy_blocks(monkeypatch)
+        assert np.array_equal(calibrate_c0_scan(5000), scan_5000)
+        block = bounds._SCAN_BLOCK
+        windows = [(start, math.ceil(bounds._SCAN_WINDOW * math.sqrt(min(start + block - 1, 5000))))
+                   for start in range(block + 1, 5001, block)]
+        assert calls == [(1, block // 2 + 1), *windows]  # the first block takes whole rows
+
+    def test_failed_window_check_reruns_whole_rows(self, monkeypatch, scan_5000):
+        calls = _spy_blocks(monkeypatch)
         monkeypatch.setattr(bounds, "_SCAN_WINDOW", 0.2)  # too narrow: every check fails
-        assert np.array_equal(calibrate_c0_scan(2000), plain_scan_5000[:2000])
-        assert calls == list(range(1, 2001))
+        assert np.array_equal(calibrate_c0_scan(2000), scan_5000[:2000])
+        block = bounds._SCAN_BLOCK
+        starts = range(1, 2001, block)
+        whole = [(start, min(start + block - 1, 2000) // 2 + 1) for start in starts]
+        assert [call for call in calls if call in whole] == whole
+        assert len(calls) == 2 * len(whole) - 1  # a window, then whole rows, after the first
 
     def test_half_rows_are_symmetric_and_nondecreasing(self):
         # the two facts the scan's window check rests on, across the underflow onset
@@ -203,6 +247,16 @@ class TestCalibrateC0:
             binomial_half_pmf(-1)
         with pytest.raises(LatticeError):
             calibrate_c0_scan(0)
+        # every scan argument is an integer, or a float with an integral value
+        for call in (binomial_half_pmf, calibrate_c0_scan, calibrated_registry,
+                     c0_scan_error_bound, certified_registry):
+            for bad in (10.5, True, "1000", None):
+                with pytest.raises(LatticeError, match="must be an integer"):
+                    call(bad)
+        assert np.array_equal(calibrate_c0_scan(100.0), calibrate_c0_scan(100))
+        assert np.array_equal(binomial_half_pmf(np.int64(10)), binomial_half_pmf(10))
+        assert "n <= 100," in calibrated_registry(100.0).provenance
+        assert "n <= 1000 (" in certified_registry(1000.0).provenance
 
     def test_non_decreasing_in_n_max(self):
         scan = calibrate_c0_scan(200)
@@ -261,7 +315,7 @@ class TestCertifiedRegistry:
             gap = _exact_scaled_gap(n, [n // 2])
             assert gap < c0_tail_bound(n) < _gap_limit()
 
-    @pytest.mark.parametrize("n", [999, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 999, 1000, 4097])
     def test_scan_error_bound_covers_exact_gap(self, n):
         scan = calibrate_c0_scan(n)
         bound = c0_scan_error_bound(n)
