@@ -7,8 +7,8 @@ the composed-sum envelope is checked against the exact law.  A walk whose
 increments are >= 0 never returns to a site it has left, so the Monte
 Carlo oracle samples nothing: it prints the exact annealed mass with its
 error bound, from the n-fold x law on a strictly positive walk and from
-the renewal recursion of the run lengths on a lazy walk, which stays put
-with probability p0.
+a Markov fold over the value at the current site on a lazy walk, which
+stays put with probability p0.
 """
 
 from lltkit import (

@@ -34,12 +34,11 @@ increment paths only: ``E[S_n | path] = sum_r l_r mu_r`` and
 ``E[S_n^2 | path] = sum_r l_r^2 sigma_r^2 + (sum_r l_r mu_r)^2``, with
 ``mu_r``, ``sigma_r^2`` the mean and variance of X over the (V, eps, L)
 outcomes at r's level (likewise for S'_n with xi).  A walk with increments
->= 0 never returns to a site it has left: its local times are the lengths
-of its runs of stays, which form a renewal sequence, so the law of S_n
-averaged over the walk is exact (:attr:`SceneryModel.annealed_law`): the
-n-fold x law on a strictly positive walk, and one renewal recursion over
-the characteristic functions ``psi(l t)`` on a lazy one.  The Monte Carlo
-oracle reads that law and draws no random number.
+>= 0 never returns to a site it has left, so the value at its current site
+is all it remembers, and the law of S_n averaged over the walk is exact
+(:attr:`SceneryModel.annealed_law`): the n-fold x law on a strictly
+positive walk, and a Markov fold over (current value, S_m) on a lazy one.
+The Monte Carlo oracle reads that law and draws no random number.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ from .bounds import (
     prepare_sum,
     sandwich_envelope,
 )
-from .convolve import (_EXT, _LENGTH_CAP, _U, SumLaw, _check_total, _drop_small, _eta,
-                       _is_integer, _measured, _normalized, _transform_at, sum_law)
+from .convolve import _U, SumLaw, _check_total, _is_integer, sum_law
 from .errors import LatticeError, PreconditionError
 from .extraction import _check_level, split
 from .lattice import (LatticePmf, _index_moments, _integral, _real, kappa_index, pmf_from_json,
@@ -122,11 +120,11 @@ class SceneryModel:
         returns to a site it has left, so only ``p0 = P{Y = 0}`` matters.
         A strictly positive walk (p0 = 0) or one step is ``sum_law([(x_law,
         n)])``, the law :func:`scenery_envelope` prints ``exact`` from;
-        ``0 < p0 < 1`` takes the renewal recursion of the run lengths
-        (:func:`_renewal_law`, no :func:`sum_law` call); every step a stay
-        (p0 = 1, ``S_n = n X``) is one :func:`sum_law` of the x masses on
-        span n behind a unit part, which keeps the indices those of the x
-        lattice; and n = 0 is the unit law.  Each is labelled with S_n's
+        ``0 < p0 < 1`` takes the Markov fold over the value at the
+        current site (:func:`_markov_fold`, no :func:`sum_law` call); every
+        step a stay (p0 = 1, ``S_n = n X``) is one :func:`sum_law` of the x
+        masses on span n behind a unit part, which keeps the indices those
+        of the x lattice; and n = 0 is the unit law.  Each is labelled with S_n's
         lattice, ``v0 = n x_law.v0`` and ``D = x_law.D``."""
         x, n, p0 = self.x_law, self.n, self.increment_law.mass(0)
         if min(self.increment_law.support) < 0:
@@ -134,7 +132,7 @@ class SceneryModel:
         if n >= 1 and (p0 == 0.0 or n == 1):
             return sum_law([(x, n)])
         if n >= 2 and p0 < 1.0:
-            return _renewal_law(x, n, p0)
+            return _markov_fold(x, n, p0)
         parts = [(LatticePmf(0.0, float(n), x.probs), 1)] if n else []
         law = sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts])
         return replace(law, v0=n * x.v0, D=x.D)
@@ -493,132 +491,92 @@ class MonteCarloEstimate:
         return self.p_hat - half, self.p_hat + half
 
 
-#: most complex multiply-adds, ``n (n - 1) / 2`` per frequency, that
-#: :func:`_renewal_law` may take
-_RENEWAL_WORK = 2**32
-
-#: most entries of one block of frequencies in :func:`_renewal_law` (per array)
-_RENEWAL_BLOCK = 2**18
+#: most units of work, ``n K width``, that :func:`_markov_fold` may take
+_FOLD_WORK = 2**30
 
 
-def _renewal_law(x: LatticePmf, n: int, p0: float) -> SumLaw:
+def _fold_error(n: int, atoms: int, width: int) -> tuple[float, float]:
+    """The bounds ``(rel, tiny)`` of :func:`_markov_fold` over n steps of an
+    x law of ``atoms`` positive masses on a window of ``width`` points."""
+    c = n * (atoms + 6)
+    return c * _U / (1.0 - c * _U), n * atoms * width * 2.0**-1072
+
+
+def _markov_fold(x: LatticePmf, n: int, p0: float) -> SumLaw:
     """Exact law of ``S_n`` for a walk of n >= 2 steps with increments >= 0
-    that stays with probability ``0 < p0 < 1``, from the renewal recursion
-    of its run lengths, with ``err_abs`` and ``err_l1`` as :func:`sum_law`
-    derives them.
+    that stays with probability ``0 < p0 < 1``, by a Markov fold in
+    nonnegative arithmetic, with ``err_abs`` and ``err_l1``.
 
-    **Recursion** (Feller, An Introduction to Probability Theory, vol. I,
-    ch. XIII).  Step 1 opens a site and every move opens a new one, so the
-    local times are the lengths of the runs of stays, and the sizes of the
-    moves do not matter.  The first run has length ``l < m`` with
-    probability ``w_l = (1 - p0) p0^(l-1)``, after which the walk starts
-    afresh, and length m with ``b_m = p0^(m-1)``.  With ``psi`` the
-    characteristic function of the x law's index K, shifted to ``[0,
-    span]`` and scaled to total one (the exact law :func:`sum_law` reads),
-    and ``F_m`` that of the index sum after m steps, ``F_0 = 1`` and
+    **Fold.**  Step 1 opens a site and every move opens a new one, so the
+    walk never returns to a site it has left, and the value at its current
+    site is all it remembers.  Let x have K positive masses ``p_k`` (the
+    stored masses ``q_k`` scaled to total one: the exact law
+    :func:`sum_law` reads) at offsets ``a_k`` from the first of them, and
+    ``g_k(s) = P{S_m - m k0 = s, current value a_k}``.  Then ``g_k = p_k
+    delta_{a_k}`` at m = 1, and each step stays with ``p0`` or draws a
+    fresh value with ``1 - p0``:
 
-        F_m(t) = sum_{l=1}^{m-1} w_l psi(l t) F_{m-l}(t) + b_m psi(m t).
+        g_k <- shift_{a_k}(p0 g_k + (1 - p0) p_k G),   G = sum_j g_j,
 
-    The weights total one and every ``|psi| <= 1``, so ``|F_m| <= 1``.  The
-    law of ``S_n - n k0`` lives on ``[0, n span]``: one forward transform
-    of the x masses on ``N > n span`` points (a power of two) gives
-    ``psi(l t_j)`` at index ``l j mod N`` for ``t_j = 2 pi j / N``, the
-    recursion runs on the half spectrum ``j <= N/2`` in complex128, blocks
-    of frequencies at a time, and one ``irfft`` of ``F_n`` gives the law,
-    with no aliasing.  Entries at or below the error bound are set to 0.0
-    and the law is divided by its ``fsum``, as in :func:`sum_law`.
+    and the law of ``S_n - n k0`` is G after n steps, on ``[0, n span]``.
+    The rows live in one K x (n span + 1) array; step m reads only its
+    first ``m span + 1`` columns.  Nothing is dropped or renormalized.
 
-    **Error bound.**  u is the unit roundoff, ``u_e`` that of ``_EXT``, and
-    ``gamma_k = k u / (1 - k u)``.
+    **Error bound** (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3; u the unit roundoff, ``gamma_c = c u / (1
+    - c u)``).  Every operation adds or multiplies nonnegative doubles, so
+    each computed entry is its exact polynomial in ``p0``, ``1 - p0`` and
+    the ``p_k`` with every monomial carrying a factor ``1 + theta``,
+    ``|theta| <= gamma_r``, r the roundings on its path (Lemma 3.3), and
+    no cancellation: the entry is within ``gamma_r`` of the exact one,
+    relatively.  The stored ``q_k`` total one to within the drift test's
+    2u in their correctly rounded ``fsum``, so ``q_k = p_k Q``, ``|Q - 1|
+    <= 3u / (1 - u) <= gamma_3``: three roundings per ``p_k``, one ``p_k``
+    per visited site.  A monomial takes 3 at step 1 (``q_k``); a stay
+    adds 2 (the product with ``p0`` and the addition), a move adds ``c = K
+    + 6``: the ``K - 1`` additions of G, the roundings of ``1 - p0`` and
+    ``(1 - p0) q_k``, ``p_k``'s 3, the product with G and the addition.
+    The final G adds ``K - 1``, so ``r <= 3 + (n - 1) (K + 6) + K - 1 <= c
+    n`` and every entry P^ is within ``gamma_{cn} P`` of the exact P, down
+    to underflow.  Below it, each of the at most ``2 n K width`` products
+    errs by at most ``2^-1075`` absolutely (sums of doubles do not
+    underflow), and the fold carries an error's mass to the end with weight
+    at most ``1 + gamma_{cn} < 2``, so these errors total at most ``2 n K
+    width 2^-1074`` in l1.  With ``P <= (P^ + that) / (1 - gamma_{cn})``,
+    ``|P^ - P| <= rel P^ + tiny`` for ``rel = gamma_{cn} / (1 -
+    gamma_{cn})`` and ``tiny = n K width 2^-1072`` (:func:`_fold_error`).
+    So ``err_abs = (rel max P^ + tiny) (1 + 2^-40)`` and, as the exact
+    entries total one, ``err_l1 = (rel + tiny) (1 + 2^-40)``; the factor
+    covers the rounding of the bounds.
 
-    1. *Transform.*  The x masses total one to within 3u, or the law is
-       refused as :func:`sum_law` refuses a part (its drift test), so they
-       are within 3u of the exact law in the l1 norm; their transform at
-       the ``N/2 + 1`` frequencies comes from :func:`_transform_at` in
-       ``_EXT``, within ``delta_e``, and is rounded to complex128 (``u
-       |z|``, and ``2^-1074`` where it underflows).  The other half is its
-       conjugate, exactly.  So every value read errs by at most ``3u +
-       delta_e + u (1 + 3u + delta_e) + 2^-1074 <= delta = 5u + 2
-       delta_e``.
-    2. *Weights.*  ``p0^(l-1)`` by a running product in ``_EXT``, times
-       ``1 - p0`` there, rounded to double once: each weight within ``(u +
-       gamma_n(u_e) (1 + u)) w_l`` of its exact value, plus ``2^-1074``
-       where it underflows, so the weights of a step err by ``omega = 2u +
-       2n u_e`` in total, and total at most ``1 + omega``.
-    3. *Step.*  The products ``c_l = w_l psi(l t)`` are formed once (``u``
-       relatively), and step m sums m terms: the m - 1 complex products
-       ``c_l F_{m-l}`` (``sqrt2 gamma_2`` each, Higham Lemma 3.5), added
-       pairwise in place, half of the rows onto the other half, so that each
-       takes part in at most ``ceil(log2(m - 1))`` additions, and then ``b_m
-       psi(m t)``: ``gamma_d`` of the sum of the terms' moduli, ``d =
-       ceil(log2(m - 1)) + 1`` (Higham, Sec. 4.2).  The moduli total at most
-       ``(1 + u) (1 + delta) (1 + omega) (1 + E_{m-1})``, ``E_m`` the largest
-       error of ``F_m`` over the frequencies.  The exact weights total one
-       and ``|psi| <= 1``, so the errors of earlier steps carry over with
-       weight at most one, and
-
-           E_m <= E_{m-1} + (1 + E_{m-1}) kappa_m,
-           kappa_m = (rho_m + u + omega + delta) (1 + 2^-40 + 2 s),
-
-       ``rho_m = sqrt2 gamma_2 + gamma_d (1 + sqrt2 gamma_2) <= (d + 3) u``
-       and ``s = 2n u_e + 2 delta_e``: the factor covers the products of ``1
-       + u``, ``1 + delta`` and ``1 + omega`` (``u + delta + omega = 8u +
-       s``), the rounding of the bound and the underflows of the step's
-       fewer than 16 m operations (each below 2^-1074, and ``kappa_m > 10
-       u``).  As ``kappa_m <= kappa_n = ((d + 11) u + s) (1 + 2^-40 + 2
-       s)``, the error grows at most linearly in m: ``1 + E_n <= (1 +
-       kappa_n)^n``, so ``E_n <= n kappa_n / (1 - n kappa_n)``.
-    4. *Inverse.*  As in :func:`sum_law`'s step 1, the W = n span + 1
-       entries read err by ``e_inf = e_2 = E_n + eta_N ||z^||_2 / (1 -
-       eta_N)`` (the spectrum's error reaches them through ``||e||_1 / N``
-       and ``||e||_2 / sqrt(N)``, each at most ``E_n``), and ``e_1 =
-       sqrt(W) e_2``; ``irfft`` reads the Hermitian part of the spectrum,
-       no further from the exact one, which is Hermitian.  The bound is
-       computed and rounded up by ``1 + 2^-40``.  Then :func:`sum_law`'s
-       steps 5 and 6: the tail drop and the normalization, with its drift
-       test.
-
-    The bound is about ``n (log2 n + 11) u`` (``err_abs`` 3.0e-13 at n =
-    128).  The work is ``n (n - 1) / 2`` complex multiply-adds per
-    frequency; past ``_RENEWAL_WORK``, or past :func:`sum_law`'s length cap
-    W, the law is refused as a ``LatticeError`` before anything is
-    allocated.
+    The work is ``n K width`` units; past ``_FOLD_WORK`` the law is refused
+    as a ``LatticeError`` before anything is allocated, so the array holds
+    at most ``_FOLD_WORK / n`` doubles and ``c n u`` stays below 2^-20.
     """
-    items = sorted(x.probs.items())
-    k0, span = items[0][0], items[-1][0] - items[0][0]
+    items = [(k, p) for k, p in sorted(x.probs.items()) if p > 0]
+    k0, atoms = items[0][0], len(items)
+    offsets, q = [k - k0 for k, _ in items], [p for _, p in items]
+    span = offsets[-1]
     width = n * span + 1
-    size = 1 << (width - 1).bit_length()  # the least power of two >= width
-    half = size // 2 + 1
-    if width > _LENGTH_CAP or n * (n - 1) // 2 * half > _RENEWAL_WORK:
-        raise LatticeError(f"annealed law of {width} points over {n} steps, above the cap of "
-                           f"{_LENGTH_CAP} points or {_RENEWAL_WORK} complex products")
+    if n * atoms * width > _FOLD_WORK:
+        raise LatticeError(f"annealed law of {width} points over {n} steps and {atoms} values, "
+                           f"above the cap of {_FOLD_WORK} units of work")
     _check_total(x, "the x law")
-    g = np.bincount([k - k0 for k, _ in items], weights=[p for _, p in items])
-    ext, delta_e = _transform_at(g, _measured(g), np.arange(half), size)
-    psi = np.concatenate([ext, ext[size // 2 - 1:0:-1].conj()]).astype(complex)  # every j mod N
-    powers = np.cumprod(np.concatenate([[1.0], np.full(n - 1, p0)]).astype(_EXT))  # p0^(l-1)
-    move, stay = (powers * (1.0 - _EXT(p0))).astype(float), powers.astype(float)
-    spectrum = []  # F_n, a block of frequencies j at a time
-    for j in np.array_split(np.arange(half), -(-half * (n + 1) // _RENEWAL_BLOCK)):
-        at = psi[np.arange(1, n + 1)[:, None] * j % size]  # psi(l t_j), l = 1..n
-        c = move[:, None] * at
-        f = np.ones((n + 1, len(j)), dtype=complex)  # f[0] = F_0
-        for m in range(1, n + 1):
-            terms = c[:m - 1] * f[m - 1:0:-1]  # w_l psi(l t) F_{m-l}, l = 1..m-1
-            k = m - 1
-            while k > 1:  # pairwise, in place: one addition per term and round
-                k, h = k - k // 2, k // 2
-                terms[:h] += terms[k:k + h]
-            f[m] = stay[m - 1] * at[m - 1] + terms[:1].sum(axis=0)  # terms[0]; none at m = 1
-        spectrum.append(f[n])
-    s = 2 * n * float(np.finfo(_EXT).epsneg) + 2 * delta_e
-    # (d + 11) u + s, with d = (n - 2).bit_length() + 1 additions per term at most
-    kappa = (((n - 2).bit_length() + 12) * _U + s) * (1.0 + 2.0**-40 + 2 * s)
-    z = np.fft.irfft(np.concatenate(spectrum), size)
-    inv = _eta(size, _U) * _measured(z).n2 / (1.0 - _eta(size, _U))
-    err = (n * kappa / (1.0 - n * kappa) + inv) * (1.0 + 2.0**-40)
-    probs, bounds = _drop_small(z[:width].copy(), math.sqrt(width) * err, err, err)
-    return _normalized(probs, bounds, n, n * k0, n * x.v0, x.D)
+    move = [(1.0 - p0) * p for p in q]
+    g = np.zeros((atoms, width))
+    g[np.arange(atoms), offsets] = q
+    for m in range(1, n):
+        top = m * span + 1  # g_k lives on [a_k, m span], so row[:a_k] stays 0.0
+        total = g[:, :top].sum(axis=0)
+        for row, a, w in zip(g, offsets, move):
+            step = row[:top] * p0
+            step += w * total  # in place: one temporary fewer
+            row[a:a + top] = step
+    probs = g.sum(axis=0)
+    rel, tiny = _fold_error(n, atoms, width)
+    return SumLaw(probs=probs, first=n * k0, v0=n * x.v0, D=x.D,
+                  err_abs=(rel * float(probs.max()) + tiny) * (1.0 + 2.0**-40),
+                  err_l1=(rel + tiny) * (1.0 + 2.0**-40))
 
 
 def monte_carlo_point_prob(
@@ -632,16 +590,16 @@ def monte_carlo_point_prob(
 
     Such a walk never returns to a site it has left, so the law of S_n is
     known exactly (a strictly positive walk's is the n-fold x law; a lazy
-    walk's comes from the renewal recursion of its run lengths), and there
-    is nothing to estimate: ``p_hat`` is the law's mass at kappa, ``stderr``
-    is 0.0 and ``err_abs`` is the law's ``err_abs``, which
+    walk's comes from the Markov fold over the value at its current site),
+    and there is nothing to estimate: ``p_hat`` is the law's mass at kappa,
+    ``stderr`` is 0.0 and ``err_abs`` is the law's ``err_abs``, which
     :meth:`MonteCarloEstimate.interval` adds.  No random number is drawn.
     ``samples`` (>= 1) and ``seed`` (>= 0) must be integers, and are echoed.
     A model that has been through :func:`scenery_envelope` builds no law
     here, and ``p_hat`` is the envelope's ``exact``, bit for bit, with
     ``err_abs`` its ``exact_err``.  At n = 0, ``S_0 = 0``.  Walks with a
     negative increment are refused as a :class:`PreconditionError`, and a
-    lazy walk's law past the caps of :func:`_renewal_law` as a
+    lazy walk's law past the work cap of :func:`_markov_fold` as a
     :class:`LatticeError`.
     """
     if not (_is_integer(samples) and samples >= 1 and _is_integer(seed) and seed >= 0):

@@ -734,7 +734,8 @@ STAY_PROBABILITIES = [1e-12, 0.3, 0.9, 1 - 1e-12]
 
 class TestAnnealedLaw:
     """The model's exact law of S_n for increments >= 0, against rational
-    arithmetic: the enumerated stay patterns and the renewal recursion."""
+    arithmetic: the enumerated stay patterns, the renewal recursion of the
+    run lengths and the closed forms of the far tails."""
 
     @pytest.mark.parametrize("p0", [0.3, 0.9])
     @pytest.mark.parametrize("x_law", LAZY_X_LAWS, ids=["fair-coin", "three-point", "D-2"])
@@ -779,29 +780,36 @@ class TestAnnealedLaw:
     @pytest.mark.parametrize("increments, what", [(inc_12(), "part 0"), (lazy_inc(0.3), "the x law")],
                              ids=["strictly-positive", "lazy"])
     def test_masses_that_do_not_total_one_refused(self, increments, what):
-        # the renewal recursion reads the x law as sum_law does, drift test included
+        # the Markov fold reads the x law as sum_law does, drift test included
         x_law = LatticePmf(0.0, 1.0, {0: 1.0, 1: 1.0})
         with pytest.raises(NumericsError, match=f"{what}: its masses total 2.0"):
             SceneryModel(x_law, increments, 4, {}).annealed_law
 
-    def test_blocks_of_frequencies_change_no_double(self, monkeypatch):
-        # each frequency runs its own recursion, so the blocks' width moves nothing
-        x_law = make_pmf(-1.5, 0.5, [(-2, 5), (0, 3), (3, 2)])
-        whole = SceneryModel(x_law, lazy_inc(0.6), 20, {}).annealed_law
-        monkeypatch.setattr(scenery, "_RENEWAL_BLOCK", 5 * 21)  # 5 of the 65 frequencies a block
-        blocks = SceneryModel(x_law, lazy_inc(0.6), 20, {}).annealed_law
-        assert np.array_equal(blocks.probs, whole.probs)
-        assert (blocks.first, blocks.err_abs, blocks.err_l1) == (whole.first, whole.err_abs,
-                                                                 whole.err_l1)
-
-    @pytest.mark.parametrize("cap", ["_RENEWAL_WORK", "_LENGTH_CAP"])
-    def test_refused_past_its_caps(self, cap, monkeypatch):
-        # 8 steps of the coin: 9 points, and 28 products at each of 9 frequencies
-        monkeypatch.setattr(scenery, cap, {"_RENEWAL_WORK": 251, "_LENGTH_CAP": 8}[cap])
+    def test_refused_past_its_cap(self, monkeypatch):
+        # 8 steps of the coin: 2 values on 9 points, 144 units of work
+        monkeypatch.setattr(scenery, "_FOLD_WORK", 143)
         with pytest.raises(LatticeError, match="above the cap"):
             SceneryModel(bern(), lazy_inc(0.3), 8, {}).annealed_law
-        monkeypatch.setattr(scenery, cap, {"_RENEWAL_WORK": 252, "_LENGTH_CAP": 9}[cap])
+        monkeypatch.setattr(scenery, "_FOLD_WORK", 144)
         assert SceneryModel(bern(), lazy_inc(0.3), 8, {}).annealed_law.mass(4) > 0.0
+
+    @pytest.mark.parametrize("p0", STAY_PROBABILITIES)
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("x_law", [
+        bern(),
+        make_pmf(-1.5, 0.5, [(-2, 5), (0, 3), (3, 2)]),
+    ], ids=["fair-coin", "three-point"])
+    def test_far_tails_within_the_relative_bound(self, x_law, n, p0):
+        # S_n = n k_min only if every site takes k_min: p_min (p0 + (1 - p0) p_min)^(n-1),
+        # down to about 1e-187 on the coin at n = 1000, p0 = 0.3; likewise at k_max
+        law = SceneryModel(x_law, lazy_inc(p0), n, {}).annealed_law
+        g, stay = exact_masses(x_law), Fraction(p0)
+        rel, tiny = scenery._fold_error(n, len(g), law.probs.size)
+        for k in (min(g), max(g)):
+            exact = g[k] * (stay + (1 - stay) * g[k]) ** (n - 1)
+            assert law.first <= n * k < law.first + law.probs.size
+            gap = abs(Fraction(law.mass(n * k)) - exact)
+            assert gap <= Fraction(rel) * exact + Fraction(tiny), (k, float(gap / exact))
 
 
 class TestMonteCarloLocalTimes:
@@ -975,7 +983,7 @@ class TestMonteCarloDraws:
         (make_pmf(0.0, 1.0, [(0, 1)]), 8, 1),
     ], ids=["lazy-8", "lazy-128", "all-stays"])
     def test_lazy_request_calls_sum_law_at_most_once(self, increments, n, calls, monkeypatch):
-        # the renewal recursion builds no sum_law; every step a stay builds one
+        # the Markov fold builds no sum_law; every step a stay builds one
         import lltkit.convolve
 
         seen = []
