@@ -33,7 +33,7 @@ from lltkit import (
     theta_n_scenery,
     y_covariance_factorization,
 )
-from lltkit import scenery
+from lltkit import convolve, scenery
 from lltkit.lattice import LatticePmf
 
 
@@ -785,13 +785,18 @@ class TestAnnealedLaw:
         with pytest.raises(NumericsError, match=f"{what}: its masses total 2.0"):
             SceneryModel(x_law, increments, 4, {}).annealed_law
 
-    def test_refused_past_its_cap(self, monkeypatch):
-        # 8 steps of the coin: 2 values on 9 points, 144 units of work
-        monkeypatch.setattr(scenery, "_FOLD_WORK", 143)
+    @pytest.mark.parametrize("module, cap, increments", [
+        (scenery, "_FOLD_WORK", lazy_inc(0.3)),
+        (convolve, "_LENGTH_CAP", make_pmf(0.0, 1.0, [(0, 1)])),
+    ], ids=["_FOLD_WORK", "_LENGTH_CAP"])
+    def test_refused_past_its_caps(self, module, cap, increments, monkeypatch):
+        # 8 steps of the coin: a lazy walk folds 2 values on 9 points, 144 units of
+        # work; a walk of stays is one sum_law of S_8 = 8 X, on a window of 9 points
+        monkeypatch.setattr(module, cap, {"_FOLD_WORK": 143, "_LENGTH_CAP": 8}[cap])
         with pytest.raises(LatticeError, match="above the cap"):
-            SceneryModel(bern(), lazy_inc(0.3), 8, {}).annealed_law
-        monkeypatch.setattr(scenery, "_FOLD_WORK", 144)
-        assert SceneryModel(bern(), lazy_inc(0.3), 8, {}).annealed_law.mass(4) > 0.0
+            SceneryModel(bern(), increments, 8, {}).annealed_law
+        monkeypatch.setattr(module, cap, {"_FOLD_WORK": 144, "_LENGTH_CAP": 9}[cap])
+        assert SceneryModel(bern(), increments, 8, {}).annealed_law.mass(8) > 0.0
 
     @pytest.mark.parametrize("p0", STAY_PROBABILITIES)
     @pytest.mark.parametrize("n", [200, 1000])
