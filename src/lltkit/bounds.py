@@ -45,8 +45,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .convolve import (_U, SumLaw, _as_count, bernoulli, exact_moments, kolmogorov_bound,
-                       sum_law)
+from .convolve import (_LIBM, _U, SumLaw, _as_count, _gamma, bernoulli, exact_moments,
+                       kolmogorov_bound, sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, _integral, _real, kappa_index, moments, psi_moments, theta
@@ -774,6 +774,29 @@ class _Body:
     ``pow``) and ``math.exp``: numpy's square ``x * x`` and ``np.exp``
     round apart from them at some points, and the printed digits must not
     depend on how many points a call evaluates.
+
+    A verdict allows for the exact value's ``err_abs`` plus the rounding of
+    either side, :meth:`rounding`: its distance from the side in real
+    arithmetic at the exact E S_n and Var S_n of the stored masses, with the
+    side's other inputs (its factor, den, term and rho as its body computed
+    them from the plug-ins) taken as given.  To first order in u, spec.var is
+    within ``11u`` of Var S_n relatively (:func:`lltkit.lattice.moments`'
+    ``9u`` per part, and the products and ``fsum``), and spec.mean within
+    ``dmu = u (2 |E S_n| + sum_j count_j (|v0_j| + 11 |D_j| max|k_j|))``.
+    So ``base = D / sqrt(2 pi var)`` is within ``gamma_10`` relatively,
+    ``den`` (``2 (1 +- h) var``) within ``gamma_13``, and ``a = dev2 /
+    den``, dev2 the square of ``kappa - mean``, within ``a gamma_18 + (2
+    sqrt(dev2) dmu + dmu^2) / den`` of its value, which moves ``exp(-a)`` by
+    that times ``1.01 exp(-a)``.  As ``a e^{-a} <= 1/e < 0.37`` and ``sqrt(a)
+    e^{-a} <= 1/sqrt(2e)``, so that ``2 sqrt(a) e^{-a} < 0.86``, the Gaussian
+    part ``factor base exp(-a)`` errs by at most ``factor base (g + 1.01
+    (0.37 g + (0.86 + r) r))`` at every point, ``g = gamma_18 + lambda`` and
+    ``r = dmu / sqrt(den)`` at the smaller den of the two sides: the
+    roundings of the factor (``gamma_3``), base, the two products and the
+    additions, and libm's ``exp`` (lambda = ``convolve._LIBM``).  The term
+    and rho round by at most ``g`` of themselves where the body computed
+    them and in the additions.  The bound is rounded up by ``1 + 2^-40`` and
+    holds at every point of the body, so a verdict reads one number.
     """
 
     spec: SumSpec
@@ -782,6 +805,15 @@ class _Body:
     lower: tuple[float, float, float, float]
     upper: tuple[float, float, float, float]
     limit: tuple[float, str] | None = None
+
+    def rounding(self) -> float:
+        """A bound on the rounding of either side at any point (above)."""
+        dmu = _U * (2.0 * abs(self.spec.mean) + math.fsum(c * (abs(p.v0) + 11.0 * abs(p.D) * max(
+            map(abs, p.probs))) for p, _, c in self.spec.parts))
+        base, g = self.spec.d / math.sqrt(2.0 * math.pi * self.spec.var), _gamma(18, _U) + _LIBM
+        r = dmu / math.sqrt(min(self.lower[1], self.upper[1]))  # dmu / sqrt(den) on either side
+        return max(f * base * (g + 1.01 * (0.37 * g + (0.86 + r) * r)) + g * (abs(term) + abs(rho))
+                   for f, _, term, rho in (self.lower, self.upper)) * (1.0 + 2.0**-40) + 2.0**-1074
 
     def deviations(self, kappas: list[float]) -> list[float]:
         """``(kappa - E S_n)^2`` per point; an overflowing square raises
@@ -801,8 +833,9 @@ class _Body:
         ...`` as columns, keyed as :meth:`BoundReport.row`: kappa, exact,
         gaussian, lower, upper, envelope_width and, with exact values,
         sandwich_ok.  With ``exact`` the exact values and the ``err_abs`` of
-        the verdict come from ``spec.law``, built before :meth:`deviations`
-        runs; without it the exact column is None."""
+        the verdict (plus the sides' :meth:`rounding`) come from ``spec.law``,
+        built before :meth:`deviations` runs; without it the exact column is
+        None."""
         spec = self.spec
         law = spec.law if self.exact else None
         dev2 = self.deviations(kappas)
@@ -815,7 +848,8 @@ class _Body:
                 "envelope_width": list(map(operator.sub, upper, lower))}
         if law is not None:
             exact = cols["exact"] = law.masses(k0, len(kappas))
-            cols["sandwich_ok"] = list(map(_verdict, exact, lower, upper, repeat(law.err_abs)))
+            cols["sandwich_ok"] = list(map(_verdict, exact, lower, upper,
+                                           repeat(law.err_abs + self.rounding())))
         return cols
 
     def report(self, kappa: float) -> BoundReport:

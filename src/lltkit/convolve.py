@@ -13,23 +13,22 @@ over its span (its atoms are read once as pairs).  A part with ``count >=
 2`` and two positive atoms is a binomial: its masses on the power's window
 are products of the ratios of consecutive binomial terms, taken outward from
 the mode by ``numpy.cumprod`` and divided by their pairwise sum, with no
-transform and no extended precision.  Any other part with ``count >= 2`` is
-densified on its own span and raised to its power with one transform
-pair of ``numpy.fft`` (numpy's pocketfft, which keeps ``np.longdouble`` in
-long double from numpy 2.0 on): one double ``rfft``, a pointwise power over
-the bits of ``count``, one double ``irfft``, with the frequencies where the
-power survives evaluated again and raised in extended precision, unless the
-double power is already as accurate as its inverse transform (summed from
-the atoms with twiddles read from a full-circle table built once per
-transform length and kept within ``_TWIDDLE_BYTES``, or by one extended
-``rfft``).  The transform covers only the power's Hoeffding window, about
-``12 span sqrt(count)`` points around its mean outside of which the power
-holds at most ``u^2`` of mass, wherever that is shorter than the whole
+transform and no extended precision.  Any other part with ``count >= 2``
+is taken on its support reduced by the gcd of its offsets, densified there
+and raised to its power with one transform pair of ``numpy.fft`` (numpy's
+pocketfft): one double ``rfft``, a pointwise power over the bits of
+``count``, one double ``irfft``, with the frequencies where the power
+survives summed again from the atoms in log form, ``count log psi(t)`` about
+the mean in double, and the others set to 0.0, unless those sums would cost
+more than a transform.  No part reads long double, so every platform gives
+the same doubles.  The transform covers only the power's Hoeffding window,
+about ``12 span sqrt(count)`` points around its mean outside of which the
+power holds at most ``u^2`` of mass, wherever that is shorter than the whole
 support: the cyclic power is read back on the window, so the transform
 length grows as ``sqrt(count)``, not as ``count``.  Entries of the power at
 or below its error bound are set to 0.0; it is then spread at stride ``s``
-(its span over the common lattice of all spans) onto that lattice, so the
-gaps under a coarser span stay exact zeros, and folded in with
+(its span over the common lattice of all spans, times that gcd) onto the
+lattice, so the gaps stay exact zeros, and folded in with
 ``numpy.convolve`` of the running window and the power's nonzero window,
 whose product is the new window; the first part's power is the window as it
 is, its product with the unit.  The sum is normalized in place.  Every
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -95,18 +94,20 @@ _NDTR_POLY = np.ascontiguousarray(np.array([
      3.36907645100081516050e0),
 ]).T)
 
-#: the precision of the frequencies whose power survives (``sum_law``)
-_EXT = np.longdouble
+#: relative error charged to each of numpy's double ``sin``, ``cos``,
+#: ``log1p``, ``arctan2`` and ``exp`` (about two ulps): the libm model of
+#: ``sum_law``'s step 1
+_LIBM = 4.0 * _U
 
-#: (frequency, atom) pairs summed at once by :func:`_transform_at`: about 8 MB
-_PAIRS = 2**16
-
-#: most bytes the kept twiddle tables of one precision hold together
-#: (:func:`_twiddles`): in long double, every size up to 2^17
-_TWIDDLE_BYTES = 2**23
-
-#: the full-circle twiddle tables built so far, by ``(size, _EXT)``
-_TWIDDLES: dict = {}
+#: the coefficients of the powers r = 2..27 in the series ``sum_r (-i x)^r /
+#: r!`` of ``e^{-ix} - 1 + ix``, of its real part in the first row and of its
+#: imaginary part in the second, and for A atoms the bound ``1.001 (5r + A +
+#: 15) u / r!`` on the rounding of the r-th term per unit of ``t^r sum_k p_k
+#: |k - mean|^r``: the third row plus A times the fourth (``sum_law``, step 1)
+_SERIES = np.array([[(-1) ** (r // 2) * (1 - r % 2) for r in range(2, 28)],
+                    [(-1) ** ((r + 1) // 2) * (r % 2) for r in range(2, 28)],
+                    [1.001 * (5 * r + 15) * _U for r in range(2, 28)], [1.001 * _U] * 26]
+                   ) / np.array([float(math.factorial(r)) for r in range(2, 28)])
 
 #: largest refinement of the finest span that a common lattice may need
 _MAX_REFINE = 1000
@@ -248,22 +249,6 @@ def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
                    e1, min(e2, e1), min(einf, e2, e1))
 
 
-@cache
-def _eta(size: int, u: float) -> float:
-    """Higham's normwise error constant ``eta_N`` of a power-of-two transform
-    of length ``size`` computed with unit roundoff u and twiddles within 4u,
-    the model taken for numpy's pocketfft (``numpy.fft``)."""
-    eta = max(1, size.bit_length() - 1) * (4.0 * u + _gamma(4, u) * (math.sqrt(2.0) + 4.0 * u))
-    return eta / (1.0 - eta)
-
-
-def _pow_err(count: int, u: float) -> float:
-    """Relative error of a complex power ``z^count`` by squaring over the bits
-    of ``count``: its n - 1 multiplicities of rounding each err by ``sqrt2 gamma_2``."""
-    g = (count - 1) * math.sqrt(2.0) * _gamma(2, u)
-    return g / (1.0 - g)
-
-
 def _raise(z: np.ndarray, count: int) -> np.ndarray:
     """``z ** count`` elementwise, left to right over the bits of ``count``."""
     out = z * z
@@ -273,105 +258,6 @@ def _raise(z: np.ndarray, count: int) -> np.ndarray:
         if bit == "1":
             np.multiply(out, z, out=out)
     return out
-
-
-def _octant_table(size: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cos`` and ``sin`` in ``_EXT`` of the angles ``phi = (pi/4) t step /
-    size`` in ``[0, pi/4]``, ``step = min(8, size)``, for t = 0..top: the
-    angles :func:`_circle` reduces every twiddle to (``top = size/step``
-    covers them all)."""
-    step = min(8, size)
-    phi = np.arange(top + 1, dtype=_EXT) * (step * np.arctan(_EXT(1)) / size)
-    return np.cos(phi), np.sin(phi)
-
-
-def _circle(m: np.ndarray, size: int, cos: np.ndarray, sin: np.ndarray):
-    """``cos`` and ``sin`` in ``_EXT`` of ``2 pi m / size`` for integers ``0
-    <= m < size``, from :func:`_octant_table`'s ``cos`` and ``sin``.  Each
-    angle is reduced to an octant by integer arithmetic, ``(pi/4) (o +
-    r/size)``; its cosine and sine are a swap and sign change of those of
-    ``(pi/4) t/size`` in ``[0, pi/4]`` (t = r, or ``size - r`` in an odd
-    octant), so the eighth-turn points are exact and every other value is
-    one ``cos`` or ``sin`` of a small angle rounded twice."""
-    step = min(8, size)  # every r is a multiple of it
-    o, r = np.divmod(8 * m, size)
-    odd = (o & 1).astype(bool)
-    t = np.where(odd, size - r, r) // step
-    quarter = o >> 1
-    swap = odd ^ (quarter & 1).astype(bool)  # cos and sin trade places
-    ct, st = cos[t], sin[t]
-    c, s = np.where(swap, st, ct), np.where(swap, ct, st)
-    c[(quarter == 1) | (quarter == 2)] *= -1
-    s[quarter >= 2] *= -1
-    return c, s
-
-
-def _twiddles(size: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The full circle of the power of two ``size``: :func:`_circle` of
-    every ``m < size``, built on first use per ``(size, _EXT)`` and kept,
-    or None where it would not fit the budget.  A table takes ``2 itemsize
-    size`` bytes (32 size in long double); only sizes with ``4 itemsize
-    size <= _TWIDDLE_BYTES`` are kept, so the kept tables of one type,
-    one per power of two at most, hold less than ``_TWIDDLE_BYTES``
-    together (in long double: every size up to 2^17, under 8 MB)."""
-    key = (size, _EXT)
-    table = _TWIDDLES.get(key)
-    if table is None and 4 * np.dtype(_EXT).itemsize * size <= _TWIDDLE_BYTES:
-        step = min(8, size)
-        table = _TWIDDLES[key] = _circle(np.arange(size), size, *_octant_table(size, size // step))
-    return table
-
-
-def _transform_at(dense: np.ndarray, bf: _Bounds, freqs: np.ndarray, size: int):
-    """``sum_k dense[k] exp(-2 pi i j k / size)`` for each j in ``freqs`` (in
-    increasing order), in ``_EXT``, and a bound on the error of every value
-    (``bf`` bounds the norms of ``dense``).
-
-    They are summed straight from the A positive entries, the pairs ``(j,
-    k)`` taken ``_PAIRS`` at a time.  A pair's twiddle is read from the
-    full circle of ``size`` (:func:`_twiddles`) at ``m = j k mod size``,
-    exact in integers.  Where no table is kept (``size > 2^17`` in long
-    double) each block reduces its m to a table of the octant angles up to
-    the largest one reached, built once per call (:func:`_circle`): the
-    same long doubles.  No ``perfbench`` workload reaches that path (their
-    sizes are 4096 at most), so its cost is timed only in single calls
-    (ROADMAP item 1b's many-atom workload is to measure it).  The direct
-    sums' error bound, ``sqrt2 (gamma_A(u_e) (1 + 4u_e) + 4u_e) ||f||_1``,
-    is far below that of a transform, ``eta_N(u_e) sqrt(N) ||f||_2``.  On
-    one Intel Xeon core a pair costs 13-20 ns read from a kept table (50-60
-    ns by octant reduction), on top of about 10 us per call, and one
-    extended ``rfft`` about 35 ns per point.  Where ``4 |freqs| A`` exceeds
-    ``size log2(size) + 2^13``, one extended ``rfft`` gives the values
-    instead.  That rule was fitted to the octant reduction's cost of about
-    100-150 ns a pair, and it stays: the two
-    paths carry different bounds, so moving the rule moves ``err_abs`` and
-    the digits printed from it.  It takes a law of many atoms whose power
-    the double transform cannot already give within its inverse transform's
-    error: a heavy atom among many light ones (a spectrum near 1
-    everywhere) at any n, or 40-1000 atoms of similar mass at n of about
-    4-16.  No ``perfbench`` workload has such laws (see ROADMAP).
-    """
-    ks = np.flatnonzero(dense)
-    ue = float(np.finfo(_EXT).epsneg)
-    if 4 * len(freqs) * len(ks) > size * (size.bit_length() - 1) + 2**13:
-        ext = np.fft.rfft(dense.astype(_EXT), size)[freqs]
-        return ext, _eta(size, ue) * math.sqrt(size) * bf.n2
-    table = _twiddles(size)
-    if table is None:  # no t exceeds 8 j k / step or size / step
-        octant = _octant_table(size, min(size, 8 * int(freqs[-1]) * int(ks[-1])) // min(8, size))
-    w = dense[ks].astype(_EXT)
-    out = np.empty(len(freqs), dtype=np.result_type(w, 1j))
-    rows = max(1, _PAIRS // len(ks))
-    for lo in range(0, len(freqs), rows):
-        m = np.multiply.outer(freqs[lo:lo + rows], ks) & (size - 1)
-        c, s = (table[0][m], table[1][m]) if table is not None else _circle(m, size, *octant)
-        # the parts of c.w - 1j s.w, whose imaginary part is 0.0 - s.w (+0.0,
-        # not -0.0, where s.w is 0); vecdot sums each row by itself, so the
-        # doubles do not follow the block shape, as a matmul's may
-        out.real[lo:lo + rows] = np.vecdot(c, w)
-        out.imag[lo:lo + rows] = 0.0 - np.vecdot(s, w)
-    err = math.sqrt(2.0) * (_gamma(len(ks), ue) * (1.0 + 4.0 * ue) + 4.0 * ue) * bf.n1
-    return out, err
 
 
 def _window(pos: list[tuple[int, float]], span: int, count: int) -> tuple[int, int]:
@@ -389,60 +275,111 @@ def _window(pos: list[tuple[int, float]], span: int, count: int) -> tuple[int, i
     return (a, b) if (b - a).bit_length() < last.bit_length() else (0, last)
 
 
-def _power(dense: np.ndarray, count: int, a: int, b: int):
-    """``dense`` convolved with itself to the power ``count >= 2``, read on
-    its window ``[a, b]`` (:func:`_window`): the power there with entries
-    at or below its error bound set to 0.0, and its bounds."""
+def _log_power(pos: list[tuple[int, float]], n: int, size: int, freqs: np.ndarray):
+    """``F_j^n`` for the frequencies j in ``freqs`` (increasing), F the
+    length-``size`` transform of the positive atoms ``pos`` (index, mass),
+    summed in double in log form, and a bound on the error of each value
+    (``sum_law``, error bound step 1); None where a value lies too near 0
+    for the bound."""
+    ratios = [w.as_integer_ratio() for _, w in pos]
+    den = max(d for _, d in ratios)
+    ints = [c * (den // d) for c, d in ratios]  # the masses are ints / den
+    total, moment = sum(ints), sum(k * c for (k, _), c in zip(pos, ints))  # mean = moment / total
+    dev = [(k * total - moment) / total for k, _ in pos]  # k - mean
+    p, t = np.array([c / total for c in ints]), freqs * (2.0 * math.pi / size)
+    lam = _LIBM / (1.0 - _LIBM) + 2.0 * _U  # libm's relative error, and two roundings
+    # z = psi - 1 and rho >= |z^ - z|, psi(t) = sum_k p_k e^{-i t (k - c)}: about c
+    # = mean by the central moments where every t max|k - mean| <= 2
+    shift = 65 - size.bit_length()  # the phase n t c as 2 pi j n c 2^shift / 2^64 (mod 2 pi)
+    if t[-1] * max(map(abs, dev)) <= 2.0:
+        x = np.concatenate([dev, t])
+        pw = np.empty((26, len(x)))  # x^2 .. x^27, a block at a time: x^lo times the powers below
+        pw[0], pw[1] = x * x, x * x * x
+        for lo in (2, 4, 8, 16):
+            np.multiply(pw[:min(lo, 26 - lo)], pw[lo - 2], out=pw[lo:min(2 * lo, 26)])
+        dp, tp = pw[:, :len(pos)], pw[:, len(pos):]  # the powers of k - mean, of t
+        rows = _SERIES[:2] * (dp @ p), (_SERIES[2] + len(pos) * _SERIES[3]) * (np.abs(dp) @ p)
+        zr, zi, rho = np.vstack(rows) @ tp
+        near = ((moment << (shift + 1)) + total) // (2 * total)  # mean 2^shift, rounded
+        eps_n = n * ((moment << shift) - total * near) / (total << shift)  # n (mean - c)
+        phase_err = 17.0 * _U * (1.0 + abs(eps_n))  # of the turn, as below
+    else:  # about c = the heaviest atom, from 2 pi (j (k - c) mod N) / N
+        h = max(range(len(pos)), key=lambda i: pos[i][1])
+        theta = (np.multiply.outer(freqs, [k - pos[h][0] for k, _ in pos]) + size // 2) % size
+        theta = (theta - size // 2) * (2.0 * math.pi / size)  # in [-pi, pi)
+        cos, sin = np.cos(theta), np.sin(theta)
+        absin, cm1 = np.abs(sin), cos - 1.0
+        rows = [cm1, -sin, np.abs(cos) + absin, np.abs(cm1) + absin, np.abs(theta)]
+        zr, zi, s1, s2, s3 = np.stack(rows) @ p
+        # cos 0 and sin 0 are exact: the heavy atom's share p_h of s1 carries no rounding
+        s1 -= p[h] * (1.0 - _gamma(len(pos), _U))
+        rho = 1.01 * (_LIBM * s1 + _gamma(len(pos) + 2, _U) * s2) + 4.1 * _U * s3
+        near, eps_n = pos[h][0] << shift, 0.0
+        phase_err = 7.0 * _U  # the turn is a multiple of 2^shift: exact before its product
+    sq, q = zi * zi, zr * (2.0 + zr)  # q <= 0, as zr lies in [-2, 0]
+    x, bx = sq + q, (sq - q) * _gamma(3, _U)  # |psi^|^2 - 1, and its rounding
+    low = 1.0 + x - bx
+    gap = np.sqrt(low) - (rho + 7.0 * _U)  # at most |psi| - rho, as sqrt(low) <= 1 + 2u
+    if not gap.min() > 0.0:
+        return None
+    # n log T + n log psi^ - i n t c, plus t n eps about the mean
+    logs = np.array([0.5 * np.log1p(x), np.arctan2(zi, 1.0 + zr)]) * n
+    dz = lam * np.abs(logs).sum(0)
+    lt = float(np.log1p((total - den) / den))  # log T, T the masses' total
+    wrap = freqs.astype(np.uint64) * np.uint64(n * near % 2**64)
+    logs[0] += n * lt
+    logs[1] -= wrap.view(np.int64) * (2.0 * math.pi * 2.0**-64) + t * eps_n
+    mag = np.exp(logs[0])
+    out = mag * np.exp(1j * logs[1])  # cos and sin of the phase
+    dz += n * ((rho + 2.0 * _U * np.abs(zi)) / gap + 0.5 * bx / low)
+    dz += 3.0 * n * lam * abs(lt) + phase_err
+    top = float(dz.max())
+    if not top < 0.5:
+        return None
+    c = 1.0 + 10.0 * lam
+    return out, mag * (dz * ((1.0 + 2.0 * top) * c) + 2.0 * lam * c)
+
+
+def _power(pos: list[tuple[int, float]], span: int, count: int, a: int, b: int):
+    """The law of the positive atoms ``pos`` (index, mass) on ``[0, span]``
+    convolved with itself to the power ``count >= 2``, read on its window
+    ``[a, b]`` (:func:`_window`): the power there with entries at or below
+    its error bound set to 0.0, and its bounds."""
+    dense = np.bincount([k for k, _ in pos], [w for _, w in pos], span + 1)
     bf = _measured(dense)
     # the mass a Hoeffding window leaves out (none on the whole support)
     last = count * (len(dense) - 1)
     outside = _OUTSIDE * bf.n1 ** count * (1.0 + 4.0 * _U) if b - a < last else 0.0
     size = 1 << (b - a).bit_length()  # the least power of two >= b - a + 1
     spec = np.fft.rfft(dense, size)
-    power = _raise(spec, count)
-    eta = _eta(size, _U)
+    eta = max(1, size.bit_length() - 1) * (4.0 * _U + _gamma(4, _U) * (math.sqrt(2.0) + 4.0 * _U))
+    eta /= 1.0 - eta  # eta_N of a power-of-two transform in double (step 1)
     delta = eta * math.sqrt(size) * bf.n2
-    half = len(spec) - 1  # each 0 < j < half stands for j and size - j
-    eps = _pow_err(count, _U)
     norm = (bf.n2 * (1.0 + eta) + delta) * (1.0 + 4.0 * _U)
-
-    def double_err(cut: float) -> tuple[float, float]:
-        """What the double frequencies, all with |F^_j| + delta <= cut, add
-        to e_inf and e_2 (sum_law, error bound step 1)."""
-        m = min(cut, norm)
-        g = cut ** (count - 2) * (1.0 + 4.0 * count * _U) * (1.0 + 8.0 * _U)
-        per = count * eta * bf.n2 + eps * m
-        tiny = count * 2.0**-1072
-        return g * m * per + tiny, g * cut * per + tiny
-
+    # the frequencies where the power can reach u^1.5 are summed again in log
+    # form, unless that costs more than a transform (sum_law, error bound step 3)
+    tau = _U ** (1.5 / count) * (1.0 - 64.0 * _U)
+    keep = np.flatnonzero(np.abs(spec) >= (tau - delta) * (1.0 - 8.0 * _U))
+    cheap = 4 * len(keep) * len(pos) <= size * (size.bit_length() - 1) + 2**13
+    logs = _log_power(pos, count, size, keep) if cheap else None
     cut = (bf.n1 + 2.0 * delta) * (1.0 + 4.0 * _U)  # every |F^_j| + delta
-    s1 = s2 = 0.0
-    sq = np.square(np.abs(power))
-    sq[1:half] *= 2.0
-    # unless the double power is already within the inverse transform's error,
-    # the frequencies whose power can reach the extended unit roundoff ue are
-    # evaluated again in _EXT (sum_law, error bound step 3)
-    if double_err(cut)[0] > eta * math.sqrt(float(sq.sum()) / size):
-        ue = float(np.finfo(_EXT).epsneg)
-        cut = ue ** (1.0 / count) * (1.0 - 64.0 * _U)
-        keep = np.flatnonzero(np.abs(spec) >= (cut - delta) * (1.0 - 8.0 * _U))
-        ext, delta_e = _transform_at(dense, bf, keep, size)
-        power[keep] = _raise(ext, count)
-        pe = _pow_err(count, ue)
-        c = (np.abs(ext.astype(np.complex128)) + delta_e) * (1.0 + 4.0 * _U)
-        cn = c if count == 2 else _raise(c, count - 1) * (1.0 + _gamma(count, _U))
-        e = cn * (count * delta_e + (pe + _U * (1.0 + pe)) * c) * (1.0 + 4.0 * _U) + 2.0**-1074
-        up = (1.0 + 2.0 * (len(e) + 4) * _U) / size
-        ee = e * e
-        mid = slice(int(keep[0] == 0), len(keep) - int(keep[-1] == half))  # stand for two
-        e[mid] *= 2.0
-        ee[mid] *= 2.0
-        s1, s2 = float(e.sum()) * up, float(ee.sum()) * up
-    d1, d2 = double_err(cut)
+    per = count * eta * bf.n2 + _gamma(3 * count, _U) * min(cut, norm)  # eps_n(u) <= gamma_3n
+    s1 = s2 = count * 2.0**-1072
+    if logs is None:
+        power = _raise(spec, count)
+    else:  # every other frequency, |F^_j| + delta < tau, set to 0.0
+        power = np.zeros(len(spec), dtype=complex)
+        power[keep], e = logs
+        ee, up = e * e, (1.0 + 2.0 * (len(e) + 4) * _U) / size  # j, N - j but 0 (kept) and N/2
+        end = keep[-1] == len(spec) - 1
+        s1 = (2.0 * float(e.sum()) - float(e[0]) - end * float(e[-1])) * up
+        s2 = math.sqrt((2.0 * float(ee.sum()) - float(ee[0]) - end * float(ee[-1])) * up)
+        cut, per = tau, min(tau, norm)
+    m, g = min(cut, norm), cut ** (count - 2) * (1.0 + 4.0 * count * _U) * (1.0 + 8.0 * _U)
     z = np.fft.irfft(power, size)
     inv = eta * math.sqrt(float(np.square(z).sum())) * (1.0 + 2.0 * (size + 2) * _U) / (1.0 - eta)
-    einf = (s1 + d1) * (1.0 + 4.0 * _U) + inv
-    e2 = (math.sqrt(s2) + d2) * (1.0 + 4.0 * _U) + inv
+    einf = (s1 + g * m * per) * (1.0 + 4.0 * _U) + inv
+    e2 = (s2 + g * cut * per) * (1.0 + 4.0 * _U) + inv
     # the cyclic power read on [a, b], with wraparound where b >= N (take's
     # "wrap" mode would step each index down by N, a/N times)
     x = z[a:b + 1] if b < size else np.roll(z, -a)[:b - a + 1]
@@ -614,31 +551,39 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     (n - j + 1) fl(w0 / w1)`` downward, one ``numpy.cumprod`` each way; the
     products are divided by their ``numpy`` sum (pairwise) and placed at
     stride ``i1 - i0`` on the window.  Nothing is transformed, so nothing is
-    aliased, and ``_EXT`` is not read.  Any other part with ``count = n >=
-    2`` (one atom, or three or more) is densified on its own span, ``f`` of
-    length ``l``, and raised to its power ``f^{*n}`` (length ``L = n (l - 1)
-    + 1``) on its window ``[a, b]`` (step 4): the Hoeffding window where its
-    ``W = b - a + 1`` points need a shorter transform than L points, else
-    the whole support (``a = 0``, ``W = L``).  One transform pair of length
-    ``N = 2^t``, the least power of two ``>= W``, gives the cyclic power,
-    which is read on ``[a, b]`` with wraparound (on the whole support it is
-    the linear power): one double
-    ``rfft``, the pointwise power ``F^n`` in complex128 by squaring over the
-    bits of n (square, then multiply by ``F`` where the bit is set), one
-    double ``irfft``.  Unless the double power's error bound is already
-    within that of the inverse transform (laws of many atoms at small n,
-    step 3), the frequencies where the power survives, ``|F^_j| + delta >=
-    tau = u_e^(1/n)`` with ``u_e`` the unit roundoff of ``_EXT``
-    (``np.longdouble``: ``2^-64`` on x86-64), are evaluated again in
-    ``_EXT`` (:func:`_transform_at`: straight from the atoms, or by one
-    extended ``rfft`` where the direct sums would cost more; their twiddles
-    come from a table kept per transform length), raised to the
-    power there and rounded to double once.  Everywhere else the double
-    power stands.  Entries of either kind of power at or below its ``e_inf``
+    aliased.  Any other part with ``count = n >= 2`` (one atom, or three or
+    more) is densified on its own span, ``f`` of length ``l``, and raised to
+    its power ``f^{*n}`` (length ``L = n (l - 1) + 1``) on its window ``[a,
+    b]`` (step 4): the Hoeffding window where its ``W = b - a + 1`` points
+    need a shorter transform than L points, else the whole support (``a =
+    0``, ``W = L``).  A law of three or more atoms is first taken on its
+    support reduced by the gcd g of their offsets from the first one, and
+    its power is spread at stride ``s g``: it then has one cluster of
+    surviving frequencies, not g.  One transform pair of length ``N = 2^t``,
+    the least power of two ``>= W``, gives the cyclic power, which is read
+    on ``[a, b]`` with wraparound (on the whole support it is the linear
+    power): one double ``rfft``, the pointwise power ``F^n`` in complex128
+    by squaring over the bits of n (square, then multiply by ``F`` where the
+    bit is set), one double ``irfft``, where the double power stands (step
+    3).  Elsewhere the frequencies where the power survives, ``|F^_j| +
+    delta >= tau = u^(1.5/n)``, are summed again from the A positive atoms
+    in log form (:func:`_log_power`, step 1), ``F_j^n = exp(n log T + n log
+    psi(t) - i n t c)`` at ``t = 2 pi j / N``, with T the masses' total and
+    ``psi(t) = sum_k p_k e^{-i t (k - c)}``, ``p_k = w_k / T``, and every
+    other frequency is set to 0.0.  About the mean, ``c = mu``, ``z = psi -
+    1 = -2 sum_k p_k sin^2(theta_k / 2) - i sum_k p_k (sin theta_k -
+    theta_k)``, ``theta_k = t (k - mu)``, as ``sum_k p_k theta_k = 0``, is
+    the series of the central moments ``sum_{r=2}^{27} (-i t)^r m_r / r!``
+    where every kept t has ``t max|k - mu| <= 2``; otherwise c is the
+    heaviest atom and z the sums of ``cos theta - 1`` and ``sin theta`` at
+    angles reduced in integers.  The phase ``n t c`` is reduced mod ``2 pi`` in integers.
+    Past the size rule ``4 |K| A > N log2 N + 2^13`` (K the frequencies)
+    those sums would cost more than a transform, and the double power
+    stands.  Entries of either kind of power at or below its ``e_inf``
     bound are then set to 0.0 (step 5): from a transform this removes FFT
-    noise, negatives and subnormals.  The
-    power's nonzero window is spread at stride ``s`` onto the common
-    lattice, and its ``numpy.convolve`` with the running window is the new
+    noise, negatives and subnormals.  The power's nonzero window is spread
+    at stride ``s`` (``s g``) onto the common lattice, and its
+    ``numpy.convolve`` with the running window is the new
     window; the first part's spread is the window, its product with the
     unit.  The support's indices outside the final window are exact zeros.
 
@@ -652,46 +597,88 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``N = 2^t`` obeys ``||fl(F v) - F v||_2 <= eta_N ||F v||_2`` with
        ``eta_N = t eta / (1 - t eta)``, ``eta = mu + gamma_4 (sqrt 2 + mu)``,
        twiddles within ``mu = 4u`` (we take this as the model of the
-       power-of-two transforms of ``numpy.fft``, numpy's pocketfft; from
-       numpy 2.0 on it transforms ``np.longdouble`` in long double, where
-       numpy 1.x cast it to double, so the extended frequencies and ``u_e``
-       below need numpy >= 2.0).  A complex product errs by
-       ``sqrt(2) gamma_2`` relatively; the roundings of a power by squaring
-       enter it with multiplicities that add up to ``n - 1``, so it errs by
-       ``eps_n(u) = (n - 1) sqrt2 gamma_2 / (1 - (n - 1) sqrt2 gamma_2)``
-       relatively.  The sums below run over all N frequencies (each j of
-       the half spectrum but 0 and ``N/2`` stands for two).  Per frequency
-       j, against the exact ``F_j``:
+       power-of-two transforms of ``numpy.fft``, numpy's pocketfft).  A
+       complex product errs by ``sqrt(2) gamma_2`` relatively; the roundings
+       of a power by squaring enter it with multiplicities that add up to
+       ``n - 1``, so it errs by ``eps_n(u) = (n - 1) sqrt2 gamma_2 / (1 - (n
+       - 1) sqrt2 gamma_2) <= gamma_3n`` relatively.  The sums below run over all N
+       frequencies (each j of the half spectrum but 0 and ``N/2`` stands for
+       two).  Per frequency j, against the exact ``F_j``:
 
        - the forward errors ``d_j = |F^_j - F_j|`` obey ``sum_j d_j^2 <=
          delta^2``, ``delta = eta_N sqrt(N) ||f||_2``, as ``||F v||_2 =
          sqrt(N) ||v||_2``; so each ``d_j <= delta``;
-       - where the double power stands, ``|a^n - b^n| <= n max(|a|,
-         |b|)^(n-1) |a - b|`` gives ``e_j <= n c_j^(n-1) d_j + eps_n(u)
-         |F^_j|^n + n 2^-1072`` with ``c_j = |F^_j| + delta``, the last term
-         a subnormal per multiplication.  All these frequencies have ``c_j
-         <= r`` (``r = tau``, or ``||f||_1 + 2 delta`` when none is evaluated
-         again), and ``sum_j c_j^2 <= N m^2`` with ``m = min(r, ||f||_2 (1 +
-         eta_N) + delta)`` (Parseval and Minkowski).  With ``c_j^(n-1) <=
-         r^(n-2) c_j`` and ``|F^_j|^n <= r^(n-2) |F^_j|^2``, Cauchy-Schwarz
-         caps their share of ``e_inf`` (below) at ``r^(n-2) m (n eta_N
-         ||f||_2 + eps_n(u) m) + n 2^-1072``, and Minkowski their share of
-         ``e_2`` at ``r^(n-1) (n eta_N ||f||_2 + eps_n(u) m) + n 2^-1072``;
-       - the frequencies evaluated again have ``F~_j``, within ``delta_e``
-         of ``F_j``: summed over the A positive atoms in ``_EXT`` with
-         twiddles within ``mu_e = 4 u_e`` (exact at the eighth turns; the
-         others are one ``cos`` or ``sin`` of an angle in ``[0, pi/4]``
-         rounded twice), ``delta_e = sqrt2 (gamma_A(u_e) (1 + mu_e) + mu_e)
-         ||f||_1``, or by one extended ``rfft``, ``delta_e = eta_N(u_e)
-         sqrt(N) ||f||_2``.  With ``c_j = |F~_j| + delta_e``, the forward
-         error grows to ``n c_j^(n-1) delta_e``, the power in ``_EXT`` adds
-         ``eps_n(u_e) |F~_j|^n`` and its rounding to double ``u |P~_j| +
-         2^-1074``, so
+       - where the double power stands (step 3), ``|a^n - b^n| <= n
+         max(|a|, |b|)^(n-1) |a - b|`` gives ``e_j <= n c_j^(n-1) d_j +
+         eps_n(u) |F^_j|^n + n 2^-1072`` with ``c_j = |F^_j| + delta``, the
+         last term a subnormal per multiplication.  All frequencies have
+         ``c_j <= r = ||f||_1 + 2 delta``, and ``sum_j c_j^2 <= N m^2`` with
+         ``m = min(r, ||f||_2 (1 + eta_N) + delta)`` (Parseval and
+         Minkowski).  With ``c_j^(n-1) <= r^(n-2) c_j`` and ``|F^_j|^n <=
+         r^(n-2) |F^_j|^2``, Cauchy-Schwarz caps their share of ``e_inf``
+         (below) at ``r^(n-2) m (n eta_N ||f||_2 + eps_n(u) m) + n
+         2^-1072``, and Minkowski their share of ``e_2`` at ``r^(n-1) (n
+         eta_N ||f||_2 + eps_n(u) m) + n 2^-1072``;
+       - the frequencies summed again (K, :func:`_log_power`) take ``F_j^n
+         = T^n e^{-i n t c} psi^n``, ``t = 2 pi j / N`` (within ``gamma_2``
+         of itself), ``psi = sum_k p_k e^{-i t (k - c)}``, from the masses
+         read as integer ratios (as :func:`exact_moments` reads them): their
+         total T and mean mu are exact, and ``p_k = w_k / T`` and ``d_k = k
+         - mu`` are rounded once each.  The libm model: numpy's double
+         ``sin``, ``cos``, ``log1p``, ``arctan2`` and ``exp`` lie within
+         ``lambda = _LIBM = 4u`` of their value at the double argument,
+         relatively, ``exp(i y)`` is ``cos y + i sin y`` so computed, and
+         ``cos 0``, ``sin 0`` are exact; it is the one platform assumption,
+         tested against mpmath.  ``z = psi - 1`` and a
+         bound ``rho >= |z^ - z|`` come one of two ways.  Where every kept
+         t has ``t max|d_k| <= 2`` (at large n), about ``c = mu``: ``z =
+         sum_{r=2}^{27} (-i t)^r m_r / r!``, ``m_r =
+         sum_k p_k d_k^r``, as ``sum_k p_k d_k = 0``, plus a tail below
+         ``2^-68 t^2 M_2`` (``M_r`` as ``m_r`` with ``|d_k|``, ``M_r <=
+         max|d|^(r-2) M_2``); a power of t or of ``d_k`` is a product tree of
+         ``r - 1`` roundings, a moment a dot product of A terms, and each
+         part of the series one of 13 nonzero terms, so the r-th term errs
+         by at most ``gamma_{5r+A+14} t^r M_r / r!`` (``5r + A + 15`` with
+         the tail), and rho sums these bounds, grown by the rounding of its
+         own sum.  Otherwise (small n, gapped or near-periodic laws), about
+         c the heaviest atom: ``z = sum_k p_k (cos theta_k - 1) - i sum_k p_k
+         sin theta_k``, ``theta_k = 2 pi (j (k - c) mod N) / N`` reduced to
+         ``[-pi, pi)`` in integers and rounded within ``2 gamma_2
+         |theta_k|``, so that ``rho = 1.01 sum_k p_k (lambda (|cos| + |sin|)
+         [k != c] + gamma_{A+2} (|cos - 1| + |sin|)) + 4.1u sum_k p_k
+         |theta_k|``, the 1.01 covering the dot product.  Then ``log psi
+         = log1p(x) / 2 + i arctan2(Im z, 1 + Re z)`` with ``x = |psi^|^2 - 1
+         = (Im z)^2 + Re z (2 + Re z)`` (``Re z`` lies in ``[-2, 0]``)
+         computed within ``bx = gamma_3 ((Im z)^2 - Re z (2 + Re z))``.
+         Where ``g = sqrt(1 + x - bx) - rho - 7u``, at most ``|psi| - rho``,
+         is positive, ``|log(1 + z) - log(1 + z^)| <= rho / g`` (a branch
+         jump of ``2 pi`` times n is a multiple of ``2 pi``), the rounding of
+         ``1 + Re z`` moves the argument by ``2u |Im z| / g`` and that of x
+         the log of the modulus by ``bx / (2 (1 + x - bx))``.  The phase ``n
+         t c`` is ``2 pi j n c 2^s / 2^64`` mod ``2 pi``, ``s = 64 - log2
+         N``, with ``c 2^s`` the integer nearest ``mu 2^s`` (or the atom's,
+         exactly), multiplied by j mod ``2^64`` in unsigned integers and read
+         as signed, so the turn lies in ``[-pi, pi)``, and the rest, ``t
+         eps``, ``eps = n (mu - c)``, is added in double: the phase errs by
+         at most ``phi = 17u (1 + |eps|)`` about the mean, and by ``phi =
+         7u`` about an atom, where the turn is exact until its product by
+         ``2 pi 2^-64``.  So the computed ``L = n log T + n log|psi^|`` and
+         ``Phi = n arg psi^ - n t c`` lie within
 
-             e_j <= c_j^(n-1) (n delta_e + (eps_n(u_e) + u (1 + eps_n(u_e))) c_j) + 2^-1074,
+             D_j = n ((rho + 2u |Im z|) / g + bx / (2 (1 + x - bx)))
+                   + lambda' (|L| + |Phi|) + 3 n lambda' |log T| + phi
 
-         with ``c_j^(n-1)`` taken by squaring in double and rounded up by
-         ``1 + gamma_n``.
+         of the exact ``n log F_j`` (mod ``2 pi i``), ``lambda' = lambda / (1
+         - lambda) + 2u`` covering log1p, arctan2 and the two roundings of
+         each part (a product by n, and the sum with ``n log T`` or the
+         phase), and
+         ``P~_j = e^L (cos Phi + i sin
+         Phi)`` errs by at most ``e_j = |e^L| (D_j (1 + 2 max_j D_j) + 2
+         lambda') (1 + 10 lambda')``: ``|e^w - 1| <= |w| e^|w|`` with ``max
+         D_j < 1/2``, and the roundings of exp, cos, sin and the products.
+         No term grows with n at large n: on the kept set ``n |z| <=
+         ln(u^-1.5)``, so ``n rho`` is bounded, unlike the ``n delta_e`` of
+         a power raised by squaring.
 
        The inverse transform of the computed spectrum ``P^`` errs by at
        most ``eta_N ||irfft(P^)||_2 <= eta_N ||z^||_2 / (1 - eta_N)`` in
@@ -706,8 +693,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
            e_2   = sqrt(sum_j e_j^2 / N) + eta_N ||z^||_2 / (1 - eta_N),
            e_1   = min(W e_inf, sqrt(W) e_2),
 
-       the sums over the extended frequencies (K) taken as computed and
-       rounded up by ``1 + 2 (|K| + 4) u``, those over the others as above.
+       the sums over the frequencies summed again (K) taken as computed and
+       rounded up by ``1 + 2 (|K| + 4) u``, those over the others as above
+       and in step 3.
     2. *Propagation* through the folds: ``x^ * y^ - x * y = (x^ - x) * y^
        + x * (y^ - y)``, bounded by Young's inequalities ``||f * g||_p <=
        ||f||_p ||g||_1`` and ``||f * g||_inf <= ||f||_2 ||g||_2``, taking the
@@ -723,24 +711,21 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        count-1 path costs nothing beyond its adds.  A count-1 part enters
        with the norms of its positive masses.
        Every fold, of either kind, takes the same step (:func:`_direct_product`).
-    3. *Extended set*: the cutoff ``tau`` comes from the precision, so it
-       adds no setting.  A frequency left out has ``c_j < tau``, and its
-       share of ``e_inf`` carries ``tau^(n-2) <= u_e / tau^2``; membership
-       is tested as ``|F^_j| >= (tau (1 - 64u) - delta) (1 - 8u)``, which
-       covers the roundings of tau, of ``|F^_j|`` and of the test.  The set
-       holds every frequency with ``|F_j| > 0`` at n = 2 and a few percent
-       of them at n = 2e4.  No frequency is evaluated again where the double
-       power's share of ``e_inf`` at ``r = ||f||_1 + 2 delta`` is at most
-       ``eta_N ||z^||_2`` (read off ``P^`` by Parseval): that error of the
-       inverse transform stays whatever the spectrum, so extended values
-       could at most halve ``e_inf``.  It holds about where ``n ||f||_2^2 <=
-       ||f^{*n}||_2``, for laws of many atoms at small n (a uniform law of
-       200 atoms up to n = 8).  Where long double is double (MSVC, macOS
-       arm64), ``u_e = u``: the set shrinks and ``err_abs`` loosens.
-       Measured on the three 3-point laws of the tests, it is
-       5.9e-15-1.1e-14 at n = 2 (1.7-1.8x the long-double bound),
-       7.4e-14-9.5e-14 at n = 300 (18-22x) and 6.0e-13-8.5e-13 at n = 2e4
-       (320-380x).
+    3. *Surviving set*: the cutoff ``tau = u^(1.5/n)`` comes from the
+       precision, so it adds no setting.  A frequency is summed again where
+       ``|F^_j| >= (tau (1 - 64u) - delta) (1 - 8u)``, which covers the
+       roundings of tau, of ``|F^_j|`` and of the test; every other one has
+       ``c_j < tau`` and is set to 0.0, which errs by ``|F_j|^n <= c_j^n``,
+       so (Cauchy-Schwarz, as in step 1) their share of ``e_inf`` is at
+       most ``tau^(n-2) m^2`` and of ``e_2`` ``tau^(n-1) m``, ``m = min(tau,
+       ||f||_2 (1 + eta_N) + delta)``: about ``u^1.5 ||f||_2^2``.  The set
+       holds nearly every frequency at n = 2 and a few percent of them at n
+       = 2e4.  Where the size rule ``4 |K| A > N log2 N + 2^13`` says the
+       sums would cost more than a transform, or where ``_log_power`` cannot
+       bound a frequency (``g <= 0`` or ``D_j >= 1/2``), the double power
+       stands at every frequency with the bound of step 1 at ``r = ||f||_1
+       + 2 delta``: a heavy atom among many light ones, or many atoms at
+       small n, where it errs by a few ``eta_N ||f||_2^2``.
     4. *Window* (Hoeffding, JASA 58 (1963) 13-30, Thm 2).  The n summands
        of the scaled law ``g = f / ||f||_1`` lie in ``[0, l - 1]``, so their
        sum S obeys ``P{S - n mu >= t} <= exp(-2 t^2 / (n (l - 1)^2))``, and
@@ -836,8 +821,9 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        + 2) u`` and every factor by a few u.  The bound grows with the mean
        distance from the mode, about ``4u sqrt(n t (1 - t))`` in ``e_1``,
        not with a transform's ``eta_N sqrt(N)``: the coin at n = 1e9 has
-       ``e_1`` of 1.2e-11 (against 1.7e-9 by the transform in long double,
-       and 3.5e-6 in double).  Then the tail drop of step 5 applies.
+       ``e_1`` of 1.2e-11 (against 1.7e-9 by the transform with its surviving
+       frequencies in long double, and 3.5e-6 in double).  Then the tail
+       drop of step 5 applies.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
     divides each weight by their correctly rounded sum, so its masses total
@@ -862,9 +848,13 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         k0 = int(items[0][0])  # the first listed atom, massless or not
         span = int(items[-1][0]) - k0
         pos = [(k - k0, w) for k, w in items if w > 0]
+        first += count * s * k0
+        if count > 1 and len(pos) > 2:  # powered on its reduced support, spread at stride s g
+            k1, g = pos[0][0], math.gcd(*(k - pos[0][0] for k, _ in pos))
+            pos, first, s = [((k - k1) // g, w) for k, w in pos], first + count * s * k1, s * g
+            span = pos[-1][0]
         a, b = (pos[0][0], pos[-1][0]) if count == 1 else _window(pos, span, count)
         folds.append((s, span, pos, a, b))
-        first += count * s * k0
         window += s * (b - a)
     if window > _LENGTH_CAP:
         raise LatticeError(f"exact law on a window of {window} points, above the cap of "
@@ -874,27 +864,18 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
         if count == 1:  # one shifted add per atom, in increasing k, into a fresh array
             out = np.zeros(len(probs) + s * (b - a))
             for k, wk in pos:
-                k = s * (k - a)
-                out[k:k + len(probs)] += wk * probs
-            pb = _measured(np.array([w for _, w in pos]))
-            ab = _direct_product(ab, pb, min(len(probs), len(pos)))
+                out[s * (k - a):s * (k - a) + len(probs)] += wk * probs
+            ab = _direct_product(ab, _measured(np.array(pos)[:, 1]), min(len(probs), len(pos)))
             lo += s * a
         else:
-            if len(pos) == 2:
-                power, pb = _binomial(pos, count, a, b)
-            else:
-                ks, w = zip(*pos)
-                dense = np.zeros(span + 1)
-                dense[list(ks)] = w
-                power, pb = _power(dense, count, a, b)
+            power, pb = (_binomial(pos, count, a, b) if len(pos) == 2
+                         else _power(pos, span, count, a, b))
             nz = np.flatnonzero(power)
-            spread = power[nz[0]:nz[-1] + 1]
-            if s > 1:  # gaps stay exact zeros
-                spread = np.zeros((nz[-1] - nz[0]) * s + 1)
-                spread[::s] = power[nz[0]:nz[-1] + 1]
-            # the first part's product with the unit is the spread itself, copied
-            # so that the law does not keep the transform's whole buffer alive
-            out = np.convolve(probs, spread) if j else spread.copy()
+            spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # the gaps stay exact zeros
+            spread[::s] = power[nz[0]:nz[-1] + 1]
+            # the first part's product with the unit is the spread itself, a fresh
+            # array, so that the law does not keep the transform's buffer alive
+            out = np.convolve(probs, spread) if j else spread
             ab = _direct_product(ab, pb, min(len(probs), len(spread)))
             lo += s * (a + int(nz[0]))
         probs = out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -44,6 +45,7 @@ from lltkit import (
     xi_law,
 )
 from lltkit import bounds
+from lltkit.convolve import exact_moments
 from lltkit.bounds import (
     C0_TAIL_N_STAR,
     binomial_half_pmf,
@@ -739,6 +741,56 @@ class TestReportIsItsRow:
             for name, col in cols.items():
                 assert row[name] == (None if col is None else col[i]), name
             assert report.exact_err == (spec.law.err_abs if exact else 0.0)
+
+
+class TestVerdictRounding:
+    """The verdict allows for the rounding of the envelope's sides."""
+
+    LAW = make_pmf(0.0, 1.0, [(0, 2), (1, 5), (2, 3)])
+
+    def test_near_tie_within_the_side_rounding_reads_none(self):
+        # an exact mass placed above the lower side by err_abs plus half the
+        # sides' rounding bound is a tie the float sides cannot decide; one
+        # placed above it by err_abs plus twice the bound is decided
+        spec = prepare_sum([(self.LAW, theta(self.LAW), 600)])
+        body = bounds._BODIES["sandwich"](spec, exact_plug_ins(spec, 0.25), DEFAULT_CONSTANTS,
+                                          True)
+        k = round((spec.mean - spec.v0) / spec.d)
+        kappa = spec.v0 + spec.d * k
+        lower = body.columns(k, [kappa])["lower"][0]
+        rounding = body.rounding()
+        assert 0.0 < rounding < 1e-14 and rounding > 0.1 * spec.law.err_abs
+        err = spec.law.err_abs
+        for offset, verdict in ((err + rounding / 2, None), (err + 2 * rounding, True)):
+            probs = np.array([lower + offset])
+            spec.__dict__["law"] = dataclasses.replace(spec.law, probs=probs, first=k)
+            assert body.columns(k, [kappa])["sandwich_ok"] == [verdict]
+
+    @pytest.mark.parametrize("envelope", ["sandwich", "central"])
+    def test_rounding_covers_the_sides_at_exact_moments(self, envelope):
+        # each side, evaluated in 50-digit arithmetic at the exact E S_n and
+        # Var S_n of the stored masses, lies within the rounding bound of the
+        # computed side at points across +-4 sd (+-1.25 sd, the central range)
+        spec = prepare_sum([(self.LAW, theta(self.LAW), 900)])
+        plug = exact_plug_ins(spec, 0.25 if envelope == "sandwich" else None)
+        body = bounds._BODIES[envelope](spec, plug, DEFAULT_CONSTANTS, True)
+        mean, var = exact_moments([(self.LAW, 900)])
+        sd = math.sqrt(float(var))
+        reach = 16 if envelope == "sandwich" else 5
+        ks = [round(float(mean) + j * sd / 4) for j in range(-reach, reach + 1)]
+        cols = body.columns(ks[0], [float(k) for k in ks])
+        rounding = body.rounding()
+        with mpmath.workdps(50):
+            m, v = mpmath.mpf(mean.numerator) / mean.denominator, \
+                mpmath.mpf(var.numerator) / var.denominator
+            base = 1 / mpmath.sqrt(2 * mpmath.pi * v)
+            for k, lo, hi in zip(ks, cols["lower"], cols["upper"]):
+                for computed, (factor, den, term, rho), sign in ((lo, body.lower, -1),
+                                                                  (hi, body.upper, 1)):
+                    den = mpmath.mpf(den) * v / mpmath.mpf(spec.var)  # at the exact variance
+                    exact = (factor * base * mpmath.exp(-(k - m) ** 2 / den)
+                             + sign * (mpmath.mpf(term) + rho))
+                    assert abs(computed - exact) <= rounding, k
 
 
 class TestExactPlugInBounds:

@@ -192,6 +192,8 @@ def _fresh_array_fold(parts):
     the bound chain of each fold: the measured
     norms of the part's positive masses for a count-1 part, the power's
     bounds for the others.
+    A power of three or more atoms is taken on its support reduced by the
+    gcd of its offsets and spread at that stride, as in sum_law.
     numpy.convolve in _sequential_reference rounds its dot products
     differently, so only this reference pins the bits of the fold.
     Returns (first index, masses on the whole support, err_abs)."""
@@ -212,18 +214,21 @@ def _fresh_array_fold(parts):
             ab = _direct_product(ab, _measured(w), min(len(win), len(w)))
             lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
         else:
-            pos = list(zip(ks.tolist(), w.tolist()))
+            pos, st = list(zip(ks.tolist(), w.tolist())), s
+            if len(pos) > 2:  # on its reduced support, spread at stride s g
+                g = math.gcd(*(k - pos[0][0] for k, _ in pos[1:]))
+                first += count * s * pos[0][0]
+                pos = [((k - pos[0][0]) // g, wk) for k, wk in pos]
+                st, span = s * g, pos[-1][0]
             a, b = convolve._window(pos, span, count)
             if len(pos) == 2:  # a binomial, with no transform
                 power, pb = convolve._binomial(pos, count, a, b)
             else:
-                dense = np.zeros(span + 1)
-                dense[ks] = w
-                power, pb = _power(dense, count, a, b)
+                power, pb = _power(pos, span, count, a, b)
             nz = np.flatnonzero(power)
-            spread = np.zeros((nz[-1] - nz[0]) * s + 1)
-            spread[::s] = power[nz[0]:nz[-1] + 1]
-            lo, hi = lo + s * (a + int(nz[0])), hi + s * (a + int(nz[-1]))
+            spread = np.zeros((nz[-1] - nz[0]) * st + 1)
+            spread[::st] = power[nz[0]:nz[-1] + 1]
+            lo, hi = lo + st * (a + int(nz[0])), hi + st * (a + int(nz[-1]))
             out[lo:hi] = np.convolve(win, spread)
             ab = _direct_product(ab, pb, min(len(win), len(spread)))
         acc = out
@@ -337,17 +342,17 @@ class TestSumLaw:
             calls.clear()
             sum_law([(bernoulli(0.3), count), (gapped, count), (bernoulli(0.3), 1)])
             assert calls == [], count
-        # a law of many atoms squared stays in double: extended values could
-        # not bring its bound below the inverse transform's error
+        # a law of many atoms squared stays in double: its surviving
+        # frequencies times its atoms pass the size rule
         calls.clear()
         sum_law([(make_pmf(0.0, 1.0, [(k, 1.0) for k in range(200)]), 2)])
         assert calls == ["rfft", "irfft"]
         # one heavy atom among many light ones keeps the spectrum near 1, so
-        # nearly every frequency is evaluated again: by one extended rfft,
-        # where the direct sums would cost |frequencies| x atoms pairs
+        # nearly every frequency would be summed again, at |frequencies| x
+        # atoms pairs: past the size rule the double power stands
         calls.clear()
         sum_law([(make_pmf(0.0, 1.0, [(0, 99.0 * 200)] + [(k, 1.0) for k in range(1, 200)]), 2)])
-        assert calls == ["rfft", "rfft", "irfft"]
+        assert calls == ["rfft", "irfft"]
 
     @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
     def test_error_bound_is_small_up_to_2e4(self, probs):
@@ -449,19 +454,21 @@ def _accuracy_laws(rng):
 
 class TestPowerAccuracy:
     """The one-transform power against exact integer references, also where
-    the extended type is double (as with MSVC or on macOS arm64)."""
+    long double is double (as with MSVC or on macOS arm64): the kernel reads
+    no long double, so ``np.longdouble`` patched to ``float64`` changes
+    nothing."""
 
     @pytest.fixture(params=[np.longdouble, np.float64], ids=["longdouble", "double"])
     def ext(self, request, monkeypatch):
-        monkeypatch.setattr(convolve, "_EXT", request.param)
+        monkeypatch.setattr(np, "longdouble", request.param)
         shares = []
-        transform_at = convolve._transform_at
+        log_power = convolve._log_power
 
-        def spy(dense, bf, freqs, size):
+        def spy(pos, count, size, freqs):
             shares.append(len(freqs) / (size // 2 + 1))
-            return transform_at(dense, bf, freqs, size)
+            return log_power(pos, count, size, freqs)
 
-        monkeypatch.setattr(convolve, "_transform_at", spy)
+        monkeypatch.setattr(convolve, "_log_power", spy)
         return shares
 
     @pytest.mark.parametrize("count", [2, 3, 7, 64])
@@ -485,9 +492,10 @@ class TestPowerAccuracy:
 
     @pytest.mark.parametrize("count", [2, 3, 7])
     def test_many_atom_laws_within_the_bound(self, ext, count):
-        # 40 and 120 random masses stay in double at counts 2 and 3 and take
-        # their extended values from one extended rfft at count 7; a heavy
-        # atom among 39 light ones does so at every count
+        # 40 and 120 random masses stay in double at counts 2 and 3, and at
+        # count 7 their surviving frequencies are summed in log form, or the
+        # double power stands past the size rule; so does a heavy atom among
+        # 39 light ones at every count
         rng = np.random.default_rng(40 + count)
         for size in (40, 120):
             law = make_pmf(0.0, 1.0, list(enumerate((rng.random(size) + 1e-3).tolist())))
@@ -495,33 +503,8 @@ class TestPowerAccuracy:
         law = make_pmf(0.0, 1.0, [(0, 99.0 * 40)] + [(k, 1.0 + k / 40) for k in range(1, 40)])
         _assert_within_bound(iid_sum(law, count), *_integer_power(law, count))
 
-    def test_direct_sums_in_blocks_keep_the_bits(self, monkeypatch):
-        # the (frequency, atom) pairs are summed a block at a time; blocks of
-        # 7 pairs give the same values, to the sign of zero, as one block, in
-        # either extended type (a matmul's doubles may follow the block shape)
-        for ext in (np.longdouble, np.float64):
-            monkeypatch.setattr(convolve, "_EXT", ext)
-            rng = np.random.default_rng(11)
-            for _ in range(60):
-                size = 2 ** int(rng.integers(4, 11))
-                span = int(rng.integers(1, min(size, 40)))
-                dense = np.zeros(span + 1)
-                ks = rng.choice(span + 1, int(rng.integers(1, min(span + 1, 12) + 1)),
-                                replace=False)
-                dense[ks] = rng.random(len(ks)) + 1e-3
-                dense /= dense.sum()
-                picks = int(rng.integers(1, min(size // 2, 60) + 1))
-                freqs = np.sort(rng.choice(size // 2 + 1, picks, replace=False))
-                # the direct sums, not one extended rfft
-                assert 4 * len(freqs) * len(ks) <= size * (size.bit_length() - 1) + 2**13
-                monkeypatch.setattr(convolve, "_PAIRS", 2**16)
-                whole = convolve._transform_at(dense, _measured(dense), freqs, size)
-                monkeypatch.setattr(convolve, "_PAIRS", 7)
-                blocks = convolve._transform_at(dense, _measured(dense), freqs, size)
-                assert _same_bits(whole[0], blocks[0]) and whole[1] == blocks[1], ext
-
     def test_extended_set_spans_all_to_few_frequencies(self, ext):
-        # count 2 re-evaluates every frequency, count 1000 a seventh of
+        # count 2 sums every frequency again, count 1000 a seventh of
         # them and count 20000 a few percent
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
         for count in (2, 1000, 20000):
@@ -529,103 +512,111 @@ class TestPowerAccuracy:
         assert ext[0] == 1.0 and ext[1] < 0.2 and ext[2] < 0.05
 
 
-def _octant_reference(size):
-    """cos and sin in ``_EXT`` of ``2 pi m / size`` for every m < size, by
-    the octant reduction each call of the direct sums made before the
-    tables were kept: ``cos`` and ``sin`` of the octant angles up to the
-    largest one reached, then a swap and sign change per octant."""
-    ext = convolve._EXT
-    step = min(8, size)
-    o, r = np.divmod(8 * np.arange(size), size)
-    odd = (o & 1).astype(bool)
-    t = np.where(odd, size - r, r) // step
-    phi = np.arange(int(t.max()) + 1, dtype=ext) * (step * np.arctan(ext(1)) / size)
-    cos, sin = np.cos(phi), np.sin(phi)
-    quarter = o >> 1
-    swap = odd ^ (quarter & 1).astype(bool)
-    c, s = np.where(swap, sin[t], cos[t]), np.where(swap, cos[t], sin[t])
-    c[(quarter == 1) | (quarter == 2)] *= -1
-    s[quarter >= 2] *= -1
-    return c, s
+class TestLogPower:
+    """The surviving frequencies of a power, summed in double in log form."""
 
+    @staticmethod
+    def _exact(x):  # a double as an mpmath number: exact at 50 digits
+        num, den = float(x).as_integer_ratio()
+        return mpmath.mpf(num) / den
 
-def _same_bits(x, y):
-    """Equal values and signs of zero; a long double's padding bytes are
-    not compared."""
-    if np.iscomplexobj(x):
-        return _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag)
-    return (x.dtype == y.dtype and np.array_equal(x, y)
-            and np.array_equal(np.signbit(x), np.signbit(y)))
+    LAWS = {
+        "121": make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]),
+        "721": make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)]),
+        "gapped5": make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.1), (4, 0.25), (6, 0.15), (9, 0.2)]),
+        "near-periodic": LatticePmf(0.0, 1.0, {0: 0.5 - 5e-7, 1: 1e-6, 2: 0.5 - 5e-7}),
+    }
 
+    @pytest.mark.parametrize("name", LAWS)
+    @pytest.mark.parametrize("count", [10**3, 10**5, 10**7, 10**9])
+    def test_each_frequency_within_its_bound(self, monkeypatch, name, count):
+        # against 50-digit mpmath powers of the transform of the stored masses:
+        # F_j^n = exp(n log F_j), at every frequency the kernel sums
+        calls = []
+        log_power = convolve._log_power
 
-class TestTwiddles:
-    """The full-circle twiddle tables of the direct sums (``_twiddles``)."""
+        def spy(pos, n, size, freqs):
+            out = log_power(pos, n, size, freqs)
+            calls.append((pos, n, size, freqs, out))
+            return out
 
-    @pytest.mark.parametrize("ext", [np.longdouble, np.float64], ids=["longdouble", "double"])
-    def test_table_is_the_octant_reduction(self, monkeypatch, ext):
-        # every power-of-two size to 2^16: the same values, to the sign of zero
-        monkeypatch.setattr(convolve, "_EXT", ext)
-        for t in range(1, 17):
-            c, s = convolve._twiddles(2**t)
-            ref_c, ref_s = _octant_reference(2**t)
-            assert _same_bits(c, ref_c) and _same_bits(s, ref_s), 2**t
+        monkeypatch.setattr(convolve, "_log_power", spy)
+        iid_sum(self.LAWS[name], count)
+        (pos, n, size, freqs, (values, bounds)), = calls
+        with mpmath.workdps(50):
+            atoms = [(k, self._exact(w)) for k, w in pos]
+            for j, value, bound in zip(freqs.tolist(), values.tolist(), bounds.tolist()):
+                f = mpmath.fsum(w * mpmath.expjpi(-2 * mpmath.mpf(j) * k / size) for k, w in atoms)
+                exact = mpmath.exp(n * mpmath.log(f))
+                assert abs(mpmath.mpc(value) - exact) <= bound, (j, value, bound)
 
-    def test_twiddles_within_4u(self):
-        # the bound's model of the direct sums: each twiddle within 4 u_e
-        def exact(v):  # a power-of-two denominator: exact at 40 digits
-            num, den = v.as_integer_ratio()
-            return mpmath.mpf(num) / den
-
-        size = 1024
-        c, s = convolve._twiddles(size)
-        ue = float(np.finfo(convolve._EXT).epsneg)
+    @pytest.mark.parametrize("name, f, mf, args", [
+        ("sin", np.sin, mpmath.sin, "angles"), ("cos", np.cos, mpmath.cos, "angles"),
+        ("log1p", np.log1p, mpmath.log1p, "log1p"), ("exp", np.exp, mpmath.exp, "exp"),
+    ])
+    def test_libm_within_its_model(self, name, f, mf, args):
+        # the one platform assumption of the kernel: numpy's double sin, cos,
+        # log1p, arctan2 and exp within _LIBM = 4u of the value at the
+        # double argument, on the ranges the kernel reaches (angles up to
+        # pi times the widest span and the phases of large counts, 1 + x =
+        # |psi|^2 down to the kept set's least, exponents of masses above u^2)
+        rng = np.random.default_rng(len(name))
+        x = {"angles": np.concatenate([rng.uniform(-4, 4, 400), rng.uniform(-3e4, 3e4, 300),
+                                       rng.uniform(-2**40, 2**40, 100), [0.5, -2.0, 1e-300]]),
+             "log1p": np.concatenate([-rng.random(300), -(10.0 ** -rng.uniform(0, 30, 300)),
+                                      10.0 ** -rng.uniform(14, 30, 100)]),
+             "exp": np.concatenate([rng.uniform(-80, 0, 400), -(10.0 ** -rng.uniform(0, 20, 200))]),
+             }[args]
         with mpmath.workdps(40):
-            for m in range(size):
-                angle = 2 * mpmath.pi * m / size
-                assert abs(exact(c[m]) - mpmath.cos(angle)) <= 4 * ue
-                assert abs(exact(s[m]) - mpmath.sin(angle)) <= 4 * ue
+            for xi, yi in zip(x.tolist(), f(x).tolist()):
+                exact = mf(self._exact(xi))
+                assert abs(self._exact(yi) - exact) <= convolve._LIBM * abs(exact), (name, xi)
 
-    def test_cache_is_keyed_on_the_extended_type(self, monkeypatch):
-        # a table built in one type is never served after _EXT changes
-        for ext in (np.longdouble, np.float64, np.longdouble, np.float64):
-            monkeypatch.setattr(convolve, "_EXT", ext)
-            for size in (8, 64, 4096):
-                c, s = convolve._twiddles(size)
-                assert c.dtype == s.dtype == np.dtype(ext)
-            law = iid_sum(make_pmf(0.0, 1.0, [(0, 0.3), (1, 0.45), (2, 0.25)]), 300)
-            assert law.err_abs <= 1e-12
+    def test_exp_of_an_imaginary_phase_is_cos_and_sin(self):
+        # P~ = e^L exp(i Phi): numpy's complex exp at 0 + i Phi gives the
+        # cosine and the sine of Phi within the model; cos 0 and sin 0 are exact
+        assert np.cos(np.zeros(4)).tolist() == [1.0] * 4 and not np.sin(np.zeros(4)).any()
+        rng = np.random.default_rng(3)
+        phi = np.concatenate([rng.uniform(-4, 4, 400), rng.uniform(-3e4, 3e4, 200), [0.0]])
+        with mpmath.workdps(40):
+            for p, z in zip(phi.tolist(), np.exp(1j * phi).tolist()):
+                for part, exact in ((z.real, mpmath.cos(self._exact(p))),
+                                    (z.imag, mpmath.sin(self._exact(p)))):
+                    assert abs(self._exact(part) - exact) <= convolve._LIBM * abs(exact), p
 
-    def test_kept_tables_stay_within_their_budget(self, monkeypatch):
-        # the kept tables of each type hold less than _TWIDDLE_BYTES, and a
-        # size beyond it gets no table
-        for ext in (np.longdouble, np.float64):
-            monkeypatch.setattr(convolve, "_EXT", ext)
-            itemsize = np.dtype(ext).itemsize
-            largest = convolve._TWIDDLE_BYTES // (4 * itemsize)
-            for t in range(1, largest.bit_length()):
-                assert convolve._twiddles(2**t) is not None
-            assert convolve._twiddles(2 * largest) is None
-            kept = sum(c.nbytes + s.nbytes for (_, e), (c, s) in convolve._TWIDDLES.items()
-                       if e is ext)
-            assert kept < convolve._TWIDDLE_BYTES
+    def test_arctan2_within_its_model(self):
+        rng = np.random.default_rng(2)
+        y = np.concatenate([rng.uniform(-2, 2, 400), 10.0 ** -rng.uniform(0, 40, 200)])
+        x = np.concatenate([rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 200)])
+        with mpmath.workdps(40):
+            for yi, xi, zi in zip(y.tolist(), x.tolist(), np.arctan2(y, x).tolist()):
+                exact = mpmath.atan2(self._exact(yi), self._exact(xi))
+                assert abs(self._exact(zi) - exact) <= convolve._LIBM * abs(exact), (yi, xi)
 
-    def test_sizes_beyond_the_budget_keep_the_bits(self, monkeypatch):
-        # with no table kept, each block reduces its angles to the octant
-        # table: the same extended values
-        dense = np.zeros(9)
-        dense[[0, 1, 4, 8]] = [0.25, 0.4, 0.15, 0.2]
-        freqs = np.arange(0, 513, 3)
-        kept = convolve._transform_at(dense, _measured(dense), freqs, 1024)
-        monkeypatch.setattr(convolve, "_TWIDDLE_BYTES", 0)
-        monkeypatch.setattr(convolve, "_TWIDDLES", {})
-        monkeypatch.setattr(convolve, "_PAIRS", 100)
-        reduced = convolve._transform_at(dense, _measured(dense), freqs, 1024)
-        assert convolve._TWIDDLES == {}
-        assert _same_bits(kept[0], reduced[0]) and kept[1] == reduced[1]
+    def test_periodic_law_is_its_reduced_law_at_stride_two(self):
+        # {0, 2, 4} is {0, 1, 2} at stride 2: the same masses, bit for bit, and
+        # the same bounds, with exact zeros between them
+        wide = iid_sum(make_pmf(0.0, 1.0, [(0, 0.25), (2, 0.5), (4, 0.25)]), 300)
+        law = iid_sum(make_pmf(0.0, 1.0, [(0, 0.25), (1, 0.5), (2, 0.25)]), 300)
+        assert wide.first == 2 * law.first and len(wide.probs) == 2 * len(law.probs) - 1
+        assert wide.probs[::2].tobytes() == law.probs.tobytes()
+        assert not wide.probs[1::2].any()
+        assert (wide.err_abs, wide.err_l1) == (law.err_abs, law.err_l1)
 
-    def test_nothing_is_built_at_import(self):
-        code = "import sys, lltkit; sys.exit(len(lltkit.convolve._TWIDDLES))"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    def test_one_cluster_of_frequencies_per_periodic_law(self, monkeypatch):
+        # a law on {0, 3, 6, 9} keeps the frequencies about 0 only, as its
+        # reduced law does, not the three clusters of its own transform
+        sizes = []
+        log_power = convolve._log_power
+
+        def spy(pos, n, size, freqs):
+            sizes.append((pos, len(freqs)))
+            return log_power(pos, n, size, freqs)
+
+        monkeypatch.setattr(convolve, "_log_power", spy)
+        iid_sum(make_pmf(0.0, 1.0, [(0, 0.1), (3, 0.4), (6, 0.3), (9, 0.2)]), 500)
+        iid_sum(make_pmf(0.0, 1.0, [(0, 0.1), (1, 0.4), (2, 0.3), (3, 0.2)]), 500)
+        assert sizes[0] == sizes[1] and sizes[0][0][-1][0] == 3
 
 
 def _hoeffding_window(law, count):
@@ -824,8 +815,8 @@ class TestBinomial:
         # double is double, and err_l1 stays far below the transform's 3.4e-10
         coin = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
         law = iid_sum(coin, 10**8)
-        monkeypatch.setattr(convolve, "_EXT", np.float64)
-        monkeypatch.setattr(convolve, "_transform_at", None)  # never reached
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        monkeypatch.setattr(convolve, "_power", None)  # never reached
         again = iid_sum(coin, 10**8)
         assert hashlib.sha1(law.probs.tobytes()).digest() == \
             hashlib.sha1(again.probs.tobytes()).digest()
@@ -949,9 +940,9 @@ class TestSparseFold:
 
 _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of its masses
     "121-n300": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 300)],
-                 "0x1.fe16657f803f4p-49", 205, "c67b53260ec1eea142edcc14136c9b5d50550110"),
+                 "0x1.2a58b5455736bp-48", 205, "878a5825300a7ca59109f7c22eb20375bd502099"),
     "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
-                 "0x1.0dd00b8c9c835p-49", 19235, "db7d9c342333303ed9eea65bd50686935b95d977"),
+                 "0x1.dea615f75d0c5p-50", 19234, "552e7cebfd68c1c3716e076e281fcdccbb4ce650"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
               "0x1.470a3d70a5206p-50", 0, "34ca8b6b61c96f70ea331ab224349001789bc62d"),
     # the parts at a fixed tilt, the centred one as solve_sigma gave it when
@@ -964,7 +955,7 @@ _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of it
                              (make_pmf(0.5, 3.0, [(0, 0.2), (1, 0.3), (2, 0.5)]), 4),
                              (make_pmf(0.0, 1.0, [(0, 0.6), (2, 0.1), (5, 0.3)]), 1),
                              (bernoulli(0.3), 1)],
-                    "0x1.4aec6d1fdea16p-49", 0, "9d910af305f6619dcc9fe0e961f8beeee32a05fd"),
+                    "0x1.38cc26152ea3dp-48", 0, "38b8ba18ed244fd84d20d6d595312512e0e83b93"),
 }
 
 
@@ -1456,13 +1447,3 @@ def test_import_leaves_scipy_signal_unloaded():
     # the FFT kernel uses numpy.fft; scipy.signal would add a third to the import time
     code = "import sys, lltkit; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
-                    reason="long double is double here")
-def test_fft_keeps_long_double():
-    # numpy 1.x's fft cast long double to double: the extended frequencies of
-    # sum_law's powers would then be double, and its err_abs would not hold
-    x = np.arange(8, dtype=np.longdouble) / 7
-    assert np.fft.rfft(x).dtype == np.clongdouble
-    assert np.fft.irfft(np.fft.rfft(x), 8).dtype == np.longdouble
