@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Counting partitions into distinct parts through a probabilistic identity.
 
-q_m(n) counts partitions of n into distinct parts >= m.  A sum of tilted
+q_m(n) counts partitions of n into distinct parts >= m.  A sum Y of tilted
 two-point variables turns the count into e^{sigma n} * prod(1 + e^{-sigma j})
-* P{Y = n}, read from a long-double 0/1 knapsack over 0..n; the tilt sigma
-centers Y at n but the identity holds for every sigma.
+* P{Y = n}; the tilt sigma centers Y at n, but the identity holds for every
+sigma.  The count itself is exact, in Python integers, by a recurrence over
+the number of parts.
 """
 
-from lltkit import count_partitions, count_via_enumeration, count_via_model, solve_sigma
+import math
+
+import numpy as np
+
+from lltkit import count_partitions, count_via_enumeration, make_pmf, solve_sigma, sum_law
 
 print(f"{'m':>3s} {'n':>3s} {'sigma':>10s} {'model':>7s} {'enum':>7s}")
 for m, n in [(1, 6), (1, 10), (3, 10), (1, 20), (2, 24), (5, 30), (30, 30)]:
@@ -18,9 +23,11 @@ for m, n in [(1, 6), (1, 10), (3, 10), (1, 20), (2, 24), (5, 30), (30, 30)]:
 print()
 print("=== the identity is tilt-free ===")
 m, n = 2, 24
-sigma = solve_sigma(m, n)
-print(f"centering tilt for (m, n) = ({m}, {n}): sigma = {sigma:.6f}")
-print(f"count at the centered tilt : {count_via_model(m, n)}")
-print(f"count by direct enumeration: {count_via_enumeration(m, n)}")
-print("(perturbing sigma moves only the conditioning, never the count; "
-      "see tests/test_partition.py)")
+js = np.arange(m, n + 1)
+for sigma in (solve_sigma(m, n), solve_sigma(m, n) + 0.05):
+    # P{X_j = j} = 1 / (1 + e^{sigma j}); the law of Y by sum_law, in doubles
+    law = sum_law([(make_pmf(0.0, 1.0, [(0, 1.0 - p), (int(j), p)]), 1)
+                   for j, p in zip(js, 1.0 / (1.0 + np.exp(sigma * js)))])
+    log_q = sigma * n + float(np.logaddexp(0.0, -sigma * js).sum()) + math.log(law.mass(n))
+    print(f"identity at sigma = {sigma:.6f}: {math.exp(log_q):.9f}")
+print(f"count by the recurrence       : {count_via_enumeration(m, n)}")

@@ -5,9 +5,9 @@ probabilities ``P{S_n = kappa}`` of sums of independent lattice variables by
 extracting a Bernoulli component from every summand, and ships the exact
 machinery that every envelope is validated against: the exact law of a sum
 (:func:`sum_law`), its Kolmogorov distance and its scaled LLT discrepancy.
-Gamkrelidze's smoothness statistics, random-scenery moments and
-distinct-part partition counts through a tilted two-point model apply the
-same theorem.
+Gamkrelidze's smoothness statistics and random-scenery moments apply the
+same theorem; distinct-part partition counts are exact integers, with the
+tilt of the two-point model whose local probability they are.
 """
 
 # The bare package, which loads no subpackage (about 1 MB): no command
@@ -74,7 +74,6 @@ from .partition import (
     PartitionInstance,
     count_partitions,
     count_via_enumeration,
-    count_via_model,
     solve_sigma,
 )
 from .scenery import (

@@ -779,24 +779,42 @@ class _Body:
     either side, :meth:`rounding`: its distance from the side in real
     arithmetic at the exact E S_n and Var S_n of the stored masses, with the
     side's other inputs (its factor, den, term and rho as its body computed
-    them from the plug-ins) taken as given.  To first order in u, spec.var is
-    within ``11u`` of Var S_n relatively (:func:`lltkit.lattice.moments`'
-    ``9u`` per part, and the products and ``fsum``), and spec.mean within
-    ``dmu = u (2 |E S_n| + sum_j count_j (|v0_j| + 11 |D_j| max|k_j|))``.
-    So ``base = D / sqrt(2 pi var)`` is within ``gamma_10`` relatively,
-    ``den`` (``2 (1 +- h) var``) within ``gamma_13``, and ``a = dev2 /
-    den``, dev2 the square of ``kappa - mean``, within ``a gamma_18 + (2
-    sqrt(dev2) dmu + dmu^2) / den`` of its value, which moves ``exp(-a)`` by
-    that times ``1.01 exp(-a)``.  As ``a e^{-a} <= 1/e < 0.37`` and ``sqrt(a)
-    e^{-a} <= 1/sqrt(2e)``, so that ``2 sqrt(a) e^{-a} < 0.86``, the Gaussian
-    part ``factor base exp(-a)`` errs by at most ``factor base (g + 1.01
-    (0.37 g + (0.86 + r) r))`` at every point, ``g = gamma_18 + lambda`` and
-    ``r = dmu / sqrt(den)`` at the smaller den of the two sides: the
-    roundings of the factor (``gamma_3``), base, the two products and the
-    additions, and libm's ``exp`` (lambda = ``convolve._LIBM``).  The term
-    and rho round by at most ``g`` of themselves where the body computed
-    them and in the additions.  The bound is rounded up by ``1 + 2^-40`` and
-    holds at every point of the body, so a verdict reads one number.
+    them from the plug-ins) taken as given.  At every order, with
+    ``gamma_k`` and the moments' bounds of :func:`lltkit.lattice.moments`
+    and each count exact in double:
+
+    - spec.var, the fsum of each count times its part's variance, is
+      ``sum_j count_j (1 + theta_11) (Var_j + D_j^2 e_j^2)`` (the moments'
+      ``gamma_9``, the product and the fsum): within ``gamma_11``,
+      relatively, of ``V = Var S_n + A``, ``0 <= A <= E = sum_j count_j
+      (gamma_4 D_j W_j)^2`` with W_j the index span of part j;
+    - spec.mean, the fsum of each count times its part's mean, is within
+      ``dmu = gamma_1 |spec.mean| + sum_j count_j (gamma_2 |v0_j| + gamma_14
+      |D_j| max|k_j|)`` of E S_n: the fsum's rounding, and per part the
+      product's and the moments' ``u |E X_j| + gamma_11 |D_j| max|k_j|``,
+      with ``|E X_j| <= |v0_j| + |D_j| max|k_j|``.
+
+    Against the sides at E S_n and V, ``base = D / sqrt(2 pi var)`` is within
+    ``gamma_10`` relatively, ``den`` (``2 (1 +- h) var``) within
+    ``gamma_13``, and ``a = dev2 / den``, dev2 the square of ``kappa -
+    mean``, within ``a gamma_18 + (2 sqrt(dev2) dmu + dmu^2) / den`` of its
+    value, which moves ``exp(-a)`` by that times ``1.01 exp(-a)``.  As ``a
+    e^{-a} <= 1/e < 0.37`` and ``sqrt(a) e^{-a} <= 1/sqrt(2e)``, so that ``2
+    sqrt(a) e^{-a} < 0.86``, the Gaussian part ``factor base exp(-a)`` errs
+    by at most ``factor base (g + 1.01 (0.37 g + (0.86 + r) r))`` at every
+    point, ``g = gamma_18 + lambda`` and ``r = dmu / sqrt(den)`` at the
+    smaller den of the two sides: the roundings of the factor
+    (``gamma_3``), base, the two products and the additions, and libm's
+    ``exp`` (lambda = ``convolve._LIBM``).  Moving V to Var S_n moves the
+    Gaussian part ``G(v) = factor D / sqrt(2 pi v) exp(-dev2 / (c v))`` by
+    at most A times ``|G'(v)| = G(v) |a - 1/2| / v <= factor D / sqrt(2 pi
+    v) / (2 v)`` (as ``|a - 1/2| e^{-a} <= 1/2``) for v in [Var S_n, V];
+    with ``s = E / spec.var <= 2^-11``, Var S_n is at least ``spec.var (1 -
+    2^-10)``, so the move is at most ``0.51 factor base s``.  A larger s
+    makes the bound infinite, and no verdict is decided.  The term and rho
+    round by at most ``g`` of themselves where the body computed them and
+    in the additions.  The bound is rounded up by ``1 + 2^-40`` and holds at
+    every point of the body, so a verdict reads one number.
     """
 
     spec: SumSpec
@@ -808,11 +826,17 @@ class _Body:
 
     def rounding(self) -> float:
         """A bound on the rounding of either side at any point (above)."""
-        dmu = _U * (2.0 * abs(self.spec.mean) + math.fsum(c * (abs(p.v0) + 11.0 * abs(p.D) * max(
-            map(abs, p.probs))) for p, _, c in self.spec.parts))
-        base, g = self.spec.d / math.sqrt(2.0 * math.pi * self.spec.var), _gamma(18, _U) + _LIBM
+        spec = self.spec
+        dmu = _gamma(1, _U) * abs(spec.mean) + math.fsum(c * (_gamma(2, _U) * abs(p.v0) + _gamma(
+            14, _U) * abs(p.D) * max(map(abs, p.probs))) for p, _, c in spec.parts)
+        s = math.fsum(c * (_gamma(4, _U) * p.D * (max(p.probs) - min(p.probs))) ** 2
+                      for p, _, c in spec.parts) / spec.var  # E / spec.var, E above
+        if not s <= 2.0**-11:
+            return math.inf
+        base, g = spec.d / math.sqrt(2.0 * math.pi * spec.var), _gamma(18, _U) + _LIBM
         r = dmu / math.sqrt(min(self.lower[1], self.upper[1]))  # dmu / sqrt(den) on either side
-        return max(f * base * (g + 1.01 * (0.37 * g + (0.86 + r) * r)) + g * (abs(term) + abs(rho))
+        return max(f * base * (g + 1.01 * (0.37 * g + (0.86 + r) * r) + 0.51 * s)
+                   + g * (abs(term) + abs(rho))
                    for f, _, term, rho in (self.lower, self.upper)) * (1.0 + 2.0**-40) + 2.0**-1074
 
     def deviations(self, kappas: list[float]) -> list[float]:

@@ -7,7 +7,7 @@ split            Bernoulli part extraction of a pmf
 llt-bound        two-sided envelopes for P{S_n = kappa}, single point or sweep
 gamkrelidze      smoothness statistics and interval discrepancy of an iid sum
 scenery          random-scenery moment checks / envelope
-partition        distinct-part partition counts via the tilted model
+partition        exact distinct-part partition counts and the tilt of their model
 validate         identity checks for a pmf (reconstruction, delta, variance)
 
 Output is JSON (default) or CSV, deterministic for fixed arguments and seed.

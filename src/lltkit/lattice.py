@@ -169,11 +169,13 @@ def moments(pmf: LatticePmf) -> tuple[float, float]:
     """Mean and variance, summed on the index lattice by :func:`_index_moments`.
 
     Against the exact moments of the stored masses scaled to total one
-    (:func:`lltkit.convolve.exact_moments`), to first order in u = 2^-53:
-    the variance is within ``9 u Var`` and the mean within ``u |E X| + 10 u D
-    max_k |k|``; neither depends on how many ulps of v0 the support spans.
-    The derivation is at :func:`_index_moments`, with the normalized masses
-    summing to ``1 + eta``, ``|eta| <= 2u``."""
+    (:func:`lltkit.convolve.exact_moments`), with u = 2^-53 and ``gamma_k =
+    k u / (1 - k u)``, at every order: the variance is within ``gamma_9 Var
+    + (1 + gamma_9) (gamma_4 D W)^2``, W = max_k k - min_k k, and the mean
+    within ``u |E X| + gamma_11 |D| max_k |k|``; neither depends on how many
+    ulps of v0 the support spans.  The derivation is at
+    :func:`_index_moments`, with the normalized masses summing to ``1 +
+    eta``, ``|eta| <= 2u``."""
     return _index_moments(pmf.v0, pmf.D, list(pmf.probs), list(pmf.probs.values()))
 
 
@@ -186,16 +188,31 @@ def _index_moments(v0: float, D: float, ks: Sequence[int], ps: Sequence[float]
         m = fsum((k - k0) p),  mean = v0 + D (k0 + m),
         var = D**2 fsum(((k - k0) - m)^2 p).
 
-    Rounding, to first order in u = 2^-53, with ``j = k - k0 >= 0`` exact
-    and ``S = sum p = 1 + eta``: m is within ``(2u + |eta|) mu_j`` of the
-    exact index mean ``mu_j = sum j p / S``, and an error e in m adds ``S
-    e^2`` to the sum of squares, whose first-order term it leaves alone.
-    The difference, square, product and fsum round each term by 5u, and
-    ``D**2`` and its product by 2u more: the variance is within ``(7u +
-    |eta|) Var + D^2 e^2``, e^2 a second-order term.  The mean rounds by u
-    in ``k0 + m``, in the product and in the sum with v0, and carries ``D
-    e``.  ``**`` raises OverflowError where ``D**2`` overflows, and so does
-    a variance that overflows in its product."""
+    Rounding, at every order, with u = 2^-53, ``j = k - k0 >= 0`` exact
+    and ``S = sum p = 1 + eta``, ``|eta| <= 2u``, each ``1 + theta_k`` a
+    factor within ``gamma_k = k u / (1 - k u)`` of 1, and ``(1 + theta_i)
+    (1 + theta_k) = 1 + theta_(i+k)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3):
+
+    - *the index mean*: each product ``j p`` rounds once and the fsum once,
+      over terms >= 0, so ``m = (1 + theta_2) S mu_j = (1 + theta_4) mu_j``,
+      ``mu_j = sum j p / S`` the exact index mean: ``e = m - mu_j`` has
+      ``|e| <= gamma_4 mu_j <= gamma_4 W``, W = the last index less k0;
+    - *the variance*: the difference, the square (its input's error
+      counted twice), the product and the fsum round each term by
+      ``theta_5``, and ``D**2`` and its product add ``theta_2``.  As ``sum
+      (j - mu_j) p = 0``, ``sum (j - m)^2 p = S (Var_j + e^2)`` exactly,
+      Var_j the index variance, so ``var = (1 + theta_9) (Var + D^2 e^2)``
+      with ``D^2 e^2 <= (gamma_4 D W)^2``;
+    - *the mean*: ``k0 + m`` and its product with D round by ``theta_2``,
+      so ``b = D (k0 + m)(1 + theta_2)`` is within ``|D| (gamma_2 |k0 + m|
+      + |e|) <= gamma_10 |D| M`` of ``D (k0 + mu_j)``, M = max_k |k| (as
+      ``|k0 + mu_j| <= M`` and ``mu_j <= W <= 2M``), and the sum with v0
+      rounds by u of ``|v0 + b| <= |E X| + gamma_10 |D| M``: the mean is
+      within ``u |E X| + gamma_11 |D| M``.
+
+    ``**`` raises OverflowError where ``D**2`` overflows, and so does a
+    variance that overflows in its product."""
     k0 = ks[0]
     m = math.fsum((k - k0) * p for k, p in zip(ks, ps))
     s = math.fsum(((k - k0) - m) ** 2 * p for k, p in zip(ks, ps))

@@ -31,7 +31,6 @@ from lltkit import (
     certified_registry,
     chernoff_rho,
     count_via_enumeration,
-    count_via_model,
     de_moivre_envelope,
     delta_smoothness,
     effective_pointwise_bound,
@@ -59,6 +58,7 @@ from lltkit.bounds import binomial_half_pmf, c0_scan_error_bound
 from lltkit.scenery import SceneryModel, y_covariance_factorization
 
 from .conftest import random_pmf
+from .test_partition import _knapsack_counts
 
 BERN = make_pmf(0.0, 1.0, [(0, 1), (1, 1)])
 UNIFORM3 = make_pmf(0.0, 1.0, [(0, 1), (1, 1), (2, 1)])
@@ -275,15 +275,17 @@ def test_criterion_08_scenery_checks():
 
 
 def test_criterion_09_partition_grid():
+    # the counter against the Python-int 0/1 knapsack, an independent
+    # algorithm, at every 1 <= m <= n <= 30
     t0 = time.perf_counter()
     ok = True
-    for n in range(1, 31):
-        for m in range(1, n + 1):
-            ok = ok and count_via_model(m, n) == count_via_enumeration(m, n)
+    for m in range(1, 31):
+        exact = _knapsack_counts(m, 30)
+        ok = ok and all(count_via_enumeration(m, n) == exact[n] for n in range(m, 31))
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     assert _line(
-        9, ok, f"tilted-model count equals enumeration on the full grid ({elapsed:.2f}s)"
+        9, ok, f"partition count equals the 0/1 knapsack on the full grid ({elapsed:.2f}s)"
     )
 
 

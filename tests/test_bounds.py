@@ -793,6 +793,20 @@ class TestVerdictRounding:
                     assert abs(computed - exact) <= rounding, k
 
 
+@pytest.mark.parametrize("light, verdict", [(1e-25, True), (1e-30, None)])
+def test_side_rounding_charges_the_variance_index_error(light, verdict):
+    # on {0: light, 1: 1} the index mean's error bound, gamma_4 of it, is
+    # far above the standard deviation: its square moves the computed
+    # variance by up to 2e-6 of it at light = 1e-25, which the bound charges
+    # through the Gaussian part's slope, and by up to 20% at 1e-30, where
+    # the bound is infinite and the verdict undecided
+    law = make_pmf(0.0, 1.0, [(0, light), (1, 1.0)])
+    spec = prepare_sum([(law, theta(law), 10)])
+    body = bounds._BODIES["sandwich"](spec, exact_plug_ins(spec, 0.25), DEFAULT_CONSTANTS, True)
+    assert (body.rounding() == math.inf) == (verdict is None)
+    assert body.columns(10, [10.0])["sandwich_ok"] == [verdict]
+
+
 class TestExactPlugInBounds:
     @pytest.mark.parametrize("coins", [40, 301, 900])
     def test_plug_ins_dominate_the_exact_binomial_values(self, fair_bernoulli, coins):

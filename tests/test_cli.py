@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -1013,15 +1014,21 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err == {"kind": "input-error", "message": f"n {10**20} is above 2^53 in magnitude"}
 
-    def test_partition_count_beyond_the_rounding_bound_exits_2(self, capsys):
-        # the bound on the assembled count admits more than one integer there
+    def test_partition_counts_every_n_under_the_cap(self, capsys):
+        # the count is an exact integer at every n under the cap: at m = 1,
+        # n = 800 it has 20 digits, more than a long double holds, and 1 +
+        # 2000 + ... + 4500 = 8128251 is under the cap, far past n = 60
+        counts = [1] + [0] * 800
+        for j in range(1, 801):
+            for t in range(800, j - 1, -1):
+                counts[t] += counts[t - j]
         code, out = run_cli(capsys, ["partition", "--m", "1", "--n", "800", "--mode", "model"])
-        err = json.loads(out)["error"]
-        assert (code, err["kind"]) == (2, "numerical-failure")
-        assert "rounding bound" in err["message"] and "admits no single integer" in err["message"]
+        assert code == 0 and json.loads(out)["q_model"] == counts[800]
+        code, out = run_cli(capsys, ["partition", "--m", "2000", "--n", "4500", "--mode", "enum"])
+        assert code == 0 and json.loads(out)["q_enum"] == 251
 
     def test_partition_model_cap_names_the_sum_of_the_parts(self, capsys):
-        # the cap is on 1 + m + ... + n, the length of the whole model law
+        # the cap is on 1 + m + ... + n, which bounds the count's additions
         code, out = run_cli(capsys, ["partition", "--m", "2000", "--n", "4600", "--mode", "model"])
         assert code == 2 and json.loads(out)["error"] == {
             "kind": "input-error",
@@ -1031,11 +1038,12 @@ class TestInputRules:
     @pytest.mark.parametrize("mode, code, kind, message", [
         ("model", 2, "input-error", "above the cap of 8388608"),
         ("both", 2, "input-error", "above the cap of 8388608"),
-        ("enum", 1, "hypothesis-rejected", f"enumeration budget exceeded: n = {2**53} > 60"),
+        ("enum", 2, "input-error", "above the cap of 8388608"),
     ])
     def test_partition_refused_before_the_tilt(self, capsys, monkeypatch, mode, code, kind,
                                                message):
-        # at n = 2^53 the tilt equation alone would need a 64 PiB array
+        # at n = 2^53 the tilt equation alone would need a 64 PiB array; the
+        # cap on 1 + m + ... + n refuses every mode first
         def no_tilt(m, n):
             raise AssertionError("the tilt was solved")
 
@@ -1626,6 +1634,25 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     code = ("import sys, lltkit.cli; sys.exit(any(m in sys.modules for m in "
             "('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft')))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+#: numpy's extended types, whose precision is the platform's
+_EXTENDED = {"longdouble", "clongdouble", "float96", "float128", "complex192", "complex256"}
+
+
+def test_no_module_reads_long_double():
+    # every result is a double or an integer on every platform: no module of
+    # the package names an extended type, as an attribute, a name or an import
+    package = os.path.dirname(lltkit.cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fobj:
+                tree = ast.parse(fobj.read())
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if getattr(node, "attr", getattr(node, "id", None)) in _EXTENDED
+                      or isinstance(node, ast.alias) and node.name in _EXTENDED]
+    assert found == []
 
 
 def test_commands_leave_scipy_subpackages_unloaded(tmp_path):
