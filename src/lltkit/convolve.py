@@ -13,19 +13,24 @@ over its span (its atoms are read once as pairs).  A part with ``count >=
 2`` and two positive atoms is a binomial: its masses on the power's window
 are products of the ratios of consecutive binomial terms, taken outward from
 the mode by ``numpy.cumprod`` and divided by their pairwise sum, with no
-transform and no extended precision.  Any other part with ``count >= 2``
-is taken on its support reduced by the gcd of its offsets, densified there
-and raised to its power with one transform pair of ``numpy.fft`` (numpy's
-pocketfft): one double ``rfft``, a pointwise power over the bits of
-``count``, one double ``irfft``, with the frequencies where the power
-survives summed again from the atoms in log form, ``count log psi(t)`` about
-the mean in double, and the others set to 0.0, unless those sums would cost
-more than a transform.  No part reads long double, so every platform gives
-the same doubles.  The transform covers only the power's Hoeffding window,
-about ``12 span sqrt(count)`` points around its mean outside of which the
-power holds at most ``u^2`` of mass, wherever that is shorter than the whole
-support: the cyclic power is read back on the window, so the transform
-length grows as ``sqrt(count)``, not as ``count``.  Entries of the power at
+transform and no extended precision.  A part with ``count >= 2`` and three
+or more positive atoms is taken on its support reduced by the gcd of its
+offsets and densified there.  Where its power's whole support has at most
+``_DIRECT_WIDTH`` points, the power is raised there directly, with
+``numpy.convolve`` over the bits of ``count``: every term is nonnegative,
+so each entry carries a relative error bound, and there is no transform.
+Past that width, and for a part of one atom, the power is raised with one
+transform pair of ``numpy.fft`` (numpy's pocketfft): one double ``rfft``, a
+pointwise power over the bits of ``count``, one double ``irfft``, with the
+frequencies where the power survives summed again from the atoms in log
+form, ``count log psi(t)`` about the mean in double, and the others set to
+0.0, unless those sums would cost more than a transform.  No part reads
+long double, so every platform gives the same doubles.  The transform
+covers only the power's Hoeffding window, about ``12 span sqrt(count)``
+points around its mean outside of which the power holds at most ``u^2`` of
+mass, wherever that is shorter than the whole support: the cyclic power is
+read back on the window, so the transform length grows as ``sqrt(count)``,
+not as ``count``.  Entries of the power at
 or below its error bound are set to 0.0; it is then spread at stride ``s``
 (its span over the common lattice of all spans, times that gcd) onto the
 lattice, so the gaps stay exact zeros, and folded in with
@@ -122,6 +127,17 @@ _LENGTH_CAP = 2**23
 #: 2^-11.5 after a transform, nor below u 2^-23 for a binomial, whose largest
 #: entry is at least 1/W (``sum_law``, error bound steps 4 and 7)
 _OUTSIDE = _U * _U
+
+#: widest whole support ``count span + 1`` of a power of three or more atoms
+#: that :func:`sum_law` raises by direct products (:func:`_direct_power`)
+#: rather than by a transform pair: below it the direct power measured
+#: faster on 3-6-atom laws (``sum_law``, error bound step 8)
+_DIRECT_WIDTH = 1025
+
+#: entries of a direct power's products below 2^-511 are set to 0.0, so that
+#: no square of two kept entries underflows (subnormal products cost numpy
+#: many times a normal one)
+_TINY = 2.0**-511
 
 
 @dataclass(frozen=True)
@@ -389,6 +405,51 @@ def _power(pos: list[tuple[int, float]], span: int, count: int, a: int, b: int):
     return _drop_small(x, e1, e2, einf)
 
 
+def _grown(a: float, b: float, m: int) -> float:
+    """``(1 + a)(1 + b)(1 + gamma_m) - 1`` rounded up: the relative bound of
+    a dot product of m products of nonnegative terms within a and b of their
+    exact values (``sum_law``, error bound step 8)."""
+    t = a + b + a * b
+    return (t + _gamma(m, _U) * (1.0 + t)) * (1.0 + 8.0 * _U)
+
+
+def _direct_power(pos: list[tuple[int, float]], span: int, count: int):
+    """The law of the positive atoms ``pos`` (index, mass) on ``[0, span]``
+    convolved with itself to the power ``count >= 2`` on its whole support
+    ``[0, count span]``, by ``numpy.convolve`` over the bits of ``count``
+    (square, then times the law where the bit is set), each product's
+    entries below ``_TINY`` set to 0.0, with its entrywise bound (``sum_law``,
+    error bound step 8): ``r`` and ``slack`` such that each computed entry is
+    within ``r x_i + s_i`` of the exact ``x_i``, with ``sum_i s_i <= slack``."""
+    dense = np.bincount([k for k, _ in pos], [w for _, w in pos], span + 1)
+    out, r, products, flushed = dense, 0.0, 0, 0
+    for bit in bin(count)[3:]:
+        r, products = _grown(r, r, len(out)), products + len(out) ** 2
+        out = np.convolve(out, out)
+        if bit == "1":
+            r, products = _grown(r, 0.0, len(dense)), products + len(out) * len(dense)
+            out = np.convolve(out, dense)
+        np.putmask(out, out < _TINY, 0.0)
+        flushed += len(out)
+    return out, r, count * (products * 2.0**-1073 + flushed * (2.0 * _TINY))
+
+
+def _is_direct(pos: list[tuple[int, float]], span: int, count: int) -> bool:
+    """Whether :func:`sum_law` raises the positive atoms ``pos`` on ``[0,
+    span]`` to the power ``count >= 2`` by :func:`_direct_power`: three or
+    more atoms whose power's whole support has at most ``_DIRECT_WIDTH``
+    points."""
+    return len(pos) > 2 and count * span < _DIRECT_WIDTH
+
+
+def _direct_bounds(x: np.ndarray, r: float, slack: float):
+    """The power ``x`` of :func:`_direct_power` with entries at or below its
+    error bound set to 0.0, and its bounds: ``e_p = (r ||x||_p + slack) / (1
+    - r)`` (``sum_law``, error bound step 8)."""
+    up = (1.0 + 8.0 * _U) / (1.0 - r)
+    return _drop_small(x, *((r * v + slack) * up for v in _measured(x)[:3]))
+
+
 def _pairwise_adds(size: int) -> int:
     """Most roundings any term of a sum of ``size`` doubles passes through
     in numpy's pairwise summation: one by one below 8 terms; up to 128 terms
@@ -553,19 +614,28 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     stride ``i1 - i0`` on the window.  Nothing is transformed, so nothing is
     aliased.  Any other part with ``count = n >= 2`` (one atom, or three or
     more) is densified on its own span, ``f`` of length ``l``, and raised to
-    its power ``f^{*n}`` (length ``L = n (l - 1) + 1``) on its window ``[a,
-    b]`` (step 4): the Hoeffding window where its ``W = b - a + 1`` points
-    need a shorter transform than L points, else the whole support (``a =
-    0``, ``W = L``).  A law of three or more atoms is first taken on its
-    support reduced by the gcd g of their offsets from the first one, and
-    its power is spread at stride ``s g``: it then has one cluster of
-    surviving frequencies, not g.  One transform pair of length ``N = 2^t``,
-    the least power of two ``>= W``, gives the cyclic power, which is read
-    on ``[a, b]`` with wraparound (on the whole support it is the linear
-    power): one double ``rfft``, the pointwise power ``F^n`` in complex128
-    by squaring over the bits of n (square, then multiply by ``F`` where the
-    bit is set), one double ``irfft``, where the double power stands (step
-    3).  Elsewhere the frequencies where the power survives, ``|F^_j| +
+    its power ``f^{*n}`` (length ``L = n (l - 1) + 1``).  A law of three or
+    more atoms is first taken on its support reduced by the gcd g of their
+    offsets from the first one, and its power is spread at stride ``s g``:
+    L shrinks by g, and a transform has one cluster of surviving
+    frequencies, not g.  Where such a power has ``L <= _DIRECT_WIDTH``
+    points (1025), it is raised on its whole support by direct products
+    (:func:`_direct_power`, step 8): ``f`` squared over the bits of n by
+    ``numpy.convolve``, times ``f`` where the bit is set, each product's
+    entries below ``_TINY = 2^-511`` set to 0.0, so that no square of two
+    kept entries underflows; nothing is transformed, aliased or left out.
+    The width was measured per call on laws of 3-6 atoms on spans 2-6: the
+    direct power took 0.16-0.73 of the transform's time at W = 33-1025,
+    and was slower for some laws from W = 1537.  Every other power is read
+    on its window ``[a, b]`` (step 4): the Hoeffding window where its ``W =
+    b - a + 1`` points need a shorter transform than L points, else the
+    whole support (``a = 0``, ``W = L``).  One transform pair of length ``N
+    = 2^t``, the least power of two ``>= W``, gives the cyclic power,
+    which is read on ``[a, b]`` with wraparound (on the whole support it is
+    the linear power): one double ``rfft``, the pointwise power ``F^n`` in
+    complex128 by squaring over the bits of n (square, then multiply by
+    ``F`` where the bit is set), one double ``irfft``, where the double
+    power stands (step 3).  Elsewhere the frequencies where the power survives, ``|F^_j| +
     delta >= tau = u^(1.5/n)``, are summed again from the A positive atoms
     in log form (:func:`_log_power`, step 1), ``F_j^n = exp(n log T + n log
     psi(t) - i n t c)`` at ``t = 2 pi j / N``, with T the masses' total and
@@ -709,9 +779,12 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``numpy.convolve`` arguments.
        The fold's norms are carried as bounds, never recomputed, so the
        count-1 path costs nothing beyond its adds.  A count-1 part enters
-       with the norms of its positive masses.
+       with the norms of its positive masses, a power with the bounds of
+       the path it took: a binomial's (step 7), a direct power's (step 8),
+       or a transform's (steps 1 and 3-5).
        Every fold, of either kind, takes the same step (:func:`_direct_product`).
-    3. *Surviving set*: the cutoff ``tau = u^(1.5/n)`` comes from the
+    3. *Surviving set* of a power by transform (past ``_DIRECT_WIDTH``, or
+       of one atom): the cutoff ``tau = u^(1.5/n)`` comes from the
        precision, so it adds no setting.  A frequency is summed again where
        ``|F^_j| >= (tau (1 - 64u) - delta) (1 - 8u)``, which covers the
        roundings of tau, of ``|F^_j|`` and of the test; every other one has
@@ -824,6 +897,36 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``e_1`` of 1.2e-11 (against 1.7e-9 by the transform with its surviving
        frequencies in long double, and 3.5e-6 in double).  Then the tail
        drop of step 5 applies.
+    8. *Direct power* (Higham, Sec. 3.1, as in step 2).  The exact power
+       ``x = f^{*k}`` of the stored masses and its computed ``x^`` obey
+       ``x^_i = x_i (1 + alpha_i) + xi_i`` with ``|alpha_i| <= r``; f itself
+       is exact (``r = 0``, ``xi = 0``).  An entry of ``numpy.convolve`` of
+       two such vectors is a dot product of at most m products of
+       nonnegative doubles, m the shorter factor's length, and rounds to
+       ``sum_j p_j (1 + theta_j)``, ``|theta_j| <= gamma_m``, with no
+       cancellation, so the product carries ``r <- (1 + r_a)(1 + r_b)(1 +
+       gamma_m) - 1`` (:func:`_grown`, rounded up by ``1 + 8u``) and the
+       factors' ``xi`` times the other factor's norm.  Two absolute terms
+       join them: a product below the normal range errs by at most
+       ``2^-1075`` more (sums of doubles do not underflow), and an entry
+       set to 0.0 below ``_TINY`` by less than ``_TINY``.  Under
+       ``_DIRECT_WIDTH``, ``r < 2^-30`` (it is about ``W u log2 n``) and
+       the masses total within 3u of one (the drift test), so each factor
+       passes its ``xi`` on with weight below ``1 + 2^-20``; an error made
+       at the power k reaches the power n through at most ``n/k`` copies
+       (one per squaring that follows doubles them), so all of them
+       together, the ``s_i >= |xi_i|``, total at most ``slack = n (P
+       2^-1073 + F 2^-510)``, P the products made and F the entries tested
+       against ``_TINY``, as :func:`lltkit.scenery._fold_error` charges
+       its own.  With ``x_i <= (x^_i + s_i) / (1 - r)``, ``|x^_i - x_i| <=
+       (r x^_i + s_i) / (1 - r)`` at every index, so the power enters with
+       ``e_p = (r ||x^||_p + slack) / (1 - r)``, p = 1, 2, inf (norms
+       measured, the bound rounded up by ``1 + 8u``), and the tail drop of
+       step 5 applies.  The relative bound about doubles per squaring,
+       where a transform's ``eta_N ||f||_2^2`` shrinks as the power
+       spreads: ``err_abs`` of {1, 2, 1}/4 is 4.4e-15, 1.6e-14 and 2.6e-14
+       at n = 32, 128 and 300, against 1.1e-14, 5.9e-15 and 4.1e-15 by
+       the transform, and 4.6e-16 against 7.0e-15 at n = 2.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
     divides each weight by their correctly rounded sum, so its masses total
@@ -853,7 +956,12 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             k1, g = pos[0][0], math.gcd(*(k - pos[0][0] for k, _ in pos))
             pos, first, s = [((k - k1) // g, w) for k, w in pos], first + count * s * k1, s * g
             span = pos[-1][0]
-        a, b = (pos[0][0], pos[-1][0]) if count == 1 else _window(pos, span, count)
+        if count == 1:
+            a, b = pos[0][0], pos[-1][0]
+        elif _is_direct(pos, span, count):  # read on its whole support
+            a, b = 0, count * span
+        else:
+            a, b = _window(pos, span, count)
         folds.append((s, span, pos, a, b))
         window += s * (b - a)
     if window > _LENGTH_CAP:
@@ -868,8 +976,12 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             ab = _direct_product(ab, _measured(np.array(pos)[:, 1]), min(len(probs), len(pos)))
             lo += s * a
         else:
-            power, pb = (_binomial(pos, count, a, b) if len(pos) == 2
-                         else _power(pos, span, count, a, b))
+            if len(pos) == 2:
+                power, pb = _binomial(pos, count, a, b)
+            elif _is_direct(pos, span, count):
+                power, pb = _direct_bounds(*_direct_power(pos, span, count))
+            else:
+                power, pb = _power(pos, span, count, a, b)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # the gaps stay exact zeros
             spread[::s] = power[nz[0]:nz[-1] + 1]

@@ -186,9 +186,10 @@ def _sequential_reference(parts):
 
 def _fresh_array_fold(parts):
     """The kernel of sum_law with a fresh zero array per part: one add per
-    atom in increasing k for a count-1 part, the binomial of a two-atom law
-    or the FFT power of any other on its window (placed at the window's
-    offset) over nonzero windows for the others, and
+    atom in increasing k for a count-1 part, the binomial of a two-atom law,
+    the direct power of a law of three or more atoms on its whole support up
+    to _DIRECT_WIDTH points or the FFT power of any other on its window
+    (placed at the window's offset) over nonzero windows for the others, and
     the bound chain of each fold: the measured
     norms of the part's positive masses for a count-1 part, the power's
     bounds for the others.
@@ -220,10 +221,14 @@ def _fresh_array_fold(parts):
                 first += count * s * pos[0][0]
                 pos = [((k - pos[0][0]) // g, wk) for k, wk in pos]
                 st, span = s * g, pos[-1][0]
-            a, b = convolve._window(pos, span, count)
-            if len(pos) == 2:  # a binomial, with no transform
+            if len(pos) > 2 and count * span + 1 <= convolve._DIRECT_WIDTH:
+                a, b = 0, count * span  # direct products on the whole support
+                power, pb = convolve._direct_bounds(*convolve._direct_power(pos, span, count))
+            elif len(pos) == 2:  # a binomial, with no transform
+                a, b = convolve._window(pos, span, count)
                 power, pb = convolve._binomial(pos, count, a, b)
             else:
+                a, b = convolve._window(pos, span, count)
                 power, pb = _power(pos, span, count, a, b)
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * st + 1)
@@ -319,9 +324,10 @@ class TestSumLaw:
         _assert_near(law, first, ref)
 
     def test_one_transform_pair_per_power(self, monkeypatch):
-        # a power of three or more atoms is one rfft, a pointwise power and
-        # one irfft, whatever its count; a power of two atoms is a binomial
-        # and calls no transform
+        # a power of three or more atoms is raised by direct products while
+        # its whole support has at most _DIRECT_WIDTH points, and past it by
+        # one rfft, a pointwise power and one irfft, whatever its count; a
+        # power of two atoms is a binomial and calls no transform
         calls = []
         for name in ("rfft", "irfft"):
             def spy(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
@@ -330,28 +336,32 @@ class TestSumLaw:
 
             monkeypatch.setattr(np.fft, name, spy)
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (3, 0.1)])
-        for count in list(range(2, 40)) + [1000]:
+        for count in list(range(2, 40)) + [(convolve._DIRECT_WIDTH - 1) // 3]:
+            calls.clear()
+            sum_law([(p, count), (bernoulli(0.3), 1)])
+            assert calls == [], count
+        for count in ((convolve._DIRECT_WIDTH - 1) // 3 + 1, 1000):
             calls.clear()
             sum_law([(p, count), (bernoulli(0.3), 1)])
             assert calls == ["rfft", "irfft"], count
         calls.clear()
-        sum_law([(p, 5), (bernoulli(0.3), 7), (p, 3)])
+        sum_law([(p, 500), (bernoulli(0.3), 7), (p, 5), (p, 3000)])
         assert calls == ["rfft", "irfft"] * 2
         gapped = LatticePmf(0.0, 1.0, {0: 0.0, 2: 0.4, 5: 0.6})  # a massless listed atom
         for count in list(range(2, 40)) + [1000, 10**6]:
             calls.clear()
             sum_law([(bernoulli(0.3), count), (gapped, count), (bernoulli(0.3), 1)])
             assert calls == [], count
-        # a law of many atoms squared stays in double: its surviving
-        # frequencies times its atoms pass the size rule
+        # a law of many atoms to the power 6, past the direct width, stays in
+        # double: its surviving frequencies times its atoms pass the size rule
         calls.clear()
-        sum_law([(make_pmf(0.0, 1.0, [(k, 1.0) for k in range(200)]), 2)])
+        sum_law([(make_pmf(0.0, 1.0, [(k, 1.0) for k in range(200)]), 6)])
         assert calls == ["rfft", "irfft"]
         # one heavy atom among many light ones keeps the spectrum near 1, so
         # nearly every frequency would be summed again, at |frequencies| x
         # atoms pairs: past the size rule the double power stands
         calls.clear()
-        sum_law([(make_pmf(0.0, 1.0, [(0, 99.0 * 200)] + [(k, 1.0) for k in range(1, 200)]), 2)])
+        sum_law([(make_pmf(0.0, 1.0, [(0, 99.0 * 200)] + [(k, 1.0) for k in range(1, 200)]), 6)])
         assert calls == ["rfft", "irfft"]
 
     @pytest.mark.parametrize("probs", [(1, 2, 1), (0.7, 0.2, 0.1), (0.05, 0.15, 0.8)])
@@ -505,9 +515,11 @@ class TestPowerAccuracy:
 
     def test_extended_set_spans_all_to_few_frequencies(self, ext):
         # count 2 sums every frequency again, count 1000 a seventh of
-        # them and count 20000 a few percent
+        # them and count 20000 a few percent; sum_law raises count 2 by
+        # direct products, so its transform is called here
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
-        for count in (2, 1000, 20000):
+        _power([(0, 0.7), (1, 0.2), (2, 0.1)], 2, 2, 0, 4)
+        for count in (1000, 20000):
             iid_sum(p, count)
         assert ext[0] == 1.0 and ext[1] < 0.2 and ext[2] < 0.05
 
@@ -824,6 +836,135 @@ class TestBinomial:
         assert law.err_l1 < 1e-10 and law.err_abs < 1e-15
 
 
+def _kronecker_power(pos, count):
+    """The exact power of the masses ``pos`` (index, mass) on ``[0, span]``,
+    as stored and as scaled to total one: integers ``c_i``, ``x_i = c_i /
+    S`` and ``p_i = c_i / T`` at the index i of ``[0, count span]``.  One
+    Python-int power of the masses, each an integer over their common
+    power-of-two denominator, packed at a stride of whole bytes that no
+    coefficient fills (Kronecker substitution: every coefficient is at most
+    ``T``, their sum).  Returns (c, S, T)."""
+    fracs = [(k, Fraction(w)) for k, w in pos]
+    scale = math.lcm(*(f.denominator for _, f in fracs))
+    dense = [0] * (pos[-1][0] + 1)
+    for k, f in fracs:
+        dense[k] = int(f * scale)
+    total = sum(dense) ** count
+    width = total.bit_length() // 8 + 1  # bytes per coefficient
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in dense), "little")
+    size = count * (len(dense) - 1) + 1
+    data = (packed**count).to_bytes(width * size, "little")
+    return ([int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(size)],
+            scale**count, total)
+
+
+def _direct_laws(rng, short=False):
+    """Laws of 3-5 positive atoms: random masses off v0 = 0 on spans 2-6, a
+    gapped law, a heavy atom among light ones and the near-periodic law;
+    with ``short``, the random laws alone, their masses multiples of 1/64
+    (which keeps their exact powers short at counts up to the direct
+    width)."""
+    laws = []
+    for size in (3, 4, 5, 3, 5):
+        span = int(rng.integers(size - 1, 7))
+        ks = sorted([0, span] + rng.choice(np.arange(1, span), size - 2, replace=False).tolist())
+        w = 1 + rng.multinomial(64 - size, [1 / size] * size) if short else rng.random(size) + 1e-3
+        laws.append(make_pmf(float(rng.choice([-1.25, 3.5])), 1.0, list(zip(ks, w.tolist()))))
+    if short:
+        return laws
+    w = rng.random(4) + 1e-3
+    w[int(rng.integers(4))] *= 1e3
+    return laws + [make_pmf(0.0, 1.0, list(zip([0, 3, 4, 9], (rng.random(4) + 1e-3).tolist()))),
+                   make_pmf(0.0, 1.0, list(zip([0, 1, 2, 4], w.tolist()))),
+                   LatticePmf(0.0, 1.0, {0: 0.5 - 5e-7, 1: 1e-6, 2: 0.5 - 5e-7})]
+
+
+def _reduced(law):
+    """The first listed index of ``law``, the gcd g of its positive atoms'
+    offsets from the first of them, that first offset, and the positive
+    atoms on the reduced support: ``(k0, g, k1, pos)`` as sum_law takes a
+    law of three or more atoms."""
+    items = sorted(law.probs.items())
+    k0 = items[0][0]
+    pos = [(k - k0, w) for k, w in items if w > 0]
+    k1 = pos[0][0]
+    g = math.gcd(*(k - k1 for k, _ in pos))
+    return k0, g, k1, [((k - k1) // g, w) for k, w in pos]
+
+
+class TestDirectPower:
+    """Powers of three or more atoms up to the direct width, by direct
+    products, against exact integer powers: every entry within its relative
+    bound, the law within err_abs at every index and err_l1 in all."""
+
+    @staticmethod
+    def _assert_exact(law, count):
+        k0, g, k1, pos = _reduced(law)
+        span = pos[-1][0]
+        assert count * span + 1 <= convolve._DIRECT_WIDTH
+        masses, stored, total = _kronecker_power(pos, count)
+        x, r, slack = convolve._direct_power(pos, span, count)
+        # |x^_i - x_i| <= r x_i + s_i with sum_i s_i <= slack, in rationals
+        r, excess = Fraction(r), Fraction(0)
+        for p, c in zip(x.tolist(), masses, strict=True):
+            exact = Fraction(c, stored)
+            excess += max(abs(Fraction(p) - exact) - r * exact, 0)
+        assert excess <= Fraction(slack)
+        first = count * (k0 + k1)
+        _assert_exact_law(iid_sum(law, count),
+                          {first + g * i: c for i, c in enumerate(masses)}, total)
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 40])
+    def test_against_exact_powers(self, count):
+        for law in _direct_laws(np.random.default_rng(count)):
+            self._assert_exact(law, count)
+
+    def test_periodic_and_near_periodic_laws_at_128(self):
+        # {0, 2, 4} is powered on its reduced support {0, 1, 2}
+        self._assert_exact(make_pmf(0.0, 1.0, [(0, 0.25), (2, 0.5), (4, 0.25)]), 128)
+        self._assert_exact(LatticePmf(0.0, 1.0, {0: 0.5 - 5e-7, 1: 1e-6, 2: 0.5 - 5e-7}), 128)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_short_masses_up_to_the_direct_width(self, seed):
+        # the largest count each law is raised to by direct products
+        for law in _direct_laws(np.random.default_rng(60 + seed), short=True):
+            span = _reduced(law)[3][-1][0]
+            self._assert_exact(law, (convolve._DIRECT_WIDTH - 1) // span)
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 40, 341])
+    def test_bound_is_the_recurrence_of_step_8(self, count):
+        # r <- (1 + r_a)(1 + r_b)(1 + gamma_m) - 1 per product, m the shorter
+        # factor's length, and slack = n (P 2^-1073 + F 2^-510) over the P
+        # products made and the F entries tested, in rationals: the computed
+        # bound covers it, up to its own rounding up
+        u = Fraction(2) ** -53
+        r, size, products, tested = Fraction(0), 4, 0, 0
+        for bit in bin(count)[3:]:
+            r = (1 + r) ** 2 * (1 + size * u / (1 - size * u)) - 1
+            products, size = products + size * size, 2 * size - 1
+            if bit == "1":
+                r = (1 + r) * (1 + 4 * u / (1 - 4 * u)) - 1
+                products, size = products + 4 * size, size + 3
+            tested += size
+        _, got, slack = convolve._direct_power([(0, 0.5), (1, 0.25), (3, 0.25)], 3, count)
+        assert r <= Fraction(got) <= r * (1 + Fraction(1, 2**40))
+        assert slack == count * (products * 2.0**-1073 + tested * 2.0**-510)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_the_transform_at_the_direct_width(self, seed):
+        # both powers of the largest direct count on the whole support lie
+        # within their bounds of the exact one, so within their sum of each other
+        for law in _direct_laws(np.random.default_rng(80 + seed)):
+            pos = _reduced(law)[3]
+            span = pos[-1][0]
+            count = (convolve._DIRECT_WIDTH - 1) // span
+            x, xb = convolve._direct_bounds(*convolve._direct_power(pos, span, count))
+            y, yb = _power(pos, span, count, 0, count * span)
+            diff = np.abs(x - y)
+            assert diff.max() <= xb.einf + yb.einf
+            assert math.fsum(diff.tolist()) <= (xb.e1 + yb.e1) * (1.0 - 1e-12)
+
+
 class _ConvolveSpy:
     """Stands in for numpy.convolve and records copies of its arguments (the
     running window is zeroed after the call returns)."""
@@ -940,7 +1081,7 @@ class TestSparseFold:
 
 _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of its masses
     "121-n300": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 300)],
-                 "0x1.2a58b5455736bp-48", 205, "878a5825300a7ca59109f7c22eb20375bd502099"),
+                 "0x1.d9265e40d06d4p-46", 208, "7e641134235fe824efcf5f58b38dd88ec99e25ed"),
     "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
                  "0x1.dea615f75d0c5p-50", 19234, "552e7cebfd68c1c3716e076e281fcdccbb4ce650"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
@@ -955,14 +1096,15 @@ _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of it
                              (make_pmf(0.5, 3.0, [(0, 0.2), (1, 0.3), (2, 0.5)]), 4),
                              (make_pmf(0.0, 1.0, [(0, 0.6), (2, 0.1), (5, 0.3)]), 1),
                              (bernoulli(0.3), 1)],
-                    "0x1.38cc26152ea3dp-48", 0, "38b8ba18ed244fd84d20d6d595312512e0e83b93"),
+                    "0x1.5adae592219d3p-50", 0, "b2a92ff365eb1a02dd1a0256e5839995555118b5"),
 }
 
 
 @pytest.mark.parametrize("case", _ERR_ABS_PINS)
 def test_err_abs_is_pinned(case):
-    # the bound chain (powers on their Hoeffding window, 121 at n = 300 and
-    # 2e4, or on their whole support, with their tail drop, binomials of
+    # the bound chain (powers by direct products on their whole support,
+    # 121 at n = 300 and the span-3 law of mixed-spans, or by a transform on
+    # their Hoeffding window, 121 at 2e4, with their tail drop, binomials of
     # two-atom laws, 73 at n = 2 and the span-2 coin of mixed-spans, two-atom
     # and general count-1 folds, spans 2 and 3 on lattice 1) gives the same
     # double, and the kernel the same masses: a change that keeps the bound
