@@ -518,7 +518,7 @@ class TestPowerAccuracy:
         # them and count 20000 a few percent; sum_law raises count 2 by
         # direct products, so its transform is called here
         p = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (2, 0.1)])
-        _power([(0, 0.7), (1, 0.2), (2, 0.1)], 2, 2, 0, 4)
+        _power(sorted(p.probs.items()), 2, 2, 0, 4)
         for count in (1000, 20000):
             iid_sum(p, count)
         assert ext[0] == 1.0 and ext[1] < 0.2 and ext[2] < 0.05
