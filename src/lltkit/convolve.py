@@ -6,44 +6,45 @@ statistics every bound is checked against.
 parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`,
 and folds every part into the running window of the sum, the entries from
 the first to the last one kept; the support's other indices are exact zeros
-and are never allocated.  A part with ``count == 1`` is folded by its atoms
-into one fresh zero array: one shifted, scaled add of the window per
-positive mass, so a sparse part costs its array passes, not a convolution
-over its span (its atoms are read once as pairs).  A part with ``count >=
-2`` and two positive atoms is a binomial: its masses on the power's window
-are products of the ratios of consecutive binomial terms, taken outward from
-the mode by ``numpy.cumprod`` and divided by their pairwise sum, with no
-transform and no extended precision.  A part with ``count >= 2`` and three
-or more positive atoms is taken on its support reduced by the gcd of its
-offsets and densified there.  Where its power's whole support has at most
-``_DIRECT_WIDTH`` points, the power is raised there directly, with
-``numpy.convolve`` over the bits of ``count``: every term is nonnegative,
-so each entry carries a relative error bound, and there is no transform.
-Past that width, and for a part of one atom, the power is raised with one
-transform pair of ``numpy.fft`` (numpy's pocketfft): one double ``rfft``, a
-pointwise power over the bits of ``count``, one double ``irfft``, with the
-frequencies where the power survives summed again from the atoms in log
-form, ``count log psi(t)`` about the mean in double, and the others set to
-0.0, unless those sums would cost more than a transform.  No part reads
-long double, so every platform gives the same doubles.  The transform
-covers only the power's Hoeffding window, about ``12 span sqrt(count)``
-points around its mean outside of which the power holds at most ``u^2`` of
-mass, wherever that is shorter than the whole support: the cyclic power is
-read back on the window, so the transform length grows as ``sqrt(count)``,
-not as ``count``.  Entries of the power at
-or below its error bound are set to 0.0; it is then spread at stride ``s``
-(its span over the common lattice of all spans, times that gcd) onto the
-lattice, so the gaps stay exact zeros, and folded in with
-``numpy.convolve`` of the running window and the power's nonzero window,
-whose product is the new window; the first part's power is the window as it
-is, its product with the unit.  The sum is normalized in place.  Every
-oracle reads the window of the resulting :class:`SumLaw` in place.
-``SumLaw.err_abs`` bounds how far any of its masses, on the window or off
-it, can be from the exact law, and ``SumLaw.err_l1`` how far all of them
-together can be, in the l1 norm (both derived at :func:`sum_law`): a reader
-that sums masses charges ``err_l1`` once, not ``err_abs`` per index.  The
-normal CDF is :func:`_ndtr`, Cephes' ``ndtr`` (absolute error near machine
-precision) in numpy with libm's ``exp``, which gives the doubles of
+and are never allocated.  One rule, applied once per part before anything is
+allocated, reads the part from its first positive atom and chooses its
+kernel.  A part of one positive atom is a point mass: its scaled law is
+exactly 1.0 there, so it shifts the sum and folds nothing.  A part with
+``count == 1`` is folded by its atoms into one fresh zero array: one
+shifted, scaled add of the window per positive mass, so a sparse part costs
+its array passes, not a convolution over its span.  Every other part is
+taken on its support reduced by the gcd g of its offsets, and its power is
+spread at stride ``s g``, s the part's stride on the common lattice.  Of two
+atoms it is a binomial: its masses on the power's window are products of the
+ratios of consecutive binomial terms, taken outward from the mode by
+``numpy.cumprod`` and divided by their pairwise sum, with no transform and
+no extended precision.  Of three or more atoms whose power's whole support
+has at most ``_DIRECT_WIDTH`` points, the power is raised there directly,
+with ``numpy.convolve`` over the bits of ``count``: every term is
+nonnegative, so each entry carries a relative error bound, and there is no
+transform.  Any other power is raised with one transform pair of
+``numpy.fft`` (numpy's pocketfft): one double ``rfft``, a pointwise power
+over the bits of ``count``, one double ``irfft``, with the frequencies where
+the power survives summed again from the atoms in log form, ``count log
+psi(t)`` about the mean in double, and the others set to 0.0, unless those
+sums would cost more than a transform.  No part reads long double, so every
+platform gives the same doubles.  The transform covers only the power's
+Hoeffding window, about ``12 span sqrt(count)`` points around its mean
+outside of which the power holds at most ``u^2`` of mass, wherever that is
+shorter than the whole support: the cyclic power is read back on the window,
+so the transform length grows as ``sqrt(count)``, not as ``count``; a
+binomial is read on the same window.  Entries of a power at or below its
+error bound are set to 0.0, and its nonzero window, spread onto the lattice
+so that the gaps stay exact zeros, is folded in with ``numpy.convolve`` of
+the running window, whose product is the new window; the first folded power
+is the window as it is, its product with the unit.  The sum is normalized in
+place.  Every oracle reads the window of the resulting :class:`SumLaw` in
+place.  ``SumLaw.err_abs`` bounds how far any of its masses, on the window
+or off it, can be from the exact law, and ``SumLaw.err_l1`` how far all of
+them together can be, in the l1 norm (both derived at :func:`sum_law`): a
+reader that sums masses charges ``err_l1`` once, not ``err_abs`` per index.
+The normal CDF is :func:`_ndtr`, Cephes' ``ndtr`` (absolute error near
+machine precision) in numpy with libm's ``exp``, which gives the doubles of
 ``scipy.special.ndtr`` without importing ``scipy.special``.
 """
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -276,12 +277,21 @@ def _raise(z: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _integer_masses(ws) -> tuple[list[int], int]:
+    """The masses ``ws`` as integers over their largest power-of-two
+    denominator, every denominator a divisor of it: ``(ints, den)`` with
+    each ``w = int / den`` exactly."""
+    ratios = [w.as_integer_ratio() for w in ws]
+    den = max(d for _, d in ratios)
+    return [c * (den // d) for c, d in ratios], den
+
+
 def _window(pos: list[tuple[int, float]], span: int, count: int) -> tuple[int, int]:
-    """The indices ``[a, b]`` on which :func:`_power` reads a law to the
-    power ``count``, from its positive atoms ``pos`` (index, mass) on ``[0,
-    span]``: its Hoeffding window (``sum_law``, error bound step 4) where
-    that needs a shorter transform than the whole support ``[0, count
-    span]``, else the whole support.  The mean is summed from the atoms,
+    """The indices ``[a, b]`` on which :func:`_power` or :func:`_binomial`
+    reads a law to the power ``count``, from its positive atoms ``pos``
+    (index, mass) on ``[0, span]``: its Hoeffding window (``sum_law``, error
+    bound step 4) where that needs a shorter transform than the whole
+    support ``[0, count span]``, else the whole support.  The mean is summed from the atoms,
     so :func:`sum_law` finds every window before it allocates anything."""
     last = count * span
     center = count * math.fsum(k * w for k, w in pos) / math.fsum(w for _, w in pos)
@@ -297,9 +307,7 @@ def _log_power(pos: list[tuple[int, float]], n: int, size: int, freqs: np.ndarra
     summed in double in log form, and a bound on the error of each value
     (``sum_law``, error bound step 1); None where a value lies too near 0
     for the bound."""
-    ratios = [w.as_integer_ratio() for _, w in pos]
-    den = max(d for _, d in ratios)
-    ints = [c * (den // d) for c, d in ratios]  # the masses are ints / den
+    ints, den = _integer_masses(w for _, w in pos)  # the masses are ints / den
     total, moment = sum(ints), sum(k * c for (k, _), c in zip(pos, ints))  # mean = moment / total
     dev = [(k * total - moment) / total for k, _ in pos]  # k - mean
     p, t = np.array([c / total for c in ints]), freqs * (2.0 * math.pi / size)
@@ -360,7 +368,8 @@ def _power(pos: list[tuple[int, float]], span: int, count: int, a: int, b: int):
     """The law of the positive atoms ``pos`` (index, mass) on ``[0, span]``
     convolved with itself to the power ``count >= 2``, read on its window
     ``[a, b]`` (:func:`_window`): the power there with entries at or below
-    its error bound set to 0.0, and its bounds."""
+    its error bound set to 0.0, and its bounds.  :func:`sum_law` calls it
+    for three or more atoms past ``_DIRECT_WIDTH`` points."""
     dense = np.bincount([k for k, _ in pos], [w for _, w in pos], span + 1)
     bf = _measured(dense)
     # the mass a Hoeffding window leaves out (none on the whole support)
@@ -434,12 +443,11 @@ def _direct_power(pos: list[tuple[int, float]], span: int, count: int):
     return out, r, count * (products * 2.0**-1073 + flushed * (2.0 * _TINY))
 
 
-def _is_direct(pos: list[tuple[int, float]], span: int, count: int) -> bool:
-    """Whether :func:`sum_law` raises the positive atoms ``pos`` on ``[0,
-    span]`` to the power ``count >= 2`` by :func:`_direct_power`: three or
-    more atoms whose power's whole support has at most ``_DIRECT_WIDTH``
-    points."""
-    return len(pos) > 2 and count * span < _DIRECT_WIDTH
+def _direct(pos: list[tuple[int, float]], span: int, count: int):
+    """:func:`_direct_power` of its arguments with its bounds
+    (:func:`_direct_bounds`): the direct kernel as :func:`sum_law` records
+    it."""
+    return _direct_bounds(*_direct_power(pos, span, count))
 
 
 def _direct_bounds(x: np.ndarray, r: float, slack: float):
@@ -466,31 +474,26 @@ def _pairwise_adds(size: int) -> int:
     return halvings + 25
 
 
-def _binomial(pos: list[tuple[int, float]], count: int, a: int, b: int):
-    """The law of the two positive atoms ``pos = [(i0, w0), (i1, w1)]`` to
-    the power ``count >= 2``, read on its window ``[a, b]`` (:func:`_window`):
-    the Binomial(count, w1 / (w0 + w1)) masses at the indices ``count i0 + j
-    (i1 - i0)`` by the ratio recurrence from the mode, with entries at or
-    below their error bound set to 0.0, and its bounds (``sum_law``, error
-    bound step 7)."""
-    (i0, w0), (i1, w1) = pos
-    n, gap, base = count, i1 - i0, count * i0
-    lo, hi = max(0, -((base - a) // gap)), min(n, (b - base) // gap)  # the j on [a, b]
-    (p0, q0), (p1, q1) = w0.as_integer_ratio(), w1.as_integer_ratio()
-    mode = (n + 1) * p1 * q0 // (p0 * q1 + p1 * q0)  # floor((n + 1) t), exactly
-    size, m = hi - lo + 1, mode - lo
-    out = np.zeros(b - a + 1)
-    first = base + lo * gap - a
-    x = out[first:first + (size - 1) * gap + 1:gap]  # the j = lo..hi, at stride gap
+def _binomial(pos: list[tuple[int, float]], n: int, a: int, b: int):
+    """The law of the two positive atoms ``pos = [(0, w0), (1, w1)]`` to the
+    power ``n >= 2``, read on its window ``[a, b]`` (:func:`_window`): the
+    Binomial(n, w1 / (w0 + w1)) masses at j = a..b by the ratio
+    recurrence from the mode, with entries at or below their error bound
+    set to 0.0, and its bounds (``sum_law``, error bound step 7)."""
+    (_, w0), (_, w1) = pos
+    (c0, c1), _ = _integer_masses([w0, w1])
+    mode = (n + 1) * c1 // (c0 + c1)  # floor((n + 1) t), exactly
+    size, m = b - a + 1, mode - a
+    x = np.empty(size)  # every entry is written: the mode, above it, below it
     x[m] = 1.0
-    if mode < hi:  # P_{j+1} / P_j = (n - j) / (j + 1) w1 / w0
-        r = np.arange(mode + 1.0, hi + 1.0)  # j + 1
+    if mode < b:  # P_{j+1} / P_j = (n - j) / (j + 1) w1 / w0
+        r = np.arange(mode + 1.0, b + 1.0)  # j + 1
         q = n + 1.0 - r
         q /= r
         q *= w1 / w0
         np.cumprod(q, out=x[m + 1:])
-    if mode > lo:  # P_{j-1} / P_j = j / (n - j + 1) w0 / w1
-        r = np.arange(float(mode), float(lo), -1.0)  # j
+    if mode > a:  # P_{j-1} / P_j = j / (n - j + 1) w0 / w1
+        r = np.arange(float(mode), float(a), -1.0)  # j
         q = n + 1.0 - r
         np.divide(r, q, out=q)
         q *= w0 / w1
@@ -503,7 +506,7 @@ def _binomial(pos: list[tuple[int, float]], count: int, a: int, b: int):
     kappa = (1.0 + 4.0 * _U) / ((1.0 - _U) * (1.0 - _gamma(4 * size, _U)))
     s = 3.0 * (n + 1) * size * 2.0**-1074
     c = 6.0 * s + 2.0**-1072
-    outside = _OUTSIDE if lo > 0 or hi < n else 0.0
+    outside = _OUTSIDE if a > 0 or b < n else 0.0
     e = np.abs(np.arange(-m, size - m, dtype=float))
     e *= x  # k_j x^_j
     g = (1.0 + h) * kappa * u4 * (float(e.sum()) * (1.0 + 2.0 * (size + 2) * _U)
@@ -515,7 +518,7 @@ def _binomial(pos: list[tuple[int, float]], count: int, a: int, b: int):
     e += c
     e1, e2, einf = _measured(e)[:3]
     up = 1.0 + 8.0 * _U  # the rounding of the entries' bounds
-    return _drop_small(out, e1 * up + outside, e2 * up + outside, einf * up + outside)
+    return _drop_small(x, e1 * up + outside, e2 * up + outside, einf * up + outside)
 
 
 def _drop_small(x: np.ndarray, e1: float, e2: float, einf: float):
@@ -598,64 +601,77 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     ``NumericsError``, before anything is allocated.
 
     **Kernel.**  The sum is held on its running window, from the first
-    entry kept to the last, which starts as the unit ``[1.0]``.  A part with
-    ``count == 1`` is folded by its atoms: for each positive mass ``(k,
-    w)``, in increasing k, ``w`` times the window is added at offset ``(k -
-    k_1) s`` into one fresh zero array, ``k_1`` its first positive atom
-    (nothing is dropped); that array is the new window.
-    A part with ``count = n >= 2`` and two positive atoms ``w0`` at ``i0``
-    and ``w1`` at ``i1`` is the law of ``n i0 + (i1 - i0) J`` with J
-    Binomial(n, t), ``t = w1 / (w0 + w1)`` (:func:`_binomial`, step 7).  On
-    the j with ``n i0 + (i1 - i0) j`` in its window ``[a, b]`` (step 4), it
-    starts from 1.0 at the mode ``m = floor((n + 1) t)``, found in integers,
-    and takes the ratios ``(n - j) / (j + 1) fl(w1 / w0)`` upward and ``j /
-    (n - j + 1) fl(w0 / w1)`` downward, one ``numpy.cumprod`` each way; the
-    products are divided by their ``numpy`` sum (pairwise) and placed at
-    stride ``i1 - i0`` on the window.  Nothing is transformed, so nothing is
-    aliased.  Any other part with ``count = n >= 2`` (one atom, or three or
-    more) is densified on its own span, ``f`` of length ``l``, and raised to
-    its power ``f^{*n}`` (length ``L = n (l - 1) + 1``).  A law of three or
-    more atoms is first taken on its support reduced by the gcd g of their
-    offsets from the first one, and its power is spread at stride ``s g``:
-    L shrinks by g, and a transform has one cluster of surviving
-    frequencies, not g.  Where such a power has ``L <= _DIRECT_WIDTH``
-    points (1025), it is raised on its whole support by direct products
-    (:func:`_direct_power`, step 8): ``f`` squared over the bits of n by
-    ``numpy.convolve``, times ``f`` where the bit is set, each product's
-    entries below ``_TINY = 2^-511`` set to 0.0, so that no square of two
-    kept entries underflows; nothing is transformed, aliased or left out.
-    The width was measured per call on laws of 3-6 atoms on spans 2-6: the
-    direct power took 0.16-0.73 of the transform's time at W = 33-1025,
-    and was slower for some laws from W = 1537.  Every other power is read
-    on its window ``[a, b]`` (step 4): the Hoeffding window where its ``W =
-    b - a + 1`` points need a shorter transform than L points, else the
-    whole support (``a = 0``, ``W = L``).  One transform pair of length ``N
-    = 2^t``, the least power of two ``>= W``, gives the cyclic power,
-    which is read on ``[a, b]`` with wraparound (on the whole support it is
-    the linear power): one double ``rfft``, the pointwise power ``F^n`` in
-    complex128 by squaring over the bits of n (square, then multiply by
-    ``F`` where the bit is set), one double ``irfft``, where the double
-    power stands (step 3).  Elsewhere the frequencies where the power survives, ``|F^_j| +
-    delta >= tau = u^(1.5/n)``, are summed again from the A positive atoms
-    in log form (:func:`_log_power`, step 1), ``F_j^n = exp(n log T + n log
-    psi(t) - i n t c)`` at ``t = 2 pi j / N``, with T the masses' total and
-    ``psi(t) = sum_k p_k e^{-i t (k - c)}``, ``p_k = w_k / T``, and every
-    other frequency is set to 0.0.  About the mean, ``c = mu``, ``z = psi -
-    1 = -2 sum_k p_k sin^2(theta_k / 2) - i sum_k p_k (sin theta_k -
-    theta_k)``, ``theta_k = t (k - mu)``, as ``sum_k p_k theta_k = 0``, is
-    the series of the central moments ``sum_{r=2}^{27} (-i t)^r m_r / r!``
-    where every kept t has ``t max|k - mu| <= 2``; otherwise c is the
-    heaviest atom and z the sums of ``cos theta - 1`` and ``sin theta`` at
-    angles reduced in integers.  The phase ``n t c`` is reduced mod ``2 pi`` in integers.
-    Past the size rule ``4 |K| A > N log2 N + 2^13`` (K the frequencies)
-    those sums would cost more than a transform, and the double power
-    stands.  Entries of either kind of power at or below its ``e_inf``
-    bound are then set to 0.0 (step 5): from a transform this removes FFT
-    noise, negatives and subnormals.  The power's nonzero window is spread
-    at stride ``s`` (``s g``) onto the common lattice, and its
-    ``numpy.convolve`` with the running window is the new
-    window; the first part's spread is the window, its product with the
-    unit.  The support's indices outside the final window are exact zeros.
+    entry kept to the last, which starts as the unit ``[1.0]``.  The
+    pre-pass reads every part from its first positive atom ``k_1`` (a
+    massless listed atom moves nothing), adds ``count s k_1`` to the first
+    index, and chooses the part's kernel and window once, by one rule; the
+    fold runs what it recorded.
+
+    - *Point mass* (one positive atom, any count).  Its scaled law is
+      exactly 1.0 at ``k_1``, so the shift is all of it: nothing is folded
+      and nothing enters the bound.  It still passes the drift test and
+      shares the common lattice.
+    - *Sparse fold* (``count == 1``).  For each positive mass ``(k, w)``,
+      in increasing k, ``w`` times the window is added at offset ``(k -
+      k_1) s`` into one fresh zero array (nothing is dropped); that array
+      is the new window.
+
+    Every other part, ``count = n >= 2`` and two or more atoms, is taken on
+    its support reduced by the gcd g of its offsets from ``k_1``, ``f`` on
+    ``[0, l - 1]``, and its power, of length ``L = n (l - 1) + 1``, is
+    spread at stride ``s g``: L shrinks by g, and a transform has one
+    cluster of surviving frequencies, not g.  Its kernel is, in this order:
+
+    - *Binomial* (two atoms, ``f = {0: w0, 1: w1}``).  The law of J
+      Binomial(n, t), ``t = w1 / (w0 + w1)`` (:func:`_binomial`, step 7).
+      On the j of its window ``[a, b]`` (step 4) it starts from 1.0 at the
+      mode ``m = floor((n + 1) t)``, found in integers, and takes the
+      ratios ``(n - j) / (j + 1) fl(w1 / w0)`` upward and ``j / (n - j + 1)
+      fl(w0 / w1)`` downward, one ``numpy.cumprod`` each way; the products
+      are divided by their ``numpy`` sum (pairwise).  Nothing is
+      transformed, so nothing is aliased.
+    - *Direct power* (three or more atoms, ``n (l - 1) < _DIRECT_WIDTH``,
+      so ``L <= 1025``).  Raised on its whole support by direct products
+      (:func:`_direct_power`, step 8): ``f`` squared over the bits of n by
+      ``numpy.convolve``, times ``f`` where the bit is set, each product's
+      entries below ``_TINY = 2^-511`` set to 0.0, so that no square of two
+      kept entries underflows; nothing is transformed, aliased or left
+      out.  The width was measured per call on laws of 3-6 atoms on spans
+      2-6: the direct power took 0.16-0.73 of the transform's time at W =
+      33-1025, and was slower for some laws from W = 1537.
+    - *Transform* (every other power: three or more atoms past that
+      width).  Read on its window ``[a, b]`` (step 4): the Hoeffding window
+      where its ``W = b - a + 1`` points need a shorter transform than L
+      points, else the whole support (``a = 0``, ``W = L``).  One transform
+      pair of length ``N = 2^t``, the least power of two ``>= W``, gives
+      the cyclic power, which is read on ``[a, b]`` with wraparound (on the
+      whole support it is the linear power): one double ``rfft``, the
+      pointwise power ``F^n`` in complex128 by squaring over the bits of n
+      (square, then multiply by ``F`` where the bit is set), one double
+      ``irfft``, where the double power stands (step 3).  Elsewhere the
+      frequencies where the power survives, ``|F^_j| + delta >= tau =
+      u^(1.5/n)``, are summed again from the A positive atoms in log form
+      (:func:`_log_power`, step 1), ``F_j^n = exp(n log T + n log psi(t) -
+      i n t c)`` at ``t = 2 pi j / N``, with T the masses' total and
+      ``psi(t) = sum_k p_k e^{-i t (k - c)}``, ``p_k = w_k / T``, and every
+      other frequency is set to 0.0.  About the mean, ``c = mu``, ``z = psi
+      - 1 = -2 sum_k p_k sin^2(theta_k / 2) - i sum_k p_k (sin theta_k -
+      theta_k)``, ``theta_k = t (k - mu)``, as ``sum_k p_k theta_k = 0``,
+      is the series of the central moments ``sum_{r=2}^{27} (-i t)^r m_r /
+      r!`` where every kept t has ``t max|k - mu| <= 2``; otherwise c is
+      the heaviest atom and z the sums of ``cos theta - 1`` and ``sin
+      theta`` at angles reduced in integers.  The phase ``n t c`` is
+      reduced mod ``2 pi`` in integers.  Past the size rule ``4 |K| A > N
+      log2 N + 2^13`` (K the frequencies) those sums would cost more than
+      a transform, and the double power stands.
+
+    Entries of any power at or below its ``e_inf`` bound are then set to
+    0.0 (step 5): from a transform this removes FFT noise, negatives and
+    subnormals.  The power's nonzero window is spread at stride ``s g``
+    onto the common lattice, and its ``numpy.convolve`` with the running
+    window is the new window; the first folded power's spread is the
+    window, its product with the unit.  The support's indices outside the
+    final window are exact zeros.
 
     **Error bound.**  For each computed vector ``x^`` standing for an exact
     ``x >= 0`` the kernel carries bounds on ``||x^||_p`` and ``e_p >=
@@ -778,27 +794,30 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        power ``m = min(window, spread window)``, the shorter of the two
        ``numpy.convolve`` arguments.
        The fold's norms are carried as bounds, never recomputed, so the
-       count-1 path costs nothing beyond its adds.  A count-1 part enters
-       with the norms of its positive masses, a power with the bounds of
-       the path it took: a binomial's (step 7), a direct power's (step 8),
-       or a transform's (steps 1 and 3-5).
-       Every fold, of either kind, takes the same step (:func:`_direct_product`).
-    3. *Surviving set* of a power by transform (past ``_DIRECT_WIDTH``, or
-       of one atom): the cutoff ``tau = u^(1.5/n)`` comes from the
-       precision, so it adds no setting.  A frequency is summed again where
-       ``|F^_j| >= (tau (1 - 64u) - delta) (1 - 8u)``, which covers the
-       roundings of tau, of ``|F^_j|`` and of the test; every other one has
-       ``c_j < tau`` and is set to 0.0, which errs by ``|F_j|^n <= c_j^n``,
-       so (Cauchy-Schwarz, as in step 1) their share of ``e_inf`` is at
-       most ``tau^(n-2) m^2`` and of ``e_2`` ``tau^(n-1) m``, ``m = min(tau,
-       ||f||_2 (1 + eta_N) + delta)``: about ``u^1.5 ||f||_2^2``.  The set
-       holds nearly every frequency at n = 2 and a few percent of them at n
-       = 2e4.  Where the size rule ``4 |K| A > N log2 N + 2^13`` says the
-       sums would cost more than a transform, or where ``_log_power`` cannot
-       bound a frequency (``g <= 0`` or ``D_j >= 1/2``), the double power
-       stands at every frequency with the bound of step 1 at ``r = ||f||_1
-       + 2 delta``: a heavy atom among many light ones, or many atoms at
-       small n, where it errs by a few ``eta_N ||f||_2^2``.
+       count-1 path costs nothing beyond its adds.  Each part enters by the
+       kernel the pre-pass chose for it: a point mass not at all, as its
+       scaled law is exactly 1.0 and its shift exact; a count-1 part of two
+       or more atoms with the norms of its positive masses; a power of two
+       atoms with a binomial's bounds (step 7), of three or more under
+       ``_DIRECT_WIDTH`` points with a direct power's (step 8), and any
+       other with a transform's (steps 1 and 3-5).  Every fold, of either
+       kind, takes the same step (:func:`_direct_product`).
+    3. *Surviving set* of a power by transform (three or more atoms, past
+       ``_DIRECT_WIDTH`` points; no other part reaches it): the cutoff ``tau =
+       u^(1.5/n)`` comes from the precision, so it adds no setting.  A
+       frequency is summed again where ``|F^_j| >= (tau (1 - 64u) - delta) (1
+       - 8u)``, which covers the roundings of tau, of ``|F^_j|`` and of the
+       test; every other one has ``c_j < tau`` and is set to 0.0, which errs
+       by ``|F_j|^n <= c_j^n``, so (Cauchy-Schwarz, as in step 1) their share
+       of ``e_inf`` is at most ``tau^(n-2) m^2`` and of ``e_2`` ``tau^(n-1)
+       m``, ``m = min(tau, ||f||_2 (1 + eta_N) + delta)``: about ``u^1.5
+       ||f||_2^2``.  The set holds nearly every frequency at n = 2 and a few
+       percent of them at n = 2e4.  Where the size rule ``4 |K| A > N log2 N +
+       2^13`` says the sums would cost more than a transform, or where
+       ``_log_power`` cannot bound a frequency (``g <= 0`` or ``D_j >= 1/2``),
+       the double power stands at every frequency with the bound of step 1 at
+       ``r = ||f||_1 + 2 delta``: a heavy atom among many light ones, or many
+       atoms at small n, where it errs by a few ``eta_N ||f||_2^2``.
     4. *Window* (Hoeffding, JASA 58 (1963) 13-30, Thm 2).  The n summands
        of the scaled law ``g = f / ||f||_1`` lie in ``[0, l - 1]``, so their
        sum S obeys ``P{S - n mu >= t} <= exp(-2 t^2 / (n (l - 1)^2))``, and
@@ -858,10 +877,11 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        ``err_abs`` per index: for the coin at n = 1e9 (a binomial, step 7),
        ``err_abs`` is 7.2e-16 and ``err_l1`` 2.4e-11, where ``err_abs`` over
        the support's 1e9 + 1 indices is 7.2e-7.
-    7. *Binomial*.  The exact power of the scaled two-atom law is ``x_j =
-       z_j / Z`` on the indices ``n i0 + (i1 - i0) j``, with ``z_j =
-       P_j / P_m`` and ``Z`` the sum of all n + 1 of them (``Z >= z_m =
-       1``); every exact ratio is at most 1 away from the mode ``m``, so
+    7. *Binomial* (every power of two atoms, on the reduced support ``{0:
+       w0, 1: w1}``).  The exact power of the scaled law is ``x_j = z_j /
+       Z`` at j = 0..n, spread at stride ``s g`` like every power, with
+       ``z_j = P_j / P_m`` and ``Z`` the sum of all n + 1 of them (``Z >=
+       z_m = 1``); every exact ratio is at most 1 away from the mode ``m``, so
        every ``z_j <= 1``.  A computed ratio rounds three times: ``fl(w1 /
        w0)`` once, the quotient of the integers ``n - j`` and ``j + 1`` once
        (both exact below ``2^53``) and their product once; the cumulative
@@ -886,11 +906,10 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
            G = (1 + gamma_h) kappa 4u' (sum_j k_j x^_j + c W^2),
 
        and every computed entry by
-       ``e_j = kappa (4 k_j u' + nu + u) x^_j + c``.  The gaps under the
-       stride are exact zeros, and the exact entries off the window hold at
-       most T' together, so ``e_inf = max_j e_j + T'``, ``e_2 = ||e||_2 +
-       T'`` and ``e_1 = ||e||_1 + T'``: the mass left out counts twice, once
-       here and once inside ``nu``.  The sums are rounded up by ``1 + 2 (W
+       ``e_j = kappa (4 k_j u' + nu + u) x^_j + c``.  The exact entries off
+       the window hold at most T' together, so ``e_inf = max_j e_j + T'``,
+       ``e_2 = ||e||_2 + T'`` and ``e_1 = ||e||_1 + T'``: the mass left out
+       counts twice, once here and once inside ``nu``.  The sums are rounded up by ``1 + 2 (W
        + 2) u`` and every factor by a few u.  The bound grows with the mean
        distance from the mode, about ``4u sqrt(n t (1 - t))`` in ``e_1``,
        not with a transform's ``eta_N sqrt(N)``: the coin at n = 1e9 has
@@ -942,50 +961,48 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
     if not parts:
         raise LatticeError("need at least one summand")
     d, strides = _common_lattice([p.D for p, _ in parts])
-    # per part: stride, span, positive atoms and the window [a, b] it is read on;
-    # `window` bounds the running window's length
+    # per part: stride, positive atoms from the first, the window [a, b] it is
+    # read on and its kernel, chosen here once; `window` bounds the running window
     folds, first, window = [], 0, 1
     for j, ((p, count), s) in enumerate(zip(parts, strides)):
         _check_total(p, f"part {j}")
-        items = sorted(p.probs.items())
-        k0 = int(items[0][0])  # the first listed atom, massless or not
-        span = int(items[-1][0]) - k0
-        pos = [(k - k0, w) for k, w in items if w > 0]
-        first += count * s * k0
-        if count > 1 and len(pos) > 2:  # powered on its reduced support, spread at stride s g
-            k1, g = pos[0][0], math.gcd(*(k - pos[0][0] for k, _ in pos))
-            pos, first, s = [((k - k1) // g, w) for k, w in pos], first + count * s * k1, s * g
-            span = pos[-1][0]
+        pos = [(k, w) for k, w in sorted(p.probs.items()) if w > 0]
+        k1 = int(pos[0][0])
+        first += count * s * k1
+        if len(pos) == 1:  # a point mass: its scaled law is exactly 1.0 at k1
+            continue
+        # a power is taken on its support reduced by g, and spread at stride s g
+        g = math.gcd(*(k - k1 for k, _ in pos)) if count > 1 else 1
+        pos, s = [((k - k1) // g, w) for k, w in pos], s * g
+        span = pos[-1][0]
         if count == 1:
-            a, b = pos[0][0], pos[-1][0]
-        elif _is_direct(pos, span, count):  # read on its whole support
-            a, b = 0, count * span
+            a, b, kernel = 0, span, None
+        elif len(pos) == 2:
+            a, b = _window(pos, span, count)
+            kernel = partial(_binomial, pos, count, a, b)
+        elif count * span < _DIRECT_WIDTH:  # read on its whole support
+            a, b, kernel = 0, count * span, partial(_direct, pos, span, count)
         else:
             a, b = _window(pos, span, count)
-        folds.append((s, span, pos, a, b))
+            kernel = partial(_power, pos, span, count, a, b)
+        folds.append((s, pos, a, b, kernel))
         window += s * (b - a)
     if window > _LENGTH_CAP:
         raise LatticeError(f"exact law on a window of {window} points, above the cap of "
                            f"{_LENGTH_CAP}")
     probs, lo, ab = np.ones(1), 0, _Bounds(1.0, 1.0, 1.0)  # probs[0] is at index first + lo
-    for j, ((_, count), (s, span, pos, a, b)) in enumerate(zip(parts, folds)):
-        if count == 1:  # one shifted add per atom, in increasing k, into a fresh array
-            out = np.zeros(len(probs) + s * (b - a))
+    for j, (s, pos, a, b, kernel) in enumerate(folds):
+        if kernel is None:  # one shifted add per atom, in increasing k, into a fresh array
+            out = np.zeros(len(probs) + s * b)
             for k, wk in pos:
-                out[s * (k - a):s * (k - a) + len(probs)] += wk * probs
+                out[s * k:s * k + len(probs)] += wk * probs
             ab = _direct_product(ab, _measured(np.array(pos)[:, 1]), min(len(probs), len(pos)))
-            lo += s * a
         else:
-            if len(pos) == 2:
-                power, pb = _binomial(pos, count, a, b)
-            elif _is_direct(pos, span, count):
-                power, pb = _direct_bounds(*_direct_power(pos, span, count))
-            else:
-                power, pb = _power(pos, span, count, a, b)
+            power, pb = kernel()
             nz = np.flatnonzero(power)
             spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # the gaps stay exact zeros
             spread[::s] = power[nz[0]:nz[-1] + 1]
-            # the first part's product with the unit is the spread itself, a fresh
+            # the first power's product with the unit is the spread itself, a fresh
             # array, so that the law does not keep the transform's buffer alive
             out = np.convolve(probs, spread) if j else spread
             ab = _direct_product(ab, pb, min(len(probs), len(spread)))
@@ -1021,12 +1038,11 @@ def exact_moments(parts: Sequence[tuple[LatticePmf, int]]) -> tuple[Fraction, Fr
     """Mean and variance, in rational arithmetic, of the sum that
     ``sum_law(parts)`` stands for: each law's stored masses scaled to total
     one.  A law's masses are read as integers over their common power-of-two
-    denominator, so its moments cost integer sums and two fractions."""
+    denominator (:func:`_integer_masses`), so its moments cost integer sums
+    and two fractions."""
     mean = var = Fraction(0)
     for p, count in parts:
-        ratios = [(int(k), *float(w).as_integer_ratio()) for k, w in p.probs.items()]
-        den = max(d for _, _, d in ratios)  # every denominator divides the largest
-        ws = [(k, a * (den // d)) for k, a, d in ratios]
+        ws = list(zip(map(int, p.probs), _integer_masses(p.probs.values())[0]))
         t = sum(w for _, w in ws)
         s1 = sum(k * w for k, w in ws)
         s2 = sum(k * k * w for k, w in ws)

@@ -123,9 +123,11 @@ class SceneryModel:
         ``0 < p0 < 1`` takes the Markov fold over the value at the
         current site (:func:`_markov_fold`, no :func:`sum_law` call); every
         step a stay (p0 = 1, ``S_n = n X``) is one :func:`sum_law` of the x
-        masses on span n behind a unit part, which keeps the indices those
-        of the x lattice; and n = 0 is the unit law.  Each is labelled with S_n's
-        lattice, ``v0 = n x_law.v0`` and ``D = x_law.D``."""
+        masses on span n behind a unit part, a point mass at 0 on span 1:
+        :func:`sum_law` takes it as a shift by 0 and folds nothing for it,
+        but its span keeps the indices those of the x lattice; and n = 0 is
+        the unit law.  Each is labelled with S_n's lattice, ``v0 = n
+        x_law.v0`` and ``D = x_law.D``."""
         x, n, p0 = self.x_law, self.n, self.increment_law.mass(0)
         if min(self.increment_law.support) < 0:
             raise PreconditionError("the annealed law of S_n requires increments >= 0")

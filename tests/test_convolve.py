@@ -185,18 +185,17 @@ def _sequential_reference(parts):
 
 
 def _fresh_array_fold(parts):
-    """The kernel of sum_law with a fresh zero array per part: one add per
-    atom in increasing k for a count-1 part, the binomial of a two-atom law,
-    the direct power of a law of three or more atoms on its whole support up
-    to _DIRECT_WIDTH points or the FFT power of any other on its window
-    (placed at the window's offset) over nonzero windows for the others, and
-    the bound chain of each fold: the measured
-    norms of the part's positive masses for a count-1 part, the power's
-    bounds for the others.
-    A power of three or more atoms is taken on its support reduced by the
-    gcd of its offsets and spread at that stride, as in sum_law.
-    numpy.convolve in _sequential_reference rounds its dot products
-    differently, so only this reference pins the bits of the fold.
+    """The kernel of sum_law with a fresh zero array per part, each part read
+    from its first positive atom: nothing for a point mass (its shift alone),
+    one add per atom in increasing k for a count-1 part, and for a power, on
+    its support reduced by the gcd of its offsets and spread at that stride,
+    the binomial of a two-atom law, the direct power of a law of three or
+    more atoms on its whole support up to _DIRECT_WIDTH points or the FFT
+    power of any other on its window (placed at the window's offset) over
+    nonzero windows; and the bound chain of each fold: the measured norms of
+    the part's positive masses for a count-1 part, the power's bounds for
+    the others.  numpy.convolve in _sequential_reference rounds its dot
+    products differently, so only this reference pins the bits of the fold.
     Returns (first index, masses on the whole support, err_abs)."""
     u = 2.0**-53
     d = min(p.D for p, _ in parts)
@@ -205,28 +204,28 @@ def _fresh_array_fold(parts):
     for p, count in parts:
         s = round(p.D / d)
         ks, w = map(np.array, zip(*sorted(p.probs.items())))
-        k0, span = int(ks[0]), int(ks[-1] - ks[0])
-        ks, w = ks[w > 0] - k0, w[w > 0]
-        out = np.zeros(len(acc) + count * span * s)
+        ks, w = ks[w > 0], w[w > 0]
+        first += count * s * int(ks[0])
+        if len(ks) == 1:
+            continue
+        ks = ks - ks[0]
+        out = np.zeros(len(acc) + count * int(ks[-1]) * s)
         win = acc[lo:hi]
         if count == 1:
             for k, wk in zip((lo + s * ks).tolist(), w.tolist()):
                 out[k:k + len(win)] += wk * win
             ab = _direct_product(ab, _measured(w), min(len(win), len(w)))
-            lo, hi = lo + s * int(ks[0]), hi + s * int(ks[-1])
+            hi += s * int(ks[-1])
         else:
-            pos, st = list(zip(ks.tolist(), w.tolist())), s
-            if len(pos) > 2:  # on its reduced support, spread at stride s g
-                g = math.gcd(*(k - pos[0][0] for k, _ in pos[1:]))
-                first += count * s * pos[0][0]
-                pos = [((k - pos[0][0]) // g, wk) for k, wk in pos]
-                st, span = s * g, pos[-1][0]
-            if len(pos) > 2 and count * span + 1 <= convolve._DIRECT_WIDTH:
-                a, b = 0, count * span  # direct products on the whole support
-                power, pb = convolve._direct_bounds(*convolve._direct_power(pos, span, count))
-            elif len(pos) == 2:  # a binomial, with no transform
+            g = math.gcd(*ks.tolist())
+            pos, st = [(k // g, wk) for k, wk in zip(ks.tolist(), w.tolist())], s * g
+            span = pos[-1][0]
+            if len(pos) == 2:  # a binomial, with no transform
                 a, b = convolve._window(pos, span, count)
                 power, pb = convolve._binomial(pos, count, a, b)
+            elif count * span + 1 <= convolve._DIRECT_WIDTH:
+                a, b = 0, count * span  # direct products on the whole support
+                power, pb = convolve._direct_bounds(*convolve._direct_power(pos, span, count))
             else:
                 a, b = convolve._window(pos, span, count)
                 power, pb = _power(pos, span, count, a, b)
@@ -237,7 +236,6 @@ def _fresh_array_fold(parts):
             out[lo:hi] = np.convolve(win, spread)
             ab = _direct_product(ab, pb, min(len(win), len(spread)))
         acc = out
-        first += count * s * k0
     total = math.fsum(acc)
     peak = float(acc.max())
     dm = ab.e1 + 2.0 * u * total
@@ -513,6 +511,31 @@ class TestPowerAccuracy:
         law = make_pmf(0.0, 1.0, [(0, 99.0 * 40)] + [(k, 1.0 + k / 40) for k in range(1, 40)])
         _assert_within_bound(iid_sum(law, count), *_integer_power(law, count))
 
+    @pytest.mark.parametrize("count", [2, 3, 7, 16, 64])
+    def test_power_within_its_bounds_at_small_widths(self, count):
+        # sum_law raises these powers by direct products, so _power is called
+        # here on the whole support, against the exact power of the stored
+        # masses (integers over scale^count): every entry within einf and
+        # the l1 distance within e1; the 40- and 120-atom laws stop at count
+        # 16, where their exact integer powers still take under a second
+        laws = [law for law in _accuracy_laws(np.random.default_rng(count))
+                if sum(w > 0 for w in law.probs.values()) >= 3]
+        rng = np.random.default_rng(40 + count)
+        if count <= 16:
+            laws += [make_pmf(0.0, 1.0, list(enumerate((rng.random(size) + 1e-3).tolist())))
+                     for size in (40, 120)]
+        for law in laws:
+            items = sorted(law.probs.items())
+            k0, span = items[0][0], items[-1][0] - items[0][0]
+            x, xb = _power([(k - k0, w) for k, w in items if w > 0], span, count, 0,
+                           count * span)
+            _, masses, _ = _integer_power(law, count)
+            scale = math.lcm(*(Fraction(w).denominator for _, w in items)) ** count
+            diffs = [abs(Fraction(p) - Fraction(c, scale))
+                     for p, c in zip(x.tolist(), masses, strict=True)]
+            assert max(diffs) <= Fraction(xb.einf), law
+            assert sum(diffs) <= Fraction(xb.e1), law
+
     def test_extended_set_spans_all_to_few_frequencies(self, ext):
         # count 2 sums every frequency again, count 1000 a seventh of
         # them and count 20000 a few percent; sum_law raises count 2 by
@@ -776,6 +799,25 @@ class TestBinomial:
     def test_against_exact_binomials(self, count):
         for law in self._two_atom_laws(np.random.default_rng(count)):
             _assert_exact_law(iid_sum(law, count), *_binomial_fold(law, count))
+
+    @pytest.mark.parametrize("count", [2, 7, 64, 300, 1000])
+    def test_reduced_support_against_exact_binomials(self, monkeypatch, count):
+        # gapped and massless-listed two-atom laws are raised on {0, 1} and
+        # spread at the stride g of their atoms: every index within err_abs
+        # of the exact binomial at stride g, and all of them within err_l1
+        seen = []
+        binomial = convolve._binomial
+
+        def spy(pos, n, a, b):
+            seen.append([k for k, _ in pos])
+            return binomial(pos, n, a, b)
+
+        monkeypatch.setattr(convolve, "_binomial", spy)
+        for law in (LatticePmf(0.0, 1.0, {0: 0.3, 3: 0.7}), LatticePmf(0.0, 1.0, {1: 0.2, 6: 0.8}),
+                    LatticePmf(0.0, 1.0, {0: 0.5, 2: 0.5}),
+                    LatticePmf(0.0, 1.0, {0: 0.0, 2: 0.4, 3: 0.6, 7: 0.0})):
+            _assert_exact_law(iid_sum(law, count), *_binomial_fold(law, count))
+        assert seen == [[0, 1]] * 4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_folded_with_other_parts(self, seed):
@@ -1041,18 +1083,23 @@ class TestSparseFold:
         self._assert_fresh_array_bits([(law, 1) for law, _ in parts])
 
     def test_one_atom_part_off_zero_keeps_the_bits(self):
-        # {j: 1.0} has no mass at 0: a one-atom shift, measured as one entry
+        # {3: 1.0} has no mass at 0: a point mass is its shift alone, so the
+        # sum keeps the bits and bounds of the same sum without it, 3 further on
         point = LatticePmf(0.0, 1.0, {3: 1.0})
         parts = _partition_model_parts(1, 20)
         law = self._assert_fresh_array_bits(parts[:10] + [(point, 1)] + parts[10:])
-        assert law.first == 3
+        bare = sum_law(parts)
+        assert law.first == bare.first + 3 == 3
+        assert np.array_equal(law.probs, bare.probs)
+        assert (law.err_abs, law.err_l1) == (bare.err_abs, bare.err_l1)
 
     def test_count_one_bounds_are_the_measured_norms(self, monkeypatch):
-        # every count-1 part, a two-atom part {0: a, j: b} built from its
-        # two floats included, enters the bound chain with the norms
-        # _measured gives for its positive masses, to the bit, also where a
-        # drift of one of them would be hidden by a min() further down the
-        # chain
+        # every count-1 part of two or more positive atoms, a two-atom part
+        # {0: a, j: b} built from its two floats included, enters the bound
+        # chain with the norms _measured gives for its positive masses, to
+        # the bit, also where a drift of one of them would be hidden by a
+        # min() further down the chain; a point mass ({3: 1.0}, Bernoulli
+        # levels of 1.0) is a shift and enters no fold
         seen = []
 
         def spy(x, y, m):
@@ -1068,15 +1115,89 @@ class TestSparseFold:
         laws = [law for law, _ in _partition_model_parts(1, 60)] + pairs
         laws += [law for law, _ in _random_parts(rng)] + [LatticePmf(0.0, 1.0, {3: 1.0})]
         sum_law([(law, 1) for law in laws])
-        expected = [_measured(np.array([w for _, w in sorted(law.probs.items()) if w > 0]))
-                    for law in laws]
-        assert seen == expected
+        masses = [[w for _, w in sorted(law.probs.items()) if w > 0] for law in laws]
+        expected = [_measured(np.array(w)) for w in masses if len(w) > 1]
+        assert len(expected) < len(laws) and seen == expected
 
     def test_two_powered_parts_match_the_sequential_reference(self):
         parts = [(self._P, 300), (self._Q, 300)]
         first, ref = _sequential_reference(parts)
         law = sum_law(parts)
         _assert_near(law, first, ref)
+
+
+class TestPointMass:
+    """A part of one positive atom is a shift: its scaled law is exactly 1.0,
+    so it is neither transformed nor folded, and enters no bound."""
+
+    @staticmethod
+    def _calls(monkeypatch):
+        calls = []
+        for module, name in ((np.fft, "rfft"), (np.fft, "irfft"), (np, "convolve")):
+            def spy(*args, _name=name, _f=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_massless_listed_point_mass_is_exact(self, monkeypatch):
+        calls = self._calls(monkeypatch)
+        law = sum_law([(LatticePmf(0.0, 1.0, {0: 0.0, 3: 1.0}), 5)])
+        assert law.probs.tolist() == [1.0] and law.first == 15
+        assert calls == [] and law.err_abs <= 4.0 * convolve._U
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 1000, 10**5])
+    def test_bernoulli_one_is_exact(self, monkeypatch, count):
+        calls = self._calls(monkeypatch)
+        law = sum_law([(bernoulli(1.0), count)])
+        assert law.probs.tolist() == [1.0] and law.first == count
+        assert calls == [] and law.err_abs <= 4.0 * convolve._U
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_point_masses_keep_the_bits_of_the_sum_without_them(self, seed):
+        # point masses on the parts' own spans, some listing massless atoms,
+        # at any count and place: the same masses and bounds, moved by
+        # their shift count s k
+        rng = np.random.default_rng(500 + seed)
+        parts = _random_parts(rng)
+        bare = sum_law(parts)
+        shift, mixed = 0, list(parts)
+        for _ in range(int(rng.integers(1, 4))):
+            span = mixed[int(rng.integers(len(mixed)))][0].D
+            k, count = int(rng.integers(-5, 6)), int(rng.choice([1, 2, 7, 10**5]))
+            probs = {k - 2: 0.0, k: 1.0} if rng.random() < 0.5 else {k: 1.0}
+            mixed.insert(int(rng.integers(len(mixed) + 1)),
+                         (LatticePmf(float(rng.choice([0.0, 0.5])), span, probs), count))
+            shift += count * round(span / bare.D) * k
+        law = sum_law(mixed)
+        assert np.array_equal(law.probs, bare.probs)
+        assert (law.first, law.D) == (bare.first + shift, bare.D)
+        assert (law.err_abs, law.err_l1) == (bare.err_abs, bare.err_l1)
+
+    def test_power_sees_three_or_more_atoms(self, monkeypatch):
+        # point masses are shifts and two-atom powers binomials, at every
+        # count, so the transform only raises laws of three or more atoms
+        seen = []
+        power = convolve._power
+
+        def spy(pos, span, count, a, b):
+            seen.append(len(pos))
+            return power(pos, span, count, a, b)
+
+        monkeypatch.setattr(convolve, "_power", spy)
+        three = make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.2), (3, 0.1)])
+        for count in (2, 7, 64, 1000, 10**5):
+            sum_law([(bernoulli(1.0), count), (LatticePmf(0.0, 1.0, {0: 0.0, 3: 1.0}), count),
+                     (LatticePmf(0.0, 1.0, {0: 0.3, 3: 0.7}), count),
+                     (LatticePmf(0.0, 1.0, {0: 0.0, 2: 0.4, 3: 0.6, 7: 0.0}), count),
+                     (three, min(count, 3000))])
+        for seed in range(8):
+            sum_law(_random_parts(np.random.default_rng(seed)))
+        for law in _accuracy_laws(np.random.default_rng(0)):
+            for count in (2, 700):
+                iid_sum(law, count)
+        assert seen and min(seen) >= 3
 
 
 _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of its masses
