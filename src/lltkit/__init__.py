@@ -66,7 +66,6 @@ from .lattice import (
     make_pmf,
     moments,
     pmf_from_json,
-    psi_moments,
     span_multiple,
     theta,
 )

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .convolve import (_LIBM, _U, SumLaw, _as_count, _gamma, bernoulli, exact_mo
                        kolmogorov_bound, sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
-from .lattice import LatticePmf, _integral, _real, kappa_index, moments, psi_moments, theta
+from .lattice import LatticePmf, _integral, _real, kappa_index, moments, theta
 
 #: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
 #: Gaussian comparison, valid for every n: the smallest double not below
@@ -645,6 +645,18 @@ class SumSpec:
         """:func:`sum_law` of the parts ``(law, count)`` in their order, on first read."""
         return sum_law([(p, count) for p, _, count in self.parts])
 
+    @cached_property
+    def moment_errors(self) -> tuple[float, float]:
+        """``|mean - E S_n|`` and ``|var - Var S_n|`` against the exact moments
+        of the stored masses (:func:`lltkit.convolve.exact_moments` of the
+        parts), rounded up, on first read; both inf where mean or var is not
+        finite."""
+        if not (math.isfinite(self.mean) and math.isfinite(self.var)):
+            return math.inf, math.inf
+        exact = exact_moments([(p, count) for p, _, count in self.parts])
+        return tuple(math.nextafter(float(abs(Fraction(x) - y)), math.inf)
+                     for x, y in zip((self.mean, self.var), exact))
+
 
 def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
     """Validate the parts ``(law, level, count)`` -- ``count`` independent
@@ -708,18 +720,25 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     return PlugIns(h_n=h_n, rho_n=rho, h=h)
 
 
-def bounded_plug_ins(
-    spec: SumSpec,
-    h: float | None = None,
-    psi: Callable[[float], float] = lambda x: abs(x) ** 3,
-    constants: ConstantsRegistry = DEFAULT_CONSTANTS,
-) -> PlugIns:
+def bounded_plug_ins(spec: SumSpec, h: float | None = None,
+                     constants: ConstantsRegistry = DEFAULT_CONSTANTS) -> PlugIns:
     """Fully effective plug-ins: the psi-moment ratio
-    ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))``, the Esseen-type bound
-    ``2^{3/2} ce * L_n`` for H_n and the Chernoff bound for rho_n (no oracle
-    involved).
+    ``L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n))`` at ``psi(x) = |x|**3``,
+    the Esseen-type bound ``2^{3/2} ce * L_n`` for H_n and the Chernoff
+    bound for rho_n (no oracle involved).
 
-    ``E psi(X_j)`` is taken about the lattice origin, not about ``E X_j``, so
+    The envelope holds for every Katz-Petrov psi: even, with ``psi(x)/x**2``
+    and ``x**3/psi(x)`` non-decreasing on x > 0 (Katz, Ann. Math. Statist.
+    34 (1963); Petrov, *Sums of Independent Random Variables*, ch. V).  The
+    cube is the least of them where the bound means anything: as
+    ``x**3/psi(x)`` is non-decreasing, ``psi(x)/psi(s) >= |x|**3/s**3`` for
+    ``|x| <= s``, so where every support point lies within ``s = sqrt(Var
+    S_n)`` no admissible psi gives a smaller L_n.  The other boundary case,
+    ``psi = x**2``, gives ``L_n = sum_j E X_j**2 / Var S_n >= 1``, with
+    which ``2^{3/2} ce L_n`` (1.58 at ce = 0.56) bounds no Kolmogorov
+    distance.
+
+    ``E |X_j|**3`` is taken about the lattice origin, not about ``E X_j``, so
     the bound grows with the distance of the law from 0: for ``{1, 2, 1}/4``
     at n = 1e4 it is 0.0224 / 0.112 / 0.493 / 4.6e4 at v0 = -1 / 0 / 1 /
     100, against an exact H_n of 0.0016.
@@ -728,12 +747,13 @@ def bounded_plug_ins(
     itself underflows on a tiny span, an L_n that is not finite, as when
     ``E psi(X_j)`` overflows on a huge span, and an H_n that is not finite,
     as when a huge ``ce`` overflows the product, are a :class:`NumericsError`."""
-    moms = psi_moments([p for p, _, _ in spec.parts], psi)
-    scale = psi(math.sqrt(spec.var))
+    total = math.fsum(c * math.fsum(abs(p.point(k)) ** 3 * w for k, w in p.probs.items())
+                      for p, _, c in spec.parts)
+    scale = math.sqrt(spec.var) ** 3
     if not (scale > 0):
         raise NumericsError(f"L_n undefined: its denominator psi(sqrt(Var S_n)) = {scale!r} is "
                             f"not > 0 (Var S_n = {spec.var!r})")
-    l_n = math.fsum(c * m for (_, _, c), m in zip(spec.parts, moms)) / scale
+    l_n = total / scale
     if not math.isfinite(l_n):
         raise NumericsError(f"L_n = sum_j E psi(X_j) / psi(sqrt(Var S_n)) = {l_n!r} is not "
                             f"finite (its denominator is {scale!r})")
@@ -777,44 +797,42 @@ class _Body:
 
     A verdict allows for the exact value's ``err_abs`` plus the rounding of
     either side, :meth:`rounding`: its distance from the side in real
-    arithmetic at the exact E S_n and Var S_n of the stored masses, with the
-    side's other inputs (its factor, den, term and rho as its body computed
-    them from the plug-ins) taken as given.  At every order, with
-    ``gamma_k`` and the moments' bounds of :func:`lltkit.lattice.moments`
-    and each count exact in double:
+    arithmetic at the exact ``mu = E S_n`` and ``V = Var S_n`` of the stored
+    masses, with its factor and ``den = c V`` (``c = 2 (1 +- h)``, or 2)
+    taken in real arithmetic from h, and its term and rho from their inputs
+    as given.  The moments' errors are measured, ``dmu = |spec.mean - mu|``
+    and ``A = |spec.var - V|`` (:attr:`SumSpec.moment_errors`, once per
+    request), and at every order, with u = 2^-53, ``gamma_k = k u / (1 - k
+    u)`` and lambda = ``convolve._LIBM`` for libm's ``exp`` and ``log``:
 
-    - spec.var, the fsum of each count times its part's variance, is
-      ``sum_j count_j (1 + theta_11) (Var_j + D_j^2 e_j^2)`` (the moments'
-      ``gamma_9``, the product and the fsum): within ``gamma_11``,
-      relatively, of ``V = Var S_n + A``, ``0 <= A <= E = sum_j count_j
-      (gamma_4 D_j W_j)^2`` with W_j the index span of part j;
-    - spec.mean, the fsum of each count times its part's mean, is within
-      ``dmu = gamma_1 |spec.mean| + sum_j count_j (gamma_2 |v0_j| + gamma_14
-      |D_j| max|k_j|)`` of E S_n: the fsum's rounding, and per part the
-      product's and the moments' ``u |E X_j| + gamma_11 |D_j| max|k_j|``,
-      with ``|E X_j| <= |v0_j| + |D_j| max|k_j|``.
+    - the body's own roundings, at spec.mean and spec.var: the factor
+      rounds by ``gamma_3``, ``base = D / sqrt(2 pi var)`` by ``gamma_4``
+      (``math.pi`` counted once), den by ``gamma_2``, and ``dev2``, the
+      square of ``kappa - mean`` by ``**`` (C ``pow``, within an ulp), by
+      ``gamma_5``, so ``a = dev2 / den`` by ``gamma_8``.  The Gaussian part
+      ``factor (base exp(-a))`` adds its two products and ``exp``, and the
+      side's two additions 2u of their partial sums; the term and rho round
+      by at most ``gamma_10 + lambda`` of themselves where the body computed
+      them (a log in the half-width).  ``g = gamma_12 + lambda`` covers each.
+    - the mean: spec.mean moves ``a`` by at most ``2 sqrt(a) r + r^2``,
+      ``r = dmu / sqrt(den)`` at the smaller den of the two sides, so ``a``
+      is off by ``Delta <= a g + (2 sqrt(a) r + r^2)(1 + g)`` in all, and
+      ``exp(-a)`` by ``Delta e^(Delta - a)``.  For ``r <= 2^-10``, ``2
+      sqrt(a) r <= a / 100 + 100 r^2`` gives ``e^(Delta - a) <= 1.0001
+      e^(-0.9899 a)``, and as ``a e^(-0.9899 a) <= 0.3717`` and ``2 sqrt(a)
+      e^(-0.9899 a) <= 0.8622``, the Gaussian part errs by at most ``factor
+      base (g + 1.01 (0.37 g + (0.86 + r) r))`` at every point.
+    - the variance: moving spec.var to V moves the Gaussian part ``G(v) =
+      factor D / sqrt(2 pi v) exp(-dev2 / (c v))`` by at most A times
+      ``|G'(v)| = G(v) |a - 1/2| / v <= factor D / sqrt(2 pi v) / (2 v)``
+      (as ``|a - 1/2| e^{-a} <= 1/2``) for v between them, where ``v >=
+      spec.var (1 - s)``, ``s = A / spec.var``; for ``s <= 2^-11`` the move
+      is at most ``0.51 factor base s``.
 
-    Against the sides at E S_n and V, ``base = D / sqrt(2 pi var)`` is within
-    ``gamma_10`` relatively, ``den`` (``2 (1 +- h) var``) within
-    ``gamma_13``, and ``a = dev2 / den``, dev2 the square of ``kappa -
-    mean``, within ``a gamma_18 + (2 sqrt(dev2) dmu + dmu^2) / den`` of its
-    value, which moves ``exp(-a)`` by that times ``1.01 exp(-a)``.  As ``a
-    e^{-a} <= 1/e < 0.37`` and ``sqrt(a) e^{-a} <= 1/sqrt(2e)``, so that ``2
-    sqrt(a) e^{-a} < 0.86``, the Gaussian part ``factor base exp(-a)`` errs
-    by at most ``factor base (g + 1.01 (0.37 g + (0.86 + r) r))`` at every
-    point, ``g = gamma_18 + lambda`` and ``r = dmu / sqrt(den)`` at the
-    smaller den of the two sides: the roundings of the factor
-    (``gamma_3``), base, the two products and the additions, and libm's
-    ``exp`` (lambda = ``convolve._LIBM``).  Moving V to Var S_n moves the
-    Gaussian part ``G(v) = factor D / sqrt(2 pi v) exp(-dev2 / (c v))`` by
-    at most A times ``|G'(v)| = G(v) |a - 1/2| / v <= factor D / sqrt(2 pi
-    v) / (2 v)`` (as ``|a - 1/2| e^{-a} <= 1/2``) for v in [Var S_n, V];
-    with ``s = E / spec.var <= 2^-11``, Var S_n is at least ``spec.var (1 -
-    2^-10)``, so the move is at most ``0.51 factor base s``.  A larger s
-    makes the bound infinite, and no verdict is decided.  The term and rho
-    round by at most ``g`` of themselves where the body computed them and
-    in the additions.  The bound is rounded up by ``1 + 2^-40`` and holds at
-    every point of the body, so a verdict reads one number.
+    A larger s or r makes the bound infinite, and no verdict is decided.
+    The bound is rounded up by ``1 + 2^-40``, which covers its own
+    arithmetic, and holds at every point of the body, so a verdict reads one
+    number.
     """
 
     spec: SumSpec
@@ -827,14 +845,12 @@ class _Body:
     def rounding(self) -> float:
         """A bound on the rounding of either side at any point (above)."""
         spec = self.spec
-        dmu = _gamma(1, _U) * abs(spec.mean) + math.fsum(c * (_gamma(2, _U) * abs(p.v0) + _gamma(
-            14, _U) * abs(p.D) * max(map(abs, p.probs))) for p, _, c in spec.parts)
-        s = math.fsum(c * (_gamma(4, _U) * p.D * (max(p.probs) - min(p.probs))) ** 2
-                      for p, _, c in spec.parts) / spec.var  # E / spec.var, E above
-        if not s <= 2.0**-11:
-            return math.inf
-        base, g = spec.d / math.sqrt(2.0 * math.pi * spec.var), _gamma(18, _U) + _LIBM
+        dmu, dvar = spec.moment_errors
+        s = dvar / spec.var
         r = dmu / math.sqrt(min(self.lower[1], self.upper[1]))  # dmu / sqrt(den) on either side
+        if not (s <= 2.0**-11 and r <= 2.0**-10):
+            return math.inf
+        base, g = spec.d / math.sqrt(2.0 * math.pi * spec.var), _gamma(12, _U) + _LIBM
         return max(f * base * (g + 1.01 * (0.37 * g + (0.86 + r) * r) + 0.51 * s)
                    + g * (abs(term) + abs(rho))
                    for f, _, term, rho in (self.lower, self.upper)) * (1.0 + 2.0**-40) + 2.0**-1074

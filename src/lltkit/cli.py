@@ -395,18 +395,32 @@ def _cmd_partition(args: argparse.Namespace) -> dict:
 
 def _variance_tolerance(pmf: LatticePmf, variance: float) -> float:
     """Tolerance of ``validate``'s two variance identities, which the exact
-    laws obey exactly: ``max(1e-12, 40 u (Var X + D^2))`` with u = 2^-53.
+    laws obey exactly: ``max(1e-12, 40 u (Var X + D^2 (1 + u W^2)))`` with
+    u = 2^-53 and W the index span of X.
 
-    To first order in u: :func:`lltkit.lattice.moments` gives each variance
-    within ``9 u Var`` of its own, and Var xi <= Var X.  The split's masses lie
-    within ``9u`` of the source's, which moves xi's variance by ``9u (2 Var
-    X + D^2 / 2)``; ``D^2 vartheta / 4`` rounds by ``u D^2 / 2`` and the
-    difference by ``u Var X``.  So the xi residual is at most ``37 u Var X +
-    5 u D^2``, and ``D^2 theta / 4 - Var X`` at most ``9 u Var X + u D^2``;
-    40 covers each coefficient.  The points' offset v0 enters neither, as
-    the moments are summed on the index lattice.  The floor is the fixed
-    tolerance that held before."""
-    return max(1e-12, 40.0 * 2.0**-53 * (variance + pmf.D**2))
+    At every order, against the exact moments of the stored masses scaled to
+    total one (:func:`lltkit.convolve.exact_moments`), with ``gamma_k = k u
+    / (1 - k u)``: :func:`lltkit.lattice.moments` gives Var X within
+    ``gamma_9 Var X + (1 + gamma_9) (gamma_4 D W)^2``, and ``D**2 theta /
+    4`` is within ``gamma_6`` of ``D^2 vartheta / 4 <= Var X`` (``D**2``
+    within an ulp, theta's fsum, the product, and the masses' total within
+    2u of one), so ``D^2 theta / 4 - Var X`` is at most ``16 u Var X``.  At
+    the default level each ``tau_k`` is ``min(f(k), f(k+1))`` exactly, and
+    ``f(k) - (tau_(k-1) + tau_k) / 2`` rounds twice, so after the xi law's
+    normalization each of its masses is within ``(2u + 3u^2) f(k)`` or ``u
+    tau_k`` of the exact split's, up to their common scale.  As ``tau_k (v_k
+    + D/2 - E X)^2 <= (f(k) (v_k - E X)^2 + f(k+1) (v_(k+1) - E X)^2) / 2``,
+    that moves the variance of xi by at most ``6.1 u Var X``; its moments
+    add ``gamma_9 Var xi + (1 + gamma_9) (gamma_4 (D/2) 2W)^2``, and the two
+    differences of the residual u each.  So the xi residual is at most ``32
+    u Var X + 33 (u D W)^2``, and 40 covers each coefficient.  The ``(u D
+    W)^2`` term is the index mean's rounding, about ``u W``, squared: on
+    ``{0: 1e-30, 10^12 + 7: 0.7, 10^12 + 8: 0.3}`` the residual is 8.9e-9,
+    the term 1.2e-8 and ``u Var X`` 2.3e-17.  The floor and the ``40 u
+    D^2`` of a first-order count are kept; the points' offset v0 enters
+    neither, as the moments are summed on the index lattice."""
+    w = max(pmf.probs) - min(pmf.probs)
+    return max(1e-12, 40.0 * 2.0**-53 * (variance + pmf.D**2 * (1.0 + 2.0**-53 * w * w)))
 
 
 def _cmd_validate(args: argparse.Namespace) -> dict:

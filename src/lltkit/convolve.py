@@ -913,9 +913,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        + 2) u`` and every factor by a few u.  The bound grows with the mean
        distance from the mode, about ``4u sqrt(n t (1 - t))`` in ``e_1``,
        not with a transform's ``eta_N sqrt(N)``: the coin at n = 1e9 has
-       ``e_1`` of 1.2e-11 (against 1.7e-9 by the transform with its surviving
-       frequencies in long double, and 3.5e-6 in double).  Then the tail
-       drop of step 5 applies.
+       ``e_1`` of 1.2e-11.  Then the tail drop of step 5 applies.
     8. *Direct power* (Higham, Sec. 3.1, as in step 2).  The exact power
        ``x = f^{*k}`` of the stored masses and its computed ``x^`` obey
        ``x^_i = x_i (1 + alpha_i) + xi_i`` with ``|alpha_i| <= r``; f itself

@@ -19,12 +19,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LatticeError, PreconditionError
-
-#: sample abscissas used by the psi admissibility spot-check
-_PSI_SAMPLES = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -220,43 +217,6 @@ def _index_moments(v0: float, D: float, ks: Sequence[int], ps: Sequence[float]
     if var == math.inf:
         raise OverflowError(f"the variance D**2 * {s!r} at D = {D!r}")
     return v0 + D * (k0 + m), var
-
-
-def _check_psi(psi: Callable[[float], float]) -> None:
-    """Spot-check that psi is even, convex, with psi(x)/x^2 and x^3/psi(x)
-    non-decreasing on the positive half-line.  Sampled, not a proof."""
-    tol = 1e-9
-    vals = []
-    for x in _PSI_SAMPLES:
-        y = psi(x)
-        if not math.isfinite(y) or y <= 0:
-            raise LatticeError(f"psi({x}) = {y!r}; psi must be positive on x > 0")
-        if abs(y - psi(-x)) > tol * (1.0 + abs(y)):
-            raise LatticeError(f"psi is not even at x={x}: psi(x)={y}, psi(-x)={psi(-x)}")
-        vals.append(y)
-    for a, b in zip(_PSI_SAMPLES, _PSI_SAMPLES[1:]):
-        mid = psi((a + b) / 2.0)
-        chord = (psi(a) + psi(b)) / 2.0
-        if mid > chord + tol * (1.0 + abs(chord)):
-            raise LatticeError(f"psi fails midpoint convexity on [{a}, {b}]")
-    ratios_up = [y / x**2 for x, y in zip(_PSI_SAMPLES, vals)]
-    ratios_down = [x**3 / y for x, y in zip(_PSI_SAMPLES, vals)]
-    for name, seq in (("psi(x)/x^2", ratios_up), ("x^3/psi(x)", ratios_down)):
-        for r0, r1 in zip(seq, seq[1:]):
-            if r1 < r0 * (1.0 - 1e-9) - tol:
-                raise LatticeError(f"{name} is not non-decreasing on the sampled points")
-
-
-def psi_moments(pmfs: Iterable[LatticePmf], psi: Callable[[float], float]) -> list[float]:
-    """``E psi(X) = sum_k psi(v_k) f(k)`` for each pmf, psi checked once.
-
-    ``psi`` must be even, convex, with ``psi(x)/x**2`` and ``x**3/psi(x)``
-    non-decreasing on ``x > 0`` (spot-checked on sampled points; the caller
-    certifies the rest).  ``psi = x**2`` and ``psi = |x|**3`` are the two
-    boundary cases.
-    """
-    _check_psi(psi)
-    return [math.fsum(psi(pmf.point(k)) * p for k, p in pmf.probs.items()) for pmf in pmfs]
 
 
 def kappa_index(kappa: float, v0: float, d: float) -> int:

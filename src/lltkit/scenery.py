@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
@@ -122,12 +122,9 @@ class SceneryModel:
         n)])``, the law :func:`scenery_envelope` prints ``exact`` from;
         ``0 < p0 < 1`` takes the Markov fold over the value at the
         current site (:func:`_markov_fold`, no :func:`sum_law` call); every
-        step a stay (p0 = 1, ``S_n = n X``) is one :func:`sum_law` of the x
-        masses on span n behind a unit part, a point mass at 0 on span 1:
-        :func:`sum_law` takes it as a shift by 0 and folds nothing for it,
-        but its span keeps the indices those of the x lattice; and n = 0 is
-        the unit law.  Each is labelled with S_n's lattice, ``v0 = n
-        x_law.v0`` and ``D = x_law.D``."""
+        step a stay (p0 = 1, ``S_n = n X``) is one count-1 :func:`sum_law`
+        part, the x masses at the indices n k of S_n's lattice ``L(n
+        x_law.v0, x_law.D)``; and n = 0 is the unit law on that lattice."""
         x, n, p0 = self.x_law, self.n, self.increment_law.mass(0)
         if min(self.increment_law.support) < 0:
             raise PreconditionError("the annealed law of S_n requires increments >= 0")
@@ -135,9 +132,8 @@ class SceneryModel:
             return sum_law([(x, n)])
         if n >= 2 and p0 < 1.0:
             return _markov_fold(x, n, p0)
-        parts = [(LatticePmf(0.0, float(n), x.probs), 1)] if n else []
-        law = sum_law([(LatticePmf(0.0, 1.0, {0: 1.0}), 1), *parts])
-        return replace(law, v0=n * x.v0, D=x.D)
+        probs = {n * k: w for k, w in x.probs.items()} if n else {0: 1.0}
+        return sum_law([(LatticePmf(n * x.v0, x.D, probs), 1)])
 
     def u_law(self, j: int) -> SumLaw:
         """Exact law of ``U_j``, the j-fold increment convolution (j >= 1)."""

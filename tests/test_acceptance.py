@@ -161,7 +161,7 @@ def test_criterion_04_central_envelopes():
     law = iid_sum(BERN, n)
     theta_n = 500.0
     plug = exact_plug_ins(spec)
-    psi_plug = bounded_plug_ins(spec, psi=lambda x: abs(x) ** 3)
+    psi_plug = bounded_plug_ins(spec)
     ok = True
     lim2 = math.sqrt(theta_n / (14.0 * math.log(theta_n)))
     half_width_2 = math.floor(math.sqrt(lim2 * law.variance))

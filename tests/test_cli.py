@@ -665,6 +665,20 @@ class TestOtherCommands:
             code, out = run_cli(capsys, ["validate", str(path)])
             assert code == 0 and json.loads(out)["all_pass"] is True, (v0, d, ks, w, out)
 
+    def test_validate_passes_a_law_far_along_its_index_lattice(self, capsys, tmp_path):
+        # its index mean, about 1e12, rounds by about u 1e12 = 1e-4, and that
+        # error squared moves both variances by about 1e-8: the xi residual
+        # is 8.9e-9, far above 40 u (Var X + D^2) = 5.4e-15, and within the
+        # tolerance's (u D W)^2 term
+        path = tmp_path / "law.json"
+        w = 10**12 + 7
+        path.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 1e-30], [w, 0.7],
+                                                              [w + 1, 0.3]]}))
+        code, out = run_cli(capsys, ["validate", str(path)])
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0 and all(c["pass"] for c in checks.values()), out
+        assert checks["xi_variance_identity"]["residual"] > 1e-9
+
     @pytest.mark.parametrize("v0, d, stretch", [(3.0, 1.0, 5e-7), (3.0, 1e3, 5e-7),
                                                  (1e12, 1.0, 0.1), (1e12, 1.0, 1e-9)])
     def test_validate_fails_a_broken_identity(self, capsys, tmp_path, monkeypatch,

@@ -17,7 +17,6 @@ from lltkit import (
     make_pmf,
     moments,
     pmf_from_json,
-    psi_moments,
     span_multiple,
     theta,
 )
@@ -223,25 +222,6 @@ class TestIndexMoments:
         exact = Fraction(d) ** 2 / 2
         assert abs(Fraction(var) - exact) <= 4 * self.U * (exact + Fraction(d) ** 2)
         assert var == 2.2152548775865484e-12
-
-
-class TestPsiMoment:
-    def test_cube_on_bernoulli(self, fair_bernoulli):
-        assert psi_moments([fair_bernoulli], lambda x: abs(x) ** 3)[0] == pytest.approx(0.5)
-
-    def test_square_boundary_admissible(self, uniform3):
-        assert psi_moments([uniform3], lambda x: x * x)[0] == pytest.approx(5.0 / 3.0)
-
-    def test_cube_on_point_mass(self, point_mass):
-        assert psi_moments([point_mass], lambda x: abs(x) ** 3)[0] == 0.0
-
-    def test_rejects_odd_function(self, fair_bernoulli):
-        with pytest.raises(LatticeError):
-            psi_moments([fair_bernoulli], lambda x: x**3)  # odd, not even
-
-    def test_rejects_concave_growth(self, fair_bernoulli):
-        with pytest.raises(LatticeError):
-            psi_moments([fair_bernoulli], lambda x: math.sqrt(abs(x)))
 
 
 class TestKappaIndex:

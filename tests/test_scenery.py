@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter, namedtuple
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -771,6 +772,31 @@ class TestAnnealedLaw:
         assert (law.v0, law.D) == (n * x_law.v0, x_law.D)
         if n:
             assert_within_err(law, lazy_sum_law(SceneryModel(x_law, increments, n, {})))
+
+    def test_all_stays_keep_the_two_part_law(self):
+        # S_n = n X as one count-1 part on S_n's lattice, against the x
+        # masses on span n behind a unit part on span 1, relabelled with
+        # S_n's lattice: the same doubles, window, lattice and bounds (v0 as
+        # a number: relabelling the unit law at n = 0 gave 0 * v0, -0.0 for
+        # v0 < 0, where sum_law's fsum of the offsets gives 0.0)
+        rng = np.random.default_rng(20261021)
+        stays = make_pmf(0.0, 1.0, [(0, 1)])
+
+        def bits(law):
+            return (law.probs.tobytes(), law.first, law.v0, law.D.hex(),
+                    law.err_abs.hex(), law.err_l1.hex())
+
+        cases = product((0.0, -1.5, 3.25, 1e6), (1.0, 0.5, 2.0, 3e-3), (0, 1, 2, 5, 37, 400))
+        for v0, d, n in cases:
+            for _ in range(19):
+                m = int(rng.integers(1, 7))
+                ks = rng.choice(np.arange(-4, 9), m, replace=False).tolist()
+                x = make_pmf(v0, d, zip(ks, (rng.random(m) + 0.05).tolist()))
+                unit = [(LatticePmf(0.0, 1.0, {0: 1.0}), 1)]
+                parts = [(LatticePmf(0.0, float(n), x.probs), 1)] if n else []
+                two_part = replace(sum_law(unit + parts), v0=n * x.v0, D=x.D)
+                law = SceneryModel(x, stays, n, {}).annealed_law
+                assert bits(law) == bits(two_part), (v0, d, n, x.probs)
 
     def test_negative_increments_refused(self):
         m = SceneryModel(bern(), inc_pm1(), 3, {r: 0.4 for r in range(-4, 5)})
