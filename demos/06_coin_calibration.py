@@ -11,13 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from lltkit import (
+from lltkit.checks import (
+    binomial_half_pmf,
     calibrate_c0_scan,
     certified_registry,
     de_moivre_envelope,
     refined_bernoulli_comparison,
 )
-from lltkit.bounds import binomial_half_pmf
 
 print("=== calibrating the scaled coin/Gaussian gap ===")
 scan = calibrate_c0_scan(2000)

@@ -1,6 +1,7 @@
 """Exact distribution engine: the law of a sum of independent lattice
-variables on the window that holds its masses, and the brute-force
-statistics every bound is checked against.
+variables on the window that holds its masses, and the bound on its
+Kolmogorov distance that the exact plug-ins read (the brute-force
+statistics every bound is checked against are in :mod:`lltkit.checks`).
 
 :func:`sum_law` is the one kernel.  It takes the sum as ``(law, count)``
 parts, the oracle-side twin of the parts of :class:`lltkit.bounds.SumSpec`,
@@ -1027,27 +1028,25 @@ def _normalized(probs: np.ndarray, ab: _Bounds, n: int, first: int, v0: float, d
     return SumLaw(probs=probs, first=first, v0=v0, D=d, err_abs=err, err_l1=err_l1)
 
 
-def iid_sum(pmf: LatticePmf, n: int) -> SumLaw:
-    """Exact law of the sum of n independent copies of ``pmf``."""
-    return sum_law([(pmf, n)])
-
 
 def exact_moments(parts: Sequence[tuple[LatticePmf, int]]) -> tuple[Fraction, Fraction]:
     """Mean and variance, in rational arithmetic, of the sum that
     ``sum_law(parts)`` stands for: each law's stored masses scaled to total
     one.  A law's masses are read as integers over their common power-of-two
-    denominator (:func:`_integer_masses`), so its moments cost integer sums
-    and two fractions."""
-    mean = var = Fraction(0)
+    denominator (:func:`_integer_masses`), so its moments cost integer sums.
+    The parts' numerators are summed over the product of their denominators,
+    and each moment is reduced once, as one fraction."""
+    mean, mean_den, var, var_den = 0, 1, 0, 1
     for p, count in parts:
         ws = list(zip(map(int, p.probs), _integer_masses(p.probs.values())[0]))
         t = sum(w for _, w in ws)
         s1 = sum(k * w for k, w in ws)
         s2 = sum(k * k * w for k, w in ws)
         (v, vd), (d, dd) = p.v0.as_integer_ratio(), p.D.as_integer_ratio()
-        mean += Fraction(count * (v * dd * t + d * vd * s1), vd * dd * t)
-        var += Fraction(count * d * d * (s2 * t - s1 * s1), dd * dd * t * t)
-    return mean, var
+        md, vdd = vd * dd * t, dd * dd * t * t  # the part's denominators
+        mean, mean_den = mean * md + count * (v * dd * t + d * vd * s1) * mean_den, mean_den * md
+        var, var_den = var * vdd + count * d * d * (s2 * t - s1 * s1) * var_den, var_den * vdd
+    return Fraction(mean, mean_den), Fraction(var, var_den)
 
 
 def bernoulli(t: float) -> LatticePmf:
@@ -1097,19 +1096,13 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return np.where(inside, y, 0.5 + 0.5 * np.sign(x))  # 0 or 1; NaN stays NaN
 
 
-def kolmogorov_distance(law: SumLaw, center: float, scale: float) -> float:
-    """Exact sup-distance between the CDF of ``(S - center)/scale`` and Phi.
-
-    The supremum over x is attained at a jump of the discrete CDF, approached
-    from one of the two sides, so it suffices to compare Phi against the CDF
-    value before and after every jump (every positive mass).
-    """
-    return _kolmogorov_distance(law, *law.atoms(), center, scale)
-
 
 def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: float,
                          scale: float) -> float:
-    """:func:`kolmogorov_distance` on the atoms ``(ks, w)`` of ``law``."""
+    """The exact sup-distance between the CDF of ``(S - center)/scale`` and
+    Phi, from the atoms ``(ks, w)`` of ``law``: the supremum is attained at
+    a jump of the CDF, so Phi is compared with the CDF before and after
+    every jump (:func:`lltkit.checks.kolmogorov_distance`)."""
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
     phi = _ndtr((law.v0 + law.D * ks - center) / scale)
@@ -1125,7 +1118,7 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     (:func:`exact_moments`).
 
     They are rounded to ``c = float(mean)`` and ``s = sqrt(float(variance))``.
-    The bound is :func:`kolmogorov_distance` of the computed masses about c
+    The bound is :func:`_kolmogorov_distance` of the computed masses about c
     and s, divided by ``1 - u`` for the rounding of each difference, plus
     five parts, each taken over the A atoms (positive masses) it evaluates:
 
@@ -1154,28 +1147,3 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
     err = (law.err_l1 + _gamma(len(ks), _U) * (1.0 + 3.0 * _U) + (_NDTR_ERR + 5.0 * _U)
            + 2.5 * _U * reach / s)
     return (dist / (1.0 - _U) + err) * (1.0 + 16.0 * _U)
-
-
-def llt_discrepancy(law: SumLaw) -> float:
-    """Scaled sup-distance between point probabilities and the Gaussian curve.
-
-        sup_N | sqrt(Var) * P{S = N} - D/sqrt(2 pi) * exp(-(N - E S)^2 / (2 Var)) |
-
-    with N running over the whole sum lattice, including points outside the
-    support (where only the Gaussian term contributes).  The window and the
-    points within 10 standard deviations of the mean are scanned; at every
-    other N the computed mass is 0.0 and the Gaussian term is below ``D
-    e^-50 / sqrt(2 pi)``.
-    """
-    var = law.variance
-    if not (var > 0):
-        raise LatticeError("discrepancy undefined for a degenerate (zero-variance) sum")
-    sd = math.sqrt(var)
-    last = law.first + len(law.probs) - 1
-    k_mid = (law.mean - law.v0) / law.D
-    k_lo = min(law.first, math.floor(k_mid - 10.0 * sd / law.D))
-    k_hi = max(last, math.ceil(k_mid + 10.0 * sd / law.D))
-    dense = np.pad(law.probs, (law.first - k_lo, k_hi - last))
-    pts = law.v0 + law.D * np.arange(k_lo, k_hi + 1)
-    gauss = (law.D / math.sqrt(2.0 * math.pi)) * np.exp(-((pts - law.mean) ** 2) / (2.0 * var))
-    return float(np.abs(sd * dense - gauss).max())

@@ -13,18 +13,8 @@ Under no-revisits the second moments obey
     E S_n^2 = E S'_n^2 + D^2 Theta_n / 4,   Theta_n = sum_j E vartheta_{U_j},
 
 and in general the same identity holds with the extra correction
-``(D^2/4) * sum_{h != k} c_{h,k}`` where
-``c_{h,k} = sum_r vartheta_r P{U_h = r, U_k = r}``
-(nonzero only for walks that can revisit, such as lazy or +-1 walks).
-
-The conditional summands ``Y_k = V_{U_k} + (D/2) eps_{U_k}`` satisfy the
-covariance factorization
-
-    Cov(1_A(Y_h), 1_B(Y_k)) = beta_A * beta_B * Cov(vartheta_{U_h}, vartheta_{U_k})
-
-with ``beta`` a second-difference functional of the indicator; in particular
-a constant profile makes the Y_k i.i.d., which is what lets the plain
-two-sided envelope apply verbatim to the composed sum.
+``(D^2/4) * sum_{h != k} c_{h,k}``, which :func:`second_moment_check`
+checks (one pair's ``c_{h,k}`` is :func:`lltkit.checks.c_hk`).
 
 Through the walk's local times ``l_r = #{k : U_k = r}``,
 ``S_n = sum_r l_r X_r``: revisits are the only obstruction, since with every
@@ -47,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -188,37 +178,6 @@ def _walk_table(model: SceneryModel, upto: int) -> tuple[float, list[tuple[float
     return theta_n, table
 
 
-def theta_n_scenery(model: SceneryModel) -> float:
-    """``Theta_n = sum_{j=1..n} E vartheta_{U_j}``; equals ``n * vartheta``
-    exactly for a constant profile."""
-    return _walk_table(model, 0 if model.constant_profile else model.n)[0]
-
-
-def c_hk(model: SceneryModel, h: int, k: int) -> float:
-    """Revisit correction ``c_{h,k} = sum_r vartheta_r P{U_h = r, U_k = r}``;
-    exactly zero under strictly positive increments.
-
-    The value is what the pair (h, k) adds to ``E S_n^2 - E S'_n^2`` (scaled
-    by ``D^2/4``) when the walk can revisit a site: conditioning on
-    ``U_h = U_k = r`` the two picked-up values coincide, and
-    ``E X_r^2 - E xi_r^2 = D^2 vartheta_r / 4``.  For i.i.d. increments
-    ``P{U_h = r, U_k = r} = P{U_min = r} * sigma_m`` with ``sigma_m`` the
-    m-step return probability, m = |k - h|, so
-    ``c_{h,k} = sigma_m * E vartheta_{U_min}``.
-    """
-    if h == k:
-        raise LatticeError("c_{h,k} requires h != k")
-    if not (1 <= h <= model.n and 1 <= k <= model.n):
-        raise LatticeError(f"indices must lie in 1..{model.n}")
-    if min(model.increment_law.support) >= 1:
-        return 0.0
-    m = abs(k - h)
-    sigma_m = model.u_law(m).mass(0)
-    if sigma_m == 0.0:
-        return 0.0
-    return sigma_m * model.mean_level(model.u_law(min(h, k)))
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration
 
@@ -334,94 +293,6 @@ def second_moment_check(model: SceneryModel) -> SceneryMoments:
     residual = es2 - (esp2 + d**2 * theta_n / 4.0 + d**2 / 4.0 * c_sum)
     return SceneryMoments(theta_n=theta_n, c_sum=c_sum, es=es, es_prime=esp, es2=es2,
                           es2_prime=esp2, identity_residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# covariance factorization of the conditional summands
-
-
-def beta_functional(x_law: LatticePmf, phi: Callable[[float], float]) -> float:
-    """``beta_phi = -(1/2) sum_k (f(k) ^ f(k+1)) / theta_X * Delta^2 phi(v_k)``
-    with ``Delta phi(t) = phi(t + D/2) - phi(t)``."""
-    tx = theta(x_law)
-    if tx <= 0:
-        raise PreconditionError("beta functional needs theta(x_law) > 0")
-    f = x_law.probs
-    total = 0.0
-    for k, p in f.items():
-        if k + 1 not in f:
-            continue
-        v = x_law.point(k)
-        d2 = phi(v + x_law.D) - 2.0 * phi(v + x_law.D / 2.0) + phi(v)
-        total += min(p, f[k + 1]) / tx * d2
-    return -0.5 * total
-
-
-def indicator(interval: tuple[float, float]) -> Callable[[float], float]:
-    """Indicator of the closed interval [a, b]."""
-    a, b = interval
-    return lambda t: 1.0 if a <= t <= b else 0.0
-
-
-@dataclass(frozen=True)
-class CovarianceFactorization:
-    """Both sides of the indicator-covariance identity plus the ingredients."""
-
-    lhs: float
-    rhs: float
-    beta_a: float
-    beta_b: float
-    cov_vartheta: float
-
-
-def y_covariance_factorization(
-    model: SceneryModel,
-    h: int,
-    k: int,
-    interval_a: tuple[float, float],
-    interval_b: tuple[float, float],
-) -> CovarianceFactorization:
-    """Exact check of
-    ``Cov(1_A(Y_h), 1_B(Y_k)) = beta_A beta_B Cov(vartheta_{U_h}, vartheta_{U_k})``
-    on an enumerable instance with strictly positive increments: its
-    ``#steps^n`` paths are within ``_ENUM_BUDGET``, and the levels at the
-    sites of ``U_h`` and ``U_k`` are checked before the first path.
-
-    ``|beta|`` is at most 1 for any interval.
-    """
-    if h == k:
-        raise LatticeError("need h != k")
-    if not (1 <= h <= model.n and 1 <= k <= model.n):
-        raise LatticeError(f"indices must lie in 1..{model.n}")
-    if min(model.increment_law.support) < 1:
-        raise PreconditionError("covariance factorization requires strictly positive increments")
-    _check_budget(model, 1)
-    levels, joints = _site_table(model, {h, k})
-    ind_a = indicator(interval_a)
-    ind_b = indicator(interval_b)
-    # P{xi in A} and P{xi in B} at each level, xi = v_k + e D/2 at each (V, eps) atom
-    x = model.x_law
-    hit_a, hit_b = ({v: math.fsum(p * ind(x.point(k) + e * x.D / 2.0) for (k, e), p in joint)
-                     for v, joint in joints.items()} for ind in (ind_a, ind_b))
-
-    e_ab = e_a = e_b = 0.0
-    e_tt = e_th = e_tk = 0.0
-    for sites, pp in _iter_paths(model):
-        th, tk = levels[sites[h - 1]], levels[sites[k - 1]]
-        pa, pb = hit_a[th], hit_b[tk]
-        e_ab += pp * pa * pb
-        e_a += pp * pa
-        e_b += pp * pb
-        e_tt += pp * th * tk
-        e_th += pp * th
-        e_tk += pp * tk
-    lhs = e_ab - e_a * e_b
-    cov_t = e_tt - e_th * e_tk
-    beta_a = beta_functional(model.x_law, ind_a)
-    beta_b = beta_functional(model.x_law, ind_b)
-    return CovarianceFactorization(
-        lhs=lhs, rhs=beta_a * beta_b * cov_t, beta_a=beta_a, beta_b=beta_b, cov_vartheta=cov_t
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,25 +26,19 @@ import numpy as np
 
 from lltkit import (
     bounded_plug_ins,
-    calibrate_c0_scan,
     central_envelope,
-    certified_registry,
     chernoff_rho,
     count_via_enumeration,
-    de_moivre_envelope,
     delta_smoothness,
     effective_pointwise_bound,
     exact_plug_ins,
     h_default,
-    iid_sum,
     interval_discrepancy,
-    llt_discrepancy,
     make_pmf,
     moments,
     prepare_sum,
     psi_envelope,
     reconstruct,
-    refined_bernoulli_comparison,
     sandwich_envelope,
     scenery_envelope,
     second_moment_check,
@@ -54,8 +48,10 @@ from lltkit import (
     theta,
     xi_law,
 )
-from lltkit.bounds import binomial_half_pmf, c0_scan_error_bound
-from lltkit.scenery import SceneryModel, y_covariance_factorization
+from lltkit.checks import (binomial_half_pmf, c0_scan_error_bound, calibrate_c0_scan,
+                           certified_registry, de_moivre_envelope, iid_sum, llt_discrepancy,
+                           refined_bernoulli_comparison, y_covariance_factorization)
+from lltkit.scenery import SceneryModel
 
 from .conftest import random_pmf
 from .test_partition import _knapsack_counts

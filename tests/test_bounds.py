@@ -24,33 +24,33 @@ from lltkit import (
     PreconditionError,
     bernoulli,
     bounded_plug_ins,
-    calibrate_c0_scan,
     calibrated_registry,
     central_envelope,
-    certified_registry,
     chernoff_rho,
     constants_from_json,
-    de_moivre_envelope,
     exact_plug_ins,
     h_default,
-    iid_sum,
     make_pmf,
     prepare_sum,
     psi_envelope,
-    refined_bernoulli_comparison,
     sandwich_envelope,
     split,
     sum_law,
     theta,
     xi_law,
 )
-from lltkit import bounds
+from lltkit import bounds, checks
 from lltkit.convolve import exact_moments
-from lltkit.bounds import (
+from lltkit.checks import (
     C0_TAIL_N_STAR,
     binomial_half_pmf,
     c0_scan_error_bound,
     c0_tail_bound,
+    calibrate_c0_scan,
+    certified_registry,
+    de_moivre_envelope,
+    iid_sum,
+    refined_bernoulli_comparison,
 )
 
 from .conftest import random_pmf
@@ -87,7 +87,7 @@ def _plain_scan_error_bound(n_max: int) -> np.ndarray:
     n = np.arange(1, n_max + 1, dtype=float)
     gamma = n * u / (1.0 - n * u)
     underflow = n**1.5 * (n + 2.0) * 2.0**-1074
-    return math.sqrt(2.0 / math.pi) * n * (gamma + bounds._SCAN_ROUNDING_ULPS * u) + underflow
+    return math.sqrt(2.0 / math.pi) * n * (gamma + checks._SCAN_ROUNDING_ULPS * u) + underflow
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +103,13 @@ def scan_5000():
 def _spy_blocks(monkeypatch) -> list:
     """Record the first n and the width of each block the scan evaluates."""
     calls = []
-    block_gaps = bounds._block_gaps
+    block_gaps = checks._block_gaps
 
     def spy(n, width, centers):
         calls.append((int(n[0]), width))
         return block_gaps(n, width, centers)
 
-    monkeypatch.setattr(bounds, "_block_gaps", spy)
+    monkeypatch.setattr(checks, "_block_gaps", spy)
     return calls
 
 
@@ -195,14 +195,14 @@ class TestCalibrateC0:
         assert calibrate_c0_scan(1000).max() == pytest.approx(C0_SCAN_1000, abs=1e-14)
 
     def test_windows_give_the_doubles_of_whole_rows(self, monkeypatch, scan_5000):
-        block = bounds._SCAN_BLOCK
+        block = checks._SCAN_BLOCK
         n_maxes = [*range(1, 301), *range(1074, 1081), 5000]
         n_maxes += [block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1]
         for n_max in n_maxes:
             assert np.array_equal(calibrate_c0_scan(n_max), scan_5000[:n_max]), n_max
         for setting, values in (("_SCAN_WINDOW", [0.2]), ("_SCAN_BLOCK", [7, 200, 1000])):
             for value in values:  # a window of 0.2 widens every block to whole rows
-                monkeypatch.setattr(bounds, setting, value)
+                monkeypatch.setattr(checks, setting, value)
                 for n_max in n_maxes:
                     assert np.array_equal(calibrate_c0_scan(n_max), scan_5000[:n_max]), \
                         (setting, value, n_max)
@@ -217,21 +217,21 @@ class TestCalibrateC0:
         z = (n // 2)[:, None] - np.arange(301)
         formula = np.sqrt(2.0 / (np.pi * n[:, None])) * np.exp(-((2.0 * z - n[:, None]) ** 2)
                                                               / (2.0 * n[:, None]))
-        assert np.array_equal(bounds._gauss_terms(n, 300), formula)
+        assert np.array_equal(checks._gauss_terms(n, 300), formula)
 
     def test_windows_cover_every_block_after_the_first(self, monkeypatch, scan_5000):
         calls = _spy_blocks(monkeypatch)
         assert np.array_equal(calibrate_c0_scan(5000), scan_5000)
-        block = bounds._SCAN_BLOCK
-        windows = [(start, math.ceil(bounds._SCAN_WINDOW * math.sqrt(min(start + block - 1, 5000))))
+        block = checks._SCAN_BLOCK
+        windows = [(start, math.ceil(checks._SCAN_WINDOW * math.sqrt(min(start + block - 1, 5000))))
                    for start in range(block + 1, 5001, block)]
         assert calls == [(1, block // 2 + 1), *windows]  # the first block takes whole rows
 
     def test_failed_window_check_reruns_whole_rows(self, monkeypatch, scan_5000):
         calls = _spy_blocks(monkeypatch)
-        monkeypatch.setattr(bounds, "_SCAN_WINDOW", 0.2)  # too narrow: every check fails
+        monkeypatch.setattr(checks, "_SCAN_WINDOW", 0.2)  # too narrow: every check fails
         assert np.array_equal(calibrate_c0_scan(2000), scan_5000[:2000])
-        block = bounds._SCAN_BLOCK
+        block = checks._SCAN_BLOCK
         starts = range(1, 2001, block)
         whole = [(start, min(start + block - 1, 2000) // 2 + 1) for start in starts]
         assert [call for call in calls if call in whole] == whole
@@ -908,13 +908,14 @@ class TestBoundedPlugIns:
         with pytest.raises(PreconditionError, match="0 < h < 1"):
             exact_plug_ins(prepare_sum([(fair_bernoulli, 0.5, 64)]), h)
 
-    @pytest.mark.parametrize("d, n", [(5e102, 4), (3.6e102, 9)])
+    @pytest.mark.parametrize("d, n", [(5e102, 4), (3.6e102, 9), (1e110, 4), (1.6e102, 64)])
     def test_non_finite_l_n_refused(self, d, n):
-        # sum_j E|X_j|^3 overflows while Var S_n and its psi stay finite
+        # sum_j E|X_j|^3 overflows while Var S_n and its psi stay finite; at
+        # D = 1e110 a cube |x|^3, and at n = 64 only psi(sqrt(Var S_n)), is
+        # beyond the doubles though Var S_n is not
         spec = prepare_sum([(make_pmf(0.0, d, [(0, 1), (1, 1)]), 0.5, n)])
         with pytest.raises(NumericsError, match=r"^L_n = sum_j E psi\(X_j\) / "):
             bounded_plug_ins(spec, 0.25)
-
 
     def test_non_finite_h_n_refused(self):
         # L_n = 18 is finite, and 2^1.5 ce L_n overflows for a huge ce that

@@ -1575,6 +1575,30 @@ def test_exact_moments_of_the_scaled_stored_masses():
     assert law.variance == pytest.approx(float(var), rel=1e-14)
 
 
+def test_exact_moments_are_the_sums_of_the_parts_fractions():
+    # numerators summed over the parts' denominators and reduced once give
+    # the fractions of the per-part sum, on 1-4 parts with a shared span
+    rng = np.random.default_rng(52)
+    for _ in range(200):
+        d = [1.0, 0.5, 3e-3][int(rng.integers(3))]
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            size = int(rng.integers(1, 6))
+            ks = sorted(int(k) for k in rng.choice(12, size=size, replace=False))
+            law = make_pmf([0.0, -1.5, 3.25][int(rng.integers(3))], d,
+                           list(zip(ks, (rng.random(size) + 1e-3).tolist())))
+            parts.append((law, int(rng.integers(1, 10**6 + 1))))
+        mean, var = Fraction(0), Fraction(0)
+        for law, count in parts:
+            w = {k: Fraction(x) for k, x in law.probs.items()}
+            pts = {k: Fraction(law.v0) + Fraction(law.D) * k for k in w}
+            m = sum(pts[k] * x for k, x in w.items()) / sum(w.values())
+            mean += count * m
+            var += count * sum((pts[k] - m) ** 2 * x for k, x in w.items()) / sum(w.values())
+        got = exact_moments(parts)
+        assert got == (mean, var) and all(type(x) is Fraction for x in got), parts
+
+
 class TestKolmogorovDistance:
     def test_two_point_symmetric(self):
         p = make_pmf(0.0, 2.0, [(0, 1), (1, 1)])  # mass at -1, +1 after centering

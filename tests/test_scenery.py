@@ -17,10 +17,7 @@ from lltkit import (
     NumericsError,
     PreconditionError,
     SceneryModel,
-    beta_functional,
-    c_hk,
     exact_plug_ins,
-    iid_sum,
     make_pmf,
     monte_carlo_point_prob,
     prepare_sum,
@@ -31,10 +28,10 @@ from lltkit import (
     split,
     sum_law,
     theta,
-    theta_n_scenery,
-    y_covariance_factorization,
 )
-from lltkit import convolve, scenery
+from lltkit import checks, convolve, scenery
+from lltkit.checks import (beta_functional, c_hk, iid_sum, theta_n_scenery,
+                           y_covariance_factorization)
 from lltkit.lattice import LatticePmf
 
 
@@ -492,7 +489,7 @@ class TestCovarianceFactorization:
 
     def test_beta_bounded_by_one(self):
         rng = np.random.default_rng(17)
-        from lltkit.scenery import indicator
+        from lltkit.checks import indicator
 
         from .conftest import random_pmf
 
@@ -533,7 +530,7 @@ class TestCovarianceFactorization:
         args = (1, 3, (0.5, 1.0), (0.0, 0.5))
         assert (y_covariance_factorization(SceneryModel(bern(), inc_12(), 4, part), *args)
                 == y_covariance_factorization(SceneryModel(bern(), inc_12(), 4, full), *args))
-        monkeypatch.setattr(scenery, "_iter_paths", no_paths)
+        monkeypatch.setattr(checks, "_iter_paths", no_paths)
         for missing in (1, 4):
             prof = {r: v for r, v in part.items() if r != missing}
             with pytest.raises(LatticeError, match=f"reachable site {missing}"):
