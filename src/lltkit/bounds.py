@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -52,7 +52,7 @@ from .convolve import (_LIBM, _U, SumLaw, _as_count, _gamma, bernoulli, exact_mo
                        kolmogorov_bound, sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
-from .lattice import LatticePmf, _integral, _real, kappa_index, moments, theta
+from .lattice import LatticePmf, _field_dict, _integral, _real, kappa_index, moments, theta
 
 #: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
 #: Gaussian comparison, valid for every n: the smallest double not below
@@ -192,7 +192,7 @@ class BoundReport:
         """:meth:`row` plus ``lower_negative``, the parameters, the constants
         and, with an exact value, its error bound ``exact_err``."""
         out = {**self.row(), "lower_negative": self.lower_negative,
-               "params": dict(self.params), "constants": asdict(constants)}
+               "params": dict(self.params), "constants": _field_dict(constants)}
         if self.exact is not None:
             out["exact_err"] = self.exact_err
         return out

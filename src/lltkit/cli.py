@@ -21,16 +21,23 @@ rows of scalars, such as the ``gamkrelidze`` d-table, as one ``%`` of a row
 template over its cells.  An ``llt-bound`` sweep decides every refusal over
 its whole range first; then it computes the envelope's columns a fixed
 block of lattice points at a time and writes each block's rows from one
-template, so its memory does not grow with its length.  The
-argument parser is built once per process; each call of :func:`main` parses
-a fresh namespace.
+template, so its memory does not grow with its length.
+
+The argument parser is built once per process, and every option is declared
+there alone.  :func:`main` reads an argv that starts with a subcommand name
+and holds only that subcommand's exact option strings, each with one value,
+and its positionals, in one pass over a table taken from the parser's own
+actions (:func:`_read_argv`); it yields the namespace argparse would.
+argparse reads every other argv: a global ``--constants``, help, an inline
+``--opt=value``, an abbreviation, ``--``, and each malformed argv, so help
+text, error messages and exit codes are argparse's.  Each call of
+:func:`main` reads a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -46,7 +53,8 @@ from typing import Any
 from . import bounds, gamkrelidze, partition, scenery
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import reconstruct, split, xi_law
-from .lattice import LatticePmf, characteristics, lattice_position, moments, pmf_from_json, theta
+from .lattice import (LatticePmf, _field_dict, characteristics, lattice_position, moments,
+                      pmf_from_json, theta)
 
 ENV_CONSTANTS = "LLT_CONSTANTS"
 
@@ -270,7 +278,7 @@ def _write_sweep(blocks: Iterator[dict], output_format: str) -> None:
 
 def _cmd_characteristics(args: argparse.Namespace) -> dict:
     pmf = pmf_from_json(_read_json(args.input))
-    return dataclasses.asdict(characteristics(pmf))
+    return _field_dict(characteristics(pmf))
 
 
 def _cmd_split(args: argparse.Namespace) -> dict:
@@ -363,8 +371,8 @@ def _cmd_gamkrelidze(args: argparse.Namespace) -> dict:
     h = _pick_h(args, spec.theta_n)
     extr = gamkrelidze.smoothness_via_extraction(spec, h, b_n, args.constants)
     out = report.to_json_dict()
-    out["pointwise_check"] = dataclasses.asdict(check)
-    out["extraction_bound"] = {**dataclasses.asdict(extr), "h": h}
+    out["pointwise_check"] = _field_dict(check)
+    out["extraction_bound"] = {**_field_dict(extr), "h": h}
     return out
 
 
@@ -374,7 +382,7 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
     model = scenery.scenery_from_json(_read_json(args.input))
     if args.kappa is None:
         # any walk, revisiting ones included: the identity carries c_{h,k}
-        return dataclasses.asdict(scenery.second_moment_check(model))
+        return _field_dict(scenery.second_moment_check(model))
     # the envelope reports the exact value too, and refuses a lazy or
     # revisiting walk before that law is built; the model keeps the law, so
     # --mc reads it instead of building it again
@@ -385,12 +393,12 @@ def _cmd_scenery(args: argparse.Namespace) -> dict:
             model, args.kappa, samples=args.mc_samples, seed=args.seed
         )
         lo, hi = est.interval()
-        out["monte_carlo"] = {**dataclasses.asdict(est), "ci3_low": lo, "ci3_high": hi}
+        out["monte_carlo"] = {**_field_dict(est), "ci3_low": lo, "ci3_high": hi}
     return out
 
 
 def _cmd_partition(args: argparse.Namespace) -> dict:
-    return dataclasses.asdict(partition.count_partitions(args.m, args.n, args.partition_mode))
+    return _field_dict(partition.count_partitions(args.m, args.n, args.partition_mode))
 
 
 def _variance_tolerance(pmf: LatticePmf, variance: float) -> float:
@@ -543,8 +551,89 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subcommand_specs() -> dict[str, tuple]:
+    """What :func:`_read_argv` reads of each subcommand, taken from the actions
+    of :func:`build_parser`: its options by option string, its positionals
+    in order, its required actions, the namespace argparse starts from (the
+    defaults, ``command`` set to the name), and the matcher of the negative
+    numbers that are values.  A subparser with an action other than help or
+    a one-value store, a string default with a type, parser-level defaults
+    or an exclusive group is left out, and argparse reads its argv."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    top = {a.dest: a.default for a in parser._actions
+           if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    specs = {}
+    for name, sub in subparsers.choices.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        if (sub._defaults or sub._mutually_exclusive_groups
+                or any(type(a) is not argparse._StoreAction or a.nargs is not None
+                       or (isinstance(a.default, str) and a.type is not None)
+                       for a in actions)):
+            continue
+        namespace = {**top, subparsers.dest: name,
+                     **{a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}}
+        # a token starting with "-" is a value only as argparse reads a
+        # negative number, and only where no option string looks like one
+        matcher = None if sub._has_negative_number_optionals else sub._negative_number_matcher
+        specs[name] = ({s: a for a in actions for s in a.option_strings},
+                       tuple(a for a in actions if not a.option_strings),
+                       tuple(a for a in actions if a.required), namespace, matcher)
+    return specs
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``build_parser().parse_args(argv)`` returns, read in
+    one pass for an argv that starts with a subcommand name and holds only
+    its exact option strings, each followed by one value, and its
+    positionals; None for every argv it cannot read so, which argparse
+    then reads, with its help, errors and exit codes.  It declines a
+    global option before the subcommand, help, ``--opt=value``, an
+    abbreviation, ``--``, a missing value or one argparse takes for an
+    option, a failed type or choice, an extra positional and a missing
+    required argument."""
+    spec = _subcommand_specs().get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, positionals, required, namespace, matcher = spec
+    values = dict(namespace)
+    seen = set()
+    pending = iter(positionals)
+    i, end = 1, len(argv)
+    while i < end:
+        action = options.get(argv[i])
+        if action is None:
+            token = argv[i]
+            action = next(pending, None)
+            i += 1
+        elif i + 1 < end:
+            token = argv[i + 1]
+            i += 2
+        else:
+            return None
+        if action is None or (token[:1] == "-" and (matcher is None
+                                                     or matcher.match(token) is None)):
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except Exception:  # argparse, reading the argv again, reports or raises it
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     code, payload = run(args)
     if isinstance(payload, Iterator):
         _write_sweep(payload, args.format)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LatticeError, PreconditionError
@@ -83,6 +83,13 @@ def _real(x, what: str) -> float:
         except OverflowError:
             raise LatticeError(f"{what} {x} is beyond the range of a double") from None
     raise LatticeError(f"{what} must be a number, got {x!r}")
+
+
+def _field_dict(obj) -> dict:
+    """``dataclasses.asdict(obj)`` of a dataclass whose fields hold scalars,
+    read field by field: without asdict's recursion and its deep copy of
+    each value.  A list or tuple field is the object itself, not a copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def make_pmf(v0: float, D: float, entries: Iterable[tuple[int, float]]) -> LatticePmf:

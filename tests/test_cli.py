@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -27,7 +28,9 @@ from lltkit.bounds import BoundReport, ConstantsRegistry
 from lltkit.cli import _flatten, _fmt, main, render
 from lltkit.convolve import SumLaw
 from lltkit.errors import LatticeError, NumericsError, PreconditionError
-from lltkit.gamkrelidze import WINDOW_CAP
+from lltkit.gamkrelidze import WINDOW_CAP, ExtractionSmoothnessBound, PointwiseCheck
+from lltkit.lattice import _field_dict, characteristics
+from lltkit.scenery import MonteCarloEstimate, SceneryMoments
 
 
 @pytest.fixture
@@ -1396,6 +1399,16 @@ class TestCsvCells:
         assert "\r" in rows[0][1]
 
 
+def _call(argv: list[str], capsys) -> tuple[Any, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)``, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestSuccessiveCalls:
     def test_call_order_does_not_change_output(self, capsys, bern_file, scenery_file, tmp_path):
         # the parser is shared by the calls of a process; no call may leave
@@ -1416,23 +1429,147 @@ class TestSuccessiveCalls:
             ["partition", "--m", "2", "--n", "12", "--mode", "enum"],
             ["partition", "--m", "2", "--n", "12"],
             ["split", bern_file],
+            # forms that argparse reads, not the one-pass reader: an inline
+            # value, an abbreviation (ambiguous in llt-bound, whose --kappa
+            # opens --kappa-from and --kappa-to) and help
+            ["llt-bound", bern_file, "--n=16", "--kappa", "8"],
+            ["llt-bound", bern_file, "--n", "16", "--kap", "8"],
+            ["scenery", scenery_file, "--kap", "2"],
+            ["llt-bound", "--help"],
         ]
-
-        def call(argv):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("exit", exc.code)
-            out = capsys.readouterr()
-            return code, out.out, out.err
-
-        forward = [call(argv) for argv in argvs]
-        backward = [call(argv) for argv in reversed(argvs)]
+        forward = [_call(argv, capsys) for argv in argvs]
+        backward = [_call(argv, capsys) for argv in reversed(argvs)]
         assert forward == backward[::-1]
         assert forward[4][0] == ("exit", 2) and "nope" in forward[4][2]
         assert json.loads(forward[5][1])["constants"]["c0"] == 0.3
         assert json.loads(forward[2][1])["constants"]["c0"] != 0.3
         assert len(json.loads(forward[6][1])) == 5
+        assert forward[11][1] == forward[2][1]
+        assert forward[12][0] == ("exit", 2) and "ambiguous option: --kap" in forward[12][2]
+        assert forward[13][0] == 0 and json.loads(forward[13][1])["kappa"] == 2
+        assert forward[14][0] == ("exit", 0) and "--kappa-from" in forward[14][1]
+
+
+def _benchmark_argvs() -> list[list[str]]:
+    """The argv of every CLI request of the benchmark's four request lists,
+    at seeds 1-5 and both sizes, with the input directory named ``/in``."""
+    from perfbench import workloads
+
+    return [workloads.resolve(req, "/in")
+            for size in ("full", "tiny") for seed in range(1, 6)
+            for workload in workloads.WORKLOADS
+            for req in workloads.build(workload, seed, size) if req.command != "calibrate"]
+
+
+class TestArgvReader:
+    """``main`` reads a well-formed subcommand argv in one pass
+    (``cli._read_argv``) and leaves every other argv to argparse."""
+
+    def test_reads_every_benchmark_argv_as_argparse_does(self):
+        assert set(lltkit.cli._subcommand_specs()) == set(lltkit.cli._COMMANDS)
+        parser = lltkit.cli.build_parser()
+        argvs = _benchmark_argvs()
+        assert len(argvs) == 9450
+        for argv in argvs:
+            read = lltkit.cli._read_argv(argv)
+            assert read is not None, argv
+            parsed = vars(parser.parse_args(argv))
+            assert list(vars(read).items()) == list(parsed.items()), argv
+            assert list(map(type, vars(read).values())) == list(map(type, parsed.values()))
+
+    @pytest.mark.parametrize("argv", [
+        ["--constants", "{consts}", "llt-bound", "{law}", "--n", "16", "--kappa", "8"],
+        ["llt-bound", "-h"],
+        ["llt-bound", "-h", "--n", "16", "--kappa", "8"],
+        ["llt-bound", "-x", "--n", "16", "--kappa", "8"],
+        ["llt-bound", "{law}", "--n", "16", "--help"],
+        ["llt-bound", "{law}", "--n=16", "--kappa", "8"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa=-4.4e-16"],
+        ["llt-bound", "{law}", "--n", "16", "--kap", "8"],
+        ["scenery", "{scenery}", "--kap", "2", "--mc", "100"],
+        ["llt-bound", "{law}", "--n", "16", "--", "--kappa", "8"],
+        ["llt-bound", "{law}", "--", "--n", "16"],
+        ["llt-bound", "{law}", "--kappa", "8", "--n"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "--h", "0.3"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "-x"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "-"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "8", "--law-out", "--format"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "8", "--law-out", "-x"],
+        ["llt-bound", "{law}", "--n", "1.5", "--kappa", "8"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "eight"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "8", "--envelope", "nope"],
+        ["partition", "--m", "2", "--n", "12", "--mode", "JSON"],
+        ["llt-bound", "{law}", "{law}", "--n", "16", "--kappa", "8"],
+        ["llt-bound", "{law}", "--n", "16", "--kappa", "8", "{law}"],
+        ["partition", "12", "--m", "2", "--n", "12"],
+        ["llt-bound", "{law}", "--kappa", "8"],
+        ["llt-bound", "--n", "16", "--kappa", "8"],
+        ["partition", "--m", "2"],
+        ["llt-bound", "{law}", "--n", "16", "--nope", "8"],
+        ["llt-bound"],
+        ["nope", "{law}"],
+        [],
+    ])
+    def test_declined_argv_runs_as_argparse_reads_it(self, capsys, monkeypatch, tmp_path,
+                                                     bern_file, scenery_file, argv):
+        consts = tmp_path / "constants.json"
+        consts.write_text(json.dumps({"c0": 0.3}))
+        argv = [a.format(law=bern_file, scenery=scenery_file, consts=consts) for a in argv]
+        assert lltkit.cli._read_argv(argv) is None
+        read = _call(argv, capsys)
+        monkeypatch.setattr(lltkit.cli, "_read_argv", lambda argv: None)
+        assert read == _call(argv, capsys)
+
+    @pytest.mark.parametrize("value", ["-4.4e-16", "-8", "-.5"])
+    def test_negative_number_is_read_as_a_value(self, capsys, monkeypatch, bern_file, value):
+        argv = ["llt-bound", bern_file, "--n", "16", "--kappa", value]
+        read = lltkit.cli._read_argv(argv)
+        assert vars(read) == vars(lltkit.cli.build_parser().parse_args(argv))
+        assert read.kappa == float(value)
+        out = _call(argv, capsys)
+        monkeypatch.setattr(lltkit.cli, "_read_argv", lambda argv: None)
+        assert out == _call(argv, capsys)
+
+    def test_benchmark_requests_make_no_argparse_pass(self, capsys, monkeypatch, tmp_path,
+                                                      bern_file):
+        from perfbench import workloads
+
+        passes = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            passes.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        lltkit.cli._subcommand_specs()  # built from the parser before the spy
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        # one block of each list holds every argv form of its workload
+        for workload in workloads.WORKLOADS:
+            requests = [req for req in workloads.build(workload, 1, "tiny", count=16)
+                        if req.command != "calibrate"]
+            workloads.write_inputs(requests, str(tmp_path))
+            for req in requests:
+                assert main(workloads.resolve(req, str(tmp_path))) == 0
+        capsys.readouterr()
+        assert passes == []
+        run_cli(capsys, ["llt-bound", bern_file, "--n=16", "--kappa", "8"])
+        assert passes == ["lltkit", "lltkit llt-bound"]
+
+
+def test_report_dicts_are_asdict():
+    reports = [
+        bounds.DEFAULT_CONSTANTS,
+        ConstantsRegistry(c0=0.3, provenance="test"),
+        characteristics(make_pmf(0.0, 1.0, [(0, 1.0), (1, 2.0)])),
+        PointwiseCheck(True, False, 0.1, 0.2, 0.3, 0.4, [3, 5]),
+        ExtractionSmoothnessBound(1.5, (0.1, 0.2, 0.3), 2.5),
+        SceneryMoments(1.0, 0.5, 2.0, 2.0, 5.0, 5.0, 1e-16),
+        MonteCarloEstimate(0.25, 0.01, 1e-17, 40000, 7),
+        partition.PartitionInstance(2, 12, 0.75, 7, 7),
+        partition.PartitionInstance(5, 5, None, 1, None),
+    ]
+    for report in reports:
+        assert list(_field_dict(report).items()) == list(dataclasses.asdict(report).items())
 
 
 def _outcome(call) -> tuple[int, Any]:
