@@ -47,7 +47,8 @@ from .bounds import DEFAULT_C0, DEFAULT_CE, ConstantsRegistry
 from .convolve import _U, SumLaw, _kolmogorov_distance, sum_law
 from .errors import LatticeError, NumericsError, PreconditionError
 from .lattice import LatticePmf, _integral, theta
-from .scenery import SceneryModel, _check_budget, _iter_paths, _site_table, _walk_table
+from .scenery import (SceneryModel, _check_budget, _iter_paths, _revisit_term, _site_table,
+                      _walk_table)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +523,10 @@ def c_hk(model: SceneryModel, h: int, k: int) -> float:
     ``E X_r^2 - E xi_r^2 = D^2 vartheta_r / 4``.  For i.i.d. increments
     ``P{U_h = r, U_k = r} = P{U_min = r} * sigma_m`` with ``sigma_m`` the
     m-step return probability, m = |k - h|, so
-    ``c_{h,k} = sigma_m * E vartheta_{U_min}``.
+    ``c_{h,k} = sigma_m * E vartheta_{U_min}``: the term that
+    :func:`lltkit.scenery.second_moment_check` sums into ``c_sum``, read off
+    the same walk table, up to ``max(h, k)``, whose reachable sites the
+    profile must cover.
     """
     if h == k:
         raise LatticeError("c_{h,k} requires h != k")
@@ -530,11 +534,7 @@ def c_hk(model: SceneryModel, h: int, k: int) -> float:
         raise LatticeError(f"indices must lie in 1..{model.n}")
     if min(model.increment_law.support) >= 1:
         return 0.0
-    m = abs(k - h)
-    sigma_m = model.u_law(m).mass(0)
-    if sigma_m == 0.0:
-        return 0.0
-    return sigma_m * model.mean_level(model.u_law(min(h, k)))
+    return _revisit_term(_walk_table(model, max(h, k))[1], h, k)
 
 
 # ---------------------------------------------------------------------------

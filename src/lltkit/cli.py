@@ -23,15 +23,19 @@ its whole range first; then it computes the envelope's columns a fixed
 block of lattice points at a time and writes each block's rows from one
 template, so its memory does not grow with its length.
 
-The argument parser is built once per process, and every option is declared
-there alone.  :func:`main` reads an argv that starts with a subcommand name
-and holds only that subcommand's exact option strings, each with one value,
-and its positionals, in one pass over a table taken from the parser's own
-actions (:func:`_read_argv`); it yields the namespace argparse would.
-argparse reads every other argv: a global ``--constants``, help, an inline
+Each subcommand's help and arguments are declared once, as data
+(``_ARGUMENTS``, the ``add_argument`` keywords of each flag), and that table
+is the one declaration that argparse and the one-pass reader share:
+:func:`build_parser` passes it to argparse, and :func:`_read_argv` reads an
+index of it built at import.  :func:`main` reads an argv that starts with a
+subcommand name and holds only that subcommand's exact option strings, each
+with one value, and its positionals, in one pass (:func:`_read_argv`); it
+yields the namespace argparse would, and builds no parser.  argparse reads
+every other argv: a global ``--constants``, help, an inline
 ``--opt=value``, an abbreviation, ``--``, and each malformed argv, so help
-text, error messages and exit codes are argparse's.  Each call of
-:func:`main` reads a fresh namespace.
+text, error messages and exit codes are argparse's; its parser is built on
+the first such argv and shared after it.  Each call of :func:`main` reads
+a fresh namespace.
 """
 
 from __future__ import annotations
@@ -487,100 +491,90 @@ def run(args: argparse.Namespace) -> tuple[int, Any]:
         return 2, {"error": {"kind": "input-error", "message": str(exc)}}
 
 
+#: a token that starts with "-" and matches this is a negative number, a value
+#: such as -4.4e-16, not an option: argparse reads it so from Python 3.13 on,
+#: and before that only without an exponent, so every subparser is given it
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+
+#: each subcommand's help and its arguments in order, as (name or flag,
+#: ``add_argument`` keywords): the one declaration that argparse
+#: (:func:`build_parser`) and the one-pass reader (:func:`_read_argv`) share
+_ARGUMENTS: dict[str, tuple[str, tuple]] = {
+    "characteristics": ("pmf characteristics", (_FORMAT, ("input", {"help": "pmf JSON file"}))),
+    "split": ("Bernoulli part extraction",
+              (_FORMAT, ("input", {}), ("--vartheta", {"type": float}))),
+    "llt-bound": ("two-sided envelope for P{S_n = kappa}", (
+        _FORMAT, ("input", {}), ("--n", {"type": int, "required": True}),
+        ("--kappa", {"type": float}), ("--kappa-from", {"type": float}),
+        ("--kappa-to", {"type": float}), ("--h", {"type": float}),
+        ("--mode", {"choices": ("exact-plug-ins", "bounded-plug-ins"),
+                    "default": "exact-plug-ins"}),
+        ("--envelope", {"choices": ("sandwich", "central", "psi"), "default": "sandwich"}),
+        ("--law-out", {"help": "also write the exact sum law to this file (pmf JSON schema)"}),
+    )),
+    "gamkrelidze": ("smoothness statistics of an iid sum", (
+        _FORMAT, ("input", {}), ("--n", {"type": int, "required": True}),
+        ("--a", {"type": float, "dest": "a_n"}), ("--b", {"type": float, "dest": "b_n"}),
+        ("--h", {"type": float}),
+    )),
+    "scenery": ("random-scenery checks / envelope", (
+        _FORMAT, ("input", {"help": "scenery model JSON file"}), ("--kappa", {"type": float}),
+        ("--h", {"type": float, "default": FALLBACK_H}),
+        ("--mc", {"type": int, "dest": "mc_samples"}), ("--seed", {"type": int, "default": 1}),
+    )),
+    "partition": ("distinct-part partition count", (
+        _FORMAT, ("--m", {"type": int, "required": True}), ("--n", {"type": int, "required": True}),
+        ("--mode", {"choices": ("model", "enum", "both"), "default": "both",
+                    "dest": "partition_mode"}),
+    )),
+    "validate": ("identity checks for a pmf", (_FORMAT, ("input", {}))),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on the first call and shared
-    after it."""
+    """The parser of every subcommand of :data:`_ARGUMENTS`, built on the
+    first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="lltkit",
         description="Effective local limit theorem bounds for lattice sums.",
     )
     parser.add_argument("--constants", help="JSON file overriding c0/ce (or set LLT_CONSTANTS)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
-        # a value such as -4.4e-16 is a number, not an option: argparse reads
-        # it so from Python 3.13 on, and before that only without an exponent
-        p._negative_number_matcher = re.compile(r"-\.?\d")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    p = add("characteristics", help="pmf characteristics")
-    p.add_argument("input", help="pmf JSON file")
-
-    p = add("split", help="Bernoulli part extraction")
-    p.add_argument("input")
-    p.add_argument("--vartheta", type=float)
-
-    p = add("llt-bound", help="two-sided envelope for P{S_n = kappa}")
-    p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--kappa-from", type=float)
-    p.add_argument("--kappa-to", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--mode", choices=("exact-plug-ins", "bounded-plug-ins"),
-                   default="exact-plug-ins")
-    p.add_argument("--envelope", choices=("sandwich", "central", "psi"), default="sandwich")
-    p.add_argument("--law-out", dest="law_out",
-                   help="also write the exact sum law to this file (pmf JSON schema)")
-
-    p = add("gamkrelidze", help="smoothness statistics of an iid sum")
-    p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, dest="a_n")
-    p.add_argument("--b", type=float, dest="b_n")
-    p.add_argument("--h", type=float)
-
-    p = add("scenery", help="random-scenery checks / envelope")
-    p.add_argument("input", help="scenery model JSON file")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--h", type=float, default=FALLBACK_H)
-    p.add_argument("--mc", type=int, dest="mc_samples")
-    p.add_argument("--seed", type=int, default=1)
-
-    p = add("partition", help="distinct-part partition count")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("model", "enum", "both"), default="both",
-                   dest="partition_mode")
-
-    p = add("validate", help="identity checks for a pmf")
-    p.add_argument("input")
+    for name, (help_text, arguments) in _ARGUMENTS.items():
+        p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-@functools.cache
-def _subcommand_specs() -> dict[str, tuple]:
-    """What :func:`_read_argv` reads of each subcommand, taken from the actions
-    of :func:`build_parser`: its options by option string, its positionals
-    in order, its required actions, the namespace argparse starts from (the
-    defaults, ``command`` set to the name), and the matcher of the negative
-    numbers that are values.  A subparser with an action other than help or
-    a one-value store, a string default with a type, parser-level defaults
-    or an exclusive group is left out, and argparse reads its argv."""
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    top = {a.dest: a.default for a in parser._actions
-           if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
-    specs = {}
-    for name, sub in subparsers.choices.items():
-        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        if (sub._defaults or sub._mutually_exclusive_groups
-                or any(type(a) is not argparse._StoreAction or a.nargs is not None
-                       or (isinstance(a.default, str) and a.type is not None)
-                       for a in actions)):
-            continue
-        namespace = {**top, subparsers.dest: name,
-                     **{a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}}
-        # a token starting with "-" is a value only as argparse reads a
-        # negative number, and only where no option string looks like one
-        matcher = None if sub._has_negative_number_optionals else sub._negative_number_matcher
-        specs[name] = ({s: a for a in actions for s in a.option_strings},
-                       tuple(a for a in actions if not a.option_strings),
-                       tuple(a for a in actions if a.required), namespace, matcher)
-    return specs
+def _reader_index(name: str, arguments: tuple) -> tuple:
+    """What :func:`_read_argv` reads of one subcommand's arguments, each as
+    argparse declares it: the (dest, type, choices) of each option by its
+    flag and of the positionals in order, the required dests, and the
+    namespace argparse starts from (``constants`` None, ``command`` the
+    name, then each default)."""
+    options, positionals, required = {}, [], set()
+    namespace = {"constants": None, "command": name}
+    for flag, keywords in arguments:
+        is_option = flag.startswith("-")
+        dest = keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+        entry = (dest, keywords.get("type"), keywords.get("choices"))
+        if is_option:
+            options[flag] = entry
+        else:
+            positionals.append(entry)
+        if keywords.get("required", not is_option):
+            required.add(dest)
+        namespace[dest] = keywords.get("default")
+    return options, tuple(positionals), required, namespace
+
+
+_READER_INDEX = {name: _reader_index(name, arguments)
+                 for name, (_, arguments) in _ARGUMENTS.items()}
 
 
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
@@ -593,36 +587,37 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     abbreviation, ``--``, a missing value or one argparse takes for an
     option, a failed type or choice, an extra positional and a missing
     required argument."""
-    spec = _subcommand_specs().get(argv[0]) if argv else None
-    if spec is None:
+    index = _READER_INDEX.get(argv[0]) if argv else None
+    if index is None:
         return None
-    options, positionals, required, namespace, matcher = spec
+    options, positionals, required, namespace = index
     values = dict(namespace)
     seen = set()
     pending = iter(positionals)
     i, end = 1, len(argv)
     while i < end:
-        action = options.get(argv[i])
-        if action is None:
+        entry = options.get(argv[i])
+        if entry is None:
             token = argv[i]
-            action = next(pending, None)
+            entry = next(pending, None)
             i += 1
         elif i + 1 < end:
             token = argv[i + 1]
             i += 2
         else:
             return None
-        if action is None or (token[:1] == "-" and (matcher is None
-                                                     or matcher.match(token) is None)):
+        # a token starting with "-" is a value only as argparse reads a negative number
+        if entry is None or (token[:1] == "-" and _NEGATIVE_NUMBER.match(token) is None):
             return None
+        dest, kind, choices = entry
         try:
-            value = token if action.type is None else action.type(token)
+            value = token if kind is None else kind(token)
         except Exception:  # argparse, reading the argv again, reports or raises it
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action)
+        values[dest] = value
+        seen.add(dest)
     if not seen.issuperset(required):
         return None
     return argparse.Namespace(**values)

@@ -178,6 +178,12 @@ def _walk_table(model: SceneryModel, upto: int) -> tuple[float, list[tuple[float
     return theta_n, table
 
 
+def _revisit_term(table: list[tuple[float, float]], h: int, k: int) -> float:
+    """``c_{h,k} = P{U_m = 0} E vartheta_{U_min(h, k)}``, m = |k - h|, read off
+    the rows of :func:`_walk_table` (up to ``max(h, k)`` at least)."""
+    return table[abs(k - h) - 1][1] * table[min(h, k) - 1][0]
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 
@@ -263,9 +269,9 @@ def second_moment_check(model: SceneryModel) -> SceneryMoments:
     revisits = min(model.increment_law.support) < 1
     theta_n, table = _walk_table(model, n if revisits or not model.constant_profile else 0)
     c_sum = 0.0
-    if revisits:  # the products of c_hk, pair by pair
+    if revisits:  # c_hk, pair by pair
         pairs = ((h, k) for h in range(1, n + 1) for k in range(1, n + 1) if h != k)
-        c_sum = math.fsum(table[abs(k - h) - 1][1] * table[min(h, k) - 1][0] for h, k in pairs)
+        c_sum = math.fsum(_revisit_term(table, h, k) for h, k in pairs)
     # (mean, variance) of X = V + D eps L and of xi = V + (D/2) eps at each
     # level, on their indices 2k + 2e L and 2k + e of L(v0, D/2), then at each site
     x, moments = model.x_law, {}

@@ -1466,7 +1466,7 @@ class TestArgvReader:
     (``cli._read_argv``) and leaves every other argv to argparse."""
 
     def test_reads_every_benchmark_argv_as_argparse_does(self):
-        assert set(lltkit.cli._subcommand_specs()) == set(lltkit.cli._COMMANDS)
+        assert set(lltkit.cli._ARGUMENTS) == set(lltkit.cli._COMMANDS)
         parser = lltkit.cli.build_parser()
         argvs = _benchmark_argvs()
         assert len(argvs) == 9450
@@ -1534,15 +1534,23 @@ class TestArgvReader:
                                                       bern_file):
         from perfbench import workloads
 
-        passes = []
+        passes, built = [], []
         parse = argparse.ArgumentParser.parse_known_args
+        init = argparse.ArgumentParser.__init__
 
         def spy(self, *args, **kwargs):
             passes.append(self.prog)
             return parse(self, *args, **kwargs)
 
-        lltkit.cli._subcommand_specs()  # built from the parser before the spy
+        def init_spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        # the reader reads the argument table, so no parser exists before a
+        # declined argv needs one
+        lltkit.cli.build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init_spy)
         # one block of each list holds every argv form of its workload
         for workload in workloads.WORKLOADS:
             requests = [req for req in workloads.build(workload, 1, "tiny", count=16)
@@ -1551,9 +1559,14 @@ class TestArgvReader:
             for req in requests:
                 assert main(workloads.resolve(req, str(tmp_path))) == 0
         capsys.readouterr()
-        assert passes == []
-        run_cli(capsys, ["llt-bound", bern_file, "--n=16", "--kappa", "8"])
+        assert passes == [] and built == []
+        # a declined argv builds the parser and its subparsers once
+        declined = ["llt-bound", bern_file, "--n=16", "--kappa", "8"]
+        run_cli(capsys, declined)
         assert passes == ["lltkit", "lltkit llt-bound"]
+        assert built == ["lltkit"] + [f"lltkit {name}" for name in lltkit.cli._ARGUMENTS]
+        run_cli(capsys, declined)
+        assert len(passes) == 4 and len(built) == 8
 
 
 def test_report_dicts_are_asdict():
@@ -1807,6 +1820,22 @@ def test_no_module_reads_long_double():
                       if getattr(node, "attr", getattr(node, "id", None)) in _EXTENDED
                       or isinstance(node, ast.alias) and node.name in _EXTENDED]
     assert found == []
+
+
+def test_cli_names_no_private_argparse_name():
+    # the one-pass reader reads cli's own argument table, not argparse's
+    # internals, so it cannot drift from them between Python versions; the one
+    # private name is the negative-number matcher that each subparser is given
+    parser = argparse.ArgumentParser()
+    objects = [argparse, parser, parser.add_subparsers(),
+               *(value for value in vars(argparse).values() if isinstance(value, type))]
+    private = {name for obj in objects for name in dir(obj) if re.fullmatch(r"_[A-Za-z]\w*", name)}
+    with open(lltkit.cli.__file__, encoding="utf-8") as fobj:
+        tree = ast.parse(fobj.read())
+    found = [node for node in ast.walk(tree)
+             if getattr(node, "attr", getattr(node, "id", getattr(node, "name", None))) in private]
+    assert [(getattr(node, "attr", None), type(getattr(node, "ctx", None))) for node in found] \
+        == [("_negative_number_matcher", ast.Store)]
 
 
 def test_commands_leave_scipy_subpackages_unloaded(tmp_path):

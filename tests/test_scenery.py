@@ -411,6 +411,20 @@ class TestPathEnumeration:
         pairs = [(h, k) for h in range(1, m.n + 1) for k in range(1, m.n + 1) if h != k]
         assert second_moment_check(m).c_sum == math.fsum(c_hk(m, h, k) for h, k in pairs)
 
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    @pytest.mark.parametrize("walk", ["pm1-map", "lazy012-map"])
+    def test_c_sum_is_fsum_of_c_hk_exactly(self, walk, n):
+        # c_sum and c_hk take each pair's term from one definition
+        if walk == "pm1-map":
+            m = SceneryModel(bern(), inc_pm1(), n,
+                             {r: 0.1 + 0.05 * ((r % 3) + 1) for r in range(-n, n + 1)})
+        else:
+            m = SceneryModel(skew3(), lazy_inc(0.3), n,
+                             {r: theta(skew3()) * (0.4 + 0.1 * (r % 4)) for r in range(2 * n + 1)})
+        pairs = [(h, k) for h in range(1, n + 1) for k in range(1, n + 1) if h != k]
+        c_sum = second_moment_check(m).c_sum
+        assert c_sum > 0 and c_sum == math.fsum(c_hk(m, h, k) for h, k in pairs)
+
     @pytest.mark.parametrize("name", REFERENCE_MODELS)
     def test_at_most_n_sum_law_calls(self, name, monkeypatch):
         calls = []
