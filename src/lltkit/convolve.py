@@ -30,20 +30,23 @@ the power survives summed again from the atoms in log form, ``count log
 psi(t)`` about the mean in double, and the others set to 0.0, unless those
 sums would cost more than a transform.  No part reads long double, so every
 platform gives the same doubles.  The transform covers only the power's
-Hoeffding window, about ``12 span sqrt(count)`` points around its mean
-outside of which the power holds at most ``u^2`` of mass, wherever that is
-shorter than the whole support: the cyclic power is read back on the window,
-so the transform length grows as ``sqrt(count)``, not as ``count``; a
-binomial is read on the same window.  Entries of a power at or below its
-error bound are set to 0.0, and its nonzero window, spread onto the lattice
-so that the gaps stay exact zeros, is folded in with ``numpy.convolve`` of
-the running window, whose product is the new window; the first folded power
-is the window as it is, its product with the unit.  The sum is normalized in
-place.  Every oracle reads the window of the resulting :class:`SumLaw` in
-place.  ``SumLaw.err_abs`` bounds how far any of its masses, on the window
-or off it, can be from the exact law, and ``SumLaw.err_l1`` how far all of
-them together can be, in the l1 norm (both derived at :func:`sum_law`): a
-reader that sums masses charges ``err_l1`` once, not ``err_abs`` per index.
+window around its mean outside of which the power holds at most ``u^2`` of
+mass, wherever that is shorter than the whole support: the narrower of its
+Hoeffding window, about ``12 span sqrt(count)`` points, and its Bernstein
+window, about ``24 sd sqrt(count) + 49 b`` points (sd the law's standard
+deviation, b its atoms' largest distance from the mean).  The cyclic power
+is read back on the window, so the transform length grows as
+``sqrt(count)``, not as ``count``; a binomial is read on the same window.
+Entries of a power at or below its error bound are set to 0.0, and its
+nonzero window, spread onto the lattice so that the gaps stay exact zeros,
+is folded in with ``numpy.convolve`` of the running window, whose product is
+the new window; the first folded power is the window as it is, its product
+with the unit.  The sum is normalized in place.  Every oracle reads the
+window of the resulting :class:`SumLaw` in place.  ``SumLaw.err_abs`` bounds
+how far any of its masses, on the window or off it, can be from the exact
+law, and ``SumLaw.err_l1`` how far all of them together can be, in the l1
+norm (both derived at :func:`sum_law`): a reader that sums masses charges
+``err_l1`` once, not ``err_abs`` per index.
 The normal CDF is :func:`_ndtr`, Cephes' ``ndtr`` (absolute error near
 machine precision) in numpy with libm's ``exp``, which gives the doubles of
 ``scipy.special.ndtr`` without importing ``scipy.special``.
@@ -124,11 +127,18 @@ _MAX_REFINE = 1000
 #: a 2^23-point FFT
 _LENGTH_CAP = 2**23
 
-#: most probability a Hoeffding window may leave out, u^2: the window adds
-#: 2 u^2 to a power's e_inf, which under the length cap is never below 9u
-#: 2^-11.5 after a transform, nor below u 2^-23 for a binomial, whose largest
-#: entry is at least 1/W (``sum_law``, error bound steps 4 and 7)
+#: most probability a power's window (Hoeffding's or Bernstein's) may leave
+#: out, u^2: the window adds 2 u^2 to a power's e_inf, which under the length
+#: cap is never below 9u 2^-11.5 after a transform, nor below u 2^-23 for a
+#: binomial, whose largest entry is at least 1/W (``sum_law``, error bound
+#: steps 4 and 7)
 _OUTSIDE = _U * _U
+
+#: a power's whole support ``[0, count span]`` must end below this for its
+#: Bernstein window to be read: there the computed center ``count mu`` errs
+#: by less than 2^-9 and every count is an exact double, which a Hoeffding
+#: window under the length cap gives by itself (``sum_law``, error bound step 4)
+_BERNSTEIN_LAST = 2**41
 
 #: widest whole support ``count span + 1`` of a power of three or more atoms
 #: that :func:`sum_law` raises by direct products (:func:`_direct_power`)
@@ -290,13 +300,20 @@ def _integer_masses(ws) -> tuple[list[int], int]:
 def _window(pos: list[tuple[int, float]], span: int, count: int) -> tuple[int, int]:
     """The indices ``[a, b]`` on which :func:`_power` or :func:`_binomial`
     reads a law to the power ``count``, from its positive atoms ``pos``
-    (index, mass) on ``[0, span]``: its Hoeffding window (``sum_law``, error
-    bound step 4) where that needs a shorter transform than the whole
-    support ``[0, count span]``, else the whole support.  The mean is summed from the atoms,
-    so :func:`sum_law` finds every window before it allocates anything."""
+    (index, mass) on ``[0, span]``: the narrower of its Hoeffding and
+    Bernstein windows (``sum_law``, error bound step 4) where that needs a
+    shorter transform than the whole support ``[0, count span]``, else the
+    whole support.  The mean and variance are summed from the atoms, so
+    :func:`sum_law` finds every window before it allocates anything."""
     last = count * span
-    center = count * math.fsum(k * w for k, w in pos) / math.fsum(w for _, w in pos)
-    reach = span * math.sqrt(count * math.log(2.0 / _OUTSIDE) / 2.0)
+    mass, moment = math.fsum(w for _, w in pos), math.fsum(k * w for k, w in pos)
+    center, log = count * moment / mass, math.log(2.0 / _OUTSIDE)
+    reach = span * math.sqrt(count * log / 2.0)  # Hoeffding's
+    if last < _BERNSTEIN_LAST:
+        mu = moment / mass
+        var = math.fsum(w * (k - mu) ** 2 for k, w in pos) / mass
+        third = max(mu, span - mu) * log / 3.0
+        reach = min(reach, third + math.sqrt(third * third + 2.0 * count * var * log))
     a = max(0, math.floor(center - reach) - 1)
     b = min(last, math.ceil(center + reach) + 1)
     return (a, b) if (b - a).bit_length() < last.bit_length() else (0, last)
@@ -373,7 +390,7 @@ def _power(pos: list[tuple[int, float]], span: int, count: int, a: int, b: int):
     for three or more atoms past ``_DIRECT_WIDTH`` points."""
     dense = np.bincount([k for k, _ in pos], [w for _, w in pos], span + 1)
     bf = _measured(dense)
-    # the mass a Hoeffding window leaves out (none on the whole support)
+    # the mass a window leaves out (none on the whole support)
     last = count * (len(dense) - 1)
     outside = _OUTSIDE * bf.n1 ** count * (1.0 + 4.0 * _U) if b - a < last else 0.0
     size = 1 << (b - a).bit_length()  # the least power of two >= b - a + 1
@@ -641,12 +658,13 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
       2-6: the direct power took 0.16-0.73 of the transform's time at W =
       33-1025, and was slower for some laws from W = 1537.
     - *Transform* (every other power: three or more atoms past that
-      width).  Read on its window ``[a, b]`` (step 4): the Hoeffding window
-      where its ``W = b - a + 1`` points need a shorter transform than L
-      points, else the whole support (``a = 0``, ``W = L``).  One transform
-      pair of length ``N = 2^t``, the least power of two ``>= W``, gives
-      the cyclic power, which is read on ``[a, b]`` with wraparound (on the
-      whole support it is the linear power): one double ``rfft``, the
+      width).  Read on its window ``[a, b]`` (step 4): the narrower of the
+      Hoeffding and Bernstein windows where its ``W = b - a + 1`` points
+      need a shorter transform than L points, else the whole support
+      (``a = 0``, ``W = L``).  One transform pair of length ``N = 2^t``,
+      the least power of two ``>= W``, gives the cyclic power, which is
+      read on ``[a, b]`` with wraparound (on the whole support it is the
+      linear power): one double ``rfft``, the
       pointwise power ``F^n`` in complex128 by squaring over the bits of n
       (square, then multiply by ``F`` where the bit is set), one double
       ``irfft``, where the double power stands (step 3).  Elsewhere the
@@ -819,33 +837,79 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        the double power stands at every frequency with the bound of step 1 at
        ``r = ||f||_1 + 2 delta``: a heavy atom among many light ones, or many
        atoms at small n, where it errs by a few ``eta_N ||f||_2^2``.
-    4. *Window* (Hoeffding, JASA 58 (1963) 13-30, Thm 2).  The n summands
-       of the scaled law ``g = f / ||f||_1`` lie in ``[0, l - 1]``, so their
-       sum S obeys ``P{S - n mu >= t} <= exp(-2 t^2 / (n (l - 1)^2))``, and
-       the same below.  With ``T = u^2`` (``_OUTSIDE``) and ``t = (l - 1)
-       sqrt(n ln(2/T) / 2)``, each side holds at most ``T/2``: the window
-       ``a = max(0, floor(c - t) - 1)``, ``b = min(L - 1, ceil(c + t) +
-       1)``, c the computed ``n mu``, leaves out at most T of S's
-       probability, so at most ``T' = T ||f||_1^n`` of the power's mass
-       (``||f||_1^n`` rounded up by ``1 + 4u``).  The margin of one index
-       covers the roundings of c and t.  c is n times one ``math.fsum`` of
-       the atoms over another, the first one's terms ``k w`` each rounded
-       once, so it is within ``gamma_5 n mu <= gamma_5 n (l - 1)`` of ``n
-       mu``.  Where the window is read it holds ``[c - t, c]`` or ``[c, c +
-       t]``, so ``t < W <= 2^23`` under the cap, hence ``n (l - 1)^2 = 2 t^2
-       / ln(2/T) < 2^41`` and c errs by less than ``gamma_5 2^41 < 2^-9``;
-       t errs by a few u of itself, under ``2^-27``.  Since ``W <= N``, each
-       index outside the window is congruent mod N to at most one inside
-       it, so the cyclic power's entries on the window exceed the linear
-       power's by at most T' in total (aliasing), and the entries left out
-       of the window hold at most T' (truncation): ``e_inf``, ``e_2`` and
-       ``e_1`` each grow by ``2T'``.  T comes from the precision, so it adds
-       no setting: ``e_inf`` is at least ``eta_N ||z^||_2``, with ``eta_N
-       > 9u`` and ``||z^||_2 >= ||z^||_1 / sqrt(N)``, about ``2^-11.5`` as
-       ``N <= 2^23``, so ``2T`` moves it by less than 2^-43 of itself.  The
-       window is taken only where it shortens the transform; at n =
-       2e3-8e3 a law on 3-4 points needs N = 2048-4096 on it instead of
-       4096-32768, and ``err_abs`` shrinks with ``eta_N sqrt(N)`` and W.
+    4. *Window* (Hoeffding, JASA 58 (1963) 13-30, Thm 2; Bernstein's
+       inequality as Bennett, JASA 57 (1962) 33-45, gives it).  The n
+       summands X of the scaled law ``g = f / ||f||_1`` lie in ``[0, l -
+       1]``, with mean mu and variance ``sigma^2``; let ``T = u^2``
+       (``_OUTSIDE``) and ``ell = ln(2/T)``.  Hoeffding's bound reads the
+       range only: their sum S obeys ``P{S - n mu >= t} <= exp(-2 t^2 / (n
+       (l - 1)^2))``, which is ``T/2`` at ``t_H = (l - 1) sqrt(n ell /
+       2)``.  Bernstein's reads the variance.  With ``beta = max(mu, l - 1
+       - mu)``, ``Y = X - mu <= beta``.  For ``lambda > 0``, ``(e^{lambda
+       y} - 1 - lambda y) / y^2`` increases in y and ``E Y = 0``, so ``E
+       e^{lambda Y} <= 1 + sigma^2 (e^{lambda beta} - 1 - lambda beta) /
+       beta^2``; and ``e^x - 1 - x <= x^2 / (2 (1 - x/3))`` for ``0 <= x <
+       3``, term by term, as ``k! >= 2 3^(k-2)``.  With ``1 + z <= e^z``
+       and ``V = n sigma^2``, ``E e^{lambda (S - n mu)} <= exp(V lambda^2 /
+       (2 (1 - lambda beta / 3)))``, and Markov's inequality at ``lambda =
+       t / (V + beta t / 3)``, where ``lambda beta < 3``, gives ``P{S - n
+       mu >= t} <= exp(-t^2 / (2 (V + beta t / 3)))``.  That is ``T/2``
+       where ``t^2 = 2 ell (V + beta t / 3)``, at the positive root ``t_B =
+       beta ell / 3 + sqrt((beta ell / 3)^2 + 2 n sigma^2 ell)``.  Both
+       bounds hold below the mean too (``mu - X <= beta``), so with ``t =
+       min(t_H, t_B)`` each side holds at most ``T/2``: the window ``a =
+       max(0, floor(c - t) - 1)``, ``b = min(L - 1, ceil(c + t) + 1)``, c
+       the computed ``n mu``, leaves out at most T of S's probability, so
+       at most ``T' = T ||f||_1^n`` of the power's mass (``||f||_1^n``
+       rounded up by ``1 + 4u``).  ``t_B`` is taken only where ``n (l - 1)
+       < 2^41`` (``_BERNSTEIN_LAST``), which ``t_H`` under the cap gives by
+       itself: further out c may miss ``n mu`` by more than the margin,
+       and a law almost all on one atom, whose ``t_B`` is about ``2 beta
+       ell / 3`` at any n, would be read around the wrong index.
+
+       The margin of one index covers the roundings of c and t.  c is n
+       times one ``math.fsum`` of the atoms over another, the first one's
+       terms ``k w`` each rounded once, so it is within ``gamma_5 n mu <=
+       gamma_5 n (l - 1)`` of ``n mu``.  Where the window is read it holds
+       ``[c - t, c]`` or ``[c, c + t]``, so ``t < W <= 2^23`` under the
+       cap.  On Hoeffding's window ``n (l - 1)^2 = 2 t^2 / ell < 2^41``,
+       and on Bernstein's ``n (l - 1) < 2^41`` by the rule above; either
+       way c errs by less than ``gamma_5 2^41 < 2^-9``, and every count is
+       an exact double.  ``t_H`` errs by a few u of itself, under
+       ``2^-27``.  ``t_B`` reads ``mu^``, the same two sums' quotient,
+       within ``gamma_4 mu`` of mu; ``beta^ = max(mu^, l - 1 - mu^)``, at
+       least ``beta - gamma_5 (l - 1)``; and ``sigma^2`` as one
+       ``math.fsum`` of the terms ``w (k - mu^)^2`` over the masses' sum.
+       Those terms are nonnegative and round three times each, and the
+       two sums and the quotient three times more, so the computed
+       ``sigma^2`` is within ``gamma_6`` of ``sum_k g_k (k - mu^)^2 =
+       sigma^2 + (mu^ - mu)^2 >= sigma^2``: it is never below ``sigma^2 (1
+       - gamma_6)`` (a term below the normal range errs by at most 2^-1074
+       more, which moves t by less than 2^-500).  ``t_B`` grows with
+       ``sigma^2`` and with beta, by at most ``2 ell / 3`` per unit of
+       beta, and ``beta ell / 3 <= t_B < 2^23``, so ``l - 1 <= 2 beta < 6
+       2^23 / ell``.  So the computed ``t_B`` falls short of the exact one
+       by less than ``gamma_6 t_B`` for ``sigma^2``, ``(2 ell / 3) gamma_5
+       (l - 1) < 4 gamma_5 2^23`` for beta and a few u of itself for its own
+       roundings, under ``2^-25`` in all.  c and t together are off by less
+       than one index, which the margin adds on each side.
+
+       Since ``W <= N``, each index outside the window is congruent mod N
+       to at most one inside it, so the cyclic power's entries on the
+       window exceed the linear power's by at most T' in total (aliasing),
+       and the entries left out of the window hold at most T' (truncation):
+       ``e_inf``, ``e_2`` and ``e_1`` each grow by ``2T'``.  T comes from
+       the precision, so it adds no setting: ``e_inf`` is at least ``eta_N
+       ||z^||_2``, with ``eta_N > 9u`` and ``||z^||_2 >= ||z^||_1 /
+       sqrt(N)``, about ``2^-11.5`` as ``N <= 2^23``, so ``2T`` moves it by
+       less than 2^-43 of itself.  The window is taken only where it
+       shortens the transform.  Hoeffding's window spans about ``12 (l - 1)
+       sqrt(n)`` points and Bernstein's about ``24 sigma sqrt(n) + 49
+       beta``, so Bernstein's is the narrower wherever sigma lies well
+       below ``(l - 1) / 2``, as for most laws of several atoms, and
+       Hoeffding's for a fair coin.  At n = 2e3-8e3 a law on 3-4 points
+       needs N = 1024-4096 on its window (2048-4096 on Hoeffding's) instead
+       of 4096-32768, and ``err_abs`` shrinks with ``eta_N sqrt(N)`` and W.
        A binomial (step 7) is read on the same window, where it needs no
        transform: its entries off the window are left out, and none is
        aliased.
@@ -900,7 +964,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        by u and ``2^-1075``.  With ``u' = u / (1 - 4Wu)``, ``kappa = 1 /
        ((1 - u)(1 - gamma_4W))``, ``s = W sigma`` and ``c = 6s + 2^-1072``,
        ``z_j / S^ <= kappa (x^_j + c)``; the window holds ``1 - tau`` of Z,
-       ``tau <= T' = T`` on a Hoeffding window that leaves a j out (step 4)
+       ``tau <= T' = T`` on a window that leaves a j out (step 4)
        and 0 otherwise, so the normalization errs by ``nu >= |1 - S^ / Z|``,
 
            nu = A + G (1 + A) / (1 - G),  A = T' + gamma_h + 2Ws,
@@ -943,7 +1007,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        step 5 applies.  The relative bound about doubles per squaring,
        where a transform's ``eta_N ||f||_2^2`` shrinks as the power
        spreads: ``err_abs`` of {1, 2, 1}/4 is 4.4e-15, 1.6e-14 and 2.6e-14
-       at n = 32, 128 and 300, against 1.1e-14, 5.9e-15 and 4.1e-15 by
+       at n = 32, 128 and 300, against 1.1e-14, 5.5e-15 and 4.0e-15 by
        the transform, and 4.6e-16 against 7.0e-15 at n = 2.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`

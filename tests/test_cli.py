@@ -1070,9 +1070,9 @@ class TestInputRules:
         assert (got, err["kind"]) == (code, kind) and err["message"].endswith(message)
 
     def test_exact_plug_ins_name_the_conditional_law_refused(self, capsys, tmp_path):
-        # {0, 1, 2}/4 at n = 1e11: S_n's window of 7702821 points is under
+        # {0, 1, 2}/4 at n = 1e11: S_n's window of 5446767 points is under
         # the cap, but the xi law {0, 1, 3, 4} on L(0, 1/2), of twice the
-        # span, needs one of 15405639
+        # span, needs one of 9434089
         path = tmp_path / "dist.json"
         path.write_text(json.dumps({"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]}))
         code, out = run_cli(capsys, ["llt-bound", str(path), "--n", "100000000000",
@@ -1081,7 +1081,7 @@ class TestInputRules:
         err = json.loads(out)["error"]
         assert err["kind"] == "input-error"
         assert err["message"] == ("conditional xi law on L(0, 0.5) for exact H_n: exact law on a "
-                                  "window of 15405639 points, above the cap of 8388608")
+                                  "window of 9434089 points, above the cap of 8388608")
 
     def test_key_error_in_a_command_propagates(self, bern_file, monkeypatch):
         # every input parser turns its own KeyError into an input error, so

@@ -654,15 +654,30 @@ class TestLogPower:
         assert sizes[0] == sizes[1] and sizes[0][0][-1][0] == 3
 
 
+def _hoeffding(law, count):
+    """The Hoeffding window of ``law`` to the power ``count``: the mean
+    plus or minus ``span sqrt(count ln(2 / u^2) / 2)``, one index more on
+    each side, within the whole support."""
+    items = sorted(law.probs.items())
+    k0, span = items[0][0], items[-1][0] - items[0][0]
+    pos = [(k - k0, w) for k, w in items if w > 0]
+    center = count * math.fsum(k * w for k, w in pos) / math.fsum(w for _, w in pos)
+    reach = span * math.sqrt(count * math.log(2.0 / convolve._OUTSIDE) / 2.0)
+    return max(0, math.floor(center - reach) - 1), min(count * span, math.ceil(center + reach) + 1)
+
+
 def _hoeffding_window(law, count):
     """The window ``_power`` reads ``law`` to the power ``count`` on, and
     the bound on the mass it leaves out; it must be shorter than the law's
-    whole support, so that the transform is shorter too."""
+    whole support, so that the transform is shorter too, and lie within the
+    law's Hoeffding window."""
     items = sorted(law.probs.items())
     k0, span = items[0][0], items[-1][0] - items[0][0]
     a, b = convolve._window([(k - k0, w) for k, w in items if w > 0], span, count)
     last = count * span
     assert (b - a).bit_length() < last.bit_length()
+    ha, hb = _hoeffding(law, count)
+    assert ha <= a <= b <= hb
     dense = np.zeros(span + 1)
     for k, w in items:
         dense[k - k0] = w
@@ -679,8 +694,9 @@ def _binomial_row(m, q=1):
 
 
 class TestWindow:
-    """Powers read on their Hoeffding window: short transforms, aliasing and
-    truncation within the carried bound."""
+    """Powers read on their window, the narrower of Hoeffding's and
+    Bernstein's: short transforms, aliasing and truncation within the
+    carried bound."""
 
     @pytest.mark.parametrize("count", [600, 2500, 20000])
     def test_bernoulli_quarter_on_its_window(self, count):
@@ -698,11 +714,37 @@ class TestWindow:
         self._assert_exact(iid_sum(law, count), _binomial_row(2 * count), 4**count, a, b,
                            outside)
 
+    @pytest.mark.parametrize("count", [600, 2500])
+    def test_binomial_4_half_on_its_bernstein_window(self, count):
+        # {1, 4, 6, 4, 1}/16 is Binomial(4, 1/2): P{S = k} = C(4n, k) / 16^n
+        # exactly; its variance, 1, is a quarter of the span^2 / 4 that
+        # Hoeffding's bound allows for, so Bernstein's window is much shorter
+        law = make_pmf(0.0, 1.0, [(0, 1), (1, 4), (2, 6), (3, 4), (4, 1)])
+        a, b, outside = _hoeffding_window(law, count)
+        ha, hb = _hoeffding(law, count)
+        assert b - a + 1 <= 0.6 * (hb - ha + 1)
+        self._assert_exact(iid_sum(law, count), _binomial_row(4 * count), 16**count, a, b,
+                           outside)
+
+    def test_bernstein_window_only_below_2_41(self):
+        # a law almost all on one atom has a Bernstein window of about 100
+        # points at any count, but from count span = 2^41 on the computed
+        # center may miss the mean by more than the window's margin (read
+        # there, the power came out all zeros at count 2^56 and overflowed
+        # at 2^62 + 1), so the window is Hoeffding's and the cap refuses the
+        # law
+        law = LatticePmf(0.0, 1.0, {0: 2.0**-70, 1: 1 - 2.0**-69, 2: 2.0**-70})
+        below = _hoeffding_window(law, 2**40 - 1)
+        assert below[1] - below[0] < 110
+        assert convolve._window(sorted(law.probs.items()), 2, 2**40) == _hoeffding(law, 2**40)
+        with pytest.raises(LatticeError, match="above the cap"):
+            sum_law([(law, 2**62 + 1)])
+
     @staticmethod
     def _assert_exact(law, masses, total, a, b, outside):
         # every index, inside the window and out, is within err_abs of the
         # exact mass (compared in rational arithmetic), and the exact mass
-        # outside the window is within the Hoeffding bound
+        # outside the window is within the bound T' on what it leaves out
         masses = list(masses)
         en, ed = law.err_abs.as_integer_ratio()
         left_out = 0
@@ -1204,7 +1246,7 @@ _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of it
     "121-n300": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 300)],
                  "0x1.d9265e40d06d4p-46", 208, "7e641134235fe824efcf5f58b38dd88ec99e25ed"),
     "121-n2e4": (lambda: [(make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), 20000)],
-                 "0x1.dea615f75d0c5p-50", 19234, "552e7cebfd68c1c3716e076e281fcdccbb4ce650"),
+                 "0x1.d51d3cd885da0p-50", 19234, "552e7cebfd68c1c3716e076e281fcdccbb4ce650"),
     "73-n2": (lambda: [(make_pmf(0.0, 1.0, [(0, 0.7), (1, 0.3)]), 2)],
               "0x1.470a3d70a5206p-50", 0, "34ca8b6b61c96f70ea331ab224349001789bc62d"),
     # the parts at a fixed tilt, the centred one as solve_sigma gave it when
@@ -1225,7 +1267,7 @@ _ERR_ABS_PINS = {  # parts, and the err_abs, window's first index and sha1 of it
 def test_err_abs_is_pinned(case):
     # the bound chain (powers by direct products on their whole support,
     # 121 at n = 300 and the span-3 law of mixed-spans, or by a transform on
-    # their Hoeffding window, 121 at 2e4, with their tail drop, binomials of
+    # their window, 121 at 2e4, with their tail drop, binomials of
     # two-atom laws, 73 at n = 2 and the span-2 coin of mixed-spans, two-atom
     # and general count-1 folds, spans 2 and 3 on lattice 1) gives the same
     # double, and the kernel the same masses: a change that keeps the bound
@@ -1299,7 +1341,7 @@ class TestErrL1:
     def test_binomials_on_their_windows(self, count):
         # Bernoulli(1/4) to the power n is C(n, k) 3^(n - k) / 4^n, and {1, 2,
         # 1}/4 to the power n is Binomial(2n, 1/2): both powered on their
-        # Hoeffding windows, the exact mass outside counted in the distance
+        # windows, the exact mass outside counted in the distance
         for law, row in ((bernoulli(0.25), _binomial_row(count, 3)),
                          (make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)]), _binomial_row(2 * count))):
             _hoeffding_window(law, count)
