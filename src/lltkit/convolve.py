@@ -1008,7 +1008,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
        where a transform's ``eta_N ||f||_2^2`` shrinks as the power
        spreads: ``err_abs`` of {1, 2, 1}/4 is 4.4e-15, 1.6e-14 and 2.6e-14
        at n = 32, 128 and 300, against 1.1e-14, 5.5e-15 and 4.0e-15 by
-       the transform, and 4.6e-16 against 7.0e-15 at n = 2.
+       the transform, and 4.6e-16 against 6.9e-15 at n = 2.
 
     The drift test checks the carried bound.  :func:`lltkit.lattice.make_pmf`
     divides each weight by their correctly rounded sum, so its masses total
