@@ -48,8 +48,8 @@ from functools import cached_property
 from itertools import repeat
 from typing import Any, Iterable, Iterator
 
-from .convolve import (_LIBM, _U, SumLaw, _as_count, _gamma, bernoulli, exact_moments,
-                       kolmogorov_bound, sum_law)
+from .convolve import (_LIBM, _U, SumLaw, _as_count, _gamma, _integer_masses, _moment_ratios,
+                       bernoulli, kolmogorov_bound, sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
 from .extraction import _check_level, split, xi_law
 from .lattice import LatticePmf, _field_dict, _integral, _real, kappa_index, moments, theta
@@ -300,12 +300,18 @@ class SumSpec:
         """``|mean - E S_n|`` and ``|var - Var S_n|`` against the exact moments
         of the stored masses (:func:`lltkit.convolve.exact_moments` of the
         parts), rounded up, on first read; both inf where mean or var is not
-        finite."""
+        finite.  The exact moments are integer pairs and each distance is
+        one quotient of Python ints, ``|x n_d - n x_d| / (x_d n_d)``, which
+        is correctly rounded: the double that ``float`` of the ``Fraction``
+        gives, before it is rounded up."""
         if not (math.isfinite(self.mean) and math.isfinite(self.var)):
             return math.inf, math.inf
-        exact = exact_moments([(p, count) for p, _, count in self.parts])
-        return tuple(math.nextafter(float(abs(Fraction(x) - y)), math.inf)
-                     for x, y in zip((self.mean, self.var), exact))
+        out = []
+        for x, (num, den) in zip((self.mean, self.var),
+                                 _moment_ratios([(p, count) for p, _, count in self.parts])):
+            xn, xd = x.as_integer_ratio()
+            out.append(math.nextafter(abs(xn * den - num * xd) / (xd * den), math.inf))
+        return tuple(out)
 
 
 def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
@@ -314,19 +320,25 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
     characteristics.
 
     Requires at least one part, each level in ``(0, theta(law)]``, each count
-    an integer >= 1, and a span shared by all laws.  An iid sum is one part.
+    an integer >= 1, and a span shared by all laws.  A level is admitted up
+    to a relative 1e-12 above theta(law) and stored as ``min(level,
+    theta(law))``, so Theta_n, the xi split and the Bernoulli parts of B_n
+    read a level at which an extraction exists.  An iid sum is one part.
     Theta_n, v0, the mean and the variance are each a fsum of count times
     the per-part value; for one part that is the correctly rounded sum of
     the n equal summand values.
     """
-    parts = tuple((p, t, _as_count(count, j)) for j, (p, t, count) in enumerate(parts))
+    parts = [(p, t, _as_count(count, j)) for j, (p, t, count) in enumerate(parts)]
     if not parts:
         raise LatticeError("need at least one summand")
     d = parts[0][0].D
     for j, (p, t, count) in enumerate(parts):
-        _check_level(t, theta(p), "part", j)
+        theta_x = theta(p)
+        _check_level(t, theta_x, "part", j)
         if abs(p.D - d) > 1e-12 * max(1.0, abs(d)):
             raise LatticeError("summands must share a common span D")
+        parts[j] = p, min(t, theta_x), count
+    parts = tuple(parts)
     stats = [(count, moments(p)) for p, _, count in parts]
     return SumSpec(
         parts=parts,
@@ -344,12 +356,18 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     is given, checked before any law is built).  H_n is taken about the xi
     sum's exact mean and variance (:func:`lltkit.convolve.exact_moments`).
     rho_n is ``P{|B_n - Theta_n| > h Theta_n}`` with Theta_n and ``h
-    Theta_n`` as exact fractions, so the points of the tail are decided
-    exactly (:meth:`SumLaw.two_sided_tail_bound`).  Both are rounded up by
-    their floating-point error, each charging its law's ``err_l1`` once
-    for the distance of all its masses from the exact ones
+    Theta_n`` exact, so the points of the tail are decided exactly
+    (:meth:`SumLaw.two_sided_tail_bound`).  Both are rounded up by their
+    floating-point error, each charging its law's ``err_l1`` once for the
+    distance of all its masses from the exact ones
     (:func:`lltkit.convolve.kolmogorov_bound`, the tail's masses plus
-    ``err_l1``), so they bound the values of the exact laws from above."""
+    ``err_l1``), so they bound the values of the exact laws from above.
+
+    The rationals are integer pairs, not ``Fraction`` arithmetic: the xi
+    moments are those of :func:`lltkit.convolve._moment_ratios`, each read
+    as one correctly rounded quotient of ints, the double that ``float`` of
+    the ``Fraction`` gives, and Theta_n is one integer over the levels'
+    largest power-of-two denominator, every level a multiple of it."""
     if h is not None:
         _check_h(h)
     parts = [(xi_law(split(p, t)), c) for p, t, c in spec.parts]
@@ -358,15 +376,17 @@ def exact_plug_ins(spec: SumSpec, h: float | None = None) -> PlugIns:
     except LatticeError as exc:  # name the law refused: it is not that of S_n
         raise LatticeError(f"conditional xi law on L({spec.v0:g}, {spec.d / 2:g}) "
                            f"for exact H_n: {exc}") from exc
-    mean, var = exact_moments(parts)
+    (mean, mean_den), (var, var_den) = _moment_ratios(parts)
     if not (var > 0):
         raise PreconditionError("conditional sum is degenerate; exact H_n undefined")
-    h_n = kolmogorov_bound(xi, mean, var)
+    h_n = kolmogorov_bound(xi, mean / mean_den, var / var_den)
     rho = None
     if h is not None:
         b_n = sum_law([(bernoulli(t), c) for _, t, c in spec.parts])
-        theta_n = sum(c * Fraction(t) for _, t, c in spec.parts)  # exact
-        rho = b_n.two_sided_tail_bound(theta_n, Fraction(h) * theta_n)
+        levels, den = _integer_masses(t for _, t, _ in spec.parts)
+        theta_n = sum(c * t for t, (_, _, c) in zip(levels, spec.parts))  # Theta_n den, exactly
+        hn, hd = h.as_integer_ratio()
+        rho = b_n.two_sided_tail_bound(Fraction(theta_n, den), Fraction(hn * theta_n, hd * den))
     return PlugIns(h_n=h_n, rho_n=rho, h=h)
 
 

@@ -17,25 +17,25 @@ its array passes, not a convolution over its span.  Every other part is
 taken on its support reduced by the gcd g of its offsets, and its power is
 spread at stride ``s g``, s the part's stride on the common lattice.  Of two
 atoms it is a binomial: its masses on the power's window are products of the
-ratios of consecutive binomial terms, taken outward from the mode by
-``numpy.cumprod`` and divided by their pairwise sum, with no transform and
-no extended precision.  Of three or more atoms whose power's whole support
-has at most ``_DIRECT_WIDTH`` points, the power is raised there directly,
-with ``numpy.convolve`` over the bits of ``count``: every term is
-nonnegative, so each entry carries a relative error bound, and there is no
-transform.  Any other power is raised with one transform pair of
-``numpy.fft`` (numpy's pocketfft): one double ``rfft``, a pointwise power
-over the bits of ``count``, one double ``irfft``, with the frequencies where
-the power survives summed again from the atoms in log form, ``count log
-psi(t)`` about the mean in double, and the others set to 0.0, unless those
-sums would cost more than a transform.  No part reads long double, so every
-platform gives the same doubles.  The transform covers only the power's
-window around its mean outside of which the power holds at most ``u^2`` of
-mass, wherever that is shorter than the whole support: the narrower of its
-Hoeffding window, about ``12 span sqrt(count)`` points, and its Bernstein
-window, about ``24 sd sqrt(count) + 49 b`` points (sd the law's standard
-deviation, b its atoms' largest distance from the mean).  The cyclic power
-is read back on the window, so the transform length grows as
+ratios of consecutive binomial terms, taken outward from the mode as
+cumulative products (``numpy.multiply.accumulate``) and divided by their
+pairwise sum, with no transform and no extended precision.  Of three or more
+atoms whose power's whole support has at most ``_DIRECT_WIDTH`` points, the
+power is raised there directly, with ``numpy.convolve`` over the bits of
+``count``: every term is nonnegative, so each entry carries a relative error
+bound, and there is no transform.  Any other power is raised with one
+transform pair of ``numpy.fft`` (numpy's pocketfft): one double ``rfft``, a
+pointwise power over the bits of ``count``, one double ``irfft``, with the
+frequencies where the power survives summed again from the atoms in log
+form, ``count log psi(t)`` about the mean in double, and the others set to
+0.0, unless those sums would cost more than a transform.  No part reads long
+double, so every platform gives the same doubles.  The transform covers only
+the power's window around its mean outside of which the power holds at most
+``u^2`` of mass, wherever that is shorter than the whole support: the
+narrower of its Hoeffding window, about ``12 span sqrt(count)`` points, and
+its Bernstein window, about ``24 sd sqrt(count) + 49 b`` points (sd the
+law's standard deviation, b its atoms' largest distance from the mean).  The
+cyclic power is read back on the window, so the transform length grows as
 ``sqrt(count)``, not as ``count``; a binomial is read on the same window.
 Entries of a power at or below its error bound are set to 0.0, and its
 nonzero window, spread onto the lattice so that the gaps stay exact zeros,
@@ -188,7 +188,7 @@ class SumLaw:
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and masses of the positive entries, in increasing order."""
-        nz = np.flatnonzero(self.probs)
+        nz = self.probs.nonzero()[0]
         return self.first + nz, self.probs[nz]
 
     def mass(self, k: int) -> float:
@@ -207,19 +207,25 @@ class SumLaw:
 
     def two_sided_tail_bound(self, center, radius) -> float:
         """An upper bound on ``P{|S - center| > radius}`` under the exact law;
-        ``center`` and ``radius`` may be floats or exact ``Fraction`` values.
+        ``center`` and ``radius`` may be ints, floats or exact ``Fraction``
+        values.
 
         The points within ``radius`` of ``center`` are the indices from
         ``ceil((center - radius - v0)/D)`` to ``floor((center + radius -
-        v0)/D)``, both computed in rational arithmetic, so the tail is the
-        window's entries outside them, decided exactly (all of them when
-        ``radius < 0``).  Their masses are summed by ``math.fsum`` (one
-        rounding), ``err_l1`` covers the distance of every tail mass from the
-        exact one, on the window and off it, and the sum is rounded up by
-        ``1 + 4u``."""
-        v0, d, center, radius = (Fraction(x) for x in (self.v0, self.D, center, radius))
-        a = math.ceil((center - radius - v0) / d)
-        b = max(math.floor((center + radius - v0) / d) + 1, a)
+        v0)/D)``.  Each is one integer floor or ceil of a quotient of
+        integers, built from the ``as_integer_ratio()`` pairs of the four
+        inputs with no ``Fraction`` arithmetic, so the tail is the window's
+        entries outside them, decided exactly (all of them when ``radius <
+        0``).  Their masses are summed by ``math.fsum`` (one rounding),
+        ``err_l1`` covers the distance of every tail mass from the exact
+        one, on the window and off it, and the sum is rounded up by ``1 +
+        4u``."""
+        (cn, cd), (rn, rd) = center.as_integer_ratio(), radius.as_integer_ratio()
+        (vn, vd), (dn, dd) = self.v0.as_integer_ratio(), self.D.as_integer_ratio()
+        # (center -+ radius - v0) / D = (p -+ r) / q; // floors whatever the signs
+        p, r, q = (cn * vd - vn * cd) * rd * dd, rn * cd * vd * dd, cd * rd * vd * dn
+        a = -((r - p) // q)
+        b = max((p + r) // q + 1, a)
         # the window's entries before index a and from index b on
         i, j = max(a - self.first, 0), max(b - self.first, 0)
         mass = math.fsum(self.probs[:i].tolist() + self.probs[j:].tolist())
@@ -250,11 +256,11 @@ def _gamma(k: int, u: float) -> float:
 
 
 def _measured(x: np.ndarray, e1: float = 0.0, e2: float = 0.0, einf: float = 0.0) -> _Bounds:
-    """Bounds with the norms of the doubles ``x`` summed in double and rounded up."""
+    """Bounds with the norms of the nonnegative doubles ``x`` summed in
+    double (numpy's pairwise sum) and rounded up."""
     up = 1.0 + 2.0 * (len(x) + 2) * _U + 4.0 * _U
-    ax = np.abs(x)
-    return _Bounds(float(ax.sum()) * up, math.sqrt(float(np.square(x).sum())) * up,
-                   float(ax.max()) * (1.0 + 2.0 * _U), e1, e2, einf)
+    return _Bounds(float(np.add.reduce(x)) * up, math.sqrt(float(np.add.reduce(x * x))) * up,
+                   float(np.maximum.reduce(x)) * (1.0 + 2.0 * _U), e1, e2, einf)
 
 
 def _direct_product(x: _Bounds, y: _Bounds, m: int) -> _Bounds:
@@ -402,7 +408,7 @@ def _power(pos: list[tuple[int, float]], span: int, count: int, a: int, b: int):
     # the frequencies where the power can reach u^1.5 are summed again in log
     # form, unless that costs more than a transform (sum_law, error bound step 3)
     tau = _U ** (1.5 / count) * (1.0 - 64.0 * _U)
-    keep = np.flatnonzero(np.abs(spec) >= (tau - delta) * (1.0 - 8.0 * _U))
+    keep = (np.abs(spec) >= (tau - delta) * (1.0 - 8.0 * _U)).nonzero()[0]
     cheap = 4 * len(keep) * len(pos) <= size * (size.bit_length() - 1) + 2**13
     logs = _log_power(pos, count, size, keep) if cheap else None
     cut = (bf.n1 + 2.0 * delta) * (1.0 + 4.0 * _U)  # every |F^_j| + delta
@@ -509,15 +515,15 @@ def _binomial(pos: list[tuple[int, float]], n: int, a: int, b: int):
         q = n + 1.0 - r
         q /= r
         q *= w1 / w0
-        np.cumprod(q, out=x[m + 1:])
+        np.multiply.accumulate(q, out=x[m + 1:])
     if mode > a:  # P_{j-1} / P_j = j / (n - j + 1) w0 / w1
         r = np.arange(float(mode), float(a), -1.0)  # j
         q = n + 1.0 - r
         np.divide(r, q, out=q)
         q *= w0 / w1
-        np.cumprod(q, out=x[m - 1::-1])
+        np.multiply.accumulate(q, out=x[m - 1::-1])
     r = q = None  # free the ratios before the bound's arrays are made
-    x /= x.sum()
+    x /= np.add.reduce(x)
     # the bound of step 7, every factor rounded up
     h = _gamma(_pairwise_adds(size), _U)
     u4 = 4.0 * _U / (1.0 - 4.0 * size * _U) * (1.0 + 4.0 * _U)
@@ -525,9 +531,10 @@ def _binomial(pos: list[tuple[int, float]], n: int, a: int, b: int):
     s = 3.0 * (n + 1) * size * 2.0**-1074
     c = 6.0 * s + 2.0**-1072
     outside = _OUTSIDE if a > 0 or b < n else 0.0
-    e = np.abs(np.arange(-m, size - m, dtype=float))
+    e = np.arange(-m, size - m, dtype=float)
+    np.abs(e, out=e)
     e *= x  # k_j x^_j
-    g = (1.0 + h) * kappa * u4 * (float(e.sum()) * (1.0 + 2.0 * (size + 2) * _U)
+    g = (1.0 + h) * kappa * u4 * (float(np.add.reduce(e)) * (1.0 + 2.0 * (size + 2) * _U)
                                   + c * size * size)
     lead = outside + h + 2.0 * size * s
     nu = (lead + g * (1.0 + lead) / (1.0 - g)) * (1.0 + 8.0 * _U)
@@ -544,9 +551,9 @@ def _drop_small(x: np.ndarray, e1: float, e2: float, einf: float):
     its bounds: the errors ``e1``, ``e2``, ``einf`` grown by what was dropped
     (``sum_law``, error bound step 5)."""
     drop = x <= einf
-    if drop.any():
-        dropped = x[drop]
-        tail = _measured(dropped)
+    dropped = x[drop]  # a transform's may be negative
+    if len(dropped):
+        tail = _measured(np.abs(dropped))
         e1, e2, einf = e1 + tail.n1, e2 + tail.n2, einf + max(0.0, float(dropped.max()))
         x[drop] = 0.0
     return x, _measured(x, e1, e2, einf)
@@ -645,7 +652,7 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
       On the j of its window ``[a, b]`` (step 4) it starts from 1.0 at the
       mode ``m = floor((n + 1) t)``, found in integers, and takes the
       ratios ``(n - j) / (j + 1) fl(w1 / w0)`` upward and ``j / (n - j + 1)
-      fl(w0 / w1)`` downward, one ``numpy.cumprod`` each way; the products
+      fl(w0 / w1)`` downward, one cumulative product each way; the products
       are divided by their ``numpy`` sum (pairwise).  Nothing is
       transformed, so nothing is aliased.
     - *Direct power* (three or more atoms, ``n (l - 1) < _DIRECT_WIDTH``,
@@ -1062,11 +1069,14 @@ def sum_law(parts: Sequence[tuple[LatticePmf, int]]) -> SumLaw:
             ab = _direct_product(ab, _measured(np.array(pos)[:, 1]), min(len(probs), len(pos)))
         else:
             power, pb = kernel()
-            nz = np.flatnonzero(power)
-            spread = np.zeros((nz[-1] - nz[0]) * s + 1)  # the gaps stay exact zeros
-            spread[::s] = power[nz[0]:nz[-1] + 1]
-            # the first power's product with the unit is the spread itself, a fresh
-            # array, so that the law does not keep the transform's buffer alive
+            nz = power.nonzero()[0]
+            window = power[nz[0]:nz[-1] + 1]
+            if s > 1:  # the gaps stay exact zeros
+                spread = np.zeros((len(window) - 1) * s + 1)
+                spread[::s] = window
+            else:  # the first power is copied, so the law keeps no kernel buffer alive
+                spread = window if j else window.copy()
+            # the first power's product with the unit is the spread itself
             out = np.convolve(probs, spread) if j else spread
             ab = _direct_product(ab, pb, min(len(probs), len(spread)))
             lo += s * (a + int(nz[0]))
@@ -1084,7 +1094,7 @@ def _normalized(probs: np.ndarray, ab: _Bounds, n: int, first: int, v0: float, d
     if abs(total - 1.0) > ab.e1 + 3.0 * _U * n + 2.0 * _U:
         raise NumericsError(f"convolution mass drifted by {abs(total - 1.0):.3e}, "
                             f"beyond its error bound {ab.e1:.3e}")
-    peak = float(probs.max())
+    peak = float(np.maximum.reduce(probs))
     probs /= total
     dm = ab.e1 + 2.0 * _U * total
     err = (ab.einf + (peak + ab.einf) * dm / (total - dm) + _U * peak) / total * (1.0 + 2.0**-40)
@@ -1093,23 +1103,40 @@ def _normalized(probs: np.ndarray, ab: _Bounds, n: int, first: int, v0: float, d
 
 
 
+def _moment_ratios(parts: Sequence[tuple[LatticePmf, int]]
+                   ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The exact mean and variance of :func:`exact_moments` as integer pairs
+    ``(numerator, denominator)``, each denominator positive and neither
+    reduced: a quotient ``numerator / denominator`` of Python ints is
+    correctly rounded, so it gives the double that ``float`` of the
+    ``Fraction`` gives, with no rational arithmetic."""
+    mean, mean_den, var, var_den = 0, 1, 0, 1
+    for p, count in parts:
+        t = s1 = s2 = 0  # the masses' total, first and second index moments, times den
+        for k, w in zip(map(int, p.probs), _integer_masses(p.probs.values())[0]):
+            kw = k * w
+            t += w
+            s1 += kw
+            s2 += k * kw
+        (v, vd), (d, dd) = p.v0.as_integer_ratio(), p.D.as_integer_ratio()
+        md, vdd = vd * dd * t, dd * dd * t * t  # the part's denominators
+        mean, mean_den = mean * md + count * (v * dd * t + d * vd * s1) * mean_den, mean_den * md
+        var, var_den = var * vdd + count * d * d * (s2 * t - s1 * s1) * var_den, var_den * vdd
+    return (mean, mean_den), (var, var_den)
+
+
 def exact_moments(parts: Sequence[tuple[LatticePmf, int]]) -> tuple[Fraction, Fraction]:
     """Mean and variance, in rational arithmetic, of the sum that
     ``sum_law(parts)`` stands for: each law's stored masses scaled to total
     one.  A law's masses are read as integers over their common power-of-two
     denominator (:func:`_integer_masses`), so its moments cost integer sums.
     The parts' numerators are summed over the product of their denominators,
-    and each moment is reduced once, as one fraction."""
-    mean, mean_den, var, var_den = 0, 1, 0, 1
-    for p, count in parts:
-        ws = list(zip(map(int, p.probs), _integer_masses(p.probs.values())[0]))
-        t = sum(w for _, w in ws)
-        s1 = sum(k * w for k, w in ws)
-        s2 = sum(k * k * w for k, w in ws)
-        (v, vd), (d, dd) = p.v0.as_integer_ratio(), p.D.as_integer_ratio()
-        md, vdd = vd * dd * t, dd * dd * t * t  # the part's denominators
-        mean, mean_den = mean * md + count * (v * dd * t + d * vd * s1) * mean_den, mean_den * md
-        var, var_den = var * vdd + count * d * d * (s2 * t - s1 * s1) * var_den, var_den * vdd
+    and each moment is reduced once, as one fraction.  This wraps
+    :func:`_moment_ratios`, the integer pairs that the exact plug-ins and
+    :attr:`lltkit.bounds.SumSpec.moment_errors` read with no ``Fraction``
+    arithmetic: their one division, a quotient of ints, is correctly
+    rounded, the double that ``float`` of these fractions gives."""
+    (mean, mean_den), (var, var_den) = _moment_ratios(parts)
     return Fraction(mean, mean_den), Fraction(var, var_den)
 
 
@@ -1144,7 +1171,7 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     near = z < _SQRT1_2
     f = np.where(near, x, c)  # w of erf(w), or exp(-z^2) in the tail
     erfc = z >= 1.0
-    tail = np.flatnonzero(inside & erfc)  # NaN is neither inside nor erfc
+    tail = (inside & erfc).nonzero()[0]  # NaN is neither inside nor erfc
     f[tail] = np.fromiter(map(math.exp, (-zz[tail]).tolist()), float, len(tail))
     branch = erfc.view(np.int8) + (z >= 8.0)  # T/U, P/Q or R/S
     coef = np.take(_NDTR_POLY, np.concatenate([branch, branch + 3]), axis=1)
@@ -1170,9 +1197,9 @@ def _kolmogorov_distance(law: SumLaw, ks: np.ndarray, w: np.ndarray, center: flo
     if not (scale > 0):
         raise LatticeError(f"scale must be positive, got {scale}")
     phi = _ndtr((law.v0 + law.D * ks - center) / scale)
-    cdf_after = np.cumsum(w)
+    cdf_after = np.add.accumulate(w)
     cdf_before = cdf_after - w
-    return float(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi)).max())
+    return float(np.maximum.reduce(np.maximum(np.abs(cdf_after - phi), np.abs(cdf_before - phi))))
 
 
 def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
@@ -1188,8 +1215,9 @@ def kolmogorov_bound(law: SumLaw, mean, variance) -> float:
 
     - the CDF error: each exact CDF value lies within ``err_l1`` of the sum
       of the computed masses up to it;
-    - the ``cumsum`` rounding: partial sums of at most A masses of total
-      within ``3u`` of one err by ``gamma_A (1 + 3u)``; the CDF before a
+    - the rounding of the running sum (``numpy.add.accumulate``): partial
+      sums of at most A masses of total within ``3u`` of one err by
+      ``gamma_A (1 + 3u)``; the CDF before a
       jump subtracts one mass more (``u``), and the masses' total may miss
       one by ``3u``, which the supremum at infinity sees;
     - the ``ndtr`` error, ``_NDTR_ERR = 8u`` absolute;

@@ -40,7 +40,7 @@ from lltkit import (
     xi_law,
 )
 from lltkit import bounds, checks
-from lltkit.convolve import exact_moments
+from lltkit.convolve import exact_moments, kolmogorov_bound
 from lltkit.checks import (
     C0_TAIL_N_STAR,
     binomial_half_pmf,
@@ -473,6 +473,77 @@ class TestPrepareSum:
         assert (spec.law.first, spec.law.v0, spec.law.D, spec.law.err_abs) == (
             law.first, law.v0, law.D, law.err_abs)
         assert spec.law is spec.law  # built once
+
+
+    def test_level_above_theta_is_stored_as_theta(self):
+        # a level within the 1e-12 tolerance above theta_X is admitted and
+        # stored as theta_X, so Theta_n, the xi split and the Bernoulli
+        # parts of B_n read a level at which an extraction exists
+        law = make_pmf(0.0, 1.0, [(0, 1), (1, 2), (2, 1)])
+        assert theta(law) == 0.5
+        spec = prepare_sum([(law, 0.5000000000004, 64)])
+        assert spec.parts == ((law, 0.5, 64),) and spec.theta_n == 32.0
+        at_theta = prepare_sum([(law, 0.5, 64)])
+        assert spec == at_theta
+        assert exact_plug_ins(spec, 0.25) == exact_plug_ins(at_theta, 0.25)
+        with pytest.raises(PreconditionError):
+            prepare_sum([(law, 0.5000000001, 64)])
+
+
+def _fraction_tail(law, center, radius) -> float:
+    """:meth:`SumLaw.two_sided_tail_bound` as first written: the tail's ends
+    by ``math.ceil`` and ``math.floor`` of ``Fraction`` quotients."""
+    v0, d, center, radius = (Fraction(x) for x in (law.v0, law.D, center, radius))
+    a = math.ceil((center - radius - v0) / d)
+    b = max(math.floor((center + radius - v0) / d) + 1, a)
+    i, j = max(a - law.first, 0), max(b - law.first, 0)
+    mass = math.fsum(law.probs[:i].tolist() + law.probs[j:].tolist())
+    return (mass + law.err_l1) * (1.0 + 4.0 * 2.0**-53)
+
+
+def _rational_specs():
+    """Specs of one to three parts of 2-5-atom laws on a shared lattice,
+    v0 in {0, -1.5, 3} and D in {0.5, 1, 2}, with distinct levels, and the
+    tiny-atom law at n = 10."""
+    rng = np.random.default_rng(56)
+    specs = []
+    for _ in range(40):
+        d = [0.5, 1.0, 2.0][int(rng.integers(3))]
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(2, 6))
+            ks = sorted(int(k) for k in rng.choice(7, size=size - 1, replace=False))
+            ks = sorted({*ks, ks[0] + 1})[:size]  # an adjacent pair: theta > 0
+            law = make_pmf([0.0, -1.5, 3.0][int(rng.integers(3))], d,
+                           list(zip(ks, (rng.random(len(ks)) + 1e-3).tolist())))
+            level = theta(law) * float(rng.uniform(0.3, 1.0))
+            parts.append((law, level, int(rng.integers(1, 60))))
+        specs.append(prepare_sum(parts))
+    tiny = make_pmf(0.0, 1.0, [(0, 1e-30), (1, 1)])
+    specs.append(prepare_sum([(tiny, theta(tiny), 10)]))
+    return specs
+
+
+class TestExactPlugInRationals:
+    """The exact plug-ins and the moments' errors read integer pairs and
+    give the doubles of the ``Fraction`` formulas they replace."""
+
+    @pytest.mark.parametrize("spec", _rational_specs())
+    def test_the_doubles_of_the_fraction_formulas(self, spec):
+        levels = [t for _, t, _ in spec.parts]
+        assert len(set(levels)) == len(levels)
+        exact = exact_moments([(p, c) for p, _, c in spec.parts])
+        assert spec.moment_errors == tuple(math.nextafter(float(abs(Fraction(x) - y)), math.inf)
+                                           for x, y in zip((spec.mean, spec.var), exact))
+        b_n = sum_law([(bernoulli(t), c) for _, t, c in spec.parts])
+        theta_n = sum(c * Fraction(t) for _, t, c in spec.parts)
+        xi_parts = [(xi_law(split(p, t)), c) for p, t, c in spec.parts]
+        h_n = kolmogorov_bound(sum_law(xi_parts), *exact_moments(xi_parts))
+        for h in (0.1, 0.25, 0.3):
+            plug = exact_plug_ins(spec, h)
+            assert plug.h_n == h_n
+            assert plug.rho_n == b_n.two_sided_tail_bound(theta_n, Fraction(h) * theta_n)
+            assert plug.rho_n == _fraction_tail(b_n, theta_n, Fraction(h) * theta_n)
 
 
 class TestSandwichEnvelope:

@@ -557,6 +557,22 @@ class TestOtherCommands:
         assert mc["ci3_low"] <= payload["exact"] <= mc["ci3_high"]
         assert (mc["p_hat"], mc["stderr"]) == (payload["exact"], 0.0)
 
+    def test_scenery_level_above_theta_reads_theta(self, capsys, tmp_path):
+        # {1, 2, 1}/4 has theta 0.5; a level 4e-13 above it is admitted and
+        # read as 0.5, so Theta_n is 64 * 0.5 exactly, as at the level 0.5
+        outs = []
+        for vartheta in (0.5000000000004, 0.5):
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({
+                "x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]},
+                "increments": {"v0": 0, "D": 1, "probs": [[1, 1]]},
+                "n": 64, "vartheta": vartheta}))
+            code, out = run_cli(capsys, ["scenery", str(path), "--kappa", "64"])
+            assert code == 0
+            outs.append(out)
+        assert json.loads(outs[0])["params"]["theta_n"] == 32.0
+        assert outs[0] == outs[1]
+
     def test_scenery_mc_builds_the_n_fold_law_once(self, capsys, scenery_file, monkeypatch):
         # the xi law and the B_n law for the plug-ins, then the law of S_n,
         # which the envelope and the Monte Carlo estimate both read
@@ -1567,6 +1583,33 @@ class TestArgvReader:
         assert built == ["lltkit"] + [f"lltkit {name}" for name in lltkit.cli._ARGUMENTS]
         run_cli(capsys, declined)
         assert len(passes) == 4 and len(built) == 8
+
+
+def test_benchmark_exact_requests_run_no_fraction_arithmetic(capsys, monkeypatch, tmp_path):
+    # the exact plug-ins, the moments' errors and the tail's ends read
+    # integer pairs: one block of sweep-exact and one of scenery-mc makes no
+    # Fraction sum, difference, product or quotient
+    from fractions import Fraction
+
+    from perfbench import workloads
+
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        def spy(self, other, name=name, op=getattr(Fraction, name)):
+            ops.append(name)
+            return op(self, other)
+
+        monkeypatch.setattr(Fraction, name, spy)
+    assert Fraction(1, 3) + 1 == Fraction(4, 3) and ops == ["__add__"]
+    ops.clear()
+    for workload in ("sweep-exact", "scenery-mc"):
+        requests = workloads.build(workload, 1, "tiny", count=16)
+        workloads.write_inputs(requests, str(tmp_path))
+        for req in requests:
+            assert main(workloads.resolve(req, str(tmp_path))) == 0
+    capsys.readouterr()
+    assert ops == []
 
 
 def test_report_dicts_are_asdict():

@@ -1599,6 +1599,50 @@ class TestPoissonBinomial:
                 assert law.two_sided_tail_bound(0.5 * n, h * 0.5 * n) <= chernoff_rho(0.5 * n, h)
 
 
+def test_tail_ends_are_those_of_the_fraction_quotients():
+    # the tail's ends from integer floor and ceil on the inputs' integer
+    # ratios are the ends that math.ceil and math.floor of the Fraction
+    # quotients give, for float, int and Fraction centres and radii of both
+    # signs, on laws off the unit lattice
+    from .test_bounds import _fraction_tail
+
+    rng = np.random.default_rng(56)
+    for _ in range(60):
+        v0, d = [0.0, -1.5, 3.0][int(rng.integers(3))], [0.5, 1.0, 2.0][int(rng.integers(3))]
+        size = int(rng.integers(2, 6))
+        ks = sorted(int(k) for k in rng.choice(7, size=size, replace=False))
+        law = sum_law([(make_pmf(v0, d, list(zip(ks, (rng.random(size) + 1e-3).tolist()))),
+                        int(rng.integers(1, 40)))])
+        lo, hi = law.v0 + law.D * law.first, law.v0 + law.D * (law.first + len(law.probs))
+        for _ in range(20):
+            c = float(rng.uniform(lo - 2.0, hi + 2.0))
+            r = float(rng.uniform(-1.0, 0.6 * (hi - lo)))
+            on = law.v0 + law.D * (law.first + int(rng.integers(len(law.probs))))
+            for center, radius in ((c, r), (Fraction(c) / 3, Fraction(r) * 7 / 5),
+                                   (on, law.D * int(rng.integers(4))), (round(c), abs(round(r)))):
+                assert (law.two_sided_tail_bound(center, radius)
+                        == _fraction_tail(law, center, radius)), (center, radius)
+
+
+def test_moment_ratios_are_the_exact_moments():
+    # the integer pairs the request path reads are the fractions of
+    # exact_moments, and each quotient is the double of float(Fraction)
+    rng = np.random.default_rng(56)
+    for _ in range(100):
+        d = [0.5, 1.0, 2.0][int(rng.integers(3))]
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(2, 6))
+            ks = sorted(int(k) for k in rng.choice(9, size=size, replace=False))
+            law = make_pmf([0.0, -1.5, 3.0][int(rng.integers(3))], d,
+                           list(zip(ks, (rng.random(size) + 1e-3).tolist())))
+            parts.append((law, int(rng.integers(1, 10**4))))
+        pairs = convolve._moment_ratios(parts)
+        exact = exact_moments(parts)
+        for (num, den), x in zip(pairs, exact):
+            assert den > 0 and Fraction(num, den) == x and num / den == float(x)
+
+
 def test_exact_moments_of_the_scaled_stored_masses():
     # offsets, spans 0.5 and 0.75, a mass of 1e-20 and masses that do not
     # total one: the moments of the stored masses scaled to total one
