@@ -51,7 +51,7 @@ from typing import Any, Iterable, Iterator
 from .convolve import (_LIBM, _U, SumLaw, _as_count, _gamma, _integer_masses, _moment_ratios,
                        bernoulli, kolmogorov_bound, sum_law)
 from .errors import LatticeError, NumericsError, PreconditionError
-from .extraction import _check_level, split, xi_law
+from .extraction import _level, split, xi_law
 from .lattice import LatticePmf, _field_dict, _integral, _real, kappa_index, moments, theta
 
 #: Bound on the n^{3/2}-scaled sup gap between the fair binomial pmf and its
@@ -319,11 +319,9 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
     summands with that law, extracted at that level -- and compute the sum's
     characteristics.
 
-    Requires at least one part, each level in ``(0, theta(law)]``, each count
-    an integer >= 1, and a span shared by all laws.  A level is admitted up
-    to a relative 1e-12 above theta(law) and stored as ``min(level,
-    theta(law))``, so Theta_n, the xi split and the Bernoulli parts of B_n
-    read a level at which an extraction exists.  An iid sum is one part.
+    Requires at least one part, each count an integer >= 1, and a span
+    shared by all laws; each level is stored as read by the level rule of
+    :mod:`lltkit.extraction`.  An iid sum is one part.
     Theta_n, v0, the mean and the variance are each a fsum of count times
     the per-part value; for one part that is the correctly rounded sum of
     the n equal summand values.
@@ -333,11 +331,10 @@ def prepare_sum(parts: Iterable[tuple[LatticePmf, float, int]]) -> SumSpec:
         raise LatticeError("need at least one summand")
     d = parts[0][0].D
     for j, (p, t, count) in enumerate(parts):
-        theta_x = theta(p)
-        _check_level(t, theta_x, "part", j)
+        t = _level(t, theta(p), "part", j)
         if abs(p.D - d) > 1e-12 * max(1.0, abs(d)):
             raise LatticeError("summands must share a common span D")
-        parts[j] = p, min(t, theta_x), count
+        parts[j] = p, t, count
     parts = tuple(parts)
     stats = [(count, moments(p)) for p, _, count in parts]
     return SumSpec(

@@ -3,8 +3,17 @@
 A lattice variable X with ``theta_X = theta(f) > 0`` can be written in
 distribution as ``X = V + eps*D*L`` where L is a fair Bernoulli coin
 independent of the pair ``(V, eps)``, and ``P{eps = 1} = vartheta`` for any
-chosen extraction level ``0 < vartheta <= theta_X``.  The construction uses
-the canonical weights
+chosen extraction level ``0 < vartheta <= theta_X``.
+
+**The level rule.**  A level is admitted up to a relative 1e-12 above
+theta_X, so that a level computed as theta_X by other rounding is not
+refused, and every layer reads ``min(vartheta, theta_X)``: :func:`split`,
+:func:`lltkit.bounds.prepare_sum` and :class:`lltkit.scenery.SceneryModel`
+take their levels from :func:`_level` alone, so Theta_n, the xi split and
+the moment checks all read a level at which an extraction exists.  A level
+outside ``(0, theta_X (1 + 1e-12)]`` is a :class:`PreconditionError`.
+
+The construction uses the canonical weights
 
     tau_k = (vartheta / theta_X) * min(f(k), f(k+1)),
 
@@ -27,14 +36,16 @@ from .errors import LatticeError, PreconditionError
 from .lattice import LatticePmf, make_pmf, theta
 
 
-def _check_level(vartheta: float, theta_x: float, place: str, index: int | None = None) -> None:
-    """Require the extraction level of ``place`` (with ``index``, if given) to
-    lie in ``(0, theta_X]``, up to a relative 1e-12 above theta_X."""
+def _level(vartheta: float, theta_x: float, place: str, index: int | None = None) -> float:
+    """The level read for ``vartheta`` at ``place`` (with ``index``, if given),
+    by the level rule of the module docstring: ``min(vartheta, theta_X)``,
+    or a :class:`PreconditionError` naming the place."""
     if not (0.0 < vartheta <= theta_x * (1.0 + 1e-12)):
         where = place if index is None else f"{place} {index}"
         raise PreconditionError(
             f"extraction level {vartheta} for {where} outside (0, theta_X = {theta_x}]"
         )
+    return min(vartheta, theta_x)
 
 
 @dataclass(frozen=True)
@@ -60,16 +71,12 @@ class BernoulliSplit:
 
 
 def split(pmf: LatticePmf, vartheta: float | None = None) -> BernoulliSplit:
-    """Extract a Bernoulli part at level ``vartheta`` (default: maximal).
-
-    Requires ``0 < vartheta <= theta(pmf)``; a point mass (or any pmf with no
-    adjacent masses) has ``theta = 0`` and admits no extraction.
+    """Extract a Bernoulli part at level ``vartheta`` (default: maximal), read
+    by the level rule of the module docstring; a point mass (or any pmf with
+    no adjacent masses) has ``theta = 0`` and admits no extraction.
     """
     th_x = theta(pmf)
-    if vartheta is None:
-        vartheta = th_x
-    _check_level(vartheta, th_x, "the pmf")
-    vartheta = min(vartheta, th_x)
+    vartheta = _level(th_x if vartheta is None else vartheta, th_x, "the pmf")
     f = pmf.probs
     scale = vartheta / th_x
     tau = {

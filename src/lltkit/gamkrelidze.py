@@ -124,7 +124,8 @@ def interval_discrepancy(sum_law: SumLaw, a_n: float, b_n: float) -> SmoothnessR
     d = p - ell
     prefix = np.concatenate([[0.0], np.cumsum(d)])
     rho = float(prefix.max() - prefix.min())
-    m_stat = smoothness_stat(sum_law, b_n)
+    # the law's masses padded with zeros, so M is smoothness_stat's, bit for bit
+    m_stat = b_n * float(np.abs(np.diff(np.pad(p, 1))).max())
     return SmoothnessReport(
         M=m_stat,
         R=m_stat + math.sqrt(2.0 / (math.e * math.pi)),

@@ -4,9 +4,9 @@ The composed sum is ``S_n = sum_{k=1..n} X_{U_k}`` where the scenery values
 ``X_r`` are i.i.d. lattice variables and the index process ``U_j`` is an
 independent walk, the partial sums of i.i.d. integer increments ``Y_i``.
 Each site r carries its own extraction level ``vartheta_r`` (a constant or a
-per-site profile).  Strictly positive increments never visit a site twice
-(``P{U_h = U_k} = 0`` for ``h != k``); each oracle below states whether it
-needs that.
+per-site profile), read by the level rule of :mod:`lltkit.extraction`.
+Strictly positive increments never visit a site twice (``P{U_h = U_k} = 0``
+for ``h != k``); each oracle below states whether it needs that.
 
 Under no-revisits the second moments obey
 
@@ -51,7 +51,7 @@ from .bounds import (
 )
 from .convolve import _U, SumLaw, _check_total, _is_integer, sum_law
 from .errors import LatticeError, PreconditionError
-from .extraction import _check_level, split
+from .extraction import _level, split
 from .lattice import (LatticePmf, _index_moments, _integral, _real, kappa_index, pmf_from_json,
                       theta)
 
@@ -66,9 +66,10 @@ class SceneryModel:
     ``increment_law`` may be any law on the integer lattice L(0, 1): lazy
     and +-1 walks are models too.  The oracles that need strictly positive
     (or nonnegative) increments check that themselves.
-    ``vartheta_profile`` is either one constant level or a map r -> level.
-    ``n`` is read as the JSON reader reads it: an integer (a numpy integer
-    too), or a float with an integral value (``2.0``); anything else is a
+    ``vartheta_profile`` is either one constant level or a map r -> level;
+    every oracle reads a site's level through :meth:`vartheta_at`.  ``n`` is
+    read as the JSON reader reads it: an integer (a numpy integer too), or a
+    float with an integral value (``2.0``); anything else is a
     :class:`LatticeError`.
     """
 
@@ -84,23 +85,27 @@ class SceneryModel:
             raise LatticeError("increment law must live on the integer lattice L(0, 1)")
         if self.n < 0:
             raise LatticeError(f"need n >= 0, got {self.n}")
-        if self.constant_profile:
-            _check_level(float(self.vartheta_profile), theta(self.x_law), "the constant profile")
+        if self.constant_profile:  # refused here, a map entry when its site is read
+            self.vartheta_at(0)
 
     @property
     def constant_profile(self) -> bool:
         return isinstance(self.vartheta_profile, (int, float))
 
+    @cached_property
+    def _theta_x(self) -> float:
+        return theta(self.x_law)
+
     def vartheta_at(self, r: int) -> float:
-        """Extraction level at site r; validated against theta(x_law)."""
+        """Extraction level at site r, as read by the level rule of
+        :mod:`lltkit.extraction`; a map that misses r is a LatticeError."""
         if self.constant_profile:
-            return float(self.vartheta_profile)
+            return _level(float(self.vartheta_profile), self._theta_x, "the constant profile")
         try:
             v = float(self.vartheta_profile[r])
         except KeyError:
             raise LatticeError(f"vartheta profile does not cover reachable site {r}") from None
-        _check_level(v, theta(self.x_law), "site", r)
-        return v
+        return _level(v, self._theta_x, "site", r)
 
     @cached_property
     def annealed_law(self) -> SumLaw:
@@ -171,7 +176,7 @@ def _walk_table(model: SceneryModel, upto: int) -> tuple[float, list[tuple[float
     laws = (model.u_law(j) for j in range(1, upto + 1))
     table = [(model.mean_level(law), law.mass(0)) for law in laws]
     if model.constant_profile:
-        return model.n * float(model.vartheta_profile), table
+        return model.n * model.vartheta_at(0), table
     theta_n = 0.0
     for level, _ in table:
         theta_n += level
@@ -336,7 +341,7 @@ def scenery_envelope(
         )
     if model.n < 1:
         raise LatticeError(f"scenery envelope needs a model with n >= 1, got n = {model.n}")
-    spec = prepare_sum([(model.x_law, float(model.vartheta_profile), model.n)])
+    spec = prepare_sum([(model.x_law, model.vartheta_at(0), model.n)])
     plug_ins = exact_plug_ins(spec, h)
     # the spec's one part is (x_law, n), so its law is the model's; seeded after
     # the plug-ins so that a refused xi law is still the error raised first

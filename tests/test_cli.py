@@ -573,6 +573,19 @@ class TestOtherCommands:
         assert json.loads(outs[0])["params"]["theta_n"] == 32.0
         assert outs[0] == outs[1]
 
+    def test_scenery_moment_check_reads_theta(self, capsys, tmp_path):
+        # the moment check reads the level the envelope reads: Theta_n is
+        # 64 * 0.5, and the identity closes exactly
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "x_law": {"v0": 0, "D": 1, "probs": [[0, 1], [1, 2], [2, 1]]},
+            "increments": {"v0": 0, "D": 1, "probs": [[1, 1]]},
+            "n": 64, "vartheta": 0.5000000000004}))
+        code, out = run_cli(capsys, ["scenery", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["theta_n"], payload["identity_residual"]) == (32.0, 0.0)
+
     def test_scenery_mc_builds_the_n_fold_law_once(self, capsys, scenery_file, monkeypatch):
         # the xi law and the B_n law for the plug-ins, then the law of S_n,
         # which the envelope and the Monte Carlo estimate both read

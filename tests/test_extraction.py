@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,18 @@ from hypothesis import strategies as st
 
 from lltkit import (
     PreconditionError,
+    SceneryModel,
+    make_pmf,
     moments,
+    prepare_sum,
     reconstruct,
+    scenery_envelope,
+    second_moment_check,
     split,
     theta,
     xi_law,
 )
+from lltkit.checks import theta_n_scenery
 
 from .conftest import random_pmf
 
@@ -116,6 +123,77 @@ class TestXiLaw:
             m1, v1 = moments(xi_law(sp))
             assert m1 == pytest.approx(m0, abs=1e-12)
             assert v1 == pytest.approx(v0 - p.D**2 * level / 4.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the level rule: split, prepare_sum and the scenery model read one level
+
+
+def _level_laws(count=30):
+    """Seeded 2-5-atom laws with v0 in {0, -1.5, 3} and D in {0.5, 1, 2};
+    each has an adjacent pair, so theta > 0."""
+    rng = np.random.default_rng(57)
+    for _ in range(count):
+        size = int(rng.integers(2, 6))
+        ks = np.concatenate([[0, 1], rng.integers(1, 3, size - 2)]).cumsum().tolist()
+        masses = (rng.random(size) + 0.05).tolist()
+        yield make_pmf(float(rng.choice([0.0, -1.5, 3.0])), float(rng.choice([0.5, 1.0, 2.0])),
+                       list(zip(ks, masses)))
+
+
+# strictly positive walks of _N steps, which reach no site beyond 2 _N
+_STEPS = (make_pmf(0.0, 1.0, [(1, 1)]), make_pmf(0.0, 1.0, [(1, 2), (2, 1)]))
+_N = 4
+_SITES = range(1, 2 * _N + 1)
+
+
+class TestLevelRule:
+    def test_every_reader_reads_one_level(self):
+        for law in _level_laws():
+            th = theta(law)
+            for k in range(10):
+                level = th * (1.0 + k * 1e-13)
+                read = split(law, level).vartheta
+                assert read == min(level, th)
+                assert prepare_sum([(law, level, _N)]).parts[0][1] == read
+                for inc in _STEPS:
+                    const = SceneryModel(law, inc, _N, level)
+                    mapped = SceneryModel(law, inc, _N, {r: level for r in _SITES})
+                    assert all(m.vartheta_at(r) == read for m in (const, mapped) for r in _SITES)
+
+    def test_moment_check_reads_the_envelope_level(self):
+        # strictly positive walks: the moment check, the checks module and
+        # the envelope all read Theta_n from the clamped level
+        for law in _level_laws():
+            th = theta(law)
+            kappa = _N * law.point(min(law.probs))
+            for k in range(10):
+                level = th * (1.0 + k * 1e-13)
+                for inc in _STEPS:
+                    const = SceneryModel(law, inc, _N, level)
+                    theta_n = second_moment_check(const).theta_n
+                    assert theta_n == theta_n_scenery(const) == _N * th
+                    assert scenery_envelope(const, 0.25, kappa).params["theta_n"] == theta_n
+                    mapped = SceneryModel(law, inc, _N, {r: level for r in _SITES})
+                    assert second_moment_check(mapped).theta_n == theta_n_scenery(mapped)
+
+    def test_level_above_the_rule_is_refused_everywhere(self):
+        for law in _level_laws():
+            th = theta(law)
+            level = th * (1.0 + 2e-12)
+
+            def refused(where):
+                msg = f"extraction level {level} for {where} outside (0, theta_X = {th}]"
+                return pytest.raises(PreconditionError, match=re.escape(msg))
+
+            with refused("the pmf"):
+                split(law, level)
+            with refused("part 0"):
+                prepare_sum([(law, level, _N)])
+            with refused("the constant profile"):
+                SceneryModel(law, _STEPS[0], _N, level)
+            with refused("site 1"):
+                second_moment_check(SceneryModel(law, _STEPS[0], _N, {r: level for r in _SITES}))
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,13 @@ def _gappy_law(seed):
 
 # a skewed sum whose lowest masses underflow to zero at the start of its array
 _UNDERFLOWED = (make_pmf(0.0, 1.0, [(0, 0.05), (1, 0.95)]), 300)
+# a sum whose largest gap is its first mass against the zero before it; at
+# a_n = mean + 40 the window starts at that mass
+_EDGE_HEAVY = (make_pmf(0.0, 1.0, [(0, 0.9), (1, 0.1)]), 3)
 
 
-@pytest.mark.parametrize("law", [_gappy_law(s) for s in range(5)] + [iid_sum(*_UNDERFLOWED)])
+@pytest.mark.parametrize("law", [_gappy_law(s) for s in range(5)]
+                         + [iid_sum(*_UNDERFLOWED), iid_sum(*_EDGE_HEAVY)])
 def test_dense_reads_equal_dict_reference(law):
     """Positive masses as an integer -> mass dict, read the way the statistics
     once read them: zeros are no support points and never widen the window."""
@@ -77,6 +81,7 @@ def test_dense_reads_equal_dict_reference(law):
     assert smoothness_stat(law, 3.0) == 3.0 * gap
     for a_n in (law.mean, law.mean + 40.0):
         report = interval_discrepancy(law, a_n, law.variance)
+        assert report.M == smoothness_stat(law, law.variance)
         sd = math.sqrt(law.variance)
         k_lo = min(min(f), math.floor(a_n - 9.5 * sd))
         k_hi = max(max(f), math.ceil(a_n + 9.5 * sd))
